@@ -1,10 +1,16 @@
-"""Solving LPInstances: a dense two-phase revised simplex with native
-variable bounds, plus MPS export and a solution importer for running the
-same problem through an external solver.
+"""Solving LPInstances: a two-phase revised simplex with native variable
+bounds, plus MPS export and a solution importer for running the same
+problem through an external solver.
 
-The simplex is sized for desk-scale problems (a few thousand columns),
-which is exactly what the bundled fixtures produce. Larger studies are
-expected to go through export_mps.
+The simplex prices and forms entering columns from a column-compressed
+copy of the working matrix, so both touch only nonzeros. It keeps the
+basis inverse as the dense inverse from the last refactorization less one
+rank-1 term per pivot since, and refactors at least every
+``refactor_every`` pivots. An iteration then costs O(m^2) reads plus
+O(nnz), with no m x m temporaries. The dense inverse still bounds it to
+desk-scale problems (a few thousand rows), which is exactly what the
+bundled fixtures produce. Larger studies are expected to go through
+export_mps.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -29,7 +35,12 @@ _PIVOT_RULES = ("dantzig", "bland")
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tunables for the built-in simplex."""
+    """Tunables for the built-in simplex.
+
+    ``refactor_every`` is the most basis updates kept between
+    refactorizations. The row count m caps it: m updates already cost as
+    much to apply, and to store, as the dense factor they correct.
+    """
 
     feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-7
@@ -109,6 +120,19 @@ class _Simplex:
 
     All variables have lower bound 0 in this space; each is nonbasic at
     0, nonbasic at its upper bound, or basic.
+
+    The basis inverse is kept in product form: a dense inverse ``binv0``
+    from the last refactorization, less a low-rank correction built from
+    one rank-1 term per pivot since then,
+
+        B^-1 = binv0 - u[:k].T @ v[:k].
+
+    A pivot appends one row to ``u`` and ``v`` and writes O(m) numbers;
+    FTRAN and BTRAN each read ``binv0`` once plus the thin correction. A
+    refactorization folds the terms back into a fresh ``binv0``. Pricing
+    and FTRAN read only the nonzeros of the working matrix, through a
+    column-compressed copy built once; the dense matrix is kept for
+    forming whole bases (refactorization and basis repair).
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -120,33 +144,69 @@ class _Simplex:
         self.opts = opts
         self.m, self.n_all = self.a.shape
         self.iterations = 0
-        self.pivots_since_refactor = 0
         self.vstat = np.full(self.n_all, self.AT_LOWER, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
-        self.binv = np.eye(self.m)
         self.xb = b.copy()
+        # Column-compressed nonzeros: column j owns entries
+        # indptr[j]:indptr[j + 1] of (rows, vals).
+        self.cols, self.rows = np.nonzero(self.a.T)
+        self.vals = self.a[self.rows, self.cols]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.cols, minlength=self.n_all))])
+        # Static column norms turn Dantzig pricing into a cheap steepest-
+        # edge approximation, which cuts iteration counts severalfold on
+        # problems mixing capacity and hourly-dispatch scales.
+        self.norms = np.sqrt(np.bincount(self.cols, weights=self.vals ** 2,
+                                         minlength=self.n_all)) + 1.0
+        self.max_updates = min(opts.refactor_every, self.m)
+        self.u = np.empty((self.max_updates, self.m))
+        self.v = np.empty((self.max_updates, self.m))
+        self.k = 0
+        self.binv0 = np.eye(self.m)
 
     def set_basis(self, cols):
         self.basis[:] = cols
         self.vstat[:] = self.AT_LOWER
         self.vstat[self.basis] = self.BASIC
-        self.binv = np.eye(self.m)
+        self.binv0 = np.eye(self.m)
+        self.k = 0
         self.xb = self.b.copy()
 
     def refactor(self):
         bmat = self.a[:, self.basis]
         try:
-            self.binv = np.linalg.solve(bmat, np.eye(self.m))
+            self.binv0 = np.linalg.solve(bmat, np.eye(self.m))
         except np.linalg.LinAlgError:
             self._repair_basis()
-            self.binv = np.linalg.solve(self.a[:, self.basis],
-                                        np.eye(self.m))
+            self.binv0 = np.linalg.solve(self.a[:, self.basis],
+                                         np.eye(self.m))
+        self.k = 0
         at_ub = np.flatnonzero(self.vstat == self.AT_UPPER)
         rhs = self.b.copy()
         if at_ub.size:
             rhs -= self.a[:, at_ub] @ self.ub[at_ub]
-        self.xb = self.binv @ rhs
-        self.pivots_since_refactor = 0
+        self.xb = self.binv0 @ rhs
+
+    def _ftran(self, q: int) -> np.ndarray:
+        """B^-1 times working column q."""
+        lo, hi = self.indptr[q], self.indptr[q + 1]
+        rows, vals = self.rows[lo:hi], self.vals[lo:hi]
+        w = self.binv0[:, rows] @ vals
+        k = self.k
+        return w - (self.v[:k, rows] @ vals) @ self.u[:k]
+
+    def _btran(self, cb: np.ndarray) -> np.ndarray:
+        """cb times B^-1."""
+        k = self.k
+        return cb @ self.binv0 - (self.u[:k] @ cb) @ self.v[:k]
+
+    def _pivot_update(self, r: int, w: np.ndarray):
+        """Record the pivot on row r with entering column B^-1 a_q = w."""
+        k = self.k
+        self.v[k] = (self.binv0[r] - self.u[:k, r] @ self.v[:k]) / w[r]
+        self.u[k] = w
+        self.u[k, r] -= 1.0
+        self.k = k + 1
 
     def _unit_columns(self) -> dict:
         """Row index -> a working column that is a multiple of that row's
@@ -202,7 +262,7 @@ class _Simplex:
         return x
 
     def duals(self, c: np.ndarray) -> np.ndarray:
-        return c[self.basis] @ self.binv
+        return self._btran(c[self.basis])
 
     def run(self, c: np.ndarray, phase: int, max_iterations: int) -> str:
         tol = self.opts.optimality_tol
@@ -216,22 +276,19 @@ class _Simplex:
         # Columns whose only available pivots are numerically zero for the
         # current basis; cleared whenever the basis changes.
         blocked = np.zeros(self.n_all, dtype=bool)
-        # Static column norms turn Dantzig pricing into a cheap steepest-
-        # edge approximation, which cuts iteration counts severalfold on
-        # problems mixing capacity and hourly-dispatch scales.
-        norms = np.sqrt((self.a * self.a).sum(axis=0)) + 1.0
 
         while True:
             if self.iterations >= max_iterations:
                 return STATUS_ITERATION_LIMIT
             self.iterations += 1
 
-            y = c[self.basis] @ self.binv
-            d = c - y @ self.a
+            y = self._btran(c[self.basis])
+            d = c - np.bincount(self.cols, weights=y[self.rows] * self.vals,
+                                minlength=self.n_all)
             can_rise = (self.vstat == self.AT_LOWER) & ~fixed & (d < -tol)
             can_fall = (self.vstat == self.AT_UPPER) & (d > tol)
             score = np.where(can_rise, -d, 0.0) + np.where(can_fall, d, 0.0)
-            score /= norms
+            score /= self.norms
             candidates = np.flatnonzero((score > 0.0) & ~blocked)
             if candidates.size == 0:
                 return STATUS_OPTIMAL
@@ -241,7 +298,7 @@ class _Simplex:
                 q = int(candidates[np.argmax(score[candidates])])
             sigma = 1.0 if self.vstat[q] == self.AT_LOWER else -1.0
 
-            w = self.binv @ self.a[:, q]
+            w = self._ftran(q)
             denom = sigma * w
             # Distance each basic variable allows before hitting a bound.
             ratios = np.full(self.m, np.inf)
@@ -284,7 +341,7 @@ class _Simplex:
                     # Pivoting here would make the basis numerically
                     # singular. With stale updates, refactor and retry;
                     # with a fresh factorization, shelve this column.
-                    if self.pivots_since_refactor > 0:
+                    if self.k > 0:
                         self.refactor()
                     else:
                         blocked[q] = True
@@ -297,18 +354,11 @@ class _Simplex:
                 self.basis[r] = q
                 self.vstat[q] = self.BASIC
                 self.xb[r] = t_star if sigma > 0.0 else self.ub[q] - t_star
-                # Product-form update of the basis inverse.
-                piv_row = self.binv[r, :] / w[r]
-                wz = w.copy()
-                wz[r] = 0.0
-                self.binv -= np.outer(wz, piv_row)
-                self.binv[r, :] = piv_row
-                self.pivots_since_refactor += 1
+                self._pivot_update(r, w)
                 blocked[:] = False
                 # Small pivots are accepted but poison the rolling inverse,
                 # so refresh it immediately afterwards.
-                if (self.pivots_since_refactor >= self.opts.refactor_every
-                        or abs(w[r]) < 1e-3):
+                if self.k >= self.max_updates or abs(w[r]) < 1e-3:
                     self.refactor()
 
             if t_star > 1e-10:
@@ -390,15 +440,7 @@ def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     rhs_scale = max(1.0, float(np.max(np.abs(lp.rhs_vector()), initial=0.0)))
     if sol.max_violation <= 10.0 * opts.feasibility_tol * rhs_scale:
         return sol
-    retry = SolveOptions(
-        feasibility_tol=opts.feasibility_tol,
-        optimality_tol=opts.optimality_tol,
-        max_iterations=opts.max_iterations,
-        pivot_rule=opts.pivot_rule,
-        scale=opts.scale,
-        refactor_every=5,
-    )
-    again = _solve_once(lp, retry)
+    again = _solve_once(lp, replace(opts, refactor_every=5))
     if (again.status == STATUS_OPTIMAL and again.max_violation is not None
             and again.max_violation < sol.max_violation):
         return again
@@ -491,9 +533,13 @@ def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
         feas_tol = opts.feasibility_tol * max(
             1.0, float(np.max(np.abs(b_w), initial=0.0)))
         if art_level > feas_tol:
-            bad = [lp.rows[i].name for k, i in enumerate(art_rows)
-                   if sx.vstat[n + n_slack + k] == _Simplex.BASIC
-                   or (n + n_slack + k in sx.basis)][:5]
+            # Basic artificials above tolerance hold the residual; name
+            # the largest first.
+            held = np.flatnonzero((sx.basis >= n + n_slack)
+                                  & (sx.xb > feas_tol))
+            held = held[np.argsort(-sx.xb[held], kind="stable")]
+            bad = [lp.rows[art_rows[sx.basis[p] - n - n_slack]].name
+                   for p in held[:5]]
             return _infeasible(
                 sx.iterations,
                 f"no feasible point; residual {art_level:.3e} "

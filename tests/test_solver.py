@@ -9,13 +9,20 @@ Oracles used here:
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gridplan.formulation import EQ, GE, LE, LPError, LPRow, make_lp
+import gridplan
+from gridplan.demand import synthesize_demand
+from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError, LPRow,
+                                  assemble, make_lp)
+from gridplan.runner import load_bundle, load_config
 from gridplan.solver import SolveOptions, Solution, solve
+
+FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
 
 
 def scipy_solve(lp):
@@ -112,6 +119,24 @@ class TestElementary:
         assert sol.objective == pytest.approx(9.0, abs=1e-9)
         assert sol.objective == pytest.approx(
             brute_force_vertices(lp), abs=1e-9)
+
+    def test_infeasibility_names_rows_holding_the_residual(self):
+        # A chain of zero-rhs equalities whose artificials can stay basic at
+        # zero level, ahead of the two rows that cannot be satisfied.
+        n = 8
+        rows = []
+        for i in range(6):
+            coeffs = np.zeros(n)
+            coeffs[[i, i + 1]] = [1.0, -1.0]
+            rows.append((coeffs, EQ, 0.0))
+        rows.append((np.eye(n)[6], GE, 5.0))
+        rows.append((np.eye(n)[0] + np.eye(n)[7], EQ, -2.0))
+        upper = np.full(n, np.inf)
+        upper[6] = 1.0
+        sol = solve(make_lp(np.zeros(n), rows, upper=upper))
+        assert sol.status == "infeasible"
+        assert "residual 7.000e+00" in sol.message
+        assert sol.message.endswith("rows ['r6', 'r7']")
 
     def test_contradictory_bounds_infeasible(self):
         lp = make_lp([1.0], [([1.0], GE, 2.0)], upper=[1.0])
@@ -342,6 +367,13 @@ class TestControls:
         assert a.iterations == b.iterations
         assert a.x.tobytes() == b.x.tobytes()
 
+    def test_refactor_cadence_beyond_row_count(self):
+        lp = random_instance(5, 30, 45)
+        ref = solve(lp)
+        sol = solve(lp, SolveOptions(refactor_every=10**12))
+        assert sol.status == ref.status == "optimal"
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+
     def test_tolerances_must_be_positive(self):
         with pytest.raises(ValueError):
             SolveOptions(feasibility_tol=0.0)
@@ -355,3 +387,30 @@ class TestControls:
     def test_solution_reports_iterations(self):
         sol = solve(make_lp([1.0], [([1.0], GE, 3.0)]))
         assert sol.iterations >= 1
+
+
+@pytest.fixture(scope="module")
+def fixture_lp():
+    bundle = load_bundle(FIXTURE_DIR)
+    config = load_config(FIXTURE_DIR / "scenario.json")
+    demand = synthesize_demand(bundle.network, bundle.series, config,
+                               bundle.params)
+    inp = BuildInputs(config, bundle.network, bundle.series, bundle.costs,
+                      bundle.params, demand, emissions=bundle.emissions)
+    return assemble(inp)[0]
+
+
+@pytest.mark.parametrize("refactor_every", [1, 7, 100])
+def test_refactor_cadence_on_fixture(fixture_lp, refactor_every):
+    # 1 refactors after every pivot, 7 fills and resets the update buffer
+    # many times per phase, and 100 carries updates across the switch
+    # from the feasibility phase to optimization.
+    lp = fixture_lp
+    ref = scipy_solve(lp)
+    assert ref.status == 0
+    sol = solve(lp, SolveOptions(refactor_every=refactor_every))
+    assert sol.status == "optimal", sol.message
+    assert sol.objective == pytest.approx(ref.fun + lp.offset, rel=1e-9)
+    rhs_scale = max(1.0, float(np.max(np.abs(lp.rhs_vector()))))
+    assert sol.max_violation <= 10.0 * SolveOptions().feasibility_tol * rhs_scale
+    assert sol.duality_gap <= 1e-9
