@@ -1,17 +1,22 @@
-"""Linear-program assembly: the canonical LP container plus the builder
-that turns validated grid inputs into variables, bounds, rows, and an
-objective.
+"""Linear-program assembly: the LP container plus the builder that turns
+validated grid inputs into variables, bounds, rows, and an objective.
 
-The container types (LPRow, LPInstance) are deliberately dumb: plain
-arrays with names attached. Everything that knows about grids lives in
-the builder; everything that knows about simplex lives in the solver.
+Two layout decisions live here and nowhere else. LPInstance stores the
+constraint matrix as one compressed-sparse-row (CSR) matrix with per-row
+sense, rhs, name and tag arrays; LPBuilder.instance is the one place that
+produces it. VariableCatalog numbers the columns as one contiguous block
+per variable family, so each constraint family adds whole blocks of rows
+with index arithmetic on those blocks. Everything that knows about grids
+lives in the builder; everything that knows about simplex lives in the
+solver.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,15 +39,9 @@ class LPError(ValueError):
     """Raised for malformed LP data or inconsistent build inputs."""
 
 
-def _frozen(arr, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class LPRow:
-    """One sparse constraint row: sum(val[k] * x[idx[k]]) sense rhs."""
+class LPRow(NamedTuple):
+    """Read-only view of one row of an LPInstance:
+    sum(val[k] * x[idx[k]]) sense rhs."""
 
     idx: np.ndarray
     val: np.ndarray
@@ -50,21 +49,6 @@ class LPRow:
     rhs: float
     name: str
     tag: str = ""
-
-    def __post_init__(self):
-        idx = _frozen(self.idx, np.int64)
-        val = _frozen(self.val, np.float64)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "rhs", float(self.rhs))
-        if self.sense not in _SENSES:
-            raise LPError(f"row {self.name!r}: unknown sense {self.sense!r}")
-        if idx.ndim != 1 or val.shape != idx.shape:
-            raise LPError(f"row {self.name!r}: idx/val shape mismatch")
-        if idx.size != np.unique(idx).size:
-            raise LPError(f"row {self.name!r}: repeated column index")
-        if not np.all(np.isfinite(val)) or not np.isfinite(self.rhs):
-            raise LPError(f"row {self.name!r}: non-finite coefficient or rhs")
 
     def activity(self, x: np.ndarray) -> float:
         return float(self.val @ x[self.idx])
@@ -74,15 +58,26 @@ class LPRow:
 class LPInstance:
     """A complete minimization LP with named columns and rows.
 
-    ``lower``/``upper`` are per-column bounds (upper may be +inf);
-    ``offset`` is a constant added to the objective value; ``audit``
-    counts rows (and bound-encoded constraints) per constraint-family
-    tag for coverage checks.
+    The constraint matrix is in CSR form: row i has coefficients
+    ``data[indptr[i]:indptr[i + 1]]`` at columns ``indices[...]`` (strictly
+    ascending) and reads ``row @ x  sense[i]  rhs[i]``. ``sense`` and
+    ``row_tags`` (the constraint family of each row) are string arrays, so
+    selecting a sense or a family is one comparison. ``lower``/``upper``
+    are per-column bounds (upper may be +inf); ``offset`` is a constant
+    added to the objective value; ``audit`` counts rows (and bound-encoded
+    constraints) per constraint-family tag for coverage checks. Every
+    array is read-only.
     """
 
     n_cols: int
     objective: np.ndarray
-    rows: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    row_names: tuple
+    row_tags: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     col_names: tuple
@@ -90,26 +85,44 @@ class LPInstance:
     audit: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _frozen(self.objective, np.float64))
-        object.__setattr__(self, "lower", _frozen(self.lower, np.float64))
-        object.__setattr__(self, "upper", _frozen(self.upper, np.float64))
-        object.__setattr__(self, "rows", tuple(self.rows))
+        for name, dtype in (("objective", np.float64), ("indptr", np.int64),
+                            ("indices", np.int64), ("data", np.float64),
+                            ("sense", str), ("rhs", np.float64),
+                            ("row_tags", str), ("lower", np.float64),
+                            ("upper", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "row_names", tuple(self.row_names))
         object.__setattr__(self, "col_names", tuple(self.col_names))
         object.__setattr__(self, "offset", float(self.offset))
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.rhs.size
+
+    @cached_property
+    def row_of(self) -> np.ndarray:
+        """Row index of each stored coefficient."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
 
     def validate(self) -> None:
         """Raise LPError if the instance is internally inconsistent."""
-        n = self.n_cols
-        for name, arr in (("objective", self.objective),
-                          ("lower", self.lower), ("upper", self.upper)):
-            if arr.shape != (n,):
-                raise LPError(f"{name} has shape {arr.shape}, expected ({n},)")
-        if len(self.col_names) != n:
-            raise LPError("one name required per column")
+        n, m = self.n_cols, self.n_rows
+        for name, arr, k in (("objective", self.objective, n),
+                             ("lower", self.lower, n),
+                             ("upper", self.upper, n),
+                             ("sense", self.sense, m),
+                             ("row_tags", self.row_tags, m)):
+            if arr.shape != (k,):
+                raise LPError(f"{name} has shape {arr.shape}, expected ({k},)")
+        if len(self.col_names) != n or len(self.row_names) != m:
+            raise LPError("one name required per column and per row")
+        p = self.indptr
+        if (p.shape != (m + 1,) or p[0] != 0 or np.any(np.diff(p) < 0)
+                or self.indices.shape != (p[-1],)
+                or self.data.shape != self.indices.shape):
+            raise LPError("indptr, indices and data do not form a CSR matrix")
         if len(set(self.col_names)) != n:
             raise LPError("column names must be unique")
         if not np.all(np.isfinite(self.objective)):
@@ -126,31 +139,61 @@ class LPInstance:
                 f"column {self.col_names[j]!r}: lower {self.lower[j]} "
                 f"exceeds upper {self.upper[j]}"
             )
-        for row in self.rows:
-            if row.idx.size and (row.idx.min() < 0 or row.idx.max() >= n):
-                raise LPError(f"row {row.name!r} references unknown column")
+        unknown = ~np.isin(self.sense, _SENSES)
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise LPError(f"row {self.row_names[i]!r}: unknown sense "
+                          f"{self.sense[i].item()!r}")
+        row_of, idx = self.row_of, self.indices
+        step = np.diff(idx)
+        within = row_of[1:] == row_of[:-1]
+        for bad, message in (
+                ((idx < 0) | (idx >= n), "row {!r} references unknown column"),
+                (within & (step == 0), "row {!r}: repeated column index"),
+                (within & (step < 0), "row {!r}: column indices must ascend"),
+                (~np.isfinite(self.data),
+                 "row {!r}: non-finite coefficient or rhs")):
+            if bad.any():
+                raise LPError(message.format(
+                    self.row_names[row_of[np.argmax(bad)]]))
+        if not np.all(np.isfinite(self.rhs)):
+            i = int(np.argmax(~np.isfinite(self.rhs)))
+            raise LPError(f"row {self.row_names[i]!r}: non-finite "
+                          "coefficient or rhs")
+
+    @cached_property
+    def _name_to_col(self) -> dict:
+        return {c: j for j, c in enumerate(self.col_names)}
 
     def column_index(self, name: str) -> int:
-        index = self.__dict__.get("_name_to_col")
-        if index is None:
-            index = {c: j for j, c in enumerate(self.col_names)}
-            object.__setattr__(self, "_name_to_col", index)
-        return index[name]
+        return self._name_to_col[name]
+
+    @property
+    def rows(self) -> tuple:
+        """One LPRow view per row, for inspection; the package itself
+        reads the CSR arrays."""
+        p = self.indptr.tolist()
+        return tuple(
+            LPRow(self.indices[a:b], self.data[a:b], *row)
+            for a, b, row in zip(p, p[1:], zip(
+                self.sense.tolist(), self.rhs.tolist(), self.row_names,
+                self.row_tags.tolist())))
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """Row activities, A @ x."""
+        return np.bincount(self.row_of, weights=self.data * x[self.indices],
+                           minlength=self.n_rows)
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_cols))
-        for i, row in enumerate(self.rows):
-            a[i, row.idx] = row.val
+        a[self.row_of, self.indices] = self.data
         return a
 
     def rhs_vector(self) -> np.ndarray:
-        return np.array([row.rhs for row in self.rows])
+        return self.rhs.copy()
 
     def senses(self) -> tuple:
-        return tuple(row.sense for row in self.rows)
-
-    def row_names(self) -> tuple:
-        return tuple(row.name for row in self.rows)
+        return tuple(self.sense.tolist())
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective @ x) + self.offset
@@ -163,10 +206,14 @@ class LPInstance:
         parts.append(b"c:" + self.objective.tobytes())
         parts.append(b"lo:" + self.lower.tobytes())
         parts.append(b"up:" + self.upper.tobytes())
-        for row in self.rows:
-            head = f"{row.name}|{row.tag}|{row.sense}|{row.rhs!r}".encode()
-            parts.append(head + b"#" + row.idx.tobytes() + b"#"
-                         + row.val.tobytes())
+        # indices and data are both 8-byte types.
+        idx, val = self.indices.tobytes(), self.data.tobytes()
+        p = (8 * self.indptr).tolist()
+        for a, b, name, tag, sense, rhs in zip(
+                p, p[1:], self.row_names, self.row_tags.tolist(),
+                self.sense.tolist(), self.rhs.tolist()):
+            head = f"{name}|{tag}|{sense}|{rhs!r}".encode()
+            parts.append(head + b"#" + idx[a:b] + b"#" + val[a:b])
         for tag in sorted(self.audit):
             parts.append(f"audit:{tag}={self.audit[tag]}".encode())
         return b"\n".join(parts)
@@ -194,22 +241,19 @@ def make_lp(objective: Sequence[float],
         lower = np.zeros(n)
     if upper is None:
         upper = np.full(n, np.inf)
-    built = []
-    for i, spec_row in enumerate(rows):
-        if len(spec_row) == 4:
-            coeffs, sense, rhs, name = spec_row
-        else:
-            coeffs, sense, rhs = spec_row
-            name = f"r{i}"
-        coeffs = np.asarray(coeffs, dtype=float)
-        (nz,) = np.nonzero(coeffs)
-        built.append(LPRow(idx=nz, val=coeffs[nz], sense=sense,
-                           rhs=float(rhs), name=name))
-    lp = LPInstance(n_cols=n, objective=c, rows=tuple(built),
-                    lower=np.asarray(lower, dtype=float),
-                    upper=np.asarray(upper, dtype=float),
-                    col_names=tuple(col_names), offset=offset,
-                    audit=dict(audit or {}))
+    coeffs, senses, rhs, names = zip(*(
+        spec if len(spec) == 4 else (*spec, f"r{i}")
+        for i, spec in enumerate(rows))) if rows else ((),) * 4
+    coeffs = [np.asarray(a, dtype=float) for a in coeffs]
+    nz = [np.flatnonzero(a) for a in coeffs]
+    lp = LPInstance(
+        n_cols=n, objective=c, indptr=np.cumsum([0] + [k.size for k in nz]),
+        indices=np.concatenate([np.zeros(0, np.int64)] + nz),
+        data=np.concatenate([np.zeros(0)] + [a[k] for a, k in zip(coeffs, nz)]),
+        sense=senses, rhs=[float(r) for r in rhs], row_names=names,
+        row_tags=[""] * len(names), lower=np.asarray(lower, dtype=float),
+        upper=np.asarray(upper, dtype=float),
+        col_names=tuple(col_names), offset=offset, audit=dict(audit or {}))
     lp.validate()
     return lp
 
@@ -218,39 +262,81 @@ def make_lp(objective: Sequence[float],
 # variable catalog
 
 
-def _window_hours(window: tuple[int, int], n_hours: int) -> tuple[int, ...]:
-    h_start, h_end = window
-    return tuple(
-        day * HOURS_PER_DAY + h
-        for day in range(n_hours // HOURS_PER_DAY)
-        for h in range(h_start, h_end + 1)
-    )
+@dataclass(frozen=True)
+class Block:
+    """The columns of one variable family, numbered from ``offset``.
+
+    Each key (a node, a flow direction such as ``a>b``, or an interface
+    key) owns a run of one column per entry of ``hours``, key-major; a
+    family without hours has one column per key. The key ``None`` stands
+    for a single unindexed column.
+    """
+
+    offset: int
+    keys: tuple
+    hours: tuple = ()
+
+    @property
+    def width(self) -> int:
+        return len(self.hours) or 1
+
+    @property
+    def stop(self) -> int:
+        return self.offset + len(self.keys) * self.width
+
+    def names(self, fam: str) -> list[str]:
+        if self.hours:
+            return [f"{fam}[{k},{t}]" for k in self.keys for t in self.hours]
+        return [fam if k is None else f"{fam}[{k}]" for k in self.keys]
 
 
 @dataclass(frozen=True)
 class VariableCatalog:
-    """Canonical column naming and ordering for one scenario's LP.
+    """Canonical column layout and naming for one scenario's LP.
 
-    Families appear in alphabetical order; within a family, nodes are
-    sorted and hours ascend. Interface flows are grouped by sorted
-    interface key with the forward direction first. Fixing the order here
-    keeps solver vectors, exported files, and reports mutually comparable.
+    Each variable family is one contiguous Block. Families appear in
+    alphabetical order; within a family, nodes are sorted and hours
+    ascend, and interface flows are grouped by sorted interface key with
+    the forward direction first. Fixing the order here keeps solver
+    vectors, exported files, and reports mutually comparable. Constraint
+    families and reports address columns by (family, key) through
+    ``cols``/``col``/``family``; ``names`` serve export and lookup.
     """
 
-    names: tuple[str, ...]
-    node_ids: tuple[str, ...]
-    interface_keys: tuple[str, ...]
-    n_hours: int
+    blocks: Mapping[str, Block]
+    names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        index = {name: i for i, name in enumerate(self.names)}
-        if len(index) != len(self.names):
-            raise LPError("duplicate column names in the variable catalog")
-        object.__setattr__(self, "_index", index)
+        names = [name for fam, block in self.blocks.items()
+                 for name in block.names(fam)]
+        object.__setattr__(self, "names", tuple(names))
 
     @property
     def n_cols(self) -> int:
         return len(self.names)
+
+    def family(self, fam: str) -> np.ndarray:
+        """Every column of ``fam``, in column order."""
+        block = self.blocks[fam]
+        return np.arange(block.offset, block.stop)
+
+    def cols(self, fam: str, key=None) -> np.ndarray | None:
+        """Columns of ``fam`` at ``key`` in hour order, or None when the
+        family has no columns there."""
+        block = self.blocks[fam]
+        if key not in block.keys:
+            return None
+        start = block.offset + block.keys.index(key) * block.width
+        return np.arange(start, start + block.width)
+
+    def col(self, fam: str, key=None) -> int | None:
+        """The column of a one-per-key family at ``key``, or None."""
+        cols = self.cols(fam, key)
+        return None if cols is None else int(cols[0])
+
+    @cached_property
+    def _index(self) -> dict:
+        return {name: i for i, name in enumerate(self.names)}
 
     def index_of(self, name: str) -> int:
         try:
@@ -258,63 +344,41 @@ class VariableCatalog:
         except KeyError:
             raise LPError(f"unknown column {name!r}") from None
 
-    def get(self, name: str) -> int | None:
-        """Column index, or None when the variable does not exist."""
-        return self._index.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
 
 def _make_catalog(inp: "BuildInputs") -> VariableCatalog:
-    T = inp.n_hours
-    names: list[str] = []
-
-    def hourly(fam, nodes):
-        names.extend(f"{fam}[{n},{t}]" for n in nodes for t in range(T))
-
-    def per_node(fam, nodes):
-        names.extend(f"{fam}[{n}]" for n in nodes)
-
-    hourly("batt_charge", inp.battery_nodes)
-    hourly("batt_discharge", inp.battery_nodes)
-    hourly("batt_soc", inp.battery_nodes)
-    hourly("biofuel", inp.bio_nodes)
-    per_node("cap_battery_energy", inp.battery_build)
-    per_node("cap_battery_power", inp.battery_build)
-    per_node("cap_fossil", inp.fossil_build)
-    per_node("cap_h2_energy", inp.h2_nodes)
-    per_node("cap_h2_power", inp.h2_nodes)
-    per_node("cap_offshore", inp.offshore_build)
-    per_node("cap_onshore", inp.onshore_build)
-    names.extend(f"cap_tx[{key}]" for key in inp.tx_build)
-    per_node("cap_us_solar", inp.us_solar_build)
-    for n in inp.ev_nodes:
-        names.extend(f"ev_flex[{n},{t}]" for t in inp.ev_hours[n])
-    for key in inp.interface_keys:
-        iface = inp.iface_by_key[key]
-        fwd = f"{iface.node_a}>{iface.node_b}"
-        rev = f"{iface.node_b}>{iface.node_a}"
-        names.extend(f"flow[{fwd},{t}]" for t in range(T))
-        names.extend(f"flow[{rev},{t}]" for t in range(T))
-    hourly("fossil_ex", inp.fossil_ex_nodes)
-    hourly("fossil_new", inp.fossil_build)
-    hourly("h2_charge", inp.h2_nodes)
-    hourly("h2_discharge", inp.h2_nodes)
-    hourly("h2_soc", inp.h2_nodes)
-    hourly("hydro_flex", inp.hydro_nodes)
-    hourly("imports", inp.import_nodes)
-    hourly("ramp_ex", inp.fossil_ex_nodes)
-    hourly("ramp_new", inp.fossil_build)
-    if inp.free_p:
-        names.append("rate_heat")
-        names.append("rate_veh")
-    return VariableCatalog(
-        names=tuple(names),
-        node_ids=inp.node_ids,
-        interface_keys=inp.interface_keys,
-        n_hours=T,
+    hours = tuple(range(inp.n_hours))
+    directions = tuple(d for key in inp.interface_keys
+                       for d in inp.directions[key])
+    # Families sharing a key set are listed together; sorting puts all
+    # families in alphabetical order.
+    groups = (
+        (("batt_charge", "batt_discharge", "batt_soc"), inp.battery_nodes,
+         hours),
+        (("biofuel",), inp.bio_nodes, hours),
+        (("cap_battery_energy", "cap_battery_power"), inp.battery_build, ()),
+        (("cap_fossil",), inp.fossil_build, ()),
+        (("cap_h2_energy", "cap_h2_power"), inp.h2_nodes, ()),
+        (("cap_offshore",), inp.offshore_build, ()),
+        (("cap_onshore",), inp.onshore_build, ()),
+        (("cap_tx",), inp.tx_build, ()),
+        (("cap_us_solar",), inp.us_solar_build, ()),
+        (("ev_flex",), inp.ev_nodes, inp.ev_hours),
+        (("flow",), directions, hours),
+        (("fossil_ex", "ramp_ex"), inp.fossil_ex_nodes, hours),
+        (("fossil_new", "ramp_new"), inp.fossil_build, hours),
+        (("h2_charge", "h2_discharge", "h2_soc"), inp.h2_nodes, hours),
+        (("hydro_flex",), inp.hydro_nodes, hours),
+        (("imports",), inp.import_nodes, hours),
+        (("rate_heat", "rate_veh"), (None,) if inp.free_p else (), ()),
     )
+    blocks = {}
+    offset = 0
+    for fam, keys, fam_hours in sorted(
+            (fam, tuple(keys), fam_hours)
+            for fams, keys, fam_hours in groups for fam in fams):
+        blocks[fam] = Block(offset, keys, fam_hours)
+        offset = blocks[fam].stop
+    return VariableCatalog(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +412,17 @@ class BuildInputs:
         if len(self.iface_by_key) != len(network.interfaces):
             raise LPError("duplicate interface keys in the network")
         self.interface_keys = tuple(sorted(self.iface_by_key))
+        # Each interface carries a forward ("a>b") and a reverse ("b>a")
+        # flow; per node, the directions that deliver to it and draw on it.
+        self.directions: dict[str, tuple[str, str]] = {}
+        self.inflow: dict[str, list[str]] = {n: [] for n in self.node_ids}
+        self.outflow: dict[str, list[str]] = {n: [] for n in self.node_ids}
+        for key in self.interface_keys:
+            a, b = self.iface_by_key[key].node_a, self.iface_by_key[key].node_b
+            self.directions[key] = (f"{a}>{b}", f"{b}>{a}")
+            for sender, receiver in ((a, b), (b, a)):
+                self.outflow[sender].append(f"{sender}>{receiver}")
+                self.inflow[receiver].append(f"{sender}>{receiver}")
 
         self._check_series()
         self._check_params()
@@ -507,10 +582,17 @@ class BuildInputs:
         self.ev_nodes = tuple(ev_nodes)
         self.tx_build = tuple(
             k for k in self.interface_keys if k in costs.cap_tx)
-        self.ev_hours = {
-            n: _window_hours(self.demand.ev_envelopes[n].window, self.n_hours)
-            for n in ev_nodes
-        }
+        windows = {tuple(self.demand.ev_envelopes[n].window)
+                   for n in ev_nodes}
+        if len(windows) > 1:
+            raise LPError(f"EV charging windows differ across nodes: "
+                          f"{sorted(windows)}")
+        # Hours of the shared EV charging window, over the whole horizon.
+        h_start, h_end = windows.pop() if windows else (0, -1)
+        self.ev_hours = tuple(
+            day * HOURS_PER_DAY + h
+            for day in range(self.n_hours // HOURS_PER_DAY)
+            for h in range(h_start, h_end + 1))
         p = self.params
         if self.fossil_ex_nodes and p.eta_ff_existing <= 0.0:
             raise LPError("eta_ff_existing must be > 0")
@@ -632,8 +714,35 @@ class BuildInputs:
 # row assembly
 
 
+def _to_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+            n_rows: int, n_cols: int):
+    """(indptr, indices, data) of the coordinate entries (rows, cols, vals).
+
+    Entries at the same (row, column) sum in the order given, exact zeros
+    are dropped, and columns ascend within each row.
+    """
+    # An out-of-range column would alias into a neighbouring row's key.
+    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+        raise LPError("a constraint term references an unknown column")
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    summed = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+    live = summed != 0.0
+    key, summed = key[first][live], summed[live]
+    counts = np.bincount(key // n_cols, minlength=n_rows)
+    return np.concatenate(([0], np.cumsum(counts))), key % n_cols, summed
+
+
 class LPBuilder:
-    """Mutable accumulator for rows, bounds, objective, and the audit."""
+    """Mutable accumulator for rows, bounds, objective, and the audit.
+
+    Constraint families append rows in blocks (``add_rows``) and then their
+    coefficients as broadcast index arrays (``add_terms``); ``instance``
+    turns the collected entries into the CSR matrix.
+    """
 
     def __init__(self, catalog: VariableCatalog):
         n = catalog.n_cols
@@ -642,45 +751,66 @@ class LPBuilder:
         self.lower = np.zeros(n)
         self.upper = np.full(n, np.inf)
         self.offset = 0.0
-        self.rows: list[LPRow] = []
+        self.row_names: list[str] = []
+        self._rows: list[tuple] = []    # (sense, rhs, tag) per add_rows
+        self._terms: list[tuple] = []   # (rows, cols, vals) per add_terms
         self.audit: dict[str, int] = {}
-
-    def col(self, name: str) -> int:
-        return self.catalog.index_of(name)
 
     def tally(self, tag: str, count: int = 1) -> None:
         self.audit[tag] = self.audit.get(tag, 0) + count
 
-    def add_row(self, coeffs: Mapping[int, float], sense: str, rhs: float,
-                name: str, tag: str) -> None:
-        live = sorted((i, v) for i, v in coeffs.items() if v != 0.0)
-        idx = np.fromiter((i for i, _ in live), dtype=np.int64,
-                          count=len(live))
-        val = np.fromiter((v for _, v in live), dtype=np.float64,
-                          count=len(live))
-        self.rows.append(LPRow(idx=idx, val=val, sense=sense, rhs=float(rhs),
-                               name=name, tag=tag))
-        self.tally(tag)
+    def add_rows(self, names: Sequence[str], sense, rhs, tag) -> np.ndarray:
+        """Append one row per name and return their row indices.
 
-    def set_upper(self, name: str, bound: float, tag: str) -> None:
-        self.upper[self.col(name)] = float(bound)
-        self.tally(tag)
+        ``sense``, ``rhs`` and ``tag`` each give one value per row or one
+        value for all of them.
+        """
+        start, k = len(self.row_names), len(names)
+        self.row_names.extend(names)
+        sense, rhs, tag = (np.broadcast_to(np.asarray(value), (k,))
+                           for value in (sense, np.asarray(rhs, float), tag))
+        self._rows.append((sense, rhs, tag))
+        for t, count in zip(*np.unique(tag, return_counts=True)):
+            self.tally(str(t), int(count))
+        return np.arange(start, start + k)
+
+    def add_terms(self, rows, cols, vals) -> None:
+        """Add coefficients ``vals`` at (``rows``, ``cols``), broadcast
+        together. Terms at the same row and column sum in the order added;
+        terms that come to exactly zero are dropped."""
+        self._terms.append(tuple(
+            np.ravel(a) for a in np.broadcast_arrays(
+                rows, cols, np.asarray(vals, dtype=float))))
+
+    def set_upper(self, cols, bound, tag: str) -> None:
+        """Bound columns ``cols`` above by ``bound`` (broadcast to them)."""
+        cols = np.asarray(cols)
+        self.upper[cols] = bound
+        self.tally(tag, cols.size)
 
     def instance(self) -> LPInstance:
+        n = self.catalog.n_cols
+        rows, cols, vals, sense, rhs, tags = (
+            np.concatenate([part[k] for part in parts] or [np.zeros(0, dtype)])
+            for parts, dtypes in ((self._terms, (np.int64, np.int64, float)),
+                                  (self._rows, (str, float, str)))
+            for k, dtype in enumerate(dtypes))
+        indptr, indices, data = _to_csr(rows, cols, vals,
+                                        len(self.row_names), n)
         audit = dict(sorted(self.audit.items()))
-        audit["nonneg"] = self.catalog.n_cols
+        audit["nonneg"] = n
         lp = LPInstance(
-            n_cols=self.catalog.n_cols,
-            objective=self.objective,
-            rows=tuple(self.rows),
-            lower=self.lower,
-            upper=self.upper,
-            col_names=tuple(self.catalog.names),
-            offset=self.offset,
-            audit=audit,
-        )
+            n_cols=n, objective=self.objective, indptr=indptr,
+            indices=indices, data=data, sense=sense, rhs=rhs,
+            row_names=self.row_names, row_tags=tags, lower=self.lower,
+            upper=self.upper, col_names=self.catalog.names,
+            offset=self.offset, audit=audit)
         lp.validate()
         return lp
+
+
+def _hourly_names(family: str, key, n_hours: int) -> list[str]:
+    return [f"{family}[{key},{t}]" for t in range(n_hours)]
 
 
 _BALANCE_SIGNS = (
@@ -708,19 +838,9 @@ def add_energy_balance(builder: LPBuilder, inp: BuildInputs) -> None:
     series = inp.series
     dem = inp.demand
     receive = 1.0 - inp.params.tx_loss
-    rate_heat = cat.get("rate_heat")
-    rate_veh = cat.get("rate_veh")
-
-    inflow: dict[str, list[str]] = {n: [] for n in inp.node_ids}
-    outflow: dict[str, list[str]] = {n: [] for n in inp.node_ids}
-    for key in inp.interface_keys:
-        iface = inp.iface_by_key[key]
-        fwd = f"{iface.node_a}>{iface.node_b}"
-        rev = f"{iface.node_b}>{iface.node_a}"
-        outflow[iface.node_a].append(fwd)
-        inflow[iface.node_b].append(fwd)
-        outflow[iface.node_b].append(rev)
-        inflow[iface.node_a].append(rev)
+    rate_heat = cat.col("rate_heat")
+    rate_veh = cat.col("rate_veh")
+    ev_hours = np.asarray(inp.ev_hours, dtype=np.int64)
 
     for n in inp.node_ids:
         node = inp.network.node(n)
@@ -736,30 +856,28 @@ def add_energy_balance(builder: LPBuilder, inp: BuildInputs) -> None:
             rhs = rhs - series.nuclear[n]
         if not inp.free_p:
             rhs = rhs + dem.d_heat[n] + dem.d_veh_fix[n]
-        ev_window = frozenset(inp.ev_hours.get(n, ()))
-        for t in range(T):
-            coeffs: dict[int, float] = {}
-            for fam, sign in _BALANCE_SIGNS:
-                i = cat.get(f"{fam}[{n},{t}]")
-                if i is not None:
-                    coeffs[i] = sign
-            for fam, w in (("cap_onshore", series.w_on[n]),
-                           ("cap_offshore", series.w_off[n]),
-                           ("cap_us_solar", series.w_us_solar[n])):
-                i = cat.get(f"{fam}[{n}]")
-                if i is not None:
-                    coeffs[i] = float(w[t])
-            if t in ev_window:
-                coeffs[cat.index_of(f"ev_flex[{n},{t}]")] = -1.0
-            for direction in inflow[n]:
-                coeffs[cat.index_of(f"flow[{direction},{t}]")] = receive
-            for direction in outflow[n]:
-                coeffs[cat.index_of(f"flow[{direction},{t}]")] = -1.0
-            if rate_heat is not None:
-                coeffs[rate_heat] = -float(dem.d_heat[n][t])
-                coeffs[rate_veh] = -float(dem.d_veh_fix[n][t])
-            builder.add_row(coeffs, GE, float(rhs[t]),
-                            f"balance[{n},{t}]", "balance")
+        rows = builder.add_rows(_hourly_names("balance", n, T), GE, rhs,
+                                "balance")
+        for fam, sign in _BALANCE_SIGNS:
+            cols = cat.cols(fam, n)
+            if cols is not None:
+                builder.add_terms(rows, cols, sign)
+        for fam, w in (("cap_onshore", series.w_on[n]),
+                       ("cap_offshore", series.w_off[n]),
+                       ("cap_us_solar", series.w_us_solar[n])):
+            j = cat.col(fam, n)
+            if j is not None:
+                builder.add_terms(rows, j, w)
+        ev = cat.cols("ev_flex", n)
+        if ev is not None:
+            builder.add_terms(rows[ev_hours], ev, -1.0)
+        for directions, coeff in ((inp.inflow[n], receive),
+                                  (inp.outflow[n], -1.0)):
+            for direction in directions:
+                builder.add_terms(rows, cat.cols("flow", direction), coeff)
+        if rate_heat is not None:
+            builder.add_terms(rows, rate_heat, -np.asarray(dem.d_heat[n]))
+            builder.add_terms(rows, rate_veh, -np.asarray(dem.d_veh_fix[n]))
 
 
 def add_fossil_constraints(builder: LPBuilder, inp: BuildInputs) -> None:
@@ -771,39 +889,34 @@ def add_fossil_constraints(builder: LPBuilder, inp: BuildInputs) -> None:
     hour 0 wrapping against the final hour.
     """
     T = inp.n_hours
+    cat = builder.catalog
     sigma = inp.params.reserve_margin
+    prev = (np.arange(T) - 1) % T
     for n in inp.node_ids:
         node = inp.network.node(n)
         if n in inp.fossil_ex_nodes:
-            derated = node.gas_existing_mw / (1.0 + sigma)
-            for t in range(T):
-                builder.set_upper(f"fossil_ex[{n},{t}]", derated,
-                                  "reserve-existing")
+            builder.set_upper(cat.cols("fossil_ex", n),
+                              node.gas_existing_mw / (1.0 + sigma),
+                              "reserve-existing")
         if n in inp.fossil_build:
-            cap = builder.col(f"cap_fossil[{n}]")
-            for t in range(T):
-                gen = builder.col(f"fossil_new[{n},{t}]")
-                builder.add_row({gen: 1.0 + sigma, cap: -1.0}, LE, 0.0,
-                                f"reserve_new[{n},{t}]", "reserve-new")
+            rows = builder.add_rows(_hourly_names("reserve_new", n, T), LE,
+                                    0.0, "reserve-new")
+            builder.add_terms(rows, cat.cols("fossil_new", n), 1.0 + sigma)
+            builder.add_terms(rows, cat.col("cap_fossil", n), -1.0)
         for fam, suffix, tag in (("fossil_ex", "ex", "ramp-existing"),
                                  ("fossil_new", "new", "ramp-new")):
-            if builder.catalog.get(f"{fam}[{n},0]") is None:
+            gen = cat.cols(fam, n)
+            if gen is None:
                 continue
-            for t in range(T):
-                prev = (t - 1) % T
-                gen_t = builder.col(f"{fam}[{n},{t}]")
-                gen_p = builder.col(f"{fam}[{n},{prev}]")
-                ramp = builder.col(f"ramp_{suffix}[{n},{t}]")
-                up: dict[int, float] = {ramp: -1.0}
-                up[gen_t] = up.get(gen_t, 0.0) + 1.0
-                up[gen_p] = up.get(gen_p, 0.0) - 1.0
-                builder.add_row(up, LE, 0.0,
-                                f"ramp_up_{suffix}[{n},{t}]", tag)
-                dn: dict[int, float] = {ramp: -1.0}
-                dn[gen_p] = dn.get(gen_p, 0.0) + 1.0
-                dn[gen_t] = dn.get(gen_t, 0.0) - 1.0
-                builder.add_row(dn, LE, 0.0,
-                                f"ramp_dn_{suffix}[{n},{t}]", tag)
+            names = [f"ramp_{way}_{suffix}[{n},{t}]"
+                     for t in range(T) for way in ("up", "dn")]
+            up, dn = builder.add_rows(names, LE, 0.0, tag).reshape(T, 2).T
+            # up: gen[t] - gen[t-1] <= ramp[t]; dn: the reverse.
+            for rows, rise, fall in ((up, gen, gen[prev]),
+                                     (dn, gen[prev], gen)):
+                builder.add_terms(rows, cat.cols(f"ramp_{suffix}", n), -1.0)
+                builder.add_terms(rows, rise, 1.0)
+                builder.add_terms(rows, fall, -1.0)
 
 
 def _headroom(max_mw: float, existing_mw: float, label: str,
@@ -825,16 +938,17 @@ def add_resource_caps(builder: LPBuilder, inp: BuildInputs) -> None:
     Onshore wind and utility solar headroom are per-node bounds; offshore
     wind shares one regional budget row net of everything already standing.
     """
+    cat = builder.catalog
     for n in inp.onshore_build:
         node = inp.network.node(n)
         ub = _headroom(node.onshore_max_mw, node.onshore_existing_mw,
                        "onshore wind", n)
-        builder.set_upper(f"cap_onshore[{n}]", ub, "resource-onshore")
+        builder.set_upper(cat.col("cap_onshore", n), ub, "resource-onshore")
     for n in inp.us_solar_build:
         node = inp.network.node(n)
         ub = _headroom(node.us_solar_max_mw, node.us_solar_existing_mw,
                        "utility solar", n)
-        builder.set_upper(f"cap_us_solar[{n}]", ub, "resource-us-solar")
+        builder.set_upper(cat.col("cap_us_solar", n), ub, "resource-us-solar")
     if inp.offshore_build:
         existing = sum(inp.network.node(n).offshore_existing_mw
                        for n in inp.node_ids)
@@ -848,32 +962,29 @@ def add_resource_caps(builder: LPBuilder, inp: BuildInputs) -> None:
                 stacklevel=2,
             )
             rhs = 0.0
-        coeffs = {builder.col(f"cap_offshore[{n}]"): 1.0
-                  for n in inp.offshore_build}
-        builder.add_row(coeffs, LE, rhs, "resource_offshore",
-                        "resource-offshore")
+        row = builder.add_rows(["resource_offshore"], LE, rhs,
+                               "resource-offshore")
+        builder.add_terms(row, cat.family("cap_offshore"), 1.0)
 
 
 def add_transmission(builder: LPBuilder, inp: BuildInputs) -> None:
     """Directional interface limits; rows when capacity can be added."""
     T = inp.n_hours
+    cat = builder.catalog
     for key in inp.interface_keys:
         iface = inp.iface_by_key[key]
-        cap = builder.catalog.get(f"cap_tx[{key}]")
-        directions = (
-            (f"{iface.node_a}>{iface.node_b}", iface.existing_fwd_mw),
-            (f"{iface.node_b}>{iface.node_a}", iface.existing_rev_mw),
-        )
-        for direction, limit in directions:
+        cap = cat.col("cap_tx", key)
+        fwd, rev = inp.directions[key]
+        for direction, limit in ((fwd, iface.existing_fwd_mw),
+                                 (rev, iface.existing_rev_mw)):
+            flow = cat.cols("flow", direction)
             if cap is None:
-                for t in range(T):
-                    builder.set_upper(f"flow[{direction},{t}]", limit,
-                                      "tx-limit")
+                builder.set_upper(flow, limit, "tx-limit")
             else:
-                for t in range(T):
-                    flow = builder.col(f"flow[{direction},{t}]")
-                    builder.add_row({flow: 1.0, cap: -1.0}, LE, limit,
-                                    f"tx_limit[{direction},{t}]", "tx-limit")
+                rows = builder.add_rows(_hourly_names("tx_limit", direction, T),
+                                        LE, limit, "tx-limit")
+                builder.add_terms(rows, flow, 1.0)
+                builder.add_terms(rows, cap, -1.0)
 
 
 def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
@@ -895,10 +1006,10 @@ def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
         cap_e_fam, cap_p_fam = "cap_h2_energy", "cap_h2_power"
     else:
         raise LPError(f"unknown storage kind {kind!r}")
-    if not nodes:
-        return
     carry = 1.0 - inp.params.kappa
     T = inp.n_hours
+    cat = builder.catalog
+    prev = (np.arange(T) - 1) % T
     for n in nodes:
         node = inp.network.node(n)
         if kind == "battery":
@@ -906,50 +1017,40 @@ def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
             p_ex = node.battery_power_existing_mw
         else:
             e_ex = p_ex = 0.0
-        for t in range(T):
-            coeffs: dict[int, float] = {
-                builder.col(f"{prefix}_discharge[{n},{t}]"): 1.0 / eta,
-                builder.col(f"{prefix}_charge[{n},{t}]"): -eta,
-            }
-            soc_t = builder.col(f"{prefix}_soc[{n},{t}]")
-            soc_p = builder.col(f"{prefix}_soc[{n},{(t - 1) % T}]")
-            coeffs[soc_t] = coeffs.get(soc_t, 0.0) + 1.0
-            coeffs[soc_p] = coeffs.get(soc_p, 0.0) - carry
-            builder.add_row(coeffs, EQ, 0.0, f"{prefix}_state[{n},{t}]",
-                            f"{tag}-soc")
+        soc = cat.cols(f"{prefix}_soc", n)
+        charge = cat.cols(f"{prefix}_charge", n)
+        discharge = cat.cols(f"{prefix}_discharge", n)
+        rows = builder.add_rows(_hourly_names(f"{prefix}_state", n, T), EQ,
+                                0.0, f"{tag}-soc")
+        builder.add_terms(rows, discharge, 1.0 / eta)
+        builder.add_terms(rows, charge, -eta)
+        builder.add_terms(rows, soc, 1.0)
+        builder.add_terms(rows, soc[prev], -carry)
         if n in build_set:
-            cap_e = builder.col(f"{cap_e_fam}[{n}]")
-            cap_p = builder.col(f"{cap_p_fam}[{n}]")
-            for t in range(T):
-                soc = builder.col(f"{prefix}_soc[{n},{t}]")
-                builder.add_row({soc: 1.0, cap_e: -1.0}, LE, e_ex,
-                                f"{prefix}_energy_cap[{n},{t}]",
-                                f"{tag}-energy-cap")
-            for t in range(T):
-                charge = builder.col(f"{prefix}_charge[{n},{t}]")
-                discharge = builder.col(f"{prefix}_discharge[{n},{t}]")
-                builder.add_row({charge: 1.0, cap_p: -1.0}, LE, p_ex,
-                                f"{prefix}_charge_cap[{n},{t}]",
-                                f"{tag}-power-cap")
-                builder.add_row({discharge: 1.0, cap_p: -1.0}, LE, p_ex,
-                                f"{prefix}_discharge_cap[{n},{t}]",
-                                f"{tag}-power-cap")
+            cap_e = cat.col(cap_e_fam, n)
+            cap_p = cat.col(cap_p_fam, n)
+            rows = builder.add_rows(
+                _hourly_names(f"{prefix}_energy_cap", n, T), LE, e_ex,
+                f"{tag}-energy-cap")
+            builder.add_terms(rows, soc, 1.0)
+            builder.add_terms(rows, cap_e, -1.0)
+            names = [f"{prefix}_{leg}_cap[{n},{t}]"
+                     for t in range(T) for leg in ("charge", "discharge")]
+            rows = builder.add_rows(names, LE, p_ex, f"{tag}-power-cap")
+            builder.add_terms(rows, np.column_stack([charge, discharge]).ravel(),
+                              1.0)
+            builder.add_terms(rows, cap_p, -1.0)
             if kind == "battery":
-                builder.add_row(
-                    {cap_p: 1.0, cap_e: -inp.params.phi_batt_min}, GE, 0.0,
-                    f"batt_size_min[{n}]", "battery-sizing")
-                builder.add_row(
-                    {cap_p: 1.0, cap_e: -inp.params.phi_batt_max}, LE, 0.0,
-                    f"batt_size_max[{n}]", "battery-sizing")
+                for name, sense, phi in (
+                        ("batt_size_min", GE, inp.params.phi_batt_min),
+                        ("batt_size_max", LE, inp.params.phi_batt_max)):
+                    row = builder.add_rows([f"{name}[{n}]"], sense, 0.0,
+                                           "battery-sizing")
+                    builder.add_terms(row, [cap_p, cap_e], [1.0, -phi])
         else:
-            for t in range(T):
-                builder.set_upper(f"{prefix}_soc[{n},{t}]", e_ex,
-                                  f"{tag}-energy-cap")
-            for t in range(T):
-                builder.set_upper(f"{prefix}_charge[{n},{t}]", p_ex,
-                                  f"{tag}-power-cap")
-                builder.set_upper(f"{prefix}_discharge[{n},{t}]", p_ex,
-                                  f"{tag}-power-cap")
+            builder.set_upper(soc, e_ex, f"{tag}-energy-cap")
+            builder.set_upper(charge, p_ex, f"{tag}-power-cap")
+            builder.set_upper(discharge, p_ex, f"{tag}-power-cap")
 
 
 def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
@@ -958,57 +1059,54 @@ def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
     cat = builder.catalog
     for n in inp.hydro_nodes:
         daily = inp.hydro_daily[n]
-        for d in range(len(daily)):
-            coeffs = {
-                builder.col(f"hydro_flex[{n},{d * HOURS_PER_DAY + h}]"): 1.0
-                for h in range(HOURS_PER_DAY)
-            }
-            builder.add_row(coeffs, EQ, float(daily[d]),
-                            f"hydro_daily[{n},{d}]", "hydro-daily")
-        hourly_max = inp.hydro_hourly_max[n]
-        for t in range(T):
-            builder.set_upper(f"hydro_flex[{n},{t}]", hourly_max,
-                              "hydro-hourly")
+        hydro = cat.cols("hydro_flex", n)
+        rows = builder.add_rows(
+            [f"hydro_daily[{n},{d}]" for d in range(len(daily))], EQ, daily,
+            "hydro-daily")
+        builder.add_terms(rows[:, None], hydro.reshape(len(daily), -1), 1.0)
+        builder.set_upper(hydro, inp.hydro_hourly_max[n], "hydro-hourly")
     for n in inp.bio_nodes:
         lim = inp.bio_limits[n]
-        for d in range(T // HOURS_PER_DAY):
-            coeffs = {
-                builder.col(f"biofuel[{n},{d * HOURS_PER_DAY + h}]"): 1.0
-                for h in range(HOURS_PER_DAY)
-            }
-            builder.add_row(coeffs, LE, lim.daily_mwh,
-                            f"biofuel_daily[{n},{d}]", "biofuel-daily")
-        for t in range(T):
-            builder.set_upper(f"biofuel[{n},{t}]", lim.hourly_max_mwh,
-                              "biofuel-hourly")
+        bio = cat.cols("biofuel", n)
+        n_days = T // HOURS_PER_DAY
+        rows = builder.add_rows(
+            [f"biofuel_daily[{n},{d}]" for d in range(n_days)], LE,
+            lim.daily_mwh, "biofuel-daily")
+        builder.add_terms(rows[:, None], bio.reshape(n_days, -1), 1.0)
+        builder.set_upper(bio, lim.hourly_max_mwh, "biofuel-hourly")
     for n in inp.import_nodes:
-        limit = inp.network.node(n).import_limit_mwh
-        for t in range(T):
-            builder.set_upper(f"imports[{n},{t}]", limit, "import-limit")
-    rate_veh = cat.get("rate_veh")
+        builder.set_upper(cat.cols("imports", n),
+                          inp.network.node(n).import_limit_mwh,
+                          "import-limit")
+    rate_veh = cat.col("rate_veh")
     for n in inp.ev_nodes:
         env = inp.demand.ev_envelopes[n]
-        h_start, h_end = env.window
-        for d in range(len(env.required_mwh)):
-            hours = range(d * HOURS_PER_DAY + h_start,
-                          d * HOURS_PER_DAY + h_end + 1)
-            coeffs = {builder.col(f"ev_flex[{n},{t}]"): 1.0 for t in hours}
-            if inp.free_p:
-                coeffs[rate_veh] = -float(env.required_mwh[d])
-                builder.add_row(coeffs, EQ, 0.0, f"ev_daily[{n},{d}]",
-                                "ev-daily")
-                for t in hours:
-                    builder.add_row(
-                        {builder.col(f"ev_flex[{n},{t}]"): 1.0,
-                         rate_veh: -float(env.hourly_cap_mwh[d])},
-                        LE, 0.0, f"ev_rate[{n},{t}]", "ev-rate")
-            else:
-                builder.add_row(coeffs, EQ, float(env.required_mwh[d]),
-                                f"ev_daily[{n},{d}]", "ev-daily")
-                for t in hours:
-                    builder.set_upper(f"ev_flex[{n},{t}]",
-                                      float(env.hourly_cap_mwh[d]),
-                                      "ev-rate")
+        required = np.asarray(env.required_mwh, dtype=float)
+        hourly_cap = np.asarray(env.hourly_cap_mwh, dtype=float)
+        n_days = len(required)
+        # day x charging-window hour
+        ev = cat.cols("ev_flex", n).reshape(n_days, -1)
+        hours = np.reshape(inp.ev_hours, ev.shape)
+        if inp.free_p:
+            # Each day: its energy row, then one rate row per window hour.
+            width = ev.shape[1]
+            names = [name for d in range(n_days) for name in (
+                [f"ev_daily[{n},{d}]"]
+                + [f"ev_rate[{n},{t}]" for t in hours[d]])]
+            rows = builder.add_rows(
+                names, ([EQ] + [LE] * width) * n_days, 0.0,
+                (["ev-daily"] + ["ev-rate"] * width) * n_days,
+            ).reshape(n_days, 1 + width)
+            builder.add_terms(rows[:, :1], ev, 1.0)
+            builder.add_terms(rows[:, 0], rate_veh, -required)
+            builder.add_terms(rows[:, 1:], ev, 1.0)
+            builder.add_terms(rows[:, 1:], rate_veh, -hourly_cap[:, None])
+        else:
+            rows = builder.add_rows(
+                [f"ev_daily[{n},{d}]" for d in range(n_days)], EQ, required,
+                "ev-daily")
+            builder.add_terms(rows[:, None], ev, 1.0)
+            builder.set_upper(ev, hourly_cap[:, None], "ev-rate")
 
 
 def _supply_share_row(builder: LPBuilder, inp: BuildInputs, frac: float, *,
@@ -1023,22 +1121,12 @@ def _supply_share_row(builder: LPBuilder, inp: BuildInputs, frac: float, *,
     stops qualifying and moves across as a right-hand constant.
     """
     cat = builder.catalog
-    T = inp.n_hours
     dem = inp.demand
     co = 1.0 - frac
-    coeffs: dict[int, float] = {}
     base = 0.0
     heat_total = 0.0
     veh_total = 0.0
     for n in inp.node_ids:
-        for t in range(T):
-            for fam, weight in (("fossil_ex", 1.0), ("fossil_new", 1.0),
-                                ("biofuel", 1.0), ("imports", co)):
-                i = cat.get(f"{fam}[{n},{t}]")
-                if i is not None:
-                    coeffs[i] = weight
-        for t in inp.ev_hours.get(n, ()):
-            coeffs[cat.index_of(f"ev_flex[{n},{t}]")] = -co
         base += float(
             np.sum(inp.series.d_elec[n])
             - dem.x_btm_mw[n] * np.sum(inp.series.w_btm_solar[n])
@@ -1048,14 +1136,17 @@ def _supply_share_row(builder: LPBuilder, inp: BuildInputs, frac: float, *,
             veh_total += float(np.sum(dem.d_veh_fix[n]))
         else:
             base += float(np.sum(dem.d_heat[n]) + np.sum(dem.d_veh_fix[n]))
-    if inp.free_p:
-        coeffs[cat.index_of("rate_heat")] = -co * heat_total
-        coeffs[cat.index_of("rate_veh")] = -co * veh_total
     rhs = co * base
     if subtract_nuclear and inp.config.include_nuclear:
         rhs -= float(sum(np.sum(inp.series.nuclear[n])
                          for n in inp.node_ids))
-    builder.add_row(coeffs, LE, rhs, name, tag)
+    row = builder.add_rows([name], LE, rhs, tag)
+    for fam, weight in (("fossil_ex", 1.0), ("fossil_new", 1.0),
+                        ("biofuel", 1.0), ("imports", co), ("ev_flex", -co)):
+        builder.add_terms(row, cat.family(fam), weight)
+    if inp.free_p:
+        builder.add_terms(row, cat.col("rate_heat"), -co * heat_total)
+        builder.add_terms(row, cat.col("rate_veh"), -co * veh_total)
 
 
 def _ghg_row(builder: LPBuilder, inp: BuildInputs) -> None:
@@ -1064,29 +1155,23 @@ def _ghg_row(builder: LPBuilder, inp: BuildInputs) -> None:
     cal = inp.emissions
     params = inp.params
     scale = 1e-6 / params.n_years
-    weights = (
-        ("fossil_ex",
-         cal.theta_ff_t_per_mwh / params.eta_ff_existing * scale),
-        ("fossil_new", cal.theta_ff_t_per_mwh / params.eta_ff_new * scale),
-        ("imports", cal.theta_imp_t_per_mwh * scale),
-    )
-    coeffs: dict[int, float] = {}
-    for n in inp.node_ids:
-        for t in range(inp.n_hours):
-            for fam, weight in weights:
-                i = cat.get(f"{fam}[{n},{t}]")
-                if i is not None:
-                    coeffs[i] = weight
     if inp.free_p:
         eps_heat, eps_veh = cal.sector_constants(0.0, 0.0)
-        coeffs[cat.index_of("rate_heat")] = -eps_heat
-        coeffs[cat.index_of("rate_veh")] = -eps_veh
     else:
         eps_heat, eps_veh = cal.sector_constants(inp.demand.p_heat,
                                                  inp.demand.p_veh)
     rhs = ((1.0 - inp.config.omega) * cal.reference_mmt - eps_heat - eps_veh
            - cal.eps_transp_other_mmt - cal.eps_industrial_mmt)
-    builder.add_row(coeffs, LE, rhs, "policy_ghg", "policy-ghg")
+    row = builder.add_rows(["policy_ghg"], LE, rhs, "policy-ghg")
+    for fam, weight in (
+            ("fossil_ex",
+             cal.theta_ff_t_per_mwh / params.eta_ff_existing * scale),
+            ("fossil_new", cal.theta_ff_t_per_mwh / params.eta_ff_new * scale),
+            ("imports", cal.theta_imp_t_per_mwh * scale)):
+        builder.add_terms(row, cat.family(fam), weight)
+    if inp.free_p:
+        builder.add_terms(row, cat.col("rate_heat"), -eps_heat)
+        builder.add_terms(row, cat.col("rate_veh"), -eps_veh)
 
 
 def add_policy_constraints(builder: LPBuilder, inp: BuildInputs) -> None:
@@ -1150,21 +1235,17 @@ def build_objective(builder: LPBuilder, inp: BuildInputs) -> None:
     )
     for fam, nodes, cap_map, omf_map, kind in capacity_families:
         for n in nodes:
-            obj[cat.index_of(f"{fam}[{n}]")] = cap_coeff(
-                cap_map[n], omf_map[n], kind)
+            obj[cat.col(fam, n)] = cap_coeff(cap_map[n], omf_map[n], kind)
     for key in inp.tx_build:
         iface = inp.iface_by_key[key]
         rate = annualization_rate(params.p_years["transmission"], rate_j)
-        obj[cat.index_of(f"cap_tx[{key}]")] = params.n_years * (
+        obj[cat.col("cap_tx", key)] = params.n_years * (
             rate * costs.cap_tx[key] * iface.distance_mi * 1000.0
             + costs.omf_tx[key]
         )
 
-    T = inp.n_hours
-
     def price_hours(fam: str, n: str, price: float) -> None:
-        for t in range(T):
-            obj[cat.index_of(f"{fam}[{n},{t}]")] = price
+        obj[cat.cols(fam, n)] = price
 
     for n in inp.fossil_ex_nodes:
         fuel = (HEAT_RATE_MMBTU_PER_MWH * costs.c_ff[n]
@@ -1188,13 +1269,7 @@ def build_objective(builder: LPBuilder, inp: BuildInputs) -> None:
     for n in inp.h2_nodes:
         price_hours("h2_charge", n, costs.nominal_storage_charge)
         price_hours("h2_discharge", n, costs.nominal_storage_charge)
-    for key in inp.interface_keys:
-        iface = inp.iface_by_key[key]
-        for direction in (f"{iface.node_a}>{iface.node_b}",
-                          f"{iface.node_b}>{iface.node_a}"):
-            for t in range(T):
-                obj[cat.index_of(f"flow[{direction},{t}]")] = \
-                    costs.nominal_tx_charge
+    obj[cat.family("flow")] = costs.nominal_tx_charge
 
     offset = 0.0
     for n in inp.node_ids:
@@ -1223,8 +1298,8 @@ def assemble(inp: BuildInputs) -> tuple[LPInstance, VariableCatalog]:
     builder = LPBuilder(inp.catalog)
     if inp.free_p:
         # Electrification rates are adoption fractions.
-        builder.upper[builder.col("rate_heat")] = 1.0
-        builder.upper[builder.col("rate_veh")] = 1.0
+        builder.upper[inp.catalog.family("rate_heat")] = 1.0
+        builder.upper[inp.catalog.family("rate_veh")] = 1.0
     add_energy_balance(builder, inp)
     add_fossil_constraints(builder, inp)
     add_resource_caps(builder, inp)

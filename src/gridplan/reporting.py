@@ -114,18 +114,27 @@ def excess_percent(potential, demand) -> float:
 
 def _col_series(inp: BuildInputs, x: np.ndarray, fam: str, n: str) -> np.ndarray:
     """Hourly values of one variable family at one node (zeros if absent)."""
-    cat = inp.catalog
-    out = np.zeros(inp.n_hours)
-    for t in range(inp.n_hours):
-        j = cat.get(f"{fam}[{n},{t}]")
-        if j is not None:
-            out[t] = x[j]
-    return out
+    cols = inp.catalog.cols(fam, n)
+    return np.zeros(inp.n_hours) if cols is None else x[cols]
 
 
-def _col_scalar(inp: BuildInputs, x: np.ndarray, name: str) -> float:
-    j = inp.catalog.get(name)
+def _col_scalar(inp: BuildInputs, x: np.ndarray, fam: str, key: str) -> float:
+    j = inp.catalog.col(fam, key)
     return float(x[j]) if j is not None else 0.0
+
+
+def _family_total(inp: BuildInputs, x: np.ndarray, fam: str) -> float:
+    """Sum of one variable family over all its nodes and hours."""
+    return float(x[inp.catalog.family(fam)].sum())
+
+
+def _ev_charging(inp: BuildInputs, x: np.ndarray, n: str) -> np.ndarray:
+    """Hourly flexible EV charging at one node (zero outside the window)."""
+    out = np.zeros(inp.n_hours)
+    cols = inp.catalog.cols("ev_flex", n)
+    if cols is not None:
+        out[list(inp.ev_hours)] = x[cols]
+    return out
 
 
 def _require_x(solution: Solution) -> np.ndarray:
@@ -136,9 +145,8 @@ def _require_x(solution: Solution) -> np.ndarray:
 
 
 def _solved_rates(inp: BuildInputs, x: np.ndarray) -> tuple[float, float]:
-    r_heat = float(x[inp.catalog.index_of("rate_heat")])
-    r_veh = float(x[inp.catalog.index_of("rate_veh")])
-    return r_heat, r_veh
+    return (float(x[inp.catalog.col("rate_heat")]),
+            float(x[inp.catalog.col("rate_veh")]))
 
 
 def _weighted_rate(value, weights: Mapping[str, float]) -> float:
@@ -170,41 +178,23 @@ def _electrified_rates(inp: BuildInputs, x: np.ndarray) -> tuple[float, float]:
             _weighted_rate(inp.config.p_veh, veh_w))
 
 
-def _flow_directions(inp: BuildInputs):
-    """Per-node lists of flow directions entering and leaving the node."""
-    inflow: dict[str, list[str]] = {n: [] for n in inp.node_ids}
-    outflow: dict[str, list[str]] = {n: [] for n in inp.node_ids}
-    for key in inp.interface_keys:
-        iface = inp.iface_by_key[key]
-        fwd = f"{iface.node_a}>{iface.node_b}"
-        rev = f"{iface.node_b}>{iface.node_a}"
-        outflow[iface.node_a].append(fwd)
-        inflow[iface.node_b].append(fwd)
-        outflow[iface.node_b].append(rev)
-        inflow[iface.node_a].append(rev)
-    return inflow, outflow
-
-
 def _vre_potentials(inp: BuildInputs, x: np.ndarray,
                     n: str) -> dict[str, np.ndarray]:
     """Hourly producible energy per variable resource at one node."""
     node = inp.network.node(n)
     series = inp.series
-    built = {
-        "onshore": _col_scalar(inp, x, f"cap_onshore[{n}]"),
-        "offshore": _col_scalar(inp, x, f"cap_offshore[{n}]"),
-        "us-solar": _col_scalar(inp, x, f"cap_us_solar[{n}]"),
-    }
-    return {
-        "onshore": (node.onshore_existing_mw + built["onshore"])
-        * np.asarray(series.w_on[n], dtype=float),
-        "offshore": (node.offshore_existing_mw + built["offshore"])
-        * np.asarray(series.w_off[n], dtype=float),
-        "us-solar": (node.us_solar_existing_mw + built["us-solar"])
-        * np.asarray(series.w_us_solar[n], dtype=float),
-        "btm-solar": inp.demand.x_btm_mw[n]
-        * np.asarray(series.w_btm_solar[n], dtype=float),
-    }
+    out = {
+        bucket: (existing + _col_scalar(inp, x, fam, n))
+        * np.asarray(w[n], dtype=float)
+        for bucket, fam, existing, w in (
+            ("onshore", "cap_onshore", node.onshore_existing_mw, series.w_on),
+            ("offshore", "cap_offshore", node.offshore_existing_mw,
+             series.w_off),
+            ("us-solar", "cap_us_solar", node.us_solar_existing_mw,
+             series.w_us_solar))}
+    out["btm-solar"] = inp.demand.x_btm_mw[n] * np.asarray(
+        series.w_btm_solar[n], dtype=float)
+    return out
 
 
 def _hourly_load(inp: BuildInputs, x: np.ndarray, n: str) -> np.ndarray:
@@ -218,25 +208,20 @@ def _hourly_load(inp: BuildInputs, x: np.ndarray, n: str) -> np.ndarray:
         load += r_heat * heat + r_veh * veh
     else:
         load += heat + veh
-    for t in inp.ev_hours.get(n, ()):
-        load[t] += float(x[inp.catalog.index_of(f"ev_flex[{n},{t}]")])
-    return load
+    return load + _ev_charging(inp, x, n)
 
 
 def _balance_slacks(inp: BuildInputs, lp: LPInstance,
                     solution: Solution) -> dict[str, np.ndarray]:
     """Signed surplus of every node-hour balance row (the curtailment)."""
     x = _require_x(solution)
-    out = {n: np.zeros(inp.n_hours) for n in inp.node_ids}
-    for i, row in enumerate(lp.rows):
-        if row.tag != "balance":
-            continue
-        n, t = row.name[len("balance["):-1].rsplit(",", 1)
-        if solution.slacks is not None:
-            out[n][int(t)] = solution.slacks[i]
-        else:
-            out[n][int(t)] = row.activity(x) - row.rhs
-    return out
+    slacks = solution.slacks
+    if slacks is None:
+        slacks = lp.activity(x) - lp.rhs
+    # The formulation adds balance rows node by node, hours ascending.
+    rows = np.flatnonzero(lp.row_tags == "balance")
+    return dict(zip(inp.node_ids,
+                    slacks[rows].reshape(len(inp.node_ids), inp.n_hours)))
 
 
 # --------------------------------------------------------------------------
@@ -251,22 +236,9 @@ def net_demand_mwh(inp: BuildInputs, solution: Solution) -> float:
     solar output. This is the denominator every levelized cost uses.
     """
     x = _require_x(solution)
-    series = inp.series
-    dem = inp.demand
-    total = 0.0
-    for n in inp.node_ids:
-        total += float(np.sum(series.d_elec[n]))
-        total -= dem.x_btm_mw[n] * float(np.sum(series.w_btm_solar[n]))
-        heat = float(np.sum(dem.d_heat[n]))
-        veh = float(np.sum(dem.d_veh_fix[n]))
-        if inp.free_p:
-            r_heat, r_veh = _solved_rates(inp, x)
-            heat *= r_heat
-            veh *= r_veh
-        total += heat + veh
-        for t in inp.ev_hours.get(n, ()):
-            total += float(x[inp.catalog.index_of(f"ev_flex[{n},{t}]")])
-    return total
+    return sum(float(_hourly_load(inp, x, n).sum()) - inp.demand.x_btm_mw[n]
+               * float(np.sum(inp.series.w_btm_solar[n]))
+               for n in inp.node_ids)
 
 
 def realized_low_carbon_share(inp: BuildInputs, solution: Solution) -> float:
@@ -277,13 +249,9 @@ def realized_low_carbon_share(inp: BuildInputs, solution: Solution) -> float:
     against the served load net of imports.
     """
     x = _require_x(solution)
-    non_qualifying = 0.0
-    imports = 0.0
-    for n in inp.node_ids:
-        for fam in ("fossil_ex", "fossil_new", "biofuel"):
-            non_qualifying += float(_col_series(inp, x, fam, n).sum())
-        imports += float(_col_series(inp, x, "imports", n).sum())
-    denom = net_demand_mwh(inp, solution) - imports
+    non_qualifying = sum(_family_total(inp, x, fam)
+                         for fam in ("fossil_ex", "fossil_new", "biofuel"))
+    denom = net_demand_mwh(inp, solution) - _family_total(inp, x, "imports")
     if denom <= 0.0:
         return 1.0
     return 1.0 - non_qualifying / denom
@@ -298,13 +266,9 @@ def realized_emissions(inp: BuildInputs,
         return None
     x = _require_x(solution)
     params = inp.params
-    gen_ex = gen_new = imports = 0.0
-    for n in inp.node_ids:
-        gen_ex += float(_col_series(inp, x, "fossil_ex", n).sum())
-        gen_new += float(_col_series(inp, x, "fossil_new", n).sum())
-        imports += float(_col_series(inp, x, "imports", n).sum())
     eps_elec = electricity_emissions(
-        gen_ex, gen_new, imports,
+        *(_family_total(inp, x, fam)
+          for fam in ("fossil_ex", "fossil_new", "imports")),
         eta_existing=params.eta_ff_existing,
         eta_new=params.eta_ff_new,
         theta_ff_t_per_mwh=cal.theta_ff_t_per_mwh,
@@ -431,7 +395,7 @@ def energy_closure(inp: BuildInputs, lp: LPInstance,
     x = _require_x(solution)
     slacks = _balance_slacks(inp, lp, solution)
     receive = 1.0 - inp.params.tx_loss
-    inflow, outflow = _flow_directions(inp)
+    cat = inp.catalog
     worst = 0.0
     for n in inp.node_ids:
         supply = np.zeros(inp.n_hours)
@@ -443,17 +407,13 @@ def energy_closure(inp: BuildInputs, lp: LPInstance,
         supply += inp.hydro_fix[n]
         if inp.config.include_nuclear:
             supply += np.asarray(inp.series.nuclear[n], dtype=float)
-        for direction in inflow[n]:
-            for t in range(inp.n_hours):
-                supply[t] += receive * float(
-                    x[inp.catalog.index_of(f"flow[{direction},{t}]")])
+        for direction in inp.inflow[n]:
+            supply += receive * x[cat.cols("flow", direction)]
         load = _hourly_load(inp, x, n)
         load += _col_series(inp, x, "batt_charge", n)
         load += _col_series(inp, x, "h2_charge", n)
-        for direction in outflow[n]:
-            for t in range(inp.n_hours):
-                load[t] += float(
-                    x[inp.catalog.index_of(f"flow[{direction},{t}]")])
+        for direction in inp.outflow[n]:
+            load += x[cat.cols("flow", direction)]
         residual = supply - load - slacks[n]
         worst = max(worst, float(np.max(np.abs(residual))))
     return worst
@@ -512,27 +472,22 @@ _NOMINAL_FAMILIES = frozenset(
     {"batt_charge", "batt_discharge", "h2_charge", "h2_discharge", "flow"})
 
 
-def _family_of(col_name: str) -> str:
-    head, _, _ = col_name.partition("[")
-    return head
-
-
 def _cost_buckets(inp: BuildInputs, lp: LPInstance,
                   x: np.ndarray) -> tuple[dict[str, float], float]:
     """(per-resource costs, nominal activity charges); sums to the objective.
 
-    Variable columns contribute objective-coefficient times value; the
-    objective's constant offset is re-derived from the inputs and split
-    between the existing-capacity charge and the must-run energy buckets.
+    Each priced variable family contributes objective coefficients times
+    values; the objective's constant offset is re-derived from the inputs
+    and split between the existing-capacity charge and the must-run energy
+    buckets.
     """
     buckets = {key: 0.0 for key in COST_KEYS}
     nominal = 0.0
-    for j, name in enumerate(lp.col_names):
-        coeff = float(lp.objective[j])
-        if coeff == 0.0:
+    for fam, block in inp.catalog.blocks.items():
+        span = slice(block.offset, block.stop)
+        if not lp.objective[span].any():
             continue
-        cost = coeff * float(x[j])
-        fam = _family_of(name)
+        cost = float(lp.objective[span] @ x[span])
         if fam in _NOMINAL_FAMILIES:
             nominal += cost
         else:
@@ -555,25 +510,41 @@ def _cost_buckets(inp: BuildInputs, lp: LPInstance,
     return buckets, nominal
 
 
-def _delivered_mwh(inp: BuildInputs, x: np.ndarray,
-                   curtail: CurtailmentReport) -> dict[str, float]:
-    """Delivered energy per resource key, matching the cost buckets."""
-    out = {key: 0.0 for key in LCOE_KEYS}
+# generation key -> the variable family whose total it reports
+_DISPATCH_KEYS = (
+    ("hydro-flex", "hydro_flex"),
+    ("fossil-existing", "fossil_ex"),
+    ("fossil-new", "fossil_new"),
+    ("biofuel", "biofuel"),
+    ("imports", "imports"),
+    ("battery-discharge", "batt_discharge"),
+    ("h2-discharge", "h2_discharge"),
+)
+
+
+def _generation_mwh(inp: BuildInputs, x: np.ndarray,
+                    curtail: CurtailmentReport) -> dict[str, float]:
+    """Delivered energy per generation key over the horizon, in MWh."""
+    out = {key: 0.0 for key in GENERATION_KEYS}
     for n in inp.node_ids:
         pots = _vre_potentials(inp, x, n)
         for bucket in ("onshore", "offshore", "us-solar", "btm-solar"):
             out[bucket] += float(pots[bucket].sum()) \
                 - float(curtail.attribution[bucket][n].sum())
-        out["fossil-existing"] += float(_col_series(inp, x, "fossil_ex", n).sum())
-        out["fossil-new"] += float(_col_series(inp, x, "fossil_new", n).sum())
-        out["hydro"] += float(inp.hydro_fix[n].sum()) \
-            + float(_col_series(inp, x, "hydro_flex", n).sum())
+        out["hydro-fixed"] += float(inp.hydro_fix[n].sum())
         if inp.config.include_nuclear:
             out["nuclear"] += float(np.sum(inp.series.nuclear[n]))
-        out["biofuel"] += float(_col_series(inp, x, "biofuel", n).sum())
-        out["imports"] += float(_col_series(inp, x, "imports", n).sum())
-        out["battery"] += float(_col_series(inp, x, "batt_discharge", n).sum())
-        out["hydrogen"] += float(_col_series(inp, x, "h2_discharge", n).sum())
+    for key, fam in _DISPATCH_KEYS:
+        out[key] = _family_total(inp, x, fam)
+    return out
+
+
+def _delivered_mwh(generation: Mapping[str, float]) -> dict[str, float]:
+    """Delivered energy per LCOE key, matching the cost buckets."""
+    out = {key: generation.get(key, 0.0) for key in LCOE_KEYS}
+    out["hydro"] = generation["hydro-fixed"] + generation["hydro-flex"]
+    out["battery"] = generation["battery-discharge"]
+    out["hydrogen"] = generation["h2-discharge"]
     return out
 
 
@@ -583,50 +554,24 @@ def _capacity_gw(inp: BuildInputs, x: np.ndarray) -> dict[str, float]:
     for n in inp.node_ids:
         node = inp.network.node(n)
         out["onshore"] += node.onshore_existing_mw \
-            + _col_scalar(inp, x, f"cap_onshore[{n}]")
+            + _col_scalar(inp, x, "cap_onshore", n)
         out["offshore"] += node.offshore_existing_mw \
-            + _col_scalar(inp, x, f"cap_offshore[{n}]")
+            + _col_scalar(inp, x, "cap_offshore", n)
         out["us-solar"] += node.us_solar_existing_mw \
-            + _col_scalar(inp, x, f"cap_us_solar[{n}]")
+            + _col_scalar(inp, x, "cap_us_solar", n)
         out["btm-solar"] += inp.demand.x_btm_mw[n]
         out["fossil-existing"] += node.gas_existing_mw
-        out["fossil-new"] += _col_scalar(inp, x, f"cap_fossil[{n}]")
+        out["fossil-new"] += _col_scalar(inp, x, "cap_fossil", n)
         out["hydro"] += node.hydro_fixed_mw + node.hydro_flex_mw
         out["nuclear"] += node.nuclear_mw if inp.config.include_nuclear else 0.0
         out["battery-power"] += node.battery_power_existing_mw \
-            + _col_scalar(inp, x, f"cap_battery_power[{n}]")
+            + _col_scalar(inp, x, "cap_battery_power", n)
         out["battery-energy"] += node.battery_energy_existing_mwh \
-            + _col_scalar(inp, x, f"cap_battery_energy[{n}]")
-        out["h2-power"] += _col_scalar(inp, x, f"cap_h2_power[{n}]")
-        out["h2-energy"] += _col_scalar(inp, x, f"cap_h2_energy[{n}]")
-    for key in inp.interface_keys:
-        out["new-transmission"] += _col_scalar(inp, x, f"cap_tx[{key}]")
+            + _col_scalar(inp, x, "cap_battery_energy", n)
+        out["h2-power"] += _col_scalar(inp, x, "cap_h2_power", n)
+        out["h2-energy"] += _col_scalar(inp, x, "cap_h2_energy", n)
+    out["new-transmission"] = _family_total(inp, x, "cap_tx")
     return {key: value / 1000.0 for key, value in out.items()}
-
-
-def _generation_avg(inp: BuildInputs, x: np.ndarray,
-                    curtail: CurtailmentReport) -> dict[str, float]:
-    """Average delivered output per resource in GWh per hour."""
-    per_hour = 1.0 / (inp.n_hours * 1000.0)
-    out = {key: 0.0 for key in GENERATION_KEYS}
-    for n in inp.node_ids:
-        pots = _vre_potentials(inp, x, n)
-        for bucket in ("onshore", "offshore", "us-solar", "btm-solar"):
-            out[bucket] += float(pots[bucket].sum()) \
-                - float(curtail.attribution[bucket][n].sum())
-        out["hydro-fixed"] += float(inp.hydro_fix[n].sum())
-        out["hydro-flex"] += float(_col_series(inp, x, "hydro_flex", n).sum())
-        if inp.config.include_nuclear:
-            out["nuclear"] += float(np.sum(inp.series.nuclear[n]))
-        out["fossil-existing"] += float(_col_series(inp, x, "fossil_ex", n).sum())
-        out["fossil-new"] += float(_col_series(inp, x, "fossil_new", n).sum())
-        out["biofuel"] += float(_col_series(inp, x, "biofuel", n).sum())
-        out["imports"] += float(_col_series(inp, x, "imports", n).sum())
-        out["battery-discharge"] += float(
-            _col_series(inp, x, "batt_discharge", n).sum())
-        out["h2-discharge"] += float(
-            _col_series(inp, x, "h2_discharge", n).sum())
-    return {key: value * per_hour for key, value in out.items()}
 
 
 # --------------------------------------------------------------------------
@@ -674,7 +619,9 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
     x = _require_x(solution)
     curtail = curtailment_series(inp, lp, solution)
     buckets, nominal = _cost_buckets(inp, lp, x)
-    delivered = _delivered_mwh(inp, x, curtail)
+    generation = _generation_mwh(inp, x, curtail)
+    delivered = _delivered_mwh(generation)
+    per_hour = 1.0 / (inp.n_hours * 1000.0)
     resource_lcoe = {key: unit_cost(buckets[key], delivered[key])
                      for key in LCOE_KEYS}
     net_demand = net_demand_mwh(inp, solution)
@@ -701,7 +648,8 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
         lcoe_usd_per_mwh=compute_lcoe(float(solution.objective), net_demand),
         battery_throughput_gwh=delivered["battery"] / 1000.0,
         capacity=_capacity_gw(inp, x),
-        generation_avg_gwh_per_hour=_generation_avg(inp, x, curtail),
+        generation_avg_gwh_per_hour={
+            key: value * per_hour for key, value in generation.items()},
         cost_usd=buckets,
         resource_lcoe_usd_per_mwh=resource_lcoe,
         curtailment=curtail,
@@ -819,6 +767,22 @@ def report_json_dict(report: ScenarioReport) -> dict:
     return _jsonify(report)
 
 
+# operations resource -> the variable family holding its hourly values
+_OPERATION_FAMILIES = (
+    ("fossil-existing", "fossil_ex"),
+    ("fossil-new", "fossil_new"),
+    ("hydro-flex", "hydro_flex"),
+    ("biofuel", "biofuel"),
+    ("imports", "imports"),
+    ("battery-charge", "batt_charge"),
+    ("battery-discharge", "batt_discharge"),
+    ("battery-soc", "batt_soc"),
+    ("h2-charge", "h2_charge"),
+    ("h2-discharge", "h2_discharge"),
+    ("h2-soc", "h2_soc"),
+)
+
+
 def write_operations_csv(path, inp: BuildInputs, lp: LPInstance,
                          solution: Solution) -> None:
     """Dump hourly operation as (node, t, resource, mwh) rows.
@@ -835,66 +799,40 @@ def write_operations_csv(path, inp: BuildInputs, lp: LPInstance,
     rows: list[tuple[str, int, str, float]] = []
 
     def add_series(n: str, resource: str, values) -> None:
-        arr = np.asarray(values, dtype=float)
-        rows.extend((n, t, resource, float(arr[t])) for t in range(T))
+        arr = np.asarray(values, dtype=float).tolist()
+        rows.extend((n, t, resource, arr[t]) for t in range(T))
 
     for n in inp.node_ids:
         node = inp.network.node(n)
         pots = _vre_potentials(inp, x, n)
-        if node.onshore_existing_mw or inp.catalog.get(f"cap_onshore[{n}]"):
-            add_series(n, "onshore", pots["onshore"])
-        if node.offshore_existing_mw or inp.catalog.get(f"cap_offshore[{n}]"):
-            add_series(n, "offshore", pots["offshore"])
-        if node.us_solar_existing_mw or inp.catalog.get(f"cap_us_solar[{n}]"):
-            add_series(n, "us-solar", pots["us-solar"])
+        for bucket, fam, existing in (
+                ("onshore", "cap_onshore", node.onshore_existing_mw),
+                ("offshore", "cap_offshore", node.offshore_existing_mw),
+                ("us-solar", "cap_us_solar", node.us_solar_existing_mw)):
+            if existing or inp.catalog.col(fam, n) is not None:
+                add_series(n, bucket, pots[bucket])
         if inp.demand.x_btm_mw[n] > 0.0:
             add_series(n, "btm-solar", pots["btm-solar"])
-        if n in inp.fossil_ex_nodes:
-            add_series(n, "fossil-existing", _col_series(inp, x, "fossil_ex", n))
-        if n in inp.fossil_build:
-            add_series(n, "fossil-new", _col_series(inp, x, "fossil_new", n))
+        for resource, fam in _OPERATION_FAMILIES:
+            cols = inp.catalog.cols(fam, n)
+            if cols is not None:
+                add_series(n, resource, x[cols])
         if np.any(inp.hydro_fix[n] != 0.0):
             add_series(n, "hydro-fixed", inp.hydro_fix[n])
-        if n in inp.hydro_nodes:
-            add_series(n, "hydro-flex", _col_series(inp, x, "hydro_flex", n))
         if inp.config.include_nuclear and np.any(
                 np.asarray(inp.series.nuclear[n]) != 0.0):
             add_series(n, "nuclear", inp.series.nuclear[n])
-        if n in inp.bio_nodes:
-            add_series(n, "biofuel", _col_series(inp, x, "biofuel", n))
-        if n in inp.import_nodes:
-            add_series(n, "imports", _col_series(inp, x, "imports", n))
-        if n in inp.battery_nodes:
-            add_series(n, "battery-charge", _col_series(inp, x, "batt_charge", n))
-            add_series(n, "battery-discharge",
-                       _col_series(inp, x, "batt_discharge", n))
-            add_series(n, "battery-soc", _col_series(inp, x, "batt_soc", n))
-        if n in inp.h2_nodes:
-            add_series(n, "h2-charge", _col_series(inp, x, "h2_charge", n))
-            add_series(n, "h2-discharge", _col_series(inp, x, "h2_discharge", n))
-            add_series(n, "h2-soc", _col_series(inp, x, "h2_soc", n))
         if n in inp.ev_nodes:
-            ev = np.zeros(T)
-            for t in inp.ev_hours.get(n, ()):
-                ev[t] = float(x[inp.catalog.index_of(f"ev_flex[{n},{t}]")])
-            add_series(n, "ev-charging", ev)
+            add_series(n, "ev-charging", _ev_charging(inp, x, n))
         add_series(n, "load", _hourly_load(inp, x, n))
         add_series(n, "curtailment", np.maximum(slacks[n], 0.0))
 
     for key in inp.interface_keys:
-        iface = inp.iface_by_key[key]
-        for direction in (f"{iface.node_a}>{iface.node_b}",
-                          f"{iface.node_b}>{iface.node_a}"):
-            sender = direction.split(">", 1)[0]
-            receiver = direction.split(">", 1)[1]
-            sent = np.array([
-                float(x[inp.catalog.index_of(f"flow[{direction},{t}]")])
-                for t in range(T)])
-            rows.extend((sender, t, f"flow-out[{direction}]", float(sent[t]))
-                        for t in range(T))
-            rows.extend(
-                (receiver, t, f"flow-in[{direction}]", float(receive * sent[t]))
-                for t in range(T))
+        for direction in inp.directions[key]:
+            sender, receiver = direction.split(">", 1)
+            sent = x[inp.catalog.cols("flow", direction)]
+            add_series(sender, f"flow-out[{direction}]", sent)
+            add_series(receiver, f"flow-in[{direction}]", receive * sent)
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     with open(path, "w", newline="") as fh:

@@ -480,7 +480,6 @@ class SweepSpec:
     hve_values: tuple = ()
     omega_values: tuple | None = None
     jobs: int = 1
-    solver: str = "builtin"
     out_dir: object = None
 
     def __post_init__(self):
@@ -492,8 +491,6 @@ class SweepSpec:
                                coerce(self.omega_values))
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.solver != "builtin":
-            raise ValueError("sweeps support only the builtin solver")
         primary = (self.omega_values if self.omega_values is not None
                    else self.lcp_values)
         if not primary or not self.hve_values:
@@ -552,7 +549,7 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
     def solve_cell(cell):
         mode, overrides = cell
         config = config_from_dict({**base_kw, "mode": mode, **overrides})
-        return config, run_scenario(bundle, config, solver=spec.solver)
+        return config, run_scenario(bundle, config)
 
     if spec.jobs == 1:
         outcomes = [solve_cell(cell) for cell in cells]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -89,23 +90,20 @@ class Solution:
 
 
 def _signed_slacks(lp: LPInstance, x: np.ndarray) -> np.ndarray:
-    out = np.empty(lp.n_rows)
-    for i, row in enumerate(lp.rows):
-        act = row.activity(x)
-        out[i] = row.rhs - act if row.sense == LE else act - row.rhs
-    return out
+    act = lp.activity(x)
+    return np.where(lp.sense == LE, lp.rhs - act, act - lp.rhs)
+
+
+def _row_violations(lp: LPInstance, x: np.ndarray) -> np.ndarray:
+    """How far each row misses its sense at x (<= 0 where satisfied)."""
+    act = lp.activity(x)
+    return np.where(lp.sense == LE, act - lp.rhs,
+                    np.where(lp.sense == GE, lp.rhs - act,
+                             np.abs(act - lp.rhs)))
 
 
 def _max_violation(lp: LPInstance, x: np.ndarray) -> float:
-    worst = 0.0
-    for row in lp.rows:
-        act = row.activity(x)
-        if row.sense == LE:
-            worst = max(worst, act - row.rhs)
-        elif row.sense == GE:
-            worst = max(worst, row.rhs - act)
-        else:
-            worst = max(worst, abs(act - row.rhs))
+    worst = max(0.0, float(np.max(_row_violations(lp, x), initial=0.0)))
     if lp.n_cols:
         worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
         finite = np.isfinite(lp.upper)
@@ -370,12 +368,6 @@ class _Simplex:
                     bland = True
 
 
-def _infeasible(iterations: int, message: str) -> Solution:
-    return Solution(status=STATUS_INFEASIBLE, x=None, objective=None,
-                    slacks=None, duals=None, iterations=iterations,
-                    max_violation=None, duality_gap=None, message=message)
-
-
 def _no_solution(status: str, iterations: int, message: str) -> Solution:
     return Solution(status=status, x=None, objective=None, slacks=None,
                     duals=None, iterations=iterations, max_violation=None,
@@ -389,11 +381,9 @@ def _finish(lp: LPInstance, x: np.ndarray, duals: np.ndarray,
     primal = float(lp.objective @ x)
     # Dual objective: rhs terms plus reduced-cost terms for every
     # nonbasic variable resting at a finite bound.
-    reduced = lp.objective.copy()
-    for i, row in enumerate(lp.rows):
-        if duals[i] != 0.0:
-            reduced[row.idx] -= duals[i] * row.val
-    dual_obj = float(duals @ lp.rhs_vector()) if lp.n_rows else 0.0
+    reduced = lp.objective - np.bincount(
+        lp.indices, weights=lp.data * duals[lp.row_of], minlength=lp.n_cols)
+    dual_obj = float(duals @ lp.rhs) if lp.n_rows else 0.0
     at_lower = vstat == _Simplex.AT_LOWER
     dual_obj += float(reduced[at_lower] @ lp.lower[at_lower])
     at_upper = (vstat == _Simplex.AT_UPPER) & np.isfinite(lp.upper)
@@ -437,7 +427,7 @@ def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     sol = _solve_once(lp, opts)
     if sol.status != STATUS_OPTIMAL or sol.max_violation is None:
         return sol
-    rhs_scale = max(1.0, float(np.max(np.abs(lp.rhs_vector()), initial=0.0)))
+    rhs_scale = max(1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
     if sol.max_violation <= 10.0 * opts.feasibility_tol * rhs_scale:
         return sol
     again = _solve_once(lp, replace(opts, refactor_every=5))
@@ -453,26 +443,19 @@ def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
         return _solve_boxed(lp)
 
     a = lp.dense_matrix()
-    b = lp.rhs_vector()
-    senses = list(lp.senses())
-    lower = lp.lower.copy()
-    upper = lp.upper.copy()
+    lower = lp.lower
 
     # Shift lower bounds to zero.
-    b_shift = b - a @ lower
-    ub = upper - lower
+    b_shift = lp.rhs - a @ lower
+    ub = lp.upper - lower
 
     # Normalize to nonnegative rhs, tracking the sign for dual recovery.
-    flip = np.ones(m)
-    for i in range(m):
-        if b_shift[i] < 0.0:
-            flip[i] = -1.0
-            a[i, :] *= -1.0
-            b_shift[i] *= -1.0
-            if senses[i] == LE:
-                senses[i] = GE
-            elif senses[i] == GE:
-                senses[i] = LE
+    flip = np.where(b_shift < 0.0, -1.0, 1.0)
+    a *= flip[:, None]
+    b_shift *= flip
+    senses = np.where(flip > 0.0, lp.sense,
+                      np.where(lp.sense == LE, GE,
+                               np.where(lp.sense == GE, LE, EQ)))
 
     # Geometric-mean equilibration: capital-cost and hourly-energy
     # coefficients differ by orders of magnitude otherwise.
@@ -496,23 +479,23 @@ def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
     ub_w = ub / col_scale
 
     # Working columns: structural, slack/surplus, artificial.
-    slack_rows = [i for i in range(m) if senses[i] != EQ]
-    art_rows = [i for i in range(m) if senses[i] != LE]
-    n_slack, n_art = len(slack_rows), len(art_rows)
+    slack_rows = np.flatnonzero(senses != EQ)
+    art_rows = np.flatnonzero(senses != LE)
+    n_slack, n_art = slack_rows.size, art_rows.size
     n_all = n + n_slack + n_art
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
     a_work = np.zeros((m, n_all))
     a_work[:, :n] = a
-    for k, i in enumerate(slack_rows):
-        a_work[i, n + k] = 1.0 if senses[i] == LE else -1.0
-    for k, i in enumerate(art_rows):
-        a_work[i, n + n_slack + k] = 1.0
+    a_work[slack_rows, slack_cols] = np.where(senses[slack_rows] == LE,
+                                              1.0, -1.0)
+    a_work[art_rows, art_cols] = 1.0
     ub_work = np.concatenate([ub_w, np.full(n_slack + n_art, np.inf)])
 
+    # Start from the artificial of every row that has one, else its slack.
     start_basis = np.empty(m, dtype=np.int64)
-    slack_of = {i: n + k for k, i in enumerate(slack_rows)}
-    art_of = {i: n + n_slack + k for k, i in enumerate(art_rows)}
-    for i in range(m):
-        start_basis[i] = art_of[i] if i in art_of else slack_of[i]
+    start_basis[slack_rows] = slack_cols
+    start_basis[art_rows] = art_cols
 
     sx = _Simplex(a_work, b_w, ub_work, opts)
     sx.set_basis(start_basis)
@@ -538,10 +521,10 @@ def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
             held = np.flatnonzero((sx.basis >= n + n_slack)
                                   & (sx.xb > feas_tol))
             held = held[np.argsort(-sx.xb[held], kind="stable")]
-            bad = [lp.rows[art_rows[sx.basis[p] - n - n_slack]].name
+            bad = [lp.row_names[art_rows[sx.basis[p] - n - n_slack]]
                    for p in held[:5]]
-            return _infeasible(
-                sx.iterations,
+            return _no_solution(
+                STATUS_INFEASIBLE, sx.iterations,
                 f"no feasible point; residual {art_level:.3e} "
                 f"concentrated in rows {bad}")
         sx.ub[n + n_slack:] = 0.0
@@ -592,7 +575,7 @@ def mps_name_map(lp: LPInstance) -> dict:
     """
     taken = {reserved: reserved for reserved in _RESERVED_MPS_NAMES}
     mapping = {}
-    for name in list(lp.col_names) + [row.name for row in lp.rows]:
+    for name in lp.col_names + lp.row_names:
         short = _mangle(name)
         other = taken.get(short)
         if other is not None and other != name:
@@ -614,46 +597,46 @@ def export_mps(lp: LPInstance, problem_name: str = "GRIDPLAN") -> str:
     readers (including every modern solver) accept this.
     """
     lp.validate()
-    row_names = [row.name for row in lp.rows]
-    if len(set(row_names)) != len(row_names):
+    if len(set(lp.row_names)) != lp.n_rows:
         raise LPError("row names must be unique for MPS export")
     names = mps_name_map(lp)
+    rows = [names[name] for name in lp.row_names]
+    cols = [names[name] for name in lp.col_names]
     sense_code = {LE: "L", GE: "G", EQ: "E"}
 
-    by_col = [[] for _ in range(lp.n_cols)]
-    for row in lp.rows:
-        short = names[row.name]
-        for j, v in zip(row.idx, row.val):
-            by_col[int(j)].append((short, float(v)))
+    # The matrix entries column by column, rows ascending within each.
+    by_col = np.argsort(lp.indices, kind="stable")
+    col_ptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(lp.indices, minlength=lp.n_cols)))).tolist()
+    entry_row = lp.row_of[by_col].tolist()
+    entry_val = lp.data[by_col].tolist()
 
     buf = io.StringIO()
     buf.write(f"* OFFSET {lp.offset!r}\n")
     buf.write(f"NAME          {problem_name}\n")
     buf.write("ROWS\n")
     buf.write(" N  COST\n")
-    for row in lp.rows:
-        buf.write(f" {sense_code[row.sense]}  {names[row.name]:<8}\n")
+    for sense, short in zip(lp.sense.tolist(), rows):
+        buf.write(f" {sense_code[sense]}  {short:<8}\n")
     buf.write("COLUMNS\n")
-    for j in range(lp.n_cols):
-        col = names[lp.col_names[j]]
+    for j, (col, cost) in enumerate(zip(cols, lp.objective.tolist())):
         # Every column gets an objective entry, declaring it even when 0.
-        buf.write(f"    {col:<8}  {'COST':<8}  {float(lp.objective[j])!r}\n")
-        for short, value in by_col[j]:
-            buf.write(f"    {col:<8}  {short:<8}  {value!r}\n")
+        buf.write(f"    {col:<8}  {'COST':<8}  {cost!r}\n")
+        for k in range(col_ptr[j], col_ptr[j + 1]):
+            buf.write(f"    {col:<8}  {rows[entry_row[k]]:<8}  "
+                      f"{entry_val[k]!r}\n")
     buf.write("RHS\n")
-    for row in lp.rows:
-        if row.rhs != 0.0:
-            buf.write(f"    {'RHS':<8}  {names[row.name]:<8}  {row.rhs!r}\n")
+    for short, rhs in zip(rows, lp.rhs.tolist()):
+        if rhs != 0.0:
+            buf.write(f"    {'RHS':<8}  {short:<8}  {rhs!r}\n")
     buf.write("BOUNDS\n")
-    for j in range(lp.n_cols):
-        col = names[lp.col_names[j]]
-        lo, up = float(lp.lower[j]), float(lp.upper[j])
+    for col, lo, up in zip(cols, lp.lower.tolist(), lp.upper.tolist()):
         if lo == up:
             buf.write(f" FX {'BND':<8}  {col:<8}  {lo!r}\n")
             continue
         if lo != 0.0:
             buf.write(f" LO {'BND':<8}  {col:<8}  {lo!r}\n")
-        if np.isfinite(up):
+        if math.isfinite(up):
             buf.write(f" UP {'BND':<8}  {col:<8}  {up!r}\n")
     buf.write("ENDATA\n")
     return buf.getvalue()
@@ -710,14 +693,8 @@ def import_solution(lp: LPInstance, source,
         status, message = STATUS_OPTIMAL, ""
     else:
         status = STATUS_INFEASIBLE
-        bad = []
-        for row in lp.rows:
-            act = row.activity(x)
-            off = (act - row.rhs if row.sense == LE
-                   else row.rhs - act if row.sense == GE
-                   else abs(act - row.rhs))
-            if off > opts.feasibility_tol:
-                bad.append(row.name)
+        bad = [lp.row_names[i] for i in np.flatnonzero(
+            _row_violations(lp, x) > opts.feasibility_tol)]
         message = (f"imported point violates {len(bad)} rows "
                    f"(worst {violation:.3e}): {bad[:5]}")
     return Solution(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 
@@ -92,37 +93,33 @@ def read_mps(text: str) -> MPSData:
 
 
 def to_linprog_args(data: MPSData):
+    """(c, A_ub, b_ub, A_eq, b_eq, bounds) for linprog; the matrices are
+    scipy.sparse CSR with G rows negated into <= form."""
     cols = data.col_order
     col_pos = {c: j for j, c in enumerate(cols)}
-    n = len(cols)
+    row_pos = {r: i for i, r in enumerate(data.row_order)}
+    n, m = len(cols), len(data.row_order)
     c = np.zeros(n)
     for col, val in data.objective.items():
         c[col_pos[col]] = val
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for rname in data.row_order:
-        coeffs = np.zeros(n)
-        for col in cols:
-            val = data.entries[col].get(rname)
-            if val is not None:
-                coeffs[col_pos[col]] = val
-        rhs = data.rhs.get(rname, 0.0)
-        kind = data.senses[rname]
-        if kind == "L":
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
-        elif kind == "G":
-            a_ub.append(-coeffs)
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
+    entries = [(row_pos[rname], col_pos[col], val)
+               for col, bucket in data.entries.items()
+               for rname, val in bucket.items() if rname in row_pos]
+    ri, ci, vals = zip(*entries) if entries else ((), (), ())
+    a = sparse.csr_matrix((vals, (ri, ci)), shape=(m, n))
+    rhs = np.array([data.rhs.get(r, 0.0) for r in data.row_order])
+    kind = np.array([data.senses[r] for r in data.row_order], dtype=str)
+    ub = (kind == "L") | (kind == "G")
+    sign = np.where(kind[ub] == "G", -1.0, 1.0)
+    a_ub = sparse.diags(sign) @ a[ub]
+    b_ub = sign * rhs[ub]
     bounds = []
     for col in cols:
         lo = data.lower.get(col, 0.0)
         up = data.upper.get(col, np.inf)
         bounds.append((None if np.isinf(lo) and lo < 0 else lo,
                        None if np.isinf(up) else up))
-    return c, a_ub, b_ub, a_eq, b_eq, bounds
+    return c, a_ub, b_ub, a[~ub], rhs[~ub], bounds
 
 
 def solve_mps_with_highs(text: str):
@@ -131,10 +128,10 @@ def solve_mps_with_highs(text: str):
     c, a_ub, b_ub, a_eq, b_eq, bounds = to_linprog_args(data)
     res = linprog(
         c,
-        A_ub=np.asarray(a_ub) if a_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=np.asarray(a_eq) if a_eq else None,
-        b_eq=np.asarray(b_eq) if b_eq else None,
+        A_ub=a_ub if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=a_eq if b_eq.size else None,
+        b_eq=b_eq if b_eq.size else None,
         bounds=bounds,
         method="highs",
     )

@@ -17,7 +17,8 @@ from gridplan.emissions import (
     sector_emissions,
 )
 from gridplan.demand import synthesize_demand
-from gridplan.formulation import EQ, GE, LE, LPError, build
+from gridplan.formulation import (EQ, GE, LE, Block, LPBuilder, LPError,
+                                  VariableCatalog, build)
 from gridplan.model import (
     CostTable,
     EVFlexConfig,
@@ -1054,6 +1055,71 @@ def slim_pair(alpha=1.0, t=24):
     config = fixed_config(lcp=0.3, p_heat=0.4, p_veh=0.3)
     demand_b = synthesize_demand(net, series, config, params)
     return build(config, net, series, costs, params, demand_b)
+
+
+def one_family_builder(width: int) -> LPBuilder:
+    """A builder over one hourly family x[n,0..width-1]."""
+    return LPBuilder(VariableCatalog({"x": Block(0, ("n",), tuple(range(width)))}))
+
+
+def one_hour_lp(**node_kw):
+    """A one-hour build, where hour t-1 wraps onto hour t itself."""
+    net = mini_network(**node_kw)
+    series = mini_series(net, 1, d_elec=5.0)
+    params = TechParams(n_years=1 / 8760.0, kappa=0.01)
+    config = fixed_config()
+    demand = synthesize_demand(net, series, config, params)
+    lp, _ = build(config, net, series, mini_costs(), params, demand)
+    return lp, params
+
+
+class TestCSRCanonicalization:
+    """LPBuilder.instance: terms at one (row, column) sum in the order
+    added, exact zeros drop, and columns ascend within each row."""
+
+    def test_repeats_sum_in_insertion_order(self):
+        builder = one_family_builder(3)
+        rows = builder.add_rows(["r0", "r1"], LE, 0.0, "t")
+        # 1e16 + 1 rounds back to 1e16, so only the second order keeps 1.
+        builder.add_terms(rows[0], 2, [1e16, 1.0, -1e16])
+        builder.add_terms(rows[1], 2, [1e16, -1e16, 1.0])
+        lp = builder.instance()
+        assert lp.indptr.tolist() == [0, 0, 1]
+        assert lp.indices.tolist() == [2]
+        assert lp.data.tolist() == [1.0]
+
+    def test_state_row_sums_both_soc_terms(self):
+        lp, params = one_hour_lp(battery_energy_existing_mwh=20.0,
+                                 battery_power_existing_mw=10.0)
+        coeffs = named_coeffs(lp, row_by_name(lp, "batt_state[n,0]"))
+        assert coeffs["batt_soc[n,0]"] == 1.0 - (1.0 - params.kappa)
+
+    def test_ramp_terms_on_one_column_cancel(self):
+        lp, _ = one_hour_lp(gas_existing_mw=10.0)
+        for name in ("ramp_up_ex[n,0]", "ramp_dn_ex[n,0]"):
+            assert named_coeffs(lp, row_by_name(lp, name)) == {
+                "ramp_ex[n,0]": -1.0}
+
+    def test_columns_ascend_within_rows(self):
+        builder = one_family_builder(4)
+        rows = builder.add_rows(["r0", "r1"], GE, 1.0, "t")
+        builder.add_terms(rows[:, None], [[3, 1, 0], [2, 1, 0]],
+                          [[3.0, 1.0, 0.5], [2.0, 1.0, 0.5]])
+        lp = builder.instance()
+        assert lp.indptr.tolist() == [0, 3, 6]
+        assert lp.indices.tolist() == [0, 1, 3, 0, 1, 2]
+        assert lp.data.tolist() == [0.5, 1.0, 3.0, 0.5, 1.0, 2.0]
+
+    def test_assembled_rows_ascend(self):
+        lp, _ = build_tiny(
+            ScenarioConfig(mode="ghg+lcp", omega=0.2, lcp=0.3,
+                           ev_flex=EVFlexConfig(y_flex=0.5, h_start=18,
+                                                h_end=22, h_min=3)),
+            emissions=tiny_calibration())
+        assert "ev-rate" in lp.row_tags
+        within = lp.row_of[1:] == lp.row_of[:-1]
+        assert np.all(np.diff(lp.indices)[within] > 0)
+        assert np.all(lp.data != 0.0)
 
 
 class TestWholeInstance:

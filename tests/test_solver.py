@@ -9,6 +9,7 @@ Oracles used here:
 from __future__ import annotations
 
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from scipy.optimize import linprog
 
 import gridplan
 from gridplan.demand import synthesize_demand
-from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError, LPRow,
-                                  assemble, make_lp)
+from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
+                                  LPInstance, assemble, make_lp)
 from gridplan.runner import load_bundle, load_config
 from gridplan.solver import SolveOptions, Solution, solve
 
@@ -193,7 +194,7 @@ class TestElementary:
 
     def test_nan_rejected_at_construction(self):
         with pytest.raises(LPError):
-            LPRow(idx=[0], val=[np.nan], sense=LE, rhs=1.0, name="bad")
+            make_lp([1.0], [([np.nan], LE, 1.0, "bad")])
 
     def test_optimum_at_upper_bounds(self):
         lp = make_lp([-1.0, -1.0],
@@ -202,6 +203,46 @@ class TestElementary:
         sol = solve(lp)
         np.testing.assert_allclose(sol.x, [4.0, 5.0], atol=1e-9)
         assert sol.duality_gap <= 1e-9
+
+
+def two_row_lp(indices, data, sense=LE, rhs=1.0):
+    """Two columns and two rows: a sound row "ok", then the row "bad"
+    holding the given entries, sense and rhs."""
+    return LPInstance(
+        n_cols=2, objective=np.zeros(2),
+        indptr=[0, 1, 1 + len(indices)], indices=[0, *indices],
+        data=[1.0, *data], sense=[LE, sense], rhs=[1.0, rhs],
+        row_names=["ok", "bad"], row_tags=["", ""],
+        lower=np.zeros(2), upper=np.full(2, np.inf), col_names=["x0", "x1"])
+
+
+class TestValidate:
+    def test_sound_instance_passes(self):
+        two_row_lp([1], [2.0]).validate()
+
+    @pytest.mark.parametrize("indices, data, sense, rhs, message", [
+        ([2], [1.0], LE, 1.0, "references unknown column"),
+        ([-1], [1.0], LE, 1.0, "references unknown column"),
+        ([1, 1], [1.0, 2.0], LE, 1.0, "repeated column index"),
+        ([1, 0], [1.0, 2.0], LE, 1.0, "column indices must ascend"),
+        ([1], [np.inf], LE, 1.0, "non-finite coefficient or rhs"),
+        ([1], [np.nan], LE, 1.0, "non-finite coefficient or rhs"),
+        ([1], [1.0], LE, np.nan, "non-finite coefficient or rhs"),
+        ([1], [1.0], LE, -np.inf, "non-finite coefficient or rhs"),
+        ([1], [1.0], "<>", 1.0, "unknown sense '<>'"),
+    ])
+    def test_error_names_the_row(self, indices, data, sense, rhs, message):
+        lp = two_row_lp(indices, data, sense, rhs)
+        with pytest.raises(LPError, match=f"row 'bad'.*{re.escape(message)}"):
+            lp.validate()
+
+    def test_malformed_csr_arrays(self):
+        lp = LPInstance(
+            n_cols=1, objective=[0.0], indptr=[0, 2], indices=[0],
+            data=[1.0], sense=[LE], rhs=[1.0], row_names=["r"],
+            row_tags=[""], lower=[0.0], upper=[np.inf], col_names=["x"])
+        with pytest.raises(LPError, match="CSR"):
+            lp.validate()
 
 
 class TestDuals:
