@@ -5,11 +5,22 @@ cost of delivered electricity, curtailment split across the variable
 resources that could have produced it, realized policy metrics (low-carbon
 share, emissions), and flat CSV / nested JSON serialization.
 
+Every hourly quantity comes from one table, built by ``_hourly_series``
+from the raw inputs and the solution vector: for each node, its hourly
+series keyed by the resource names of ``operations.csv`` (wind and solar
+potentials, must-run hydro and nuclear, the dispatch, storage and EV
+families, the consumer load, and the sent and delivered energy of each
+flow direction), and two name sets say how each enters the node's balance
+row. Curtailment attribution, excess low-carbon energy, generation
+totals, net demand, the operations dump and energy closure all read this
+table, so which series make up a node's supply and load is decided once.
+
 Two closure checks keep the bookkeeping honest. Cost closure requires the
 per-resource buckets plus the nominal activity charges to re-add to the
-optimizer's objective. Energy closure rebuilds each node-hour balance from
-the raw inputs and the solution vector, without touching the constraint
-matrix, and measures the worst residual against the recorded row slack.
+optimizer's objective. Energy closure sums each node-hour's supply and load
+from the hourly table and measures the worst residual against the recorded
+row slack. It reads nothing of the constraint matrix, so it stays an
+independent check of the formulation.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -73,23 +85,28 @@ def unit_cost(cost_usd: float, delivered_mwh: float) -> float | None:
     return cost_usd / delivered_mwh
 
 
-def attribute_curtailment(slack_mwh: float,
-                          potentials: Mapping[str, float]) -> dict[str, float]:
-    """Split one hour of curtailed energy across resources by potential.
+def attribute_curtailment(
+        slack_mwh: float | np.ndarray,
+        potentials: Mapping[str, float | np.ndarray]) -> dict:
+    """Split curtailed energy across resources by potential, hour by hour.
 
-    Each resource receives a share proportional to what it could have
-    produced that hour. When nothing had potential the whole slack lands in
-    an ``"other"`` bucket rather than being divided by zero.
+    ``slack_mwh`` and each potential are one hour's number or an array of
+    hours. Each resource receives a share proportional to what it could
+    have produced that hour. In an hour where nothing had potential the
+    whole slack lands in an ``"other"`` bucket rather than being divided by
+    zero. Scalar inputs give floats, array inputs arrays.
     """
-    out = {key: 0.0 for key in potentials}
-    total = float(sum(potentials.values()))
-    if total <= 0.0:
-        out["other"] = float(slack_mwh)
-    else:
-        for key, value in potentials.items():
-            out[key] = float(slack_mwh) * float(value) / total
-        out["other"] = 0.0
-    return out
+    slack = np.asarray(slack_mwh, dtype=float)
+    pots = {key: np.asarray(value, dtype=float)
+            for key, value in potentials.items()}
+    total = sum(pots.values())
+    idle = total <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = {key: np.where(idle, 0.0, slack * value / total)
+               for key, value in pots.items()}
+    out["other"] = np.where(idle, slack, 0.0)
+    return {key: value if value.ndim else float(value)
+            for key, value in out.items()}
 
 
 def excess_series(potential, demand) -> np.ndarray:
@@ -112,12 +129,6 @@ def excess_percent(potential, demand) -> float:
 # solution access helpers
 
 
-def _col_series(inp: BuildInputs, x: np.ndarray, fam: str, n: str) -> np.ndarray:
-    """Hourly values of one variable family at one node (zeros if absent)."""
-    cols = inp.catalog.cols(fam, n)
-    return np.zeros(inp.n_hours) if cols is None else x[cols]
-
-
 def _col_scalar(inp: BuildInputs, x: np.ndarray, fam: str, key: str) -> float:
     j = inp.catalog.col(fam, key)
     return float(x[j]) if j is not None else 0.0
@@ -126,15 +137,6 @@ def _col_scalar(inp: BuildInputs, x: np.ndarray, fam: str, key: str) -> float:
 def _family_total(inp: BuildInputs, x: np.ndarray, fam: str) -> float:
     """Sum of one variable family over all its nodes and hours."""
     return float(x[inp.catalog.family(fam)].sum())
-
-
-def _ev_charging(inp: BuildInputs, x: np.ndarray, n: str) -> np.ndarray:
-    """Hourly flexible EV charging at one node (zero outside the window)."""
-    out = np.zeros(inp.n_hours)
-    cols = inp.catalog.cols("ev_flex", n)
-    if cols is not None:
-        out[list(inp.ev_hours)] = x[cols]
-    return out
 
 
 def _require_x(solution: Solution) -> np.ndarray:
@@ -178,50 +180,101 @@ def _electrified_rates(inp: BuildInputs, x: np.ndarray) -> tuple[float, float]:
             _weighted_rate(inp.config.p_veh, veh_w))
 
 
-def _vre_potentials(inp: BuildInputs, x: np.ndarray,
-                    n: str) -> dict[str, np.ndarray]:
-    """Hourly producible energy per variable resource at one node."""
-    node = inp.network.node(n)
-    series = inp.series
-    out = {
-        bucket: (existing + _col_scalar(inp, x, fam, n))
-        * np.asarray(w[n], dtype=float)
-        for bucket, fam, existing, w in (
-            ("onshore", "cap_onshore", node.onshore_existing_mw, series.w_on),
-            ("offshore", "cap_offshore", node.offshore_existing_mw,
-             series.w_off),
-            ("us-solar", "cap_us_solar", node.us_solar_existing_mw,
-             series.w_us_solar))}
-    out["btm-solar"] = inp.demand.x_btm_mw[n] * np.asarray(
-        series.w_btm_solar[n], dtype=float)
-    return out
+# wind and utility solar: bucket -> (capacity family, NodeSpec field of the
+# existing capacity, TimeSeriesSet field of the hourly capacity factor)
+_VRE = {
+    "onshore": ("cap_onshore", "onshore_existing_mw", "w_on"),
+    "offshore": ("cap_offshore", "offshore_existing_mw", "w_off"),
+    "us-solar": ("cap_us_solar", "us_solar_existing_mw", "w_us_solar"),
+}
+_POTENTIALS = (*_VRE, "btm-solar")  # curtailment buckets, besides "other"
+
+# operations resource -> the variable family holding its hourly values
+_FAMILY_SERIES = {
+    "fossil-existing": "fossil_ex",
+    "fossil-new": "fossil_new",
+    "hydro-flex": "hydro_flex",
+    "biofuel": "biofuel",
+    "imports": "imports",
+    "battery-charge": "batt_charge",
+    "battery-discharge": "batt_discharge",
+    "battery-soc": "batt_soc",
+    "h2-charge": "h2_charge",
+    "h2-discharge": "h2_discharge",
+    "h2-soc": "h2_soc",
+}
+
+# Series that draw on their node's balance row (with every flow-out[d]),
+# and series that stay outside it (storage levels, and EV charging, which
+# "load" already holds). Every other series supplies the node.
+_DRAWS = frozenset({"load", "battery-charge", "h2-charge"})
+_OUTSIDE_BALANCE = frozenset({"battery-soc", "h2-soc", "ev-charging"})
 
 
-def _hourly_load(inp: BuildInputs, x: np.ndarray, n: str) -> np.ndarray:
-    """Consumer load (grid demand plus electrified end uses) per hour."""
-    dem = inp.demand
-    load = np.asarray(inp.series.d_elec[n], dtype=float).copy()
-    heat = np.asarray(dem.d_heat[n], dtype=float)
-    veh = np.asarray(dem.d_veh_fix[n], dtype=float)
-    if inp.free_p:
-        r_heat, r_veh = _solved_rates(inp, x)
-        load += r_heat * heat + r_veh * veh
-    else:
-        load += heat + veh
-    return load + _ev_charging(inp, x, n)
+def _hourly_series(inp: BuildInputs,
+                   x: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+    """Each node's hourly series in MWh, keyed by operations resource name.
+
+    A node has a wind or solar potential where that capacity exists or can
+    be built, a family's series where the catalog holds its columns,
+    must-run hydro and nuclear where they produce, EV charging at EV nodes,
+    a consumer load (grid demand, electrified end uses and EV charging),
+    and ``flow-out[d]``/``flow-in[d]`` (sent, and delivered net of losses)
+    at the two ends of each flow direction ``d``. ``_DRAWS`` and
+    ``_OUTSIDE_BALANCE`` say how each series enters the node's balance.
+    """
+    dem, series, cat = inp.demand, inp.series, inp.catalog
+    receive = 1.0 - inp.params.tx_loss
+    # Fixed rates are already applied in the end-use series, which then
+    # scale by 1.0 (an exact product).
+    r_heat, r_veh = _solved_rates(inp, x) if inp.free_p else (1.0, 1.0)
+    table = {}
+    for n in inp.node_ids:
+        node = inp.network.node(n)
+        out = {}
+        for bucket, (fam, existing, weather) in _VRE.items():
+            mw = getattr(node, existing)
+            if mw or cat.col(fam, n) is not None:
+                out[bucket] = (mw + _col_scalar(inp, x, fam, n)) * np.asarray(
+                    getattr(series, weather)[n], dtype=float)
+        if dem.x_btm_mw[n] > 0.0:
+            out["btm-solar"] = dem.x_btm_mw[n] * np.asarray(
+                series.w_btm_solar[n], dtype=float)
+        for resource, fam in _FAMILY_SERIES.items():
+            cols = cat.cols(fam, n)
+            if cols is not None:
+                out[resource] = x[cols]
+        if np.any(inp.hydro_fix[n] != 0.0):
+            out["hydro-fixed"] = inp.hydro_fix[n]
+        nuclear = np.asarray(series.nuclear[n], dtype=float)
+        if inp.config.include_nuclear and np.any(nuclear != 0.0):
+            out["nuclear"] = nuclear
+        ev = np.zeros(inp.n_hours)
+        if n in inp.ev_nodes:
+            ev[list(inp.ev_hours)] = x[cat.cols("ev_flex", n)]
+            out["ev-charging"] = ev
+        heat = np.asarray(dem.d_heat[n], dtype=float)
+        veh = np.asarray(dem.d_veh_fix[n], dtype=float)
+        out["load"] = np.asarray(series.d_elec[n], dtype=float) \
+            + (r_heat * heat + r_veh * veh) + ev
+        for direction in inp.outflow[n]:
+            out[f"flow-out[{direction}]"] = x[cat.cols("flow", direction)]
+        for direction in inp.inflow[n]:
+            out[f"flow-in[{direction}]"] = \
+                receive * x[cat.cols("flow", direction)]
+        table[n] = out
+    return table
 
 
 def _balance_slacks(inp: BuildInputs, lp: LPInstance,
                     solution: Solution) -> dict[str, np.ndarray]:
-    """Signed surplus of every node-hour balance row (the curtailment)."""
-    x = _require_x(solution)
-    slacks = solution.slacks
-    if slacks is None:
-        slacks = lp.activity(x) - lp.rhs
+    """Signed surplus of every node-hour balance row (the curtailment), as
+    recorded with the solution: every solver and import records slacks
+    beside its point, so nothing here reads the constraint matrix."""
     # The formulation adds balance rows node by node, hours ascending.
     rows = np.flatnonzero(lp.row_tags == "balance")
-    return dict(zip(inp.node_ids,
-                    slacks[rows].reshape(len(inp.node_ids), inp.n_hours)))
+    return dict(zip(inp.node_ids, solution.slacks[rows].reshape(
+        len(inp.node_ids), inp.n_hours)))
 
 
 # --------------------------------------------------------------------------
@@ -235,8 +288,11 @@ def net_demand_mwh(inp: BuildInputs, solution: Solution) -> float:
     flexible vehicle charging the optimizer placed, minus behind-the-meter
     solar output. This is the denominator every levelized cost uses.
     """
-    x = _require_x(solution)
-    return sum(float(_hourly_load(inp, x, n).sum()) - inp.demand.x_btm_mw[n]
+    return _net_demand(inp, _hourly_series(inp, _require_x(solution)))
+
+
+def _net_demand(inp: BuildInputs, hourly) -> float:
+    return sum(float(hourly[n]["load"].sum()) - inp.demand.x_btm_mw[n]
                * float(np.sum(inp.series.w_btm_solar[n]))
                for n in inp.node_ids)
 
@@ -248,10 +304,15 @@ def realized_low_carbon_share(inp: BuildInputs, solution: Solution) -> float:
     equals the configured target: fossil and biofuel generation count
     against the served load net of imports.
     """
-    x = _require_x(solution)
+    return _low_carbon_share(inp, _require_x(solution),
+                             net_demand_mwh(inp, solution))
+
+
+def _low_carbon_share(inp: BuildInputs, x: np.ndarray,
+                      net_demand: float) -> float:
     non_qualifying = sum(_family_total(inp, x, fam)
                          for fam in ("fossil_ex", "fossil_new", "biofuel"))
-    denom = net_demand_mwh(inp, solution) - _family_total(inp, x, "imports")
+    denom = net_demand - _family_total(inp, x, "imports")
     if denom <= 0.0:
         return 1.0
     return 1.0 - non_qualifying / denom
@@ -307,9 +368,6 @@ class CurtailmentReport:
     by_bucket_mwh: Mapping[str, float]
 
 
-_CURTAIL_BUCKETS = ("onshore", "offshore", "us-solar", "btm-solar", "other")
-
-
 def curtailment_series(inp: BuildInputs, lp: LPInstance,
                        solution: Solution) -> CurtailmentReport:
     """Read the balance-row surplus as curtailment and attribute it.
@@ -318,20 +376,22 @@ def curtailment_series(inp: BuildInputs, lp: LPInstance,
     proportion to their producible energy that hour; surplus with no
     variable potential behind it (must-run units) lands in ``"other"``.
     """
-    x = _require_x(solution)
-    slacks = _balance_slacks(inp, lp, solution)
-    attribution = {b: {n: np.zeros(inp.n_hours) for n in inp.node_ids}
-                   for b in _CURTAIL_BUCKETS}
+    return _curtailment(inp, _hourly_series(inp, _require_x(solution)),
+                        _balance_slacks(inp, lp, solution))
+
+
+def _curtailment(inp: BuildInputs, hourly, slacks) -> CurtailmentReport:
+    zero = np.zeros(inp.n_hours)
+    attribution = {b: {} for b in (*_POTENTIALS, "other")}
     for n in inp.node_ids:
-        pots = _vre_potentials(inp, x, n)
-        for t in range(inp.n_hours):
-            slack = max(float(slacks[n][t]), 0.0)
-            shares = attribute_curtailment(
-                slack, {b: float(pots[b][t]) for b in pots})
-            for bucket, value in shares.items():
-                attribution[bucket][n][t] = value
-    totals = {b: float(sum(arr.sum() for arr in attribution[b].values()))
-              for b in _CURTAIL_BUCKETS}
+        # max(slack, 0.0) hour by hour, keeping its sign of zero
+        surplus = np.where(0.0 > slacks[n], 0.0, slacks[n])
+        shares = attribute_curtailment(
+            surplus, {b: hourly[n].get(b, zero) for b in _POTENTIALS})
+        for bucket, values in shares.items():
+            attribution[bucket][n] = values
+    totals = {b: float(sum(arr.sum() for arr in by_node.values()))
+              for b, by_node in attribution.items()}
     return CurtailmentReport(
         by_node=slacks,
         attribution=attribution,
@@ -350,6 +410,9 @@ class ExcessReport:
     percent: float
 
 
+_LOW_CARBON = (*_POTENTIALS, "hydro-fixed", "hydro-flex", "nuclear")
+
+
 def excess_low_carbon(inp: BuildInputs, lp: LPInstance,
                       solution: Solution) -> ExcessReport:
     """Hourly low-carbon potential in excess of total load, system-wide.
@@ -359,24 +422,21 @@ def excess_low_carbon(inp: BuildInputs, lp: LPInstance,
     qualifies. Demand is the gross consumer load (storage and flows are
     internal to the system and excluded from both sides).
     """
-    x = _require_x(solution)
-    T = inp.n_hours
-    potential = np.zeros(T)
-    load = np.zeros(T)
+    return _excess(inp, _hourly_series(inp, _require_x(solution)))
+
+
+def _excess(inp: BuildInputs, hourly) -> ExcessReport:
+    potential = np.zeros(inp.n_hours)
+    load = np.zeros(inp.n_hours)
     for n in inp.node_ids:
-        for arr in _vre_potentials(inp, x, n).values():
-            potential += arr
-        potential += inp.hydro_fix[n]
-        potential += _col_series(inp, x, "hydro_flex", n)
-        if inp.config.include_nuclear:
-            potential += np.asarray(inp.series.nuclear[n], dtype=float)
-        load += _hourly_load(inp, x, n)
+        for name in _LOW_CARBON:
+            if name in hourly[n]:
+                potential += hourly[n][name]
+        load += hourly[n]["load"]
     series = excess_series(potential, load)
-    total_potential = float(potential.sum())
-    total_excess = float(series.sum())
-    pct = 100.0 * total_excess / total_potential if total_potential > 0.0 else 0.0
-    return ExcessReport(series_mwh=series, total_mwh=total_excess,
-                        potential_mwh=total_potential, percent=pct)
+    return ExcessReport(series_mwh=series, total_mwh=float(series.sum()),
+                        potential_mwh=float(potential.sum()),
+                        percent=excess_percent(potential, load))
 
 
 # --------------------------------------------------------------------------
@@ -387,34 +447,21 @@ def energy_closure(inp: BuildInputs, lp: LPInstance,
                    solution: Solution) -> float:
     """Worst node-hour residual of supply - curtailment - load, in MWh.
 
-    Supply and load are rebuilt from the inputs and the solution vector
-    alone; curtailment comes from the recorded row slacks. The two routes
-    only agree when the solution vector, the slacks, and this module's
-    reading of the system all describe the same physics.
+    Supply and load are the hourly table's series, built from the inputs
+    and the solution vector alone; curtailment comes from the recorded row
+    slacks. The two routes only agree when the solution vector, the slacks,
+    and this module's reading of the system all describe the same physics.
     """
-    x = _require_x(solution)
+    hourly = _hourly_series(inp, _require_x(solution))
     slacks = _balance_slacks(inp, lp, solution)
-    receive = 1.0 - inp.params.tx_loss
-    cat = inp.catalog
     worst = 0.0
     for n in inp.node_ids:
-        supply = np.zeros(inp.n_hours)
-        for fam in ("fossil_ex", "fossil_new", "hydro_flex", "biofuel",
-                    "imports", "batt_discharge", "h2_discharge"):
-            supply += _col_series(inp, x, fam, n)
-        for arr in _vre_potentials(inp, x, n).values():
-            supply += arr
-        supply += inp.hydro_fix[n]
-        if inp.config.include_nuclear:
-            supply += np.asarray(inp.series.nuclear[n], dtype=float)
-        for direction in inp.inflow[n]:
-            supply += receive * x[cat.cols("flow", direction)]
-        load = _hourly_load(inp, x, n)
-        load += _col_series(inp, x, "batt_charge", n)
-        load += _col_series(inp, x, "h2_charge", n)
-        for direction in inp.outflow[n]:
-            load += x[cat.cols("flow", direction)]
-        residual = supply - load - slacks[n]
+        residual = -slacks[n]
+        for name, values in hourly[n].items():
+            if name in _DRAWS or name.startswith("flow-out["):
+                residual -= values
+            elif name not in _OUTSIDE_BALANCE:
+                residual += values
         worst = max(worst, float(np.max(np.abs(residual))))
     return worst
 
@@ -510,32 +557,20 @@ def _cost_buckets(inp: BuildInputs, lp: LPInstance,
     return buckets, nominal
 
 
-# generation key -> the variable family whose total it reports
-_DISPATCH_KEYS = (
-    ("hydro-flex", "hydro_flex"),
-    ("fossil-existing", "fossil_ex"),
-    ("fossil-new", "fossil_new"),
-    ("biofuel", "biofuel"),
-    ("imports", "imports"),
-    ("battery-discharge", "batt_discharge"),
-    ("h2-discharge", "h2_discharge"),
-)
-
-
-def _generation_mwh(inp: BuildInputs, x: np.ndarray,
+def _generation_mwh(inp: BuildInputs, x: np.ndarray, hourly,
                     curtail: CurtailmentReport) -> dict[str, float]:
     """Delivered energy per generation key over the horizon, in MWh."""
     out = {key: 0.0 for key in GENERATION_KEYS}
     for n in inp.node_ids:
-        pots = _vre_potentials(inp, x, n)
-        for bucket in ("onshore", "offshore", "us-solar", "btm-solar"):
-            out[bucket] += float(pots[bucket].sum()) \
-                - float(curtail.attribution[bucket][n].sum())
-        out["hydro-fixed"] += float(inp.hydro_fix[n].sum())
-        if inp.config.include_nuclear:
-            out["nuclear"] += float(np.sum(inp.series.nuclear[n]))
-    for key, fam in _DISPATCH_KEYS:
-        out[key] = _family_total(inp, x, fam)
+        for key, values in hourly[n].items():
+            if key in _POTENTIALS:
+                out[key] += float(values.sum()) \
+                    - float(curtail.attribution[key][n].sum())
+            elif key in ("hydro-fixed", "nuclear"):
+                out[key] += float(values.sum())
+    for key, fam in _FAMILY_SERIES.items():
+        if key in out:
+            out[key] = _family_total(inp, x, fam)
     return out
 
 
@@ -553,12 +588,9 @@ def _capacity_gw(inp: BuildInputs, x: np.ndarray) -> dict[str, float]:
     out = {key: 0.0 for key in CAPACITY_KEYS}
     for n in inp.node_ids:
         node = inp.network.node(n)
-        out["onshore"] += node.onshore_existing_mw \
-            + _col_scalar(inp, x, "cap_onshore", n)
-        out["offshore"] += node.offshore_existing_mw \
-            + _col_scalar(inp, x, "cap_offshore", n)
-        out["us-solar"] += node.us_solar_existing_mw \
-            + _col_scalar(inp, x, "cap_us_solar", n)
+        for bucket, (fam, existing, _) in _VRE.items():
+            out[bucket] += getattr(node, existing) \
+                + _col_scalar(inp, x, fam, n)
         out["btm-solar"] += inp.demand.x_btm_mw[n]
         out["fossil-existing"] += node.gas_existing_mw
         out["fossil-new"] += _col_scalar(inp, x, "cap_fossil", n)
@@ -617,14 +649,15 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
               label: str = "") -> ScenarioReport:
     """Assemble the full report for a solved scenario."""
     x = _require_x(solution)
-    curtail = curtailment_series(inp, lp, solution)
+    hourly = _hourly_series(inp, x)
+    curtail = _curtailment(inp, hourly, _balance_slacks(inp, lp, solution))
     buckets, nominal = _cost_buckets(inp, lp, x)
-    generation = _generation_mwh(inp, x, curtail)
+    generation = _generation_mwh(inp, x, hourly, curtail)
     delivered = _delivered_mwh(generation)
     per_hour = 1.0 / (inp.n_hours * 1000.0)
     resource_lcoe = {key: unit_cost(buckets[key], delivered[key])
                      for key in LCOE_KEYS}
-    net_demand = net_demand_mwh(inp, solution)
+    net_demand = _net_demand(inp, hourly)
     ledger = realized_emissions(inp, solution)
     reduction = ghg_reduction(ledger) if ledger is not None else None
     r_heat, r_veh = _electrified_rates(inp, x)
@@ -637,7 +670,7 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
         omega_target=inp.config.omega,
         heat_electrified=r_heat,
         vehicle_electrified=r_veh,
-        lcp_realized=realized_low_carbon_share(inp, solution),
+        lcp_realized=_low_carbon_share(inp, x, net_demand),
         ghg_reduction=reduction,
         ghg_change_percent=(
             -100.0 * reduction if reduction is not None else None),
@@ -653,7 +686,7 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
         cost_usd=buckets,
         resource_lcoe_usd_per_mwh=resource_lcoe,
         curtailment=curtail,
-        excess=excess_low_carbon(inp, lp, solution),
+        excess=_excess(inp, hourly),
         emissions=ledger,
     )
 
@@ -767,76 +800,34 @@ def report_json_dict(report: ScenarioReport) -> dict:
     return _jsonify(report)
 
 
-# operations resource -> the variable family holding its hourly values
-_OPERATION_FAMILIES = (
-    ("fossil-existing", "fossil_ex"),
-    ("fossil-new", "fossil_new"),
-    ("hydro-flex", "hydro_flex"),
-    ("biofuel", "biofuel"),
-    ("imports", "imports"),
-    ("battery-charge", "batt_charge"),
-    ("battery-discharge", "batt_discharge"),
-    ("battery-soc", "batt_soc"),
-    ("h2-charge", "h2_charge"),
-    ("h2-discharge", "h2_discharge"),
-    ("h2-soc", "h2_soc"),
-)
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as one field of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow([text])
+    return buffer.getvalue()
 
 
 def write_operations_csv(path, inp: BuildInputs, lp: LPInstance,
                          solution: Solution) -> None:
     """Dump hourly operation as (node, t, resource, mwh) rows.
 
-    Every dispatch decision, must-run output, variable-resource potential,
-    storage state, load, curtailment, and both ends of every interface flow
-    (sent and delivered) appear; rows are sorted by node, hour, and
-    resource name so repeat writes are byte-identical.
+    Every series of the hourly table appears (dispatch decisions, must-run
+    output, variable-resource potentials, storage state, load, and both
+    ends of every interface flow, sent and delivered), plus each node's
+    curtailment. Rows run node by node in ``inp.node_ids`` order (sorted),
+    hours ascending, resources by name within an hour, so the file is
+    sorted by (node, hour, resource) and repeat writes are byte-identical.
     """
-    x = _require_x(solution)
-    T = inp.n_hours
+    hourly = _hourly_series(inp, _require_x(solution))
     slacks = _balance_slacks(inp, lp, solution)
-    receive = 1.0 - inp.params.tx_loss
-    rows: list[tuple[str, int, str, float]] = []
-
-    def add_series(n: str, resource: str, values) -> None:
-        arr = np.asarray(values, dtype=float).tolist()
-        rows.extend((n, t, resource, arr[t]) for t in range(T))
-
-    for n in inp.node_ids:
-        node = inp.network.node(n)
-        pots = _vre_potentials(inp, x, n)
-        for bucket, fam, existing in (
-                ("onshore", "cap_onshore", node.onshore_existing_mw),
-                ("offshore", "cap_offshore", node.offshore_existing_mw),
-                ("us-solar", "cap_us_solar", node.us_solar_existing_mw)):
-            if existing or inp.catalog.col(fam, n) is not None:
-                add_series(n, bucket, pots[bucket])
-        if inp.demand.x_btm_mw[n] > 0.0:
-            add_series(n, "btm-solar", pots["btm-solar"])
-        for resource, fam in _OPERATION_FAMILIES:
-            cols = inp.catalog.cols(fam, n)
-            if cols is not None:
-                add_series(n, resource, x[cols])
-        if np.any(inp.hydro_fix[n] != 0.0):
-            add_series(n, "hydro-fixed", inp.hydro_fix[n])
-        if inp.config.include_nuclear and np.any(
-                np.asarray(inp.series.nuclear[n]) != 0.0):
-            add_series(n, "nuclear", inp.series.nuclear[n])
-        if n in inp.ev_nodes:
-            add_series(n, "ev-charging", _ev_charging(inp, x, n))
-        add_series(n, "load", _hourly_load(inp, x, n))
-        add_series(n, "curtailment", np.maximum(slacks[n], 0.0))
-
-    for key in inp.interface_keys:
-        for direction in inp.directions[key]:
-            sender, receiver = direction.split(">", 1)
-            sent = x[inp.catalog.cols("flow", direction)]
-            add_series(sender, f"flow-out[{direction}]", sent)
-            add_series(receiver, f"flow-in[{direction}]", receive * sent)
-
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "t", "resource", "mwh"])
-        for n, t, resource, mwh in rows:
-            writer.writerow([n, t, resource, repr(mwh)])
+        fh.write("node,t,resource,mwh\n")
+        for n in inp.node_ids:
+            series = {**hourly[n], "curtailment": np.maximum(slacks[n], 0.0)}
+            names = sorted(series)
+            # one line per (hour, resource), hour-major
+            fh.writelines(map(
+                "{},{},{},{!r}\n".format, itertools.repeat(_csv_field(n)),
+                np.repeat(np.arange(inp.n_hours), len(names)).tolist(),
+                [_csv_field(r) for r in names] * inp.n_hours,
+                np.column_stack([series[r] for r in names]).ravel().tolist()))

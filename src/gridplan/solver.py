@@ -674,15 +674,16 @@ def import_solution(lp: LPInstance, source,
         raw = _parse_solution_text(text)
 
     known = set(lp.col_names)
-    unmangle = {_mangle(name): name for name in lp.col_names}
+    unmangle = None  # mangling every name is costly, so only on demand
     values = {}
     for name, value in raw.items():
-        if name in known:
-            values[name] = value
-        elif name in unmangle:
-            values[unmangle[name]] = value
-        else:
-            raise LPError(f"solution names unknown column {name!r}")
+        if name not in known:
+            if unmangle is None:
+                unmangle = {_mangle(col): col for col in lp.col_names}
+            if name not in unmangle:
+                raise LPError(f"solution names unknown column {name!r}")
+            name = unmangle[name]
+        values[name] = value
     missing = [name for name in lp.col_names if name not in values]
     if missing:
         raise LPError(f"solution is missing columns {missing[:5]}")

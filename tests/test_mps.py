@@ -8,7 +8,7 @@ import pytest
 
 from _mpsread import read_mps, solve_mps_with_highs
 from gridplan.formulation import EQ, GE, LE, LPError, make_lp
-from gridplan.solver import export_mps, import_solution, solve
+from gridplan.solver import export_mps, import_solution, mps_name_map, solve
 from test_solver import random_instance
 
 
@@ -136,6 +136,21 @@ class TestImportSolution:
         imported = import_solution(lp, sol_text)
         assert imported.status == "optimal"
         assert imported.objective == pytest.approx(9.0, abs=1e-8)
+
+    def test_original_and_mangled_names_mixed(self):
+        lp = make_lp(
+            [2.0, 3.0],
+            [([1.0, 1.0], GE, 4.0)],
+            col_names=("first_extremely_long_column_name",
+                       "second_extremely_long_column_name"),
+            upper=[3.0, np.inf],
+        )
+        short = mps_name_map(lp)["second_extremely_long_column_name"]
+        assert short != "second_extremely_long_column_name"
+        imported = import_solution(
+            lp, f"first_extremely_long_column_name 3.0\n{short} 1.0\n")
+        assert imported.status == "optimal"
+        np.testing.assert_array_equal(imported.x, [3.0, 1.0])
 
     def test_external_matches_builtin_on_random(self):
         lp = random_instance(12, 7, 10, allow_eq=False)

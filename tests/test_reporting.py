@@ -219,6 +219,27 @@ def two_node_flow_scenario():
     return scenario(config, net, series, costs, PARAMS_24)
 
 
+def surplus_scenario():
+    """Must-run and variable output beyond both nodes' loads and the thin
+    interface between them. Node a curtails nuclear by night, with no
+    variable potential behind it; node b curtails wind and solar together.
+    Nothing is buildable, so each potential is existing capacity times its
+    capacity factor."""
+    node_a = NodeSpec(id="a", nuclear_mw=300.0, nuclear_gen_mwh_per_h=300.0,
+                      us_solar_existing_mw=200.0)
+    node_b = NodeSpec(id="b", onshore_existing_mw=300.0,
+                      us_solar_existing_mw=100.0, gas_existing_mw=200.0)
+    iface = InterfaceSpec(node_a="a", node_b="b", distance_mi=100.0,
+                          existing_fwd_mw=50.0, existing_rev_mw=50.0)
+    net = NetworkSpec(nodes=[node_a, node_b], interfaces=[iface])
+    series = series_for(net, T24, d_elec={"a": 100.0, "b": 80.0},
+                        w_on={"a": 0.0, "b": 0.5}, w_us_solar=sun_shape(T24),
+                        nuclear={"a": 300.0, "b": 0.0})
+    config = ScenarioConfig(mode="lcp+hve", lcp=0.0, p_heat=0.0, p_veh=0.0)
+    return scenario(config, net, series, costs_for(node_ids=("a", "b")),
+                    PARAMS_24)
+
+
 def column_sum(lp, sol, fam, node, t_range) -> float:
     return sum(sol.x[lp.column_index(f"{fam}[{node},{t}]")] for t in t_range)
 
@@ -268,11 +289,17 @@ class TestAttributeCurtailment:
         (7.5, {"a": 1.0, "b": 2.0, "c": 4.0}),
         (0.0, {"a": 5.0}),
         (2.0, {}),
+        # hours as arrays; the second and fourth have no potential at all
+        (np.array([7.5, 3.0, 0.0, 2.0]),
+         {"a": np.array([1.0, 0.0, 5.0, 0.0]),
+          "b": np.array([2.0, 0.0, 0.0, 0.0]),
+          "c": np.array([4.0, 0.0, 1.0, 0.0])}),
+        (np.array([1.0, 4.0]), {}),
     ])
     def test_attribution_conserves_slack(self, slack, pots):
         out = attribute_curtailment(slack, pots)
         assert sum(out.values()) == pytest.approx(slack, abs=1e-12)
-        assert all(v >= 0.0 for v in out.values())
+        assert all(np.all(v >= 0.0) for v in out.values())
 
 
 # --------------------------------------------------------------------------
@@ -581,12 +608,86 @@ class TestTwoNodeScenario:
                      if r["resource"] == "load" and r["node"] == "b")
         assert load_b == pytest.approx(2400.0, rel=1e-12)
 
+    def test_operations_csv_closes_every_node_hour(self, two_node, tmp_path):
+        inp, lp, sol, report = two_node
+        path = tmp_path / "operations.csv"
+        write_operations_csv(path, inp, lp, sol)
+        supply = {"onshore", "offshore", "us-solar", "btm-solar",
+                  "hydro-fixed", "hydro-flex", "nuclear", "fossil-existing",
+                  "fossil-new", "biofuel", "imports", "battery-discharge",
+                  "h2-discharge"}
+        draws = {"load", "battery-charge", "h2-charge", "curtailment"}
+        outside = {"battery-soc", "h2-soc", "ev-charging"}
+        net = {}
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                resource = row["resource"]
+                if resource in supply or resource.startswith("flow-in["):
+                    sign = 1.0
+                elif resource in draws or resource.startswith("flow-out["):
+                    sign = -1.0
+                else:
+                    assert resource in outside, resource
+                    sign = 0.0
+                key = (row["node"], int(row["t"]))
+                net[key] = net.get(key, 0.0) + sign * float(row["mwh"])
+        assert len(net) == 2 * T24
+        assert max(abs(v) for v in net.values()) <= 1e-7
+
     def test_operations_csv_deterministic(self, two_node, tmp_path):
         inp, lp, sol, report = two_node
         p1, p2 = tmp_path / "ops1.csv", tmp_path / "ops2.csv"
         write_operations_csv(p1, inp, lp, sol)
         write_operations_csv(p2, inp, lp, sol)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def surplus():
+    return surplus_scenario()
+
+
+class TestCurtailmentAttributionByHour:
+    def test_hourly_attribution_matches_scalar_rule(self, surplus):
+        inp, lp, sol = surplus
+        curtail = curtailment_series(inp, lp, sol)
+        series = inp.series
+        idle_surplus = shared_surplus = False
+        for node in inp.network.nodes:
+            n = node.id
+            pots = {
+                "onshore": node.onshore_existing_mw * series.w_on[n],
+                "offshore": node.offshore_existing_mw * series.w_off[n],
+                "us-solar": node.us_solar_existing_mw * series.w_us_solar[n],
+                "btm-solar": inp.demand.x_btm_mw[n] * series.w_btm_solar[n],
+            }
+            slack = curtail.by_node[n]
+            surplus = np.maximum(slack, 0.0)
+            shares = {b: curtail.attribution[b][n] for b in (*pots, "other")}
+            np.testing.assert_allclose(sum(shares.values()), surplus,
+                                       rtol=1e-12, atol=1e-9)
+            idle = sum(pots.values()) == 0.0
+            np.testing.assert_array_equal(shares["other"][idle],
+                                          surplus[idle])
+            for t in range(T24):
+                hour = attribute_curtailment(
+                    max(float(slack[t]), 0.0),
+                    {b: float(p[t]) for b, p in pots.items()})
+                assert {b: float(v[t]) for b, v in shares.items()} == hour
+            idle_surplus |= bool(np.any(surplus[idle] > 1.0))
+            shared_surplus |= bool(np.any((shares["onshore"] > 1.0)
+                                          & (shares["us-solar"] > 1.0)))
+        assert idle_surplus and shared_surplus
+
+    def test_negative_slack_curtails_nothing(self, surplus):
+        inp, lp, sol = surplus
+        slacks = sol.slacks.copy()
+        slacks[lp.row_names.index("balance[a,0]")] = -1.0
+        curtail = curtailment_series(inp, lp,
+                                     dataclasses.replace(sol, slacks=slacks))
+        assert curtail.by_node["a"][0] == -1.0
+        assert all(by_node["a"][0] == 0.0
+                   for by_node in curtail.attribution.values())
 
 
 class TestSerialization:

@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of each artifact of a fixed set of runs.
+
+The runs are built-in solves of the shipped two-node fixture in four modes
+(``report.json``, ``report.csv`` and ``operations.csv`` of each), and an MPS
+export of the fixture tiled to 8784 h (``model.mps``). Run the script on two
+checkouts and compare the output to show that a change keeps every artifact
+byte-identical:
+
+    python tools/artifact_digests.py > digests.txt
+
+It imports gridplan from the checkout it sits in. Float bytes may differ
+across numpy builds, so compare digests taken on the same machine only.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from gridplan import load_bundle, load_config, run_scenario  # noqa: E402
+
+FIXTURE = REPO / "src" / "gridplan" / "data" / "two_node_48h"
+YEAR_TILES = 183  # 48 h x 183 = 8784 h, a leap year
+
+BASE = json.loads((FIXTURE / "scenario.json").read_text())
+MODES = {
+    "lcp+hve": BASE,
+    "lcp+hve-rgt0.3": {**BASE, "rgt": 0.3},
+    "ghg+hve": {**{k: v for k, v in BASE.items() if k != "lcp"},
+                "mode": "ghg+hve", "omega": 0.3},
+    "ghg+lcp": {**{k: v for k, v in BASE.items()
+                   if k not in ("p_heat", "p_veh")},
+                "mode": "ghg+lcp", "omega": 0.3},
+}
+
+
+def tiled(bundle, k: int):
+    """The bundle with every series tiled ``k`` times and n_years scaled."""
+    series = bundle.series
+    fields = {}
+    for field in dataclasses.fields(series):
+        mapping = getattr(series, field.name)
+        if mapping is not None:
+            fields[field.name] = {node: np.tile(np.asarray(arr, dtype=float), k)
+                                  for node, arr in mapping.items()}
+    params = dataclasses.replace(bundle.params,
+                                 n_years=bundle.params.n_years * k)
+    return dataclasses.replace(
+        bundle, series=dataclasses.replace(series, **fields), params=params)
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    bundle = load_bundle(FIXTURE)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for label, config in MODES.items():
+            result = run_scenario(bundle, load_config(config),
+                                  out_dir=out / label)
+            if result.status != "optimal":
+                raise SystemExit(f"{label}: {result.status} {result.message}")
+            for name in ("report.json", "report.csv", "operations.csv"):
+                print(f"{digest(out / label / name)}  {label}/{name}")
+        year = out / "year"
+        run_scenario(tiled(bundle, YEAR_TILES), load_config(BASE),
+                     solver="export", out_dir=year)
+        print(f"{digest(year / 'model.mps')}  year-8784h/model.mps")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
