@@ -460,8 +460,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
             + "\n")
         write_operations_csv(out / "operations.csv", inp, lp, solution)
         artifacts.extend(["report.csv", "report.json", "operations.csv"])
-    values = {name: float(solution.x[j])
-              for j, name in enumerate(lp.col_names)}
+    values = dict(zip(lp.col_names, solution.x.tolist()))
     return RunResult(status=STATUS_OPTIMAL, exit_code=EXIT_OK, stage=None,
                      message="", report=report, solution_values=values,
                      artifacts=tuple(artifacts))

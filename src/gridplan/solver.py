@@ -2,15 +2,16 @@
 bounds, plus MPS export and a solution importer for running the same
 problem through an external solver.
 
-The simplex prices and forms entering columns from a column-compressed
-copy of the working matrix, so both touch only nonzeros. It keeps the
-basis inverse as the dense inverse from the last refactorization less one
-rank-1 term per pivot since, and refactors at least every
-``refactor_every`` pivots. An iteration then costs O(m^2) reads plus
-O(nnz), with no m x m temporaries. The dense inverse still bounds it to
-desk-scale problems (a few thousand rows), which is exactly what the
-bundled fixtures produce. Larger studies are expected to go through
-export_mps.
+The simplex works on one column-compressed working matrix, built straight
+from the LP's CSR arrays (sign-flipped, shifted and equilibrated there)
+with the slack and artificial columns appended. Pricing and FTRAN touch
+only its nonzeros; a dense m x m basis is formed only at refactorization.
+The basis inverse is the dense inverse from the last refactorization less
+one rank-1 term per pivot since, refreshed at least every
+``refactor_every`` pivots, so memory is O(m^2 + nnz) and an iteration costs
+O(m^2) reads plus O(nnz). The dense inverse still bounds it to desk-scale
+problems (a few thousand rows), which is exactly what the bundled fixtures
+produce. Larger studies are expected to go through export_mps.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -30,6 +31,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration-limit"
+STATUS_NUMERICAL = "numerical"
 
 _PIVOT_RULES = ("dantzig", "bland")
 
@@ -47,7 +49,6 @@ class SolveOptions:
     optimality_tol: float = 1e-7
     max_iterations: int | None = None
     pivot_rule: str = "dantzig"
-    scale: bool = True
     refactor_every: int = 100
 
     def __post_init__(self):
@@ -127,28 +128,30 @@ class _Simplex:
 
     A pivot appends one row to ``u`` and ``v`` and writes O(m) numbers;
     FTRAN and BTRAN each read ``binv0`` once plus the thin correction. A
-    refactorization folds the terms back into a fresh ``binv0``. Pricing
-    and FTRAN read only the nonzeros of the working matrix, through a
-    column-compressed copy built once; the dense matrix is kept for
-    forming whole bases (refactorization and basis repair).
+    refactorization folds the terms back into a fresh ``binv0``.
+
+    The working matrix exists only as its nonzeros ``(cols, rows, vals)``,
+    sorted by column; pricing and FTRAN read them directly, and
+    refactorization and basis repair expand just the basis columns.
+    Memory is O(m^2 + nnz).
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
-    def __init__(self, a, b, ub, opts: SolveOptions):
-        self.a = np.asfortranarray(a)
+    def __init__(self, cols, rows, vals, b, ub, basis, opts: SolveOptions):
+        self.cols, self.rows, self.vals = cols, rows, vals
         self.b = b.copy()
         self.ub = ub.copy()
         self.opts = opts
-        self.m, self.n_all = self.a.shape
+        self.m, self.n_all = b.size, ub.size
         self.iterations = 0
+        # ``binv0`` below is the identity: the starting basis must be unit
+        # slack and artificial columns, or be refactored before use.
+        self.basis = np.array(basis, dtype=np.int64)
         self.vstat = np.full(self.n_all, self.AT_LOWER, dtype=np.int8)
-        self.basis = np.empty(self.m, dtype=np.int64)
+        self.vstat[self.basis] = self.BASIC
         self.xb = b.copy()
-        # Column-compressed nonzeros: column j owns entries
-        # indptr[j]:indptr[j + 1] of (rows, vals).
-        self.cols, self.rows = np.nonzero(self.a.T)
-        self.vals = self.a[self.rows, self.cols]
+        # Column j owns entries indptr[j]:indptr[j + 1] of (rows, vals).
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(self.cols, minlength=self.n_all))])
         # Static column norms turn Dantzig pricing into a cheap steepest-
@@ -162,28 +165,28 @@ class _Simplex:
         self.k = 0
         self.binv0 = np.eye(self.m)
 
-    def set_basis(self, cols):
-        self.basis[:] = cols
-        self.vstat[:] = self.AT_LOWER
-        self.vstat[self.basis] = self.BASIC
-        self.binv0 = np.eye(self.m)
-        self.k = 0
-        self.xb = self.b.copy()
+    def _dense(self, cols: np.ndarray) -> np.ndarray:
+        """Working columns ``cols`` as a dense m x len(cols) array, in
+        Fortran order (the BLAS summation order of products with it
+        depends on the layout)."""
+        pos = np.full(self.n_all, -1)
+        pos[cols] = np.arange(cols.size)
+        keep = pos[self.cols] >= 0
+        out = np.zeros((self.m, cols.size), order="F")
+        out[self.rows[keep], pos[self.cols[keep]]] = self.vals[keep]
+        return out
 
     def refactor(self):
-        bmat = self.a[:, self.basis]
         try:
-            self.binv0 = np.linalg.solve(bmat, np.eye(self.m))
+            self.binv0 = np.linalg.solve(self._dense(self.basis),
+                                         np.eye(self.m))
         except np.linalg.LinAlgError:
             self._repair_basis()
-            self.binv0 = np.linalg.solve(self.a[:, self.basis],
+            self.binv0 = np.linalg.solve(self._dense(self.basis),
                                          np.eye(self.m))
         self.k = 0
         at_ub = np.flatnonzero(self.vstat == self.AT_UPPER)
-        rhs = self.b.copy()
-        if at_ub.size:
-            rhs -= self.a[:, at_ub] @ self.ub[at_ub]
-        self.xb = self.binv0 @ rhs
+        self.xb = self.binv0 @ (self.b - self._dense(at_ub) @ self.ub[at_ub])
 
     def _ftran(self, q: int) -> np.ndarray:
         """B^-1 times working column q."""
@@ -210,11 +213,9 @@ class _Simplex:
         """Row index -> a working column that is a multiple of that row's
         unit vector (slack or artificial), preferring the earliest."""
         out: dict[int, list[int]] = {}
-        nonzero = self.a != 0.0
-        singles = np.flatnonzero(nonzero.sum(axis=0) == 1)
-        for j in singles.tolist():
-            i = int(np.argmax(nonzero[:, j]))
-            out.setdefault(i, []).append(j)
+        singles = np.flatnonzero(np.diff(self.indptr) == 1)
+        for j, i in zip(singles.tolist(), self.rows[self.indptr[singles]]):
+            out.setdefault(int(i), []).append(j)
         return out
 
     def _repair_basis(self):
@@ -223,7 +224,7 @@ class _Simplex:
         Reachable only when roundoff lets a dependent column into the
         basis; the follow-up refactor recomputes consistent basic values.
         """
-        lu = self.a[:, self.basis].copy()
+        lu = self._dense(self.basis)
         used = np.zeros(self.m, dtype=bool)
         dependent = []
         for k in range(self.m):
@@ -418,40 +419,31 @@ def _solve_boxed(lp: LPInstance) -> Solution:
 def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     """Minimize the LPInstance with the built-in simplex.
 
-    The returned point is verified against the original rows and bounds;
-    if numerical drift left it violated beyond tolerance, the solve is
-    repeated once with an aggressive refactorization cadence.
+    The working matrix is built from the LP's CSR arrays alone: lower
+    bounds shifted to zero, rows flipped to a nonnegative rhs, rows and
+    columns equilibrated, slack and artificial columns appended. The
+    returned point is verified against the original rows and bounds; one
+    that misses them by more than 10 x feasibility_tol x max(1, max |rhs|)
+    is never reported optimal but comes back "numerical", naming the
+    violated rows worst first.
     """
     lp.validate()
     opts = options or SolveOptions()
-    sol = _solve_once(lp, opts)
-    if sol.status != STATUS_OPTIMAL or sol.max_violation is None:
-        return sol
-    rhs_scale = max(1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
-    if sol.max_violation <= 10.0 * opts.feasibility_tol * rhs_scale:
-        return sol
-    again = _solve_once(lp, replace(opts, refactor_every=5))
-    if (again.status == STATUS_OPTIMAL and again.max_violation is not None
-            and again.max_violation < sol.max_violation):
-        return again
-    return sol
-
-
-def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
     m, n = lp.n_rows, lp.n_cols
     if m == 0:
         return _solve_boxed(lp)
-
-    a = lp.dense_matrix()
     lower = lp.lower
+    row_of, col_of = lp.row_of, lp.indices
+    tol = opts.feasibility_tol * max(
+        1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
 
     # Shift lower bounds to zero.
-    b_shift = lp.rhs - a @ lower
+    b_shift = lp.rhs - lp.activity(lower)
     ub = lp.upper - lower
 
     # Normalize to nonnegative rhs, tracking the sign for dual recovery.
     flip = np.where(b_shift < 0.0, -1.0, 1.0)
-    a *= flip[:, None]
+    a = lp.data * flip[row_of]
     b_shift *= flip
     senses = np.where(flip > 0.0, lp.sense,
                       np.where(lp.sense == LE, GE,
@@ -461,44 +453,44 @@ def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
     # coefficients differ by orders of magnitude otherwise.
     row_scale = np.ones(m)
     col_scale = np.ones(n)
-    if opts.scale and n:
-        mag = np.abs(a)
-        for _ in range(2):
-            for axis, scale in ((1, row_scale), (0, col_scale)):
-                hi = mag.max(axis=axis, initial=0.0)
-                lo = np.where(mag > 0.0, mag, np.inf).min(axis=axis,
-                                                          initial=np.inf)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    f = np.where((hi > 0.0) & np.isfinite(lo),
-                                 1.0 / np.sqrt(hi * lo), 1.0)
-                mag *= f[:, None] if axis == 1 else f[None, :]
-                scale *= f
-        a = a * row_scale[:, None] * col_scale[None, :]
+    mag = np.abs(a)
+    for _ in range(2):
+        for scale, index in ((row_scale, row_of), (col_scale, col_of)):
+            hi = np.zeros(scale.size)
+            np.maximum.at(hi, index, mag)
+            lo = np.full(scale.size, np.inf)
+            np.minimum.at(lo, index, np.where(mag > 0.0, mag, np.inf))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                f = np.where((hi > 0.0) & np.isfinite(lo),
+                             1.0 / np.sqrt(hi * lo), 1.0)
+            mag *= f[index]
+            scale *= f
+    a = a * row_scale[row_of] * col_scale[col_of]
     b_w = b_shift * row_scale
     c_w = lp.objective * col_scale
     ub_w = ub / col_scale
 
-    # Working columns: structural, slack/surplus, artificial.
+    # Working columns, sorted by column: structural, slack/surplus,
+    # artificial.
     slack_rows = np.flatnonzero(senses != EQ)
     art_rows = np.flatnonzero(senses != LE)
     n_slack, n_art = slack_rows.size, art_rows.size
     n_all = n + n_slack + n_art
     slack_cols = n + np.arange(n_slack)
     art_cols = n + n_slack + np.arange(n_art)
-    a_work = np.zeros((m, n_all))
-    a_work[:, :n] = a
-    a_work[slack_rows, slack_cols] = np.where(senses[slack_rows] == LE,
-                                              1.0, -1.0)
-    a_work[art_rows, art_cols] = 1.0
-    ub_work = np.concatenate([ub_w, np.full(n_slack + n_art, np.inf)])
-
     # Start from the artificial of every row that has one, else its slack.
     start_basis = np.empty(m, dtype=np.int64)
     start_basis[slack_rows] = slack_cols
     start_basis[art_rows] = art_cols
-
-    sx = _Simplex(a_work, b_w, ub_work, opts)
-    sx.set_basis(start_basis)
+    by_col = np.argsort(col_of, kind="stable")
+    sx = _Simplex(
+        np.concatenate([col_of[by_col], slack_cols, art_cols]),
+        np.concatenate([row_of[by_col], slack_rows, art_rows]),
+        np.concatenate([a[by_col],
+                        np.where(senses[slack_rows] == LE, 1.0, -1.0),
+                        np.ones(n_art)]),
+        b_w, np.concatenate([ub_w, np.full(n_slack + n_art, np.inf)]),
+        start_basis, opts)
     max_iterations = opts.max_iterations
     if max_iterations is None:
         max_iterations = 50 * (m + n_all) + 200
@@ -512,20 +504,18 @@ def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
                 status, sx.iterations,
                 f"iteration limit {max_iterations} hit during the "
                 "feasibility phase")
-        art_level = float(c1[sx.basis] @ np.maximum(sx.xb, 0.0))
-        feas_tol = opts.feasibility_tol * max(
-            1.0, float(np.max(np.abs(b_w), initial=0.0)))
-        if art_level > feas_tol:
-            # Basic artificials above tolerance hold the residual; name
-            # the largest first.
-            held = np.flatnonzero((sx.basis >= n + n_slack)
-                                  & (sx.xb > feas_tol))
-            held = held[np.argsort(-sx.xb[held], kind="stable")]
-            bad = [lp.row_names[art_rows[sx.basis[p] - n - n_slack]]
-                   for p in held[:5]]
+        # Basic artificials hold the residual. Judge it in the original
+        # rows' units: row scales span many orders of magnitude.
+        held = np.flatnonzero(sx.basis >= n + n_slack)
+        held_rows = art_rows[sx.basis[held] - n - n_slack]
+        level = np.maximum(sx.xb[held], 0.0) / row_scale[held_rows]
+        if level.sum() > tol:
+            worst = np.argsort(-level, kind="stable")
+            bad = [lp.row_names[i]
+                   for i in held_rows[worst][level[worst] > tol][:5]]
             return _no_solution(
                 STATUS_INFEASIBLE, sx.iterations,
-                f"no feasible point; residual {art_level:.3e} "
+                f"no feasible point; residual {level.sum():.3e} "
                 f"concentrated in rows {bad}")
         sx.ub[n + n_slack:] = 0.0
 
@@ -544,7 +534,17 @@ def _solve_once(lp: LPInstance, opts: SolveOptions) -> Solution:
     sx.refactor()
     x = lower + sx.values()[:n] * col_scale
     duals = sx.duals(c2) * row_scale * flip
-    return _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
+    sol = _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
+    if sol.max_violation > 10.0 * tol:
+        violation = _row_violations(lp, sol.x)
+        bad = np.flatnonzero(violation > 10.0 * tol)
+        bad = bad[np.argsort(-violation[bad], kind="stable")]
+        return _no_solution(
+            STATUS_NUMERICAL, sx.iterations,
+            f"built-in point violates {bad.size} rows beyond tolerance "
+            f"(worst {sol.max_violation:.3e}): "
+            f"{[lp.row_names[i] for i in bad[:5]]}")
+    return sol
 
 
 _BASE36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -21,7 +21,8 @@ from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
                                   LPInstance, assemble, make_lp)
 from gridplan.runner import load_bundle, load_config
-from gridplan.solver import SolveOptions, Solution, solve
+from gridplan.solver import SolveOptions, Solution, _Simplex, solve
+from test_acceptance import demo_config
 
 FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
 
@@ -138,6 +139,14 @@ class TestElementary:
         assert sol.status == "infeasible"
         assert "residual 7.000e+00" in sol.message
         assert sol.message.endswith("rows ['r6', 'r7']")
+
+    def test_point_beyond_violation_bound_is_numerical(self):
+        # 0.1 * 1.5 rounds 5.6e-17 short of 0.3, far above this bound.
+        lp = make_lp([1.0, 1.0], [([0.1, 0.2], GE, 0.3)])
+        sol = solve(lp, SolveOptions(feasibility_tol=1e-300))
+        assert sol.status == "numerical"
+        assert sol.x is None
+        assert sol.message.endswith("['r0']")
 
     def test_contradictory_bounds_infeasible(self):
         lp = make_lp([1.0], [([1.0], GE, 2.0)], upper=[1.0])
@@ -430,15 +439,49 @@ class TestControls:
         assert sol.iterations >= 1
 
 
+def test_singular_basis_repaired_with_unit_column():
+    # Working columns: 0 and 1 are both (1, 2, 0), 2 is (0, 0, 3), and
+    # 3-5 are unit columns of rows 0-2 (the second a surplus).
+    sx = _Simplex(np.array([0, 0, 1, 1, 2, 3, 4, 5]),
+                  np.array([0, 1, 0, 1, 2, 0, 1, 2]),
+                  np.array([1.0, 2.0, 1.0, 2.0, 3.0, 1.0, -1.0, 1.0]),
+                  np.ones(3), np.full(6, np.inf), [0, 1, 2], SolveOptions())
+    sx.refactor()
+    # Column 1 depends on column 0; row 0 is the one it left uncovered.
+    np.testing.assert_array_equal(sx.basis, [0, 3, 2])
+    assert sx.vstat[1] == _Simplex.AT_LOWER
+    assert sx.vstat[3] == _Simplex.BASIC
+    basis = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    np.testing.assert_allclose(sx.binv0 @ basis, np.eye(3), atol=1e-15)
+
+
 @pytest.fixture(scope="module")
-def fixture_lp():
-    bundle = load_bundle(FIXTURE_DIR)
+def bundle():
+    return load_bundle(FIXTURE_DIR)
+
+
+@pytest.fixture(scope="module")
+def fixture_lp(bundle):
     config = load_config(FIXTURE_DIR / "scenario.json")
     demand = synthesize_demand(bundle.network, bundle.series, config,
                                bundle.params)
     inp = BuildInputs(config, bundle.network, bundle.series, bundle.costs,
                       bundle.params, demand, emissions=bundle.emissions)
     return assemble(inp)[0]
+
+
+def test_full_share_target_on_fixture_infeasible(bundle):
+    # Row scales span ten orders of magnitude on this LP, so phase 1 must
+    # judge its residual in the rows' own units, not the scaled ones.
+    config = demo_config(lcp=1.0)
+    demand = synthesize_demand(bundle.network, bundle.series, config,
+                               bundle.params)
+    inp = BuildInputs(config, bundle.network, bundle.series, bundle.costs,
+                      bundle.params, demand, emissions=bundle.emissions)
+    lp = assemble(inp)[0]
+    assert scipy_solve(lp).status == 2
+    sol = solve(lp)
+    assert sol.status == "infeasible", sol.message
 
 
 @pytest.mark.parametrize("refactor_every", [1, 7, 100])

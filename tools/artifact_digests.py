@@ -3,9 +3,12 @@
 
 The runs are built-in solves of the shipped two-node fixture in four modes
 (``report.json``, ``report.csv`` and ``operations.csv`` of each), and an MPS
-export of the fixture tiled to 8784 h (``model.mps``). Run the script on two
-checkouts and compare the output to show that a change keeps every artifact
-byte-identical:
+export of the fixture tiled to 8784 h (``model.mps``). Then come the built-in
+``solve`` calls themselves, one digest of (status, iterations, ``x`` bytes,
+``duals`` bytes) each: the fixture's own scenario tiled to 48 h and 96 h, and
+the 15 cells of the lcp x hve sweep (lcp 0-0.8 by 0.2, hve 0-0.4 by 0.2). Run
+the script on two checkouts and compare the output to show that a change
+keeps every artifact and every solve byte-identical:
 
     python tools/artifact_digests.py > digests.txt
 
@@ -27,10 +30,14 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from gridplan import load_bundle, load_config, run_scenario  # noqa: E402
+from gridplan import (BuildInputs, assemble, load_bundle,  # noqa: E402
+                      load_config, run_scenario, solve)
+from gridplan.demand import synthesize_demand  # noqa: E402
 
 FIXTURE = REPO / "src" / "gridplan" / "data" / "two_node_48h"
 YEAR_TILES = 183  # 48 h x 183 = 8784 h, a leap year
+SWEEP_LCP = (0.0, 0.2, 0.4, 0.6, 0.8)
+SWEEP_HVE = (0.0, 0.2, 0.4)
 
 BASE = json.loads((FIXTURE / "scenario.json").read_text())
 MODES = {
@@ -63,6 +70,21 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def solve_digest(bundle, config: dict) -> tuple[str, str]:
+    """Digest of the built-in solve of ``config``'s LP, and its status."""
+    config = load_config(config)
+    demand = synthesize_demand(bundle.network, bundle.series, config,
+                               bundle.params)
+    inp = BuildInputs(config, bundle.network, bundle.series, bundle.costs,
+                      bundle.params, demand, emissions=bundle.emissions)
+    sol = solve(assemble(inp)[0])
+    h = hashlib.sha256(f"{sol.status} {sol.iterations}".encode())
+    for arr in (sol.x, sol.duals):
+        if arr is not None:
+            h.update(arr.tobytes())
+    return h.hexdigest(), sol.status
+
+
 def main() -> int:
     bundle = load_bundle(FIXTURE)
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,6 +100,17 @@ def main() -> int:
         run_scenario(tiled(bundle, YEAR_TILES), load_config(BASE),
                      solver="export", out_dir=year)
         print(f"{digest(year / 'model.mps')}  year-8784h/model.mps")
+    for k in (1, 2):
+        h, status = solve_digest(tiled(bundle, k), BASE)
+        print(f"{h}  solve/{48 * k}h {status}")
+    sweep_base = {k: v for k, v in BASE.items()
+                  if k not in ("mode", "lcp", "p_heat", "p_veh", "omega")}
+    for lcp in SWEEP_LCP:
+        for hve in SWEEP_HVE:
+            cell = {**sweep_base, "mode": "lcp+hve", "lcp": lcp,
+                    "p_heat": hve, "p_veh": hve}
+            h, status = solve_digest(bundle, cell)
+            print(f"{h}  solve/lcp{lcp}-hve{hve} {status}")
     return 0
 
 
