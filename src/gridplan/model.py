@@ -13,7 +13,7 @@ inputs and converted to per-MW / per-MWh once, at formulation time.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -255,10 +255,9 @@ class TimeSeriesSet:
     _POTENTIAL_FIELDS = ("w_on", "w_off", "w_us_solar", "w_btm_solar")
 
     def __post_init__(self):
-        for name in ("d_elec", "d_heat_full", "w_on", "w_off", "w_us_solar",
-                     "w_btm_solar", "h_fix", "nuclear", "d_veh_full",
-                     "e_veh_daily_full", "h_flex_daily", "h_monthly"):
-            object.__setattr__(self, name, _freeze_series(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               _freeze_series(getattr(self, f.name)))
 
     @property
     def n_hours(self) -> int:

@@ -695,6 +695,7 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
 # serialization
 
 
+# ScenarioReport fields written as they are, then two derived by csv_row
 _SCALAR_COLUMNS = (
     "label", "mode", "status", "lcp_target", "rgt_target", "omega_target",
     "heat_electrified", "vehicle_electrified", "lcp_realized",
@@ -704,13 +705,16 @@ _SCALAR_COLUMNS = (
     "excess_low_carbon_percent",
 )
 
-CSV_COLUMNS = (
-    _SCALAR_COLUMNS
-    + tuple(f"cap[{key}]" for key in CAPACITY_KEYS)
-    + tuple(f"gen[{key}]" for key in GENERATION_KEYS)
-    + tuple(f"cost[{key}]" for key in COST_KEYS)
-    + tuple(f"lcoe[{key}]" for key in LCOE_KEYS)
+# (ScenarioReport mapping field, column prefix, keys) per keyed family
+_KEYED_COLUMNS = (
+    ("capacity", "cap", CAPACITY_KEYS),
+    ("generation_avg_gwh_per_hour", "gen", GENERATION_KEYS),
+    ("cost_usd", "cost", COST_KEYS),
+    ("resource_lcoe_usd_per_mwh", "lcoe", LCOE_KEYS),
 )
+
+CSV_COLUMNS = _SCALAR_COLUMNS + tuple(
+    f"{prefix}[{key}]" for _, prefix, keys in _KEYED_COLUMNS for key in keys)
 
 
 def _cell(value) -> str:
@@ -723,35 +727,12 @@ def _cell(value) -> str:
 
 def csv_row(report: ScenarioReport) -> dict[str, str]:
     """One flat CSV row; None becomes an empty field, floats use repr."""
-    row = {
-        "label": report.label,
-        "mode": report.mode,
-        "status": report.status,
-        "lcp_target": report.lcp_target,
-        "rgt_target": report.rgt_target,
-        "omega_target": report.omega_target,
-        "heat_electrified": report.heat_electrified,
-        "vehicle_electrified": report.vehicle_electrified,
-        "lcp_realized": report.lcp_realized,
-        "ghg_reduction": report.ghg_reduction,
-        "ghg_change_percent": report.ghg_change_percent,
-        "net_demand_mwh": report.net_demand_mwh,
-        "avg_load_gwh_per_hour": report.avg_load_gwh_per_hour,
-        "total_cost_usd": report.total_cost_usd,
-        "nominal_cost_usd": report.nominal_cost_usd,
-        "lcoe_usd_per_mwh": report.lcoe_usd_per_mwh,
-        "battery_throughput_gwh": report.battery_throughput_gwh,
-        "curtailment_gwh": report.curtailment.total_mwh / 1000.0,
-        "excess_low_carbon_percent": report.excess.percent,
-    }
-    for key in CAPACITY_KEYS:
-        row[f"cap[{key}]"] = report.capacity[key]
-    for key in GENERATION_KEYS:
-        row[f"gen[{key}]"] = report.generation_avg_gwh_per_hour[key]
-    for key in COST_KEYS:
-        row[f"cost[{key}]"] = report.cost_usd[key]
-    for key in LCOE_KEYS:
-        row[f"lcoe[{key}]"] = report.resource_lcoe_usd_per_mwh[key]
+    row = {name: getattr(report, name) for name in _SCALAR_COLUMNS[:-2]}
+    row["curtailment_gwh"] = report.curtailment.total_mwh / 1000.0
+    row["excess_low_carbon_percent"] = report.excess.percent
+    for field, prefix, keys in _KEYED_COLUMNS:
+        values = getattr(report, field)
+        row.update((f"{prefix}[{key}]", values[key]) for key in keys)
     return {key: _cell(value) for key, value in row.items()}
 
 
@@ -759,7 +740,8 @@ def render_report_csv(items) -> str:
     """The report CSV as a string: one row per scenario.
 
     ``items`` may mix ScenarioReport objects with pre-rendered mappings
-    (used for cells that failed to solve); missing fields are left empty.
+    (used for cells that failed to solve): their fields outside
+    ``CSV_COLUMNS`` are ignored and missing ones are left empty.
     """
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS,

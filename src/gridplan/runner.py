@@ -119,11 +119,7 @@ class Bundle:
     emissions: EmissionsCalibration | None = None
 
 
-_SERIES_FIELDS = (
-    "d_elec", "d_heat_full", "d_veh_full", "e_veh_daily_full", "w_on",
-    "w_off", "w_us_solar", "w_btm_solar", "h_fix", "nuclear",
-    "h_flex_daily", "h_monthly",
-)
+_SERIES_FIELDS = tuple(f.name for f in dataclasses.fields(TimeSeriesSet))
 
 
 def save_bundle(path, network: NetworkSpec, series: TimeSeriesSet,
@@ -308,10 +304,14 @@ def parse_range(text: str) -> tuple[float, ...]:
 class RunResult:
     """Outcome of one scenario run.
 
-    ``report`` is present only for an optimal solve; failures carry the
-    pipeline ``stage`` that stopped them and a diagnostic ``message``.
-    ``solution_values`` maps every LP column name to its solved value so
-    external tools (or tests) can replay the point.
+    ``report`` is present only for an optimal solve. A failure carries the
+    pipeline ``stage`` that stopped it, a diagnostic ``message``, and
+    ``failure``: one flat record (label, mode, status, targets, fixed
+    electrification rates, stage, message) that is both its ``report.csv``
+    row and its ``report.json`` record, in a run and in a sweep alike;
+    ``failure`` is None on success. ``solution_values`` maps every LP
+    column name to its solved value so external tools (or tests) can
+    replay the point.
     """
 
     status: str
@@ -319,6 +319,7 @@ class RunResult:
     stage: str | None
     message: str
     report: ScenarioReport | None
+    failure: Mapping | None = None
     solution_values: Mapping[str, float] | None = None
     artifacts: tuple[str, ...] = ()
     mps: str | None = None
@@ -337,27 +338,6 @@ def _default_label(config: ScenarioConfig) -> str:
         else:
             parts.append(f"heat{p_heat:g}-veh{p_veh:g}")
     return "-".join(parts)
-
-
-def _failure_row(label: str, config: ScenarioConfig, status: str) -> dict:
-    scalar = lambda v: v if isinstance(v, (int, float)) else None
-    return {
-        "label": label,
-        "mode": config.mode,
-        "status": status,
-        "lcp_target": config.lcp,
-        "rgt_target": config.rgt,
-        "omega_target": config.omega,
-        "heat_electrified": scalar(config.p_heat),
-        "vehicle_electrified": scalar(config.p_veh),
-    }
-
-
-def _failure_record(label: str, config: ScenarioConfig, status: str,
-                    stage: str, message: str) -> dict:
-    record = _failure_row(label, config, status)
-    record.update(stage=stage, message=message)
-    return record
 
 
 def _load_if_path(bundle) -> Bundle:
@@ -389,15 +369,26 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     artifacts: list[str] = []
 
     def fail(status: str, exit_code: int, stage: str, message: str) -> RunResult:
+        scalar = lambda v: v if isinstance(v, (int, float)) else None
+        failure = {
+            "label": label,
+            "mode": config.mode,
+            "status": status,
+            "lcp_target": config.lcp,
+            "rgt_target": config.rgt,
+            "omega_target": config.omega,
+            "heat_electrified": scalar(config.p_heat),
+            "vehicle_electrified": scalar(config.p_veh),
+            "stage": stage,
+            "message": message,
+        }
         if out is not None and stage in ("solve", "emissions", "summarize"):
-            write_report_csv(out / "report.csv",
-                             [_failure_row(label, config, status)])
-            record = _failure_record(label, config, status, stage, message)
+            write_report_csv(out / "report.csv", [failure])
             (out / "report.json").write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n")
+                json.dumps(failure, indent=2, sort_keys=True) + "\n")
             artifacts.extend(["report.csv", "report.json"])
         return RunResult(status=status, exit_code=exit_code, stage=stage,
-                         message=message, report=None,
+                         message=message, report=None, failure=failure,
                          artifacts=tuple(artifacts))
 
     stage = "validate"
@@ -490,9 +481,7 @@ class SweepSpec:
                                coerce(self.omega_values))
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        primary = (self.omega_values if self.omega_values is not None
-                   else self.lcp_values)
-        if not primary or not self.hve_values:
+        if not self.cells():
             raise ValueError("sweep grid must not be empty")
         named = [("lcp", self.lcp_values), ("hve", self.hve_values),
                  ("omega", self.omega_values or ())]
@@ -504,25 +493,28 @@ class SweepSpec:
 
     def cells(self) -> tuple[tuple[str, dict], ...]:
         """(mode, config overrides) per grid point, sorted by (target, HVE)."""
-        out = []
         if self.omega_values is not None:
-            for omega in sorted(self.omega_values):
-                for hve in sorted(self.hve_values):
-                    out.append(("ghg+hve", {"omega": omega, "p_heat": hve,
-                                            "p_veh": hve}))
+            mode, axis, targets = "ghg+hve", "omega", self.omega_values
         else:
-            for lcp in sorted(self.lcp_values):
-                for hve in sorted(self.hve_values):
-                    out.append(("lcp+hve", {"lcp": lcp, "p_heat": hve,
-                                            "p_veh": hve}))
-        return tuple(out)
+            mode, axis, targets = "lcp+hve", "lcp", self.lcp_values
+        return tuple((mode, {axis: target, "p_heat": hve, "p_veh": hve})
+                     for target in sorted(targets)
+                     for hve in sorted(self.hve_values))
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Outcome of a sweep, in cell order.
+
+    ``records`` holds one entry per cell: its ScenarioReport, or for a
+    failed cell the ``RunResult.failure`` record (with ``stage`` and
+    ``message``), equal to the ``report.json`` a run of that cell writes.
+    ``reports`` holds the successful ScenarioReports alone.
+    """
+
     exit_code: int
-    records: tuple   # per cell: ScenarioReport or a failure mapping
-    reports: tuple   # the successful ScenarioReports, in cell order
+    records: tuple
+    reports: tuple
 
 
 _BASE_CONFIG_DROP = ("mode", "lcp", "p_heat", "p_veh", "omega")
@@ -547,8 +539,8 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
 
     def solve_cell(cell):
         mode, overrides = cell
-        config = config_from_dict({**base_kw, "mode": mode, **overrides})
-        return config, run_scenario(bundle, config)
+        return run_scenario(bundle, config_from_dict(
+            {**base_kw, "mode": mode, **overrides}))
 
     if spec.jobs == 1:
         outcomes = [solve_cell(cell) for cell in cells]
@@ -556,26 +548,11 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(pool.map(solve_cell, cells))
 
-    records: list = []
-    json_records: list = []
-    reports: list = []
-    statuses: list[str] = []
-    for config, result in outcomes:
-        statuses.append(result.status)
-        if result.report is not None:
-            records.append(result.report)
-            reports.append(result.report)
-            json_records.append(report_json_dict(result.report))
-        else:
-            label = _default_label(config)
-            records.append(_failure_row(label, config, result.status))
-            json_records.append(_failure_record(
-                label, config, result.status, result.stage or "",
-                result.message))
-
+    records = [r.failure if r.report is None else r.report for r in outcomes]
+    reports = [r.report for r in outcomes if r.report is not None]
     if reports:
         exit_code = EXIT_OK
-    elif all(s == STATUS_INFEASIBLE for s in statuses):
+    elif all(r.status == STATUS_INFEASIBLE for r in outcomes):
         exit_code = EXIT_INFEASIBLE
     else:
         exit_code = EXIT_ERROR
@@ -584,8 +561,9 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
         out = Path(spec.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_report_csv(out / "report.csv", records)
-        (out / "report.json").write_text(
-            json.dumps(json_records, indent=2, sort_keys=True) + "\n")
+        (out / "report.json").write_text(json.dumps(
+            [report_json_dict(r) if isinstance(r, ScenarioReport) else r
+             for r in records], indent=2, sort_keys=True) + "\n")
     return SweepResult(exit_code=exit_code, records=tuple(records),
                        reports=tuple(reports))
 
@@ -594,31 +572,57 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
 # minimum-LCOE search
 
 
+class _Probe:
+    """``f`` on [lo, hi], memoized: the one evaluator of both searches.
+
+    Construction checks the bounds (finite, ``lo <= hi``) and the
+    tolerance (positive) and raises RunnerError otherwise. A call rounds
+    its point to 12 places and evaluates ``f`` there once; ``f`` returns
+    None at an infeasible point, which the call reads as +inf.
+    """
+
+    def __init__(self, f: Callable[[float], float | None], lo: float,
+                 hi: float, tol: float):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise RunnerError(f"search bounds [{lo}, {hi}] must be finite "
+                              "with lo <= hi")
+        if not tol > 0.0:
+            raise RunnerError(f"tolerance must be positive, got {tol}")
+        self.f, self.lo, self.hi = f, lo, hi
+        self.values: dict[float, float | None] = {}  # in evaluation order
+
+    def __call__(self, v: float) -> float:
+        key = round(v, 12)
+        if key not in self.values:
+            self.values[key] = self.f(key)
+        value = self.values[key]
+        return math.inf if value is None else value
+
+    def best(self) -> tuple[float, float, tuple]:
+        """(point, value) least by (value, point), and the trace of every
+        evaluation in order; SearchError when none was feasible."""
+        feasible = [(value, v) for v, value in self.values.items()
+                    if value is not None]
+        if not feasible:
+            raise SearchError(
+                f"no feasible point found in [{self.lo}, {self.hi}] "
+                f"({len(self.values)} points tried)")
+        best_value, best_x = min(feasible)
+        return best_x, best_value, tuple(self.values.items())
+
+
 def golden_section(f: Callable[[float], float | None], lo: float, hi: float,
                    tol: float) -> tuple[float, float, tuple]:
     """Minimize a unimodal scalar function on [lo, hi] to within ``tol``.
 
     ``f`` may return None for infeasible points (treated as +inf). Returns
     (best_x, best_value, trace) where trace lists every evaluation in
-    order. Raises SearchError when no evaluated point is feasible.
+    order. Raises RunnerError before any evaluation when a bound is not
+    finite, ``lo > hi`` or ``tol`` is not positive, and SearchError when
+    no evaluated point is feasible.
     """
-    if not math.isfinite(lo) or not math.isfinite(hi) or hi < lo:
-        raise SearchError(f"bad search bounds [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise SearchError(f"tolerance must be positive, got {tol}")
+    g = _Probe(f, lo, hi, tol)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    cache: dict[float, float | None] = {}
-    trace: list[tuple[float, float | None]] = []
-
-    def g(v: float) -> float:
-        key = round(v, 12)
-        if key not in cache:
-            value = f(key)
-            cache[key] = value
-            trace.append((key, value))
-        value = cache[key]
-        return math.inf if value is None else value
-
     g(lo)
     g(hi)
     a, b = lo, hi
@@ -632,13 +636,7 @@ def golden_section(f: Callable[[float], float | None], lo: float, hi: float,
             else:
                 a, c = c, d
                 d = a + invphi * (b - a)
-    feasible = [(v, value) for v, value in cache.items() if value is not None]
-    if not feasible:
-        raise SearchError(
-            f"no feasible point found in [{lo}, {hi}] "
-            f"({len(cache)} points tried)")
-    best_x, best_value = min(feasible, key=lambda item: (item[1], item[0]))
-    return best_x, best_value, tuple(trace)
+    return g.best()
 
 
 @dataclass(frozen=True)
@@ -661,7 +659,9 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
     ``method`` is ``"golden"`` (golden-section, assumes a unimodal LCOE
     curve) or ``"grid:N"`` (N+1 uniform points, robust fallback). Inner
     problems solve with the emissions target and both electrification
-    rates pinned; infeasible rates are skipped.
+    rates pinned; infeasible rates are skipped. A malformed method, bound
+    or tolerance raises RunnerError before any solve, for either method;
+    SearchError means no evaluated rate was feasible.
     """
     bundle = _load_if_path(bundle)
     base_kw = _base_config_dict(base)
@@ -674,7 +674,7 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
         result = run_scenario(bundle, config)
         if result.report is None:
             return None
-        found[round(hve, 12)] = result.report
+        found[hve] = result.report
         return result.report.lcoe_usd_per_mwh
 
     if method == "golden":
@@ -686,29 +686,14 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
             raise RunnerError(f"bad grid size in {method!r}") from exc
         if n < 1:
             raise RunnerError(f"grid size must be >= 1, got {n}")
-        points = [lo + (hi - lo) * k / n for k in range(n + 1)]
-        trace_list: list[tuple[float, float | None]] = []
-        best_x = best_value = None
-        seen = set()
-        for v in points:
-            key = round(v, 12)
-            if key in seen:
-                continue
-            seen.add(key)
-            value = evaluate(key)
-            trace_list.append((key, value))
-            if value is not None and (best_value is None
-                                      or value < best_value):
-                best_x, best_value = key, value
-        if best_value is None:
-            raise SearchError(
-                f"no feasible point found in [{lo}, {hi}] "
-                f"({len(trace_list)} points tried)")
-        trace = tuple(trace_list)
+        probe = _Probe(evaluate, lo, hi, tol)
+        for k in range(n + 1):
+            probe(lo + (hi - lo) * k / n)
+        best_x, best_value, trace = probe.best()
     else:
         raise RunnerError(
             f"unknown search method {method!r}; use 'golden' or 'grid:N'")
-    report = found[round(best_x, 12)]
+    report = found[best_x]
     return SearchResult(hve=best_x, lcoe=best_value,
                         lcp=report.lcp_realized, report=report,
                         trace=trace)
@@ -749,16 +734,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.ghg is not None:
-        spec = SweepSpec(omega_values=parse_range(args.ghg),
-                         hve_values=parse_range(args.hve),
-                         jobs=args.jobs, out_dir=args.out)
-    elif args.lcp is not None:
-        spec = SweepSpec(lcp_values=parse_range(args.lcp),
-                         hve_values=parse_range(args.hve),
-                         jobs=args.jobs, out_dir=args.out)
-    else:
+    if args.ghg is None and args.lcp is None:
         raise RunnerError("sweep needs --lcp or --ghg")
+    omega = parse_range(args.ghg) if args.ghg is not None else None
+    spec = SweepSpec(lcp_values=parse_range(args.lcp) if omega is None else (),
+                     omega_values=omega, hve_values=parse_range(args.hve),
+                     jobs=args.jobs, out_dir=args.out)
     base = json.loads(Path(args.config).read_text()) if args.config else None
     result = run_sweep(args.inputs, spec, base=base)
     if args.out is None:
@@ -767,18 +748,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    bounds = parse_range(args.bounds) if ":" in args.bounds \
-        else tuple(float(p) for p in args.bounds.split(","))
+    bounds = parse_range(args.bounds)
     if len(bounds) < 2:
         raise RunnerError(f"--bounds needs two values, got {args.bounds!r}")
-    lo, hi = bounds[0], bounds[-1]
     base = json.loads(Path(args.config).read_text()) if args.config else None
-    try:
-        result = min_lcoe_search(args.inputs, args.ghg, lo=lo, hi=hi,
-                                 tol=args.tol, method=args.search, base=base)
-    except SearchError as exc:
-        print(f"search: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = min_lcoe_search(args.inputs, args.ghg, lo=bounds[0],
+                             hi=bounds[-1], tol=args.tol, method=args.search,
+                             base=base)
     payload = {
         "hve": result.hve,
         "lcoe": result.lcoe,
@@ -836,7 +812,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("--ghg", type=float, required=True,
                           help="emissions-reduction target")
     search_p.add_argument("--bounds", default="0,1",
-                          help="electrification-rate bounds, e.g. 0,1")
+                          help="electrification-rate bounds: a,b or "
+                               "start:stop:step (first to last value)")
     search_p.add_argument("--tol", type=float, default=0.005)
     search_p.add_argument("--search", default="golden",
                           help="'golden' or 'grid:N'")

@@ -104,14 +104,12 @@ def _row_violations(lp: LPInstance, x: np.ndarray) -> np.ndarray:
 
 
 def _max_violation(lp: LPInstance, x: np.ndarray) -> float:
-    worst = max(0.0, float(np.max(_row_violations(lp, x), initial=0.0)))
-    if lp.n_cols:
-        worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
-        finite = np.isfinite(lp.upper)
-        if finite.any():
-            worst = max(worst, float(np.max((x - lp.upper)[finite],
-                                            initial=0.0)))
-    return worst
+    """Worst row or bound violation at x; infinite if x is not finite."""
+    if not np.isfinite(x).all():
+        return math.inf
+    return max(float(np.max(_row_violations(lp, x), initial=0.0)),
+               float(np.max(lp.lower - x, initial=0.0)),
+               float(np.max(x - lp.upper, initial=0.0)))
 
 
 class _Simplex:
@@ -305,15 +303,11 @@ class _Simplex:
             pos = denom > piv_tol
             ratios[pos] = np.maximum(self.xb[pos], 0.0) / denom[pos]
             neg = denom < -piv_tol
-            ub_b = self.ub[self.basis]
-            with np.errstate(invalid="ignore"):
-                room = np.where(np.isfinite(ub_b),
-                                np.maximum(ub_b - self.xb, 0.0), np.inf)
-            ratios[neg] = np.where(np.isfinite(room[neg]),
-                                   room[neg] / -denom[neg], np.inf)
+            ratios[neg] = np.maximum(self.ub[self.basis[neg]] - self.xb[neg],
+                                     0.0) / -denom[neg]
             hits_upper[neg] = True
 
-            t_flip = self.ub[q] if np.isfinite(self.ub[q]) else np.inf
+            t_flip = self.ub[q]
             t_row = float(ratios.min()) if self.m else np.inf
             t_star = min(t_flip, t_row)
             if not np.isfinite(t_star):
@@ -377,8 +371,7 @@ def _no_solution(status: str, iterations: int, message: str) -> Solution:
 
 def _finish(lp: LPInstance, x: np.ndarray, duals: np.ndarray,
             vstat: np.ndarray, iterations: int) -> Solution:
-    x = np.clip(x, lp.lower, np.where(np.isfinite(lp.upper), lp.upper,
-                                      np.inf))
+    x = np.clip(x, lp.lower, lp.upper)
     primal = float(lp.objective @ x)
     # Dual objective: rhs terms plus reduced-cost terms for every
     # nonbasic variable resting at a finite bound.
@@ -663,7 +656,8 @@ def import_solution(lp: LPInstance, source,
     objective and slacks are recomputed from the point itself; status
     "optimal" here asserts feasibility within tolerance, while a point
     violating any row beyond tolerance comes back "infeasible" with the
-    offending rows named.
+    offending rows named, and so does a point holding a NaN or infinite
+    value, with up to 5 such columns named.
     """
     lp.validate()
     opts = options or SolveOptions()
@@ -690,18 +684,25 @@ def import_solution(lp: LPInstance, source,
 
     x = np.array([values[name] for name in lp.col_names], dtype=float)
     violation = _max_violation(lp, x)
+    nonfinite = np.flatnonzero(~np.isfinite(x))
     if violation <= opts.feasibility_tol:
         status, message = STATUS_OPTIMAL, ""
+    elif nonfinite.size:
+        status = STATUS_INFEASIBLE
+        message = (f"imported point has {nonfinite.size} non-finite values: "
+                   f"{[lp.col_names[j] for j in nonfinite[:5]]}")
     else:
         status = STATUS_INFEASIBLE
         bad = [lp.row_names[i] for i in np.flatnonzero(
             _row_violations(lp, x) > opts.feasibility_tol)]
         message = (f"imported point violates {len(bad)} rows "
                    f"(worst {violation:.3e}): {bad[:5]}")
+    with np.errstate(invalid="ignore"):  # 0 * inf at a non-finite point
+        objective = lp.objective_value(x)
     return Solution(
         status=status,
         x=x,
-        objective=lp.objective_value(x),
+        objective=objective,
         slacks=_signed_slacks(lp, x),
         duals=None,
         iterations=0,

@@ -167,6 +167,14 @@ class TestImportSolution:
         assert imported.max_violation > 1e-7
         assert "floor" in imported.message
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_flagged(self, value):
+        imported = import_solution(two_var_lp(), {"x0": value, "x1": 2.0})
+        assert imported.status == "infeasible"
+        assert imported.max_violation == np.inf
+        assert "non-finite" in imported.message
+        assert "['x0']" in imported.message
+
     def test_missing_variable_rejected(self):
         lp = two_var_lp()
         with pytest.raises(LPError, match="x1"):

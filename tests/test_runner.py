@@ -314,6 +314,21 @@ class TestRunScenario:
         assert result.report.lcoe_usd_per_mwh == pytest.approx(
             baseline.report.lcoe_usd_per_mwh, rel=1e-9)
 
+    def test_non_finite_solution_file_not_optimal(self, micro_bundle,
+                                                  tmp_path):
+        baseline = run_scenario(micro_bundle, lcp_config(0.4, 0.0))
+        name = next(iter(baseline.solution_values))
+        sol_file = tmp_path / "solution.txt"
+        sol_file.write_text("".join(
+            f"{k} {'nan' if k == name else repr(v)}\n"
+            for k, v in baseline.solution_values.items()))
+        result = run_scenario(micro_bundle, lcp_config(0.4, 0.0),
+                              solution_file=sol_file)
+        assert result.status == "infeasible"
+        assert result.exit_code == EXIT_INFEASIBLE
+        assert result.report is None
+        assert name in result.message
+
 
 # --------------------------------------------------------------------------
 # sweeps
@@ -375,6 +390,20 @@ class TestRunSweep:
         assert [r["status"] for r in rows] == ["optimal", "infeasible"]
         assert rows[1]["total_cost_usd"] == ""
 
+    def test_failed_cell_record_equals_run_report_json(self, fossil_bundle,
+                                                       tmp_path):
+        spec = SweepSpec(lcp_values=(0.0, 0.5), hve_values=(0.0,),
+                         out_dir=tmp_path / "sweep")
+        sweep = run_sweep(fossil_bundle, spec)
+        run = run_scenario(fossil_bundle, lcp_config(0.5, 0.0),
+                           out_dir=tmp_path / "run")
+        record = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert record["stage"] == "solve"
+        assert run.failure == record
+        assert sweep.records[1] == record
+        cells = json.loads((tmp_path / "sweep" / "report.json").read_text())
+        assert cells[1] == record
+
     def test_all_failed_is_nonzero_exit(self, fossil_bundle, tmp_path):
         spec = SweepSpec(lcp_values=(0.5, 1.0), hve_values=(0.0,),
                          out_dir=tmp_path)
@@ -429,6 +458,16 @@ class TestGoldenSection:
     def test_everywhere_infeasible_raises(self):
         with pytest.raises(SearchError, match="feasible"):
             golden_section(lambda v: None, 0.0, 1.0, tol=0.005)
+
+    @pytest.mark.parametrize("lo, hi, tol", [
+        (1.0, 0.0, 0.005), (0.0, math.inf, 0.005), (math.nan, 1.0, 0.005),
+        (0.0, 1.0, 0.0), (0.0, 1.0, math.nan)])
+    def test_malformed_arguments_raise_before_evaluating(self, lo, hi, tol):
+        calls = []
+        with pytest.raises(RunnerError) as info:
+            golden_section(calls.append, lo, hi, tol)
+        assert not isinstance(info.value, SearchError)
+        assert calls == []
 
 
 class TestMinLcoeSearch:
@@ -539,6 +578,24 @@ class TestCli:
         assert 0.0 <= record["hve"] <= 1.0
         assert record["lcoe"] > 0.0
         assert len(record["trace"]) == 7
+
+    @pytest.mark.parametrize("args, cause", [
+        (["--bounds", "abc"], "cannot parse range 'abc'"),
+        (["--tol", "0"], "tolerance must be positive"),
+        (["--bounds", "1,0"], "search bounds [1.0, 0.0]"),
+        (["--bounds", "1,0", "--search", "grid:2"],
+         "search bounds [1.0, 0.0]"),
+    ], ids=["bounds-abc", "tol-0", "bounds-reversed", "grid-bounds-reversed"])
+    def test_search_bad_arguments_exit_error(self, micro_bundle, capsys,
+                                             args, cause):
+        code = main(["search-lcoe", "--inputs", str(micro_bundle),
+                     "--ghg", "-1.0", *args])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert cause in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_search_infeasible_exit(self, fossil_bundle, capsys):
         code = main(["search-lcoe", "--inputs", str(fossil_bundle),

@@ -6,9 +6,16 @@ The runs are built-in solves of the shipped two-node fixture in four modes
 export of the fixture tiled to 8784 h (``model.mps``). Then come the built-in
 ``solve`` calls themselves, one digest of (status, iterations, ``x`` bytes,
 ``duals`` bytes) each: the fixture's own scenario tiled to 48 h and 96 h, and
-the 15 cells of the lcp x hve sweep (lcp 0-0.8 by 0.2, hve 0-0.4 by 0.2). Run
-the script on two checkouts and compare the output to show that a change
-keeps every artifact and every solve byte-identical:
+the 15 cells of the lcp x hve sweep (lcp 0-0.8 by 0.2, hve 0-0.4 by 0.2).
+Last come the runner commands, through the CLI with the fixture's own
+``scenario.json`` as the config, each line giving the command's exit code:
+``sweep --lcp 0:1:0.25 --hve 0:0.4:0.4`` (its lcp = 1 cells are infeasible)
+and ``sweep --ghg 0:0.9:0.45 --hve 0.3`` (``report.csv`` and ``report.json``
+of each), a ``run`` at lcp = 1, which fails (its ``report.csv`` and
+``report.json``), and ``search-lcoe --ghg 0.3 --search grid:4``
+(``search.json`` and ``report.csv``). Run the script on two checkouts and
+compare the output to show that a change keeps every artifact and every
+solve byte-identical:
 
     python tools/artifact_digests.py > digests.txt
 
@@ -18,8 +25,10 @@ across numpy builds, so compare digests taken on the same machine only.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -32,6 +41,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from gridplan import (BuildInputs, assemble, load_bundle,  # noqa: E402
                       load_config, run_scenario, solve)
+from gridplan.runner import main as cli  # noqa: E402
 from gridplan.demand import synthesize_demand  # noqa: E402
 
 FIXTURE = REPO / "src" / "gridplan" / "data" / "two_node_48h"
@@ -48,6 +58,17 @@ MODES = {
     "ghg+lcp": {**{k: v for k, v in BASE.items()
                    if k not in ("p_heat", "p_veh")},
                 "mode": "ghg+lcp", "omega": 0.3},
+}
+
+# label -> (CLI arguments after --inputs and --config, artifacts to digest)
+COMMANDS = {
+    "sweep-lcp": (["sweep", "--lcp", "0:1:0.25", "--hve", "0:0.4:0.4"],
+                  ("report.csv", "report.json")),
+    "sweep-ghg": (["sweep", "--ghg", "0:0.9:0.45", "--hve", "0.3"],
+                  ("report.csv", "report.json")),
+    "run-lcp1.0": (["run"], ("report.csv", "report.json")),
+    "search-grid4": (["search-lcoe", "--ghg", "0.3", "--search", "grid:4"],
+                     ("search.json", "report.csv")),
 }
 
 
@@ -111,6 +132,19 @@ def main() -> int:
                     "p_heat": hve, "p_veh": hve}
             h, status = solve_digest(bundle, cell)
             print(f"{h}  solve/lcp{lcp}-hve{hve} {status}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = out / "scenario.json"
+        for label, (args, names) in COMMANDS.items():
+            payload = {**BASE, "lcp": 1.0} if args == ["run"] else BASE
+            config.write_text(json.dumps(payload))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli([args[0], "--inputs", str(FIXTURE),
+                            "--config", str(config), *args[1:],
+                            "--out", str(out / label)])
+            for name in names:
+                print(f"{digest(out / label / name)}  {label}/{name} "
+                      f"exit {code}")
     return 0
 
 
