@@ -184,11 +184,6 @@ class LPInstance:
         return np.bincount(self.row_of, weights=self.data * x[self.indices],
                            minlength=self.n_rows)
 
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_cols))
-        a[self.row_of, self.indices] = self.data
-        return a
-
     def rhs_vector(self) -> np.ndarray:
         return self.rhs.copy()
 

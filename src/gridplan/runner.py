@@ -254,10 +254,8 @@ def config_from_dict(payload: Mapping) -> ScenarioConfig:
         raise RunnerError(f"invalid scenario config: {exc}") from exc
 
 
-def load_config(source) -> ScenarioConfig:
-    """Parse a scenario-config JSON file (or an already-parsed mapping)."""
-    if isinstance(source, Mapping):
-        return config_from_dict(source)
+def _read_config_json(source) -> dict:
+    """The JSON object in a config file, or RunnerError naming the cause."""
     path = Path(source)
     try:
         payload = json.loads(path.read_text())
@@ -267,7 +265,14 @@ def load_config(source) -> ScenarioConfig:
         raise RunnerError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise RunnerError(f"config {path} must hold a JSON object")
-    return config_from_dict(payload)
+    return payload
+
+
+def load_config(source) -> ScenarioConfig:
+    """Parse a scenario-config JSON file (or an already-parsed mapping)."""
+    if isinstance(source, Mapping):
+        return config_from_dict(source)
+    return config_from_dict(_read_config_json(source))
 
 
 def parse_range(text: str) -> tuple[float, ...]:
@@ -740,7 +745,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(lcp_values=parse_range(args.lcp) if omega is None else (),
                      omega_values=omega, hve_values=parse_range(args.hve),
                      jobs=args.jobs, out_dir=args.out)
-    base = json.loads(Path(args.config).read_text()) if args.config else None
+    base = _read_config_json(args.config) if args.config else None
     result = run_sweep(args.inputs, spec, base=base)
     if args.out is None:
         sys.stdout.write(render_report_csv(result.records))
@@ -751,7 +756,7 @@ def _cmd_search(args) -> int:
     bounds = parse_range(args.bounds)
     if len(bounds) < 2:
         raise RunnerError(f"--bounds needs two values, got {args.bounds!r}")
-    base = json.loads(Path(args.config).read_text()) if args.config else None
+    base = _read_config_json(args.config) if args.config else None
     result = min_lcoe_search(args.inputs, args.ghg, lo=bounds[0],
                              hi=bounds[-1], tol=args.tol, method=args.search,
                              base=base)

@@ -4,14 +4,18 @@ problem through an external solver.
 
 The simplex works on one column-compressed working matrix, built straight
 from the LP's CSR arrays (sign-flipped, shifted and equilibrated there)
-with the slack and artificial columns appended. Pricing and FTRAN touch
-only its nonzeros; a dense m x m basis is formed only at refactorization.
-The basis inverse is the dense inverse from the last refactorization less
-one rank-1 term per pivot since, refreshed at least every
-``refactor_every`` pivots, so memory is O(m^2 + nnz) and an iteration costs
-O(m^2) reads plus O(nnz). The dense inverse still bounds it to desk-scale
-problems (a few thousand rows), which is exactly what the bundled fixtures
-produce. Larger studies are expected to go through export_mps.
+with the slack and artificial columns appended. It prices by devex
+reference weights (Harris 1973, in the form of Forrest & Goldfarb 1992),
+and updates the reduced costs and weights from the pivot row, so a BTRAN
+runs only at the start of a phase, after a refactorization and before
+optimality is declared. The pivot row and FTRAN touch only the matrix's
+nonzeros; a dense m x m basis is formed only at refactorization. The
+basis inverse is the dense inverse from the last refactorization less one
+rank-1 term per pivot since, refreshed at least every ``refactor_every``
+pivots, so memory is O(m^2 + nnz) and an iteration costs O(m^2) reads plus
+O(nnz). The dense inverse still bounds it to desk-scale problems (a few
+thousand rows), which is exactly what the bundled fixtures produce. Larger
+studies are expected to go through export_mps.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration-limit"
 STATUS_NUMERICAL = "numerical"
 
-_PIVOT_RULES = ("dantzig", "bland")
+_PIVOT_RULES = ("devex", "bland")
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class SolveOptions:
     feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-7
     max_iterations: int | None = None
-    pivot_rule: str = "dantzig"
+    pivot_rule: str = "devex"
     refactor_every: int = 100
 
     def __post_init__(self):
@@ -129,9 +133,23 @@ class _Simplex:
     refactorization folds the terms back into a fresh ``binv0``.
 
     The working matrix exists only as its nonzeros ``(cols, rows, vals)``,
-    sorted by column; pricing and FTRAN read them directly, and
+    sorted by column; the pivot row and FTRAN read them directly, and
     refactorization and basis repair expand just the basis columns.
     Memory is O(m^2 + nnz).
+
+    ``run`` keeps the reduced costs ``d`` and the devex weights ``wt``.
+    After the leaving row r is chosen, rho = e_r^T B^-1 and the pivot row
+    alpha = rho A give
+
+        d <- d - (d_q / alpha_q) alpha,   d_leaving = -d_q / alpha_q,
+        wt <- max(wt, (alpha / alpha_q)^2 wt_q),
+        wt_leaving = max(wt_q / alpha_q^2, 1),
+
+    and the entering column is the candidate of largest d_j^2 / wt_j. A
+    bound flip changes neither. ``d`` is recomputed from a BTRAN at the
+    start of a phase, after each refactorization, and before optimality
+    is declared. The ratio test skips entries of magnitude 1e-7 or less,
+    so every pivot taken exceeds that.
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -152,11 +170,6 @@ class _Simplex:
         # Column j owns entries indptr[j]:indptr[j + 1] of (rows, vals).
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(self.cols, minlength=self.n_all))])
-        # Static column norms turn Dantzig pricing into a cheap steepest-
-        # edge approximation, which cuts iteration counts severalfold on
-        # problems mixing capacity and hourly-dispatch scales.
-        self.norms = np.sqrt(np.bincount(self.cols, weights=self.vals ** 2,
-                                         minlength=self.n_all)) + 1.0
         self.max_updates = min(opts.refactor_every, self.m)
         self.u = np.empty((self.max_updates, self.m))
         self.v = np.empty((self.max_updates, self.m))
@@ -199,10 +212,11 @@ class _Simplex:
         k = self.k
         return cb @ self.binv0 - (self.u[:k] @ cb) @ self.v[:k]
 
-    def _pivot_update(self, r: int, w: np.ndarray):
-        """Record the pivot on row r with entering column B^-1 a_q = w."""
+    def _pivot_update(self, r: int, w: np.ndarray, rho: np.ndarray):
+        """Record the pivot on row r with entering column B^-1 a_q = w and
+        rho, row r of B^-1 before the pivot."""
         k = self.k
-        self.v[k] = (self.binv0[r] - self.u[:k, r] @ self.v[:k]) / w[r]
+        self.v[k] = rho / w[r]
         self.u[k] = w
         self.u[k, r] -= 1.0
         self.k = k + 1
@@ -261,38 +275,44 @@ class _Simplex:
     def duals(self, c: np.ndarray) -> np.ndarray:
         return self._btran(c[self.basis])
 
+    def _price(self, c: np.ndarray):
+        """Reduced costs ``d = c - A^T y`` from a fresh BTRAN."""
+        y = self._btran(c[self.basis])
+        self.d = c - np.bincount(self.cols, weights=y[self.rows] * self.vals,
+                                 minlength=self.n_all)
+
     def run(self, c: np.ndarray, phase: int, max_iterations: int) -> str:
         tol = self.opts.optimality_tol
-        piv_tol = 1e-10
-        reject_tol = 1e-7
-        bland_always = self.opts.pivot_rule == "bland"
-        bland = bland_always
-        stalled = 0
-        stall_limit = 3 * self.m + 10
+        # The ratio test skips entries this small: pivoting on one would
+        # make the basis numerically singular.
+        piv_tol = 1e-7
+        bland = self.opts.pivot_rule == "bland"
         fixed = self.ub <= 0.0
-        # Columns whose only available pivots are numerically zero for the
-        # current basis; cleared whenever the basis changes.
-        blocked = np.zeros(self.n_all, dtype=bool)
+        # Devex reference weights, reset at the start of each phase.
+        self.wt = wt = np.ones(self.n_all)
+        self._price(c)
+        fresh = True
 
         while True:
+            d = self.d
+            candidates = np.flatnonzero(
+                ((self.vstat == self.AT_LOWER) & ~fixed & (d < -tol))
+                | ((self.vstat == self.AT_UPPER) & (d > tol)))
+            if candidates.size == 0:
+                if fresh:
+                    return STATUS_OPTIMAL
+                # Declare optimality only on reduced costs from a BTRAN.
+                self._price(c)
+                fresh = True
+                continue
             if self.iterations >= max_iterations:
                 return STATUS_ITERATION_LIMIT
             self.iterations += 1
-
-            y = self._btran(c[self.basis])
-            d = c - np.bincount(self.cols, weights=y[self.rows] * self.vals,
-                                minlength=self.n_all)
-            can_rise = (self.vstat == self.AT_LOWER) & ~fixed & (d < -tol)
-            can_fall = (self.vstat == self.AT_UPPER) & (d > tol)
-            score = np.where(can_rise, -d, 0.0) + np.where(can_fall, d, 0.0)
-            score /= self.norms
-            candidates = np.flatnonzero((score > 0.0) & ~blocked)
-            if candidates.size == 0:
-                return STATUS_OPTIMAL
             if bland:
                 q = int(candidates[0])
             else:
-                q = int(candidates[np.argmax(score[candidates])])
+                q = int(candidates[np.argmax(
+                    d[candidates] ** 2 / wt[candidates])])
             sigma = 1.0 if self.vstat[q] == self.AT_LOWER else -1.0
 
             w = self._ftran(q)
@@ -318,49 +338,44 @@ class _Simplex:
                     )
                 return STATUS_UNBOUNDED
 
+            self.xb -= t_star * sigma * w
             if t_flip <= t_row:
-                # Entering variable swings to its other bound; basis keeps.
+                # Entering variable swings to its other bound; the basis,
+                # and with it d and the weights, stay.
                 self.vstat[q] = (self.AT_UPPER if sigma > 0.0
                                  else self.AT_LOWER)
-                self.xb -= t_star * sigma * w
+                continue
+            near = ratios <= t_star + 1e-12
+            idx = np.flatnonzero(near)
+            if bland:
+                r = int(idx[np.argmin(self.basis[idx])])
             else:
-                near = ratios <= t_star + 1e-12
-                idx = np.flatnonzero(near)
-                if bland:
-                    r = int(idx[np.argmin(self.basis[idx])])
-                else:
-                    r = int(idx[np.argmax(np.abs(denom[idx]))])
-                if abs(w[r]) < reject_tol:
-                    # Pivoting here would make the basis numerically
-                    # singular. With stale updates, refactor and retry;
-                    # with a fresh factorization, shelve this column.
-                    if self.k > 0:
-                        self.refactor()
-                    else:
-                        blocked[q] = True
-                    self.iterations -= 1
-                    continue
-                self.xb -= t_star * sigma * w
-                leaving = int(self.basis[r])
-                self.vstat[leaving] = (self.AT_UPPER if hits_upper[r]
-                                       else self.AT_LOWER)
-                self.basis[r] = q
-                self.vstat[q] = self.BASIC
-                self.xb[r] = t_star if sigma > 0.0 else self.ub[q] - t_star
-                self._pivot_update(r, w)
-                blocked[:] = False
-                # Small pivots are accepted but poison the rolling inverse,
-                # so refresh it immediately afterwards.
-                if self.k >= self.max_updates or abs(w[r]) < 1e-3:
-                    self.refactor()
+                r = int(idx[np.argmax(np.abs(denom[idx]))])
+            # Row r of B^-1, and the pivot row alpha = rho A.
+            rho = self.binv0[r] - self.u[:self.k, r] @ self.v[:self.k]
+            alpha = np.bincount(self.cols, weights=rho[self.rows] * self.vals,
+                                minlength=self.n_all)
+            leaving = int(self.basis[r])
+            theta = d[q] / w[r]
+            d -= theta * alpha
+            d[q] = 0.0
+            d[leaving] = -theta
+            np.maximum(wt, (alpha / w[r]) ** 2 * wt[q], out=wt)
+            wt[leaving] = max(wt[q] / w[r] ** 2, 1.0)
+            fresh = False
 
-            if t_star > 1e-10:
-                stalled = 0
-                bland = bland_always
-            else:
-                stalled += 1
-                if stalled > stall_limit:
-                    bland = True
+            self.vstat[leaving] = (self.AT_UPPER if hits_upper[r]
+                                   else self.AT_LOWER)
+            self.basis[r] = q
+            self.vstat[q] = self.BASIC
+            self.xb[r] = t_star if sigma > 0.0 else self.ub[q] - t_star
+            self._pivot_update(r, w, rho)
+            # Small pivots are accepted but poison the rolling inverse,
+            # so refresh it immediately afterwards.
+            if self.k >= self.max_updates or abs(w[r]) < 1e-3:
+                self.refactor()
+                self._price(c)
+                fresh = True
 
 
 def _no_solution(status: str, iterations: int, message: str) -> Solution:

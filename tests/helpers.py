@@ -1,4 +1,5 @@
-"""Small shared model fixtures used across the unit-test modules.
+"""Small shared model fixtures used across the unit-test modules, and a
+dense view of an LP for the reference solvers in the solver tests.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
 values stay derivable by inspection or an independent one-liner.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gridplan.formulation import LPInstance
 from gridplan.model import (
     CostTable,
     InterfaceSpec,
@@ -145,3 +147,10 @@ def tiny_costs(net: NetworkSpec) -> CostTable:
 
 def tiny_params(t: int = T) -> TechParams:
     return TechParams(n_years=t / 8760.0)
+
+
+def dense_matrix(lp: LPInstance) -> np.ndarray:
+    """The LP's constraint matrix as a dense n_rows x n_cols array."""
+    a = np.zeros((lp.n_rows, lp.n_cols))
+    a[lp.row_of, lp.indices] = lp.data
+    return a

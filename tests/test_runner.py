@@ -597,6 +597,29 @@ class TestCli:
         assert cause in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--lcp", "0.2", "--hve", "0.2"],
+        ["search-lcoe", "--ghg", "-1.0"],
+    ], ids=["sweep", "search-lcoe"])
+    @pytest.mark.parametrize("text, cause", [
+        (None, "cannot read config"),
+        ("{\"lcp\": ", "is not valid JSON"),
+        ("[0.2]", "must hold a JSON object"),
+    ], ids=["missing", "bad-json", "not-object"])
+    def test_bad_config_file_exits_error(self, micro_bundle, tmp_path, capsys,
+                                         command, text, cause):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        code = main([*command, "--inputs", str(micro_bundle),
+                     "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert cause in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_search_infeasible_exit(self, fossil_bundle, capsys):
         code = main(["search-lcoe", "--inputs", str(fossil_bundle),
                      "--ghg", "0.99"])

@@ -8,6 +8,7 @@ Oracles used here:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 from pathlib import Path
@@ -22,6 +23,7 @@ from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
                                   LPInstance, assemble, make_lp)
 from gridplan.runner import load_bundle, load_config
 from gridplan.solver import SolveOptions, Solution, _Simplex, solve
+from helpers import dense_matrix
 from test_acceptance import demo_config
 
 FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
@@ -29,7 +31,7 @@ FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
 
 def scipy_solve(lp):
     """Reference solve of an LPInstance via HiGHS."""
-    a = lp.dense_matrix()
+    a = dense_matrix(lp)
     b = lp.rhs_vector()
     senses = lp.senses()
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
@@ -64,7 +66,7 @@ def brute_force_vertices(lp):
     (without offset).
     """
     n = lp.n_cols
-    a = lp.dense_matrix()
+    a = dense_matrix(lp)
     b = lp.rhs_vector()
     planes = [(a[i], b[i]) for i in range(lp.n_rows)]
     for j in range(n):
@@ -388,7 +390,7 @@ class TestDegeneracy:
     def test_bland_rule_agrees(self):
         lp = self.beale()
         a = solve(lp, SolveOptions(pivot_rule="bland"))
-        b = solve(lp, SolveOptions(pivot_rule="dantzig"))
+        b = solve(lp, SolveOptions(pivot_rule="devex"))
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
@@ -455,6 +457,28 @@ def test_singular_basis_repaired_with_unit_column():
     np.testing.assert_allclose(sx.binv0 @ basis, np.eye(3), atol=1e-15)
 
 
+def test_devex_pivot_by_hand():
+    # Rows [0.5 2 0.1; 0.25 1 3] <= (1, 10), columns 3 and 4 their slacks,
+    # c = (-1, -1, -0.5, 0, 0). Column 0 enters first (ties break low)
+    # and row 0 leaves (ratios 2 and 40), so rho = e_0 and the pivot row
+    # is alpha = row 0 = (0.5, 2, 0.1, 1, 0), with alpha_q = 0.5.
+    sx = _Simplex(np.array([0, 0, 1, 1, 2, 2, 3, 4]),
+                  np.array([0, 1, 0, 1, 0, 1, 0, 1]),
+                  np.array([0.5, 0.25, 2.0, 1.0, 0.1, 3.0, 1.0, 1.0]),
+                  np.array([1.0, 10.0]), np.full(5, np.inf), [3, 4],
+                  SolveOptions())
+    c = np.array([-1.0, -1.0, -0.5, 0.0, 0.0])
+    assert sx.run(c, phase=2, max_iterations=1) == "iteration-limit"
+    np.testing.assert_array_equal(sx.basis, [0, 4])
+    # d - (d_q / alpha_q) alpha = c + 2 alpha, which is c - A^T y for the
+    # new basis (y = (-2, 0)); column 2 still prices in.
+    np.testing.assert_allclose(sx.d, [0.0, 3.0, -0.3, 2.0, 0.0],
+                               atol=1e-15)
+    # max(1, (alpha_j / alpha_q)^2); the leaving column gets
+    # max(1 / alpha_q^2, 1) = 4.
+    np.testing.assert_allclose(sx.wt, [1.0, 16.0, 1.0, 4.0, 1.0])
+
+
 @pytest.fixture(scope="module")
 def bundle():
     return load_bundle(FIXTURE_DIR)
@@ -498,3 +522,65 @@ def test_refactor_cadence_on_fixture(fixture_lp, refactor_every):
     rhs_scale = max(1.0, float(np.max(np.abs(lp.rhs_vector()))))
     assert sol.max_violation <= 10.0 * SolveOptions().feasibility_tol * rhs_scale
     assert sol.duality_gap <= 1e-9
+
+
+def test_updated_reduced_costs_match_fresh_at_end_of_phase_2(
+        fixture_lp, monkeypatch):
+    # Pivot-row updates keep d between BTRANs. The last fresh recompute of
+    # the solve is the one optimality waits for, after the last pivot, and
+    # it must find d where the updates left it.
+    calls = []
+    price = _Simplex._price
+
+    def spy(self, c):
+        kept = getattr(self, "d", None)
+        kept = None if kept is None else kept.copy()
+        price(self, c)
+        calls.append((self.iterations, kept, self.d))
+
+    monkeypatch.setattr(_Simplex, "_price", spy)
+    sol = solve(fixture_lp)
+    assert sol.status == "optimal"
+    iterations, kept, fresh = calls[-1]
+    assert iterations == sol.iterations
+    np.testing.assert_allclose(kept, fresh, rtol=0.0, atol=1e-9)
+
+
+def tiled_lp(bundle, k):
+    """The fixture LP with every series tiled k times and n_years scaled
+    to match."""
+    series = bundle.series
+    tiled = {f.name: {node: np.tile(arr, k)
+                      for node, arr in getattr(series, f.name).items()}
+             for f in dataclasses.fields(series)
+             if getattr(series, f.name) is not None}
+    series = dataclasses.replace(series, **tiled)
+    params = dataclasses.replace(bundle.params,
+                                 n_years=bundle.params.n_years * k)
+    config = load_config(FIXTURE_DIR / "scenario.json")
+    demand = synthesize_demand(bundle.network, series, config, params)
+    inp = BuildInputs(config, bundle.network, series, bundle.costs, params,
+                      demand, emissions=bundle.emissions)
+    return assemble(inp)[0]
+
+
+def test_fixture_tiled_to_96h_matches_highs(bundle):
+    lp = tiled_lp(bundle, 2)
+    assert lp.n_rows == 497
+    ref = scipy_solve(lp)
+    assert ref.status == 0
+    sol = solve(lp)
+    assert sol.status == "optimal", sol.message
+    assert sol.objective == pytest.approx(ref.fun + lp.offset, rel=1e-9)
+    assert sol.duality_gap <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_40x60_matches_highs(seed):
+    lp = random_instance(seed, 40, 60)
+    mine = solve(lp)
+    ref = scipy_solve(lp)
+    assert mine.status == {0: "optimal", 2: "infeasible",
+                           3: "unbounded"}[ref.status]
+    if ref.status == 0:
+        assert mine.objective == pytest.approx(ref.fun, rel=1e-9)
