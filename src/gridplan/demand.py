@@ -206,7 +206,7 @@ def synthesize_demand(
     btm_growth: BTMGrowth = DEFAULT_BTM_GROWTH,
 ) -> DemandBundle:
     """Assemble the scenario's electrified demand from the input series."""
-    free_p = config.mode in ("ghg+lcp", "min-lcoe") or config.p_heat is None
+    free_p = config.mode == "ghg+lcp"
     n_hours = series.n_hours
 
     if config.btm_year is not None:

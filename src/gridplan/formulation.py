@@ -66,7 +66,8 @@ class LPInstance:
     are per-column bounds (upper may be +inf); ``offset`` is a constant
     added to the objective value; ``audit`` counts rows (and bound-encoded
     constraints) per constraint-family tag for coverage checks. Every
-    array is read-only.
+    array is read-only, and construction runs ``validate``, so an
+    instance that exists is consistent.
     """
 
     n_cols: int
@@ -96,6 +97,7 @@ class LPInstance:
         object.__setattr__(self, "row_names", tuple(self.row_names))
         object.__setattr__(self, "col_names", tuple(self.col_names))
         object.__setattr__(self, "offset", float(self.offset))
+        self.validate()
 
     @property
     def n_rows(self) -> int:
@@ -214,45 +216,6 @@ class LPInstance:
         return b"\n".join(parts)
 
 
-def make_lp(objective: Sequence[float],
-            rows: Sequence[tuple],
-            *,
-            upper=None,
-            lower=None,
-            col_names=None,
-            offset: float = 0.0,
-            audit=None) -> LPInstance:
-    """Construct an LPInstance from dense per-row coefficient lists.
-
-    Each row is (coefficients, sense, rhs) or (coefficients, sense,
-    rhs, name). Intended for small hand-written problems; the grid
-    builder constructs rows sparsely.
-    """
-    c = np.asarray(objective, dtype=float)
-    n = c.size
-    if col_names is None:
-        col_names = tuple(f"x{j}" for j in range(n))
-    if lower is None:
-        lower = np.zeros(n)
-    if upper is None:
-        upper = np.full(n, np.inf)
-    coeffs, senses, rhs, names = zip(*(
-        spec if len(spec) == 4 else (*spec, f"r{i}")
-        for i, spec in enumerate(rows))) if rows else ((),) * 4
-    coeffs = [np.asarray(a, dtype=float) for a in coeffs]
-    nz = [np.flatnonzero(a) for a in coeffs]
-    lp = LPInstance(
-        n_cols=n, objective=c, indptr=np.cumsum([0] + [k.size for k in nz]),
-        indices=np.concatenate([np.zeros(0, np.int64)] + nz),
-        data=np.concatenate([np.zeros(0)] + [a[k] for a, k in zip(coeffs, nz)]),
-        sense=senses, rhs=[float(r) for r in rhs], row_names=names,
-        row_tags=[""] * len(names), lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-        col_names=tuple(col_names), offset=offset, audit=dict(audit or {}))
-    lp.validate()
-    return lp
-
-
 # ---------------------------------------------------------------------------
 # variable catalog
 
@@ -295,7 +258,7 @@ class VariableCatalog:
     the forward direction first. Fixing the order here keeps solver
     vectors, exported files, and reports mutually comparable. Constraint
     families and reports address columns by (family, key) through
-    ``cols``/``col``/``family``; ``names`` serve export and lookup.
+    ``cols``/``col``/``family``; ``names`` become the LP's column names.
     """
 
     blocks: Mapping[str, Block]
@@ -328,16 +291,6 @@ class VariableCatalog:
         """The column of a one-per-key family at ``key``, or None."""
         cols = self.cols(fam, key)
         return None if cols is None else int(cols[0])
-
-    @cached_property
-    def _index(self) -> dict:
-        return {name: i for i, name in enumerate(self.names)}
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise LPError(f"unknown column {name!r}") from None
 
 
 def _make_catalog(inp: "BuildInputs") -> VariableCatalog:
@@ -794,14 +747,12 @@ class LPBuilder:
                                         len(self.row_names), n)
         audit = dict(sorted(self.audit.items()))
         audit["nonneg"] = n
-        lp = LPInstance(
+        return LPInstance(
             n_cols=n, objective=self.objective, indptr=indptr,
             indices=indices, data=data, sense=sense, rhs=rhs,
             row_names=self.row_names, row_tags=tags, lower=self.lower,
             upper=self.upper, col_names=self.catalog.names,
             offset=self.offset, audit=audit)
-        lp.validate()
-        return lp
 
 
 def _hourly_names(family: str, key, n_hours: int) -> list[str]:

@@ -301,7 +301,7 @@ class EVFlexConfig:
         return self.h_end - self.h_start + 1
 
 
-_MODES = ("lcp+hve", "ghg+hve", "ghg+lcp", "min-lcoe")
+_MODES = ("lcp+hve", "ghg+hve", "ghg+lcp")
 
 
 def _check_fraction(name: str, value) -> None:
@@ -319,9 +319,7 @@ def _check_fraction(name: str, value) -> None:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario pins exactly two of: supply target, electrification, and
-    emissions reduction. The third is left to the optimizer (or, in
-    ``min-lcoe`` mode, to an outer search that pins only the emissions
-    reduction)."""
+    emissions reduction. The third is left to the optimizer."""
 
     mode: str
     lcp: float | None = None
@@ -356,11 +354,6 @@ class ScenarioConfig:
                 raise ValueError(
                     "ghg+lcp mode requires omega and lcp, and leaves the "
                     "electrification rates free"
-                )
-        elif self.mode == "min-lcoe":
-            if self.omega is None or self.lcp is not None or has_p:
-                raise ValueError(
-                    "min-lcoe mode pins only the emissions reduction"
                 )
         _check_fraction("lcp", self.lcp)
         _check_fraction("p_heat", self.p_heat)

@@ -46,14 +46,10 @@ __all__ = [
     "attribute_curtailment",
     "compute_lcoe",
     "csv_row",
-    "curtailment_series",
     "energy_closure",
-    "excess_low_carbon",
     "excess_percent",
     "excess_series",
-    "net_demand_mwh",
     "realized_emissions",
-    "realized_low_carbon_share",
     "report_json_dict",
     "summarize",
     "unit_cost",
@@ -281,35 +277,18 @@ def _balance_slacks(inp: BuildInputs, lp: LPInstance,
 # realized metrics
 
 
-def net_demand_mwh(inp: BuildInputs, solution: Solution) -> float:
-    """Total served demand net of behind-the-meter generation, in MWh.
-
-    Grid demand plus electrified heating, fixed vehicle charging, and the
-    flexible vehicle charging the optimizer placed, minus behind-the-meter
-    solar output. This is the denominator every levelized cost uses.
-    """
-    return _net_demand(inp, _hourly_series(inp, _require_x(solution)))
-
-
 def _net_demand(inp: BuildInputs, hourly) -> float:
+    """Served load net of behind-the-meter solar, in MWh: the denominator
+    of every levelized cost."""
     return sum(float(hourly[n]["load"].sum()) - inp.demand.x_btm_mw[n]
                * float(np.sum(inp.series.w_btm_solar[n]))
                for n in inp.node_ids)
 
 
-def realized_low_carbon_share(inp: BuildInputs, solution: Solution) -> float:
-    """Share of in-state supply that came from low-carbon sources.
-
-    Uses the same algebra as the policy row, so when that row binds this
-    equals the configured target: fossil and biofuel generation count
-    against the served load net of imports.
-    """
-    return _low_carbon_share(inp, _require_x(solution),
-                             net_demand_mwh(inp, solution))
-
-
 def _low_carbon_share(inp: BuildInputs, x: np.ndarray,
                       net_demand: float) -> float:
+    """Low-carbon share of in-state supply, by the policy row's algebra,
+    so a binding target is met exactly."""
     non_qualifying = sum(_family_total(inp, x, fam)
                          for fam in ("fossil_ex", "fossil_new", "biofuel"))
     denom = net_demand - _family_total(inp, x, "imports")
@@ -368,19 +347,9 @@ class CurtailmentReport:
     by_bucket_mwh: Mapping[str, float]
 
 
-def curtailment_series(inp: BuildInputs, lp: LPInstance,
-                       solution: Solution) -> CurtailmentReport:
-    """Read the balance-row surplus as curtailment and attribute it.
-
-    Each node-hour's surplus is split across the variable resources in
-    proportion to their producible energy that hour; surplus with no
-    variable potential behind it (must-run units) lands in ``"other"``.
-    """
-    return _curtailment(inp, _hourly_series(inp, _require_x(solution)),
-                        _balance_slacks(inp, lp, solution))
-
-
 def _curtailment(inp: BuildInputs, hourly, slacks) -> CurtailmentReport:
+    """Balance-row surplus per node-hour, split across the variable
+    resources by their potential that hour; the rest goes to "other"."""
     zero = np.zeros(inp.n_hours)
     attribution = {b: {} for b in (*_POTENTIALS, "other")}
     for n in inp.node_ids:
@@ -413,19 +382,9 @@ class ExcessReport:
 _LOW_CARBON = (*_POTENTIALS, "hydro-fixed", "hydro-flex", "nuclear")
 
 
-def excess_low_carbon(inp: BuildInputs, lp: LPInstance,
-                      solution: Solution) -> ExcessReport:
-    """Hourly low-carbon potential in excess of total load, system-wide.
-
-    Potential counts the variable resources at full producibility plus
-    must-run hydro, flexible hydro as dispatched, and nuclear when it
-    qualifies. Demand is the gross consumer load (storage and flows are
-    internal to the system and excluded from both sides).
-    """
-    return _excess(inp, _hourly_series(inp, _require_x(solution)))
-
-
 def _excess(inp: BuildInputs, hourly) -> ExcessReport:
+    """Hourly low-carbon potential beyond total consumer load, system-wide;
+    storage and flows, being internal, count on neither side."""
     potential = np.zeros(inp.n_hours)
     load = np.zeros(inp.n_hours)
     for n in inp.node_ids:

@@ -753,13 +753,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    bounds = parse_range(args.bounds)
-    if len(bounds) < 2:
-        raise RunnerError(f"--bounds needs two values, got {args.bounds!r}")
+    try:
+        lo, hi = (float(v) for v in args.bounds.split(","))
+    except ValueError:
+        raise RunnerError(f"--bounds takes lo,hi (two numbers), "
+                          f"got {args.bounds!r}") from None
     base = _read_config_json(args.config) if args.config else None
-    result = min_lcoe_search(args.inputs, args.ghg, lo=bounds[0],
-                             hi=bounds[-1], tol=args.tol, method=args.search,
-                             base=base)
+    result = min_lcoe_search(args.inputs, args.ghg, lo=lo, hi=hi,
+                             tol=args.tol, method=args.search, base=base)
     payload = {
         "hve": result.hve,
         "lcoe": result.lcoe,
@@ -817,8 +818,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("--ghg", type=float, required=True,
                           help="emissions-reduction target")
     search_p.add_argument("--bounds", default="0,1",
-                          help="electrification-rate bounds: a,b or "
-                               "start:stop:step (first to last value)")
+                          help="electrification-rate bounds lo,hi")
     search_p.add_argument("--tol", type=float, default=0.005)
     search_p.add_argument("--search", default="golden",
                           help="'golden' or 'grid:N'")

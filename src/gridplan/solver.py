@@ -88,11 +88,6 @@ class Solution:
     duality_gap: float | None
     message: str = ""
 
-    def value(self, lp: LPInstance, name: str) -> float:
-        if self.x is None:
-            raise ValueError(f"no solution values (status={self.status})")
-        return float(self.x[lp.column_index(name)])
-
 
 def _signed_slacks(lp: LPInstance, x: np.ndarray) -> np.ndarray:
     act = lp.activity(x)
@@ -267,7 +262,7 @@ class _Simplex:
             self.basis[k] = j
             self.vstat[j] = self.BASIC
 
-    def values(self) -> np.ndarray:
+    def point(self) -> np.ndarray:
         x = np.where(self.vstat == self.AT_UPPER, self.ub, 0.0)
         x[self.basis] = self.xb
         return x
@@ -392,7 +387,7 @@ def _finish(lp: LPInstance, x: np.ndarray, duals: np.ndarray,
     # nonbasic variable resting at a finite bound.
     reduced = lp.objective - np.bincount(
         lp.indices, weights=lp.data * duals[lp.row_of], minlength=lp.n_cols)
-    dual_obj = float(duals @ lp.rhs) if lp.n_rows else 0.0
+    dual_obj = float(duals @ lp.rhs)
     at_lower = vstat == _Simplex.AT_LOWER
     dual_obj += float(reduced[at_lower] @ lp.lower[at_lower])
     at_upper = (vstat == _Simplex.AT_UPPER) & np.isfinite(lp.upper)
@@ -410,20 +405,6 @@ def _finish(lp: LPInstance, x: np.ndarray, duals: np.ndarray,
     )
 
 
-def _solve_boxed(lp: LPInstance) -> Solution:
-    """Row-free problem: each column sits at whichever bound is cheaper."""
-    c = lp.objective
-    unbounded = (c < 0.0) & ~np.isfinite(lp.upper)
-    if unbounded.any():
-        j = int(np.argmax(unbounded))
-        return _no_solution(
-            STATUS_UNBOUNDED, 0,
-            f"column {lp.col_names[j]!r} improves without bound")
-    x = np.where(c < 0.0, lp.upper, lp.lower)
-    vstat = np.where(c < 0.0, _Simplex.AT_UPPER, _Simplex.AT_LOWER)
-    return _finish(lp, x, np.zeros(0), vstat.astype(np.int8), 0)
-
-
 def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     """Minimize the LPInstance with the built-in simplex.
 
@@ -435,11 +416,8 @@ def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     is never reported optimal but comes back "numerical", naming the
     violated rows worst first.
     """
-    lp.validate()
     opts = options or SolveOptions()
     m, n = lp.n_rows, lp.n_cols
-    if m == 0:
-        return _solve_boxed(lp)
     lower = lp.lower
     row_of, col_of = lp.row_of, lp.indices
     tol = opts.feasibility_tol * max(
@@ -540,7 +518,7 @@ def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
             "objective improves without bound over the feasible set")
 
     sx.refactor()
-    x = lower + sx.values()[:n] * col_scale
+    x = lower + sx.point()[:n] * col_scale
     duals = sx.duals(c2) * row_scale * flip
     sol = _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
     if sol.max_violation > 10.0 * tol:
@@ -604,7 +582,6 @@ def export_mps(lp: LPInstance, problem_name: str = "GRIDPLAN") -> str:
     overflows the historical 12-character value field; tokenizing
     readers (including every modern solver) accept this.
     """
-    lp.validate()
     if len(set(lp.row_names)) != lp.n_rows:
         raise LPError("row names must be unique for MPS export")
     names = mps_name_map(lp)
@@ -674,7 +651,6 @@ def import_solution(lp: LPInstance, source,
     offending rows named, and so does a point holding a NaN or infinite
     value, with up to 5 such columns named.
     """
-    lp.validate()
     opts = options or SolveOptions()
     if isinstance(source, Mapping):
         raw = dict(source)

@@ -1,11 +1,14 @@
-"""Small shared model fixtures used across the unit-test modules, and a
-dense view of an LP for the reference solvers in the solver tests.
+"""Small shared model fixtures used across the unit-test modules, a
+builder of small hand-written LPs, and a dense view of an LP for the
+reference solvers in the solver tests.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
 values stay derivable by inspection or an independent one-liner.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -154,3 +157,40 @@ def dense_matrix(lp: LPInstance) -> np.ndarray:
     a = np.zeros((lp.n_rows, lp.n_cols))
     a[lp.row_of, lp.indices] = lp.data
     return a
+
+
+def make_lp(objective: Sequence[float],
+            rows: Sequence[tuple],
+            *,
+            upper=None,
+            lower=None,
+            col_names=None,
+            offset: float = 0.0,
+            audit=None) -> LPInstance:
+    """Construct an LPInstance from dense per-row coefficient lists.
+
+    Each row is (coefficients, sense, rhs) or (coefficients, sense,
+    rhs, name). Intended for small hand-written problems; the grid
+    builder constructs rows sparsely.
+    """
+    c = np.asarray(objective, dtype=float)
+    n = c.size
+    if col_names is None:
+        col_names = tuple(f"x{j}" for j in range(n))
+    if lower is None:
+        lower = np.zeros(n)
+    if upper is None:
+        upper = np.full(n, np.inf)
+    coeffs, senses, rhs, names = zip(*(
+        spec if len(spec) == 4 else (*spec, f"r{i}")
+        for i, spec in enumerate(rows))) if rows else ((),) * 4
+    coeffs = [np.asarray(a, dtype=float) for a in coeffs]
+    nz = [np.flatnonzero(a) for a in coeffs]
+    return LPInstance(
+        n_cols=n, objective=c, indptr=np.cumsum([0] + [k.size for k in nz]),
+        indices=np.concatenate([np.zeros(0, np.int64)] + nz),
+        data=np.concatenate([np.zeros(0)] + [a[k] for a, k in zip(coeffs, nz)]),
+        sense=senses, rhs=[float(r) for r in rhs], row_names=names,
+        row_tags=[""] * len(names), lower=np.asarray(lower, dtype=float),
+        upper=np.asarray(upper, dtype=float),
+        col_names=tuple(col_names), offset=offset, audit=dict(audit or {}))

@@ -188,10 +188,11 @@ class TestCatalog:
         assert lp.n_cols == 972
 
     def test_index_is_bijective(self):
-        _, cat = build_tiny()
+        lp, cat = build_tiny()
         assert len(set(cat.names)) == len(cat.names)
+        assert lp.col_names is cat.names
         for i, name in enumerate(cat.names):
-            assert cat.index_of(name) == i
+            assert lp.column_index(name) == i
 
     def test_include_h2_toggle(self):
         lp_off, cat_off = build_tiny()
@@ -329,7 +330,7 @@ class TestEnergyBalance:
 class TestFossil:
     def test_existing_reserve_encoded_as_bound(self):
         lp, cat, ctx = gas_only(existing=11.89)
-        col = cat.index_of("fossil_ex[n,0]")
+        col = lp.column_index("fossil_ex[n,0]")
         assert lp.upper[col] == pytest.approx(11.89 / 1.189)
         sol = solve_ok(gas_only(existing=11.89, demand=10.0)[0])
         assert sol.x.max() <= 10.0 + 1e-7
@@ -392,7 +393,7 @@ class TestResourceCaps:
         config = fixed_config()
         demand_b = synthesize_demand(net, series, config, params)
         lp, cat = build(config, net, series, costs, params, demand_b)
-        assert lp.upper[cat.index_of("cap_onshore[n]")] == pytest.approx(30416.75)
+        assert lp.upper[lp.column_index("cap_onshore[n]")] == pytest.approx(30416.75)
 
     def test_max_zero_pins_new_build_to_zero(self):
         net = mini_network(gas_existing_mw=5.0, onshore_max_mw=0.0)
@@ -401,12 +402,12 @@ class TestResourceCaps:
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
         lp, cat = build(fixed_config(), net, series, costs, params, demand_b)
-        assert lp.upper[cat.index_of("cap_onshore[n]")] == 0.0
+        assert lp.upper[lp.column_index("cap_onshore[n]")] == 0.0
 
     def test_us_solar_headroom_tiny(self):
         lp, cat = build_tiny()
-        assert lp.upper[cat.index_of("cap_us_solar[a]")] == pytest.approx(1480.0)
-        assert lp.upper[cat.index_of("cap_us_solar[b]")] == pytest.approx(2450.0)
+        assert lp.upper[lp.column_index("cap_us_solar[a]")] == pytest.approx(1480.0)
+        assert lp.upper[lp.column_index("cap_us_solar[b]")] == pytest.approx(2450.0)
 
     def test_offshore_single_regional_row(self):
         lp, cat = build_tiny()
@@ -424,7 +425,7 @@ class TestResourceCaps:
         demand_b = synthesize_demand(net, series, fixed_config(), params)
         with pytest.warns(UserWarning, match="exceeds"):
             lp, cat = build(fixed_config(), net, series, costs, params, demand_b)
-        assert lp.upper[cat.index_of("cap_onshore[n]")] == 0.0
+        assert lp.upper[lp.column_index("cap_onshore[n]")] == 0.0
 
 
 def two_node_tx(fwd=800.0, rev=400.0, buildable=True, t=2, demand_b=10.0):
@@ -450,8 +451,8 @@ class TestTransmission:
     def test_bounds_when_no_new_build(self):
         (lp, cat), _ = two_node_tx(buildable=False)
         assert "cap_tx[a:b]" not in cat.names
-        assert lp.upper[cat.index_of("flow[a>b,0]")] == pytest.approx(800.0)
-        assert lp.upper[cat.index_of("flow[b>a,0]")] == pytest.approx(400.0)
+        assert lp.upper[lp.column_index("flow[a>b,0]")] == pytest.approx(800.0)
+        assert lp.upper[lp.column_index("flow[b>a,0]")] == pytest.approx(400.0)
         assert not [r for r in lp.rows if r.tag == "tx-limit"]
         assert lp.audit["tx-limit"] == 4  # 2 directions x 2 hours, as bounds
 
@@ -463,7 +464,7 @@ class TestTransmission:
         assert rev_row.rhs == pytest.approx(220.0)
         assert named_coeffs(lp, fwd_row) == {
             "flow[a>b,1]": 1.0, "cap_tx[a:b]": -1.0}
-        assert np.isinf(lp.upper[cat.index_of("flow[a>b,1]")])
+        assert np.isinf(lp.upper[lp.column_index("flow[a>b,1]")])
 
     def test_loss_algebra_ten_over_097(self):
         (lp, cat), _ = two_node_tx()
@@ -569,8 +570,8 @@ class TestStorage:
 
     def test_bound_encoded_caps_when_not_buildable(self):
         (lp, cat), _ = storage_shift_fixture()
-        assert lp.upper[cat.index_of("batt_soc[n,0]")] == pytest.approx(20.0)
-        assert lp.upper[cat.index_of("batt_charge[n,1]")] == pytest.approx(10.0)
+        assert lp.upper[lp.column_index("batt_soc[n,0]")] == pytest.approx(20.0)
+        assert lp.upper[lp.column_index("batt_charge[n,1]")] == pytest.approx(10.0)
         assert lp.audit["battery-energy-cap"] == 2
         assert lp.audit["battery-power-cap"] == 4
 
@@ -611,7 +612,7 @@ class TestDispatchables:
 
     def test_hydro_hourly_cap_is_bound(self):
         lp, cat = build_tiny()
-        assert lp.upper[cat.index_of("hydro_flex[a,11]")] == pytest.approx(150.0)
+        assert lp.upper[lp.column_index("hydro_flex[a,11]")] == pytest.approx(150.0)
         assert lp.audit["hydro-hourly"] == 48
 
     def test_unreachable_hydro_daily_warns(self):
@@ -637,8 +638,8 @@ class TestDispatchables:
 
     def test_biofuel_rows_and_bounds_tiny(self):
         lp, cat = build_tiny()
-        assert lp.upper[cat.index_of("biofuel[a,0]")] == pytest.approx(40.0)
-        assert lp.upper[cat.index_of("biofuel[b,0]")] == pytest.approx(30.0)
+        assert lp.upper[lp.column_index("biofuel[a,0]")] == pytest.approx(40.0)
+        assert lp.upper[lp.column_index("biofuel[b,0]")] == pytest.approx(30.0)
         row = row_by_name(lp, "biofuel_daily[b,0]")
         assert row.sense == LE and row.rhs == pytest.approx(450.0)
         assert len(row.idx) == 24
@@ -647,7 +648,7 @@ class TestDispatchables:
         lp, cat = build_tiny()
         assert "imports[a,0]" in cat.names
         assert "imports[b,0]" not in cat.names
-        assert lp.upper[cat.index_of("imports[a,7]")] == pytest.approx(300.0)
+        assert lp.upper[lp.column_index("imports[a,7]")] == pytest.approx(300.0)
         assert lp.audit["import-limit"] == 48
 
     def test_hours_not_multiple_of_24_with_daily_structures(self):
@@ -672,7 +673,7 @@ class TestDispatchables:
         base_lp, _ = build_tiny()
         row = row_by_name(lp, "hydro_daily[a,1]")
         assert row.rhs == pytest.approx(700.0)
-        assert lp.upper[cat.index_of("hydro_flex[a,0]")] == pytest.approx(90.0)
+        assert lp.upper[lp.column_index("hydro_flex[a,0]")] == pytest.approx(90.0)
         shift = row_by_name(base_lp, "balance[a,9]").rhs - row_by_name(
             lp, "balance[a,9]").rhs
         assert shift == pytest.approx(111.0 - 250.0, rel=1e-12)
@@ -681,7 +682,7 @@ class TestDispatchables:
         limits = BiofuelLimits(daily_mwh=100.0, hourly_max_mwh=7.0,
                                constrained_below_daily=True)
         lp, cat = build_tiny(biofuel={"a": limits})
-        assert lp.upper[cat.index_of("biofuel[a,3]")] == pytest.approx(7.0)
+        assert lp.upper[lp.column_index("biofuel[a,3]")] == pytest.approx(7.0)
         assert row_by_name(lp, "biofuel_daily[a,0]").rhs == pytest.approx(100.0)
 
 
@@ -711,7 +712,7 @@ class TestEVFlex:
         assert row.rhs == pytest.approx(flex[0] / params.eta_veh)
         assert len(row.idx) == 11
         cap = flex[0] / 4.0
-        assert lp.upper[cat.index_of("ev_flex[a,12]")] == pytest.approx(cap)
+        assert lp.upper[lp.column_index("ev_flex[a,12]")] == pytest.approx(cap)
 
     def test_balance_subtracts_flexible_charge(self):
         net = tiny_network()
@@ -843,9 +844,9 @@ class TestPolicy:
         params = tiny_params()
         row = row_by_name(lp, "policy_ghg")
         x = np.zeros(lp.n_cols)
-        x[cat.index_of("fossil_ex[a,0]")] = 7.0
-        x[cat.index_of("fossil_new[b,3]")] = 11.0
-        x[cat.index_of("imports[a,5]")] = 13.0
+        x[lp.column_index("fossil_ex[a,0]")] = 7.0
+        x[lp.column_index("fossil_new[b,3]")] = 11.0
+        x[lp.column_index("imports[a,5]")] = 13.0
         expected = electricity_emissions(
             7.0, 11.0, 13.0,
             eta_existing=params.eta_ff_existing,
@@ -931,9 +932,9 @@ class TestObjective:
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
         lp, cat = build(fixed_config(), net, series, costs, params, demand_b)
-        coeff = lp.objective[cat.index_of("fossil_new[n,0]")]
+        coeff = lp.objective[lp.column_index("fossil_new[n,0]")]
         assert coeff == pytest.approx(3.412 * 3.0 / 0.344 + 4.48, rel=1e-12)
-        coeff_ex = lp.objective[cat.index_of("fossil_ex[n,0]")]
+        coeff_ex = lp.objective[lp.column_index("fossil_ex[n,0]")]
         assert coeff_ex == pytest.approx(3.412 * 3.0 / 0.428, rel=1e-12)
 
     def test_offshore_annualized_capital(self):
@@ -944,7 +945,7 @@ class TestObjective:
         config = fixed_config(lcp=0.6, p_heat=0.3, p_veh=0.2)
         demand_b = synthesize_demand(net, series, config, params)
         lp, cat = build(config, net, series, costs, params, demand_b)
-        coeff = lp.objective[cat.index_of("cap_offshore[b]")]
+        coeff = lp.objective[lp.column_index("cap_offshore[b]")]
         rate = annualization_rate(20, 0.05)
         assert rate == pytest.approx(0.0802426, abs=1e-7)
         expected = 2256.0 * rate * 1000.0 + 38.0 * 1000.0
@@ -958,7 +959,7 @@ class TestObjective:
         rate10 = annualization_rate(10, 0.05)
         expected = params.n_years * (costs.cap_batt_p["a"] * rate10 * 1000.0
                                      + costs.omf_batt_p["a"] * 1000.0)
-        assert lp.objective[cat.index_of("cap_battery_power[a]")] == pytest.approx(
+        assert lp.objective[lp.column_index("cap_battery_power[a]")] == pytest.approx(
             expected, rel=1e-12)
 
     def test_transmission_per_mile_capital(self):
@@ -966,30 +967,30 @@ class TestObjective:
         params = tiny_params()
         rate = annualization_rate(20, 0.05)
         expected = params.n_years * (2400.0 * rate * 100.0 * 1000.0 + 2806.0)
-        assert lp.objective[cat.index_of("cap_tx[a:b]")] == pytest.approx(
+        assert lp.objective[lp.column_index("cap_tx[a:b]")] == pytest.approx(
             expected, rel=1e-12)
 
     def test_hourly_prices_and_nominal_charges(self):
         lp, cat = build_tiny()
         obj = lp.objective
-        assert obj[cat.index_of("hydro_flex[a,0]")] == pytest.approx(18.47)
-        assert obj[cat.index_of("biofuel[b,0]")] == pytest.approx(27.41)
-        assert obj[cat.index_of("imports[a,0]")] == pytest.approx(22.13)
-        assert obj[cat.index_of("ramp_ex[a,0]")] == pytest.approx(79.0)
-        assert obj[cat.index_of("ramp_new[b,0]")] == pytest.approx(69.0)
-        assert obj[cat.index_of("batt_charge[a,0]")] == pytest.approx(0.01)
-        assert obj[cat.index_of("batt_discharge[b,0]")] == pytest.approx(0.01)
-        assert obj[cat.index_of("flow[a>b,0]")] == pytest.approx(0.01)
-        assert obj[cat.index_of("batt_soc[a,0]")] == 0.0
+        assert obj[lp.column_index("hydro_flex[a,0]")] == pytest.approx(18.47)
+        assert obj[lp.column_index("biofuel[b,0]")] == pytest.approx(27.41)
+        assert obj[lp.column_index("imports[a,0]")] == pytest.approx(22.13)
+        assert obj[lp.column_index("ramp_ex[a,0]")] == pytest.approx(79.0)
+        assert obj[lp.column_index("ramp_new[b,0]")] == pytest.approx(69.0)
+        assert obj[lp.column_index("batt_charge[a,0]")] == pytest.approx(0.01)
+        assert obj[lp.column_index("batt_discharge[b,0]")] == pytest.approx(0.01)
+        assert obj[lp.column_index("flow[a>b,0]")] == pytest.approx(0.01)
+        assert obj[lp.column_index("batt_soc[a,0]")] == 0.0
 
     def test_n_years_scales_capacity_not_dispatch(self):
         lp1, cat1 = build_tiny(params=TechParams(n_years=1.0))
         lp2, cat2 = build_tiny(params=TechParams(n_years=2.0))
-        i1 = cat1.index_of("cap_onshore[a]")
-        assert lp2.objective[cat2.index_of("cap_onshore[a]")] == pytest.approx(
+        i1 = lp1.column_index("cap_onshore[a]")
+        assert lp2.objective[lp2.column_index("cap_onshore[a]")] == pytest.approx(
             2.0 * lp1.objective[i1], rel=1e-12)
-        j1 = cat1.index_of("fossil_ex[a,0]")
-        assert lp2.objective[cat2.index_of("fossil_ex[a,0]")] == pytest.approx(
+        j1 = lp1.column_index("fossil_ex[a,0]")
+        assert lp2.objective[lp2.column_index("fossil_ex[a,0]")] == pytest.approx(
             lp1.objective[j1], rel=1e-12)
 
     def test_missing_cost_entry_is_an_error(self):
@@ -1179,5 +1180,5 @@ class TestWholeInstance:
     def test_rate_columns_bounded_by_one(self):
         config = ScenarioConfig(mode="ghg+lcp", omega=0.2, lcp=0.3)
         lp, cat = build_tiny(config, emissions=tiny_calibration())
-        assert lp.upper[cat.index_of("rate_heat")] == 1.0
-        assert lp.upper[cat.index_of("rate_veh")] == 1.0
+        assert lp.upper[lp.column_index("rate_heat")] == 1.0
+        assert lp.upper[lp.column_index("rate_veh")] == 1.0

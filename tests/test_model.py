@@ -131,12 +131,102 @@ class TestValidate:
             np.testing.assert_array_equal(series.d_elec[k], before[k])
 
 
+def _node_a(**changes):
+    """Change node a of a network."""
+    return lambda net: dataclasses.replace(
+        net, nodes=[dataclasses.replace(net.nodes[0], **changes),
+                    *net.nodes[1:]])
+
+
+def _interface(*args, **changes):
+    """Replace the network's one interface: a new one from ``args``, or
+    the old one with ``changes``."""
+    return lambda net: dataclasses.replace(net, interfaces=[
+        InterfaceSpec(*args) if args
+        else dataclasses.replace(net.interfaces[0], **changes)])
+
+
+def _series_a(name, values):
+    """Replace node a's ``name`` series by ``values(old)``."""
+    return lambda series: dataclasses.replace(series, **{
+        name: {**getattr(series, name),
+               "a": values(getattr(series, name)["a"])}})
+
+
+def _replace(**changes):
+    return lambda part: dataclasses.replace(part, **changes)
+
+
+# (input changed, its mutation, the one message validate must report)
+VIOLATIONS = [
+    ("network", lambda net: NetworkSpec(
+        nodes=[net.nodes[0], dataclasses.replace(net.nodes[1], id="a")]),
+     "duplicate node ids: ['a']"),
+    ("network", _interface("a", "zz", 10.0),
+     "interface a:zz references an unknown node"),
+    ("network", _interface("a", "a", 10.0),
+     "interface a:a joins a node to itself"),
+    ("network", _interface(distance_mi=0.0),
+     "interface a:b distance must be > 0"),
+    ("network", _interface(existing_rev_mw=-1.0),
+     "interface a:b has a negative existing limit"),
+    ("network", _replace(offshore_cap_total_mw=-1.0),
+     "negative regional offshore capacity limit"),
+    ("network", _node_a(gas_existing_mw=-5.0),
+     "node a: negative gas_existing_mw"),
+    ("network", _node_a(hydro_flex_mw=0.0),
+     "node a: flexible-hydro hourly cap set with no flexible hydro "
+     "capacity"),
+    ("series", lambda series: tiny_series(tiny_network(), t=47),
+     "horizon of 47 hours is not a whole number of days"),
+    ("series", _series_a("d_elec", lambda a: a[:-1]),
+     "series d_elec[a] length 47 != expected 48"),
+    ("series", _series_a("d_elec", lambda a: a - 2000.0),
+     "series d_elec[a] contains negative values"),
+    ("series", _series_a("w_on", lambda a: np.maximum(a, 1.5)),
+     "series w_on[a] potential exceeds unity (max 1.5)"),
+    ("series", lambda series: dataclasses.replace(
+        series, d_heat_full={"a": series.d_heat_full["a"]}),
+     "series d_heat_full missing for node b"),
+    ("series", _replace(d_veh_full=None),
+     "no vehicle demand series supplied (hourly or daily)"),
+    ("costs", _replace(c_ff={"a": -1.0, "b": 4.04}),
+     "cost c_ff[a] is negative"),
+    ("costs", _replace(cap_tx={"a:b": -1.0}), "cost cap_tx[a:b] is negative"),
+    ("costs", _replace(omv_ff=-1.0), "cost omv_ff is negative"),
+    ("costs", _replace(omf_on={"a": 18.1}),
+     "cap_on[b] has no matching omf_on entry"),
+    ("costs", _replace(c_nuc={"a": 26.82}),
+     "node b uses c_nuc but has no entry"),
+    ("params", _replace(eta_batt=1.5), "parameter eta_batt=1.5 outside [0, 1]"),
+    ("params", _replace(reserve_margin=-0.1), "reserve margin must be >= 0"),
+    ("params", _replace(phi_batt_min=0.3), "phi_batt_min exceeds phi_batt_max"),
+    ("params", _replace(phi_batt_min=-0.1), "phi_batt_min must be >= 0"),
+    ("params", _replace(p_years={"generation": 20, "storage": 0,
+                                 "transmission": 20}),
+     "annualization period for storage must be >= 1"),
+    ("params", _replace(interest_rate=-0.01), "interest rate must be >= 0"),
+    ("params", _replace(n_years=1.0),
+     "n_years=1.0 inconsistent with a 48-hour horizon (more than one "
+     "leap-day apart)"),
+]
+
+
+@pytest.mark.parametrize("part, mutate, message", VIOLATIONS,
+                         ids=[message for _, _, message in VIOLATIONS])
+def test_every_violation_is_reported_alone(part, mutate, message):
+    net = tiny_network()
+    inputs = {"network": net, "series": tiny_series(net),
+              "costs": tiny_costs(net), "params": tiny_params()}
+    inputs[part] = mutate(inputs[part])
+    assert validate(**inputs) == [message]
+
+
 class TestScenarioConfig:
     def test_two_of_three_accepted(self):
         ScenarioConfig(mode="lcp+hve", lcp=0.4, p_heat=0.0, p_veh=0.0)
         ScenarioConfig(mode="ghg+hve", omega=0.4, p_heat=0.5, p_veh=0.5)
         ScenarioConfig(mode="ghg+lcp", omega=0.4, lcp=0.7)
-        ScenarioConfig(mode="min-lcoe", omega=0.4)
 
     def test_wrong_combinations_rejected(self):
         with pytest.raises(ValueError):
@@ -147,8 +237,8 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(mode="ghg+lcp", omega=0.4, lcp=0.7, p_heat=0.3,
                            p_veh=0.3)
-        with pytest.raises(ValueError):
-            ScenarioConfig(mode="min-lcoe", omega=0.4, lcp=0.2)
+        with pytest.raises(ValueError, match="unknown mode 'min-lcoe'"):
+            ScenarioConfig(mode="min-lcoe", omega=0.4)
 
     def test_fraction_ranges_enforced(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from _mpsread import read_mps, solve_mps_with_highs
-from gridplan.formulation import EQ, GE, LE, LPError, make_lp
+from gridplan.formulation import EQ, GE, LE, LPError
 from gridplan.solver import export_mps, import_solution, mps_name_map, solve
+from helpers import make_lp
 from test_solver import random_instance
 
 

@@ -35,14 +35,10 @@ from gridplan.reporting import (
     attribute_curtailment,
     compute_lcoe,
     csv_row,
-    curtailment_series,
     energy_closure,
-    excess_low_carbon,
     excess_percent,
     excess_series,
-    net_demand_mwh,
     realized_emissions,
-    realized_low_carbon_share,
     report_json_dict,
     summarize,
     unit_cost,
@@ -340,14 +336,12 @@ class TestSolarGasScenario:
         gas = column_sum(lp, sol, "fossil_ex", "n", range(T24))
         # nights need 13 h x 100 MWh of gas; the target allows 1440 total
         assert gas == pytest.approx(0.6 * 2400.0, rel=1e-6)
-        assert realized_low_carbon_share(inp, sol) == pytest.approx(
-            0.4, abs=1e-6)
         assert report.lcp_realized == pytest.approx(0.4, abs=1e-6)
         assert report.lcp_realized >= 0.4 - 1e-6
 
     def test_curtailment_positive_and_attributed_to_solar(self, solar_gas):
         inp, lp, sol, report = solar_gas
-        curt = curtailment_series(inp, lp, sol)
+        curt = report.curtailment
         assert curt.total_mwh > 1.0
         assert np.all(curt.by_node["n"] >= -1e-9)
         for bucket in ("onshore", "offshore", "btm-solar", "other"):
@@ -359,7 +353,7 @@ class TestSolarGasScenario:
         inp, lp, sol, report = solar_gas
         built = sol.x[lp.column_index("cap_us_solar[n]")]
         potential = built * inp.series.w_us_solar["n"]
-        curt = curtailment_series(inp, lp, sol)
+        curt = report.curtailment
         delivered = float(potential.sum() - curt.by_node["n"].sum())
         assert delivered == pytest.approx(2400.0 - 1440.0, rel=1e-6)
         avg = report.generation_avg_gwh_per_hour["us-solar"]
@@ -373,7 +367,7 @@ class TestSolarGasScenario:
     def test_lcoe_identity(self, solar_gas):
         inp, lp, sol, report = solar_gas
         # demand is 100 MWh x 24 h with no electrified end uses and no BTM
-        assert net_demand_mwh(inp, sol) == pytest.approx(2400.0, rel=1e-12)
+        assert report.net_demand_mwh == pytest.approx(2400.0, rel=1e-12)
         assert report.lcoe_usd_per_mwh == pytest.approx(
             sol.objective / 2400.0, rel=1e-12)
 
@@ -408,7 +402,7 @@ class TestSolarGasScenario:
         built = sol.x[lp.column_index("cap_us_solar[n]")]
         potential = built * inp.series.w_us_solar["n"]
         expected = np.maximum(potential - 100.0, 0.0)
-        excess = excess_low_carbon(inp, lp, sol)
+        excess = report.excess
         np.testing.assert_allclose(excess.series_mwh, expected, atol=1e-7)
         assert excess.percent == pytest.approx(
             100.0 * expected.sum() / potential.sum(), rel=1e-6)
@@ -483,7 +477,7 @@ class TestBatteryScenario:
     def test_solar_delivery_equals_charge(self, battery_solar):
         inp, lp, sol, report = battery_solar
         charge = column_sum(lp, sol, "batt_charge", "n", range(T24))
-        curt = curtailment_series(inp, lp, sol)
+        curt = report.curtailment
         potential = 50.0 * inp.series.w_us_solar["n"]
         delivered = float(potential.sum()) - curt.total_mwh
         assert delivered == pytest.approx(charge, rel=1e-9)
@@ -551,7 +545,7 @@ class TestFreeRatesScenario:
         r_heat = sol.x[lp.column_index("rate_heat")]
         r_veh = sol.x[lp.column_index("rate_veh")]
         expected = 24 * (30.0 + 20.0 * r_heat + 10.0 * r_veh)
-        assert net_demand_mwh(inp, sol) == pytest.approx(expected, rel=1e-9)
+        assert report.net_demand_mwh == pytest.approx(expected, rel=1e-9)
         assert report.lcoe_usd_per_mwh == pytest.approx(
             sol.objective / expected, rel=1e-9)
         assert energy_closure(inp, lp, sol) <= 1e-7
@@ -580,8 +574,7 @@ class TestTwoNodeScenario:
         gas = column_sum(lp, sol, "fossil_ex", "a", range(T24))
         imports = column_sum(lp, sol, "imports", "b", range(T24))
         expected = 1.0 - gas / (2400.0 - imports)
-        assert realized_low_carbon_share(inp, sol) == pytest.approx(
-            expected, rel=1e-9)
+        assert report.lcp_realized == pytest.approx(expected, rel=1e-9)
 
     def test_closure_with_lossy_flows(self, two_node):
         inp, lp, sol, report = two_node
@@ -650,7 +643,7 @@ def surplus():
 class TestCurtailmentAttributionByHour:
     def test_hourly_attribution_matches_scalar_rule(self, surplus):
         inp, lp, sol = surplus
-        curtail = curtailment_series(inp, lp, sol)
+        curtail = summarize(inp, lp, sol).curtailment
         series = inp.series
         idle_surplus = shared_surplus = False
         for node in inp.network.nodes:
@@ -683,8 +676,8 @@ class TestCurtailmentAttributionByHour:
         inp, lp, sol = surplus
         slacks = sol.slacks.copy()
         slacks[lp.row_names.index("balance[a,0]")] = -1.0
-        curtail = curtailment_series(inp, lp,
-                                     dataclasses.replace(sol, slacks=slacks))
+        curtail = summarize(inp, lp, dataclasses.replace(
+            sol, slacks=slacks)).curtailment
         assert curtail.by_node["a"][0] == -1.0
         assert all(by_node["a"][0] == 0.0
                    for by_node in curtail.attribution.values())

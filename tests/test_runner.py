@@ -579,13 +579,25 @@ class TestCli:
         assert record["lcoe"] > 0.0
         assert len(record["trace"]) == 7
 
+    def test_search_bounds_are_lo_hi(self, micro_bundle, capsys):
+        code = main(["search-lcoe", "--inputs", str(micro_bundle),
+                     "--ghg", "-1.0", "--bounds", "0.2,0.6",
+                     "--search", "grid:4"])
+        assert code == EXIT_OK
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        assert [v for v, _ in trace] == pytest.approx([0.2, 0.3, 0.4, 0.5,
+                                                       0.6])
+
     @pytest.mark.parametrize("args, cause", [
-        (["--bounds", "abc"], "cannot parse range 'abc'"),
+        (["--bounds", "abc"], "--bounds takes lo,hi (two numbers), got 'abc'"),
+        (["--bounds", "0:1:0.3"], "--bounds takes lo,hi"),
+        (["--bounds", "0,0.5,1"], "--bounds takes lo,hi"),
         (["--tol", "0"], "tolerance must be positive"),
         (["--bounds", "1,0"], "search bounds [1.0, 0.0]"),
         (["--bounds", "1,0", "--search", "grid:2"],
          "search bounds [1.0, 0.0]"),
-    ], ids=["bounds-abc", "tol-0", "bounds-reversed", "grid-bounds-reversed"])
+    ], ids=["bounds-abc", "bounds-range", "bounds-three", "tol-0",
+            "bounds-reversed", "grid-bounds-reversed"])
     def test_search_bad_arguments_exit_error(self, micro_bundle, capsys,
                                              args, cause):
         code = main(["search-lcoe", "--inputs", str(micro_bundle),

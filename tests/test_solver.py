@@ -20,10 +20,10 @@ from scipy.optimize import linprog
 import gridplan
 from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
-                                  LPInstance, assemble, make_lp)
+                                  LPInstance, assemble)
 from gridplan.runner import load_bundle, load_config
 from gridplan.solver import SolveOptions, Solution, _Simplex, solve
-from helpers import dense_matrix
+from helpers import dense_matrix, make_lp
 from test_acceptance import demo_config
 
 FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
@@ -243,17 +243,15 @@ class TestValidate:
         ([1], [1.0], "<>", 1.0, "unknown sense '<>'"),
     ])
     def test_error_names_the_row(self, indices, data, sense, rhs, message):
-        lp = two_row_lp(indices, data, sense, rhs)
         with pytest.raises(LPError, match=f"row 'bad'.*{re.escape(message)}"):
-            lp.validate()
+            two_row_lp(indices, data, sense, rhs)
 
     def test_malformed_csr_arrays(self):
-        lp = LPInstance(
-            n_cols=1, objective=[0.0], indptr=[0, 2], indices=[0],
-            data=[1.0], sense=[LE], rhs=[1.0], row_names=["r"],
-            row_tags=[""], lower=[0.0], upper=[np.inf], col_names=["x"])
         with pytest.raises(LPError, match="CSR"):
-            lp.validate()
+            LPInstance(
+                n_cols=1, objective=[0.0], indptr=[0, 2], indices=[0],
+                data=[1.0], sense=[LE], rhs=[1.0], row_names=["r"],
+                row_tags=[""], lower=[0.0], upper=[np.inf], col_names=["x"])
 
 
 class TestDuals:
