@@ -22,6 +22,7 @@ import numpy as np
 
 from gridplan.emissions import EmissionsCalibration
 from gridplan.model import (
+    CAPACITY,
     HEAT_RATE_MMBTU_PER_MWH,
     HOURS_PER_DAY,
     annualization_rate,
@@ -66,7 +67,7 @@ class LPInstance:
     are per-column bounds (upper may be +inf); ``offset`` is a constant
     added to the objective value; ``audit`` counts rows (and bound-encoded
     constraints) per constraint-family tag for coverage checks. Every
-    array is read-only, and construction runs ``validate``, so an
+    array is read-only, and construction runs ``_validate``, so an
     instance that exists is consistent.
     """
 
@@ -97,7 +98,7 @@ class LPInstance:
         object.__setattr__(self, "row_names", tuple(self.row_names))
         object.__setattr__(self, "col_names", tuple(self.col_names))
         object.__setattr__(self, "offset", float(self.offset))
-        self.validate()
+        self._validate()
 
     @property
     def n_rows(self) -> int:
@@ -108,7 +109,7 @@ class LPInstance:
         """Row index of each stored coefficient."""
         return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
 
-    def validate(self) -> None:
+    def _validate(self) -> None:
         """Raise LPError if the instance is internally inconsistent."""
         n, m = self.n_cols, self.n_rows
         for name, arr, k in (("objective", self.objective, n),
@@ -303,17 +304,11 @@ def _make_catalog(inp: "BuildInputs") -> VariableCatalog:
         (("batt_charge", "batt_discharge", "batt_soc"), inp.battery_nodes,
          hours),
         (("biofuel",), inp.bio_nodes, hours),
-        (("cap_battery_energy", "cap_battery_power"), inp.battery_build, ()),
-        (("cap_fossil",), inp.fossil_build, ()),
-        (("cap_h2_energy", "cap_h2_power"), inp.h2_nodes, ()),
-        (("cap_offshore",), inp.offshore_build, ()),
-        (("cap_onshore",), inp.onshore_build, ()),
-        (("cap_tx",), inp.tx_build, ()),
-        (("cap_us_solar",), inp.us_solar_build, ()),
+        *(((fam,), keys, ()) for fam, keys in inp.build_keys.items()),
         (("ev_flex",), inp.ev_nodes, inp.ev_hours),
         (("flow",), directions, hours),
         (("fossil_ex", "ramp_ex"), inp.fossil_ex_nodes, hours),
-        (("fossil_new", "ramp_new"), inp.fossil_build, hours),
+        (("fossil_new", "ramp_new"), inp.build_keys["cap_fossil"], hours),
         (("h2_charge", "h2_discharge", "h2_soc"), inp.h2_nodes, hours),
         (("hydro_flex",), inp.hydro_nodes, hours),
         (("imports",), inp.import_nodes, hours),
@@ -338,9 +333,12 @@ class BuildInputs:
 
     Resolves hydro and biofuel operating limits (explicit overrides win over
     series and node defaults), decides which nodes own which variable
-    families, verifies that every priced activity has a cost entry, and
-    derives the variable catalog. All failures raise LPError before any row
-    is assembled.
+    families (``build_keys`` for the capital families of
+    ``model.CAPACITY``), verifies that every priced activity has a cost
+    entry, and derives the variable catalog. All failures raise LPError
+    before any row is assembled. ``fixed_charges`` states the charges that
+    no decision variable carries; the objective offset and the report's
+    cost buckets both read it.
     """
 
     def __init__(self, config, network, series, costs, params, demand,
@@ -381,6 +379,30 @@ class BuildInputs:
         self._check_costs()
         self._check_emissions()
         self.catalog = _make_catalog(self)
+
+    def _eligible_mw(self, node) -> float:
+        """Existing capacity under the maintenance charge; nuclear leaves
+        it when the scenario excludes nuclear."""
+        eligible = node.eligible_existing_cap_mw
+        if not self.config.include_nuclear:
+            eligible -= node.nuclear_mw
+        return eligible
+
+    def fixed_charges(self, n: str) -> tuple[float, float, float]:
+        """Node ``n``'s charges outside the decision variables, in $:
+        (existing capacity and transmission, must-run hydro energy,
+        nuclear energy). The last is zero when nuclear is excluded."""
+        node = self.network.node(n)
+        costs = self.costs
+        existing = self.params.n_years * (
+            costs.ex_cap.get(n, 0.0) * self._eligible_mw(node) * 1000.0
+            + costs.ex_tx.get(n, 0.0) * node.existing_tx_flow_mwh)
+        hydro = float(np.sum(self.hydro_fix[n])) * costs.c_hydro.get(n, 0.0)
+        nuclear = 0.0
+        if self.config.include_nuclear:
+            nuclear = float(np.sum(self.series.nuclear[n])) \
+                * costs.c_nuc.get(n, 0.0)
+        return existing, hydro, nuclear
 
     # -- checks and resolution ----------------------------------------------
 
@@ -483,53 +505,47 @@ class BuildInputs:
         self.bio_nodes = tuple(sorted(self.bio_limits))
 
     def _classify(self):
-        costs, config = self.costs, self.config
-        fossil_ex, batt_nodes, batt_build, h2 = [], [], [], []
-        import_nodes, ev_nodes = [], []
+        costs = self.costs
+        # Capital family -> the nodes (interfaces, for cap_tx) that may
+        # build it: the keys of its capital-cost map.
+        self.build_keys = {
+            fam: tuple(k for k in (self.interface_keys if fam == "cap_tx"
+                                   else self.node_ids)
+                       if k in getattr(costs, cap_field))
+            for fam, cap_field, _, _ in CAPACITY}
+        if not self.config.include_h2:
+            self.build_keys["cap_h2_energy"] = ()
+            self.build_keys["cap_h2_power"] = ()
+        for what, energy, power in (
+                ("battery", "cap_battery_energy", "cap_battery_power"),
+                ("hydrogen", "cap_h2_energy", "cap_h2_power")):
+            odd = sorted(set(self.build_keys[energy])
+                         ^ set(self.build_keys[power]))
+            if odd:
+                maps = [cap for fam, cap, _, _ in CAPACITY
+                        if fam in (energy, power)]
+                raise LPError(
+                    f"node {odd[0]} appears in only one of {'/'.join(maps)}; "
+                    f"{what} build needs both capital costs"
+                )
+        self.h2_nodes = self.build_keys["cap_h2_energy"]
+        fossil_ex, batt_nodes, import_nodes, ev_nodes = [], [], [], []
         for n in self.node_ids:
             node = self.network.node(n)
             if node.gas_existing_mw > 0.0:
                 fossil_ex.append(n)
-            in_e, in_p = n in costs.cap_batt_e, n in costs.cap_batt_p
-            if in_e != in_p:
-                raise LPError(
-                    f"node {n} appears in only one of cap_batt_e/cap_batt_p; "
-                    "battery build needs both capital costs"
-                )
-            if in_e and in_p:
-                batt_build.append(n)
-            if (in_e and in_p) or node.battery_energy_existing_mwh > 0.0 \
+            if n in self.build_keys["cap_battery_energy"] \
+                    or node.battery_energy_existing_mwh > 0.0 \
                     or node.battery_power_existing_mw > 0.0:
                 batt_nodes.append(n)
-            if config.include_h2:
-                in_he, in_hp = n in costs.cap_h2_e, n in costs.cap_h2_p
-                if in_he != in_hp:
-                    raise LPError(
-                        f"node {n} appears in only one of cap_h2_e/cap_h2_p; "
-                        "hydrogen build needs both capital costs"
-                    )
-                if in_he and in_hp:
-                    h2.append(n)
             if node.import_limit_mwh > 0.0:
                 import_nodes.append(n)
             if self.demand.ev_envelopes.get(n) is not None:
                 ev_nodes.append(n)
         self.fossil_ex_nodes = tuple(fossil_ex)
-        self.fossil_build = tuple(
-            n for n in self.node_ids if n in costs.cap_ff)
-        self.onshore_build = tuple(
-            n for n in self.node_ids if n in costs.cap_on)
-        self.offshore_build = tuple(
-            n for n in self.node_ids if n in costs.cap_off)
-        self.us_solar_build = tuple(
-            n for n in self.node_ids if n in costs.cap_us_solar)
         self.battery_nodes = tuple(batt_nodes)
-        self.battery_build = tuple(batt_build)
-        self.h2_nodes = tuple(h2)
         self.import_nodes = tuple(import_nodes)
         self.ev_nodes = tuple(ev_nodes)
-        self.tx_build = tuple(
-            k for k in self.interface_keys if k in costs.cap_tx)
         windows = {tuple(self.demand.ev_envelopes[n].window)
                    for n in ev_nodes}
         if len(windows) > 1:
@@ -544,7 +560,7 @@ class BuildInputs:
         p = self.params
         if self.fossil_ex_nodes and p.eta_ff_existing <= 0.0:
             raise LPError("eta_ff_existing must be > 0")
-        if self.fossil_build and p.eta_ff_new <= 0.0:
+        if self.build_keys["cap_fossil"] and p.eta_ff_new <= 0.0:
             raise LPError("eta_ff_new must be > 0")
         if self.battery_nodes and p.eta_batt <= 0.0:
             raise LPError("eta_batt must be > 0")
@@ -593,22 +609,15 @@ class BuildInputs:
             if key not in getattr(costs, field_name):
                 raise LPError(f"missing cost {field_name}[{key}] for {why}")
 
-        omf_needs = (
-            (self.onshore_build, "omf_on", "onshore wind fixed O&M"),
-            (self.offshore_build, "omf_off", "offshore wind fixed O&M"),
-            (self.us_solar_build, "omf_us_solar", "utility solar fixed O&M"),
-            (self.fossil_build, "omf_ff", "new fossil fixed O&M"),
-            (self.battery_build, "omf_batt_e", "battery energy fixed O&M"),
-            (self.battery_build, "omf_batt_p", "battery power fixed O&M"),
-            (self.h2_nodes, "omf_h2_e", "hydrogen energy fixed O&M"),
-            (self.h2_nodes, "omf_h2_p", "hydrogen power fixed O&M"),
-        )
-        for nodes, field_name, why in omf_needs:
-            for n in nodes:
-                need(field_name, n, why)
+        for fam, _, omf_field, period in CAPACITY:
+            for key in self.build_keys[fam]:
+                need(omf_field, key, f"{fam}[{key}]")
+            if self.build_keys[fam] and period not in self.params.p_years:
+                raise LPError(
+                    f"p_years has no annualization period for {period!r}")
         for n in self.node_ids:
             node = self.network.node(n)
-            if n in self.fossil_ex_nodes or n in self.fossil_build:
+            if n in self.fossil_ex_nodes or n in self.build_keys["cap_fossil"]:
                 need("c_ff", n, "fossil fuel")
             if n in self.hydro_nodes or float(np.sum(self.hydro_fix[n])) > 0.0:
                 need("c_hydro", n, "hydro energy")
@@ -619,26 +628,10 @@ class BuildInputs:
                 need("c_bio", n, "biofuel energy")
             if n in self.import_nodes:
                 need("c_imp", n, "imported energy")
-            eligible = node.eligible_existing_cap_mw
-            if not self.config.include_nuclear:
-                eligible -= node.nuclear_mw
-            if eligible > 0.0:
+            if self._eligible_mw(node) > 0.0:
                 need("ex_cap", n, "existing-capacity maintenance")
             if node.existing_tx_flow_mwh > 0.0:
                 need("ex_tx", n, "existing-transmission charges")
-        for key in self.tx_build:
-            need("omf_tx", key, "transmission fixed O&M")
-        if (self.onshore_build or self.offshore_build or self.us_solar_build
-                or self.fossil_build):
-            self._need_period("generation")
-        if self.battery_build or self.h2_nodes:
-            self._need_period("storage")
-        if self.tx_build:
-            self._need_period("transmission")
-
-    def _need_period(self, kind: str):
-        if kind not in self.params.p_years:
-            raise LPError(f"p_years has no annualization period for {kind!r}")
 
     def _check_emissions(self):
         if self.config.omega is None:
@@ -759,6 +752,14 @@ def _hourly_names(family: str, key, n_hours: int) -> list[str]:
     return [f"{family}[{key},{t}]" for t in range(n_hours)]
 
 
+# wind and utility solar: name -> (capacity family, NodeSpec field of the
+# existing capacity, TimeSeriesSet field of the hourly capacity factor)
+VRE = {
+    "onshore": ("cap_onshore", "onshore_existing_mw", "w_on"),
+    "offshore": ("cap_offshore", "offshore_existing_mw", "w_off"),
+    "us-solar": ("cap_us_solar", "us_solar_existing_mw", "w_us_solar"),
+}
+
 _BALANCE_SIGNS = (
     ("fossil_ex", 1.0),
     ("fossil_new", 1.0),
@@ -790,14 +791,10 @@ def add_energy_balance(builder: LPBuilder, inp: BuildInputs) -> None:
 
     for n in inp.node_ids:
         node = inp.network.node(n)
-        rhs = (
-            np.asarray(series.d_elec[n], dtype=float)
-            - inp.hydro_fix[n]
-            - dem.x_btm_mw[n] * series.w_btm_solar[n]
-            - node.onshore_existing_mw * series.w_on[n]
-            - node.offshore_existing_mw * series.w_off[n]
-            - node.us_solar_existing_mw * series.w_us_solar[n]
-        )
+        rhs = (np.asarray(series.d_elec[n], dtype=float) - inp.hydro_fix[n]
+               - dem.x_btm_mw[n] * series.w_btm_solar[n])
+        for _, existing, weather in VRE.values():
+            rhs = rhs - getattr(node, existing) * getattr(series, weather)[n]
         if inp.config.include_nuclear:
             rhs = rhs - series.nuclear[n]
         if not inp.free_p:
@@ -808,12 +805,10 @@ def add_energy_balance(builder: LPBuilder, inp: BuildInputs) -> None:
             cols = cat.cols(fam, n)
             if cols is not None:
                 builder.add_terms(rows, cols, sign)
-        for fam, w in (("cap_onshore", series.w_on[n]),
-                       ("cap_offshore", series.w_off[n]),
-                       ("cap_us_solar", series.w_us_solar[n])):
+        for fam, _, weather in VRE.values():
             j = cat.col(fam, n)
             if j is not None:
-                builder.add_terms(rows, j, w)
+                builder.add_terms(rows, j, getattr(series, weather)[n])
         ev = cat.cols("ev_flex", n)
         if ev is not None:
             builder.add_terms(rows[ev_hours], ev, -1.0)
@@ -844,7 +839,7 @@ def add_fossil_constraints(builder: LPBuilder, inp: BuildInputs) -> None:
             builder.set_upper(cat.cols("fossil_ex", n),
                               node.gas_existing_mw / (1.0 + sigma),
                               "reserve-existing")
-        if n in inp.fossil_build:
+        if n in inp.build_keys["cap_fossil"]:
             rows = builder.add_rows(_hourly_names("reserve_new", n, T), LE,
                                     0.0, "reserve-new")
             builder.add_terms(rows, cat.cols("fossil_new", n), 1.0 + sigma)
@@ -885,17 +880,17 @@ def add_resource_caps(builder: LPBuilder, inp: BuildInputs) -> None:
     wind shares one regional budget row net of everything already standing.
     """
     cat = builder.catalog
-    for n in inp.onshore_build:
+    for n in inp.build_keys["cap_onshore"]:
         node = inp.network.node(n)
         ub = _headroom(node.onshore_max_mw, node.onshore_existing_mw,
                        "onshore wind", n)
         builder.set_upper(cat.col("cap_onshore", n), ub, "resource-onshore")
-    for n in inp.us_solar_build:
+    for n in inp.build_keys["cap_us_solar"]:
         node = inp.network.node(n)
         ub = _headroom(node.us_solar_max_mw, node.us_solar_existing_mw,
                        "utility solar", n)
         builder.set_upper(cat.col("cap_us_solar", n), ub, "resource-us-solar")
-    if inp.offshore_build:
+    if inp.build_keys["cap_offshore"]:
         existing = sum(inp.network.node(n).offshore_existing_mw
                        for n in inp.node_ids)
         total = inp.network.offshore_cap_total_mw
@@ -943,7 +938,8 @@ def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
     capacity and no sizing couple.
     """
     if kind == "battery":
-        nodes, build_set = inp.battery_nodes, frozenset(inp.battery_build)
+        nodes = inp.battery_nodes
+        build_set = frozenset(inp.build_keys["cap_battery_energy"])
         eta, prefix, tag = inp.params.eta_batt, "batt", "battery"
         cap_e_fam, cap_p_fam = "cap_battery_energy", "cap_battery_power"
     elif kind == "hydrogen":
@@ -1154,41 +1150,19 @@ def build_objective(builder: LPBuilder, inp: BuildInputs) -> None:
     params = inp.params
     obj = builder.objective
     cat = builder.catalog
-    rate_j = params.interest_rate
-
-    def cap_coeff(cap_per_kw: float, omf_per_kw: float, kind: str) -> float:
-        rate = annualization_rate(params.p_years[kind], rate_j)
-        return params.n_years * (rate * cap_per_kw * 1000.0
-                                 + omf_per_kw * 1000.0)
-
-    capacity_families = (
-        ("cap_onshore", inp.onshore_build, costs.cap_on, costs.omf_on,
-         "generation"),
-        ("cap_offshore", inp.offshore_build, costs.cap_off, costs.omf_off,
-         "generation"),
-        ("cap_us_solar", inp.us_solar_build, costs.cap_us_solar,
-         costs.omf_us_solar, "generation"),
-        ("cap_fossil", inp.fossil_build, costs.cap_ff, costs.omf_ff,
-         "generation"),
-        ("cap_battery_energy", inp.battery_build, costs.cap_batt_e,
-         costs.omf_batt_e, "storage"),
-        ("cap_battery_power", inp.battery_build, costs.cap_batt_p,
-         costs.omf_batt_p, "storage"),
-        ("cap_h2_energy", inp.h2_nodes, costs.cap_h2_e, costs.omf_h2_e,
-         "storage"),
-        ("cap_h2_power", inp.h2_nodes, costs.cap_h2_p, costs.omf_h2_p,
-         "storage"),
-    )
-    for fam, nodes, cap_map, omf_map, kind in capacity_families:
-        for n in nodes:
-            obj[cat.col(fam, n)] = cap_coeff(cap_map[n], omf_map[n], kind)
-    for key in inp.tx_build:
-        iface = inp.iface_by_key[key]
-        rate = annualization_rate(params.p_years["transmission"], rate_j)
-        obj[cat.col("cap_tx", key)] = params.n_years * (
-            rate * costs.cap_tx[key] * iface.distance_mi * 1000.0
-            + costs.omf_tx[key]
-        )
+    for fam, cap_field, omf_field, period in CAPACITY:
+        for key in inp.build_keys[fam]:
+            rate = annualization_rate(params.p_years[period],
+                                      params.interest_rate)
+            cap = getattr(costs, cap_field)[key]
+            omf = getattr(costs, omf_field)[key]
+            if fam == "cap_tx":
+                # capital per kW-mile, fixed O&M per MW
+                coeff = (rate * cap * inp.iface_by_key[key].distance_mi
+                         * 1000.0 + omf)
+            else:
+                coeff = rate * cap * 1000.0 + omf * 1000.0
+            obj[cat.col(fam, key)] = params.n_years * coeff
 
     def price_hours(fam: str, n: str, price: float) -> None:
         obj[cat.cols(fam, n)] = price
@@ -1198,7 +1172,7 @@ def build_objective(builder: LPBuilder, inp: BuildInputs) -> None:
                 / params.eta_ff_existing)
         price_hours("fossil_ex", n, fuel)
         price_hours("ramp_ex", n, costs.c_existing_ramp)
-    for n in inp.fossil_build:
+    for n in inp.build_keys["cap_fossil"]:
         fuel = (HEAT_RATE_MMBTU_PER_MWH * costs.c_ff[n] / params.eta_ff_new
                 + costs.omv_ff)
         price_hours("fossil_new", n, fuel)
@@ -1219,18 +1193,8 @@ def build_objective(builder: LPBuilder, inp: BuildInputs) -> None:
 
     offset = 0.0
     for n in inp.node_ids:
-        node = inp.network.node(n)
-        eligible = node.eligible_existing_cap_mw
-        if not inp.config.include_nuclear:
-            eligible -= node.nuclear_mw
-        offset += params.n_years * (
-            costs.ex_cap.get(n, 0.0) * eligible * 1000.0
-            + costs.ex_tx.get(n, 0.0) * node.existing_tx_flow_mwh
-        )
-        offset += float(np.sum(inp.hydro_fix[n])) * costs.c_hydro.get(n, 0.0)
-        if inp.config.include_nuclear:
-            offset += float(np.sum(inp.series.nuclear[n])) * costs.c_nuc.get(
-                n, 0.0)
+        for charge in inp.fixed_charges(n):
+            offset += charge
     builder.offset = offset
 
 

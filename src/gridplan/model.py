@@ -1,4 +1,5 @@
-"""Shared domain types, validation, and the capital-annualization primitive.
+"""Shared domain types, the capacity table, validation, and the
+capital-annualization primitive.
 
 Everything here is an immutable value type: construction either succeeds and
 yields an object safe to share across threads, or raises ``ValueError``.
@@ -77,27 +78,6 @@ class NodeSpec:
             + self.gas_existing_mw
             + self.biofuel_mw
         )
-
-    _CAPACITY_FIELDS = (
-        "onshore_existing_mw",
-        "offshore_existing_mw",
-        "us_solar_existing_mw",
-        "btm_solar_existing_mw",
-        "gas_existing_mw",
-        "hydro_fixed_mw",
-        "hydro_flex_mw",
-        "hydro_flex_hourly_max_mwh",
-        "nuclear_mw",
-        "nuclear_gen_mwh_per_h",
-        "biofuel_mw",
-        "biofuel_daily_mwh",
-        "battery_energy_existing_mwh",
-        "battery_power_existing_mw",
-        "import_limit_mwh",
-        "onshore_max_mw",
-        "us_solar_max_mw",
-        "existing_tx_flow_mwh",
-    )
 
 
 @dataclass(frozen=True)
@@ -185,18 +165,21 @@ class CostTable:
     nominal_storage_charge: float = 0.01
     nominal_tx_charge: float = 0.01
 
-    _PER_NODE_FIELDS = (
-        "cap_on", "cap_off", "cap_us_solar", "cap_batt_e", "cap_batt_p",
-        "cap_h2_e", "cap_h2_p", "cap_ff", "omf_on", "omf_off",
-        "omf_us_solar", "omf_batt_e", "omf_batt_p", "omf_h2_e", "omf_h2_p",
-        "omf_ff", "c_ff", "c_hydro", "c_nuc", "c_bio", "c_imp", "ex_cap",
-        "ex_tx",
-    )
-    _PER_IFACE_FIELDS = ("cap_tx", "omf_tx")
-    _SCALAR_FIELDS = (
-        "omv_ff", "c_existing_ramp", "c_new_ramp",
-        "nominal_storage_charge", "nominal_tx_charge",
-    )
+
+#: One row per capital family: (LP column family, CostTable capital-cost
+#: map, fixed-O&M map, TechParams.p_years class). A key (node or interface)
+#: in the capital-cost map may build the family.
+CAPACITY = (
+    ("cap_onshore", "cap_on", "omf_on", "generation"),
+    ("cap_offshore", "cap_off", "omf_off", "generation"),
+    ("cap_us_solar", "cap_us_solar", "omf_us_solar", "generation"),
+    ("cap_fossil", "cap_ff", "omf_ff", "generation"),
+    ("cap_battery_energy", "cap_batt_e", "omf_batt_e", "storage"),
+    ("cap_battery_power", "cap_batt_p", "omf_batt_p", "storage"),
+    ("cap_h2_energy", "cap_h2_e", "omf_h2_e", "storage"),
+    ("cap_h2_power", "cap_h2_p", "omf_h2_p", "storage"),
+    ("cap_tx", "cap_tx", "omf_tx", "transmission"),
+)
 
 
 @dataclass(frozen=True)
@@ -449,9 +432,10 @@ def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
         v.append("negative regional offshore capacity limit")
 
     for node in network.nodes:
-        for name in NodeSpec._CAPACITY_FIELDS:
-            if getattr(node, name) < 0.0:
-                v.append(f"node {node.id}: negative {name}")
+        for f in fields(node):
+            if f.name not in ("id", "btm_fraction") \
+                    and getattr(node, f.name) < 0.0:
+                v.append(f"node {node.id}: negative {f.name}")
         if node.hydro_flex_hourly_max_mwh > 0.0 and node.hydro_flex_mw == 0.0:
             v.append(
                 f"node {node.id}: flexible-hydro hourly cap set with no "
@@ -472,24 +456,15 @@ def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
     _series_report(v, "h_flex_daily", series.h_flex_daily, ids, n_hours,
                    length=n_days)
 
-    for name in CostTable._PER_NODE_FIELDS:
-        for node, value in getattr(costs, name).items():
-            if value < 0.0:
-                v.append(f"cost {name}[{node}] is negative")
-    for name in CostTable._PER_IFACE_FIELDS:
-        for key, value in getattr(costs, name).items():
-            if value < 0.0:
-                v.append(f"cost {name}[{key}] is negative")
-    for name in CostTable._SCALAR_FIELDS:
-        if getattr(costs, name) < 0.0:
-            v.append(f"cost {name} is negative")
-    for cap_name, omf_name in (
-        ("cap_on", "omf_on"), ("cap_off", "omf_off"),
-        ("cap_us_solar", "omf_us_solar"), ("cap_batt_e", "omf_batt_e"),
-        ("cap_batt_p", "omf_batt_p"), ("cap_h2_e", "omf_h2_e"),
-        ("cap_h2_p", "omf_h2_p"), ("cap_ff", "omf_ff"),
-        ("cap_tx", "omf_tx"),
-    ):
+    for f in fields(costs):
+        value = getattr(costs, f.name)
+        if isinstance(value, Mapping):
+            for key, cost in value.items():
+                if cost < 0.0:
+                    v.append(f"cost {f.name}[{key}] is negative")
+        elif value < 0.0:
+            v.append(f"cost {f.name} is negative")
+    for _, cap_name, omf_name, _ in CAPACITY:
         missing = set(getattr(costs, cap_name)) - set(getattr(costs, omf_name))
         for key in sorted(missing):
             v.append(f"{cap_name}[{key}] has no matching {omf_name} entry")

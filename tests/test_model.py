@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 from gridplan.model import (
-    CostTable,
     NetworkSpec,
-    NodeSpec,
     InterfaceSpec,
     ScenarioConfig,
-    TechParams,
-    TimeSeriesSet,
     annualization_rate,
     validate,
 )

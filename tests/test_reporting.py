@@ -495,6 +495,34 @@ class TestBatteryScenario:
 
 
 # --------------------------------------------------------------------------
+# fixed charges
+
+
+def test_excluded_nuclear_leaves_the_fixed_charges():
+    """With nuclear excluded, its capacity leaves the existing-capacity
+    charge and its energy is not charged: the objective offset and the
+    reported cost buckets both match the charge computed by hand."""
+    net = one_node(gas_existing_mw=300.0, hydro_fixed_mw=40.0,
+                   nuclear_mw=200.0, nuclear_gen_mwh_per_h=150.0,
+                   existing_tx_flow_mwh=1000.0)
+    series = series_for(net, T24, d_elec=100.0, h_fix=30.0, nuclear=150.0)
+    costs = costs_for(ex_cap={"n": 27.64}, ex_tx={"n": 1.5})
+    config = ScenarioConfig(mode="lcp+hve", lcp=0.0, p_heat=0.0, p_veh=0.0,
+                            include_nuclear=False)
+    inp, lp, sol = scenario(config, net, series, costs, PARAMS_24)
+    # eligible MW: hydro and gas, without the 200 MW of nuclear
+    existing = PARAMS_24.n_years * (27.64 * (40.0 + 300.0) * 1000.0
+                                    + 1.5 * 1000.0)
+    hydro = T24 * 30.0 * 18.47
+    assert lp.offset == pytest.approx(existing + hydro, rel=1e-12)
+    report = summarize(inp, lp, sol)
+    assert report.cost_usd["nuclear"] == 0.0
+    assert report.cost_usd["existing-capacity"] == pytest.approx(
+        existing, rel=1e-12)
+    assert report.cost_usd["hydro"] == pytest.approx(hydro, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
 # emissions-constrained scenarios
 
 

@@ -11,10 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridplan
+from gridplan.demand import btm_statewide_mw
 from gridplan.model import (
     CostTable,
     NetworkSpec,
@@ -47,6 +51,7 @@ from gridplan.solver import SolveOptions
 
 T = 24
 PARAMS = TechParams(n_years=T / 8760.0)
+FIXTURE = Path(gridplan.__file__).parent / "data" / "two_node_48h"
 
 
 def _flat(net, value):
@@ -105,6 +110,34 @@ def micro_bundle(tmp_path_factory):
 def fossil_bundle(tmp_path_factory):
     path = tmp_path_factory.mktemp("bundle") / "fossil"
     save_bundle(path, *micro_system(wind=False))
+    return path
+
+
+def btm_system(fractions, d_elec):
+    """Nodes a and b with a flat load, existing gas, a flat behind-the-meter
+    solar factor, and the given shares of statewide BTM capacity."""
+    net = NetworkSpec(nodes=[
+        NodeSpec(id=n, gas_existing_mw=2.0 * d_elec, btm_fraction=f)
+        for n, f in zip("ab", fractions)])
+    zero = _flat(net, 0.0)
+    series = TimeSeriesSet(
+        d_elec=_flat(net, d_elec), d_heat_full=zero, d_veh_full=zero,
+        w_on=zero, w_off=zero, w_us_solar=zero,
+        w_btm_solar=_flat(net, 0.2), h_fix=zero, nuclear=zero)
+    costs = CostTable(c_ff={"a": 3.5, "b": 3.5},
+                      ex_cap={"a": 27.64, "b": 27.64})
+    return net, series, costs, PARAMS
+
+
+def fixture_copy(tmp_path, edit):
+    """A copy of the shipped fixture bundle whose bundle.json payload
+    ``edit`` has changed in place."""
+    path = tmp_path / "bundle"
+    shutil.copytree(FIXTURE, path)
+    manifest = path / "bundle.json"
+    payload = json.loads(manifest.read_text())
+    edit(payload)
+    manifest.write_text(json.dumps(payload))
     return path
 
 
@@ -299,6 +332,16 @@ class TestRunScenario:
         assert "ENDATA" in text
         assert not (out / "report.csv").exists()
 
+    def test_export_rejects_a_solution_file(self, micro_bundle, tmp_path):
+        sol_file = tmp_path / "solution.txt"
+        sol_file.write_text("")
+        out = tmp_path / "out"
+        with pytest.raises(RunnerError, match="solver is export"):
+            run_scenario(micro_bundle, lcp_config(0.4, 0.0),
+                         solver="export", out_dir=out,
+                         solution_file=sol_file)
+        assert not out.exists()
+
     def test_imported_solution_reproduces_builtin_report(
             self, micro_bundle, tmp_path):
         baseline = run_scenario(micro_bundle, lcp_config(0.4, 0.0))
@@ -328,6 +371,45 @@ class TestRunScenario:
         assert result.exit_code == EXIT_INFEASIBLE
         assert result.report is None
         assert name in result.message
+
+
+class TestBtmYear:
+    CONFIG = {"mode": "lcp+hve", "lcp": 0.0, "p_heat": 0.0, "p_veh": 0.0,
+              "btm_year": 2030}
+
+    def test_capacity_is_the_statewide_projection(self, tmp_path):
+        path = tmp_path / "btm"
+        save_bundle(path, *btm_system((0.6, 0.4), d_elec=5000.0))
+        result = run_scenario(path, load_config(self.CONFIG))
+        assert result.exit_code == EXIT_OK
+        assert result.report.capacity["btm-solar"] == pytest.approx(
+            btm_statewide_mw(2030) / 1000.0, rel=1e-12)
+
+    def test_fractions_must_sum_to_one(self, tmp_path, capsys):
+        path = tmp_path / "btm"
+        save_bundle(path, *btm_system((0.6, 0.3), d_elec=5000.0))
+        code = main(["run", "--inputs", str(path), "--config",
+                     write_config(tmp_path, self.CONFIG)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.err.startswith(
+            "demand: nodal fractions must sum to 1")
+        assert captured.err.count("\n") == 1
+
+    def test_btm_beyond_the_load_fails_at_summarize(self, tmp_path, capsys):
+        # 6.6 GW of BTM solar at a 0.2 factor outruns a 2 x 100 MW load, so
+        # the solve succeeds but no levelized cost is defined.
+        path = tmp_path / "btm"
+        save_bundle(path, *btm_system((0.6, 0.4), d_elec=100.0))
+        out = tmp_path / "out"
+        code = main(["run", "--inputs", str(path), "--config",
+                     write_config(tmp_path, self.CONFIG), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith(
+            "summarize: net demand must be positive")
+        record = json.loads((out / "report.json").read_text())
+        assert record["stage"] == "summarize"
 
 
 # --------------------------------------------------------------------------
@@ -560,6 +642,51 @@ class TestCli:
                      config, "--solver", "export", "--out", str(out)])
         assert code == EXIT_OK
         assert (out / "model.mps").is_file()
+
+    def test_run_export_rejects_solution(self, micro_bundle, tmp_path,
+                                         capsys):
+        config = write_config(tmp_path, {"mode": "lcp+hve", "lcp": 0.4,
+                                         "p_heat": 0.0, "p_veh": 0.0})
+        sol_file = tmp_path / "solution.txt"
+        sol_file.write_text("")
+        out = tmp_path / "out"
+        code = main(["run", "--inputs", str(micro_bundle), "--config",
+                     config, "--solver", "export", "--solution",
+                     str(sol_file), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not (out / "model.mps").exists()
+
+    def test_run_missing_solution_file(self, micro_bundle, tmp_path, capsys):
+        config = write_config(tmp_path, {"mode": "lcp+hve", "lcp": 0.4,
+                                         "p_heat": 0.0, "p_veh": 0.0})
+        missing = tmp_path / "nonexistent.txt"
+        code = main(["run", "--inputs", str(micro_bundle), "--config",
+                     config, "--solution", str(missing)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("solve: ")
+        assert captured.err.count("\n") == 1
+        assert str(missing) in captured.err
+
+    def test_validate_passes_what_run_rejects(self, tmp_path, capsys):
+        # validate checks the cost maps' entries, not which entries the
+        # network's existing capacity needs; BuildInputs does.
+        bundle = fixture_copy(
+            tmp_path, lambda payload: payload["costs"]["ex_cap"].pop("a"))
+        assert main(["validate", "--inputs", str(bundle)]) == EXIT_OK
+        assert capsys.readouterr().out == "ok: 2 nodes, 48 hours\n"
+        code = main(["run", "--inputs", str(bundle), "--config",
+                     str(FIXTURE / "scenario.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert captured.err == ("resources: missing cost ex_cap[a] for "
+                                "existing-capacity maintenance\n")
 
     def test_sweep_command(self, micro_bundle, tmp_path):
         out = tmp_path / "out"

@@ -22,7 +22,7 @@ from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
                                   LPInstance, assemble)
 from gridplan.runner import load_bundle, load_config
-from gridplan.solver import SolveOptions, Solution, _Simplex, solve
+from gridplan.solver import SolveOptions, _Simplex, solve
 from helpers import dense_matrix, make_lp
 from test_acceptance import demo_config
 
@@ -229,7 +229,9 @@ def two_row_lp(indices, data, sense=LE, rhs=1.0):
 
 class TestValidate:
     def test_sound_instance_passes(self):
-        two_row_lp([1], [2.0]).validate()
+        # construction validates, so building it is the check
+        lp = two_row_lp([1], [2.0])
+        assert (lp.n_rows, lp.n_cols) == (2, 2)
 
     @pytest.mark.parametrize("indices, data, sense, rhs, message", [
         ([2], [1.0], LE, 1.0, "references unknown column"),
@@ -245,6 +247,30 @@ class TestValidate:
     def test_error_names_the_row(self, indices, data, sense, rhs, message):
         with pytest.raises(LPError, match=f"row 'bad'.*{re.escape(message)}"):
             two_row_lp(indices, data, sense, rhs)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"objective": np.zeros(3)}, "objective has shape (3,), expected (2,)"),
+        ({"row_names": ["r", "s"]}, "one name required per column and per row"),
+        ({"col_names": ["x", "x"]}, "column names must be unique"),
+        ({"objective": [0.0, np.inf]}, "objective has non-finite coefficients"),
+        ({"offset": np.nan}, "objective offset must be finite"),
+        ({"lower": [0.0, -np.inf]}, "lower bounds must be finite"),
+        ({"upper": [np.nan, 1.0]}, "upper bounds must be finite or +inf"),
+        ({"upper": [-np.inf, 1.0]}, "upper bounds must be finite or +inf"),
+        ({"lower": [0.0, 2.0], "upper": [1.0, 1.0]},
+         "column 'x1': lower 2.0 exceeds upper 1.0"),
+    ], ids=["shape", "name-count", "duplicate-columns", "objective-inf",
+            "offset-nan", "lower-inf", "upper-nan", "upper-minus-inf",
+            "lower-above-upper"])
+    def test_construction_errors(self, change, message):
+        sound = dict(
+            n_cols=2, objective=np.zeros(2), indptr=[0, 1], indices=[0],
+            data=[1.0], sense=[LE], rhs=[1.0], row_names=["r"],
+            row_tags=[""], lower=np.zeros(2), upper=np.full(2, np.inf),
+            col_names=["x0", "x1"])
+        LPInstance(**sound)
+        with pytest.raises(LPError, match=re.escape(message)):
+            LPInstance(**{**sound, **change})
 
     def test_malformed_csr_arrays(self):
         with pytest.raises(LPError, match="CSR"):
