@@ -11,6 +11,7 @@ from typing import Mapping
 import numpy as np
 
 from gridplan.model import (
+    FRACTION_SUM_TOL,
     HOURS_PER_DAY,
     NetworkSpec,
     ScenarioConfig,
@@ -19,8 +20,6 @@ from gridplan.model import (
 )
 
 LOGGER = logging.getLogger(__name__)
-
-_FRACTION_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def btm_capacity(
 ) -> dict[str, float]:
     """Distribute the statewide projection across nodes by fixed fractions."""
     total_frac = sum(nodal_fractions.values())
-    if abs(total_frac - 1.0) > _FRACTION_SUM_TOL:
+    if abs(total_frac - 1.0) > FRACTION_SUM_TOL:
         raise ValueError(f"nodal fractions must sum to 1, got {total_frac}")
     statewide = btm_statewide_mw(year, growth)
     return {node: frac * statewide for node, frac in nodal_fractions.items()}
@@ -207,7 +206,6 @@ def synthesize_demand(
 ) -> DemandBundle:
     """Assemble the scenario's electrified demand from the input series."""
     free_p = config.mode == "ghg+lcp"
-    n_hours = series.n_hours
 
     if config.btm_year is not None:
         fractions = {n.id: n.btm_fraction for n in network.nodes}
@@ -230,11 +228,6 @@ def synthesize_demand(
         d_heat[node.id] = scale_heating(p_h, series.d_heat_full[node.id])
 
         if config.ev_flex is None:
-            if series.d_veh_full is None:
-                raise ValueError(
-                    "fixed EV mode needs an hourly full-electrification "
-                    "vehicle series"
-                )
             d_veh_fix[node.id] = scale_vehicles(p_v, series.d_veh_full[node.id])
             envelopes[node.id] = None
             continue
@@ -242,19 +235,8 @@ def synthesize_demand(
         ev = config.ev_flex
         if series.e_veh_daily_full is not None:
             daily_full = np.asarray(series.e_veh_daily_full[node.id], float)
-        elif series.d_veh_full is not None:
-            daily_full = _daily_totals(np.asarray(series.d_veh_full[node.id]))
         else:
-            raise ValueError(
-                "flexible EV mode needs a daily (or hourly) "
-                "full-electrification vehicle series"
-            )
-        if len(daily_full) * HOURS_PER_DAY != n_hours:
-            raise ValueError(
-                f"daily vehicle series for node {node.id} has "
-                f"{len(daily_full)} days but the horizon has "
-                f"{n_hours // HOURS_PER_DAY}"
-            )
+            daily_full = _daily_totals(np.asarray(series.d_veh_full[node.id]))
         daily = scale_vehicles(p_v, daily_full)
         flex_daily = np.empty_like(daily)
         fix_daily = np.empty_like(daily)
@@ -267,6 +249,18 @@ def synthesize_demand(
             flex_daily, params.eta_veh, ev.h_min, (ev.h_start, ev.h_end)
         )
 
+    # Net demand, which levels every cost, stays positive only if the
+    # largest load the scenario allows (rates at 1 when free) beats BTM.
+    load = sum(float(np.sum(series.d_elec[n]) + np.sum(d_heat[n])
+                     + np.sum(d_veh_fix[n])) for n in d_heat) + sum(
+        float(np.sum(env.required_mwh)) for env in envelopes.values()
+        if env is not None)
+    btm = sum(x_btm[n.id] * float(np.sum(series.w_btm_solar[n.id]))
+              for n in network.nodes)
+    if load <= btm:
+        raise ValueError(
+            f"behind-the-meter solar output of {btm:.6g} MWh is at least "
+            f"the largest load of {load:.6g} MWh that the scenario allows")
     return DemandBundle(
         d_heat=d_heat,
         d_veh_fix=d_veh_fix,

@@ -26,6 +26,9 @@ from gridplan.model import (
     HEAT_RATE_MMBTU_PER_MWH,
     HOURS_PER_DAY,
     annualization_rate,
+    build_keys,
+    flex_hydro,
+    requirements,
 )
 from gridplan.resources import BiofuelLimits
 
@@ -334,15 +337,22 @@ class BuildInputs:
     Resolves hydro and biofuel operating limits (explicit overrides win over
     series and node defaults), decides which nodes own which variable
     families (``build_keys`` for the capital families of
-    ``model.CAPACITY``), verifies that every priced activity has a cost
-    entry, and derives the variable catalog. All failures raise LPError
-    before any row is assembled. ``fixed_charges`` states the charges that
+    ``model.CAPACITY``), and derives the variable catalog. It raises one
+    LPError joining every violation of ``model.requirements`` (so every
+    priced activity has a cost entry), and raises on what only it sees:
+    override keys, the demand bundle's alignment and the daily structures,
+    all before any row is assembled. ``fixed_charges`` states the charges that
     no decision variable carries; the objective offset and the report's
     cost buckets both read it.
     """
 
     def __init__(self, config, network, series, costs, params, demand,
                  hydro=None, biofuel=None, emissions=None):
+        hydro, biofuel = dict(hydro or {}), dict(biofuel or {})
+        problems = requirements(network, series, costs, params, config,
+                                hydro=hydro, biofuel=biofuel)
+        if problems:
+            raise LPError("; ".join(problems))
         self.config = config
         self.network = network
         self.series = series
@@ -355,8 +365,6 @@ class BuildInputs:
         self.n_hours = int(series.n_hours)
 
         self.iface_by_key = {iface.key: iface for iface in network.interfaces}
-        if len(self.iface_by_key) != len(network.interfaces):
-            raise LPError("duplicate interface keys in the network")
         self.interface_keys = tuple(sorted(self.iface_by_key))
         # Each interface carries a forward ("a>b") and a reverse ("b>a")
         # flow; per node, the directions that deliver to it and draw on it.
@@ -370,23 +378,21 @@ class BuildInputs:
                 self.outflow[sender].append(f"{sender}>{receiver}")
                 self.inflow[receiver].append(f"{sender}>{receiver}")
 
-        self._check_series()
-        self._check_params()
-        self._resolve_hydro(dict(hydro or {}))
-        self._resolve_biofuel(dict(biofuel or {}))
+        for label, mapping in (("d_heat", demand.d_heat),
+                               ("d_veh_fix", demand.d_veh_fix)):
+            for n in self.node_ids:
+                arr = mapping.get(n)
+                if arr is None or len(arr) != self.n_hours:
+                    raise LPError(
+                        f"demand bundle {label} missing or misaligned "
+                        f"for node {n}"
+                    )
+        self._resolve_hydro(hydro)
+        self._resolve_biofuel(biofuel)
         self._classify()
         self._check_daily_alignment()
-        self._check_costs()
         self._check_emissions()
         self.catalog = _make_catalog(self)
-
-    def _eligible_mw(self, node) -> float:
-        """Existing capacity under the maintenance charge; nuclear leaves
-        it when the scenario excludes nuclear."""
-        eligible = node.eligible_existing_cap_mw
-        if not self.config.include_nuclear:
-            eligible -= node.nuclear_mw
-        return eligible
 
     def fixed_charges(self, n: str) -> tuple[float, float, float]:
         """Node ``n``'s charges outside the decision variables, in $:
@@ -395,7 +401,8 @@ class BuildInputs:
         node = self.network.node(n)
         costs = self.costs
         existing = self.params.n_years * (
-            costs.ex_cap.get(n, 0.0) * self._eligible_mw(node) * 1000.0
+            costs.ex_cap.get(n, 0.0)
+            * node.charged_mw(self.config.include_nuclear) * 1000.0
             + costs.ex_tx.get(n, 0.0) * node.existing_tx_flow_mwh)
         hydro = float(np.sum(self.hydro_fix[n])) * costs.c_hydro.get(n, 0.0)
         nuclear = 0.0
@@ -404,45 +411,7 @@ class BuildInputs:
                 * costs.c_nuc.get(n, 0.0)
         return existing, hydro, nuclear
 
-    # -- checks and resolution ----------------------------------------------
-
-    def _check_series(self):
-        T = self.n_hours
-        required = ("d_elec", "d_heat_full", "w_on", "w_off", "w_us_solar",
-                    "w_btm_solar", "h_fix", "nuclear")
-        for name in required:
-            mapping = getattr(self.series, name)
-            for n in self.node_ids:
-                arr = mapping.get(n)
-                if arr is None:
-                    raise LPError(f"series {name} missing for node {n}")
-                if len(arr) != T:
-                    raise LPError(
-                        f"series {name}[{n}] has {len(arr)} hours, "
-                        f"expected {T}"
-                    )
-        for label, mapping in (("d_heat", self.demand.d_heat),
-                               ("d_veh_fix", self.demand.d_veh_fix)):
-            for n in self.node_ids:
-                arr = mapping.get(n)
-                if arr is None or len(arr) != T:
-                    raise LPError(
-                        f"demand bundle {label} missing or misaligned "
-                        f"for node {n}"
-                    )
-
-    def _check_params(self):
-        p = self.params
-        if p.reserve_margin < 0.0:
-            raise LPError("reserve margin must be >= 0")
-        if p.phi_batt_min > p.phi_batt_max:
-            raise LPError("phi_batt_min exceeds phi_batt_max")
-        if p.phi_batt_min < 0.0:
-            raise LPError("phi_batt_min must be >= 0")
-        if not 0.0 <= p.tx_loss < 1.0:
-            raise LPError("transmission loss must be in [0, 1)")
-        if p.n_years <= 0.0:
-            raise LPError("n_years must be > 0")
+    # -- resolution and the checks only the resolved inputs allow -----------
 
     def _resolve_hydro(self, overrides):
         for key in overrides:
@@ -457,12 +426,11 @@ class BuildInputs:
             prof = overrides.get(n)
             if prof is not None:
                 fix = np.asarray(prof.h_fix_hourly, dtype=float)
-                daily = np.asarray(prof.h_flex_daily, dtype=float)
+                daily = prof.h_flex_daily
                 hourly_max = float(prof.hourly_max_mwh)
             else:
                 fix = np.asarray(self.series.h_fix[n], dtype=float)
-                raw = (self.series.h_flex_daily or {}).get(n)
-                daily = None if raw is None else np.asarray(raw, dtype=float)
+                daily = (self.series.h_flex_daily or {}).get(n)
                 hourly_max = float(node.hydro_flex_hourly_max_mwh)
             if len(fix) != self.n_hours:
                 raise LPError(
@@ -470,16 +438,9 @@ class BuildInputs:
                     f"expected {self.n_hours}"
                 )
             self.hydro_fix[n] = fix
-            has_flex = prof is not None or node.hydro_flex_mw > 0.0 or (
-                daily is not None and float(np.max(daily, initial=0.0)) > 0.0)
-            if has_flex and daily is None:
-                raise LPError(
-                    f"node {n} has flexible hydro capacity but no daily "
-                    "energy series"
-                )
-            if has_flex:
+            if prof is not None or flex_hydro(node, self.series):
                 flex_nodes.append(n)
-                self.hydro_daily[n] = daily
+                self.hydro_daily[n] = np.asarray(daily, dtype=float)
                 self.hydro_hourly_max[n] = hourly_max
         self.hydro_nodes = tuple(flex_nodes)
 
@@ -491,8 +452,7 @@ class BuildInputs:
         for n in self.node_ids:
             node = self.network.node(n)
             lim = overrides.get(n)
-            if lim is None and (node.biofuel_mw > 0.0
-                                or node.biofuel_daily_mwh > 0.0):
+            if lim is None and node.burns_biofuel:
                 lim = BiofuelLimits(
                     daily_mwh=float(node.biofuel_daily_mwh),
                     hourly_max_mwh=float(node.biofuel_mw),
@@ -505,29 +465,8 @@ class BuildInputs:
         self.bio_nodes = tuple(sorted(self.bio_limits))
 
     def _classify(self):
-        costs = self.costs
-        # Capital family -> the nodes (interfaces, for cap_tx) that may
-        # build it: the keys of its capital-cost map.
-        self.build_keys = {
-            fam: tuple(k for k in (self.interface_keys if fam == "cap_tx"
-                                   else self.node_ids)
-                       if k in getattr(costs, cap_field))
-            for fam, cap_field, _, _ in CAPACITY}
-        if not self.config.include_h2:
-            self.build_keys["cap_h2_energy"] = ()
-            self.build_keys["cap_h2_power"] = ()
-        for what, energy, power in (
-                ("battery", "cap_battery_energy", "cap_battery_power"),
-                ("hydrogen", "cap_h2_energy", "cap_h2_power")):
-            odd = sorted(set(self.build_keys[energy])
-                         ^ set(self.build_keys[power]))
-            if odd:
-                maps = [cap for fam, cap, _, _ in CAPACITY
-                        if fam in (energy, power)]
-                raise LPError(
-                    f"node {odd[0]} appears in only one of {'/'.join(maps)}; "
-                    f"{what} build needs both capital costs"
-                )
+        self.build_keys = build_keys(self.network, self.costs,
+                                     self.config.include_h2)
         self.h2_nodes = self.build_keys["cap_h2_energy"]
         fossil_ex, batt_nodes, import_nodes, ev_nodes = [], [], [], []
         for n in self.node_ids:
@@ -557,15 +496,6 @@ class BuildInputs:
             day * HOURS_PER_DAY + h
             for day in range(self.n_hours // HOURS_PER_DAY)
             for h in range(h_start, h_end + 1))
-        p = self.params
-        if self.fossil_ex_nodes and p.eta_ff_existing <= 0.0:
-            raise LPError("eta_ff_existing must be > 0")
-        if self.build_keys["cap_fossil"] and p.eta_ff_new <= 0.0:
-            raise LPError("eta_ff_new must be > 0")
-        if self.battery_nodes and p.eta_batt <= 0.0:
-            raise LPError("eta_batt must be > 0")
-        if self.h2_nodes and p.eta_h2 <= 0.0:
-            raise LPError("eta_h2 must be > 0")
 
     def _check_daily_alignment(self):
         T = self.n_hours
@@ -601,37 +531,6 @@ class BuildInputs:
                     f"EV charging envelope for node {n} has "
                     f"{len(env.required_mwh)} days, expected {n_days}"
                 )
-
-    def _check_costs(self):
-        costs = self.costs
-
-        def need(field_name: str, key: str, why: str):
-            if key not in getattr(costs, field_name):
-                raise LPError(f"missing cost {field_name}[{key}] for {why}")
-
-        for fam, _, omf_field, period in CAPACITY:
-            for key in self.build_keys[fam]:
-                need(omf_field, key, f"{fam}[{key}]")
-            if self.build_keys[fam] and period not in self.params.p_years:
-                raise LPError(
-                    f"p_years has no annualization period for {period!r}")
-        for n in self.node_ids:
-            node = self.network.node(n)
-            if n in self.fossil_ex_nodes or n in self.build_keys["cap_fossil"]:
-                need("c_ff", n, "fossil fuel")
-            if n in self.hydro_nodes or float(np.sum(self.hydro_fix[n])) > 0.0:
-                need("c_hydro", n, "hydro energy")
-            if self.config.include_nuclear \
-                    and float(np.sum(self.series.nuclear[n])) > 0.0:
-                need("c_nuc", n, "nuclear energy")
-            if n in self.bio_nodes:
-                need("c_bio", n, "biofuel energy")
-            if n in self.import_nodes:
-                need("c_imp", n, "imported energy")
-            if self._eligible_mw(node) > 0.0:
-                need("ex_cap", n, "existing-capacity maintenance")
-            if node.existing_tx_flow_mwh > 0.0:
-                need("ex_tx", n, "existing-transmission charges")
 
     def _check_emissions(self):
         if self.config.omega is None:

@@ -1,9 +1,11 @@
-"""Shared domain types, the capacity table, validation, and the
-capital-annualization primitive.
+"""Shared domain types, the capacity table, the input requirements, and
+the capital-annualization primitive.
 
 Everything here is an immutable value type: construction either succeeds and
 yields an object safe to share across threads, or raises ``ValueError``.
-``validate`` is the exception - it never raises, it returns a report.
+``requirements`` (what the LP needs of the inputs) and ``validate`` (those
+plus the bundle's conventions) are the exception - they never raise, they
+return a report; ``formulation.BuildInputs`` raises on ``requirements``.
 
 Unit conventions used throughout the package: power in MW, energy in MWh on a
 1-hour grid (so hourly energy equals average power numerically), money in
@@ -26,6 +28,7 @@ HOURS_PER_DAY = 24
 HEAT_RATE_MMBTU_PER_MWH = 3.412
 
 _POTENTIAL_TOL = 1e-9
+FRACTION_SUM_TOL = 1e-6
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -65,19 +68,18 @@ class NodeSpec:
     btm_fraction: float = 0.0
     existing_tx_flow_mwh: float = 0.0
 
-    @property
-    def eligible_existing_cap_mw(self) -> float:
-        """Existing capacity subject to the fixed maintenance charge.
+    def charged_mw(self, include_nuclear: bool) -> float:
+        """Existing capacity subject to the fixed maintenance charge: all
+        existing hydro, nuclear, fossil and biofuel capacity, less nuclear
+        when the scenario excludes it."""
+        mw = (self.hydro_fixed_mw + self.hydro_flex_mw + self.nuclear_mw
+              + self.gas_existing_mw + self.biofuel_mw)
+        return mw if include_nuclear else mw - self.nuclear_mw
 
-        Covers all existing hydro, nuclear, fossil, and biofuel capacity.
-        """
-        return (
-            self.hydro_fixed_mw
-            + self.hydro_flex_mw
-            + self.nuclear_mw
-            + self.gas_existing_mw
-            + self.biofuel_mw
-        )
+    @property
+    def burns_biofuel(self) -> bool:
+        """Whether the node has biofuel capacity or daily biofuel energy."""
+        return self.biofuel_mw > 0.0 or self.biofuel_daily_mwh > 0.0
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,21 @@ CAPACITY = (
 )
 
 
+def build_keys(network: NetworkSpec, costs: CostTable,
+               include_h2: bool) -> dict[str, tuple[str, ...]]:
+    """Capital family -> the nodes (interfaces, for cap_tx) that may build
+    it, sorted: the keys of its capital-cost map. Hydrogen builds nowhere
+    when the scenario excludes it."""
+    nodes = sorted(network.node_ids)
+    ifaces = sorted(iface.key for iface in network.interfaces)
+    keys = {fam: tuple(k for k in (ifaces if fam == "cap_tx" else nodes)
+                       if k in getattr(costs, cap_field))
+            for fam, cap_field, _, _ in CAPACITY}
+    if not include_h2:
+        keys["cap_h2_energy"] = keys["cap_h2_power"] = ()
+    return keys
+
+
 @dataclass(frozen=True)
 class TechParams:
     """Technology performance parameters and financial settings."""
@@ -202,11 +219,6 @@ class TechParams:
     )
     interest_rate: float = 0.05
     n_years: float = 1.0
-
-    _FRACTION_FIELDS = (
-        "eta_ff_existing", "eta_ff_new", "eta_batt", "eta_h2", "eta_veh",
-        "kappa", "tx_loss",
-    )
 
 
 @dataclass(frozen=True)
@@ -235,6 +247,7 @@ class TimeSeriesSet:
         "d_elec", "d_heat_full", "d_veh_full", "w_on", "w_off",
         "w_us_solar", "w_btm_solar", "h_fix", "nuclear",
     )
+    _DAILY_FIELDS = ("e_veh_daily_full", "h_flex_daily")
     _POTENTIAL_FIELDS = ("w_on", "w_off", "w_us_solar", "w_btm_solar")
 
     def __post_init__(self):
@@ -380,44 +393,32 @@ def annualization_rate(period_years: int, interest_rate: float) -> float:
     return j * growth / (growth - 1.0)
 
 
-def _series_report(violations, label, mapping, node_ids, n_hours,
-                   length=None, is_potential=False):
-    if mapping is None:
-        return
-    expected = n_hours if length is None else length
-    for node in node_ids:
-        arr = mapping.get(node)
-        if arr is None:
-            violations.append(f"series {label} missing for node {node}")
-            continue
-        if len(arr) != expected:
-            violations.append(
-                f"series {label}[{node}] length {len(arr)} != expected {expected}"
-            )
-            continue
-        if np.any(arr < 0.0):
-            violations.append(f"series {label}[{node}] contains negative values")
-        if is_potential and np.any(arr > 1.0 + _POTENTIAL_TOL):
-            violations.append(
-                f"series {label}[{node}] potential exceeds unity "
-                f"(max {float(arr.max()):.6g})"
-            )
+def flex_hydro(node: NodeSpec, series: TimeSeriesSet) -> bool:
+    """Whether the bundle gives ``node`` dispatchable (flexible) hydro:
+    flexible capacity, or daily flexible energy."""
+    return node.hydro_flex_mw > 0.0 or float(np.max(
+        (series.h_flex_daily or {}).get(node.id, ()), initial=0.0)) > 0.0
 
 
-def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
-             params: TechParams) -> list[str]:
-    """Check every structural invariant; return one message per violation.
+def requirements(network: NetworkSpec, series: TimeSeriesSet,
+                 costs: CostTable, params: TechParams,
+                 config: ScenarioConfig | None = None, *,
+                 hydro=(), biofuel=()) -> list[str]:
+    """Every requirement the LP places on the inputs; one message per
+    violation. ``validate`` reports them and ``BuildInputs`` raises on them.
 
-    Report-only: never raises, never mutates. An empty list means the inputs
-    are ready for formulation.
+    ``config`` None reads the bundle under the most demanding scenario:
+    nuclear included and hydrogen buildable. ``hydro`` and ``biofuel``
+    hold the nodes whose operating limits a library override sets; such a
+    node burns hydro (biofuel) whatever its bundle entries say.
     """
     v: list[str] = []
     ids = network.node_ids
-
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        v.append(f"duplicate node ids: {dupes}")
-
+    for what, keys in (("node ids", ids),
+                       ("interface keys", [i.key for i in network.interfaces])):
+        if len(set(keys)) != len(keys):
+            v.append(f"duplicate {what}: "
+                     f"{sorted({k for k in keys if keys.count(k) > 1})}")
     for iface in network.interfaces:
         if iface.node_a not in ids or iface.node_b not in ids:
             v.append(f"interface {iface.key} references an unknown node")
@@ -425,65 +426,85 @@ def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
             v.append(f"interface {iface.key} joins a node to itself")
         if iface.distance_mi <= 0.0:
             v.append(f"interface {iface.key} distance must be > 0")
-        if iface.existing_fwd_mw < 0.0 or iface.existing_rev_mw < 0.0:
-            v.append(f"interface {iface.key} has a negative existing limit")
 
-    if network.offshore_cap_total_mw < 0.0:
-        v.append("negative regional offshore capacity limit")
+    n_hours = series.modal_hours()
+    for name in (*TimeSeriesSet._HOURLY_FIELDS, *TimeSeriesSet._DAILY_FIELDS):
+        mapping = getattr(series, name)
+        expected = (n_hours if name in TimeSeriesSet._HOURLY_FIELDS
+                    else n_hours // HOURS_PER_DAY)
+        for n in ids if mapping is not None else ():
+            if n not in mapping:
+                v.append(f"series {name} missing for node {n}")
+            elif len(mapping[n]) != expected:
+                v.append(f"series {name}[{n}] length {len(mapping[n])} "
+                         f"!= expected {expected}")
+    if series.d_veh_full is None and series.e_veh_daily_full is None:
+        v.append("no vehicle demand series supplied (hourly or daily)")
+    elif series.d_veh_full is None and config is not None \
+            and config.ev_flex is None:
+        v.append("fixed EV charging (no ev_flex) needs the hourly vehicle "
+                 "series d_veh_full")
 
     for node in network.nodes:
-        for f in fields(node):
-            if f.name not in ("id", "btm_fraction") \
-                    and getattr(node, f.name) < 0.0:
-                v.append(f"node {node.id}: negative {f.name}")
+        if not 0.0 <= node.btm_fraction <= 1.0:
+            v.append(f"node {node.id}: btm_fraction={node.btm_fraction} "
+                     "outside [0, 1]")
         if node.hydro_flex_hourly_max_mwh > 0.0 and node.hydro_flex_mw == 0.0:
             v.append(
                 f"node {node.id}: flexible-hydro hourly cap set with no "
                 "flexible hydro capacity"
             )
+        if node.hydro_flex_mw > 0.0 and node.id not in hydro \
+                and series.h_flex_daily is None:
+            v.append(f"node {node.id} has flexible hydro capacity but no "
+                     "daily energy series")
 
-    n_hours = series.modal_hours()
-    n_days, rem = divmod(n_hours, HOURS_PER_DAY)
-    if rem:
-        v.append(f"horizon of {n_hours} hours is not a whole number of days")
-    for name in TimeSeriesSet._HOURLY_FIELDS:
-        _series_report(v, name, getattr(series, name), ids, n_hours,
-                       is_potential=name in TimeSeriesSet._POTENTIAL_FIELDS)
-    if series.d_veh_full is None and series.e_veh_daily_full is None:
-        v.append("no vehicle demand series supplied (hourly or daily)")
-    _series_report(v, "e_veh_daily_full", series.e_veh_daily_full, ids,
-                   n_hours, length=n_days)
-    _series_report(v, "h_flex_daily", series.h_flex_daily, ids, n_hours,
-                   length=n_days)
+    include_nuclear = config is None or config.include_nuclear
+    built = build_keys(network, costs, config is None or config.include_h2)
 
-    for f in fields(costs):
-        value = getattr(costs, f.name)
-        if isinstance(value, Mapping):
-            for key, cost in value.items():
-                if cost < 0.0:
-                    v.append(f"cost {f.name}[{key}] is negative")
-        elif value < 0.0:
-            v.append(f"cost {f.name} is negative")
-    for _, cap_name, omf_name, _ in CAPACITY:
-        missing = set(getattr(costs, cap_name)) - set(getattr(costs, omf_name))
-        for key in sorted(missing):
-            v.append(f"{cap_name}[{key}] has no matching {omf_name} entry")
+    def need(cost: str, key: str, why: str) -> None:
+        if key not in getattr(costs, cost):
+            v.append(f"missing cost {cost}[{key}] for {why}")
+
+    cap_field = {fam: cap for fam, cap, _, _ in CAPACITY}
+    for fam, _, omf_field, _ in CAPACITY:
+        for key in built[fam]:
+            need(omf_field, key, f"{fam}[{key}]")
+    for energy, power in (("cap_battery_energy", "cap_battery_power"),
+                          ("cap_h2_energy", "cap_h2_power")):
+        for have, lack in ((energy, power), (power, energy)):
+            for key in built[have]:
+                need(cap_field[lack], key, f"{have}[{key}]")
+    # The cost of each energy and charge the objective prices
+    # (``BuildInputs._classify`` and ``fixed_charges``).
     for node in network.nodes:
-        checks = (
-            (node.gas_existing_mw, "c_ff"),
-            (node.hydro_fixed_mw + node.hydro_flex_mw, "c_hydro"),
-            (node.nuclear_gen_mwh_per_h, "c_nuc"),
-            (node.biofuel_mw, "c_bio"),
-            (node.import_limit_mwh, "c_imp"),
-        )
-        for quantity, cost_name in checks:
-            if quantity > 0.0 and node.id not in getattr(costs, cost_name):
-                v.append(f"node {node.id} uses {cost_name} but has no entry")
+        n = node.id
+        for cost, why, used in (
+            ("c_ff", "fossil fuel",
+             node.gas_existing_mw > 0.0 or n in built["cap_fossil"]),
+            ("c_hydro", "hydro energy", n in hydro or flex_hydro(node, series)
+             or np.sum(series.h_fix.get(n, ())) > 0.0),
+            ("c_nuc", "nuclear energy",
+             include_nuclear and np.sum(series.nuclear.get(n, ())) > 0.0),
+            ("c_bio", "biofuel energy", n in biofuel or node.burns_biofuel),
+            ("c_imp", "imported energy", node.import_limit_mwh > 0.0),
+            ("ex_cap", "existing-capacity maintenance",
+             node.charged_mw(include_nuclear) > 0.0),
+            ("ex_tx", "existing-transmission charges",
+             node.existing_tx_flow_mwh > 0.0),
+        ):
+            if used:
+                need(cost, n, why)
 
-    for name in TechParams._FRACTION_FIELDS:
-        value = getattr(params, name)
-        if not 0.0 <= value <= 1.0:
-            v.append(f"parameter {name}={value} outside [0, 1]")
+    for name in ("eta_ff_existing", "eta_ff_new", "eta_batt", "eta_h2",
+                 "eta_veh"):
+        if not 0.0 < getattr(params, name) <= 1.0:
+            v.append(f"parameter {name}={getattr(params, name)} "
+                     "outside (0, 1]")
+    if not 0.0 <= params.kappa <= 1.0:
+        v.append(f"parameter kappa={params.kappa} outside [0, 1]")
+    if not 0.0 <= params.tx_loss < 1.0:
+        v.append(f"parameter tx_loss={params.tx_loss} outside [0, 1)")
     if params.reserve_margin < 0.0:
         v.append("reserve margin must be >= 0")
     if params.phi_batt_min > params.phi_batt_max:
@@ -493,12 +514,77 @@ def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
     for cls, years in params.p_years.items():
         if years < 1:
             v.append(f"annualization period for {cls} must be >= 1")
+    for cls in sorted({cls for fam, _, _, cls in CAPACITY if built[fam]}
+                      - set(params.p_years)):
+        v.append(f"p_years has no annualization period for {cls!r}")
     if params.interest_rate < 0.0:
         v.append("interest rate must be >= 0")
+    if params.n_years <= 0.0:
+        v.append("n_years must be > 0")
+
+    if config is not None:
+        for name in ("p_heat", "p_veh"):
+            rates = getattr(config, name)
+            if isinstance(rates, Mapping) and set(rates) != set(ids):
+                v.append(f"{name} must give one rate per network node: "
+                         f"missing {sorted(set(ids) - set(rates))}, "
+                         f"unknown {sorted(set(rates) - set(ids))}")
+        total = sum(node.btm_fraction for node in network.nodes)
+        if config.btm_year is not None \
+                and abs(total - 1.0) > FRACTION_SUM_TOL:
+            v.append(f"btm_fraction sums to {total:g} over the nodes; "
+                     "btm_year needs a sum of 1")
+    return v
+
+
+def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
+             params: TechParams,
+             config: ScenarioConfig | None = None) -> list[str]:
+    """Check the inputs; return one message per violation.
+
+    The messages are those of ``requirements`` (with ``config`` None, under
+    the most demanding scenario), then the bundle's own conventions: no
+    negative value, potentials at most 1, a whole number of days, and
+    ``n_years`` matching the horizon. Report-only: never raises, never
+    mutates. An empty list means the inputs are ready for formulation.
+    """
+    v = requirements(network, series, costs, params, config)
+    for iface in network.interfaces:
+        if iface.existing_fwd_mw < 0.0 or iface.existing_rev_mw < 0.0:
+            v.append(f"interface {iface.key} has a negative existing limit")
+    if network.offshore_cap_total_mw < 0.0:
+        v.append("negative regional offshore capacity limit")
+    for node in network.nodes:
+        for f in fields(node):
+            if f.name not in ("id", "btm_fraction") \
+                    and getattr(node, f.name) < 0.0:
+                v.append(f"node {node.id}: negative {f.name}")
+
+    n_hours = series.modal_hours()
+    if n_hours % HOURS_PER_DAY:
+        v.append(f"horizon of {n_hours} hours is not a whole number of days")
+    for name in (*TimeSeriesSet._HOURLY_FIELDS, *TimeSeriesSet._DAILY_FIELDS):
+        for node, arr in (getattr(series, name) or {}).items():
+            if np.any(arr < 0.0):
+                v.append(f"series {name}[{node}] contains negative values")
+            if name in TimeSeriesSet._POTENTIAL_FIELDS \
+                    and np.any(arr > 1.0 + _POTENTIAL_TOL):
+                v.append(
+                    f"series {name}[{node}] potential exceeds unity "
+                    f"(max {float(arr.max()):.6g})"
+                )
+
+    for f in fields(costs):
+        value = getattr(costs, f.name)
+        if isinstance(value, Mapping):
+            for key, cost in value.items():
+                if cost < 0.0:
+                    v.append(f"cost {f.name}[{key}] is negative")
+        elif value < 0.0:
+            v.append(f"cost {f.name} is negative")
     if abs(params.n_years * HOURS_PER_YEAR - n_hours) > HOURS_PER_DAY + 1e-6:
         v.append(
             f"n_years={params.n_years} inconsistent with a {n_hours}-hour "
             "horizon (more than one leap-day apart)"
         )
-
     return v

@@ -403,7 +403,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     stage = "validate"
     try:
         problems = validate(bundle.network, bundle.series, bundle.costs,
-                            bundle.params)
+                            bundle.params, config)
         if problems:
             return fail("invalid", EXIT_INVALID, stage, "; ".join(problems))
         stage = "demand"

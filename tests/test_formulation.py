@@ -914,7 +914,10 @@ class TestObjective:
         for nid in ("a", "b"):
             node = net.node(nid)
             expected += params.n_years * (
-                costs.ex_cap[nid] * node.eligible_existing_cap_mw * 1000.0
+                costs.ex_cap[nid] * 1000.0 * (
+                    node.hydro_fixed_mw + node.hydro_flex_mw
+                    + node.nuclear_mw + node.gas_existing_mw
+                    + node.biofuel_mw)
                 + costs.ex_tx[nid] * node.existing_tx_flow_mwh
             )
             expected += float(

@@ -191,10 +191,10 @@ VIOLATIONS = [
     ("costs", _replace(cap_tx={"a:b": -1.0}), "cost cap_tx[a:b] is negative"),
     ("costs", _replace(omv_ff=-1.0), "cost omv_ff is negative"),
     ("costs", _replace(omf_on={"a": 18.1}),
-     "cap_on[b] has no matching omf_on entry"),
+     "missing cost omf_on[b] for cap_onshore[b]"),
     ("costs", _replace(c_nuc={"a": 26.82}),
-     "node b uses c_nuc but has no entry"),
-    ("params", _replace(eta_batt=1.5), "parameter eta_batt=1.5 outside [0, 1]"),
+     "missing cost c_nuc[b] for nuclear energy"),
+    ("params", _replace(eta_batt=1.5), "parameter eta_batt=1.5 outside (0, 1]"),
     ("params", _replace(reserve_margin=-0.1), "reserve margin must be >= 0"),
     ("params", _replace(phi_batt_min=0.3), "phi_batt_min exceeds phi_batt_max"),
     ("params", _replace(phi_batt_min=-0.1), "phi_batt_min must be >= 0"),

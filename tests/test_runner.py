@@ -9,6 +9,7 @@ runner's own serialization, so every test exercises the disk round trip.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 import gridplan
-from gridplan.demand import btm_statewide_mw
+from gridplan.demand import btm_statewide_mw, synthesize_demand
+from gridplan.formulation import LPError, build
 from gridplan.model import (
     CostTable,
     NetworkSpec,
@@ -26,6 +28,7 @@ from gridplan.model import (
     ScenarioConfig,
     TechParams,
     TimeSeriesSet,
+    validate,
 )
 from gridplan.emissions import EmissionsCalibration
 from gridplan.runner import (
@@ -392,24 +395,83 @@ class TestBtmYear:
                      write_config(tmp_path, self.CONFIG)])
         captured = capsys.readouterr()
         assert code == EXIT_INVALID
-        assert captured.err.startswith(
-            "demand: nodal fractions must sum to 1")
-        assert captured.err.count("\n") == 1
+        assert captured.err == ("validate: btm_fraction sums to 0.9 over the "
+                                "nodes; btm_year needs a sum of 1\n")
 
-    def test_btm_beyond_the_load_fails_at_summarize(self, tmp_path, capsys):
+    def test_each_fraction_within_unit_interval(self, tmp_path, capsys):
+        # These sum to 1, so only the per-node range catches them.
+        path = tmp_path / "btm"
+        save_bundle(path, *btm_system((1.5, -0.5), d_elec=5000.0))
+        code = main(["run", "--inputs", str(path), "--config",
+                     write_config(tmp_path, self.CONFIG)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.err == (
+            "validate: node a: btm_fraction=1.5 outside [0, 1]; "
+            "node b: btm_fraction=-0.5 outside [0, 1]\n")
+
+    def test_btm_beyond_the_load_fails_at_demand(self, tmp_path, capsys):
         # 6.6 GW of BTM solar at a 0.2 factor outruns a 2 x 100 MW load, so
-        # the solve succeeds but no levelized cost is defined.
+        # no net demand would be left to level costs over: nothing solves.
         path = tmp_path / "btm"
         save_bundle(path, *btm_system((0.6, 0.4), d_elec=100.0))
         out = tmp_path / "out"
         code = main(["run", "--inputs", str(path), "--config",
                      write_config(tmp_path, self.CONFIG), "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == EXIT_ERROR
-        assert captured.err.startswith(
-            "summarize: net demand must be positive")
-        record = json.loads((out / "report.json").read_text())
-        assert record["stage"] == "summarize"
+        btm = btm_statewide_mw(2030) * 0.2 * T
+        assert code == EXIT_INVALID
+        assert captured.err == (
+            f"demand: behind-the-meter solar output of {btm:.6g} MWh is at "
+            f"least the largest load of {2 * 100.0 * T:.6g} MWh that the "
+            "scenario allows\n")
+        assert not (out / "report.json").exists()
+
+
+def _drop(name, key):
+    """Delete ``key`` from the cost map ``name``."""
+    return lambda costs: dataclasses.replace(costs, **{name: {
+        k: v for k, v in getattr(costs, name).items() if k != key}})
+
+
+# (bundle part, its mutation, the one message validate and build both give)
+FIXTURE_MUTATIONS = [
+    ("costs", _drop("ex_cap", "a"),
+     "missing cost ex_cap[a] for existing-capacity maintenance"),
+    ("costs", _drop("ex_tx", "a"),
+     "missing cost ex_tx[a] for existing-transmission charges"),
+    ("costs", _drop("omf_us_solar", "b"),
+     "missing cost omf_us_solar[b] for cap_us_solar[b]"),
+    ("costs", _drop("c_ff", "a"), "missing cost c_ff[a] for fossil fuel"),
+    ("costs", _drop("c_hydro", "a"), "missing cost c_hydro[a] for hydro energy"),
+    ("params", lambda params: dataclasses.replace(
+        params, p_years={"storage": 10, "transmission": 20}),
+     "p_years has no annualization period for 'generation'"),
+    ("costs", lambda costs: dataclasses.replace(
+        costs, cap_batt_p={"b": 300.0}, omf_batt_p={"b": 8.5}),
+     "missing cost cap_batt_e[b] for cap_battery_power[b]"),
+    ("params", lambda params: dataclasses.replace(params, tx_loss=1.0),
+     "parameter tx_loss=1.0 outside [0, 1)"),
+    ("params", lambda params: dataclasses.replace(params, eta_ff_new=0.0),
+     "parameter eta_ff_new=0.0 outside (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("part, mutate, message", FIXTURE_MUTATIONS,
+                         ids=[message for _, _, message in FIXTURE_MUTATIONS])
+def test_validate_reports_what_build_rejects(part, mutate, message):
+    # validate, with no scenario, passes only what every scenario builds.
+    bundle = load_bundle(FIXTURE)
+    parts = {"network": bundle.network, "series": bundle.series,
+             "costs": bundle.costs, "params": bundle.params}
+    parts[part] = mutate(parts[part])
+    assert validate(**parts) == [message]
+    config = load_config(FIXTURE / "scenario.json")
+    demand = synthesize_demand(parts["network"], parts["series"], config,
+                               parts["params"])
+    with pytest.raises(LPError) as exc:
+        build(config, **parts, demand=demand, emissions=bundle.emissions)
+    assert str(exc.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -674,19 +736,47 @@ class TestCli:
         assert str(missing) in captured.err
 
     def test_validate_passes_what_run_rejects(self, tmp_path, capsys):
-        # validate checks the cost maps' entries, not which entries the
-        # network's existing capacity needs; BuildInputs does.
+        # validate and run read one list of requirements, so both reject
+        # the bundle, and run before building anything.
         bundle = fixture_copy(
             tmp_path, lambda payload: payload["costs"]["ex_cap"].pop("a"))
-        assert main(["validate", "--inputs", str(bundle)]) == EXIT_OK
-        assert capsys.readouterr().out == "ok: 2 nodes, 48 hours\n"
+        message = "missing cost ex_cap[a] for existing-capacity maintenance"
+        assert main(["validate", "--inputs", str(bundle)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"invalid: {message}\n")
         code = main(["run", "--inputs", str(bundle), "--config",
                      str(FIXTURE / "scenario.json")])
         captured = capsys.readouterr()
         assert code == EXIT_INVALID
         assert captured.out == ""
-        assert captured.err == ("resources: missing cost ex_cap[a] for "
-                                "existing-capacity maintenance\n")
+        assert captured.err == f"validate: {message}\n"
+
+    STOPS_AT_VALIDATE = [
+        (lambda payload: payload["params"].update(eta_ff_new=0.0), {},
+         "parameter eta_ff_new=0.0 outside (0, 1]"),
+        (None, {"p_heat": {"a": 0.5}},
+         "p_heat must give one rate per network node: missing ['b'], "
+         "unknown []"),
+        (None, {"p_heat": {"a": 0.3, "b": 0.3, "zz": 0.9}},
+         "p_heat must give one rate per network node: missing [], "
+         "unknown ['zz']"),
+    ]
+
+    @pytest.mark.parametrize("bundle_edit, scenario, message",
+                             STOPS_AT_VALIDATE,
+                             ids=[message for *_, message in STOPS_AT_VALIDATE])
+    def test_run_stops_at_validate(self, tmp_path, capsys, bundle_edit,
+                                   scenario, message):
+        # Each stops the run before any demand is built or LP solved.
+        bundle = (FIXTURE if bundle_edit is None
+                  else fixture_copy(tmp_path, bundle_edit))
+        config = {**json.loads((FIXTURE / "scenario.json").read_text()),
+                  **scenario}
+        code = main(["run", "--inputs", str(bundle), "--config",
+                     write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.err == f"validate: {message}\n"
 
     def test_sweep_command(self, micro_bundle, tmp_path):
         out = tmp_path / "out"
