@@ -350,7 +350,8 @@ class BuildInputs:
                  hydro=None, biofuel=None, emissions=None):
         hydro, biofuel = dict(hydro or {}), dict(biofuel or {})
         problems = requirements(network, series, costs, params, config,
-                                hydro=hydro, biofuel=biofuel)
+                                emissions=emissions, hydro=hydro,
+                                biofuel=biofuel)
         if problems:
             raise LPError("; ".join(problems))
         self.config = config
@@ -391,7 +392,6 @@ class BuildInputs:
         self._resolve_biofuel(biofuel)
         self._classify()
         self._check_daily_alignment()
-        self._check_emissions()
         self.catalog = _make_catalog(self)
 
     def fixed_charges(self, n: str) -> tuple[float, float, float]:
@@ -530,23 +530,6 @@ class BuildInputs:
                 raise LPError(
                     f"EV charging envelope for node {n} has "
                     f"{len(env.required_mwh)} days, expected {n_days}"
-                )
-
-    def _check_emissions(self):
-        if self.config.omega is None:
-            return
-        if self.emissions is None:
-            raise LPError(
-                "a GHG-reduction target needs an emissions calibration "
-                "(pass emissions=...)"
-            )
-        for field_name in ("f_heat_tot_mj", "f_veh_tot_mj"):
-            keys = set(getattr(self.emissions, field_name))
-            if keys != set(self.node_ids):
-                raise LPError(
-                    f"emissions calibration {field_name} covers "
-                    f"{sorted(keys)} but the network has nodes "
-                    f"{list(self.node_ids)}"
                 )
 
 

@@ -403,12 +403,14 @@ def flex_hydro(node: NodeSpec, series: TimeSeriesSet) -> bool:
 def requirements(network: NetworkSpec, series: TimeSeriesSet,
                  costs: CostTable, params: TechParams,
                  config: ScenarioConfig | None = None, *,
-                 hydro=(), biofuel=()) -> list[str]:
+                 emissions=None, hydro=(), biofuel=()) -> list[str]:
     """Every requirement the LP places on the inputs; one message per
     violation. ``validate`` reports them and ``BuildInputs`` raises on them.
 
     ``config`` None reads the bundle under the most demanding scenario:
-    nuclear included and hydrogen buildable. ``hydro`` and ``biofuel``
+    nuclear included, hydrogen buildable and a GHG-reduction target, which
+    reads the emissions calibration ``emissions`` (if one is given; a
+    scenario with a target needs one). ``hydro`` and ``biofuel``
     hold the nodes whose operating limits a library override sets; such a
     node burns hydro (biofuel) whatever its bundle entries say.
     """
@@ -522,6 +524,17 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
     if params.n_years <= 0.0:
         v.append("n_years must be > 0")
 
+    if config is not None and config.omega is not None and emissions is None:
+        v.append("a GHG-reduction target needs an emissions calibration")
+    if emissions is not None and (config is None or config.omega is not None):
+        for name in ("f_heat_tot_mj", "f_veh_tot_mj"):
+            keys = set(getattr(emissions, name))
+            if keys != set(ids):
+                v.append(f"emissions calibration {name} must give one value "
+                         f"per network node: missing "
+                         f"{sorted(set(ids) - keys)}, unknown "
+                         f"{sorted(keys - set(ids))}")
+
     if config is not None:
         for name in ("p_heat", "p_veh"):
             rates = getattr(config, name)
@@ -539,7 +552,8 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
 
 def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
              params: TechParams,
-             config: ScenarioConfig | None = None) -> list[str]:
+             config: ScenarioConfig | None = None, *,
+             emissions=None) -> list[str]:
     """Check the inputs; return one message per violation.
 
     The messages are those of ``requirements`` (with ``config`` None, under
@@ -548,7 +562,8 @@ def validate(network: NetworkSpec, series: TimeSeriesSet, costs: CostTable,
     ``n_years`` matching the horizon. Report-only: never raises, never
     mutates. An empty list means the inputs are ready for formulation.
     """
-    v = requirements(network, series, costs, params, config)
+    v = requirements(network, series, costs, params, config,
+                     emissions=emissions)
     for iface in network.interfaces:
         if iface.existing_fwd_mw < 0.0 or iface.existing_rev_mw < 0.0:
             v.append(f"interface {iface.key} has a negative existing limit")

@@ -403,7 +403,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     stage = "validate"
     try:
         problems = validate(bundle.network, bundle.series, bundle.costs,
-                            bundle.params, config)
+                            bundle.params, config, emissions=bundle.emissions)
         if problems:
             return fail("invalid", EXIT_INVALID, stage, "; ".join(problems))
         stage = "demand"
@@ -715,7 +715,7 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
 def _cmd_validate(args) -> int:
     bundle = load_bundle(args.inputs)
     problems = validate(bundle.network, bundle.series, bundle.costs,
-                        bundle.params)
+                        bundle.params, emissions=bundle.emissions)
     if problems:
         for problem in problems:
             print(f"invalid: {problem}", file=sys.stderr)

@@ -9,13 +9,16 @@ reference weights (Harris 1973, in the form of Forrest & Goldfarb 1992),
 and updates the reduced costs and weights from the pivot row, so a BTRAN
 runs only at the start of a phase, after a refactorization and before
 optimality is declared. The pivot row and FTRAN touch only the matrix's
-nonzeros; a dense m x m basis is formed only at refactorization. The
-basis inverse is the dense inverse from the last refactorization less one
-rank-1 term per pivot since, refreshed at least every ``refactor_every``
-pivots, so memory is O(m^2 + nnz) and an iteration costs O(m^2) reads plus
-O(nnz). The dense inverse still bounds it to desk-scale problems (a few
-thousand rows), which is exactly what the bundled fixtures produce. Larger
-studies are expected to go through export_mps.
+nonzeros. The basis inverse is the dense inverse from the last
+refactorization less one rank-1 term per pivot since, refreshed at least
+every ``refactor_every`` pivots, so memory is O(m^2 + nnz) and an iteration
+costs O(m^2) reads plus O(nnz). A refactorization peels the basis's row and
+column singletons off in rounds and solves the dense kernel of k rows left
+over (Hellerman & Rarick 1971; Suhl & Suhl 1990), about
+O(nnz(B) m + k^2 m + k^3) instead of the O(m^3) of a dense solve. The dense
+inverse still bounds it to desk-scale problems (a few thousand rows), which
+is exactly what the bundled fixtures produce. Larger studies are expected to
+go through export_mps.
 """
 
 from __future__ import annotations
@@ -125,11 +128,13 @@ class _Simplex:
 
     A pivot appends one row to ``u`` and ``v`` and writes O(m) numbers;
     FTRAN and BTRAN each read ``binv0`` once plus the thin correction. A
-    refactorization folds the terms back into a fresh ``binv0``.
+    refactorization folds the terms back into a fresh ``binv0``, built by
+    ``_invert`` from the basis's singleton rounds and its dense kernel of k
+    rows in about O(nnz(B) m + k^2 m + k^3).
 
     The working matrix exists only as its nonzeros ``(cols, rows, vals)``,
-    sorted by column; the pivot row and FTRAN read them directly, and
-    refactorization and basis repair expand just the basis columns.
+    sorted by column; the pivot row, FTRAN and refactorization read them
+    directly, and basis repair expands just the basis columns.
     Memory is O(m^2 + nnz).
 
     ``run`` keeps the reduced costs ``d`` and the devex weights ``wt``.
@@ -143,8 +148,9 @@ class _Simplex:
     and the entering column is the candidate of largest d_j^2 / wt_j. A
     bound flip changes neither. ``d`` is recomputed from a BTRAN at the
     start of a phase, after each refactorization, and before optimality
-    is declared. The ratio test skips entries of magnitude 1e-7 or less,
-    so every pivot taken exceeds that.
+    is declared; the reduced costs of basic columns are held at exactly 0.
+    The ratio test skips entries of magnitude at most 1e-7 x min(1,
+    max |w|), so every pivot taken exceeds that.
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -182,14 +188,143 @@ class _Simplex:
         out[self.rows[keep], pos[self.cols[keep]]] = self.vals[keep]
         return out
 
+    def _basis_entries(self):
+        """The basis columns' nonzeros as (position in the basis, row,
+        value), gathered from their column slices."""
+        starts = self.indptr[self.basis]
+        lens = self.indptr[self.basis + 1] - starts
+        ends = np.cumsum(lens)
+        take = np.arange(ends[-1] if self.m else 0) + np.repeat(
+            starts - ends + lens, lens)
+        return (np.repeat(np.arange(self.m), lens), self.rows[take],
+                self.vals[take])
+
+    def _peel(self, pos, rows):
+        """Singleton rounds of the basis whose nonzeros are (pos, rows).
+
+        Returns the row-singleton rounds in peel order, the kernel, and the
+        column-singleton rounds in reverse peel order, each as (rows,
+        positions), pivots paired. Column singletons are peeled until none
+        is left, then row singletons; neither peel makes singletons of the
+        other kind. A round takes every singleton at once: no two of its
+        pivots share a row or a column.
+        """
+        m = self.m
+        live = np.ones(pos.size, dtype=bool)
+        row_left = np.ones(m, dtype=bool)
+        col_left = np.ones(m, dtype=bool)
+        rounds = {True: [], False: []}
+        for by_col in (True, False):
+            key, other = (pos, rows) if by_col else (rows, pos)
+            left = col_left if by_col else row_left
+            while True:
+                count = np.bincount(key[live], minlength=m)
+                if (left & (count == 0)).any():
+                    raise np.linalg.LinAlgError("structurally singular basis")
+                single = live & (count == 1)[key]
+                if not single.any():
+                    break
+                mine, theirs = key[single], other[single]
+                if np.unique(theirs).size < theirs.size:
+                    raise np.linalg.LinAlgError(
+                        "two singletons share a pivot")
+                piv_rows, piv_cols = ((theirs, mine) if by_col
+                                      else (mine, theirs))
+                rounds[by_col].append((piv_rows, piv_cols))
+                row_left[piv_rows] = False
+                col_left[piv_cols] = False
+                live &= row_left[rows] & col_left[pos]
+        kernel = (np.flatnonzero(row_left), np.flatnonzero(col_left))
+        return rounds[False], kernel, rounds[True][::-1]
+
+    def _invert(self) -> np.ndarray:
+        """B^-1 by peeling singletons off the basis and solving the dense
+        kernel left over.
+
+        Ordered as row-singleton pivots, kernel, column-singleton pivots
+        (``_peel``), the basis is block lower triangular, with a diagonal
+        block per round and one dense block for the kernel, and so is its
+        inverse. Block forward substitution builds the inverse a block row
+        at a time: a round is one small dense product over the earlier rows
+        of the inverse that its basis rows touch, divided by its pivots;
+        the kernel is one ``np.linalg.solve``. The row-singleton and kernel
+        rows of the inverse are nonzero only in their own basis rows, so
+        they are built in a compact array first. Raises LinAlgError for a
+        singular basis, structural or numerical.
+        """
+        m = self.m
+        pos, rows, vals = self._basis_entries()
+        front, kernel, back = self._peel(pos, rows)
+        blocks = front + [kernel] + back
+        # Each row's block and slot in it, each position's block and slot,
+        # and the entries grouped by the block of their row.
+        row_block, row_slot = np.empty(m, np.int64), np.empty(m, np.int64)
+        pos_block, pos_slot = np.empty(m, np.int64), np.empty(m, np.int64)
+        for i, (r, p) in enumerate(blocks):
+            row_block[r] = pos_block[p] = i
+            row_slot[r] = pos_slot[p] = np.arange(r.size)
+        entry_block = row_block[rows]
+        order = np.argsort(entry_block, kind="stable")
+        ptr = np.searchsorted(entry_block[order], np.arange(len(blocks) + 1))
+        on_diagonal = pos_block[pos] == entry_block
+
+        def split(i):
+            """Block i's entries: the diagonal block's (entry, row slot),
+            and the rest as a dense (rows x earlier positions) matrix plus
+            those positions."""
+            e = order[ptr[i]:ptr[i + 1]]
+            slot, diag = row_slot[rows[e]], on_diagonal[e]
+            deps, dep_slot = np.unique(pos[e[~diag]], return_inverse=True)
+            s = np.zeros((blocks[i][0].size, deps.size))
+            s[slot[~diag], dep_slot] = vals[e[~diag]]
+            return e[diag], slot[diag], s, deps
+
+        def pivots(e, slot):
+            piv = np.zeros(slot.size)
+            piv[slot] = vals[e]
+            if not piv.all():
+                raise np.linalg.LinAlgError("zero pivot")
+            return piv
+
+        # The row-singleton and kernel rows of the inverse are nonzero only
+        # in the basis rows of those blocks: build them compactly first,
+        # rows and columns in block order.
+        lead = front + [kernel]
+        lead_rows = np.concatenate([r for r, _ in lead])
+        lead_pos = np.concatenate([p for _, p in lead])
+        compact = np.empty(m, dtype=np.int64)
+        compact[lead_pos] = np.arange(lead_pos.size)
+        x = np.zeros((lead_pos.size, lead_pos.size))
+        a = 0
+        for i, (r, _) in enumerate(lead):
+            b = a + r.size
+            e, slot, s, deps = split(i)
+            rhs = np.zeros((r.size, b))
+            rhs[:, :a] = -(s @ x[compact[deps], :a])
+            rhs[:, a:] = np.eye(r.size)
+            if i < len(front):
+                x[a:b, :b] = rhs / pivots(e, slot)[:, None]
+            elif r.size:
+                kern = np.zeros((r.size, r.size))
+                kern[slot, pos_slot[pos[e]]] = vals[e]
+                x[a:b, :b] = np.linalg.solve(kern, rhs)
+            a = b
+        binv = np.zeros((m, m))
+        binv[np.ix_(lead_pos, lead_rows)] = x
+        # Column-singleton rows in full, each round from the rows before.
+        for i, (r, p) in enumerate(back, start=len(lead)):
+            e, slot, s, deps = split(i)
+            piv = pivots(e, slot)
+            binv[p] = -(s @ binv[deps]) / piv[:, None]
+            binv[p, r] = 1.0 / piv
+        return binv
+
     def refactor(self):
         try:
-            self.binv0 = np.linalg.solve(self._dense(self.basis),
-                                         np.eye(self.m))
+            self.binv0 = self._invert()
         except np.linalg.LinAlgError:
             self._repair_basis()
-            self.binv0 = np.linalg.solve(self._dense(self.basis),
-                                         np.eye(self.m))
+            self.binv0 = self._invert()
         self.k = 0
         at_ub = np.flatnonzero(self.vstat == self.AT_UPPER)
         self.xb = self.binv0 @ (self.b - self._dense(at_ub) @ self.ub[at_ub])
@@ -275,12 +410,10 @@ class _Simplex:
         y = self._btran(c[self.basis])
         self.d = c - np.bincount(self.cols, weights=y[self.rows] * self.vals,
                                  minlength=self.n_all)
+        self.d[self.basis] = 0.0
 
     def run(self, c: np.ndarray, phase: int, max_iterations: int) -> str:
         tol = self.opts.optimality_tol
-        # The ratio test skips entries this small: pivoting on one would
-        # make the basis numerically singular.
-        piv_tol = 1e-7
         bland = self.opts.pivot_rule == "bland"
         fixed = self.ub <= 0.0
         # Devex reference weights, reset at the start of each phase.
@@ -312,6 +445,12 @@ class _Simplex:
 
             w = self._ftran(q)
             denom = sigma * w
+            # The ratio test skips entries this small as roundoff: pivoting
+            # on one would make the basis numerically singular. The bound is
+            # relative for a column whose whole B^-1 a_q is small, where its
+            # tiny entries are real, and a long step would carry a basic
+            # variable past its bound unchecked.
+            piv_tol = 1e-7 * min(1.0, float(np.abs(w).max(initial=0.0)))
             # Distance each basic variable allows before hitting a bound.
             ratios = np.full(self.m, np.inf)
             hits_upper = np.zeros(self.m, dtype=bool)
@@ -353,6 +492,9 @@ class _Simplex:
             leaving = int(self.basis[r])
             theta = d[q] / w[r]
             d -= theta * alpha
+            # Basic reduced costs are zero by definition; what the update
+            # leaves there is roundoff, which nothing reads.
+            d[self.basis] = 0.0
             d[q] = 0.0
             d[leaving] = -theta
             np.maximum(wt, (alpha / w[r]) ** 2 * wt[q], out=wt)

@@ -1,6 +1,7 @@
 """Small shared model fixtures used across the unit-test modules, a
-builder of small hand-written LPs, and a dense view of an LP for the
-reference solvers in the solver tests.
+builder of small hand-written LPs, a dense view of an LP for the
+reference solvers in the solver tests, and the benchmark's seeded demand
+factor.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
 values stay derivable by inspection or an independent one-liner.
@@ -150,6 +151,24 @@ def tiny_costs(net: NetworkSpec) -> CostTable:
 
 def tiny_params(t: int = T) -> TechParams:
     return TechParams(n_years=t / 8760.0)
+
+
+def demand_factor(seed: int, node_index: int, n_hours: int) -> np.ndarray:
+    """Smooth per-hour demand factor within [0.999, 1.0]; all ones for
+    seed 0.
+
+    The benchmark's seeded perturbation (``perfbench/bundles.py``), restated
+    so the tests need nothing outside the package: a daily and a weekly
+    sinusoid with phases drawn from ``default_rng([seed, node_index])``.
+    """
+    if seed == 0:
+        return np.ones(n_hours)
+    rng = np.random.default_rng([seed, node_index])
+    daily, weekly = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    t = np.arange(n_hours, dtype=float)
+    wave = (np.sin(2.0 * np.pi * t / 24.0 + daily)
+            + np.sin(2.0 * np.pi * t / 168.0 + weekly))
+    return 1.0 - 0.0005 * (1.0 + 0.5 * wave)
 
 
 def dense_matrix(lp: LPInstance) -> np.ndarray:

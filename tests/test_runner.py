@@ -751,6 +751,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"validate: {message}\n"
 
+    def test_validate_reports_a_partial_emissions_calibration(
+            self, tmp_path, capsys):
+        # A GHG-target run reads the calibration for every node, so
+        # validate rejects one that misses a node, and run stops there.
+        def drop_b(payload):
+            for name in ("f_heat_tot_mj", "f_veh_tot_mj"):
+                payload["emissions"][name].pop("b")
+
+        bundle = fixture_copy(tmp_path, drop_b)
+        messages = [f"emissions calibration {name} must give one value per "
+                    "network node: missing ['b'], unknown []"
+                    for name in ("f_heat_tot_mj", "f_veh_tot_mj")]
+        assert main(["validate", "--inputs", str(bundle)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "".join(f"invalid: {m}\n" for m in messages))
+        base = json.loads((FIXTURE / "scenario.json").read_text())
+        config = {**{k: v for k, v in base.items() if k != "lcp"},
+                  "mode": "ghg+hve", "omega": 0.3}
+        code = main(["run", "--inputs", str(bundle), "--config",
+                     write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.err == f"validate: {'; '.join(messages)}\n"
+
     STOPS_AT_VALIDATE = [
         (lambda payload: payload["params"].update(eta_ff_new=0.0), {},
          "parameter eta_ff_new=0.0 outside (0, 1]"),

@@ -23,7 +23,7 @@ from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
                                   LPInstance, assemble)
 from gridplan.runner import load_bundle, load_config
 from gridplan.solver import SolveOptions, _Simplex, solve
-from helpers import dense_matrix, make_lp
+from helpers import demand_factor, dense_matrix, make_lp
 from test_acceptance import demo_config
 
 FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
@@ -481,6 +481,85 @@ def test_singular_basis_repaired_with_unit_column():
     np.testing.assert_allclose(sx.binv0 @ basis, np.eye(3), atol=1e-15)
 
 
+def test_refactor_peels_singletons_around_a_dense_kernel(monkeypatch):
+    # Basis columns 0-3 of
+    #     [2 0 0 0]
+    #     [1 1 3 0]
+    #     [0 2 1 0]
+    #     [0 1 1 4]:
+    # column 3 is a column singleton (row 3), row 0 then a row singleton
+    # (column 0), and rows 1-2 x columns 1-2 the kernel.
+    basis = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, 1.0, 3.0, 0.0],
+                      [0.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 4.0]])
+    cols, rows = np.nonzero(basis.T)
+    sx = _Simplex(cols, rows, basis[rows, cols], np.ones(4),
+                  np.full(4, np.inf), [0, 1, 2, 3], SolveOptions())
+    kernels = []
+    solve_dense = np.linalg.solve
+
+    def spy(a, b):
+        kernels.append(a.copy())
+        return solve_dense(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    sx.refactor()
+    assert len(kernels) == 1
+    np.testing.assert_array_equal(kernels[0], [[1.0, 3.0], [2.0, 1.0]])
+    np.testing.assert_allclose(sx.binv0 @ basis, np.eye(4), rtol=0.0,
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("entries, repaired", [
+    # Columns 0 and 1 are both singletons of row 0.
+    (([0, 1, 2], [0, 0, 2], [1.0, 2.0, 3.0]), [0, 4, 2]),
+    # No basis column touches row 1.
+    (([0, 1, 1, 2], [0, 0, 2, 2], [1.0, 1.0, 1.0, 2.0]), [0, 1, 4]),
+])
+def test_structurally_singular_basis_repaired(entries, repaired):
+    # Basis columns 0-2 leave row 1 uncovered; 3-5 are the unit columns of
+    # rows 0-2, and the repair swaps in row 1's.
+    cols, rows, vals = (np.array(a) for a in entries)
+    sx = _Simplex(np.concatenate([cols, [3, 4, 5]]),
+                  np.concatenate([rows, [0, 1, 2]]),
+                  np.concatenate([vals, np.ones(3)]), np.ones(3),
+                  np.full(6, np.inf), [0, 1, 2], SolveOptions())
+    sx.refactor()
+    np.testing.assert_array_equal(sx.basis, repaired)
+    basis = sx._dense(sx.basis)
+    np.testing.assert_allclose(sx.binv0 @ basis, np.eye(3), atol=1e-15)
+
+
+def test_refactor_of_unit_basis_is_exact():
+    # A permuted unit basis peels completely: no kernel, no roundoff.
+    sx = _Simplex(np.arange(3), np.array([2, 0, 1]), np.ones(3), np.ones(3),
+                  np.full(3, np.inf), [0, 1, 2], SolveOptions())
+    sx.refactor()
+    basis = np.zeros((3, 3))
+    basis[[2, 0, 1], [0, 1, 2]] = 1.0
+    np.testing.assert_array_equal(sx.binv0 @ basis, np.eye(3))
+
+
+def test_refactor_as_accurate_as_dense_solve(fixture_lp, monkeypatch):
+    # At every refactor of the fixture solve, the left residual of the
+    # peeled inverse (the one BTRAN and the pivot row read) is within 10x
+    # that of a dense LU solve on the same basis.
+    refactor = _Simplex.refactor
+    ratios = []
+
+    def spy(self):
+        refactor(self)
+        basis = self._dense(self.basis)
+        eye = np.eye(self.m)
+        dense = np.abs(np.linalg.solve(basis, eye) @ basis - eye).max()
+        peeled = np.abs(self.binv0 @ basis - eye).max()
+        ratios.append(peeled / dense if peeled else 0.0)
+
+    monkeypatch.setattr(_Simplex, "refactor", spy)
+    assert solve(fixture_lp).status == "optimal"
+    assert ratios
+    assert max(ratios) <= 10.0, ratios
+
+
 def test_devex_pivot_by_hand():
     # Rows [0.5 2 0.1; 0.25 1 3] <= (1, 10), columns 3 and 4 their slacks,
     # c = (-1, -1, -0.5, 0, 0). Column 0 enters first (ties break low)
@@ -570,14 +649,23 @@ def test_updated_reduced_costs_match_fresh_at_end_of_phase_2(
     np.testing.assert_allclose(kept, fresh, rtol=0.0, atol=1e-9)
 
 
-def tiled_lp(bundle, k):
+def tiled_lp(bundle, k, seed=0):
     """The fixture LP with every series tiled k times and n_years scaled
-    to match."""
+    to match, its hourly demand scaled by the benchmark's factor for
+    ``seed``."""
     series = bundle.series
-    tiled = {f.name: {node: np.tile(arr, k)
-                      for node, arr in getattr(series, f.name).items()}
-             for f in dataclasses.fields(series)
-             if getattr(series, f.name) is not None}
+    nodes = sorted(series.d_elec)
+    n_hours = series.n_hours * k
+    tiled = {}
+    for f in dataclasses.fields(series):
+        mapping = getattr(series, f.name)
+        if mapping is None:
+            continue
+        tiled[f.name] = {node: np.tile(arr, k) for node, arr in mapping.items()}
+        if f.name in ("d_elec", "d_heat_full", "d_veh_full"):
+            for node in mapping:
+                tiled[f.name][node] *= demand_factor(seed, nodes.index(node),
+                                                     n_hours)
     series = dataclasses.replace(series, **tiled)
     params = dataclasses.replace(bundle.params,
                                  n_years=bundle.params.n_years * k)
@@ -588,8 +676,9 @@ def tiled_lp(bundle, k):
     return assemble(inp)[0]
 
 
-def test_fixture_tiled_to_96h_matches_highs(bundle):
-    lp = tiled_lp(bundle, 2)
+@pytest.mark.parametrize("seed", range(4))
+def test_fixture_tiled_to_96h_matches_highs(bundle, seed):
+    lp = tiled_lp(bundle, 2, seed)
     assert lp.n_rows == 497
     ref = scipy_solve(lp)
     assert ref.status == 0
