@@ -13,7 +13,7 @@ from gridplan.emissions import (
     co2e_factor,
     ghg_reduction,
 )
-from gridplan.formulation import BuildInputs, LPInstance, assemble, build
+from gridplan.formulation import BuildInputs, LPInstance, assemble
 from gridplan.model import (
     CostTable,
     EVFlexConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "TimeSeriesSet",
     "annualization_rate",
     "assemble",
-    "build",
     "co2e_factor",
     "compute_lcoe",
     "export_mps",

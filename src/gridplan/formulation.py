@@ -20,7 +20,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from gridplan.emissions import EmissionsCalibration
 from gridplan.model import (
     CAPACITY,
     HEAT_RATE_MMBTU_PER_MWH,
@@ -30,7 +29,6 @@ from gridplan.model import (
     flex_hydro,
     requirements,
 )
-from gridplan.resources import BiofuelLimits
 
 LE = "<="
 GE = ">="
@@ -334,24 +332,24 @@ def _make_catalog(inp: "BuildInputs") -> VariableCatalog:
 class BuildInputs:
     """Scenario inputs resolved, cross-checked, and classified.
 
-    Resolves hydro and biofuel operating limits (explicit overrides win over
-    series and node defaults), decides which nodes own which variable
-    families (``build_keys`` for the capital families of
-    ``model.CAPACITY``), and derives the variable catalog. It raises one
-    LPError joining every violation of ``model.requirements`` (so every
-    priced activity has a cost entry), and raises on what only it sees:
-    override keys, the demand bundle's alignment and the daily structures,
-    all before any row is assembled. ``fixed_charges`` states the charges that
-    no decision variable carries; the objective offset and the report's
-    cost buckets both read it.
+    Every input comes from the bundle: hydro and biofuel limits are the
+    series ``h_fix``/``h_flex_daily`` and the ``NodeSpec`` fields, read
+    where the rows are assembled. This class decides which nodes own which
+    variable families (``hydro_nodes`` by ``model.flex_hydro``,
+    ``bio_nodes`` by ``NodeSpec.burns_biofuel``, ``build_keys`` for the
+    capital families of ``model.CAPACITY``), and derives the variable
+    catalog. It raises one LPError joining every violation of
+    ``model.requirements`` (so every priced activity has a cost entry), and
+    raises on what only it sees: the demand bundle's alignment and the
+    daily structures, all before any row is assembled. ``fixed_charges``
+    states the charges that no decision variable carries; the objective
+    offset and the report's cost buckets both read it.
     """
 
     def __init__(self, config, network, series, costs, params, demand,
-                 hydro=None, biofuel=None, emissions=None):
-        hydro, biofuel = dict(hydro or {}), dict(biofuel or {})
+                 emissions=None):
         problems = requirements(network, series, costs, params, config,
-                                emissions=emissions, hydro=hydro,
-                                biofuel=biofuel)
+                                emissions=emissions)
         if problems:
             raise LPError("; ".join(problems))
         self.config = config
@@ -388,8 +386,6 @@ class BuildInputs:
                         f"demand bundle {label} missing or misaligned "
                         f"for node {n}"
                     )
-        self._resolve_hydro(hydro)
-        self._resolve_biofuel(biofuel)
         self._classify()
         self._check_daily_alignment()
         self.catalog = _make_catalog(self)
@@ -404,73 +400,27 @@ class BuildInputs:
             costs.ex_cap.get(n, 0.0)
             * node.charged_mw(self.config.include_nuclear) * 1000.0
             + costs.ex_tx.get(n, 0.0) * node.existing_tx_flow_mwh)
-        hydro = float(np.sum(self.hydro_fix[n])) * costs.c_hydro.get(n, 0.0)
+        hydro = float(np.sum(self.series.h_fix[n])) * costs.c_hydro.get(n, 0.0)
         nuclear = 0.0
         if self.config.include_nuclear:
             nuclear = float(np.sum(self.series.nuclear[n])) \
                 * costs.c_nuc.get(n, 0.0)
         return existing, hydro, nuclear
 
-    # -- resolution and the checks only the resolved inputs allow -----------
-
-    def _resolve_hydro(self, overrides):
-        for key in overrides:
-            if key not in self.node_ids:
-                raise LPError(f"hydro override names unknown node {key!r}")
-        self.hydro_fix: dict[str, np.ndarray] = {}
-        self.hydro_daily: dict[str, np.ndarray] = {}
-        self.hydro_hourly_max: dict[str, float] = {}
-        flex_nodes = []
-        for n in self.node_ids:
-            node = self.network.node(n)
-            prof = overrides.get(n)
-            if prof is not None:
-                fix = np.asarray(prof.h_fix_hourly, dtype=float)
-                daily = prof.h_flex_daily
-                hourly_max = float(prof.hourly_max_mwh)
-            else:
-                fix = np.asarray(self.series.h_fix[n], dtype=float)
-                daily = (self.series.h_flex_daily or {}).get(n)
-                hourly_max = float(node.hydro_flex_hourly_max_mwh)
-            if len(fix) != self.n_hours:
-                raise LPError(
-                    f"fixed-hydro series for node {n} has {len(fix)} hours, "
-                    f"expected {self.n_hours}"
-                )
-            self.hydro_fix[n] = fix
-            if prof is not None or flex_hydro(node, self.series):
-                flex_nodes.append(n)
-                self.hydro_daily[n] = np.asarray(daily, dtype=float)
-                self.hydro_hourly_max[n] = hourly_max
-        self.hydro_nodes = tuple(flex_nodes)
-
-    def _resolve_biofuel(self, overrides):
-        for key in overrides:
-            if key not in self.node_ids:
-                raise LPError(f"biofuel override names unknown node {key!r}")
-        self.bio_limits: dict[str, BiofuelLimits] = {}
-        for n in self.node_ids:
-            node = self.network.node(n)
-            lim = overrides.get(n)
-            if lim is None and node.burns_biofuel:
-                lim = BiofuelLimits(
-                    daily_mwh=float(node.biofuel_daily_mwh),
-                    hourly_max_mwh=float(node.biofuel_mw),
-                    constrained_below_daily=bool(
-                        node.biofuel_mw * HOURS_PER_DAY
-                        < node.biofuel_daily_mwh - 1e-9),
-                )
-            if lim is not None:
-                self.bio_limits[n] = lim
-        self.bio_nodes = tuple(sorted(self.bio_limits))
+    # -- classification and the checks only the resolved inputs allow -------
 
     def _classify(self):
         self.build_keys = build_keys(self.network, self.costs,
                                      self.config.include_h2)
         self.h2_nodes = self.build_keys["cap_h2_energy"]
+        hydro_nodes, bio_nodes = [], []
         fossil_ex, batt_nodes, import_nodes, ev_nodes = [], [], [], []
         for n in self.node_ids:
             node = self.network.node(n)
+            if flex_hydro(node, self.series):
+                hydro_nodes.append(n)
+            if node.burns_biofuel:
+                bio_nodes.append(n)
             if node.gas_existing_mw > 0.0:
                 fossil_ex.append(n)
             if n in self.build_keys["cap_battery_energy"] \
@@ -481,6 +431,8 @@ class BuildInputs:
                 import_nodes.append(n)
             if self.demand.ev_envelopes.get(n) is not None:
                 ev_nodes.append(n)
+        self.hydro_nodes = tuple(hydro_nodes)
+        self.bio_nodes = tuple(bio_nodes)
         self.fossil_ex_nodes = tuple(fossil_ex)
         self.battery_nodes = tuple(batt_nodes)
         self.import_nodes = tuple(import_nodes)
@@ -508,14 +460,8 @@ class BuildInputs:
             )
         n_days = T // HOURS_PER_DAY
         for n in self.hydro_nodes:
-            daily = self.hydro_daily[n]
-            if len(daily) != n_days:
-                raise LPError(
-                    f"flexible-hydro daily series for node {n} has "
-                    f"{len(daily)} days, expected {n_days}"
-                )
-            hourly_max = self.hydro_hourly_max[n]
-            worst = float(np.max(daily, initial=0.0))
+            hourly_max = self.network.node(n).hydro_flex_hourly_max_mwh
+            worst = float(np.max(self.series.h_flex_daily[n], initial=0.0))
             if worst > hourly_max * HOURS_PER_DAY + 1e-9:
                 warnings.warn(
                     f"node {n}: flexible-hydro daily energy {worst:g} MWh "
@@ -673,7 +619,7 @@ def add_energy_balance(builder: LPBuilder, inp: BuildInputs) -> None:
 
     for n in inp.node_ids:
         node = inp.network.node(n)
-        rhs = (np.asarray(series.d_elec[n], dtype=float) - inp.hydro_fix[n]
+        rhs = (np.asarray(series.d_elec[n], dtype=float) - series.h_fix[n]
                - dem.x_btm_mw[n] * series.w_btm_solar[n])
         for _, existing, weather in VRE.values():
             rhs = rhs - getattr(node, existing) * getattr(series, weather)[n]
@@ -879,25 +825,24 @@ def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
 
 def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
     """Hydro daily budgets, biofuel limits, import caps, and EV charging."""
-    T = inp.n_hours
     cat = builder.catalog
+    n_days = inp.n_hours // HOURS_PER_DAY
     for n in inp.hydro_nodes:
-        daily = inp.hydro_daily[n]
         hydro = cat.cols("hydro_flex", n)
         rows = builder.add_rows(
-            [f"hydro_daily[{n},{d}]" for d in range(len(daily))], EQ, daily,
-            "hydro-daily")
-        builder.add_terms(rows[:, None], hydro.reshape(len(daily), -1), 1.0)
-        builder.set_upper(hydro, inp.hydro_hourly_max[n], "hydro-hourly")
+            [f"hydro_daily[{n},{d}]" for d in range(n_days)], EQ,
+            inp.series.h_flex_daily[n], "hydro-daily")
+        builder.add_terms(rows[:, None], hydro.reshape(n_days, -1), 1.0)
+        builder.set_upper(hydro, inp.network.node(n).hydro_flex_hourly_max_mwh,
+                          "hydro-hourly")
     for n in inp.bio_nodes:
-        lim = inp.bio_limits[n]
+        node = inp.network.node(n)
         bio = cat.cols("biofuel", n)
-        n_days = T // HOURS_PER_DAY
         rows = builder.add_rows(
             [f"biofuel_daily[{n},{d}]" for d in range(n_days)], LE,
-            lim.daily_mwh, "biofuel-daily")
+            node.biofuel_daily_mwh, "biofuel-daily")
         builder.add_terms(rows[:, None], bio.reshape(n_days, -1), 1.0)
-        builder.set_upper(bio, lim.hourly_max_mwh, "biofuel-hourly")
+        builder.set_upper(bio, node.biofuel_mw, "biofuel-hourly")
     for n in inp.import_nodes:
         builder.set_upper(cat.cols("imports", n),
                           inp.network.node(n).import_limit_mwh,
@@ -907,7 +852,6 @@ def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
         env = inp.demand.ev_envelopes[n]
         required = np.asarray(env.required_mwh, dtype=float)
         hourly_cap = np.asarray(env.hourly_cap_mwh, dtype=float)
-        n_days = len(required)
         # day x charging-window hour
         ev = cat.cols("ev_flex", n).reshape(n_days, -1)
         hours = np.reshape(inp.ev_hours, ev.shape)
@@ -1081,11 +1025,12 @@ def build_objective(builder: LPBuilder, inp: BuildInputs) -> None:
 
 
 def assemble(inp: BuildInputs) -> tuple[LPInstance, VariableCatalog]:
-    """Assemble the LP for already-resolved inputs.
+    """Assemble the least-cost scenario LP from resolved inputs: the one
+    way to build it, ``assemble(BuildInputs(...))``.
 
-    Exposed separately from ``build`` so callers that need the resolved
-    inputs afterwards (reporting, the scenario runner) can construct
-    ``BuildInputs`` once and keep it.
+    Returns the immutable LP plus the variable catalog naming its columns.
+    Callers that need the resolved inputs afterwards (reporting, the
+    scenario runner) keep the ``BuildInputs`` they passed.
     """
     builder = LPBuilder(inp.catalog)
     if inp.free_p:
@@ -1103,20 +1048,3 @@ def assemble(inp: BuildInputs) -> tuple[LPInstance, VariableCatalog]:
     build_objective(builder, inp)
     return builder.instance(), inp.catalog
 
-
-def build(config, network, series, costs, params, demand,
-          hydro=None, biofuel=None, *,
-          emissions: EmissionsCalibration | None = None,
-          ) -> tuple[LPInstance, VariableCatalog]:
-    """Assemble the least-cost scenario LP.
-
-    ``hydro`` and ``biofuel`` optionally override per-node operating limits
-    (mappings of node id to HydroProfile / BiofuelLimits); otherwise limits
-    come from the series and node specs. ``emissions`` supplies the
-    calibration required whenever a GHG-reduction target is set.
-
-    Returns the immutable LP plus the variable catalog naming its columns.
-    """
-    inp = BuildInputs(config, network, series, costs, params, demand,
-                      hydro=hydro, biofuel=biofuel, emissions=emissions)
-    return assemble(inp)

@@ -223,11 +223,10 @@ class TechParams:
 
 @dataclass(frozen=True)
 class TimeSeriesSet:
-    """Hourly (and a few daily/monthly) input series, one array per node.
+    """Hourly (and a few daily) input series, one array per node.
 
     Hourly arrays all share one length T. ``e_veh_daily_full`` and
-    ``h_flex_daily`` are per-day arrays of length T/24; ``h_monthly`` is a
-    per-month array used only when hydro arrives at monthly resolution.
+    ``h_flex_daily`` are per-day arrays of length T/24.
     """
 
     d_elec: Mapping[str, np.ndarray]
@@ -241,7 +240,6 @@ class TimeSeriesSet:
     d_veh_full: Mapping[str, np.ndarray] | None = None
     e_veh_daily_full: Mapping[str, np.ndarray] | None = None
     h_flex_daily: Mapping[str, np.ndarray] | None = None
-    h_monthly: Mapping[str, np.ndarray] | None = None
 
     _HOURLY_FIELDS = (
         "d_elec", "d_heat_full", "d_veh_full", "w_on", "w_off",
@@ -403,16 +401,14 @@ def flex_hydro(node: NodeSpec, series: TimeSeriesSet) -> bool:
 def requirements(network: NetworkSpec, series: TimeSeriesSet,
                  costs: CostTable, params: TechParams,
                  config: ScenarioConfig | None = None, *,
-                 emissions=None, hydro=(), biofuel=()) -> list[str]:
+                 emissions=None) -> list[str]:
     """Every requirement the LP places on the inputs; one message per
     violation. ``validate`` reports them and ``BuildInputs`` raises on them.
 
     ``config`` None reads the bundle under the most demanding scenario:
     nuclear included, hydrogen buildable and a GHG-reduction target, which
     reads the emissions calibration ``emissions`` (if one is given; a
-    scenario with a target needs one). ``hydro`` and ``biofuel``
-    hold the nodes whose operating limits a library override sets; such a
-    node burns hydro (biofuel) whatever its bundle entries say.
+    scenario with a target needs one).
     """
     v: list[str] = []
     ids = network.node_ids
@@ -456,8 +452,7 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
                 f"node {node.id}: flexible-hydro hourly cap set with no "
                 "flexible hydro capacity"
             )
-        if node.hydro_flex_mw > 0.0 and node.id not in hydro \
-                and series.h_flex_daily is None:
+        if node.hydro_flex_mw > 0.0 and series.h_flex_daily is None:
             v.append(f"node {node.id} has flexible hydro capacity but no "
                      "daily energy series")
 
@@ -484,11 +479,11 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
         for cost, why, used in (
             ("c_ff", "fossil fuel",
              node.gas_existing_mw > 0.0 or n in built["cap_fossil"]),
-            ("c_hydro", "hydro energy", n in hydro or flex_hydro(node, series)
+            ("c_hydro", "hydro energy", flex_hydro(node, series)
              or np.sum(series.h_fix.get(n, ())) > 0.0),
             ("c_nuc", "nuclear energy",
              include_nuclear and np.sum(series.nuclear.get(n, ())) > 0.0),
-            ("c_bio", "biofuel energy", n in biofuel or node.burns_biofuel),
+            ("c_bio", "biofuel energy", node.burns_biofuel),
             ("c_imp", "imported energy", node.import_limit_mwh > 0.0),
             ("ex_cap", "existing-capacity maintenance",
              node.charged_mw(include_nuclear) > 0.0),

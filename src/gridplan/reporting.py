@@ -233,8 +233,9 @@ def _hourly_series(inp: BuildInputs,
             cols = cat.cols(fam, n)
             if cols is not None:
                 out[resource] = x[cols]
-        if np.any(inp.hydro_fix[n] != 0.0):
-            out["hydro-fixed"] = inp.hydro_fix[n]
+        h_fix = np.asarray(series.h_fix[n], dtype=float)
+        if np.any(h_fix != 0.0):
+            out["hydro-fixed"] = h_fix
         nuclear = np.asarray(series.nuclear[n], dtype=float)
         if inp.config.include_nuclear and np.any(nuclear != 0.0):
             out["nuclear"] = nuclear

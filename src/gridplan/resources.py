@@ -1,12 +1,13 @@
-"""Model-ready resource series: monthly-to-hourly/daily hydro disaggregation,
-biofuel daily limits, and subsidized nuclear pricing.
+"""Bundle-preparation helpers: monthly-to-hourly/daily hydro
+disaggregation and subsidized nuclear pricing.
 
-Hydro arrives as monthly energy totals. Each total is split into a must-run
-(fixed) and a dispatchable (flexible) share, then smoothed to the model's
-native resolution with a natural cubic spline through month-midpoint mean
-rates. Spline overshoot below zero is clamped and every month is rescaled
-afterwards, so monthly energy is conserved exactly no matter what the
-interpolant does in between.
+Hydro data often arrives as monthly energy totals. Each total is split into
+a must-run (fixed) and a dispatchable (flexible) share, then smoothed to the
+model's native resolution with a natural cubic spline through month-midpoint
+mean rates. Spline overshoot below zero is clamped and every month is
+rescaled afterwards, so monthly energy is conserved exactly no matter what
+the interpolant does in between. The two series are written into a bundle's
+``h_fix`` and ``h_flex_daily``, the only route by which hydro reaches the LP.
 """
 
 from __future__ import annotations
@@ -146,12 +147,11 @@ def disaggregate_flexible(monthly: np.ndarray, month_days=MONTH_DAYS) -> np.ndar
 
 @dataclass(frozen=True)
 class HydroProfile:
-    """Disaggregated hydro for one node."""
+    """Disaggregated hydro for one node: the values of the bundle series
+    ``h_fix`` (hourly) and ``h_flex_daily`` (daily)."""
 
     h_fix_hourly: np.ndarray
     h_flex_daily: np.ndarray
-    hourly_max_mwh: float
-    y_fix: float
 
     def __post_init__(self):
         for name in ("h_fix_hourly", "h_flex_daily"):
@@ -161,15 +161,12 @@ class HydroProfile:
 
 
 def build_hydro_profile(monthly_total: np.ndarray, y_fix: float,
-                        hourly_max_mwh: float,
                         month_days=MONTH_DAYS) -> HydroProfile:
     """Split monthly hydro and disaggregate both shares."""
     fixed_m, flex_m = split_hydro(monthly_total, y_fix)
     return HydroProfile(
         h_fix_hourly=disaggregate_fixed(fixed_m, month_days),
         h_flex_daily=disaggregate_flexible(flex_m, month_days),
-        hourly_max_mwh=float(hourly_max_mwh),
-        y_fix=float(y_fix),
     )
 
 
@@ -192,31 +189,3 @@ def nuclear_subsidized_price(
         )
     annual_gen = constant_gen_mwh_per_h * 8760.0
     return base_lbmp + zec_rate * demand_forecast_mwh_per_yr / annual_gen
-
-
-@dataclass(frozen=True)
-class BiofuelLimits:
-    """Daily energy budget and hourly output cap for one node's biofuel."""
-
-    daily_mwh: float
-    hourly_max_mwh: float
-    constrained_below_daily: bool
-
-
-def biofuel_limits(avg_daily_gen_mwh: float, capacity_mw: float) -> BiofuelLimits:
-    """Operating limits from average daily generation and nameplate power."""
-    if avg_daily_gen_mwh < 0.0 or capacity_mw < 0.0:
-        raise ValueError("biofuel inputs must be >= 0")
-    constrained = capacity_mw * HOURS_PER_DAY < avg_daily_gen_mwh - 1e-9
-    if constrained:
-        warnings.warn(
-            f"biofuel capacity {capacity_mw} MW cannot reach the daily "
-            f"budget of {avg_daily_gen_mwh} MWh",
-            UserWarning,
-            stacklevel=2,
-        )
-    return BiofuelLimits(
-        daily_mwh=float(avg_daily_gen_mwh),
-        hourly_max_mwh=float(capacity_mw),
-        constrained_below_daily=constrained,
-    )

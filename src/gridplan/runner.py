@@ -162,9 +162,11 @@ def _read_series_csv(path: Path, name: str) -> dict[str, np.ndarray]:
             raise RunnerError(
                 f"series {name}: expected header 'node,t,value', "
                 f"got {header!r}")
+        line_no, blanks = 1, 0
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
+                blanks += 1
                 continue
             parts = line.split(",")
             if len(parts) != 3:
@@ -177,6 +179,10 @@ def _read_series_csv(path: Path, name: str) -> dict[str, np.ndarray]:
             except ValueError as exc:
                 raise RunnerError(
                     f"series {name} line {line_no}: {exc}") from exc
+    # A repeated (node, t) row overwrote a value; counting after the loop
+    # keeps the per-line cost of the 8784 h load unchanged.
+    if sum(map(len, per_node.values())) != line_no - 1 - blanks:
+        _raise_repeat(path, name)
     out = {}
     for node, values in per_node.items():
         n = len(values)
@@ -187,6 +193,44 @@ def _read_series_csv(path: Path, name: str) -> dict[str, np.ndarray]:
                 f"(expected contiguous 0..{n - 1})")
         out[node] = np.array([values[t] for t in range(n)])
     return out
+
+
+def _raise_repeat(path: Path, name: str) -> None:
+    """Raise RunnerError naming the first (node, t) row that a series CSV,
+    whose rows all parsed, gives twice, and both of its line numbers."""
+    first: dict[tuple[str, int], int] = {}
+    with open(path) as fh:
+        next(fh)
+        for line_no, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) != 3:
+                continue
+            key = (parts[0], int(parts[1]))
+            if key in first:
+                raise RunnerError(
+                    f"series {name}: node {key[0]} hour {key[1]} is given "
+                    f"on line {first[key]} and again on line {line_no}")
+            first[key] = line_no
+
+
+def _check_numbers(spec, where: str) -> None:
+    """Raise RunnerError unless every field of ``spec`` other than a name
+    is a number or (a ``Mapping`` field) a JSON object of numbers."""
+    for f in dataclasses.fields(spec):
+        if f.type == "str":
+            continue
+        value = getattr(spec, f.name)
+        if not f.type.startswith("Mapping"):
+            items = [(f.name, value)]
+        elif isinstance(value, Mapping):
+            items = [(f"{f.name}[{k}]", v) for k, v in value.items()]
+        else:
+            raise RunnerError(f"bundle.json: {where}{f.name} must be an "
+                              f"object of numbers, got {value!r}")
+        for label, v in items:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise RunnerError(f"bundle.json: {where}{label} must be a "
+                                  f"number, got {v!r}")
 
 
 def load_bundle(path) -> Bundle:
@@ -213,6 +257,12 @@ def load_bundle(path) -> Bundle:
             emissions = EmissionsCalibration(**payload["emissions"])
     except (KeyError, TypeError, ValueError) as exc:
         raise RunnerError(f"bundle.json: {exc}") from exc
+    for node in network.nodes:
+        _check_numbers(node, f"node {node.id}: ")
+    for iface in network.interfaces:
+        _check_numbers(iface, f"interface {iface.key}: ")
+    _check_numbers(costs, "costs: ")
+    _check_numbers(params, "params: ")
 
     series_kw: dict[str, dict[str, np.ndarray]] = {}
     series_dir = root / "series"

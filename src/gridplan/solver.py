@@ -777,6 +777,8 @@ def _parse_solution_text(text: str) -> dict:
         tokens = line.split()
         if len(tokens) < 2:
             raise LPError(f"cannot parse solution line {line!r}")
+        if tokens[0] in values:
+            raise LPError(f"solution gives column {tokens[0]!r} twice")
         values[tokens[0]] = float(tokens[1])
     return values
 
@@ -786,8 +788,9 @@ def import_solution(lp: LPInstance, source,
     """Adopt externally solved values for this LP.
 
     ``source`` may be a mapping, NAME VALUE text, or a readable stream.
-    Column names may be originals or their MPS-mangled forms. The
-    objective and slacks are recomputed from the point itself; status
+    Column names may be originals or their MPS-mangled forms; a column
+    given twice, by either name, raises LPError. The objective and
+    slacks are recomputed from the point itself; status
     "optimal" here asserts feasibility within tolerance, while a point
     violating any row beyond tolerance comes back "infeasible" with the
     offending rows named, and so does a point holding a NaN or infinite
@@ -810,6 +813,9 @@ def import_solution(lp: LPInstance, source,
             if name not in unmangle:
                 raise LPError(f"solution names unknown column {name!r}")
             name = unmangle[name]
+        if name in values:
+            raise LPError(f"solution gives column {name!r} twice: by its "
+                          f"name and by its MPS name {_mangle(name)!r}")
         values[name] = value
     missing = [name for name in lp.col_names if name not in values]
     if missing:

@@ -1,7 +1,7 @@
-"""Small shared model fixtures used across the unit-test modules, a
-builder of small hand-written LPs, a dense view of an LP for the
-reference solvers in the solver tests, and the benchmark's seeded demand
-factor.
+"""Small shared model fixtures used across the unit-test modules, the
+scenario-LP build, a builder of small hand-written LPs, a dense view of an
+LP for the reference solvers in the solver tests, and the benchmark's
+seeded demand factor.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
 values stay derivable by inspection or an independent one-liner.
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gridplan.formulation import LPInstance
+from gridplan.formulation import BuildInputs, LPInstance, assemble
 from gridplan.model import (
     CostTable,
     InterfaceSpec,
@@ -151,6 +151,11 @@ def tiny_costs(net: NetworkSpec) -> CostTable:
 
 def tiny_params(t: int = T) -> TechParams:
     return TechParams(n_years=t / 8760.0)
+
+
+def build_lp(*args, **kw):
+    """The scenario LP and its catalog: ``assemble(BuildInputs(...))``."""
+    return assemble(BuildInputs(*args, **kw))
 
 
 def demand_factor(seed: int, node_index: int, n_hours: int) -> np.ndarray:

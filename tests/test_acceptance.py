@@ -169,7 +169,7 @@ def test_conservation_of_water_storage_and_hourly_energy(main_run, bundle):
     monthly = 1e3 * np.array([620.0, 540.0, 700.0, 980.0, 1240.0, 1100.0,
                               890.0, 760.0, 680.0, 640.0, 600.0, 610.0])
     y_fix = 0.62
-    profile = build_hydro_profile(monthly, y_fix=y_fix, hourly_max_mwh=2000.0)
+    profile = build_hydro_profile(monthly, y_fix=y_fix)
     days = np.asarray(MONTH_DAYS, dtype=int)
     hour_edges = np.concatenate([[0], np.cumsum(HOURS_PER_DAY * days)])
     day_edges = np.concatenate([[0], np.cumsum(days)])

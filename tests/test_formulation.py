@@ -8,6 +8,8 @@ module so the policy row and the reporting ledger can never drift apart.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from gridplan.emissions import (
 )
 from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, Block, LPBuilder, LPError,
-                                  LPInstance, VariableCatalog, build)
+                                  LPInstance, VariableCatalog)
 from gridplan.model import (
     CostTable,
     EVFlexConfig,
@@ -30,10 +32,12 @@ from gridplan.model import (
     TimeSeriesSet,
     annualization_rate,
 )
-from gridplan.resources import HydroProfile, BiofuelLimits
+from gridplan.resources import build_hydro_profile
+from gridplan.runner import load_bundle, save_bundle
 from gridplan.solver import SolveOptions, solve
 
-from helpers import tiny_costs, tiny_network, tiny_params, tiny_series
+from helpers import (build_lp, tiny_costs, tiny_network, tiny_params,
+                     tiny_series)
 
 # --------------------------------------------------------------------------
 # local fixtures
@@ -107,15 +111,15 @@ def tiny_calibration() -> EmissionsCalibration:
 
 
 def build_tiny(config=None, *, params=None, series=None, net=None,
-               costs=None, emissions=None, **build_kw):
+               costs=None, emissions=None):
     net = net or tiny_network()
     series = series if series is not None else tiny_series(net)
     costs = costs or tiny_costs(net)
     params = params or tiny_params()
     config = config or fixed_config(lcp=0.6, p_heat=0.3, p_veh=0.2)
     demand = synthesize_demand(net, series, config, params)
-    return build(config, net, series, costs, params, demand,
-                 emissions=emissions, **build_kw)
+    return build_lp(config, net, series, costs, params, demand,
+                    emissions=emissions)
 
 
 def row_by_name(lp, name):
@@ -150,7 +154,7 @@ def gas_only(t=24, demand=5.0, existing=1200.0, lcp=0.0, **params_kw):
     params = TechParams(n_years=t / 8760.0, **params_kw)
     config = fixed_config(lcp=lcp)
     demand_b = synthesize_demand(net, series, config, params)
-    lp, cat = build(config, net, series, costs, params, demand_b)
+    lp, cat = build_lp(config, net, series, costs, params, demand_b)
     return lp, cat, (net, series, costs, params, config)
 
 
@@ -240,7 +244,7 @@ class TestEnergyBalance:
         config = fixed_config()
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, mini_costs(), params, demand_b)
+        lp, cat = build_lp(config, net, series, mini_costs(), params, demand_b)
         sol = solve_ok(lp)
         for i, row in enumerate(lp.rows):
             if row.tag == "balance":
@@ -360,7 +364,7 @@ class TestFossil:
         params = TechParams(n_years=3 / 8760.0)
         config = fixed_config()
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, costs, params, demand_b)
+        lp, cat = build_lp(config, net, series, costs, params, demand_b)
         sol = solve_ok(lp)
         ramp_total = sum(col_value(lp, sol, f"ramp_ex[n,{t}]") for t in range(3))
         assert ramp_total == pytest.approx(8.0, abs=1e-7)
@@ -392,7 +396,7 @@ class TestResourceCaps:
         params = TechParams(n_years=24 / 8760.0)
         config = fixed_config()
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, costs, params, demand_b)
+        lp, cat = build_lp(config, net, series, costs, params, demand_b)
         assert lp.upper[lp.column_index("cap_onshore[n]")] == pytest.approx(30416.75)
 
     def test_max_zero_pins_new_build_to_zero(self):
@@ -401,7 +405,7 @@ class TestResourceCaps:
         costs = mini_costs(cap_on={"n": 1700.0}, omf_on={"n": 18.1})
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
-        lp, cat = build(fixed_config(), net, series, costs, params, demand_b)
+        lp, cat = build_lp(fixed_config(), net, series, costs, params, demand_b)
         assert lp.upper[lp.column_index("cap_onshore[n]")] == 0.0
 
     def test_us_solar_headroom_tiny(self):
@@ -424,7 +428,7 @@ class TestResourceCaps:
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
         with pytest.warns(UserWarning, match="exceeds"):
-            lp, cat = build(fixed_config(), net, series, costs, params, demand_b)
+            lp, cat = build_lp(fixed_config(), net, series, costs, params, demand_b)
         assert lp.upper[lp.column_index("cap_onshore[n]")] == 0.0
 
 
@@ -444,7 +448,7 @@ def two_node_tx(fwd=800.0, rev=400.0, buildable=True, t=2, demand_b=10.0):
     params = TechParams(n_years=t / 8760.0)
     config = fixed_config()
     demand = synthesize_demand(net, series, config, params)
-    return build(config, net, series, costs, params, demand), (net, series, costs, params)
+    return build_lp(config, net, series, costs, params, demand), (net, series, costs, params)
 
 
 class TestTransmission:
@@ -498,7 +502,7 @@ def storage_shift_fixture(eta=1.0, kappa=0.0, demand_t1=10.0, *,
                         phi_batt_max=phi[1], n_years=t / 8760.0)
     config = fixed_config()
     demand = synthesize_demand(net, series, config, params)
-    return build(config, net, series, costs, params, demand), params
+    return build_lp(config, net, series, costs, params, demand), params
 
 
 class TestStorage:
@@ -595,7 +599,7 @@ class TestDispatchables:
         series = mini_series(net, 24, d_elec=20.0, h_flex_daily=240.0)
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
-        lp, cat = build(fixed_config(), net, series, mini_costs(), params, demand_b)
+        lp, cat = build_lp(fixed_config(), net, series, mini_costs(), params, demand_b)
         sol = solve_ok(lp)
         for t in range(24):
             assert col_value(lp, sol, f"hydro_flex[n,{t}]") == pytest.approx(
@@ -622,7 +626,7 @@ class TestDispatchables:
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
         with pytest.warns(UserWarning, match="daily"):
-            build(fixed_config(), net, series, mini_costs(), params, demand_b)
+            build_lp(fixed_config(), net, series, mini_costs(), params, demand_b)
 
     def test_biofuel_daily_zero_forces_zero(self):
         net = mini_network(gas_existing_mw=50.0, biofuel_mw=5.0,
@@ -631,7 +635,7 @@ class TestDispatchables:
         costs = mini_costs(c_bio={"n": 0.5})  # cheaper than gas fuel
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
-        lp, cat = build(fixed_config(), net, series, costs, params, demand_b)
+        lp, cat = build_lp(fixed_config(), net, series, costs, params, demand_b)
         sol = solve_ok(lp)
         for t in range(24):
             assert col_value(lp, sol, f"biofuel[n,{t}]") == pytest.approx(0.0, abs=1e-9)
@@ -658,32 +662,29 @@ class TestDispatchables:
         params = TechParams(n_years=36 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
         with pytest.raises(LPError, match="multiple of 24"):
-            build(fixed_config(), net, series, mini_costs(), params, demand_b)
+            build_lp(fixed_config(), net, series, mini_costs(), params, demand_b)
 
-    def test_hydro_profile_override(self):
+    def test_hydro_profile_written_into_bundle(self, tmp_path):
+        # Monthly hydro reaches the LP only through the bundle's series.
         net = tiny_network()
         series = tiny_series(net)
-        profile = HydroProfile(
-            h_fix_hourly=np.full(48, 111.0),
-            h_flex_daily=np.array([600.0, 700.0]),
-            hourly_max_mwh=90.0,
-            y_fix=0.5,
-        )
-        lp, cat = build_tiny(hydro={"a": profile})
+        with pytest.warns(UserWarning, match="piecewise-constant"):
+            profile = build_hydro_profile([1200.0, 1400.0], y_fix=0.5,
+                                          month_days=(1, 1))
+        series = dataclasses.replace(
+            series,
+            h_fix={**series.h_fix, "a": profile.h_fix_hourly},
+            h_flex_daily={**series.h_flex_daily, "a": profile.h_flex_daily})
+        save_bundle(tmp_path, net, series, tiny_costs(net), tiny_params())
+        lp, cat = build_tiny(series=load_bundle(tmp_path).series)
         base_lp, _ = build_tiny()
         row = row_by_name(lp, "hydro_daily[a,1]")
         assert row.rhs == pytest.approx(700.0)
-        assert lp.upper[lp.column_index("hydro_flex[a,0]")] == pytest.approx(90.0)
-        shift = row_by_name(base_lp, "balance[a,9]").rhs - row_by_name(
-            lp, "balance[a,9]").rhs
-        assert shift == pytest.approx(111.0 - 250.0, rel=1e-12)
-
-    def test_biofuel_limits_override(self):
-        limits = BiofuelLimits(daily_mwh=100.0, hourly_max_mwh=7.0,
-                               constrained_below_daily=True)
-        lp, cat = build_tiny(biofuel={"a": limits})
-        assert lp.upper[lp.column_index("biofuel[a,3]")] == pytest.approx(7.0)
-        assert row_by_name(lp, "biofuel_daily[a,0]").rhs == pytest.approx(100.0)
+        assert lp.upper[lp.column_index("hydro_flex[a,0]")] == pytest.approx(150.0)
+        for t, fixed in ((9, 25.0), (33, 700.0 / 24.0)):
+            shift = row_by_name(base_lp, f"balance[a,{t}]").rhs - row_by_name(
+                lp, f"balance[a,{t}]").rhs
+            assert shift == pytest.approx(fixed - 250.0, rel=1e-12)
 
 
 def ev_config(**kw):
@@ -700,7 +701,7 @@ class TestEVFlex:
         config = ev_config()
         params = tiny_params()
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, tiny_costs(net), params, demand_b)
+        lp, cat = build_lp(config, net, series, tiny_costs(net), params, demand_b)
         ev_cols = [n for n in cat.names if n.startswith("ev_flex[a,")]
         expected_hours = [t for t in range(48) if 10 <= t % 24 <= 20]
         assert ev_cols == [f"ev_flex[a,{t}]" for t in expected_hours]
@@ -720,7 +721,7 @@ class TestEVFlex:
         config = ev_config()
         params = tiny_params()
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, tiny_costs(net), params, demand_b)
+        lp, cat = build_lp(config, net, series, tiny_costs(net), params, demand_b)
         coeffs = named_coeffs(lp, row_by_name(lp, "balance[a,12]"))
         assert coeffs["ev_flex[a,12]"] == -1.0
         assert "ev_flex[a,3]" not in named_coeffs(
@@ -734,7 +735,7 @@ class TestEVFlex:
             ev_flex=EVFlexConfig(y_flex=0.6, h_start=10, h_end=20, h_min=4))
         params = tiny_params()
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, tiny_costs(net), params, demand_b,
+        lp, cat = build_lp(config, net, series, tiny_costs(net), params, demand_b,
                         emissions=tiny_calibration())
         daily_full = series.d_veh_full["a"].reshape(2, 24).sum(axis=1)
         flex_full = 0.6 * daily_full
@@ -757,7 +758,7 @@ class TestEVFlex:
         config = ev_config(p_veh=0.5, lcp=0.0)
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, mini_costs(), params, demand_b)
+        lp, cat = build_lp(config, net, series, mini_costs(), params, demand_b)
         sol = solve_ok(lp)
         window_total = sum(col_value(lp, sol, f"ev_flex[n,{t}]")
                            for t in range(10, 21))
@@ -780,7 +781,7 @@ class TestPolicy:
         config = fixed_config(lcp=0.7, p_heat=0.3, p_veh=0.2)
         params = tiny_params()
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, tiny_costs(net), params, demand_b)
+        lp, cat = build_lp(config, net, series, tiny_costs(net), params, demand_b)
         row = row_by_name(lp, "policy_lcp")
         assert row.sense == LE
         coeffs = named_coeffs(lp, row)
@@ -809,7 +810,7 @@ class TestPolicy:
         params = TechParams(n_years=24 / 8760.0)
         config = fixed_config(lcp=1.0)
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, costs, params, demand_b)
+        lp, cat = build_lp(config, net, series, costs, params, demand_b)
         sol = solve_ok(lp)
         dirty = sum(
             col_value(lp, sol, f"{fam}[n,{t}]")
@@ -882,7 +883,7 @@ class TestPolicy:
         params = tiny_params()
         demand_b = synthesize_demand(net, series, config, params)
         with pytest.warns(UserWarning, match="dominates"):
-            lp, cat = build(config, net, series, tiny_costs(net), params, demand_b)
+            lp, cat = build_lp(config, net, series, tiny_costs(net), params, demand_b)
         lcp_row = row_by_name(lp, "policy_lcp")
         rgt_row = row_by_name(lp, "policy_rgt")
         nuclear_total = float(sum(np.sum(series.nuclear[n]) for n in "ab"))
@@ -934,7 +935,7 @@ class TestObjective:
         costs = mini_costs(c_ff={"n": 3.0})
         params = TechParams(n_years=24 / 8760.0)
         demand_b = synthesize_demand(net, series, fixed_config(), params)
-        lp, cat = build(fixed_config(), net, series, costs, params, demand_b)
+        lp, cat = build_lp(fixed_config(), net, series, costs, params, demand_b)
         coeff = lp.objective[lp.column_index("fossil_new[n,0]")]
         assert coeff == pytest.approx(3.412 * 3.0 / 0.344 + 4.48, rel=1e-12)
         coeff_ex = lp.objective[lp.column_index("fossil_ex[n,0]")]
@@ -947,7 +948,7 @@ class TestObjective:
         series = tiny_series(net)
         config = fixed_config(lcp=0.6, p_heat=0.3, p_veh=0.2)
         demand_b = synthesize_demand(net, series, config, params)
-        lp, cat = build(config, net, series, costs, params, demand_b)
+        lp, cat = build_lp(config, net, series, costs, params, demand_b)
         coeff = lp.objective[lp.column_index("cap_offshore[b]")]
         rate = annualization_rate(20, 0.05)
         assert rate == pytest.approx(0.0802426, abs=1e-7)
@@ -1001,7 +1002,6 @@ class TestObjective:
         costs = tiny_costs(net)
         broken = {k: dict(getattr(costs, k)) for k in ("omf_on",)}
         del broken["omf_on"]["a"]
-        import dataclasses
         bad_costs = dataclasses.replace(costs, omf_on=broken["omf_on"])
         with pytest.raises(LPError, match="omf_on.*a"):
             build_tiny(costs=bad_costs)
@@ -1009,7 +1009,6 @@ class TestObjective:
     def test_missing_fuel_price_is_an_error(self):
         net = tiny_network()
         costs = tiny_costs(net)
-        import dataclasses
         bad_costs = dataclasses.replace(costs, c_ff={"a": 3.5})
         with pytest.raises(LPError, match="c_ff.*b"):
             build_tiny(costs=bad_costs)
@@ -1058,7 +1057,7 @@ def slim_pair(alpha=1.0, t=24):
     params = TechParams(n_years=t / 8760.0)
     config = fixed_config(lcp=0.3, p_heat=0.4, p_veh=0.3)
     demand_b = synthesize_demand(net, series, config, params)
-    return build(config, net, series, costs, params, demand_b)
+    return build_lp(config, net, series, costs, params, demand_b)
 
 
 def one_family_builder(width: int) -> LPBuilder:
@@ -1073,7 +1072,7 @@ def one_hour_lp(**node_kw):
     params = TechParams(n_years=1 / 8760.0, kappa=0.01)
     config = fixed_config()
     demand = synthesize_demand(net, series, config, params)
-    lp, _ = build(config, net, series, mini_costs(), params, demand)
+    lp, _ = build_lp(config, net, series, mini_costs(), params, demand)
     return lp, params
 
 

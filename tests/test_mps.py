@@ -186,6 +186,26 @@ class TestImportSolution:
         with pytest.raises(LPError, match="mystery"):
             import_solution(lp, {"x0": 4.0, "x1": 0.0, "mystery": 1.0})
 
+    def test_column_given_twice_rejected(self):
+        # The repeat is the error, not the row the last value breaks.
+        with pytest.raises(LPError, match="'x0' twice"):
+            import_solution(two_var_lp(), "x0 3.0\nx1 1.0\nx0 100.0")
+
+    def test_column_given_by_both_names_rejected(self):
+        lp = make_lp(
+            [2.0, 3.0],
+            [([1.0, 1.0], GE, 4.0)],
+            col_names=("first_extremely_long_column_name",
+                       "second_extremely_long_column_name"),
+        )
+        short = mps_name_map(lp)["second_extremely_long_column_name"]
+        lines = ["first_extremely_long_column_name 3.0",
+                 "second_extremely_long_column_name 1.0", f"{short} 5.0"]
+        for order in (lines, lines[::-1]):
+            with pytest.raises(LPError, match="second_extremely_long_column"
+                               "_name' twice"):
+                import_solution(lp, "\n".join(order))
+
     def test_objective_recomputed_not_trusted(self):
         # Import recomputes objective and slacks from the point itself;
         # a feasible but suboptimal point is accepted with its true cost.

@@ -1,4 +1,4 @@
-"""Hydro disaggregation, biofuel limits, and subsidized nuclear pricing."""
+"""Hydro disaggregation and subsidized nuclear pricing."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from gridplan.resources import (
-    BiofuelLimits,
     MONTH_DAYS,
-    biofuel_limits,
     build_hydro_profile,
     disaggregate_fixed,
     disaggregate_flexible,
@@ -171,14 +169,13 @@ class TestDisaggregateFlexible:
 class TestBuildHydroProfile:
     def test_splits_then_disaggregates(self):
         monthly = TWELVE_SINUSOID
-        profile = build_hydro_profile(monthly, y_fix=0.7, hourly_max_mwh=500.0)
+        profile = build_hydro_profile(monthly, y_fix=0.7)
         assert profile.h_fix_hourly.size == 8760
         assert profile.h_flex_daily.size == 365
         assert profile.h_fix_hourly.sum() == pytest.approx(0.7 * monthly.sum(),
                                                            rel=1e-9)
         assert profile.h_flex_daily.sum() == pytest.approx(0.3 * monthly.sum(),
                                                            rel=1e-9)
-        assert profile.hourly_max_mwh == 500.0
 
 
 class TestNuclearPrice:
@@ -191,21 +188,3 @@ class TestNuclearPrice:
     def test_zero_generation_with_subsidy_rejected(self):
         with pytest.raises(ValueError):
             nuclear_subsidized_price(20.0, 1.0, 8760.0, 0.0)
-
-
-class TestBiofuelLimits:
-    def test_from_published_style_inputs(self):
-        lim = biofuel_limits(3289.041, 258.0)
-        assert lim.daily_mwh == pytest.approx(3289.041)
-        assert lim.hourly_max_mwh == pytest.approx(258.0)
-        assert not lim.constrained_below_daily
-
-    def test_zero(self):
-        lim = biofuel_limits(0.0, 0.0)
-        assert lim.daily_mwh == 0.0
-        assert lim.hourly_max_mwh == 0.0
-
-    def test_warns_when_capacity_cannot_reach_daily(self):
-        with pytest.warns(UserWarning, match="cannot reach"):
-            lim = biofuel_limits(100.0, 2.0)
-        assert lim.constrained_below_daily

@@ -20,7 +20,7 @@ import pytest
 
 import gridplan
 from gridplan.demand import btm_statewide_mw, synthesize_demand
-from gridplan.formulation import LPError, build
+from gridplan.formulation import LPError
 from gridplan.model import (
     CostTable,
     NetworkSpec,
@@ -51,6 +51,8 @@ from gridplan.runner import (
     save_bundle,
 )
 from gridplan.solver import SolveOptions
+
+from helpers import build_lp
 
 T = 24
 PARAMS = TechParams(n_years=T / 8760.0)
@@ -193,6 +195,17 @@ class TestBundleIO:
         with pytest.raises(RunnerError, match="bogus"):
             load_bundle(path)
 
+    def test_monthly_hydro_series_rejected(self, tmp_path):
+        # Monthly hydro is disaggregated into h_fix/h_flex_daily before
+        # it goes into a bundle.
+        path = tmp_path / "b"
+        shutil.copytree(FIXTURE, path)
+        (path / "series" / "h_monthly.csv").write_text(
+            "node,t,value\na,0,1.0\n")
+        with pytest.raises(RunnerError, match="unknown series file "
+                           "h_monthly.csv"):
+            load_bundle(path)
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(RunnerError, match="bundle"):
             load_bundle(tmp_path / "nope")
@@ -207,6 +220,57 @@ class TestBundleIO:
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RunnerError, match="d_elec"):
             load_bundle(path)
+
+
+    def test_repeated_hour_rejected(self, tmp_path, capsys):
+        path = tmp_path / "b"
+        shutil.copytree(FIXTURE, path)
+        csv_path = path / "series" / "d_elec.csv"
+        lines = csv_path.read_text().splitlines()
+        first = lines.index(next(ln for ln in lines if ln.startswith("a,5,")))
+        lines.append("a,5,999999.0")
+        csv_path.write_text("\n".join(lines) + "\n")
+        message = (f"series d_elec: node a hour 5 is given on line "
+                   f"{first + 1} and again on line {len(lines)}")
+        with pytest.raises(RunnerError) as exc:
+            load_bundle(path)
+        assert str(exc.value) == message
+        assert main(["validate", "--inputs", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    NOT_NUMBERS = [
+        (lambda p: p["network"]["nodes"][0].update(gas_existing_mw="100"),
+         "node a: gas_existing_mw must be a number, got '100'"),
+        (lambda p: p["network"]["nodes"][1].update(biofuel_mw=True),
+         "node b: biofuel_mw must be a number, got True"),
+        (lambda p: p["network"]["interfaces"][0].update(distance_mi=None),
+         "interface a:b: distance_mi must be a number, got None"),
+        (lambda p: p["costs"].update(omv_ff="4.48"),
+         "costs: omv_ff must be a number, got '4.48'"),
+        (lambda p: p["costs"]["c_ff"].update(b="3.5"),
+         "costs: c_ff[b] must be a number, got '3.5'"),
+        (lambda p: p["costs"].update(c_imp=22.13),
+         "costs: c_imp must be an object of numbers, got 22.13"),
+        (lambda p: p["params"].update(kappa=[0.001]),
+         "params: kappa must be a number, got [0.001]"),
+        (lambda p: p["params"]["p_years"].update(storage="10"),
+         "params: p_years[storage] must be a number, got '10'"),
+    ]
+
+    @pytest.mark.parametrize("edit, message", NOT_NUMBERS,
+                             ids=[message for _, message in NOT_NUMBERS])
+    def test_non_number_in_numeric_field_rejected(self, tmp_path, capsys,
+                                                  edit, message):
+        bundle = fixture_copy(tmp_path, edit)
+        with pytest.raises(RunnerError) as exc:
+            load_bundle(bundle)
+        assert str(exc.value) == f"bundle.json: {message}"
+        for command in (["validate"], ["run", "--config",
+                                       str(FIXTURE / "scenario.json")]):
+            assert main([*command, "--inputs", str(bundle)]) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: bundle.json: {message}\n")
 
 
 class TestLoadConfig:
@@ -360,6 +424,22 @@ class TestRunScenario:
         assert result.report.lcoe_usd_per_mwh == pytest.approx(
             baseline.report.lcoe_usd_per_mwh, rel=1e-9)
 
+    def test_solution_file_repeating_a_column_fails_at_solve(
+            self, micro_bundle, tmp_path, capsys):
+        baseline = run_scenario(micro_bundle, lcp_config(0.4, 0.0))
+        name = next(iter(baseline.solution_values))
+        sol_file = tmp_path / "solution.txt"
+        sol_file.write_text("".join(
+            f"{k} {v!r}\n" for k, v in baseline.solution_values.items())
+            + f"{name} 1e9\n")
+        config = write_config(tmp_path, {"mode": "lcp+hve", "lcp": 0.4,
+                                         "p_heat": 0.0, "p_veh": 0.0})
+        code = main(["run", "--inputs", str(micro_bundle), "--config",
+                     config, "--solution", str(sol_file)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"solve: solution gives column {name!r} twice\n")
+
     def test_non_finite_solution_file_not_optimal(self, micro_bundle,
                                                   tmp_path):
         baseline = run_scenario(micro_bundle, lcp_config(0.4, 0.0))
@@ -470,7 +550,7 @@ def test_validate_reports_what_build_rejects(part, mutate, message):
     demand = synthesize_demand(parts["network"], parts["series"], config,
                                parts["params"])
     with pytest.raises(LPError) as exc:
-        build(config, **parts, demand=demand, emissions=bundle.emissions)
+        build_lp(config, **parts, demand=demand, emissions=bundle.emissions)
     assert str(exc.value) == message
 
 
