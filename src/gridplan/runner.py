@@ -213,24 +213,29 @@ def _raise_repeat(path: Path, name: str) -> None:
             first[key] = line_no
 
 
-def _check_numbers(spec, where: str) -> None:
-    """Raise RunnerError unless every field of ``spec`` other than a name
-    is a number or (a ``Mapping`` field) a JSON object of numbers."""
-    for f in dataclasses.fields(spec):
-        if f.type == "str":
+def _check_numbers(cls, values: Mapping, where: str) -> None:
+    """Raise RunnerError unless each numeric field of the dataclass ``cls``
+    given in ``values`` holds a number, or, where the field takes a
+    ``Mapping``, a JSON object of numbers. A bool, string or null is not a
+    number."""
+    for f in dataclasses.fields(cls):
+        kinds = f.type.split(" | ")
+        scalar = "float" in kinds or "int" in kinds
+        mapping = any(kind.startswith("Mapping") for kind in kinds)
+        if f.name not in values or not (scalar or mapping):
             continue
-        value = getattr(spec, f.name)
-        if not f.type.startswith("Mapping"):
-            items = [(f.name, value)]
-        elif isinstance(value, Mapping):
+        value = values[f.name]
+        if mapping and isinstance(value, Mapping):
             items = [(f"{f.name}[{k}]", v) for k, v in value.items()]
+        elif scalar:
+            items = [(f.name, value)]
         else:
-            raise RunnerError(f"bundle.json: {where}{f.name} must be an "
-                              f"object of numbers, got {value!r}")
+            raise RunnerError(f"{where}{f.name} must be an object of "
+                              f"numbers, got {value!r}")
         for label, v in items:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise RunnerError(f"bundle.json: {where}{label} must be a "
-                                  f"number, got {v!r}")
+                raise RunnerError(f"{where}{label} must be a number, "
+                                  f"got {v!r}")
 
 
 def load_bundle(path) -> Bundle:
@@ -252,17 +257,24 @@ def load_bundle(path) -> Bundle:
         )
         costs = CostTable(**payload["costs"])
         params = TechParams(**payload["params"])
+        for node in network.nodes:
+            _check_numbers(NodeSpec, vars(node),
+                           f"bundle.json: node {node.id}: ")
+        for iface in network.interfaces:
+            _check_numbers(InterfaceSpec, vars(iface),
+                           f"bundle.json: interface {iface.key}: ")
+        _check_numbers(CostTable, vars(costs), "bundle.json: costs: ")
+        _check_numbers(TechParams, vars(params), "bundle.json: params: ")
         emissions = None
         if "emissions" in payload:
-            emissions = EmissionsCalibration(**payload["emissions"])
+            # Checked before it is built, which compares and converts.
+            calibration = payload["emissions"]
+            if isinstance(calibration, Mapping):
+                _check_numbers(EmissionsCalibration, calibration,
+                               "bundle.json: emissions: ")
+            emissions = EmissionsCalibration(**calibration)
     except (KeyError, TypeError, ValueError) as exc:
         raise RunnerError(f"bundle.json: {exc}") from exc
-    for node in network.nodes:
-        _check_numbers(node, f"node {node.id}: ")
-    for iface in network.interfaces:
-        _check_numbers(iface, f"interface {iface.key}: ")
-    _check_numbers(costs, "costs: ")
-    _check_numbers(params, "params: ")
 
     series_kw: dict[str, dict[str, np.ndarray]] = {}
     series_dir = root / "series"
@@ -291,9 +303,11 @@ def config_from_dict(payload: Mapping) -> ScenarioConfig:
     unknown = sorted(set(payload) - _CONFIG_KEYS)
     if unknown:
         raise RunnerError(f"unknown scenario-config keys: {unknown}")
+    _check_numbers(ScenarioConfig, payload, "scenario config: ")
     kw = dict(payload)
     ev = kw.get("ev_flex")
     if isinstance(ev, Mapping):
+        _check_numbers(EVFlexConfig, ev, "scenario config: ev_flex: ")
         try:
             kw["ev_flex"] = EVFlexConfig(**ev)
         except (TypeError, ValueError) as exc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -675,44 +676,100 @@ def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     return sol
 
 
-_BASE36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_BASE36 = np.frombuffer(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+                        dtype=np.uint8)
 _RESERVED_MPS_NAMES = ("COST", "RHS", "BND")
+_UNSAFE = re.compile(r"[^A-Za-z0-9]")
+_LINES_CHUNK = 1 << 16
 
 
-def _hash36(name: str, length: int = 6) -> str:
-    value = int.from_bytes(
-        hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
-    out = []
-    for _ in range(length):
-        value, digit = divmod(value, 36)
-        out.append(_BASE36[digit])
-    return "".join(out)
+def _mps_names(names) -> list[str]:
+    """The MPS name of each name, at most 8 characters.
+
+    Every character outside [A-Za-z0-9] becomes "_". A name that is then
+    longer than 8 characters keeps its first 2 and appends 6 base-36
+    digits of the blake2b hash of its UTF-8 bytes.
+    """
+    names = list(names)
+    # Cleaning maps each character to one character, so a name's length
+    # decides its form, and a long name needs only its head cleaned.
+    is_long = [len(name) > 8 for name in names]
+    long_names = list(itertools.compress(names, is_long))
+    digest = b"".join([hashlib.blake2b(name.encode(), digest_size=8).digest()
+                       for name in long_names])
+    value = np.frombuffer(digest, dtype=">u8").astype(np.uint64)
+    heads = {head: _UNSAFE.sub("_", head)
+             for head in {name[:2] for name in long_names}}
+    text = np.empty((len(long_names), 8), dtype=np.uint8)
+    text[:, :2] = np.frombuffer(
+        "".join([heads[name[:2]] for name in long_names]).encode(),
+        dtype=np.uint8).reshape(-1, 2)
+    for i in range(2, 8):
+        text[:, i] = _BASE36[value % 36]
+        value //= 36
+    shorts = iter(text.view("S8").ravel().astype("U8").tolist())
+    return [next(shorts) if long else _UNSAFE.sub("_", name)
+            for name, long in zip(names, is_long)]
 
 
-def _mangle(name: str) -> str:
-    clean = re.sub(r"[^A-Za-z0-9]", "_", name)
-    if len(clean) <= 8:
-        return clean
-    return clean[:2] + _hash36(name)
+def _name_clash(names, shorts) -> str:
+    """The first reserved or shared MPS name, columns before rows."""
+    taken = {}
+    for name, short in zip(names, shorts):
+        if short in _RESERVED_MPS_NAMES:  # only a name equal to it
+            return (f"{name!r} is a reserved MPS name: COST, RHS and BND "
+                    f"name the objective row, the RHS set and the bound set")
+        other = taken.setdefault(short, name)
+        if other != name:
+            return (f"MPS name collision: {other!r} and {name!r} both "
+                    f"mangle to {short!r}")
+    raise AssertionError("no MPS name clash")
+
+
+def _lp_mps_names(lp: LPInstance) -> list[str]:
+    """The MPS names of the columns, then of the rows.
+
+    Raises LPError naming the first name whose MPS name is reserved or
+    is shared with another name.
+    """
+    names = lp.col_names + lp.row_names
+    shorts = _mps_names(names)
+    # A name has one MPS name, so the MPS names are as many as the
+    # distinct names exactly when no two names and no reserved name share.
+    reserved = set(_RESERVED_MPS_NAMES)
+    if len(reserved.union(shorts)) != len(set(names)) + len(reserved):
+        raise LPError(_name_clash(names, shorts))
+    return shorts
 
 
 def mps_name_map(lp: LPInstance) -> dict:
     """Canonical original-name -> 8-char MPS name map (rows and columns).
 
-    Raises LPError listing colliders if two names mangle identically.
+    Raises LPError naming the first name whose MPS name is reserved or
+    is shared with another name.
     """
-    taken = {reserved: reserved for reserved in _RESERVED_MPS_NAMES}
-    mapping = {}
-    for name in lp.col_names + lp.row_names:
-        short = _mangle(name)
-        other = taken.get(short)
-        if other is not None and other != name:
-            raise LPError(
-                f"MPS name collision: {other!r} and {name!r} both mangle "
-                f"to {short!r}")
-        taken[short] = name
-        mapping[name] = short
-    return mapping
+    return dict(zip(lp.col_names + lp.row_names, _lp_mps_names(lp)))
+
+
+def _write_lines(buf, left_text, left, right_text, right, values):
+    """Write the line ``left_text[l] + right_text[r] + repr(value)`` for
+    each entry of the arrays ``left``, ``right`` and ``values``.
+
+    The repr is taken once per distinct float64 bit pattern, not per
+    distinct value: 0.0 and -0.0 are equal but print differently. Lines
+    are joined ``_LINES_CHUNK`` at a time, which bounds the memory held
+    by line strings not yet written.
+    """
+    bits, index = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+        return_inverse=True)
+    value_text = [repr(v) for v in bits.view(np.float64).tolist()]
+    for start in range(0, index.size, _LINES_CHUNK):
+        chunk = slice(start, start + _LINES_CHUNK)
+        buf.write("".join([
+            f"{left_text[i]}{right_text[j]}{value_text[k]}\n"
+            for i, j, k in zip(left[chunk].tolist(), right[chunk].tolist(),
+                               index[chunk].tolist())]))
 
 
 def export_mps(lp: LPInstance, problem_name: str = "GRIDPLAN") -> str:
@@ -726,45 +783,47 @@ def export_mps(lp: LPInstance, problem_name: str = "GRIDPLAN") -> str:
     """
     if len(set(lp.row_names)) != lp.n_rows:
         raise LPError("row names must be unique for MPS export")
-    names = mps_name_map(lp)
-    rows = [names[name] for name in lp.row_names]
-    cols = [names[name] for name in lp.col_names]
+    n = lp.n_cols
+    shorts = _lp_mps_names(lp)
+    cols, rows = shorts[:n], shorts[n:]
     sense_code = {LE: "L", GE: "G", EQ: "E"}
-
-    # The matrix entries column by column, rows ascending within each.
-    by_col = np.argsort(lp.indices, kind="stable")
-    col_ptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(lp.indices, minlength=lp.n_cols)))).tolist()
-    entry_row = lp.row_of[by_col].tolist()
-    entry_val = lp.data[by_col].tolist()
+    # Names padded once; entry 0 of row_text is the objective row.
+    col_text = [f"    {col:<8}  " for col in cols]
+    row_text = [f"{row:<8}  " for row in ["COST", *rows]]
 
     buf = io.StringIO()
     buf.write(f"* OFFSET {lp.offset!r}\n")
     buf.write(f"NAME          {problem_name}\n")
     buf.write("ROWS\n")
     buf.write(" N  COST\n")
-    for sense, short in zip(lp.sense.tolist(), rows):
-        buf.write(f" {sense_code[sense]}  {short:<8}\n")
+    buf.write("".join([f" {sense_code[sense]}  {short:<8}\n"
+                       for sense, short in zip(lp.sense.tolist(), rows)]))
     buf.write("COLUMNS\n")
-    for j, (col, cost) in enumerate(zip(cols, lp.objective.tolist())):
-        # Every column gets an objective entry, declaring it even when 0.
-        buf.write(f"    {col:<8}  {'COST':<8}  {cost!r}\n")
-        for k in range(col_ptr[j], col_ptr[j + 1]):
-            buf.write(f"    {col:<8}  {rows[entry_row[k]]:<8}  "
-                      f"{entry_val[k]!r}\n")
+    # Each column's objective line (declaring it even when the cost is 0),
+    # then its entries with rows ascending: one stable sort by column of
+    # the objective lines followed by the CSR entries.
+    line_col = np.concatenate((np.arange(n), lp.indices))
+    order = np.argsort(line_col, kind="stable")
+    line_row = np.concatenate((np.zeros(n, dtype=np.int64), lp.row_of + 1))
+    _write_lines(buf, col_text, line_col[order], row_text, line_row[order],
+                 np.concatenate((lp.objective, lp.data))[order])
     buf.write("RHS\n")
-    for short, rhs in zip(rows, lp.rhs.tolist()):
-        if rhs != 0.0:
-            buf.write(f"    {'RHS':<8}  {short:<8}  {rhs!r}\n")
+    nonzero = np.flatnonzero(lp.rhs != 0.0)
+    _write_lines(buf, [f"    {'RHS':<8}  "], np.zeros_like(nonzero),
+                 row_text, nonzero + 1, lp.rhs[nonzero])
     buf.write("BOUNDS\n")
-    for col, lo, up in zip(cols, lp.lower.tolist(), lp.upper.tolist()):
-        if lo == up:
-            buf.write(f" FX {'BND':<8}  {col:<8}  {lo!r}\n")
-            continue
-        if lo != 0.0:
-            buf.write(f" LO {'BND':<8}  {col:<8}  {lo!r}\n")
-        if math.isfinite(up):
-            buf.write(f" UP {'BND':<8}  {col:<8}  {up!r}\n")
+    # A fixed column gets one FX line; any other its LO line (if the lower
+    # bound is not 0) and then its UP line (if the upper is finite).
+    lower, upper = lp.lower, lp.upper
+    fixed = lower == upper
+    kinds = (fixed, ~fixed & (lower != 0.0), ~fixed & np.isfinite(upper))
+    line_col = np.concatenate([np.flatnonzero(mask) for mask in kinds])
+    order = np.argsort(line_col, kind="stable")
+    line_kind = np.repeat(np.arange(3), [np.count_nonzero(m) for m in kinds])
+    bound = np.concatenate([value[mask] for value, mask
+                            in zip((lower, lower, upper), kinds)])
+    _write_lines(buf, [f" {kind} BND   " for kind in ("FX", "LO", "UP")],
+                 line_kind[order], col_text, line_col[order], bound[order])
     buf.write("ENDATA\n")
     return buf.getvalue()
 
@@ -809,13 +868,14 @@ def import_solution(lp: LPInstance, source,
     for name, value in raw.items():
         if name not in known:
             if unmangle is None:
-                unmangle = {_mangle(col): col for col in lp.col_names}
+                unmangle = dict(zip(_mps_names(lp.col_names), lp.col_names))
             if name not in unmangle:
                 raise LPError(f"solution names unknown column {name!r}")
             name = unmangle[name]
         if name in values:
+            short = next(mps for mps, col in unmangle.items() if col == name)
             raise LPError(f"solution gives column {name!r} twice: by its "
-                          f"name and by its MPS name {_mangle(name)!r}")
+                          f"name and by its MPS name {short!r}")
         values[name] = value
     missing = [name for name in lp.col_names if name not in values]
     if missing:

@@ -70,8 +70,42 @@ class TestExport:
         lp = make_lp([1.0, 1.0],
                      [([1.0, 1.0], GE, 2.0)],
                      col_names=("x:1", "x_1"))
-        with pytest.raises(LPError, match="x:1|x_1"):
+        with pytest.raises(LPError) as err:
             export_mps(lp)
+        assert str(err.value) == ("MPS name collision: 'x:1' and 'x_1' "
+                                  "both mangle to 'x_1'")
+
+    def test_first_collision_in_column_then_row_order(self):
+        lp = make_lp([1.0, 1.0],
+                     [([1.0, 1.0], GE, 2.0, "b-2"), ([1.0, 0.0], GE, 0.0,
+                                                      "a.1")],
+                     col_names=("a:1", "b:2"))
+        with pytest.raises(LPError) as err:
+            mps_name_map(lp)
+        assert str(err.value) == ("MPS name collision: 'b:2' and 'b-2' "
+                                  "both mangle to 'b_2'")
+
+    @pytest.mark.parametrize("cols, row, reserved", [
+        (("RHS", "x"), "COST", "RHS"),
+        (("x", "y"), "COST", "COST"),
+        (("x", "BND"), "r", "BND"),
+    ])
+    def test_reserved_name_rejected(self, cols, row, reserved):
+        # A row named COST would be a second objective row; a column
+        # named RHS or BND would read as the RHS or bound set.
+        lp = make_lp([1.0, 1.0], [([1.0, 1.0], GE, 2.0, row)],
+                     col_names=cols)
+        with pytest.raises(LPError, match=f"'{reserved}' is a reserved "
+                           "MPS name"):
+            export_mps(lp)
+
+    def test_row_may_share_a_column_name(self):
+        lp = make_lp([1.0, 1.0], [([1.0, 1.0], GE, 2.0, "x")],
+                     col_names=("x", "y"))
+        assert mps_name_map(lp) == {"x": "x", "y": "y"}
+        status, objective, _ = solve_mps_with_highs(export_mps(lp))
+        assert status == "optimal"
+        assert objective == pytest.approx(2.0)
 
     def test_senses_round_trip(self):
         lp = make_lp([1.0, 1.0, 1.0],
@@ -108,6 +142,74 @@ class TestExport:
         if status == "optimal":
             rel = abs(mine.objective - objective) / max(1.0, abs(objective))
             assert rel <= 1e-6
+
+
+# MPS names and text as written before the name function was vectorized.
+PINNED_NAMES = {
+    "balance[a,18]": "baY17ECX",
+    "cap_us_solar[a]": "caGUT4J3",
+    "flow-out[a,b,17]": "flBQG75I",    # two long names sharing a head
+    "flow-out[a,b,18]": "flXJQV67",
+    "g\u00e9n\u00e9r\u00e9-\u00e0-Z\u00fcrich:1": "g_UP10W0",
+    "\u00e9t\u00e9": "_t_",
+    "x:1": "x_1",
+    "ab.c-d": "ab_c_d",
+    "y": "y",
+    "EXACTLY8": "EXACTLY8",
+    "NINECHARS": "NIZRMDEX",
+}
+
+PINNED_MPS = (
+    "* OFFSET 42.0\n"
+    "NAME          GRIDPLAN\n"
+    "ROWS\n"
+    " N  COST\n"
+    " G  fl5W27K4\n"
+    " L  cap     \n"
+    " E  eq      \n"
+    "COLUMNS\n"
+    "    bu2BSERV  COST      2.0\n"
+    "    bu2BSERV  fl5W27K4  1.0\n"
+    "    bu2BSERV  cap       3.0\n"
+    "    x         COST      -0.0\n"
+    "    x         fl5W27K4  1e-16\n"
+    "    x         eq        -2.0\n"
+    "    y         COST      1e-16\n"
+    "    y         cap       1.0\n"
+    "    y         eq        0.1\n"
+    "    z         COST      0.0\n"
+    "    z         cap       2.5\n"
+    "    z         eq        1.0\n"
+    "RHS\n"
+    "    RHS       fl5W27K4  4.0\n"
+    "    RHS       eq        -1.5\n"
+    "BOUNDS\n"
+    " FX BND       x         1.5\n"
+    " LO BND       y         -2.0\n"
+    " UP BND       y         7.0\n"
+    "ENDATA\n"
+)
+
+
+class TestPinnedBytes:
+    def test_name_map(self):
+        names = tuple(PINNED_NAMES)
+        lp = make_lp([0.0] * len(names),
+                     [([1.0] * len(names), GE, 1.0, "r")], col_names=names)
+        assert mps_name_map(lp) == {**PINNED_NAMES, "r": "r"}
+
+    def test_export_text(self):
+        # -0.0 and 0.0 costs print apart; 1e-16 keeps its exponent; a
+        # fixed column, a nonzero lower bound and an infinite upper one.
+        lp = make_lp([2.0, -0.0, 1e-16, 0.0],
+                     [([1.0, 1e-16, 0.0, 0.0], GE, 4.0, "floor-row:long"),
+                      ([3.0, 0.0, 1.0, 2.5], LE, 0.0, "cap"),
+                      ([0.0, -2.0, 0.1, 1.0], EQ, -1.5, "eq")],
+                     lower=[0.0, 1.5, -2.0, 0.0],
+                     upper=[np.inf, 1.5, 7.0, np.inf],
+                     col_names=("build_capacity[a]", "x", "y", "z"),
+                     offset=42.0)
+        assert export_mps(lp) == PINNED_MPS
 
 
 class TestImportSolution:

@@ -52,6 +52,7 @@ from gridplan.runner import (
 )
 from gridplan.solver import SolveOptions
 
+from _mpsread import solve_mps_with_highs
 from helpers import build_lp
 
 T = 24
@@ -255,6 +256,13 @@ class TestBundleIO:
          "params: kappa must be a number, got [0.001]"),
         (lambda p: p["params"]["p_years"].update(storage="10"),
          "params: p_years[storage] must be a number, got '10'"),
+        (lambda p: p["emissions"].update(theta_ff_t_per_mwh="0.396648"),
+         "emissions: theta_ff_t_per_mwh must be a number, got '0.396648'"),
+        (lambda p: p["emissions"]["f_heat_tot_mj"].update(a="2e11"),
+         "emissions: f_heat_tot_mj[a] must be a number, got '2e11'"),
+        (lambda p: p["emissions"].update(f_veh_tot_mj=3.3e9),
+         "emissions: f_veh_tot_mj must be an object of numbers, got "
+         "3300000000.0"),
     ]
 
     @pytest.mark.parametrize("edit, message", NOT_NUMBERS,
@@ -301,6 +309,35 @@ class TestLoadConfig:
                                     "p_heat": 0, "p_veh": 0, "typo": 1}))
         with pytest.raises(RunnerError, match="typo"):
             load_config(path)
+
+    NOT_NUMBERS = [
+        ({"lcp": "0.4"}, "lcp must be a number, got '0.4'"),
+        ({"p_heat": True}, "p_heat must be a number, got True"),
+        ({"p_veh": {"a": 0.2, "b": "0.2"}},
+         "p_veh[b] must be a number, got '0.2'"),
+        ({"rgt": None}, "rgt must be a number, got None"),
+        ({"btm_year": "2030"}, "btm_year must be a number, got '2030'"),
+        ({"ev_flex": {"y_flex": "0.5", "h_start": 18, "h_end": 22}},
+         "ev_flex: y_flex must be a number, got '0.5'"),
+    ]
+
+    @pytest.mark.parametrize("edit, message", NOT_NUMBERS,
+                             ids=[message for _, message in NOT_NUMBERS])
+    def test_non_number_in_numeric_field_rejected(self, tmp_path, capsys,
+                                                  edit, message):
+        # The fixture's own scenario with one numeric field edited.
+        payload = {**json.loads((FIXTURE / "scenario.json").read_text()),
+                   **edit}
+        with pytest.raises(RunnerError) as exc:
+            load_config(payload)
+        assert str(exc.value) == f"scenario config: {message}"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--inputs", str(FIXTURE), "--config",
+                     str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: scenario config: {message}\n")
 
 
 class TestParseRange:
@@ -784,6 +821,31 @@ class TestCli:
                      config, "--solver", "export", "--out", str(out)])
         assert code == EXIT_OK
         assert (out / "model.mps").is_file()
+
+    def test_export_external_solve_and_solution_by_mps_names(self, tmp_path,
+                                                            capsys):
+        # The README's loop: export, solve model.mps elsewhere, and read
+        # back NAME VALUE lines keyed by the MPS file's own names.
+        config = str(FIXTURE / "scenario.json")
+        exported = tmp_path / "mps"
+        assert main(["run", "--inputs", str(FIXTURE), "--config", config,
+                     "--solver", "export", "--out", str(exported)]) == EXIT_OK
+        text = (exported / "model.mps").read_text()
+        status, _, values = solve_mps_with_highs(text)
+        assert status == "optimal"
+        assert all(len(name) <= 8 for name in values)
+        sol_file = tmp_path / "values.txt"
+        sol_file.write_text("".join(f"{name} {float(value)!r}\n"
+                                    for name, value in values.items()))
+        out = tmp_path / "demo"
+        assert main(["run", "--inputs", str(FIXTURE), "--config", config,
+                     "--solution", str(sol_file), "--out", str(out)]) == EXIT_OK
+        assert main(["run", "--inputs", str(FIXTURE), "--config",
+                     config]) == EXIT_OK
+        builtin = json.loads(capsys.readouterr().out)["total_cost_usd"]
+        external = json.loads((out / "report.json").read_text())
+        assert external["status"] == "optimal"
+        assert external["total_cost_usd"] == pytest.approx(builtin, rel=1e-6)
 
     def test_run_export_rejects_solution(self, micro_bundle, tmp_path,
                                          capsys):
