@@ -44,6 +44,7 @@ from gridplan.runner import (
     save_bundle,
 )
 from gridplan.solver import (
+    Basis,
     Solution,
     SolveOptions,
     export_mps,
@@ -54,6 +55,7 @@ from gridplan.solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Basis",
     "Bundle",
     "BuildInputs",
     "CostTable",

@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -50,6 +49,7 @@ from .solver import (
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    Basis,
     SolveOptions,
     export_mps,
     import_solution,
@@ -213,18 +213,24 @@ def _raise_repeat(path: Path, name: str) -> None:
             first[key] = line_no
 
 
-def _check_numbers(cls, values: Mapping, where: str) -> None:
+def _check_fields(cls, values: Mapping, where: str) -> None:
     """Raise RunnerError unless each numeric field of the dataclass ``cls``
     given in ``values`` holds a number, or, where the field takes a
-    ``Mapping``, a JSON object of numbers. A bool, string or null is not a
-    number."""
+    ``Mapping``, a JSON object of numbers, and each ``bool`` field holds
+    true or false. A bool, string or null is not a number, and a string or
+    number is not a bool."""
     for f in dataclasses.fields(cls):
         kinds = f.type.split(" | ")
         scalar = "float" in kinds or "int" in kinds
         mapping = any(kind.startswith("Mapping") for kind in kinds)
-        if f.name not in values or not (scalar or mapping):
+        if f.name not in values:
             continue
         value = values[f.name]
+        if kinds == ["bool"] and not isinstance(value, bool):
+            raise RunnerError(f"{where}{f.name} must be true or false, "
+                              f"got {value!r}")
+        if not (scalar or mapping):
+            continue
         if mapping and isinstance(value, Mapping):
             items = [(f"{f.name}[{k}]", v) for k, v in value.items()]
         elif scalar:
@@ -258,20 +264,20 @@ def load_bundle(path) -> Bundle:
         costs = CostTable(**payload["costs"])
         params = TechParams(**payload["params"])
         for node in network.nodes:
-            _check_numbers(NodeSpec, vars(node),
-                           f"bundle.json: node {node.id}: ")
+            _check_fields(NodeSpec, vars(node),
+                          f"bundle.json: node {node.id}: ")
         for iface in network.interfaces:
-            _check_numbers(InterfaceSpec, vars(iface),
-                           f"bundle.json: interface {iface.key}: ")
-        _check_numbers(CostTable, vars(costs), "bundle.json: costs: ")
-        _check_numbers(TechParams, vars(params), "bundle.json: params: ")
+            _check_fields(InterfaceSpec, vars(iface),
+                          f"bundle.json: interface {iface.key}: ")
+        _check_fields(CostTable, vars(costs), "bundle.json: costs: ")
+        _check_fields(TechParams, vars(params), "bundle.json: params: ")
         emissions = None
         if "emissions" in payload:
             # Checked before it is built, which compares and converts.
             calibration = payload["emissions"]
             if isinstance(calibration, Mapping):
-                _check_numbers(EmissionsCalibration, calibration,
-                               "bundle.json: emissions: ")
+                _check_fields(EmissionsCalibration, calibration,
+                              "bundle.json: emissions: ")
             emissions = EmissionsCalibration(**calibration)
     except (KeyError, TypeError, ValueError) as exc:
         raise RunnerError(f"bundle.json: {exc}") from exc
@@ -303,11 +309,11 @@ def config_from_dict(payload: Mapping) -> ScenarioConfig:
     unknown = sorted(set(payload) - _CONFIG_KEYS)
     if unknown:
         raise RunnerError(f"unknown scenario-config keys: {unknown}")
-    _check_numbers(ScenarioConfig, payload, "scenario config: ")
+    _check_fields(ScenarioConfig, payload, "scenario config: ")
     kw = dict(payload)
     ev = kw.get("ev_flex")
     if isinstance(ev, Mapping):
-        _check_numbers(EVFlexConfig, ev, "scenario config: ev_flex: ")
+        _check_fields(EVFlexConfig, ev, "scenario config: ev_flex: ")
         try:
             kw["ev_flex"] = EVFlexConfig(**ev)
         except (TypeError, ValueError) as exc:
@@ -380,7 +386,9 @@ class RunResult:
     row and its ``report.json`` record, in a run and in a sweep alike;
     ``failure`` is None on success. ``solution_values`` maps every LP
     column name to its solved value so external tools (or tests) can
-    replay the point.
+    replay the point. ``basis`` is the optimal basis of a built-in solve,
+    which ``run_scenario(..., start=)`` can start a neighbouring scenario
+    from; None otherwise.
     """
 
     status: str
@@ -392,6 +400,7 @@ class RunResult:
     solution_values: Mapping[str, float] | None = None
     artifacts: tuple[str, ...] = ()
     mps: str | None = None
+    basis: Basis | None = None
 
 
 def _default_label(config: ScenarioConfig) -> str:
@@ -417,7 +426,8 @@ def _load_if_path(bundle) -> Bundle:
 
 def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
                  solver: str = "builtin", out_dir=None, solution_file=None,
-                 solve_options: SolveOptions | None = None) -> RunResult:
+                 solve_options: SolveOptions | None = None,
+                 start: Basis | None = None) -> RunResult:
     """Run the staged pipeline for one scenario.
 
     Stages: validate, demand, resources, build, then either export (write
@@ -426,7 +436,8 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     failed solves still write a status row so sweeps stay accountable.
     ``solution_file`` adopts an externally solved NAME VALUE point instead
     of calling the built-in solver; with ``solver="export"`` it is an
-    error.
+    error. ``start``, the ``basis`` of an earlier run, is where the built-in
+    solve starts from (see ``gridplan.solver.solve``).
     """
     if solver not in ("builtin", "export"):
         raise RunnerError(f"unknown solver {solver!r}; use builtin or export")
@@ -501,7 +512,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
             with open(solution_file) as fh:
                 solution = import_solution(lp, fh, solve_options)
         else:
-            solution = solve(lp, solve_options)
+            solution = solve(lp, solve_options, start=start)
     except (LPError, OSError, ValueError) as exc:
         return fail("error", EXIT_ERROR, stage, str(exc))
     if solution.status != STATUS_OPTIMAL:
@@ -527,7 +538,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     values = dict(zip(lp.col_names, solution.x.tolist()))
     return RunResult(status=STATUS_OPTIMAL, exit_code=EXIT_OK, stage=None,
                      message="", report=report, solution_values=values,
-                     artifacts=tuple(artifacts))
+                     artifacts=tuple(artifacts), basis=solution.basis)
 
 
 # --------------------------------------------------------------------------
@@ -537,7 +548,11 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of scenarios: low-carbon targets (or emissions targets)
-    crossed with uniform electrification rates."""
+    crossed with uniform electrification rates.
+
+    Cells solve one after another, each from the one before, so ``jobs``
+    must be 1.
+    """
 
     lcp_values: tuple = ()
     hve_values: tuple = ()
@@ -552,8 +567,9 @@ class SweepSpec:
         if self.omega_values is not None:
             object.__setattr__(self, "omega_values",
                                coerce(self.omega_values))
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1, got {self.jobs}: cells solve "
+                             f"in sequence, each from the one before")
         if not self.cells():
             raise ValueError("sweep grid must not be empty")
         named = [("lcp", self.lcp_values), ("hve", self.hve_values),
@@ -601,31 +617,35 @@ def _base_config_dict(base) -> dict:
 
 
 def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResult:
-    """Solve every grid cell independently and write one aggregate report.
+    """Solve every grid cell and write one aggregate report.
 
-    Failed cells contribute a status row instead of aborting the sweep;
-    the exit code is nonzero only when no cell solved at all.
+    Cells solve in ``spec.cells()`` order, each starting from the optimal
+    basis of the last cell that solved. Neighbouring cells share most of
+    their LP, so that basis is usually a few dual simplex pivots from the
+    next optimum. Costs, capacities and emissions are as a
+    run of the cell alone would give them; the hourly split of an optimum
+    that is not unique, and so curtailment and excess low-carbon energy,
+    may differ. Failed cells contribute a status row instead of aborting
+    the sweep; the exit code is nonzero only when no cell solved at all.
     """
     bundle = _load_if_path(bundle)
     base_kw = _base_config_dict(base)
-    cells = spec.cells()
+    # Only each cell's record is kept, not its RunResult, whose basis and
+    # solution values would be held for the whole sweep.
+    records, statuses = [], []
+    start = None
+    for mode, overrides in spec.cells():
+        result = run_scenario(bundle, config_from_dict(
+            {**base_kw, "mode": mode, **overrides}), start=start)
+        start = result.basis or start
+        records.append(result.failure if result.report is None
+                       else result.report)
+        statuses.append(result.status)
 
-    def solve_cell(cell):
-        mode, overrides = cell
-        return run_scenario(bundle, config_from_dict(
-            {**base_kw, "mode": mode, **overrides}))
-
-    if spec.jobs == 1:
-        outcomes = [solve_cell(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(solve_cell, cells))
-
-    records = [r.failure if r.report is None else r.report for r in outcomes]
-    reports = [r.report for r in outcomes if r.report is not None]
+    reports = [r for r in records if isinstance(r, ScenarioReport)]
     if reports:
         exit_code = EXIT_OK
-    elif all(r.status == STATUS_INFEASIBLE for r in outcomes):
+    elif all(status == STATUS_INFEASIBLE for status in statuses):
         exit_code = EXIT_INFEASIBLE
     else:
         exit_code = EXIT_ERROR
@@ -732,21 +752,27 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
     ``method`` is ``"golden"`` (golden-section, assumes a unimodal LCOE
     curve) or ``"grid:N"`` (N+1 uniform points, robust fallback). Inner
     problems solve with the emissions target and both electrification
-    rates pinned; infeasible rates are skipped. A malformed method, bound
-    or tolerance raises RunnerError before any solve, for either method;
-    SearchError means no evaluated rate was feasible.
+    rates pinned; infeasible rates are skipped. Each probe starts from the
+    optimal basis of the last feasible one, as the cells of a sweep do, so
+    a probe's curtailment and excess low-carbon energy may differ from a
+    run of that rate alone. A malformed method, bound or tolerance raises
+    RunnerError before any solve, for either method; SearchError means no
+    evaluated rate was feasible.
     """
     bundle = _load_if_path(bundle)
     base_kw = _base_config_dict(base)
     found: dict[float, ScenarioReport] = {}
+    start = None
 
     def evaluate(hve: float) -> float | None:
+        nonlocal start
         config = config_from_dict({**base_kw, "mode": "ghg+hve",
                                    "omega": omega, "p_heat": hve,
                                    "p_veh": hve})
-        result = run_scenario(bundle, config)
+        result = run_scenario(bundle, config, start=start)
         if result.report is None:
             return None
+        start = result.basis
         found[hve] = result.report
         return result.report.lcoe_usd_per_mwh
 
@@ -812,7 +838,7 @@ def _cmd_sweep(args) -> int:
     omega = parse_range(args.ghg) if args.ghg is not None else None
     spec = SweepSpec(lcp_values=parse_range(args.lcp) if omega is None else (),
                      omega_values=omega, hve_values=parse_range(args.hve),
-                     jobs=args.jobs, out_dir=args.out)
+                     out_dir=args.out)
     base = _read_config_json(args.config) if args.config else None
     result = run_sweep(args.inputs, spec, base=base)
     if args.out is None:
@@ -873,7 +899,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="emissions-reduction targets (alternative axis)")
     sweep_p.add_argument("--hve", required=True,
                          help="electrification rates, e.g. 0:1:0.2")
-    sweep_p.add_argument("--jobs", type=int, default=1)
     sweep_p.add_argument("--out", default=None)
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -19,6 +19,17 @@ O(nnz(B) m + k^2 m + k^3) instead of the O(m^3) of a dense solve. The dense
 inverse still bounds it to desk-scale problems (a few thousand rows), which
 is exactly what the bundled fixtures produce. Larger studies are expected to
 go through export_mps.
+
+A cold solve runs the primal simplex, phase 1 then phase 2. A solve given a
+start, the ``Basis`` of a neighbouring LP (keyed by column and row names, so
+it maps across LPs whose rows differ), reoptimizes from it with a bounded
+dual simplex: dual devex row pricing and a bound-flipping ratio test
+(Koberstein 2005; Bixby 2002), on the same basis machinery, then confirms
+optimality by primal phase 2. A step of electrification rate or emissions
+target changes only right-hand sides and bounds, so the neighbour's optimal
+basis stays dual feasible and a few pivots restore primal feasibility. A
+start that cannot be used, or a reoptimization that does not end optimal,
+falls back to the cold solve.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -74,12 +85,32 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
+class Basis:
+    """A simplex basis by name, which ``solve`` can start another LP from.
+
+    ``basic`` names the basic columns and ``upper`` the nonbasic columns at
+    their upper bound; every other column is at its lower bound. ``tight``
+    names the rows whose slack is nonbasic, at 0, so that they hold with
+    equality; every other row's slack is basic. Only these exceptions are
+    stored, and so a row the basis does not know, such as one the LP has
+    gained, gets a basic slack. A column at an upper bound the LP does not
+    give it is at its lower bound.
+    """
+
+    basic: frozenset[str]
+    upper: frozenset[str]
+    tight: frozenset[str]
+
+
+@dataclass(frozen=True)
 class Solution:
     """Outcome of a solve or an imported external solution.
 
     ``slacks`` holds the signed row residual oriented so feasible
     inequality rows have slack >= 0 (headroom for <=, surplus for >=).
-    ``duals`` are shadow prices: d(objective)/d(rhs).
+    ``duals`` are shadow prices: d(objective)/d(rhs). ``basis`` is the
+    optimal basis of a built-in solve; an imported point or a failed solve
+    has none.
     """
 
     status: str
@@ -91,6 +122,7 @@ class Solution:
     max_violation: float | None
     duality_gap: float | None
     message: str = ""
+    basis: Basis | None = None
 
 
 def _signed_slacks(lp: LPInstance, x: np.ndarray) -> np.ndarray:
@@ -152,6 +184,10 @@ class _Simplex:
     is declared; the reduced costs of basic columns are held at exactly 0.
     The ratio test skips entries of magnitude at most 1e-7 x min(1,
     max |w|), so every pivot taken exceeds that.
+
+    ``dual`` is the dual simplex over the same state: it chooses the
+    leaving row first, by dual devex weights, then the entering column from
+    the pivot row, and updates ``d`` and the inverse as ``run`` does.
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -189,15 +225,15 @@ class _Simplex:
         out[self.rows[keep], pos[self.cols[keep]]] = self.vals[keep]
         return out
 
-    def _basis_entries(self):
-        """The basis columns' nonzeros as (position in the basis, row,
-        value), gathered from their column slices."""
-        starts = self.indptr[self.basis]
-        lens = self.indptr[self.basis + 1] - starts
+    def _gather(self, cols: np.ndarray):
+        """The nonzeros of working columns ``cols`` as (position in
+        ``cols``, row, value), gathered from their column slices."""
+        starts = self.indptr[cols]
+        lens = self.indptr[cols + 1] - starts
         ends = np.cumsum(lens)
-        take = np.arange(ends[-1] if self.m else 0) + np.repeat(
+        take = np.arange(ends[-1] if cols.size else 0) + np.repeat(
             starts - ends + lens, lens)
-        return (np.repeat(np.arange(self.m), lens), self.rows[take],
+        return (np.repeat(np.arange(cols.size), lens), self.rows[take],
                 self.vals[take])
 
     def _peel(self, pos, rows):
@@ -254,7 +290,7 @@ class _Simplex:
         singular basis, structural or numerical.
         """
         m = self.m
-        pos, rows, vals = self._basis_entries()
+        pos, rows, vals = self._gather(self.basis)
         front, kernel, back = self._peel(pos, rows)
         blocks = front + [kernel] + back
         # Each row's block and slot in it, each position's block and slot,
@@ -327,16 +363,30 @@ class _Simplex:
             self._repair_basis()
             self.binv0 = self._invert()
         self.k = 0
+        self._basic_values()
+
+    def _basic_values(self):
+        """xb = B^-1 (b - the columns at their upper bounds, there)."""
         at_ub = np.flatnonzero(self.vstat == self.AT_UPPER)
         self.xb = self.binv0 @ (self.b - self._dense(at_ub) @ self.ub[at_ub])
 
     def _ftran(self, q: int) -> np.ndarray:
         """B^-1 times working column q."""
         lo, hi = self.indptr[q], self.indptr[q + 1]
-        rows, vals = self.rows[lo:hi], self.vals[lo:hi]
+        return self._ftran_entries(self.rows[lo:hi], self.vals[lo:hi])
+
+    def _ftran_entries(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """B^-1 times the m-vector that sums the entries (rows, vals)."""
         w = self.binv0[:, rows] @ vals
         k = self.k
         return w - (self.v[:k, rows] @ vals) @ self.u[:k]
+
+    def _row(self, r: int):
+        """rho, row r of B^-1, and the pivot row alpha = rho A."""
+        rho = self.binv0[r] - self.u[:self.k, r] @ self.v[:self.k]
+        alpha = np.bincount(self.cols, weights=rho[self.rows] * self.vals,
+                            minlength=self.n_all)
+        return rho, alpha
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
         """cb times B^-1."""
@@ -486,10 +536,7 @@ class _Simplex:
                 r = int(idx[np.argmin(self.basis[idx])])
             else:
                 r = int(idx[np.argmax(np.abs(denom[idx]))])
-            # Row r of B^-1, and the pivot row alpha = rho A.
-            rho = self.binv0[r] - self.u[:self.k, r] @ self.v[:self.k]
-            alpha = np.bincount(self.cols, weights=rho[self.rows] * self.vals,
-                                minlength=self.n_all)
+            rho, alpha = self._row(r)
             leaving = int(self.basis[r])
             theta = d[q] / w[r]
             d -= theta * alpha
@@ -514,6 +561,128 @@ class _Simplex:
                 self.refactor()
                 self._price(c)
                 fresh = True
+
+    def _make_dual_feasible(self, c: np.ndarray) -> bool:
+        """Price, then move each nonbasic column whose reduced cost points
+        the wrong way to its other bound. False, moving nothing, when such
+        a column has no upper bound."""
+        self._price(c)
+        tol = self.opts.optimality_tol
+        up = ((self.vstat == self.AT_LOWER) & (self.ub > 0.0)
+              & (self.d < -tol))
+        down = (self.vstat == self.AT_UPPER) & (self.d > tol)
+        if not np.isfinite(self.ub[up]).all():
+            return False
+        if up.any() or down.any():
+            self.vstat[up] = self.AT_UPPER
+            self.vstat[down] = self.AT_LOWER
+            self._basic_values()
+        return True
+
+    def dual(self, c: np.ndarray, max_iterations: int) -> str:
+        """Bounded dual simplex from the current basis, to a primal
+        feasible one; "optimal" then means only that.
+
+        The basis must be dual feasible up to columns that can move to
+        their other bound (``_make_dual_feasible``); "numerical" says it is
+        not. The leaving row is the basic variable of largest squared bound
+        violation over its dual devex weight. The ratio test flips bounds
+        (Koberstein 2005, ch. 3): it passes the breakpoints of boxed
+        columns in ratio order, moving each to its other bound, while the
+        leaving variable stays infeasible, and the column at the breakpoint
+        where it would not enters. "infeasible" means that no move of the
+        nonbasic columns brings the leaving variable to its bound: the LP
+        has no feasible point.
+        ``d``, the updates and the refactor rule are those of ``run``; the
+        row weights update as the column weights do there, with the pivot
+        column w in place of the pivot row.
+        """
+        ftol = self.opts.feasibility_tol
+        movable = self.ub > 0.0  # fixed columns never enter
+        wr = np.ones(self.m)  # dual devex reference weights of the rows
+        if not self._make_dual_feasible(c):
+            return STATUS_NUMERICAL
+        while True:
+            ub_basic = self.ub[self.basis]
+            violation = np.maximum(-self.xb, self.xb - ub_basic)
+            rows = np.flatnonzero(violation > ftol)
+            if rows.size == 0:
+                return STATUS_OPTIMAL
+            if self.iterations >= max_iterations:
+                return STATUS_ITERATION_LIMIT
+            self.iterations += 1
+            r = int(rows[np.argmax(violation[rows] ** 2 / wr[rows])])
+            to_lower = self.xb[r] < 0.0
+            rho, alpha = self._row(r)
+            d = self.d
+            # Moving a candidate off its bound moves x_Br toward the bound
+            # it violates.
+            toward = -alpha if to_lower else alpha
+            at_lower = self.vstat == self.AT_LOWER
+            at_upper = self.vstat == self.AT_UPPER
+            piv_tol = 1e-7 * min(1.0, float(np.abs(
+                alpha[movable & (at_lower | at_upper)]).max(initial=0.0)))
+            cand = np.flatnonzero(movable & (
+                (at_lower & (toward > piv_tol))
+                | (at_upper & (toward < -piv_tol))))
+            # Reduced costs a hair on the wrong side count as 0.
+            ratio = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]),
+                               0.0) / np.abs(toward[cand])
+            order = np.argsort(ratio, kind="stable")
+            cand, ratio = cand[order], ratio[order]
+            # What is left of the violation after passing each breakpoint.
+            left = violation[r] - np.cumsum(np.abs(alpha[cand])
+                                            * self.ub[cand])
+            if cand.size == 0 or left[-1] > 0.0:
+                return STATUS_INFEASIBLE
+            stop = int(np.argmax(left <= 0.0))
+            # Of the breakpoints tied with the stop, the largest pivot.
+            tied = stop + np.flatnonzero(ratio[stop:] <= ratio[stop] + 1e-12)
+            q = int(cand[tied[np.argmax(np.abs(alpha[cand[tied]]))]])
+
+            flips = cand[:stop]
+            if flips.size:
+                step = np.where(at_lower[flips], self.ub[flips],
+                                -self.ub[flips])
+                pos, frows, fvals = self._gather(flips)
+                self.xb -= self._ftran_entries(frows, fvals * step[pos])
+                self.vstat[flips] = np.where(at_lower[flips], self.AT_UPPER,
+                                             self.AT_LOWER)
+            w = self._ftran(q)
+            theta_p = (self.xb[r] - (0.0 if to_lower else ub_basic[r])) / w[r]
+            x_q = 0.0 if at_lower[q] else self.ub[q]
+            self.xb -= theta_p * w
+            leaving = int(self.basis[r])
+            theta = d[q] / w[r]
+            d -= theta * alpha
+            d[self.basis] = 0.0
+            d[q] = 0.0
+            d[leaving] = -theta
+            np.maximum(wr, (w / w[r]) ** 2 * wr[r], out=wr)
+            wr[r] = max(wr[r] / w[r] ** 2, 1.0)
+
+            self.vstat[leaving] = self.AT_LOWER if to_lower else self.AT_UPPER
+            self.basis[r] = q
+            self.vstat[q] = self.BASIC
+            self.xb[r] = x_q + theta_p
+            self._pivot_update(r, w, rho)
+            if self.k >= self.max_updates or abs(w[r]) < 1e-3:
+                self.refactor()
+                if not self._make_dual_feasible(c):
+                    return STATUS_NUMERICAL
+
+    def reoptimize(self, c: np.ndarray, max_iterations: int) -> str:
+        """Optimize with costs c from ``basis`` and the nonbasic bounds in
+        ``vstat``: factor the basis, run ``dual`` to primal feasibility,
+        then confirm by primal phase 2 (``run``), which declares optimality
+        only on fresh reduced costs. Raises LinAlgError for a singular
+        basis."""
+        self.binv0 = self._invert()
+        self._basic_values()
+        status = self.dual(c, max_iterations)
+        if status != STATUS_OPTIMAL:
+            return status
+        return self.run(c, phase=2, max_iterations=max_iterations)
 
 
 def _no_solution(status: str, iterations: int, message: str) -> Solution:
@@ -548,7 +717,8 @@ def _finish(lp: LPInstance, x: np.ndarray, duals: np.ndarray,
     )
 
 
-def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
+def solve(lp: LPInstance, options: SolveOptions | None = None,
+          start: Basis | None = None) -> Solution:
     """Minimize the LPInstance with the built-in simplex.
 
     The working matrix is built from the LP's CSR arrays alone: lower
@@ -557,7 +727,17 @@ def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     returned point is verified against the original rows and bounds; one
     that misses them by more than 10 x feasibility_tol x max(1, max |rhs|)
     is never reported optimal but comes back "numerical", naming the
-    violated rows worst first.
+    violated rows worst first. An optimal solution carries its ``basis``.
+
+    Without ``start`` the solve is cold: phase 1 from the slack and
+    artificial basis, then phase 2, both by the primal simplex. With
+    ``start``, an optimal basis of this LP or of one sharing names with
+    it (say, the previous cell of a sweep), it first reoptimizes from that
+    basis (``_Simplex.reoptimize``). It solves cold instead, adding the
+    iterations spent, when the start cannot be used (it names other than
+    m basic columns and rows here, is singular, or prices a column without
+    an upper bound the wrong way) or reoptimizing ends anything but
+    optimal, so a failure's status and message are the cold solve's.
     """
     opts = options or SolveOptions()
     m, n = lp.n_rows, lp.n_cols
@@ -607,73 +787,121 @@ def solve(lp: LPInstance, options: SolveOptions | None = None) -> Solution:
     n_all = n + n_slack + n_art
     slack_cols = n + np.arange(n_slack)
     art_cols = n + n_slack + np.arange(n_art)
-    # Start from the artificial of every row that has one, else its slack.
-    start_basis = np.empty(m, dtype=np.int64)
-    start_basis[slack_rows] = slack_cols
-    start_basis[art_rows] = art_cols
     by_col = np.argsort(col_of, kind="stable")
-    sx = _Simplex(
-        np.concatenate([col_of[by_col], slack_cols, art_cols]),
-        np.concatenate([row_of[by_col], slack_rows, art_rows]),
-        np.concatenate([a[by_col],
-                        np.where(senses[slack_rows] == LE, 1.0, -1.0),
-                        np.ones(n_art)]),
-        b_w, np.concatenate([ub_w, np.full(n_slack + n_art, np.inf)]),
-        start_basis, opts)
     max_iterations = opts.max_iterations
     if max_iterations is None:
         max_iterations = 50 * (m + n_all) + 200
+    c2 = np.zeros(n_all)
+    c2[:n] = c_w
 
-    if n_art:
-        c1 = np.zeros(n_all)
-        c1[n + n_slack:] = 1.0
-        status = sx.run(c1, phase=1, max_iterations=max_iterations)
+    def simplex(basis):
+        return _Simplex(
+            np.concatenate([col_of[by_col], slack_cols, art_cols]),
+            np.concatenate([row_of[by_col], slack_rows, art_rows]),
+            np.concatenate([a[by_col],
+                            np.where(senses[slack_rows] == LE, 1.0, -1.0),
+                            np.ones(n_art)]),
+            b_w, np.concatenate([ub_w, np.full(n_slack + n_art, np.inf)]),
+            basis, opts)
+
+    def conclude(sx):
+        """The point of an optimal basis, checked against the rows."""
+        sx.refactor()
+        x = lower + sx.point()[:n] * col_scale
+        duals = sx.duals(c2) * row_scale * flip
+        sol = _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
+        if sol.max_violation > 10.0 * tol:
+            violation = _row_violations(lp, sol.x)
+            bad = np.flatnonzero(violation > 10.0 * tol)
+            bad = bad[np.argsort(-violation[bad], kind="stable")]
+            return _no_solution(
+                STATUS_NUMERICAL, sx.iterations,
+                f"built-in point violates {bad.size} rows beyond tolerance "
+                f"(worst {sol.max_violation:.3e}): "
+                f"{[lp.row_names[i] for i in bad[:5]]}")
+        row_basic = np.zeros(m, dtype=bool)
+        row_basic[slack_rows] = sx.vstat[slack_cols] == _Simplex.BASIC
+        row_basic[art_rows] |= sx.vstat[art_cols] == _Simplex.BASIC
+        pick = lambda names, mask: frozenset(itertools.compress(
+            names, mask.tolist()))
+        return replace(sol, basis=Basis(
+            basic=pick(lp.col_names, sx.vstat[:n] == _Simplex.BASIC),
+            upper=pick(lp.col_names, sx.vstat[:n] == _Simplex.AT_UPPER),
+            tight=pick(lp.row_names, ~row_basic)))
+
+    def cold():
+        # Start from the artificial of every row that has one, else its
+        # slack.
+        start_basis = np.empty(m, dtype=np.int64)
+        start_basis[slack_rows] = slack_cols
+        start_basis[art_rows] = art_cols
+        sx = simplex(start_basis)
+        if n_art:
+            c1 = np.zeros(n_all)
+            c1[n + n_slack:] = 1.0
+            status = sx.run(c1, phase=1, max_iterations=max_iterations)
+            if status == STATUS_ITERATION_LIMIT:
+                return _no_solution(
+                    status, sx.iterations,
+                    f"iteration limit {max_iterations} hit during the "
+                    "feasibility phase")
+            # Basic artificials hold the residual. Judge it in the original
+            # rows' units: row scales span many orders of magnitude.
+            held = np.flatnonzero(sx.basis >= n + n_slack)
+            held_rows = art_rows[sx.basis[held] - n - n_slack]
+            level = np.maximum(sx.xb[held], 0.0) / row_scale[held_rows]
+            if level.sum() > tol:
+                worst = np.argsort(-level, kind="stable")
+                bad = [lp.row_names[i]
+                       for i in held_rows[worst][level[worst] > tol][:5]]
+                return _no_solution(
+                    STATUS_INFEASIBLE, sx.iterations,
+                    f"no feasible point; residual {level.sum():.3e} "
+                    f"concentrated in rows {bad}")
+            sx.ub[n + n_slack:] = 0.0
+
+        status = sx.run(c2, phase=2, max_iterations=max_iterations)
         if status == STATUS_ITERATION_LIMIT:
             return _no_solution(
                 status, sx.iterations,
-                f"iteration limit {max_iterations} hit during the "
-                "feasibility phase")
-        # Basic artificials hold the residual. Judge it in the original
-        # rows' units: row scales span many orders of magnitude.
-        held = np.flatnonzero(sx.basis >= n + n_slack)
-        held_rows = art_rows[sx.basis[held] - n - n_slack]
-        level = np.maximum(sx.xb[held], 0.0) / row_scale[held_rows]
-        if level.sum() > tol:
-            worst = np.argsort(-level, kind="stable")
-            bad = [lp.row_names[i]
-                   for i in held_rows[worst][level[worst] > tol][:5]]
+                f"iteration limit {max_iterations} hit while optimizing")
+        if status == STATUS_UNBOUNDED:
             return _no_solution(
-                STATUS_INFEASIBLE, sx.iterations,
-                f"no feasible point; residual {level.sum():.3e} "
-                f"concentrated in rows {bad}")
+                status, sx.iterations,
+                "objective improves without bound over the feasible set")
+        return conclude(sx)
+
+    if start is None:
+        return cold()
+    # The start's statuses in this LP's working columns. A row's slack,
+    # or an equation's artificial, is basic unless the start has the row
+    # tight; artificials are fixed at 0.
+    member = lambda names, chosen: np.array(
+        [name in chosen for name in names], dtype=bool)
+    vstat = np.full(n_all, _Simplex.AT_LOWER, dtype=np.int8)
+    vstat[:n][member(lp.col_names, start.upper) & np.isfinite(ub_w)] = (
+        _Simplex.AT_UPPER)
+    vstat[:n][member(lp.col_names, start.basic)] = _Simplex.BASIC
+    row_basic = ~member(lp.row_names, start.tight)
+    vstat[slack_cols[row_basic[slack_rows]]] = _Simplex.BASIC
+    vstat[art_cols[row_basic[art_rows] & (senses[art_rows] == EQ)]] = (
+        _Simplex.BASIC)
+    basis = np.flatnonzero(vstat == _Simplex.BASIC)
+    spent = 0
+    if basis.size == m:
+        sx = simplex(basis)
+        sx.vstat = vstat
         sx.ub[n + n_slack:] = 0.0
-
-    c2 = np.zeros(n_all)
-    c2[:n] = c_w
-    status = sx.run(c2, phase=2, max_iterations=max_iterations)
-    if status == STATUS_ITERATION_LIMIT:
-        return _no_solution(
-            status, sx.iterations,
-            f"iteration limit {max_iterations} hit while optimizing")
-    if status == STATUS_UNBOUNDED:
-        return _no_solution(
-            status, sx.iterations,
-            "objective improves without bound over the feasible set")
-
-    sx.refactor()
-    x = lower + sx.point()[:n] * col_scale
-    duals = sx.duals(c2) * row_scale * flip
-    sol = _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
-    if sol.max_violation > 10.0 * tol:
-        violation = _row_violations(lp, sol.x)
-        bad = np.flatnonzero(violation > 10.0 * tol)
-        bad = bad[np.argsort(-violation[bad], kind="stable")]
-        return _no_solution(
-            STATUS_NUMERICAL, sx.iterations,
-            f"built-in point violates {bad.size} rows beyond tolerance "
-            f"(worst {sol.max_violation:.3e}): "
-            f"{[lp.row_names[i] for i in bad[:5]]}")
-    return sol
+        try:
+            if sx.reoptimize(c2, max_iterations) == STATUS_OPTIMAL:
+                sol = conclude(sx)
+                if sol.status == STATUS_OPTIMAL:
+                    return sol
+        except (ArithmeticError, np.linalg.LinAlgError):
+            pass  # a singular basis, at the start or beyond repair
+        spent = sx.iterations
+    sol = cold()
+    return replace(sol, iterations=sol.iterations + spent)
 
 
 _BASE36 = np.frombuffer(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ",

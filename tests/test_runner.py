@@ -325,7 +325,32 @@ class TestLoadConfig:
                              ids=[message for _, message in NOT_NUMBERS])
     def test_non_number_in_numeric_field_rejected(self, tmp_path, capsys,
                                                   edit, message):
-        # The fixture's own scenario with one numeric field edited.
+        self.assert_rejected(tmp_path, capsys, edit, message)
+
+    NOT_BOOLS = [
+        ({"include_nuclear": "false"},
+         "include_nuclear must be true or false, got 'false'"),
+        ({"include_h2": 0}, "include_h2 must be true or false, got 0"),
+        ({"include_h2": None}, "include_h2 must be true or false, got None"),
+    ]
+
+    @pytest.mark.parametrize("edit, message", NOT_BOOLS,
+                             ids=[message for _, message in NOT_BOOLS])
+    def test_non_bool_in_flag_field_rejected(self, tmp_path, capsys, edit,
+                                             message):
+        # "false" is a truthy string: read as a flag it would turn
+        # nuclear on in a file that says false.
+        self.assert_rejected(tmp_path, capsys, edit, message)
+
+    def test_bool_flags_accepted(self):
+        payload = {**json.loads((FIXTURE / "scenario.json").read_text()),
+                   "include_nuclear": False, "include_h2": True}
+        config = load_config(payload)
+        assert (config.include_nuclear, config.include_h2) == (False, True)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, edit, message):
+        # The fixture's own scenario with one field edited.
         payload = {**json.loads((FIXTURE / "scenario.json").read_text()),
                    **edit}
         with pytest.raises(RunnerError) as exc:
@@ -604,9 +629,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="within"):
             SweepSpec(lcp_values=(0.5, 1.2), hve_values=(0.0,))
 
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SweepSpec(lcp_values=(0.5,), hve_values=(0.0,), jobs=0)
+    def test_jobs_must_be_one(self):
+        # Each cell starts from the one before, so cells run in sequence.
+        for jobs in (0, 2):
+            with pytest.raises(ValueError, match="jobs must be 1"):
+                SweepSpec(lcp_values=(0.5,), hve_values=(0.0,), jobs=jobs)
+        assert SweepSpec(lcp_values=(0.5,), hve_values=(0.0,), jobs=1)
 
 
 class TestRunSweep:
@@ -681,16 +709,22 @@ class TestRunSweep:
         assert (out1 / "report.json").read_bytes() == \
             (out2 / "report.json").read_bytes()
 
-    def test_parallel_matches_serial(self, micro_bundle, tmp_path):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        run_sweep(micro_bundle, SweepSpec(
-            lcp_values=(0.0, 0.3, 0.6), hve_values=(0.0, 0.5),
-            out_dir=serial, jobs=1))
-        run_sweep(micro_bundle, SweepSpec(
-            lcp_values=(0.0, 0.3, 0.6), hve_values=(0.0, 0.5),
-            out_dir=parallel, jobs=3))
-        assert (serial / "report.csv").read_bytes() == \
-            (parallel / "report.csv").read_bytes()
+    def test_chained_cells_match_runs_alone(self, micro_bundle):
+        # Each cell starts from the previous cell's basis; what the least
+        # cost fixes must be what a run of the cell alone reports.
+        spec = SweepSpec(lcp_values=(0.0, 0.3, 0.6), hve_values=(0.0, 0.5),
+                         jobs=1)
+        sweep = run_sweep(micro_bundle, spec)
+        assert len(sweep.reports) == len(spec.cells())
+        for (mode, overrides), report in zip(spec.cells(), sweep.reports):
+            alone = run_scenario(micro_bundle, ScenarioConfig(
+                mode=mode, **overrides)).report
+            assert report.total_cost_usd == pytest.approx(
+                alone.total_cost_usd, rel=1e-9)
+            assert report.lcoe_usd_per_mwh == pytest.approx(
+                alone.lcoe_usd_per_mwh, rel=1e-9)
+            assert report.capacity == pytest.approx(alone.capacity,
+                                                    rel=1e-9, abs=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -756,6 +790,18 @@ class TestMinLcoeSearch:
         assert len(result.trace) == 11
         hves = [h for h, _ in result.trace]
         assert hves == sorted(hves)
+
+    def test_chained_probes_match_runs_alone(self, micro_bundle):
+        # Each probe starts from the last feasible probe's basis.
+        result = min_lcoe_search(micro_bundle, omega=0.3, method="grid:4")
+        for hve, lcoe in result.trace:
+            alone = run_scenario(micro_bundle, ScenarioConfig(
+                mode="ghg+hve", omega=0.3, p_heat=hve, p_veh=hve)).report
+            if lcoe is None:
+                assert alone is None
+            else:
+                assert lcoe == pytest.approx(alone.lcoe_usd_per_mwh,
+                                             rel=1e-9)
 
     def test_unreachable_target_raises(self, fossil_bundle):
         with pytest.raises(SearchError, match="[Nn]o feasible"):
@@ -949,7 +995,7 @@ class TestCli:
         out = tmp_path / "out"
         code = main(["sweep", "--inputs", str(micro_bundle),
                      "--lcp", "0:0.4:0.4", "--hve", "0:0.5:0.5",
-                     "--jobs", "2", "--out", str(out)])
+                     "--out", str(out)])
         assert code == EXIT_OK
         with open(out / "report.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4

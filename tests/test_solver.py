@@ -22,7 +22,8 @@ from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
                                   LPInstance, assemble)
 from gridplan.runner import load_bundle, load_config
-from gridplan.solver import SolveOptions, _Simplex, solve
+from gridplan.solver import (SolveOptions, _Simplex, import_solution,
+                             solve)
 from helpers import demand_factor, dense_matrix, make_lp
 from test_acceptance import demo_config
 
@@ -649,10 +650,10 @@ def test_updated_reduced_costs_match_fresh_at_end_of_phase_2(
     np.testing.assert_allclose(kept, fresh, rtol=0.0, atol=1e-9)
 
 
-def tiled_lp(bundle, k, seed=0):
+def tiled_lp(bundle, k, seed=0, config=None):
     """The fixture LP with every series tiled k times and n_years scaled
     to match, its hourly demand scaled by the benchmark's factor for
-    ``seed``."""
+    ``seed``, under ``config`` (default: the fixture's scenario)."""
     series = bundle.series
     nodes = sorted(series.d_elec)
     n_hours = series.n_hours * k
@@ -669,7 +670,7 @@ def tiled_lp(bundle, k, seed=0):
     series = dataclasses.replace(series, **tiled)
     params = dataclasses.replace(bundle.params,
                                  n_years=bundle.params.n_years * k)
-    config = load_config(FIXTURE_DIR / "scenario.json")
+    config = config or load_config(FIXTURE_DIR / "scenario.json")
     demand = synthesize_demand(bundle.network, series, config, params)
     inp = BuildInputs(config, bundle.network, series, bundle.costs, params,
                       demand, emissions=bundle.emissions)
@@ -697,3 +698,146 @@ def test_random_40x60_matches_highs(seed):
                            3: "unbounded"}[ref.status]
     if ref.status == 0:
         assert mine.objective == pytest.approx(ref.fun, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# starting from the basis of a neighbouring LP
+
+
+def sweep_cell(bundle, seed, lcp, hve):
+    """The 48 h fixture LP of the lcp+hve sweep cell (lcp, hve)."""
+    return tiled_lp(bundle, 1, seed, demo_config(lcp=lcp, p_heat=hve,
+                                                 p_veh=hve))
+
+
+def count_dual_runs(monkeypatch):
+    """Patch _Simplex.reoptimize to record each status it returns."""
+    statuses = []
+    reoptimize = _Simplex.reoptimize
+
+    def spy(self, c, max_iterations):
+        statuses.append(reoptimize(self, c, max_iterations))
+        return statuses[-1]
+
+    monkeypatch.setattr(_Simplex, "reoptimize", spy)
+    return statuses
+
+
+def test_cold_basis_names_m_basic_columns_and_slacks(fixture_lp):
+    sol = solve(fixture_lp)
+    basis = sol.basis
+    assert basis.basic | basis.upper <= set(fixture_lp.col_names)
+    assert not basis.basic & basis.upper
+    assert basis.tight <= set(fixture_lp.row_names)
+    # m basic: the basic columns, and the slacks of the m - len(tight)
+    # rows that are not tight.
+    assert len(basis.basic) == len(basis.tight)
+    at_upper = [j for j, name in enumerate(fixture_lp.col_names)
+                if name in basis.upper]
+    np.testing.assert_allclose(sol.x[at_upper], fixture_lp.upper[at_upper],
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_sweep_matches_cold(bundle, seed, monkeypatch):
+    # A sweep's cell order (lcp, then hve), each cell from the last
+    # optimal basis; lcp = 1 at hve = 0.4 is infeasible.
+    statuses = count_dual_runs(monkeypatch)
+    start, outcomes = None, []
+    for lcp in (0.0, 0.4, 0.8, 1.0):
+        for hve in (0.0, 0.4):
+            lp = sweep_cell(bundle, seed, lcp, hve)
+            cold, warm = solve(lp), solve(lp, start=start)
+            assert warm.status == cold.status, warm.message
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective,
+                                                       rel=1e-9)
+                assert warm.duality_gap <= 1e-9
+                start = warm.basis
+            else:
+                assert warm.message == cold.message
+            outcomes.append(cold.status)
+    assert outcomes.count("infeasible") == 1
+    # Every warm cell reoptimized, and only the infeasible one fell back.
+    assert statuses == ["optimal"] * 6 + ["infeasible"]
+
+
+def test_start_without_a_row_gives_it_a_basic_slack(bundle, monkeypatch):
+    # lcp 0 -> 0.2 adds the policy_lcp row, which the start does not name.
+    lp0, lp = sweep_cell(bundle, 0, 0.0, 0.0), sweep_cell(bundle, 0, 0.2, 0.0)
+    assert "policy_lcp" not in lp0.row_names
+    assert "policy_lcp" in lp.row_names
+    before = solve(lp0)
+    statuses = count_dual_runs(monkeypatch)
+    warm, cold = solve(lp, start=before.basis), solve(lp)
+    assert statuses == ["optimal"]
+    assert warm.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert ("policy_lcp" in warm.basis.tight) == (
+        "policy_lcp" in cold.basis.tight)
+    assert warm.iterations < cold.iterations
+
+
+# Starts that cannot be used: at the all-slack start y has reduced cost -1
+# and no upper bound, so no bound flip makes it dual feasible; three basic
+# names for two rows; two basic columns that are parallel.
+PRICED_WRONG_WAY = (
+    make_lp([-1.0, -1.0], [([1.0, 1.0], LE, 4.0, "cap")],
+            upper=[3.0, np.inf], col_names=("x", "y")),
+    set(), set())
+PARALLEL_ROWS = make_lp([1.0, 2.0], [([1.0, 1.0], GE, 2.0, "need"),
+                                     ([2.0, 2.0], LE, 10.0, "cap")],
+                        col_names=("x", "y"))
+UNUSABLE_STARTS = {
+    "unbounded-column-priced-wrong-way": PRICED_WRONG_WAY,
+    "too-many-basic": (PARALLEL_ROWS, {"x", "y"}, {"need"}),
+    "singular": (PARALLEL_ROWS, {"x", "y"}, {"need", "cap"}),
+}
+
+
+@pytest.mark.parametrize("lp, basic, tight", UNUSABLE_STARTS.values(),
+                         ids=UNUSABLE_STARTS.keys())
+def test_unusable_start_gives_the_cold_solution(lp, basic, tight):
+    cold = solve(lp)
+    warm = solve(lp, start=gridplan.Basis(basic=frozenset(basic),
+                                          upper=frozenset(),
+                                          tight=frozenset(tight)))
+    assert warm.status == cold.status == "optimal"
+    np.testing.assert_array_equal(warm.x, cold.x)
+    assert (warm.objective, warm.iterations) == (cold.objective,
+                                                 cold.iterations)
+    assert warm.basis == cold.basis
+
+
+def test_boxed_column_priced_wrong_way_starts_at_its_upper_bound(
+        monkeypatch):
+    # Both columns are boxed, so the all-slack start becomes dual
+    # feasible by moving them to their upper bounds; the dual simplex
+    # then restores the violated row.
+    lp = make_lp([-1.0, -2.0], [([1.0, 1.0], LE, 4.0, "cap")],
+                 upper=[3.0, 3.0], col_names=("x", "y"))
+    start = gridplan.Basis(basic=frozenset(), upper=frozenset(),
+                           tight=frozenset())
+    statuses = count_dual_runs(monkeypatch)
+    sol = solve(lp, start=start)
+    assert statuses == ["optimal"]
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [1.0, 3.0])
+    assert (sol.basis.basic, sol.basis.upper) == ({"x"}, {"y"})
+
+
+def test_infeasible_lp_from_a_start_reports_the_cold_message(bundle):
+    feasible = solve(sweep_cell(bundle, 0, 0.8, 0.4))
+    lp = sweep_cell(bundle, 0, 1.0, 0.4)
+    cold, warm = solve(lp), solve(lp, start=feasible.basis)
+    assert cold.status == warm.status == "infeasible"
+    assert warm.message == cold.message
+    assert warm.iterations > cold.iterations  # the dual's count too
+
+
+def test_imported_solution_has_no_basis(fixture_lp):
+    sol = solve(fixture_lp)
+    imported = import_solution(fixture_lp, dict(zip(fixture_lp.col_names,
+                                                    sol.x.tolist())))
+    assert imported.status == "optimal"
+    assert imported.basis is None
