@@ -64,6 +64,7 @@ __all__ = [
     "EXIT_ITERATION_LIMIT",
     "EXIT_OK",
     "EXIT_UNBOUNDED",
+    "InvalidScenarioError",
     "RunResult",
     "RunnerError",
     "SearchError",
@@ -102,6 +103,12 @@ class RunnerError(Exception):
 
 class SearchError(RunnerError):
     """The minimum-LCOE search cannot proceed or found nothing feasible."""
+
+
+class InvalidScenarioError(SearchError):
+    """A search probe stopped at stage ``validate``, which no other rate
+    passes either; the message is ``<stage>: <message>``, as ``run``
+    prints it."""
 
 
 # --------------------------------------------------------------------------
@@ -550,8 +557,9 @@ class SweepSpec:
     """A grid of scenarios: low-carbon targets (or emissions targets)
     crossed with uniform electrification rates.
 
-    Cells solve one after another, each from the one before, so ``jobs``
-    must be 1.
+    Cells solve one after another in ``cells()`` order, each from an
+    earlier cell's optimal basis (see ``run_sweep``), so ``jobs`` must
+    be 1.
     """
 
     lcp_values: tuple = ()
@@ -569,7 +577,7 @@ class SweepSpec:
                                coerce(self.omega_values))
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1, got {self.jobs}: cells solve "
-                             f"in sequence, each from the one before")
+                             f"in sequence, each from an earlier one")
         if not self.cells():
             raise ValueError("sweep grid must not be empty")
         named = [("lcp", self.lcp_values), ("hve", self.hve_values),
@@ -619,36 +627,43 @@ def _base_config_dict(base) -> dict:
 def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResult:
     """Solve every grid cell and write one aggregate report.
 
-    Cells solve in ``spec.cells()`` order, each starting from the optimal
-    basis of the last cell that solved. Neighbouring cells share most of
-    their LP, so that basis is usually a few dual simplex pivots from the
-    next optimum. Costs, capacities and emissions are as a
-    run of the cell alone would give them; the hourly split of an optimum
-    that is not unique, and so curtailment and excess low-carbon energy,
-    may differ. Failed cells contribute a status row instead of aborting
-    the sweep; the exit code is nonzero only when no cell solved at all.
+    Cells solve in ``spec.cells()`` order. A cell starts from the optimal
+    basis of the latest solved cell at its electrification rate, which is
+    the cell one target step back unless that one failed; while no cell at
+    its rate has solved (the first target, or after failures), from that
+    of the latest solved cell. One target step at a fixed rate is usually
+    a few dual simplex pivots, where the cell before it in order can be a
+    whole row of rates away. Costs, capacities and
+    emissions are as a run of the cell alone would give them; the hourly
+    split of an optimum that is not unique, and so curtailment and excess
+    low-carbon energy, may differ. Failed cells contribute a status row
+    instead of aborting the sweep. The exit code is 0 when any cell
+    solved; otherwise it is the cells' exit code when they all failed
+    alike (2 all infeasible, 5 all invalid), and 1 for a mix.
     """
     bundle = _load_if_path(bundle)
     base_kw = _base_config_dict(base)
     # Only each cell's record is kept, not its RunResult, whose basis and
     # solution values would be held for the whole sweep.
-    records, statuses = [], []
-    start = None
+    records, codes = [], set()
+    # The optimal basis of the latest solved cell, overall and per rate.
+    latest, by_rate = None, {}
     for mode, overrides in spec.cells():
+        rate = overrides["p_heat"]
         result = run_scenario(bundle, config_from_dict(
-            {**base_kw, "mode": mode, **overrides}), start=start)
-        start = result.basis or start
+            {**base_kw, "mode": mode, **overrides}),
+            start=by_rate.get(rate, latest))
+        if result.basis is not None:
+            latest = by_rate[rate] = result.basis
         records.append(result.failure if result.report is None
                        else result.report)
-        statuses.append(result.status)
+        codes.add(result.exit_code)
 
     reports = [r for r in records if isinstance(r, ScenarioReport)]
     if reports:
         exit_code = EXIT_OK
-    elif all(status == STATUS_INFEASIBLE for status in statuses):
-        exit_code = EXIT_INFEASIBLE
     else:
-        exit_code = EXIT_ERROR
+        exit_code = codes.pop() if len(codes) == 1 else EXIT_ERROR
 
     if spec.out_dir is not None:
         out = Path(spec.out_dir)
@@ -753,10 +768,11 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
     curve) or ``"grid:N"`` (N+1 uniform points, robust fallback). Inner
     problems solve with the emissions target and both electrification
     rates pinned; infeasible rates are skipped. Each probe starts from the
-    optimal basis of the last feasible one, as the cells of a sweep do, so
-    a probe's curtailment and excess low-carbon energy may differ from a
-    run of that rate alone. A malformed method, bound or tolerance raises
-    RunnerError before any solve, for either method; SearchError means no
+    optimal basis of the last feasible one, so a probe's curtailment and
+    excess low-carbon energy may differ from a run of that rate alone. A malformed method, bound or tolerance raises
+    RunnerError before any solve, for either method. A probe that stops at
+    stage ``validate`` raises InvalidScenarioError (a SearchError) at
+    once, since the rate does not mend it; otherwise SearchError means no
     evaluated rate was feasible.
     """
     bundle = _load_if_path(bundle)
@@ -770,6 +786,8 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
                                    "omega": omega, "p_heat": hve,
                                    "p_veh": hve})
         result = run_scenario(bundle, config, start=start)
+        if result.stage == "validate":
+            raise InvalidScenarioError(f"{result.stage}: {result.message}")
         if result.report is None:
             return None
         start = result.basis
@@ -928,6 +946,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvalidScenarioError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
     except SearchError as exc:
         print(f"search: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

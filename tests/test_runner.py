@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import shutil
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import gridplan
+from gridplan import runner
 from gridplan.demand import btm_statewide_mw, synthesize_demand
 from gridplan.formulation import LPError
 from gridplan.model import (
@@ -37,6 +39,8 @@ from gridplan.runner import (
     EXIT_INVALID,
     EXIT_ITERATION_LIMIT,
     EXIT_OK,
+    InvalidScenarioError,
+    RunResult,
     RunnerError,
     SearchError,
     SweepSpec,
@@ -630,11 +634,37 @@ class TestSweepSpec:
             SweepSpec(lcp_values=(0.5, 1.2), hve_values=(0.0,))
 
     def test_jobs_must_be_one(self):
-        # Each cell starts from the one before, so cells run in sequence.
+        # Each cell starts from an earlier one, so cells run in sequence.
         for jobs in (0, 2):
             with pytest.raises(ValueError, match="jobs must be 1"):
                 SweepSpec(lcp_values=(0.5,), hve_values=(0.0,), jobs=jobs)
         assert SweepSpec(lcp_values=(0.5,), hve_values=(0.0,), jobs=1)
+
+
+def record_cells(monkeypatch, fail=()):
+    """Patch the runner's run_scenario to record, per sweep cell, its
+    (lcp, rate), the start it is given and the basis it returns. The cells
+    in ``fail`` fail at stage solve without solving."""
+    cells = []
+    run = runner.run_scenario
+
+    def spy(bundle, config, **kw):
+        cell = (config.lcp, config.p_heat)
+        if cell in fail:
+            result = RunResult(
+                status="infeasible", exit_code=EXIT_INFEASIBLE,
+                stage="solve", message="failed on purpose", report=None,
+                failure={"label": str(cell), "status": "infeasible"})
+        else:
+            result = run(bundle, config, **kw)
+        cells.append((cell, kw.get("start"), result.basis))
+        return result
+
+    monkeypatch.setattr(runner, "run_scenario", spy)
+    return cells
+
+
+CHAIN_LCP, CHAIN_HVE = (0.0, 0.3, 0.6), (0.0, 0.5, 1.0)
 
 
 class TestRunSweep:
@@ -709,22 +739,61 @@ class TestRunSweep:
         assert (out1 / "report.json").read_bytes() == \
             (out2 / "report.json").read_bytes()
 
+    def test_cell_starts_from_its_rate_one_target_back(self, micro_bundle,
+                                                       monkeypatch):
+        cells = record_cells(monkeypatch)
+        run_sweep(micro_bundle, SweepSpec(lcp_values=CHAIN_LCP,
+                                          hve_values=CHAIN_HVE))
+        # Solved and recorded in spec.cells() order.
+        assert [cell for cell, _, _ in cells] == [
+            (lcp, hve) for lcp in CHAIN_LCP for hve in CHAIN_HVE]
+        basis = {cell: b for cell, _, b in cells}
+        assert None not in basis.values()
+        for i, ((lcp, hve), start, _) in enumerate(cells):
+            if lcp == CHAIN_LCP[0]:
+                # The first target: the latest solved cell, the one before.
+                assert start is (cells[i - 1][2] if i else None)
+            else:
+                back = CHAIN_LCP[CHAIN_LCP.index(lcp) - 1]
+                assert start is basis[(back, hve)]
+
+    def test_after_failures_a_cell_starts_from_the_latest_solved(
+            self, micro_bundle, monkeypatch):
+        # No cell at rate 0.5 has solved when (0.3, 0.5) runs, so it starts
+        # from the latest solved cell; (0.6, 1) starts from the latest
+        # solved cell at its rate, two targets back.
+        cells = record_cells(monkeypatch, fail={(0.0, 0.5), (0.3, 1.0)})
+        result = run_sweep(micro_bundle, SweepSpec(lcp_values=CHAIN_LCP,
+                                                   hve_values=CHAIN_HVE))
+        assert result.exit_code == EXIT_OK
+        assert len(result.reports) == 7
+        start = {cell: s for cell, s, _ in cells}
+        basis = {cell: b for cell, _, b in cells}
+        assert basis[(0.0, 0.5)] is basis[(0.3, 1.0)] is None
+        assert start[(0.0, 1.0)] is basis[(0.0, 0.0)]
+        assert start[(0.3, 0.5)] is basis[(0.3, 0.0)]
+        assert start[(0.6, 0.5)] is basis[(0.3, 0.5)]
+        assert start[(0.6, 1.0)] is basis[(0.0, 1.0)]
+
     def test_chained_cells_match_runs_alone(self, micro_bundle):
-        # Each cell starts from the previous cell's basis; what the least
+        # Each cell starts from an earlier cell's basis; what the least
         # cost fixes must be what a run of the cell alone reports.
-        spec = SweepSpec(lcp_values=(0.0, 0.3, 0.6), hve_values=(0.0, 0.5),
-                         jobs=1)
-        sweep = run_sweep(micro_bundle, spec)
-        assert len(sweep.reports) == len(spec.cells())
-        for (mode, overrides), report in zip(spec.cells(), sweep.reports):
-            alone = run_scenario(micro_bundle, ScenarioConfig(
-                mode=mode, **overrides)).report
-            assert report.total_cost_usd == pytest.approx(
-                alone.total_cost_usd, rel=1e-9)
-            assert report.lcoe_usd_per_mwh == pytest.approx(
-                alone.lcoe_usd_per_mwh, rel=1e-9)
-            assert report.capacity == pytest.approx(alone.capacity,
-                                                    rel=1e-9, abs=1e-9)
+        for spec in (
+                SweepSpec(lcp_values=(0.0, 0.3, 0.6), hve_values=(0.0, 0.5)),
+                SweepSpec(omega_values=(0.0, 0.2, 0.3),
+                          hve_values=(0.0, 0.5))):
+            sweep = run_sweep(micro_bundle, spec)
+            assert len(sweep.reports) == len(spec.cells())
+            for (mode, overrides), report in zip(spec.cells(),
+                                                 sweep.reports):
+                alone = run_scenario(micro_bundle, ScenarioConfig(
+                    mode=mode, **overrides)).report
+                assert report.total_cost_usd == pytest.approx(
+                    alone.total_cost_usd, rel=1e-9)
+                assert report.lcoe_usd_per_mwh == pytest.approx(
+                    alone.lcoe_usd_per_mwh, rel=1e-9)
+                assert report.capacity == pytest.approx(
+                    alone.capacity, rel=1e-9, abs=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -1061,6 +1130,32 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert cause in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_search_stops_at_the_first_invalid_probe(self, capsys,
+                                                     monkeypatch):
+        # The fixture ships vehicle demand as daily totals, which needs an
+        # ev_flex block from --config; no electrification rate mends that.
+        calls = []
+        run = runner.run_scenario
+        monkeypatch.setattr(runner, "run_scenario",
+                            lambda *a, **kw: calls.append(a) or run(*a, **kw))
+        code = main(["search-lcoe", "--inputs", str(FIXTURE),
+                     "--ghg", "0.3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert (captured.out, captured.err) == (
+            "", "validate: fixed EV charging (no ev_flex) needs the hourly "
+                "vehicle series d_veh_full\n")
+        assert len(calls) == 1
+        with pytest.raises(InvalidScenarioError, match="^validate: "):
+            min_lcoe_search(FIXTURE, 0.3, method="grid:4")
+
+    def test_sweep_of_invalid_cells_exits_invalid(self, capsys):
+        code = main(["sweep", "--inputs", str(FIXTURE), "--lcp", "0.2",
+                     "--hve", "0:0.4:0.2"])
+        assert code == EXIT_INVALID
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["status"] for r in rows] == ["invalid"] * 3
 
     def test_search_infeasible_exit(self, fossil_bundle, capsys):
         code = main(["search-lcoe", "--inputs", str(fossil_bundle),

@@ -835,6 +835,53 @@ def test_infeasible_lp_from_a_start_reports_the_cold_message(bundle):
     assert warm.iterations > cold.iterations  # the dual's count too
 
 
+def test_start_at_the_optimum_inverts_the_basis_once(fixture_lp,
+                                                     monkeypatch):
+    # No pivot follows reoptimize's factorization, so the end of the solve
+    # reads the basic values off that factor instead of building it again.
+    start = solve(fixture_lp).basis
+    inverts = []
+    invert = _Simplex._invert
+
+    def counted(self):
+        inverts.append(None)
+        return invert(self)
+
+    monkeypatch.setattr(_Simplex, "_invert", counted)
+    warm = solve(fixture_lp, start=start)
+    assert warm.status == "optimal"
+    assert (warm.iterations, len(inverts)) == (0, 1)
+    # The same solve with the refactorization that used to end every
+    # solve, and that _invert repeats bit for bit, returns the same bytes.
+    reoptimize = _Simplex.reoptimize
+
+    def then_refactor(self, c, max_iterations):
+        status = reoptimize(self, c, max_iterations)
+        self.refactor()
+        return status
+
+    monkeypatch.setattr(_Simplex, "reoptimize", then_refactor)
+    again = solve(fixture_lp, start=start)
+    assert len(inverts) == 3
+    np.testing.assert_array_equal(warm.x, again.x)
+    np.testing.assert_array_equal(warm.duals, again.duals)
+    assert (warm.basis, warm.iterations) == (again.basis, again.iterations)
+
+
+def test_cold_solve_reaches_the_optimum_of_a_scaled_column(bundle):
+    # At optimality_tol 1e-7 the cold solve stopped 3.9e-8 relative above
+    # HiGHS with batt_discharge[b,20] at its lower bound priced -0.009: a
+    # reduced cost within the tolerance in the equilibrated problem, which
+    # that column's scale magnifies. The duality gap missed it.
+    lp = tiled_lp(bundle, 1, 5, demo_config(
+        mode="ghg+hve", lcp=None, omega=0.05, p_heat=0.0, p_veh=0.0))
+    ref = scipy_solve(lp)
+    assert ref.status == 0
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun + lp.offset, rel=1e-9)
+
+
 def test_imported_solution_has_no_basis(fixture_lp):
     sol = solve(fixture_lp)
     imported = import_solution(fixture_lp, dict(zip(fixture_lp.col_names,
