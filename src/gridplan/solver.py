@@ -402,6 +402,36 @@ class _Simplex:
         k = self.k
         return cb @ self.binv0 - (self.u[:k] @ cb) @ self.v[:k]
 
+    def _pivot(self, r: int, q: int, w: np.ndarray, rho: np.ndarray,
+               alpha: np.ndarray, to_upper: bool, x_q: float) -> bool:
+        """Pivot column q into the basis at row r, where it takes the value
+        x_q, and the row's basic column out to its upper bound (``to_upper``)
+        or its lower one. ``w`` is B^-1 a_q, and ``rho`` and ``alpha`` are
+        row r of B^-1 and the pivot row, all before the pivot. Updates the
+        reduced costs, the statuses and the inverse, then refactors when the
+        updates are full or the pivot was small; True if it did, so that
+        the caller re-prices."""
+        d = self.d
+        leaving = int(self.basis[r])
+        theta = d[q] / w[r]
+        d -= theta * alpha
+        # Basic reduced costs are zero by definition; what the update
+        # leaves there is roundoff, which nothing reads.
+        d[self.basis] = 0.0
+        d[q] = 0.0
+        d[leaving] = -theta
+        self.vstat[leaving] = self.AT_UPPER if to_upper else self.AT_LOWER
+        self.basis[r] = q
+        self.vstat[q] = self.BASIC
+        self.xb[r] = x_q
+        self._pivot_update(r, w, rho)
+        # Small pivots are accepted but poison the rolling inverse, so
+        # refresh it immediately afterwards.
+        if self.k >= self.max_updates or abs(w[r]) < 1e-3:
+            self.refactor()
+            return True
+        return False
+
     def _pivot_update(self, r: int, w: np.ndarray, rho: np.ndarray):
         """Record the pivot on row r with entering column B^-1 a_q = w and
         rho, row r of B^-1 before the pivot."""
@@ -546,28 +576,11 @@ class _Simplex:
             else:
                 r = int(idx[np.argmax(np.abs(denom[idx]))])
             rho, alpha = self._row(r)
-            leaving = int(self.basis[r])
-            theta = d[q] / w[r]
-            d -= theta * alpha
-            # Basic reduced costs are zero by definition; what the update
-            # leaves there is roundoff, which nothing reads.
-            d[self.basis] = 0.0
-            d[q] = 0.0
-            d[leaving] = -theta
             np.maximum(wt, (alpha / w[r]) ** 2 * wt[q], out=wt)
-            wt[leaving] = max(wt[q] / w[r] ** 2, 1.0)
+            wt[self.basis[r]] = max(wt[q] / w[r] ** 2, 1.0)
             fresh = False
-
-            self.vstat[leaving] = (self.AT_UPPER if hits_upper[r]
-                                   else self.AT_LOWER)
-            self.basis[r] = q
-            self.vstat[q] = self.BASIC
-            self.xb[r] = t_star if sigma > 0.0 else self.ub[q] - t_star
-            self._pivot_update(r, w, rho)
-            # Small pivots are accepted but poison the rolling inverse,
-            # so refresh it immediately afterwards.
-            if self.k >= self.max_updates or abs(w[r]) < 1e-3:
-                self.refactor()
+            if self._pivot(r, q, w, rho, alpha, hits_upper[r],
+                           t_star if sigma > 0.0 else self.ub[q] - t_star):
                 self._price(c)
                 fresh = True
 
@@ -661,22 +674,9 @@ class _Simplex:
             theta_p = (self.xb[r] - (0.0 if to_lower else ub_basic[r])) / w[r]
             x_q = 0.0 if at_lower[q] else self.ub[q]
             self.xb -= theta_p * w
-            leaving = int(self.basis[r])
-            theta = d[q] / w[r]
-            d -= theta * alpha
-            d[self.basis] = 0.0
-            d[q] = 0.0
-            d[leaving] = -theta
             np.maximum(wr, (w / w[r]) ** 2 * wr[r], out=wr)
             wr[r] = max(wr[r] / w[r] ** 2, 1.0)
-
-            self.vstat[leaving] = self.AT_LOWER if to_lower else self.AT_UPPER
-            self.basis[r] = q
-            self.vstat[q] = self.BASIC
-            self.xb[r] = x_q + theta_p
-            self._pivot_update(r, w, rho)
-            if self.k >= self.max_updates or abs(w[r]) < 1e-3:
-                self.refactor()
+            if self._pivot(r, q, w, rho, alpha, not to_lower, x_q + theta_p):
                 if not self._make_dual_feasible(c):
                     return STATUS_NUMERICAL
 
