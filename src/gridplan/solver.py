@@ -502,11 +502,13 @@ class _Simplex:
                                  minlength=self.n_all)
         self.d[self.basis] = 0.0
 
-    def run(self, c: np.ndarray, phase: int, max_iterations: int) -> str:
+    def run(self, c: np.ndarray, max_iterations: int) -> str:
+        """Primal phase 2 from the current basis, which must be primal
+        feasible: "optimal", "unbounded" or "iteration-limit"."""
         tol = self.opts.optimality_tol
         bland = self.opts.pivot_rule == "bland"
         fixed = self.ub <= 0.0
-        # Devex reference weights, reset at the start of each phase.
+        # Devex reference weights, reset at the start of each run.
         self.wt = wt = np.ones(self.n_all)
         self._price(c)
         fresh = True
@@ -555,11 +557,6 @@ class _Simplex:
             t_row = float(ratios.min()) if self.m else np.inf
             t_star = min(t_flip, t_row)
             if not np.isfinite(t_star):
-                if phase == 1:
-                    raise ArithmeticError(
-                        "feasibility subproblem claims an unbounded "
-                        "direction; numerical breakdown"
-                    )
                 return STATUS_UNBOUNDED
 
             self.xb -= t_star * sigma * w
@@ -584,46 +581,52 @@ class _Simplex:
                 self._price(c)
                 fresh = True
 
-    def _make_dual_feasible(self, c: np.ndarray) -> bool:
-        """Price, then move each nonbasic column whose reduced cost points
-        the wrong way to its other bound. False, moving nothing, when such
-        a column has no upper bound."""
+    def _make_dual_feasible(self, c: np.ndarray) -> np.ndarray:
+        """Price, then make the basis dual feasible: a nonbasic column whose
+        reduced cost points the wrong way moves to its other bound, or,
+        with no upper bound, has its cost shifted to make it 0 (Koberstein
+        2005, ch. 4). Returns the costs, so shifted, for the dual alone."""
         self._price(c)
         tol = self.opts.optimality_tol
         up = ((self.vstat == self.AT_LOWER) & (self.ub > 0.0)
               & (self.d < -tol))
+        shift = up & ~np.isfinite(self.ub)
+        up &= ~shift
         down = (self.vstat == self.AT_UPPER) & (self.d > tol)
-        if not np.isfinite(self.ub[up]).all():
-            return False
+        if shift.any():
+            c = c.copy()
+            c[shift] -= self.d[shift]
+            self.d[shift] = 0.0
         if up.any() or down.any():
             self.vstat[up] = self.AT_UPPER
             self.vstat[down] = self.AT_LOWER
             self._basic_values()
-        return True
+        return c
 
     def dual(self, c: np.ndarray, max_iterations: int) -> str:
         """Bounded dual simplex from the current basis, to a primal
         feasible one; "optimal" then means only that.
 
-        The basis must be dual feasible up to columns that can move to
-        their other bound (``_make_dual_feasible``); "numerical" says it is
-        not. The leaving row is the basic variable of largest squared bound
+        The dual runs on costs that ``_make_dual_feasible`` shifts where a
+        bound move cannot make the basis dual feasible, so it only ever
+        restores primal feasibility; ``run`` then optimizes the true costs.
+        The leaving row is the basic variable of largest squared bound
         violation over its dual devex weight. The ratio test flips bounds
         (Koberstein 2005, ch. 3): it passes the breakpoints of boxed
         columns in ratio order, moving each to its other bound, while the
         leaving variable stays infeasible, and the column at the breakpoint
         where it would not enters. "infeasible" means that no move of the
-        nonbasic columns brings the leaving variable to its bound: the LP
-        has no feasible point.
-        ``d``, the updates and the refactor rule are those of ``run``; the
+        nonbasic columns brings the leaving variable to its bound; ``ray``
+        is then row r of B^-1, signed so that ray A x = ray b can hold
+        only above the largest value ray A takes over the bounds.
+        ``d`` and the refactor rule are those of ``run`` (``_pivot``); the
         row weights update as the column weights do there, with the pivot
         column w in place of the pivot row.
         """
         ftol = self.opts.feasibility_tol
         movable = self.ub > 0.0  # fixed columns never enter
         wr = np.ones(self.m)  # dual devex reference weights of the rows
-        if not self._make_dual_feasible(c):
-            return STATUS_NUMERICAL
+        c = self._make_dual_feasible(c)
         while True:
             ub_basic = self.ub[self.basis]
             violation = np.maximum(-self.xb, self.xb - ub_basic)
@@ -652,12 +655,15 @@ class _Simplex:
                                0.0) / np.abs(toward[cand])
             order = np.argsort(ratio, kind="stable")
             cand, ratio = cand[order], ratio[order]
-            # What is left of the violation after passing each breakpoint.
+            # What is left of the violation after passing each breakpoint;
+            # within the tolerance is none, as flips that exactly close it
+            # can leave roundoff.
             left = violation[r] - np.cumsum(np.abs(alpha[cand])
                                             * self.ub[cand])
-            if cand.size == 0 or left[-1] > 0.0:
+            if cand.size == 0 or left[-1] > ftol:
+                self.ray = -rho if to_lower else rho
                 return STATUS_INFEASIBLE
-            stop = int(np.argmax(left <= 0.0))
+            stop = int(np.argmax(left <= ftol))
             # Of the breakpoints tied with the stop, the largest pivot.
             tied = stop + np.flatnonzero(ratio[stop:] <= ratio[stop] + 1e-12)
             q = int(cand[tied[np.argmax(np.abs(alpha[cand[tied]]))]])
@@ -677,21 +683,20 @@ class _Simplex:
             np.maximum(wr, (w / w[r]) ** 2 * wr[r], out=wr)
             wr[r] = max(wr[r] / w[r] ** 2, 1.0)
             if self._pivot(r, q, w, rho, alpha, not to_lower, x_q + theta_p):
-                if not self._make_dual_feasible(c):
-                    return STATUS_NUMERICAL
+                c = self._make_dual_feasible(c)
 
-    def reoptimize(self, c: np.ndarray, max_iterations: int) -> str:
+    def optimize(self, c: np.ndarray, max_iterations: int) -> str:
         """Optimize with costs c from ``basis`` and the nonbasic bounds in
         ``vstat``: factor the basis, run ``dual`` to primal feasibility,
-        then confirm by primal phase 2 (``run``), which declares optimality
-        only on fresh reduced costs. Raises LinAlgError for a singular
-        basis."""
+        then primal phase 2 (``run``) on the true costs, which declares
+        optimality only on fresh reduced costs. Raises LinAlgError for a
+        singular basis."""
         self.binv0 = self._invert()
         self._basic_values()
         status = self.dual(c, max_iterations)
         if status != STATUS_OPTIMAL:
             return status
-        return self.run(c, phase=2, max_iterations=max_iterations)
+        return self.run(c, max_iterations)
 
 
 def _no_solution(status: str, iterations: int, message: str) -> Solution:
@@ -726,27 +731,57 @@ def _finish(lp: LPInstance, x: np.ndarray, duals: np.ndarray,
     )
 
 
+def _farkas_bound(lp: LPInstance, y: np.ndarray) -> float:
+    """The row violation that the row multipliers ``y`` prove every point
+    within the column bounds to reach, read from the LP's arrays alone; at
+    most 0 when they prove nothing.
+
+    Entries of y of the wrong sign for their row count as 0, which leaves
+    y_i >= 0 on >= rows and y_i <= 0 on <= rows. Then at a point whose
+    largest row violation is v, sum_i y_i (a_i x - b_i) >= -|y|_1 v, while
+    the column bounds hold that sum to at most max (y A) x - y b = -gap.
+    So v >= gap / |y|_1: where that is positive, y is a Farkas certificate
+    that the LP has no feasible point. A column whose (y A)_j is roundoff,
+    at most 1e-9 of sum_i |y_i a_ij|, counts as 0, so the proof holds for
+    every matrix within 1e-9 relative of the LP's, entry by entry.
+    """
+    y = np.where(lp.sense == LE, np.minimum(y, 0.0),
+                 np.where(lp.sense == GE, np.maximum(y, 0.0), y))
+    terms = lp.data * y[lp.row_of]
+    g = np.bincount(lp.indices, weights=terms, minlength=lp.n_cols)
+    size = np.bincount(lp.indices, weights=np.abs(terms), minlength=lp.n_cols)
+    moves = np.abs(g) > 1e-9 * size
+    top = np.where(g > 0.0, lp.upper, lp.lower)[moves]
+    gap = float(y @ lp.rhs) - float(g[moves] @ top)
+    return gap / max(float(np.abs(y).sum()), np.finfo(float).tiny)
+
+
 def solve(lp: LPInstance, options: SolveOptions | None = None,
           start: Basis | None = None) -> Solution:
     """Minimize the LPInstance with the built-in simplex.
 
     The working matrix is built from the LP's CSR arrays alone: lower
-    bounds shifted to zero, rows flipped to a nonnegative rhs, rows and
-    columns equilibrated, slack and artificial columns appended. The
-    returned point is verified against the original rows and bounds; one
-    that misses them by more than 10 x feasibility_tol x max(1, max |rhs|)
-    is never reported optimal but comes back "numerical", naming the
-    violated rows worst first. An optimal solution carries its ``basis``.
+    bounds shifted to zero, rows and columns equilibrated, and one logical
+    column per row appended (+1 on [0, inf) for <=, -1 on [0, inf) for >=,
+    +1 fixed at 0 for =). Every solve is one route (``_Simplex.optimize``):
+    the dual simplex from a basis to a feasible one, then primal phase 2.
+    Without ``start`` the basis is the logicals' (the slack basis). With
+    ``start``, an optimal basis of this LP or of one sharing names with it
+    (say, a neighbouring cell of a sweep), it is that basis; a start that
+    names other than m basic columns and rows here, is singular, or ends
+    "numerical" is tried once more from the slack basis, adding the
+    iterations spent.
 
-    Without ``start`` the solve is cold: phase 1 from the slack and
-    artificial basis, then phase 2, both by the primal simplex. With
-    ``start``, an optimal basis of this LP or of one sharing names with
-    it (say, a neighbouring cell of a sweep), it first reoptimizes from
-    that basis (``_Simplex.reoptimize``). It solves cold instead, adding the
-    iterations spent, when the start cannot be used (it names other than
-    m basic columns and rows here, is singular, or prices a column without
-    an upper bound the wrong way) or reoptimizing ends anything but
-    optimal, so a failure's status and message are the cold solve's.
+    The returned point is verified against the original rows and bounds;
+    one that misses them by more than 10 x feasibility_tol x max(1, max
+    |rhs|) is never reported optimal but comes back "numerical", naming
+    the violated rows worst first. An optimal solution carries its
+    ``basis``. "infeasible" is reported only with a Farkas certificate,
+    the dual's last pivot row, that ``_farkas_bound`` checks against the
+    LP's arrays to show a violation above feasibility_tol x max(1, max
+    |rhs|) at every point within the bounds; one that fails the check is
+    "numerical". Either message names up to 5 rows of the certificate,
+    largest multiplier first.
     """
     opts = options or SolveOptions()
     m, n = lp.n_rows, lp.n_cols
@@ -755,23 +790,11 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     tol = opts.feasibility_tol * max(
         1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
 
-    # Shift lower bounds to zero.
-    b_shift = lp.rhs - lp.activity(lower)
-    ub = lp.upper - lower
-
-    # Normalize to nonnegative rhs, tracking the sign for dual recovery.
-    flip = np.where(b_shift < 0.0, -1.0, 1.0)
-    a = lp.data * flip[row_of]
-    b_shift *= flip
-    senses = np.where(flip > 0.0, lp.sense,
-                      np.where(lp.sense == LE, GE,
-                               np.where(lp.sense == GE, LE, EQ)))
-
     # Geometric-mean equilibration: capital-cost and hourly-energy
     # coefficients differ by orders of magnitude otherwise.
     row_scale = np.ones(m)
     col_scale = np.ones(n)
-    mag = np.abs(a)
+    mag = np.abs(lp.data)
     for _ in range(2):
         for scale, index in ((row_scale, row_of), (col_scale, col_of)):
             hi = np.zeros(scale.size)
@@ -783,46 +806,71 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
                              1.0 / np.sqrt(hi * lo), 1.0)
             mag *= f[index]
             scale *= f
-    a = a * row_scale[row_of] * col_scale[col_of]
-    b_w = b_shift * row_scale
-    c_w = lp.objective * col_scale
-    ub_w = ub / col_scale
 
-    # Working columns, sorted by column: structural, slack/surplus,
-    # artificial.
-    slack_rows = np.flatnonzero(senses != EQ)
-    art_rows = np.flatnonzero(senses != LE)
-    n_slack, n_art = slack_rows.size, art_rows.size
-    n_all = n + n_slack + n_art
-    slack_cols = n + np.arange(n_slack)
-    art_cols = n + n_slack + np.arange(n_art)
+    # Working columns, sorted by column: structural (shifted to lower
+    # bound 0 and scaled), then the logical column of each row.
     by_col = np.argsort(col_of, kind="stable")
+    n_all = n + m
+    cols = np.concatenate([col_of[by_col], n + np.arange(m)])
+    rows = np.concatenate([row_of[by_col], np.arange(m)])
+    vals = np.concatenate([
+        (lp.data * row_scale[row_of] * col_scale[col_of])[by_col],
+        np.where(lp.sense == GE, -1.0, 1.0)])
+    b_w = (lp.rhs - lp.activity(lower)) * row_scale
+    ub_w = np.concatenate([(lp.upper - lower) / col_scale,
+                           np.where(lp.sense == EQ, 0.0, np.inf)])
+    c_w = np.zeros(n_all)
+    c_w[:n] = lp.objective * col_scale
     max_iterations = opts.max_iterations
     if max_iterations is None:
         max_iterations = 50 * (m + n_all) + 200
-    c2 = np.zeros(n_all)
-    c2[:n] = c_w
 
-    def simplex(basis):
-        return _Simplex(
-            np.concatenate([col_of[by_col], slack_cols, art_cols]),
-            np.concatenate([row_of[by_col], slack_rows, art_rows]),
-            np.concatenate([a[by_col],
-                            np.where(senses[slack_rows] == LE, 1.0, -1.0),
-                            np.ones(n_art)]),
-            b_w, np.concatenate([ub_w, np.full(n_slack + n_art, np.inf)]),
-            basis, opts)
+    def simplex(vstat):
+        """The working problem on the basis and bounds ``vstat`` marks."""
+        sx = _Simplex(cols, rows, vals, b_w, ub_w,
+                      np.flatnonzero(vstat == _Simplex.BASIC), opts)
+        sx.vstat = vstat
+        return sx
 
-    def conclude(sx):
-        """The point of an optimal basis, checked against the rows. With no
-        pivot since the last factorization its inverse is the one a
-        refactor would build, so only the basic values are recomputed."""
+    def conclude(sx, status):
+        """The solution of a finished run: an optimal basis's point,
+        checked against the rows, or the certificate of a failure."""
+        if status == STATUS_ITERATION_LIMIT:
+            return _no_solution(status, sx.iterations,
+                                f"iteration limit {max_iterations} hit")
+        if status == STATUS_UNBOUNDED:
+            return _no_solution(
+                status, sx.iterations,
+                "objective improves without bound over the feasible set")
+        if status == STATUS_INFEASIBLE:
+            # Entries of the ray at roundoff level, against its largest in
+            # the equilibrated rows, are dropped: the check holds for any
+            # y, so this only keeps noise rows out of the proof.
+            ray = sx.ray
+            y = np.where(np.abs(ray) > 1e-9 * np.abs(ray).max(), ray,
+                         0.0) * row_scale
+            bound = _farkas_bound(lp, y)
+            rows_named = [lp.row_names[i] for i in np.argsort(
+                -np.abs(y), kind="stable")[:5] if y[i] != 0.0]
+            if bound > tol:
+                return _no_solution(
+                    status, sx.iterations,
+                    f"no feasible point: every point within the column "
+                    f"bounds violates a row by {bound:.3e} or more, by a "
+                    f"combination of rows led by {rows_named}")
+            return _no_solution(
+                STATUS_NUMERICAL, sx.iterations,
+                f"dual simplex claims no feasible point, but its "
+                f"certificate shows a row violation of only {bound:.3e}; "
+                f"rows led by {rows_named}")
+        # With no pivot since the last factorization its inverse is the one
+        # a refactor would build, so only the basic values are recomputed.
         if sx.k:
             sx.refactor()
         else:
             sx._basic_values()
         x = lower + sx.point()[:n] * col_scale
-        duals = sx.duals(c2) * row_scale * flip
+        duals = sx.duals(c_w) * row_scale
         sol = _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
         if sol.max_violation > 10.0 * tol:
             violation = _row_violations(lp, sol.x)
@@ -833,88 +881,37 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
                 f"built-in point violates {bad.size} rows beyond tolerance "
                 f"(worst {sol.max_violation:.3e}): "
                 f"{[lp.row_names[i] for i in bad[:5]]}")
-        row_basic = np.zeros(m, dtype=bool)
-        row_basic[slack_rows] = sx.vstat[slack_cols] == _Simplex.BASIC
-        row_basic[art_rows] |= sx.vstat[art_cols] == _Simplex.BASIC
         pick = lambda names, mask: frozenset(itertools.compress(
             names, mask.tolist()))
         return replace(sol, basis=Basis(
             basic=pick(lp.col_names, sx.vstat[:n] == _Simplex.BASIC),
             upper=pick(lp.col_names, sx.vstat[:n] == _Simplex.AT_UPPER),
-            tight=pick(lp.row_names, ~row_basic)))
+            tight=pick(lp.row_names, sx.vstat[n:] != _Simplex.BASIC)))
 
-    def cold():
-        # Start from the artificial of every row that has one, else its
-        # slack.
-        start_basis = np.empty(m, dtype=np.int64)
-        start_basis[slack_rows] = slack_cols
-        start_basis[art_rows] = art_cols
-        sx = simplex(start_basis)
-        if n_art:
-            c1 = np.zeros(n_all)
-            c1[n + n_slack:] = 1.0
-            status = sx.run(c1, phase=1, max_iterations=max_iterations)
-            if status == STATUS_ITERATION_LIMIT:
-                return _no_solution(
-                    status, sx.iterations,
-                    f"iteration limit {max_iterations} hit during the "
-                    "feasibility phase")
-            # Basic artificials hold the residual. Judge it in the original
-            # rows' units: row scales span many orders of magnitude.
-            held = np.flatnonzero(sx.basis >= n + n_slack)
-            held_rows = art_rows[sx.basis[held] - n - n_slack]
-            level = np.maximum(sx.xb[held], 0.0) / row_scale[held_rows]
-            if level.sum() > tol:
-                worst = np.argsort(-level, kind="stable")
-                bad = [lp.row_names[i]
-                       for i in held_rows[worst][level[worst] > tol][:5]]
-                return _no_solution(
-                    STATUS_INFEASIBLE, sx.iterations,
-                    f"no feasible point; residual {level.sum():.3e} "
-                    f"concentrated in rows {bad}")
-            sx.ub[n + n_slack:] = 0.0
-
-        status = sx.run(c2, phase=2, max_iterations=max_iterations)
-        if status == STATUS_ITERATION_LIMIT:
-            return _no_solution(
-                status, sx.iterations,
-                f"iteration limit {max_iterations} hit while optimizing")
-        if status == STATUS_UNBOUNDED:
-            return _no_solution(
-                status, sx.iterations,
-                "objective improves without bound over the feasible set")
-        return conclude(sx)
-
-    if start is None:
-        return cold()
-    # The start's statuses in this LP's working columns. A row's slack,
-    # or an equation's artificial, is basic unless the start has the row
-    # tight; artificials are fixed at 0.
-    member = lambda names, chosen: np.array(
-        [name in chosen for name in names], dtype=bool)
-    vstat = np.full(n_all, _Simplex.AT_LOWER, dtype=np.int8)
-    vstat[:n][member(lp.col_names, start.upper) & np.isfinite(ub_w)] = (
-        _Simplex.AT_UPPER)
-    vstat[:n][member(lp.col_names, start.basic)] = _Simplex.BASIC
-    row_basic = ~member(lp.row_names, start.tight)
-    vstat[slack_cols[row_basic[slack_rows]]] = _Simplex.BASIC
-    vstat[art_cols[row_basic[art_rows] & (senses[art_rows] == EQ)]] = (
-        _Simplex.BASIC)
-    basis = np.flatnonzero(vstat == _Simplex.BASIC)
+    slack_basis = np.full(n_all, _Simplex.AT_LOWER, dtype=np.int8)
+    slack_basis[n:] = _Simplex.BASIC
     spent = 0
-    if basis.size == m:
-        sx = simplex(basis)
-        sx.vstat = vstat
-        sx.ub[n + n_slack:] = 0.0
-        try:
-            if sx.reoptimize(c2, max_iterations) == STATUS_OPTIMAL:
-                sol = conclude(sx)
-                if sol.status == STATUS_OPTIMAL:
+    if start is not None:
+        # The start's statuses in this LP's working columns: a row's
+        # logical is basic unless the start has the row tight.
+        member = lambda names, chosen: np.array(
+            [name in chosen for name in names], dtype=bool)
+        vstat = slack_basis.copy()
+        at_upper = member(lp.col_names, start.upper) & np.isfinite(ub_w[:n])
+        vstat[:n][at_upper] = _Simplex.AT_UPPER
+        vstat[:n][member(lp.col_names, start.basic)] = _Simplex.BASIC
+        vstat[n:][member(lp.row_names, start.tight)] = _Simplex.AT_LOWER
+        if np.count_nonzero(vstat == _Simplex.BASIC) == m:
+            sx = simplex(vstat)
+            try:
+                sol = conclude(sx, sx.optimize(c_w, max_iterations))
+                if sol.status != STATUS_NUMERICAL:
                     return sol
-        except (ArithmeticError, np.linalg.LinAlgError):
-            pass  # a singular basis, at the start or beyond repair
-        spent = sx.iterations
-    sol = cold()
+            except (ArithmeticError, np.linalg.LinAlgError):
+                pass  # a singular basis, at the start or beyond repair
+            spent = sx.iterations
+    sx = simplex(slack_basis)
+    sol = conclude(sx, sx.optimize(c_w, max_iterations))
     return replace(sol, iterations=sol.iterations + spent)
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gridplan.formulation import BuildInputs, LPInstance, assemble
+from gridplan.formulation import GE, LE, BuildInputs, LPInstance, assemble
 from gridplan.model import (
     CostTable,
     InterfaceSpec,
@@ -218,3 +218,30 @@ def make_lp(objective: Sequence[float],
         row_tags=[""] * len(names), lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),
         col_names=tuple(col_names), offset=offset, audit=dict(audit or {}))
+
+
+def worst_reduced_cost(lp: LPInstance, sol) -> float:
+    """The largest reduced cost of an optimal ``sol`` that prices a move the
+    wrong way, in the LP's own units (objective per unit of the column or
+    of the row's slack), from the LP's arrays and ``sol.duals`` alone; 0 at
+    a proven optimum.
+
+    A column's reduced cost is d_j = c_j - sum_i y_i a_ij. It is wrong when
+    d_j < 0 and the column is below its upper bound, or d_j > 0 and above
+    its lower bound. A <= row's slack has reduced cost -y_i, and a >= row's
+    surplus y_i; either is wrong when negative, or positive while the row
+    is loose. "At a bound" and "tight" are judged to 1e-9 relative of the
+    bound or of the row's largest term.
+    """
+    x, y = sol.x, sol.duals
+    d = lp.objective - np.bincount(lp.indices, weights=lp.data * y[lp.row_of],
+                                   minlength=lp.n_cols)
+    below_upper = lp.upper - x > 1e-9 * np.maximum(1.0, np.abs(lp.upper))
+    above_lower = x - lp.lower > 1e-9 * np.maximum(1.0, np.abs(lp.lower))
+    wrong = np.where(d < 0.0, below_upper, above_lower) * np.abs(d)
+    term = np.zeros(lp.n_rows)
+    np.maximum.at(term, lp.row_of, np.abs(lp.data * x[lp.indices]))
+    loose = sol.slacks > 1e-9 * np.maximum(1.0, term)
+    d_row = np.where(lp.sense == LE, -y, np.where(lp.sense == GE, y, 0.0))
+    wrong_row = np.where(d_row < 0.0, 1.0, loose) * np.abs(d_row)
+    return float(max(wrong.max(initial=0.0), wrong_row.max(initial=0.0)))

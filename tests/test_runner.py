@@ -719,9 +719,17 @@ class TestRunSweep:
         record = json.loads((tmp_path / "run" / "report.json").read_text())
         assert record["stage"] == "solve"
         assert run.failure == record
-        assert sweep.records[1] == record
         cells = json.loads((tmp_path / "sweep" / "report.json").read_text())
-        assert cells[1] == record
+        assert cells[1] == sweep.records[1]
+        # The sweep's cell starts from cell 0's basis and the run from the
+        # slack basis, so each message states its own certificate's bound;
+        # both lead with the same rows.
+        rest = lambda rec: {k: v for k, v in rec.items() if k != "message"}
+        assert rest(sweep.records[1]) == rest(record)
+        rows = record["message"].partition(" led by ")[2]
+        assert rows.startswith("['balance[n,0]'")
+        assert sweep.records[1]["message"].startswith("no feasible point")
+        assert sweep.records[1]["message"].endswith(f" led by {rows}")
 
     def test_all_failed_is_nonzero_exit(self, fossil_bundle, tmp_path):
         spec = SweepSpec(lcp_values=(0.5, 1.0), hve_values=(0.0,),

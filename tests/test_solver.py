@@ -18,13 +18,14 @@ import pytest
 from scipy.optimize import linprog
 
 import gridplan
+from gridplan import solver
 from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
                                   LPInstance, assemble)
 from gridplan.runner import load_bundle, load_config
 from gridplan.solver import (SolveOptions, _Simplex, import_solution,
                              solve)
-from helpers import demand_factor, dense_matrix, make_lp
+from helpers import demand_factor, dense_matrix, make_lp, worst_reduced_cost
 from test_acceptance import demo_config
 
 FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
@@ -57,6 +58,71 @@ def scipy_solve(lp):
         bounds=bounds,
         method="highs",
     )
+
+
+def least_violation(lp):
+    """The least, over points within the column bounds, of the largest row
+    violation, by HiGHS: min t subject to every row missed by at most t."""
+    a, b = dense_matrix(lp), np.asarray(lp.rhs, dtype=float)
+    le, ge = lp.sense != GE, lp.sense != LE  # an equation is both
+    a_ub = np.vstack([a[le], -a[ge]])
+    a_ub = np.hstack([a_ub, -np.ones((a_ub.shape[0], 1))])
+    bounds = [(lo, None if np.isinf(up) else up)
+              for lo, up in zip(lp.lower, lp.upper)] + [(0.0, None)]
+    ref = linprog(np.eye(lp.n_cols + 1)[-1], A_ub=a_ub,
+                  b_ub=np.concatenate([b[le], -b[ge]]), bounds=bounds,
+                  method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def record_certificates(monkeypatch):
+    """Patch the solver's certificate check to record each (y, bound)."""
+    proofs = []
+    check = solver._farkas_bound
+
+    def spy(lp, y):
+        proofs.append((y.copy(), check(lp, y)))
+        return proofs[-1][1]
+
+    monkeypatch.setattr(solver, "_farkas_bound", spy)
+    return proofs
+
+
+def count_optimizations(monkeypatch):
+    """Patch _Simplex.optimize to record each status it returns."""
+    statuses = []
+    optimize = _Simplex.optimize
+
+    def spy(self, c, max_iterations):
+        statuses.append(optimize(self, c, max_iterations))
+        return statuses[-1]
+
+    monkeypatch.setattr(_Simplex, "optimize", spy)
+    return statuses
+
+
+def rhs_tolerance(lp):
+    """The violation a solve forgives: feasibility_tol x max(1, max |rhs|)."""
+    return SolveOptions().feasibility_tol * max(
+        1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
+
+
+def chain_lp():
+    """A chain of zero-rhs equalities ahead of two rows that cannot hold:
+    r6 asks x6 >= 5 of a column capped at 1, r7 asks x0 + x7 = -2 of
+    nonnegative columns."""
+    n = 8
+    rows = []
+    for i in range(6):
+        coeffs = np.zeros(n)
+        coeffs[[i, i + 1]] = [1.0, -1.0]
+        rows.append((coeffs, EQ, 0.0))
+    rows.append((np.eye(n)[6], GE, 5.0))
+    rows.append((np.eye(n)[0] + np.eye(n)[7], EQ, -2.0))
+    upper = np.full(n, np.inf)
+    upper[6] = 1.0
+    return make_lp(np.zeros(n), rows, upper=upper)
 
 
 def brute_force_vertices(lp):
@@ -125,23 +191,20 @@ class TestElementary:
         assert sol.objective == pytest.approx(
             brute_force_vertices(lp), abs=1e-9)
 
-    def test_infeasibility_names_rows_holding_the_residual(self):
-        # A chain of zero-rhs equalities whose artificials can stay basic at
-        # zero level, ahead of the two rows that cannot be satisfied.
-        n = 8
-        rows = []
-        for i in range(6):
-            coeffs = np.zeros(n)
-            coeffs[[i, i + 1]] = [1.0, -1.0]
-            rows.append((coeffs, EQ, 0.0))
-        rows.append((np.eye(n)[6], GE, 5.0))
-        rows.append((np.eye(n)[0] + np.eye(n)[7], EQ, -2.0))
-        upper = np.full(n, np.inf)
-        upper[6] = 1.0
-        sol = solve(make_lp(np.zeros(n), rows, upper=upper))
+    def test_infeasibility_names_rows_holding_the_residual(self,
+                                                            monkeypatch):
+        # The dual leaves on r6 first, whose violation (5) is the largest,
+        # and finds no column to enter: its certificate is r6 alone, which
+        # x6 <= 1 misses by 4 at every point. One optimization, no second.
+        statuses = count_optimizations(monkeypatch)
+        proofs = record_certificates(monkeypatch)
+        sol = solve(chain_lp())
         assert sol.status == "infeasible"
-        assert "residual 7.000e+00" in sol.message
-        assert sol.message.endswith("rows ['r6', 'r7']")
+        assert statuses == ["infeasible"]
+        (y, bound), = proofs
+        assert bound == pytest.approx(4.0, rel=1e-12)
+        assert "violates a row by 4.000e+00 or more" in sol.message
+        assert sol.message.endswith("rows led by ['r6']")
 
     def test_point_beyond_violation_bound_is_numerical(self):
         # 0.1 * 1.5 rounds 5.6e-17 short of 0.3, far above this bound.
@@ -561,6 +624,41 @@ def test_refactor_as_accurate_as_dense_solve(fixture_lp, monkeypatch):
     assert max(ratios) <= 10.0, ratios
 
 
+@pytest.mark.parametrize("case", ["chain", "full-share-fixture",
+                                  "contradictory-bounds"])
+def test_certificate_holds_on_the_lp_arrays_alone(case, bundle, monkeypatch):
+    # Each infeasible LP's certificate y, checked from indptr, indices,
+    # data, rhs, sense, lower and upper with nothing of the solver: its
+    # signs suit the rows, y A moves no column without an upper bound up
+    # (beyond roundoff), and over the bounds y A x stays below y b by a gap
+    # that, over |y|_1, exceeds the solve's tolerance. That bound is at
+    # most HiGHS's least largest row violation.
+    lp = {"chain": chain_lp,
+          "full-share-fixture": lambda: tiled_lp(bundle, 1, 0,
+                                                 demo_config(lcp=1.0)),
+          "contradictory-bounds": lambda: make_lp(
+              [1.0], [([1.0], GE, 2.0)], upper=[1.0])}[case]()
+    proofs = record_certificates(monkeypatch)
+    assert solve(lp).status == "infeasible"
+    (y, _), = proofs
+    sense = np.asarray(lp.sense)
+    tiny = 1e-9 * np.abs(y).max()
+    assert (y[sense == GE] >= -tiny).all() and (y[sense == LE] <= tiny).all()
+    y = np.where(sense == GE, np.maximum(y, 0.0),
+                 np.where(sense == LE, np.minimum(y, 0.0), y))
+    a = np.zeros((lp.n_rows, lp.n_cols))
+    a[np.repeat(np.arange(lp.n_rows), np.diff(lp.indptr)), lp.indices] = (
+        lp.data)
+    g = y @ a
+    g[np.abs(g) <= 1e-9 * (np.abs(y) @ np.abs(a))] = 0.0
+    assert not (g[np.isinf(lp.upper)] > 0.0).any()
+    top = np.where(g > 0.0, g * np.where(g > 0.0, lp.upper, 0.0),
+                   g * lp.lower)
+    bound = (y @ lp.rhs - top.sum()) / np.abs(y).sum()
+    assert bound > rhs_tolerance(lp)
+    assert bound <= least_violation(lp) * (1.0 + 1e-9)
+
+
 def test_devex_pivot_by_hand():
     # Rows [0.5 2 0.1; 0.25 1 3] <= (1, 10), columns 3 and 4 their slacks,
     # c = (-1, -1, -0.5, 0, 0). Column 0 enters first (ties break low)
@@ -572,7 +670,7 @@ def test_devex_pivot_by_hand():
                   np.array([1.0, 10.0]), np.full(5, np.inf), [3, 4],
                   SolveOptions())
     c = np.array([-1.0, -1.0, -0.5, 0.0, 0.0])
-    assert sx.run(c, phase=2, max_iterations=1) == "iteration-limit"
+    assert sx.run(c, max_iterations=1) == "iteration-limit"
     np.testing.assert_array_equal(sx.basis, [0, 4])
     # d - (d_q / alpha_q) alpha = c + 2 alpha, which is c - A^T y for the
     # new basis (y = (-2, 0)); column 2 still prices in.
@@ -599,8 +697,8 @@ def fixture_lp(bundle):
 
 
 def test_full_share_target_on_fixture_infeasible(bundle):
-    # Row scales span ten orders of magnitude on this LP, so phase 1 must
-    # judge its residual in the rows' own units, not the scaled ones.
+    # Row scales span ten orders of magnitude on this LP, so the
+    # certificate is judged in the rows' own units, not the scaled ones.
     config = demo_config(lcp=1.0)
     demand = synthesize_demand(bundle.network, bundle.series, config,
                                bundle.params)
@@ -615,8 +713,8 @@ def test_full_share_target_on_fixture_infeasible(bundle):
 @pytest.mark.parametrize("refactor_every", [1, 7, 100])
 def test_refactor_cadence_on_fixture(fixture_lp, refactor_every):
     # 1 refactors after every pivot, 7 fills and resets the update buffer
-    # many times per phase, and 100 carries updates across the switch
-    # from the feasibility phase to optimization.
+    # many times per run, and 100 carries updates across the switch
+    # from the dual simplex to primal phase 2.
     lp = fixture_lp
     ref = scipy_solve(lp)
     assert ref.status == 0
@@ -686,6 +784,7 @@ def test_fixture_tiled_to_96h_matches_highs(bundle, seed):
     sol = solve(lp)
     assert sol.status == "optimal", sol.message
     assert sol.objective == pytest.approx(ref.fun + lp.offset, rel=1e-9)
+    assert worst_reduced_cost(lp, sol) <= 1e-9
     assert sol.duality_gap <= 1e-9
 
 
@@ -710,19 +809,6 @@ def sweep_cell(bundle, seed, lcp, hve):
                                                  p_veh=hve))
 
 
-def count_dual_runs(monkeypatch):
-    """Patch _Simplex.reoptimize to record each status it returns."""
-    statuses = []
-    reoptimize = _Simplex.reoptimize
-
-    def spy(self, c, max_iterations):
-        statuses.append(reoptimize(self, c, max_iterations))
-        return statuses[-1]
-
-    monkeypatch.setattr(_Simplex, "reoptimize", spy)
-    return statuses
-
-
 def test_cold_basis_names_m_basic_columns_and_slacks(fixture_lp):
     sol = solve(fixture_lp)
     basis = sol.basis
@@ -742,7 +828,8 @@ def test_cold_basis_names_m_basic_columns_and_slacks(fixture_lp):
 def test_warm_sweep_matches_cold(bundle, seed, monkeypatch):
     # A sweep's cell order (lcp, then hve), each cell from the last
     # optimal basis; lcp = 1 at hve = 0.4 is infeasible.
-    statuses = count_dual_runs(monkeypatch)
+    statuses = count_optimizations(monkeypatch)
+    proofs = record_certificates(monkeypatch)
     start, outcomes = None, []
     for lcp in (0.0, 0.4, 0.8, 1.0):
         for hve in (0.0, 0.4):
@@ -752,14 +839,20 @@ def test_warm_sweep_matches_cold(bundle, seed, monkeypatch):
             if cold.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective,
                                                        rel=1e-9)
+                assert worst_reduced_cost(lp, warm) <= 1e-9
                 assert warm.duality_gap <= 1e-9
                 start = warm.basis
             else:
-                assert warm.message == cold.message
+                assert warm.message.startswith("no feasible point")
+                tol = rhs_tolerance(lp)
             outcomes.append(cold.status)
     assert outcomes.count("infeasible") == 1
-    # Every warm cell reoptimized, and only the infeasible one fell back.
-    assert statuses == ["optimal"] * 6 + ["infeasible"]
+    # Every solve, cold then warm, optimized once: no cell fell back to a
+    # second optimization, and both certificates of the infeasible one
+    # passed the check.
+    assert statuses == ["optimal"] * 14 + ["infeasible"] * 2
+    assert len(proofs) == 2
+    assert all(bound > tol for _, bound in proofs)
 
 
 def test_start_without_a_row_gives_it_a_basic_slack(bundle, monkeypatch):
@@ -768,9 +861,10 @@ def test_start_without_a_row_gives_it_a_basic_slack(bundle, monkeypatch):
     assert "policy_lcp" not in lp0.row_names
     assert "policy_lcp" in lp.row_names
     before = solve(lp0)
-    statuses = count_dual_runs(monkeypatch)
-    warm, cold = solve(lp, start=before.basis), solve(lp)
+    statuses = count_optimizations(monkeypatch)
+    warm = solve(lp, start=before.basis)
     assert statuses == ["optimal"]
+    cold = solve(lp)
     assert warm.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
     assert ("policy_lcp" in warm.basis.tight) == (
@@ -778,9 +872,10 @@ def test_start_without_a_row_gives_it_a_basic_slack(bundle, monkeypatch):
     assert warm.iterations < cold.iterations
 
 
-# Starts that cannot be used: at the all-slack start y has reduced cost -1
-# and no upper bound, so no bound flip makes it dual feasible; three basic
-# names for two rows; two basic columns that are parallel.
+# Starts that give the cold solve: the empty start, which is the slack
+# basis (where y has reduced cost -1 and no upper bound, so the dual runs
+# on a shifted cost); three basic names for two rows; two basic columns
+# that are parallel.
 PRICED_WRONG_WAY = (
     make_lp([-1.0, -1.0], [([1.0, 1.0], LE, 4.0, "cap")],
             upper=[3.0, np.inf], col_names=("x", "y")),
@@ -818,7 +913,7 @@ def test_boxed_column_priced_wrong_way_starts_at_its_upper_bound(
                  upper=[3.0, 3.0], col_names=("x", "y"))
     start = gridplan.Basis(basic=frozenset(), upper=frozenset(),
                            tight=frozenset())
-    statuses = count_dual_runs(monkeypatch)
+    statuses = count_optimizations(monkeypatch)
     sol = solve(lp, start=start)
     assert statuses == ["optimal"]
     assert sol.status == "optimal"
@@ -826,18 +921,28 @@ def test_boxed_column_priced_wrong_way_starts_at_its_upper_bound(
     assert (sol.basis.basic, sol.basis.upper) == ({"x"}, {"y"})
 
 
-def test_infeasible_lp_from_a_start_reports_the_cold_message(bundle):
+def test_infeasible_lp_from_a_start_is_certified_without_a_cold_solve(
+        bundle, monkeypatch):
     feasible = solve(sweep_cell(bundle, 0, 0.8, 0.4))
     lp = sweep_cell(bundle, 0, 1.0, 0.4)
-    cold, warm = solve(lp), solve(lp, start=feasible.basis)
-    assert cold.status == warm.status == "infeasible"
-    assert warm.message == cold.message
-    assert warm.iterations > cold.iterations  # the dual's count too
+    statuses = count_optimizations(monkeypatch)
+    proofs = record_certificates(monkeypatch)
+    warm = solve(lp, start=feasible.basis)
+    assert warm.status == "infeasible"
+    # The dual from the start ended infeasible, its certificate passed the
+    # check, and no solve from the slack basis followed.
+    assert statuses == ["infeasible"]
+    (y, bound), = proofs
+    assert bound > rhs_tolerance(lp)
+    led_by = np.argsort(-np.abs(y), kind="stable")[:5]
+    assert warm.message.endswith(
+        f"{[lp.row_names[i] for i in led_by if y[i] != 0.0]}")
+    assert solve(lp).status == "infeasible"
 
 
 def test_start_at_the_optimum_inverts_the_basis_once(fixture_lp,
                                                      monkeypatch):
-    # No pivot follows reoptimize's factorization, so the end of the solve
+    # No pivot follows optimize's factorization, so the end of the solve
     # reads the basic values off that factor instead of building it again.
     start = solve(fixture_lp).basis
     inverts = []
@@ -853,14 +958,14 @@ def test_start_at_the_optimum_inverts_the_basis_once(fixture_lp,
     assert (warm.iterations, len(inverts)) == (0, 1)
     # The same solve with the refactorization that used to end every
     # solve, and that _invert repeats bit for bit, returns the same bytes.
-    reoptimize = _Simplex.reoptimize
+    optimize = _Simplex.optimize
 
     def then_refactor(self, c, max_iterations):
-        status = reoptimize(self, c, max_iterations)
+        status = optimize(self, c, max_iterations)
         self.refactor()
         return status
 
-    monkeypatch.setattr(_Simplex, "reoptimize", then_refactor)
+    monkeypatch.setattr(_Simplex, "optimize", then_refactor)
     again = solve(fixture_lp, start=start)
     assert len(inverts) == 3
     np.testing.assert_array_equal(warm.x, again.x)
