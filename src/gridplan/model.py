@@ -290,10 +290,6 @@ class EVFlexConfig:
         if self.h_min < 1:
             raise ValueError(f"h_min must be >= 1, got {self.h_min}")
 
-    @property
-    def window_hours(self) -> int:
-        return self.h_end - self.h_start + 1
-
 
 _MODES = ("lcp+hve", "ghg+hve", "ghg+lcp")
 

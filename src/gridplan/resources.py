@@ -1,5 +1,5 @@
 """Bundle-preparation helpers: monthly-to-hourly/daily hydro
-disaggregation and subsidized nuclear pricing.
+disaggregation.
 
 Hydro data often arrives as monthly energy totals. Each total is split into
 a must-run (fixed) and a dispatchable (flexible) share, then smoothed to the
@@ -169,23 +169,3 @@ def build_hydro_profile(monthly_total: np.ndarray, y_fix: float,
         h_flex_daily=disaggregate_flexible(flex_m, month_days),
     )
 
-
-def nuclear_subsidized_price(
-    base_lbmp: float,
-    zec_rate: float,
-    demand_forecast_mwh_per_yr: float,
-    constant_gen_mwh_per_h: float,
-) -> float:
-    """Nuclear energy price with the per-MWh credit subsidy folded in.
-
-    The subsidy spreads the credit payment (rate times the annual demand
-    forecast the payment is levied on) over the plant's annual output.
-    """
-    if zec_rate == 0.0:
-        return base_lbmp
-    if constant_gen_mwh_per_h <= 0.0:
-        raise ValueError(
-            "a subsidy requires nonzero constant nuclear generation"
-        )
-    annual_gen = constant_gen_mwh_per_h * 8760.0
-    return base_lbmp + zec_rate * demand_forecast_mwh_per_yr / annual_gen

@@ -249,5 +249,4 @@ class TestScenarioConfig:
             EVFlexConfig(y_flex=0.5, h_start=20, h_end=4, h_min=4)
         with pytest.raises(ValueError):
             EVFlexConfig(y_flex=0.5, h_start=0, h_end=23, h_min=0)
-        cfg = EVFlexConfig(y_flex=0.5, h_start=0, h_end=23, h_min=4)
-        assert cfg.window_hours == 24
+        EVFlexConfig(y_flex=0.5, h_start=0, h_end=23, h_min=4)

@@ -1,4 +1,4 @@
-"""Hydro disaggregation and subsidized nuclear pricing."""
+"""Hydro disaggregation."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from gridplan.resources import (
     disaggregate_fixed,
     disaggregate_flexible,
     month_midpoint_hours,
-    nuclear_subsidized_price,
     split_hydro,
 )
 
@@ -177,14 +176,3 @@ class TestBuildHydroProfile:
         assert profile.h_flex_daily.sum() == pytest.approx(0.3 * monthly.sum(),
                                                            rel=1e-9)
 
-
-class TestNuclearPrice:
-    def test_no_subsidy(self):
-        assert nuclear_subsidized_price(26.82, 0.0, 1.5e8, 1906.0) == 26.82
-
-    def test_unit_example(self):
-        assert nuclear_subsidized_price(20.0, 1.0, 8760.0, 1.0) == pytest.approx(21.0)
-
-    def test_zero_generation_with_subsidy_rejected(self):
-        with pytest.raises(ValueError):
-            nuclear_subsidized_price(20.0, 1.0, 8760.0, 0.0)
