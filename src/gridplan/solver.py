@@ -1,35 +1,32 @@
-"""Solving LPInstances: a two-phase revised simplex with native variable
-bounds, plus MPS export and a solution importer for running the same
-problem through an external solver.
+"""Solving LPInstances: a bounded revised simplex, plus MPS export and a
+solution importer for running the same problem through an external solver.
 
-The simplex works on one column-compressed working matrix, built straight
-from the LP's CSR arrays (sign-flipped, shifted and equilibrated there)
-with the slack and artificial columns appended. It prices by devex
-reference weights (Harris 1973, in the form of Forrest & Goldfarb 1992),
-and updates the reduced costs and weights from the pivot row, so a BTRAN
-runs only at the start of a phase, after a refactorization and before
-optimality is declared. The pivot row and FTRAN touch only the matrix's
-nonzeros. The basis inverse is the dense inverse from the last
-refactorization less one rank-1 term per pivot since, refreshed at least
-every ``refactor_every`` pivots, so memory is O(m^2 + nnz) and an iteration
+Every solve takes one route from a basis: the dual simplex, with dual devex
+row pricing and a bound-flipping ratio test (Koberstein 2005; Bixby 2002),
+to a primal feasible basis, then primal phase 2 to optimality. A cold solve
+starts from the slack basis; a solve given the ``Basis`` of a neighbouring
+LP (keyed by names, so it maps across LPs whose rows differ) starts from
+it. A step of electrification rate or emissions target moves only
+right-hand sides and bounds, so that basis stays dual feasible and a few
+dual pivots restore primal feasibility. Where a basis is not dual
+feasible, boxed columns move to their other bound and the others have
+their cost shifted for the dual alone (Koberstein 2005, ch. 4). An LP is
+reported infeasible only with a Farkas certificate that checks out against
+its own arrays.
+
+The working matrix is column-compressed, built straight from the LP's CSR
+arrays (shifted and equilibrated there) with one logical column per row.
+Both phases price by devex weights (Harris 1973; Forrest & Goldfarb 1992)
+and update the reduced costs from the pivot row, so a BTRAN runs only at a
+phase's start, after a refactorization and before optimality is declared.
+The basis inverse is the dense inverse from the last refactorization less
+one rank-1 term per pivot since, so memory is O(m^2 + nnz) and an iteration
 costs O(m^2) reads plus O(nnz). A refactorization peels the basis's row and
 column singletons off in rounds and solves the dense kernel of k rows left
-over (Hellerman & Rarick 1971; Suhl & Suhl 1990), about
-O(nnz(B) m + k^2 m + k^3) instead of the O(m^3) of a dense solve. The dense
-inverse still bounds it to desk-scale problems (a few thousand rows), which
-is exactly what the bundled fixtures produce. Larger studies are expected to
-go through export_mps.
-
-A cold solve runs the primal simplex, phase 1 then phase 2. A solve given a
-start, the ``Basis`` of a neighbouring LP (keyed by column and row names, so
-it maps across LPs whose rows differ), reoptimizes from it with a bounded
-dual simplex: dual devex row pricing and a bound-flipping ratio test
-(Koberstein 2005; Bixby 2002), on the same basis machinery, then confirms
-optimality by primal phase 2. A step of electrification rate or emissions
-target changes only right-hand sides and bounds, so the neighbour's optimal
-basis stays dual feasible and a few pivots restore primal feasibility. A
-start that cannot be used, or a reoptimization that does not end optimal,
-falls back to the cold solve.
+over (Hellerman & Rarick 1971; Suhl & Suhl 1990), in about
+O(nnz(B) m + k^2 m + k^3). The dense inverse bounds the simplex to
+desk-scale problems (a few thousand rows), which is what the bundled
+fixtures produce; larger studies go through export_mps.
 """
 
 from __future__ import annotations
@@ -160,7 +157,8 @@ class _Simplex:
     """Bounded-variable revised simplex over the working (scaled) problem.
 
     All variables have lower bound 0 in this space; each is nonbasic at
-    0, nonbasic at its upper bound, or basic.
+    0, nonbasic at its upper bound, or basic. ``optimize`` factors the
+    basis, runs ``dual`` to primal feasibility, then ``run`` (phase 2).
 
     The basis inverse is kept in product form: a dense inverse ``binv0``
     from the last refactorization, less a low-rank correction built from
@@ -179,24 +177,21 @@ class _Simplex:
     directly, and basis repair expands just the basis columns.
     Memory is O(m^2 + nnz).
 
-    ``run`` keeps the reduced costs ``d`` and the devex weights ``wt``.
-    After the leaving row r is chosen, rho = e_r^T B^-1 and the pivot row
-    alpha = rho A give
+    Both drivers keep the reduced costs ``d`` and pivot by ``_pivot``:
+    with rho = e_r^T B^-1 and the pivot row alpha = rho A,
 
-        d <- d - (d_q / alpha_q) alpha,   d_leaving = -d_q / alpha_q,
+        d <- d - (d_q / alpha_q) alpha,   d_leaving = -d_q / alpha_q.
+
+    ``run`` chooses the entering q first, by largest d_j^2 / wt_j over the
+    devex column weights, which update as
+
         wt <- max(wt, (alpha / alpha_q)^2 wt_q),
-        wt_leaving = max(wt_q / alpha_q^2, 1),
+        wt_leaving = max(wt_q / alpha_q^2, 1);
 
-    and the entering column is the candidate of largest d_j^2 / wt_j. A
-    bound flip changes neither. ``d`` is recomputed from a BTRAN at the
-    start of a phase, after each refactorization, and before optimality
-    is declared; the reduced costs of basic columns are held at exactly 0.
-    The ratio test skips entries of magnitude at most 1e-7 x min(1,
-    max |w|), so every pivot taken exceeds that.
-
-    ``dual`` is the dual simplex over the same state: it chooses the
-    leaving row first, by dual devex weights, then the entering column from
-    the pivot row, and updates ``d`` and the inverse as ``run`` does.
+    ``dual`` chooses the leaving row r first, by dual devex row weights.
+    ``d`` is recomputed from a BTRAN at the start of a driver, after each
+    refactorization, and before optimality is declared. The ratio test
+    skips entries of magnitude at most 1e-7 x min(1, max |w|).
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -208,8 +203,8 @@ class _Simplex:
         self.opts = opts
         self.m, self.n_all = b.size, ub.size
         self.iterations = 0
-        # ``binv0`` below is the identity: the starting basis must be unit
-        # slack and artificial columns, or be refactored before use.
+        # ``binv0`` below is the identity: the starting basis must be +1
+        # unit columns, or be refactored before use (``optimize`` does).
         self.basis = np.array(basis, dtype=np.int64)
         self.vstat = np.full(self.n_all, self.AT_LOWER, dtype=np.int8)
         self.vstat[self.basis] = self.BASIC
@@ -404,13 +399,11 @@ class _Simplex:
 
     def _pivot(self, r: int, q: int, w: np.ndarray, rho: np.ndarray,
                alpha: np.ndarray, to_upper: bool, x_q: float) -> bool:
-        """Pivot column q into the basis at row r, where it takes the value
-        x_q, and the row's basic column out to its upper bound (``to_upper``)
-        or its lower one. ``w`` is B^-1 a_q, and ``rho`` and ``alpha`` are
-        row r of B^-1 and the pivot row, all before the pivot. Updates the
-        reduced costs, the statuses and the inverse, then refactors when the
-        updates are full or the pivot was small; True if it did, so that
-        the caller re-prices."""
+        """Pivot column q in at row r, with value x_q, and the row's basic
+        column out to its upper bound (``to_upper``) or its lower one, given
+        w = B^-1 a_q, rho and alpha from before the pivot. Updates d, the
+        statuses and the inverse; True if it then refactored, so that the
+        caller re-prices."""
         d = self.d
         leaving = int(self.basis[r])
         theta = d[q] / w[r]
@@ -443,7 +436,8 @@ class _Simplex:
 
     def _unit_columns(self) -> dict:
         """Row index -> a working column that is a multiple of that row's
-        unit vector (slack or artificial), preferring the earliest."""
+        unit vector (its logical, or a structural singleton), preferring
+        the earliest."""
         out: dict[int, list[int]] = {}
         singles = np.flatnonzero(np.diff(self.indptr) == 1)
         for j, i in zip(singles.tolist(), self.rows[self.indptr[singles]]):
@@ -617,11 +611,9 @@ class _Simplex:
         leaving variable stays infeasible, and the column at the breakpoint
         where it would not enters. "infeasible" means that no move of the
         nonbasic columns brings the leaving variable to its bound; ``ray``
-        is then row r of B^-1, signed so that ray A x = ray b can hold
-        only above the largest value ray A takes over the bounds.
-        ``d`` and the refactor rule are those of ``run`` (``_pivot``); the
-        row weights update as the column weights do there, with the pivot
-        column w in place of the pivot row.
+        is then row r of B^-1, signed so that ray b exceeds every value
+        ray A x takes within the bounds. The row weights update as the
+        column weights do in ``run``, with w in place of the pivot row.
         """
         ftol = self.opts.feasibility_tol
         movable = self.ub > 0.0  # fixed columns never enter
@@ -742,8 +734,8 @@ def _farkas_bound(lp: LPInstance, y: np.ndarray) -> float:
     the column bounds hold that sum to at most max (y A) x - y b = -gap.
     So v >= gap / |y|_1: where that is positive, y is a Farkas certificate
     that the LP has no feasible point. A column whose (y A)_j is roundoff,
-    at most 1e-9 of sum_i |y_i a_ij|, counts as 0, so the proof holds for
-    every matrix within 1e-9 relative of the LP's, entry by entry.
+    at most 1e-9 of sum_i |y_i a_ij|, counts as 0: the proof is then one
+    for the LP with that column's entries moved by 1e-9 relative at most.
     """
     y = np.where(lp.sense == LE, np.minimum(y, 0.0),
                  np.where(lp.sense == GE, np.maximum(y, 0.0), y))
@@ -763,25 +755,21 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     The working matrix is built from the LP's CSR arrays alone: lower
     bounds shifted to zero, rows and columns equilibrated, and one logical
     column per row appended (+1 on [0, inf) for <=, -1 on [0, inf) for >=,
-    +1 fixed at 0 for =). Every solve is one route (``_Simplex.optimize``):
-    the dual simplex from a basis to a feasible one, then primal phase 2.
-    Without ``start`` the basis is the logicals' (the slack basis). With
-    ``start``, an optimal basis of this LP or of one sharing names with it
-    (say, a neighbouring cell of a sweep), it is that basis; a start that
-    names other than m basic columns and rows here, is singular, or ends
-    "numerical" is tried once more from the slack basis, adding the
-    iterations spent.
+    +1 fixed at 0 for =). Every solve runs ``_Simplex.optimize`` from a
+    basis: the slack basis, the logicals', or ``start``, an optimal basis
+    of this LP or of one sharing names with it (say, a neighbouring sweep
+    cell). A start that names other than m basic columns and rows here, is
+    singular, or ends "numerical" is tried once more from the slack basis,
+    adding the iterations spent.
 
-    The returned point is verified against the original rows and bounds;
-    one that misses them by more than 10 x feasibility_tol x max(1, max
-    |rhs|) is never reported optimal but comes back "numerical", naming
-    the violated rows worst first. An optimal solution carries its
-    ``basis``. "infeasible" is reported only with a Farkas certificate,
-    the dual's last pivot row, that ``_farkas_bound`` checks against the
-    LP's arrays to show a violation above feasibility_tol x max(1, max
-    |rhs|) at every point within the bounds; one that fails the check is
-    "numerical". Either message names up to 5 rows of the certificate,
-    largest multiplier first.
+    With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
+    original rows or bounds by more than 10 tol is never reported optimal
+    but "numerical", naming the violated rows worst first. "infeasible"
+    needs the dual's certificate to prove, by ``_farkas_bound``, a row
+    violation above tol at every point within the bounds; one that does
+    not is "numerical". Either message names up to 5 rows of the
+    certificate, largest multiplier first. An optimal solution carries its
+    ``basis``.
     """
     opts = options or SolveOptions()
     m, n = lp.n_rows, lp.n_cols
