@@ -652,9 +652,9 @@ def test_certificate_holds_on_the_lp_arrays_alone(case, bundle, monkeypatch):
     g = y @ a
     g[np.abs(g) <= 1e-9 * (np.abs(y) @ np.abs(a))] = 0.0
     assert not (g[np.isinf(lp.upper)] > 0.0).any()
-    top = np.where(g > 0.0, g * np.where(g > 0.0, lp.upper, 0.0),
-                   g * lp.lower)
-    bound = (y @ lp.rhs - top.sum()) / np.abs(y).sum()
+    moves = g != 0.0
+    top = np.where(g > 0.0, lp.upper, lp.lower)
+    bound = (y @ lp.rhs - g[moves] @ top[moves]) / np.abs(y).sum()
     assert bound > rhs_tolerance(lp)
     assert bound <= least_violation(lp) * (1.0 + 1e-9)
 
