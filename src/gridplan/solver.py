@@ -177,7 +177,7 @@ class _Simplex:
     directly, and basis repair expands just the basis columns.
     Memory is O(m^2 + nnz).
 
-    Both drivers keep the reduced costs ``d`` and pivot by ``_pivot``:
+    ``run`` and ``dual`` keep the reduced costs ``d`` and pivot by ``_pivot``:
     with rho = e_r^T B^-1 and the pivot row alpha = rho A,
 
         d <- d - (d_q / alpha_q) alpha,   d_leaving = -d_q / alpha_q.
@@ -189,7 +189,7 @@ class _Simplex:
         wt_leaving = max(wt_q / alpha_q^2, 1);
 
     ``dual`` chooses the leaving row r first, by dual devex row weights.
-    ``d`` is recomputed from a BTRAN at the start of a driver, after each
+    ``d`` is recomputed from a BTRAN as each of them starts, after each
     refactorization, and before optimality is declared. The ratio test
     skips entries of magnitude at most 1e-7 x min(1, max |w|).
     """
