@@ -11,12 +11,14 @@ from typing import Mapping
 import numpy as np
 
 from gridplan.model import (
+    FIXED_EV_NEEDS_HOURLY,
     FRACTION_SUM_TOL,
     HOURS_PER_DAY,
     NetworkSpec,
     ScenarioConfig,
     TechParams,
     TimeSeriesSet,
+    rate_problems,
 )
 
 LOGGER = logging.getLogger(__name__)
@@ -38,28 +40,26 @@ DEFAULT_BTM_GROWTH = BTMGrowth(
 )
 
 
-def btm_statewide_mw(year: float, growth: BTMGrowth = DEFAULT_BTM_GROWTH) -> float:
+def btm_statewide_mw(year: float) -> float:
     """Statewide BTM solar capacity in a calendar year.
 
-    Richards generalized logistic ``K / (1 + Q e^{-B(year-M)})^{1/v}``:
-    monotone in year and saturating at K.
+    Richards generalized logistic ``K / (1 + Q e^{-B(year-M)})^{1/v}``
+    (``DEFAULT_BTM_GROWTH``): monotone in year and saturating at K.
     """
     if year < 2000:
         raise ValueError(f"projection starts at year 2000, got {year}")
+    growth = DEFAULT_BTM_GROWTH
     z = growth.q * np.exp(-growth.b * (year - growth.m))
     return growth.k / np.power(1.0 + z, 1.0 / growth.v)
 
 
-def btm_capacity(
-    year: float,
-    nodal_fractions: Mapping[str, float],
-    growth: BTMGrowth = DEFAULT_BTM_GROWTH,
-) -> dict[str, float]:
+def btm_capacity(year: float,
+                 nodal_fractions: Mapping[str, float]) -> dict[str, float]:
     """Distribute the statewide projection across nodes by fixed fractions."""
     total_frac = sum(nodal_fractions.values())
     if abs(total_frac - 1.0) > FRACTION_SUM_TOL:
         raise ValueError(f"nodal fractions must sum to 1, got {total_frac}")
-    statewide = btm_statewide_mw(year, growth)
+    statewide = btm_statewide_mw(year)
     return {node: frac * statewide for node, frac in nodal_fractions.items()}
 
 
@@ -202,14 +202,20 @@ def synthesize_demand(
     series: TimeSeriesSet,
     config: ScenarioConfig,
     params: TechParams,
-    btm_growth: BTMGrowth = DEFAULT_BTM_GROWTH,
 ) -> DemandBundle:
-    """Assemble the scenario's electrified demand from the input series."""
+    """Assemble the scenario's electrified demand from the input series.
+    Raises ValueError, in ``validate``'s words, for a rate or a series
+    that the demand needs and the inputs lack."""
+    problems = rate_problems(config, network.node_ids)
+    if config.ev_flex is None and series.d_veh_full is None:
+        problems.append(FIXED_EV_NEEDS_HOURLY)
+    if problems:
+        raise ValueError("; ".join(problems))
     free_p = config.mode == "ghg+lcp"
 
     if config.btm_year is not None:
         fractions = {n.id: n.btm_fraction for n in network.nodes}
-        x_btm = btm_capacity(config.btm_year, fractions, btm_growth)
+        x_btm = btm_capacity(config.btm_year, fractions)
     else:
         x_btm = {n.id: n.btm_solar_existing_mw for n in network.nodes}
 

@@ -53,9 +53,9 @@ DEFAULT_FACTORS = EmissionFactors(
 )
 
 
-def co2e_factor(fuel: str, factors: EmissionFactors = DEFAULT_FACTORS) -> float:
+def co2e_factor(fuel: str) -> float:
     """Combined CO2-equivalent factor for a fuel, in g/MJ."""
-    return factors.co2e_g_per_mj(fuel)
+    return DEFAULT_FACTORS.co2e_g_per_mj(fuel)
 
 
 def co2e_t_per_mwh_fuel(g_per_mj: float) -> float:

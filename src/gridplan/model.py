@@ -29,6 +29,8 @@ HEAT_RATE_MMBTU_PER_MWH = 3.412
 
 _POTENTIAL_TOL = 1e-9
 FRACTION_SUM_TOL = 1e-6
+FIXED_EV_NEEDS_HOURLY = ("fixed EV charging (no ev_flex) needs the hourly "
+                         "vehicle series d_veh_full")
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -436,8 +438,7 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
         v.append("no vehicle demand series supplied (hourly or daily)")
     elif series.d_veh_full is None and config is not None \
             and config.ev_flex is None:
-        v.append("fixed EV charging (no ev_flex) needs the hourly vehicle "
-                 "series d_veh_full")
+        v.append(FIXED_EV_NEEDS_HOURLY)
 
     for node in network.nodes:
         if not 0.0 <= node.btm_fraction <= 1.0:
@@ -527,17 +528,25 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
                          f"{sorted(keys - set(ids))}")
 
     if config is not None:
-        for name in ("p_heat", "p_veh"):
-            rates = getattr(config, name)
-            if isinstance(rates, Mapping) and set(rates) != set(ids):
-                v.append(f"{name} must give one rate per network node: "
-                         f"missing {sorted(set(ids) - set(rates))}, "
-                         f"unknown {sorted(set(rates) - set(ids))}")
+        v += rate_problems(config, ids)
         total = sum(node.btm_fraction for node in network.nodes)
         if config.btm_year is not None \
                 and abs(total - 1.0) > FRACTION_SUM_TOL:
             v.append(f"btm_fraction sums to {total:g} over the nodes; "
                      "btm_year needs a sum of 1")
+    return v
+
+
+def rate_problems(config: ScenarioConfig, ids) -> list[str]:
+    """One message per electrification-rate map of ``config`` that does
+    not give exactly one rate per node id in ``ids``."""
+    v = []
+    for name in ("p_heat", "p_veh"):
+        rates = getattr(config, name)
+        if isinstance(rates, Mapping) and set(rates) != set(ids):
+            v.append(f"{name} must give one rate per network node: "
+                     f"missing {sorted(set(ids) - set(rates))}, "
+                     f"unknown {sorted(set(rates) - set(ids))}")
     return v
 
 

@@ -49,41 +49,27 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration-limit"
 STATUS_NUMERICAL = "numerical"
 
-_PIVOT_RULES = ("devex", "bland")
-
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tunables for the built-in simplex.
+    """Tunables for the built-in simplex: ``feasibility_tol``,
+    ``optimality_tol`` and ``max_iterations`` (None: 50 (2m + n) + 200).
 
     ``optimality_tol`` bounds the reduced costs of the equilibrated
     problem, which a column's scale multiplies in the LP's own units: at
     1e-7 a 48 h scenario stopped 3.9e-8 relative above its optimum, with a
     column priced -0.009 USD per unit, so it is 1e-9.
-
-    ``refactor_every`` is the most basis updates kept between
-    refactorizations. The row count m caps it: m updates already cost as
-    much to apply, and to store, as the dense factor they correct.
     """
 
     feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-9
     max_iterations: int | None = None
-    pivot_rule: str = "devex"
-    refactor_every: int = 100
 
     def __post_init__(self):
         if self.feasibility_tol <= 0.0 or self.optimality_tol <= 0.0:
             raise ValueError("tolerances must be > 0")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.pivot_rule not in _PIVOT_RULES:
-            raise ValueError(
-                f"pivot_rule must be one of {_PIVOT_RULES}, "
-                f"got {self.pivot_rule!r}"
-            )
-        if self.refactor_every < 1:
-            raise ValueError("refactor_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -144,6 +130,22 @@ def _row_violations(lp: LPInstance, x: np.ndarray) -> np.ndarray:
                              np.abs(act - lp.rhs)))
 
 
+def _violation_message(lp: LPInstance, x: np.ndarray, limit: float,
+                       subject: str) -> str:
+    """The rows, then the column bounds, that x misses by more than
+    ``limit``: how many, the worst miss, and up to 5 named worst first."""
+    parts = []
+    for what, names, miss in (("rows", lp.row_names, _row_violations(lp, x)),
+                              ("column bounds", lp.col_names,
+                               np.maximum(lp.lower - x, x - lp.upper))):
+        bad = np.flatnonzero(miss > limit)
+        bad = bad[np.argsort(-miss[bad], kind="stable")]
+        if bad.size:
+            parts.append(f"{bad.size} {what} beyond tolerance (worst "
+                         f"{miss[bad[0]]:.3e}): {[names[i] for i in bad[:5]]}")
+    return f"{subject} violates {' and '.join(parts)}"
+
+
 def _max_violation(lp: LPInstance, x: np.ndarray) -> float:
     """Worst row or bound violation at x; infinite if x is not finite."""
     if not np.isfinite(x).all():
@@ -195,28 +197,29 @@ class _Simplex:
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
+    # The most basis updates kept between refactorizations. The row count
+    # m caps it: m updates already cost as much to apply, and to store, as
+    # the dense factor they correct.
+    MAX_UPDATES = 100
 
-    def __init__(self, cols, rows, vals, b, ub, basis, opts: SolveOptions):
+    def __init__(self, cols, rows, vals, b, ub, vstat, opts: SolveOptions):
+        """Updates ``vstat`` in place; ``optimize`` or ``refactor`` factors
+        before any other use."""
         self.cols, self.rows, self.vals = cols, rows, vals
         self.b = b.copy()
         self.ub = ub.copy()
         self.opts = opts
         self.m, self.n_all = b.size, ub.size
         self.iterations = 0
-        # ``binv0`` below is the identity: the starting basis must be +1
-        # unit columns, or be refactored before use (``optimize`` does).
-        self.basis = np.array(basis, dtype=np.int64)
-        self.vstat = np.full(self.n_all, self.AT_LOWER, dtype=np.int8)
-        self.vstat[self.basis] = self.BASIC
-        self.xb = b.copy()
+        self.vstat = vstat
+        self.basis = np.flatnonzero(vstat == self.BASIC)
         # Column j owns entries indptr[j]:indptr[j + 1] of (rows, vals).
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(self.cols, minlength=self.n_all))])
-        self.max_updates = min(opts.refactor_every, self.m)
+        self.max_updates = min(self.MAX_UPDATES, self.m)
         self.u = np.empty((self.max_updates, self.m))
         self.v = np.empty((self.max_updates, self.m))
         self.k = 0
-        self.binv0 = np.eye(self.m)
 
     def _dense(self, cols: np.ndarray) -> np.ndarray:
         """Working columns ``cols`` as a dense m x len(cols) array, in
@@ -500,7 +503,6 @@ class _Simplex:
         """Primal phase 2 from the current basis, which must be primal
         feasible: "optimal", "unbounded" or "iteration-limit"."""
         tol = self.opts.optimality_tol
-        bland = self.opts.pivot_rule == "bland"
         fixed = self.ub <= 0.0
         # Devex reference weights, reset at the start of each run.
         self.wt = wt = np.ones(self.n_all)
@@ -522,11 +524,7 @@ class _Simplex:
             if self.iterations >= max_iterations:
                 return STATUS_ITERATION_LIMIT
             self.iterations += 1
-            if bland:
-                q = int(candidates[0])
-            else:
-                q = int(candidates[np.argmax(
-                    d[candidates] ** 2 / wt[candidates])])
+            q = int(candidates[np.argmax(d[candidates] ** 2 / wt[candidates])])
             sigma = 1.0 if self.vstat[q] == self.AT_LOWER else -1.0
 
             w = self._ftran(q)
@@ -562,10 +560,7 @@ class _Simplex:
                 continue
             near = ratios <= t_star + 1e-12
             idx = np.flatnonzero(near)
-            if bland:
-                r = int(idx[np.argmin(self.basis[idx])])
-            else:
-                r = int(idx[np.argmax(np.abs(denom[idx]))])
+            r = int(idx[np.argmax(np.abs(denom[idx]))])
             rho, alpha = self._row(r)
             np.maximum(wt, (alpha / w[r]) ** 2 * wt[q], out=wt)
             wt[self.basis[r]] = max(wt[q] / w[r] ** 2, 1.0)
@@ -678,11 +673,10 @@ class _Simplex:
                 c = self._make_dual_feasible(c)
 
     def optimize(self, c: np.ndarray, max_iterations: int) -> str:
-        """Optimize with costs c from ``basis`` and the nonbasic bounds in
-        ``vstat``: factor the basis, run ``dual`` to primal feasibility,
-        then primal phase 2 (``run``) on the true costs, which declares
-        optimality only on fresh reduced costs. Raises LinAlgError for a
-        singular basis."""
+        """Optimize with costs c from the statuses in ``vstat``: factor the
+        basis, run ``dual`` to primal feasibility, then primal phase 2
+        (``run``) on the true costs, which declares optimality only on
+        fresh reduced costs. Raises LinAlgError for a singular basis."""
         self.binv0 = self._invert()
         self._basic_values()
         status = self.dual(c, max_iterations)
@@ -813,13 +807,6 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     if max_iterations is None:
         max_iterations = 50 * (m + n_all) + 200
 
-    def simplex(vstat):
-        """The working problem on the basis and bounds ``vstat`` marks."""
-        sx = _Simplex(cols, rows, vals, b_w, ub_w,
-                      np.flatnonzero(vstat == _Simplex.BASIC), opts)
-        sx.vstat = vstat
-        return sx
-
     def conclude(sx, status):
         """The solution of a finished run: an optimal basis's point,
         checked against the rows, or the certificate of a failure."""
@@ -861,14 +848,9 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
         duals = sx.duals(c_w) * row_scale
         sol = _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
         if sol.max_violation > 10.0 * tol:
-            violation = _row_violations(lp, sol.x)
-            bad = np.flatnonzero(violation > 10.0 * tol)
-            bad = bad[np.argsort(-violation[bad], kind="stable")]
             return _no_solution(
-                STATUS_NUMERICAL, sx.iterations,
-                f"built-in point violates {bad.size} rows beyond tolerance "
-                f"(worst {sol.max_violation:.3e}): "
-                f"{[lp.row_names[i] for i in bad[:5]]}")
+                STATUS_NUMERICAL, sx.iterations, _violation_message(
+                    lp, sol.x, 10.0 * tol, "built-in point"))
         pick = lambda names, mask: frozenset(itertools.compress(
             names, mask.tolist()))
         return replace(sol, basis=Basis(
@@ -890,7 +872,7 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
         vstat[:n][member(lp.col_names, start.basic)] = _Simplex.BASIC
         vstat[n:][member(lp.row_names, start.tight)] = _Simplex.AT_LOWER
         if np.count_nonzero(vstat == _Simplex.BASIC) == m:
-            sx = simplex(vstat)
+            sx = _Simplex(cols, rows, vals, b_w, ub_w, vstat, opts)
             try:
                 sol = conclude(sx, sx.optimize(c_w, max_iterations))
                 if sol.status != STATUS_NUMERICAL:
@@ -898,7 +880,7 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
             except (ArithmeticError, np.linalg.LinAlgError):
                 pass  # a singular basis, at the start or beyond repair
             spent = sx.iterations
-    sx = simplex(slack_basis)
+    sx = _Simplex(cols, rows, vals, b_w, ub_w, slack_basis, opts)
     sol = conclude(sx, sx.optimize(c_w, max_iterations))
     return replace(sol, iterations=sol.iterations + spent)
 
@@ -999,7 +981,7 @@ def _write_lines(buf, left_text, left, right_text, right, values):
                                index[chunk].tolist())]))
 
 
-def export_mps(lp: LPInstance, problem_name: str = "GRIDPLAN") -> str:
+def export_mps(lp: LPInstance) -> str:
     """Write the LP as fixed-format MPS text.
 
     The constant objective offset has no MPS representation, so it is
@@ -1020,7 +1002,7 @@ def export_mps(lp: LPInstance, problem_name: str = "GRIDPLAN") -> str:
 
     buf = io.StringIO()
     buf.write(f"* OFFSET {lp.offset!r}\n")
-    buf.write(f"NAME          {problem_name}\n")
+    buf.write("NAME          GRIDPLAN\n")
     buf.write("ROWS\n")
     buf.write(" N  COST\n")
     buf.write("".join([f" {sense_code[sense]}  {short:<8}\n"
@@ -1077,10 +1059,11 @@ def import_solution(lp: LPInstance, source,
     Column names may be originals or their MPS-mangled forms; a column
     given twice, by either name, raises LPError. The objective and
     slacks are recomputed from the point itself; status
-    "optimal" here asserts feasibility within tolerance, while a point
-    violating any row beyond tolerance comes back "infeasible" with the
-    offending rows named, and so does a point holding a NaN or infinite
-    value, with up to 5 such columns named.
+    "optimal" here asserts feasibility within ``feasibility_tol``, while a
+    point violating a row or a column bound beyond it comes back
+    "infeasible", naming the rows and then the columns worst first, and so
+    does a point holding a NaN or infinite value, with up to 5 such
+    columns named.
     """
     opts = options or SolveOptions()
     if isinstance(source, Mapping):
@@ -1119,10 +1102,8 @@ def import_solution(lp: LPInstance, source,
                    f"{[lp.col_names[j] for j in nonfinite[:5]]}")
     else:
         status = STATUS_INFEASIBLE
-        bad = [lp.row_names[i] for i in np.flatnonzero(
-            _row_violations(lp, x) > opts.feasibility_tol)]
-        message = (f"imported point violates {len(bad)} rows "
-                   f"(worst {violation:.3e}): {bad[:5]}")
+        message = _violation_message(lp, x, opts.feasibility_tol,
+                                     "imported point")
     with np.errstate(invalid="ignore"):  # 0 * inf at a non-finite point
         objective = lp.objective_value(x)
     return Solution(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridplan.demand import (
-    BTMGrowth,
     DEFAULT_BTM_GROWTH,
     btm_capacity,
     btm_statewide_mw,
@@ -19,7 +19,10 @@ from gridplan.demand import (
     scale_heating,
     scale_vehicles,
     split_ev_daily,
+    synthesize_demand,
 )
+from gridplan.runner import load_bundle
+from test_acceptance import BUNDLE_DIR, demo_config
 
 
 class TestScaling:
@@ -135,38 +138,59 @@ class TestFlexibleEnvelope:
 
 class TestBtmGrowth:
     def test_statewide_2030(self):
-        total = btm_statewide_mw(2030, DEFAULT_BTM_GROWTH)
+        total = btm_statewide_mw(2030)
         assert total == pytest.approx(6608.0, abs=10.0)
         # The generalized-logistic evaluation itself lands near 6611.
         assert total == pytest.approx(6607.96, abs=1.0)
 
     def test_statewide_2050(self):
-        assert btm_statewide_mw(2050, DEFAULT_BTM_GROWTH) == pytest.approx(
+        assert btm_statewide_mw(2050) == pytest.approx(
             10489.0, abs=10.0
         )
 
     def test_asymptote(self):
-        assert btm_statewide_mw(3000, DEFAULT_BTM_GROWTH) == pytest.approx(
+        assert btm_statewide_mw(3000) == pytest.approx(
             DEFAULT_BTM_GROWTH.k, rel=1e-6
         )
 
     def test_nodal_distribution(self):
-        per_node = btm_capacity(2030, {"a": 0.25, "b": 0.75},
-                                DEFAULT_BTM_GROWTH)
-        total = btm_statewide_mw(2030, DEFAULT_BTM_GROWTH)
+        per_node = btm_capacity(2030, {"a": 0.25, "b": 0.75})
+        total = btm_statewide_mw(2030)
         assert per_node["a"] == pytest.approx(0.25 * total)
         assert per_node["b"] == pytest.approx(0.75 * total)
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            btm_capacity(2030, {"a": 0.5, "b": 0.3}, DEFAULT_BTM_GROWTH)
+            btm_capacity(2030, {"a": 0.5, "b": 0.3})
 
     def test_monotone_and_bounded(self):
         years = range(2000, 2200, 7)
-        vals = [btm_statewide_mw(y, DEFAULT_BTM_GROWTH) for y in years]
+        vals = [btm_statewide_mw(y) for y in years]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(v <= DEFAULT_BTM_GROWTH.k + 1e-9 for v in vals)
 
     def test_year_precondition(self):
         with pytest.raises(ValueError):
-            btm_statewide_mw(1800, DEFAULT_BTM_GROWTH)
+            btm_statewide_mw(1800)
+
+
+class TestSynthesizeDemandInputs:
+    # Called directly, without ``validate``, the demand names what the
+    # scenario or the bundle lacks, in ``validate``'s words.
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        return load_bundle(BUNDLE_DIR)
+
+    def test_rate_map_missing_a_node(self, bundle):
+        config = demo_config(p_heat={"a": 0.3})
+        with pytest.raises(ValueError, match=r"p_heat must give one rate per "
+                           r"network node: missing \['b'\], unknown \[\]"):
+            synthesize_demand(bundle.network, bundle.series, config,
+                              bundle.params)
+
+    def test_fixed_ev_without_hourly_vehicle_series(self, bundle):
+        series = dataclasses.replace(bundle.series, d_veh_full=None)
+        with pytest.raises(ValueError, match="fixed EV charging .* needs the "
+                           "hourly vehicle series d_veh_full"):
+            synthesize_demand(bundle.network, series,
+                              demo_config(ev_flex=None), bundle.params)

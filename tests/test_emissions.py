@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 from gridplan.emissions import (
-    EmissionFactors,
     EmissionsLedger,
     DEFAULT_FACTORS,
     co2e_factor,
@@ -41,8 +40,8 @@ class TestCo2eFactor:
         base = DEFAULT_FACTORS
         doubled = dataclasses.replace(base, gwp_ch4=2 * base.gwp_ch4)
         ch4_term = base.gwp_ch4 * base.fuels["coal"].ch4_g_per_mj
-        assert co2e_factor("coal", doubled) == pytest.approx(
-            co2e_factor("coal", base) + ch4_term, rel=1e-12
+        assert doubled.co2e_g_per_mj("coal") == pytest.approx(
+            co2e_factor("coal") + ch4_term, rel=1e-12
         )
 
 

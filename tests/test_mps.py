@@ -270,6 +270,31 @@ class TestImportSolution:
         assert imported.max_violation > 1e-7
         assert "floor" in imported.message
 
+    def test_bound_only_violation_names_columns_worst_first(self):
+        lp = make_lp([1.0, 1.0], [([1.0, 1.0], GE, 2.0)], upper=[3.0, 3.0])
+        imported = import_solution(lp, {"x0": 5.0, "x1": -1.0})
+        assert imported.status == "infeasible"
+        assert imported.max_violation == pytest.approx(2.0)
+        assert imported.message == (
+            "imported point violates 2 column bounds beyond tolerance "
+            "(worst 2.000e+00): ['x0', 'x1']")
+
+    def test_rows_named_worst_first(self):
+        # At (0, 3) "floor" misses by 1 and "cap" by 2; at (-1, 3) "floor"
+        # misses by 2, "cap" by 1 and x0 its lower bound by 1.
+        lp = make_lp([2.0, 3.0],
+                     [([1.0, 1.0], GE, 4.0, "floor"),
+                      ([1.0, 0.0], LE, -2.0, "cap")])
+        imported = import_solution(lp, {"x0": 0.0, "x1": 3.0})
+        assert imported.message == (
+            "imported point violates 2 rows beyond tolerance (worst "
+            "2.000e+00): ['cap', 'floor']")
+        imported = import_solution(lp, {"x0": -1.0, "x1": 3.0})
+        assert imported.message == (
+            "imported point violates 2 rows beyond tolerance (worst "
+            "2.000e+00): ['floor', 'cap'] and 1 column bounds beyond "
+            "tolerance (worst 1.000e+00): ['x0']")
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_flagged(self, value):
         imported = import_solution(two_var_lp(), {"x0": value, "x1": 2.0})

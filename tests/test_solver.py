@@ -475,13 +475,6 @@ class TestDegeneracy:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
-    def test_bland_rule_agrees(self):
-        lp = self.beale()
-        a = solve(lp, SolveOptions(pivot_rule="bland"))
-        b = solve(lp, SolveOptions(pivot_rule="devex"))
-        assert a.status == b.status == "optimal"
-        assert a.objective == pytest.approx(b.objective, abs=1e-9)
-
     def test_degenerate_vertex(self):
         # Three planes meet where only two are needed: degenerate basis.
         lp = make_lp([1.0, 1.0],
@@ -507,10 +500,11 @@ class TestControls:
         assert a.iterations == b.iterations
         assert a.x.tobytes() == b.x.tobytes()
 
-    def test_refactor_cadence_beyond_row_count(self):
+    def test_refactor_cadence_beyond_row_count(self, monkeypatch):
         lp = random_instance(5, 30, 45)
         ref = solve(lp)
-        sol = solve(lp, SolveOptions(refactor_every=10**12))
+        monkeypatch.setattr(_Simplex, "MAX_UPDATES", 10**12)
+        sol = solve(lp)
         assert sol.status == ref.status == "optimal"
         assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
 
@@ -520,13 +514,16 @@ class TestControls:
         with pytest.raises(ValueError):
             SolveOptions(optimality_tol=-1e-9)
 
-    def test_unknown_pivot_rule(self):
-        with pytest.raises(ValueError):
-            SolveOptions(pivot_rule="steepest")
-
     def test_solution_reports_iterations(self):
         sol = solve(make_lp([1.0], [([1.0], GE, 3.0)]))
         assert sol.iterations >= 1
+
+
+def statuses(n_all, basis):
+    """A ``_Simplex`` status array: ``basis`` basic, the rest at 0."""
+    vstat = np.full(n_all, _Simplex.AT_LOWER, dtype=np.int8)
+    vstat[basis] = _Simplex.BASIC
+    return vstat
 
 
 def test_singular_basis_repaired_with_unit_column():
@@ -535,7 +532,8 @@ def test_singular_basis_repaired_with_unit_column():
     sx = _Simplex(np.array([0, 0, 1, 1, 2, 3, 4, 5]),
                   np.array([0, 1, 0, 1, 2, 0, 1, 2]),
                   np.array([1.0, 2.0, 1.0, 2.0, 3.0, 1.0, -1.0, 1.0]),
-                  np.ones(3), np.full(6, np.inf), [0, 1, 2], SolveOptions())
+                  np.ones(3), np.full(6, np.inf), statuses(6, [0, 1, 2]),
+                  SolveOptions())
     sx.refactor()
     # Column 1 depends on column 0; row 0 is the one it left uncovered.
     np.testing.assert_array_equal(sx.basis, [0, 3, 2])
@@ -557,7 +555,8 @@ def test_refactor_peels_singletons_around_a_dense_kernel(monkeypatch):
                       [0.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 4.0]])
     cols, rows = np.nonzero(basis.T)
     sx = _Simplex(cols, rows, basis[rows, cols], np.ones(4),
-                  np.full(4, np.inf), [0, 1, 2, 3], SolveOptions())
+                  np.full(4, np.inf), statuses(4, [0, 1, 2, 3]),
+                  SolveOptions())
     kernels = []
     solve_dense = np.linalg.solve
 
@@ -586,7 +585,7 @@ def test_structurally_singular_basis_repaired(entries, repaired):
     sx = _Simplex(np.concatenate([cols, [3, 4, 5]]),
                   np.concatenate([rows, [0, 1, 2]]),
                   np.concatenate([vals, np.ones(3)]), np.ones(3),
-                  np.full(6, np.inf), [0, 1, 2], SolveOptions())
+                  np.full(6, np.inf), statuses(6, [0, 1, 2]), SolveOptions())
     sx.refactor()
     np.testing.assert_array_equal(sx.basis, repaired)
     basis = sx._dense(sx.basis)
@@ -596,7 +595,7 @@ def test_structurally_singular_basis_repaired(entries, repaired):
 def test_refactor_of_unit_basis_is_exact():
     # A permuted unit basis peels completely: no kernel, no roundoff.
     sx = _Simplex(np.arange(3), np.array([2, 0, 1]), np.ones(3), np.ones(3),
-                  np.full(3, np.inf), [0, 1, 2], SolveOptions())
+                  np.full(3, np.inf), statuses(3, [0, 1, 2]), SolveOptions())
     sx.refactor()
     basis = np.zeros((3, 3))
     basis[[2, 0, 1], [0, 1, 2]] = 1.0
@@ -667,8 +666,9 @@ def test_devex_pivot_by_hand():
     sx = _Simplex(np.array([0, 0, 1, 1, 2, 2, 3, 4]),
                   np.array([0, 1, 0, 1, 0, 1, 0, 1]),
                   np.array([0.5, 0.25, 2.0, 1.0, 0.1, 3.0, 1.0, 1.0]),
-                  np.array([1.0, 10.0]), np.full(5, np.inf), [3, 4],
-                  SolveOptions())
+                  np.array([1.0, 10.0]), np.full(5, np.inf),
+                  statuses(5, [3, 4]), SolveOptions())
+    sx.refactor()
     c = np.array([-1.0, -1.0, -0.5, 0.0, 0.0])
     assert sx.run(c, max_iterations=1) == "iteration-limit"
     np.testing.assert_array_equal(sx.basis, [0, 4])
@@ -710,15 +710,16 @@ def test_full_share_target_on_fixture_infeasible(bundle):
     assert sol.status == "infeasible", sol.message
 
 
-@pytest.mark.parametrize("refactor_every", [1, 7, 100])
-def test_refactor_cadence_on_fixture(fixture_lp, refactor_every):
+@pytest.mark.parametrize("max_updates", [1, 7, 100])
+def test_refactor_cadence_on_fixture(fixture_lp, max_updates, monkeypatch):
     # 1 refactors after every pivot, 7 fills and resets the update buffer
     # many times per run, and 100 carries updates across the switch
     # from the dual simplex to primal phase 2.
     lp = fixture_lp
     ref = scipy_solve(lp)
     assert ref.status == 0
-    sol = solve(lp, SolveOptions(refactor_every=refactor_every))
+    monkeypatch.setattr(_Simplex, "MAX_UPDATES", max_updates)
+    sol = solve(lp)
     assert sol.status == "optimal", sol.message
     assert sol.objective == pytest.approx(ref.fun + lp.offset, rel=1e-9)
     rhs_scale = max(1.0, float(np.max(np.abs(lp.rhs_vector()))))
