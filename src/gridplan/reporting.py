@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .emissions import EmissionsLedger, electricity_emissions, ghg_reduction
 from .formulation import VRE, BuildInputs, LPInstance
-from .solver import Solution
+from .solver import Solution, _float_text, _write_lines
 
 __all__ = [
     "CSV_COLUMNS",
@@ -700,7 +699,7 @@ def render_report_csv(items) -> str:
 
 def write_report_csv(path, items) -> None:
     """Write one CSV row per scenario (see render_report_csv)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(render_report_csv(items))
 
 
@@ -744,14 +743,18 @@ def write_operations_csv(path, inp: BuildInputs, lp: LPInstance,
     """
     hourly = _hourly_series(inp, _require_x(solution))
     slacks = _balance_slacks(inp, lp, solution)
-    with open(path, "w", newline="") as fh:
+    hours = np.arange(inp.n_hours)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("node,t,resource,mwh\n")
         for n in inp.node_ids:
             series = {**hourly[n], "curtailment": np.maximum(slacks[n], 0.0)}
             names = sorted(series)
             # one line per (hour, resource), hour-major
-            fh.writelines(map(
-                "{},{},{},{!r}\n".format, itertools.repeat(_csv_field(n)),
-                np.repeat(np.arange(inp.n_hours), len(names)).tolist(),
-                [_csv_field(r) for r in names] * inp.n_hours,
-                np.column_stack([series[r] for r in names]).ravel().tolist()))
+            _write_lines(
+                fh,
+                ([f"{_csv_field(n)},{t}," for t in hours.tolist()],
+                 np.repeat(hours, len(names))),
+                ([f"{_csv_field(r)}," for r in names],
+                 np.tile(np.arange(len(names)), inp.n_hours)),
+                _float_text(np.column_stack([series[r] for r in names]),
+                            "\n"))

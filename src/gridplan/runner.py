@@ -148,7 +148,7 @@ def save_bundle(path, network: NetworkSpec, series: TimeSeriesSet,
     if emissions is not None:
         payload["emissions"] = dataclasses.asdict(emissions)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (root / "bundle.json").write_text(text)
+    (root / "bundle.json").write_text(text, encoding="utf-8")
     for name in _SERIES_FIELDS:
         mapping = getattr(series, name)
         if mapping is None:
@@ -158,12 +158,13 @@ def save_bundle(path, network: NetworkSpec, series: TimeSeriesSet,
             arr = np.asarray(mapping[node], dtype=float)
             lines.extend(f"{node},{t},{float(arr[t])!r}"
                          for t in range(len(arr)))
-        (root / "series" / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        (root / "series" / f"{name}.csv").write_text("\n".join(lines) + "\n",
+                                                       encoding="utf-8")
 
 
 def _read_series_csv(path: Path, name: str) -> dict[str, np.ndarray]:
     per_node: dict[str, dict[int, float]] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "node,t,value":
             raise RunnerError(
@@ -206,7 +207,7 @@ def _raise_repeat(path: Path, name: str) -> None:
     """Raise RunnerError naming the first (node, t) row that a series CSV,
     whose rows all parsed, gives twice, and both of its line numbers."""
     first: dict[tuple[str, int], int] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         next(fh)
         for line_no, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
@@ -258,7 +259,7 @@ def load_bundle(path) -> Bundle:
     if not manifest.is_file():
         raise RunnerError(f"not an input bundle: {root} has no bundle.json")
     try:
-        payload = json.loads(manifest.read_text())
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise RunnerError(f"bundle.json is not valid JSON: {exc}") from exc
     try:
@@ -335,7 +336,7 @@ def _read_config_json(source) -> dict:
     """The JSON object in a config file, or RunnerError naming the cause."""
     path = Path(source)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise RunnerError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -476,7 +477,8 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
         if out is not None and stage in ("solve", "emissions", "summarize"):
             write_report_csv(out / "report.csv", [failure])
             (out / "report.json").write_text(
-                json.dumps(failure, indent=2, sort_keys=True) + "\n")
+                json.dumps(failure, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
             artifacts.extend(["report.csv", "report.json"])
         return RunResult(status=status, exit_code=exit_code, stage=stage,
                          message=message, report=None, failure=failure,
@@ -507,7 +509,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
         except LPError as exc:
             return fail("error", EXIT_ERROR, stage, str(exc))
         if out is not None:
-            (out / "model.mps").write_text(text)
+            (out / "model.mps").write_text(text, encoding="utf-8")
             artifacts.append("model.mps")
         return RunResult(status="exported", exit_code=EXIT_OK, stage=None,
                          message="", report=None,
@@ -516,7 +518,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     stage = "solve"
     try:
         if solution_file is not None:
-            with open(solution_file) as fh:
+            with open(solution_file, encoding="utf-8") as fh:
                 solution = import_solution(lp, fh, solve_options)
         else:
             solution = solve(lp, solve_options, start=start)
@@ -539,7 +541,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
         write_report_csv(out / "report.csv", [report])
         (out / "report.json").write_text(
             json.dumps(report_json_dict(report), indent=2, sort_keys=True)
-            + "\n")
+            + "\n", encoding="utf-8")
         write_operations_csv(out / "operations.csv", inp, lp, solution)
         artifacts.extend(["report.csv", "report.json", "operations.csv"])
     values = dict(zip(lp.col_names, solution.x.tolist()))
@@ -671,7 +673,8 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
         write_report_csv(out / "report.csv", records)
         (out / "report.json").write_text(json.dumps(
             [report_json_dict(r) if isinstance(r, ScenarioReport) else r
-             for r in records], indent=2, sort_keys=True) + "\n")
+             for r in records], indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
     return SweepResult(exit_code=exit_code, records=tuple(records),
                        reports=tuple(reports))
 
@@ -884,7 +887,7 @@ def _cmd_search(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "search.json").write_text(text + "\n")
+        (out / "search.json").write_text(text + "\n", encoding="utf-8")
         write_report_csv(out / "report.csv", [result.report])
     print(text)
     return EXIT_OK

@@ -899,26 +899,27 @@ def _mps_names(names) -> list[str]:
     longer than 8 characters keeps its first 2 and appends 6 base-36
     digits of the blake2b hash of its UTF-8 bytes.
     """
-    names = list(names)
+    names = np.array(list(names), dtype=object)
     # Cleaning maps each character to one character, so a name's length
     # decides its form, and a long name needs only its head cleaned.
-    is_long = [len(name) > 8 for name in names]
-    long_names = list(itertools.compress(names, is_long))
+    is_long = np.fromiter(map(len, names), dtype=np.int64,
+                          count=names.size) > 8
+    long_names = names[is_long].tolist()
     digest = b"".join([hashlib.blake2b(name.encode(), digest_size=8).digest()
                        for name in long_names])
     value = np.frombuffer(digest, dtype=">u8").astype(np.uint64)
-    heads = {head: _UNSAFE.sub("_", head)
-             for head in {name[:2] for name in long_names}}
     text = np.empty((len(long_names), 8), dtype=np.uint8)
     text[:, :2] = np.frombuffer(
-        "".join([heads[name[:2]] for name in long_names]).encode(),
+        _UNSAFE.sub("_", "".join([name[:2] for name in long_names])).encode(),
         dtype=np.uint8).reshape(-1, 2)
     for i in range(2, 8):
         text[:, i] = _BASE36[value % 36]
         value //= 36
-    shorts = iter(text.view("S8").ravel().astype("U8").tolist())
-    return [next(shorts) if long else _UNSAFE.sub("_", name)
-            for name, long in zip(names, is_long)]
+    shorts = np.empty(names.size, dtype=object)
+    shorts[is_long] = text.view("S8").ravel().astype("U8")
+    shorts[~is_long] = [_UNSAFE.sub("_", name)
+                        for name in names[~is_long].tolist()]
+    return shorts.tolist()
 
 
 def _name_clash(names, shorts) -> str:
@@ -960,25 +961,37 @@ def mps_name_map(lp: LPInstance) -> dict:
     return dict(zip(lp.col_names + lp.row_names, _lp_mps_names(lp)))
 
 
-def _write_lines(buf, left_text, left, right_text, right, values):
-    """Write the line ``left_text[l] + right_text[r] + repr(value)`` for
-    each entry of the arrays ``left``, ``right`` and ``values``.
+def _float_text(values, end: str) -> tuple[list[str], np.ndarray]:
+    """``(texts, index)`` with ``texts[index[i]] == repr(values[i]) + end``
+    for each entry of ``values``, flattened.
 
     The repr is taken once per distinct float64 bit pattern, not per
-    distinct value: 0.0 and -0.0 are equal but print differently. Lines
-    are joined ``_LINES_CHUNK`` at a time, which bounds the memory held
-    by line strings not yet written.
+    distinct value: 0.0 and -0.0 are equal but print differently.
     """
     bits, index = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+        np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64),
         return_inverse=True)
-    value_text = [repr(v) for v in bits.view(np.float64).tolist()]
-    for start in range(0, index.size, _LINES_CHUNK):
+    return [repr(v) + end for v in bits.view(np.float64).tolist()], index
+
+
+def _write_lines(buf, *fields) -> None:
+    """Write line i as ``texts[index[i]]`` of each field in turn.
+
+    Each field is a ``(texts, index)`` pair; every index has one entry
+    per line. A chunk of ``_LINES_CHUNK`` lines is gathered into one
+    (lines, fields) array of texts and joined, so no string is built per
+    line and the text not yet written stays bounded.
+    """
+    fields = [(np.array(texts, dtype=object), np.asarray(index))
+              for texts, index in fields]
+    n_lines = fields[0][1].size
+    for start in range(0, n_lines, _LINES_CHUNK):
         chunk = slice(start, start + _LINES_CHUNK)
-        buf.write("".join([
-            f"{left_text[i]}{right_text[j]}{value_text[k]}\n"
-            for i, j, k in zip(left[chunk].tolist(), right[chunk].tolist(),
-                               index[chunk].tolist())]))
+        parts = np.empty((min(_LINES_CHUNK, n_lines - start), len(fields)),
+                         dtype=object)
+        for k, (texts, index) in enumerate(fields):
+            parts[:, k] = texts[index[chunk]]
+        buf.write("".join(parts.ravel().tolist()))
 
 
 def export_mps(lp: LPInstance) -> str:
@@ -1014,12 +1027,14 @@ def export_mps(lp: LPInstance) -> str:
     line_col = np.concatenate((np.arange(n), lp.indices))
     order = np.argsort(line_col, kind="stable")
     line_row = np.concatenate((np.zeros(n, dtype=np.int64), lp.row_of + 1))
-    _write_lines(buf, col_text, line_col[order], row_text, line_row[order],
-                 np.concatenate((lp.objective, lp.data))[order])
+    _write_lines(buf, (col_text, line_col[order]),
+                 (row_text, line_row[order]),
+                 _float_text(np.concatenate((lp.objective, lp.data))[order],
+                             "\n"))
     buf.write("RHS\n")
     nonzero = np.flatnonzero(lp.rhs != 0.0)
-    _write_lines(buf, [f"    {'RHS':<8}  "], np.zeros_like(nonzero),
-                 row_text, nonzero + 1, lp.rhs[nonzero])
+    _write_lines(buf, ([f"    {'RHS':<8}  "], np.zeros_like(nonzero)),
+                 (row_text, nonzero + 1), _float_text(lp.rhs[nonzero], "\n"))
     buf.write("BOUNDS\n")
     # A fixed column gets one FX line; any other its LO line (if the lower
     # bound is not 0) and then its UP line (if the upper is finite).
@@ -1031,8 +1046,9 @@ def export_mps(lp: LPInstance) -> str:
     line_kind = np.repeat(np.arange(3), [np.count_nonzero(m) for m in kinds])
     bound = np.concatenate([value[mask] for value, mask
                             in zip((lower, lower, upper), kinds)])
-    _write_lines(buf, [f" {kind} BND   " for kind in ("FX", "LO", "UP")],
-                 line_kind[order], col_text, line_col[order], bound[order])
+    _write_lines(buf, ([f" {kind} BND   " for kind in ("FX", "LO", "UP")],
+                       line_kind[order]),
+                 (col_text, line_col[order]), _float_text(bound[order], "\n"))
     buf.write("ENDATA\n")
     return buf.getvalue()
 

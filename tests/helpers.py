@@ -1,7 +1,8 @@
 """Small shared model fixtures used across the unit-test modules, the
 scenario-LP build, a builder of small hand-written LPs, a dense view of an
-LP for the reference solvers in the solver tests, and the benchmark's
-seeded demand factor.
+LP for the reference solvers in the solver tests, the benchmark's seeded
+demand factor, and per-line renderings of the MPS and operations text that
+the array writers are checked against.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
 values stay derivable by inspection or an independent one-liner.
@@ -13,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from gridplan import reporting
 from gridplan.formulation import GE, LE, BuildInputs, LPInstance, assemble
 from gridplan.model import (
     CostTable,
@@ -181,6 +183,30 @@ def dense_matrix(lp: LPInstance) -> np.ndarray:
     a = np.zeros((lp.n_rows, lp.n_cols))
     a[lp.row_of, lp.indices] = lp.data
     return a
+
+
+def mps_lines_oracle(left_text, left, right_text, right, values) -> str:
+    """MPS section lines rendered one at a time: line i is
+    ``left_text[left[i]] + right_text[right[i]] + repr(values[i])``."""
+    return "".join(f"{left_text[i]}{right_text[j]}{value!r}\n"
+                   for i, j, value in zip(np.asarray(left).tolist(),
+                                          np.asarray(right).tolist(),
+                                          np.asarray(values).tolist()))
+
+
+def operations_csv_oracle(inp: BuildInputs, lp: LPInstance, solution) -> str:
+    """``operations.csv`` rendered one line at a time, by node, then hour,
+    then resource name, each line ``"{node},{t},{resource},{mwh!r}"``."""
+    hourly = reporting._hourly_series(inp, solution.x)
+    slacks = reporting._balance_slacks(inp, lp, solution)
+    lines = ["node,t,resource,mwh\n"]
+    for n in inp.node_ids:
+        series = {**hourly[n], "curtailment": np.maximum(slacks[n], 0.0)}
+        for t in range(inp.n_hours):
+            lines.extend("{},{},{},{!r}\n".format(
+                reporting._csv_field(n), t, reporting._csv_field(r),
+                float(series[r][t])) for r in sorted(series))
+    return "".join(lines)
 
 
 def make_lp(objective: Sequence[float],

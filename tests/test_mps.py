@@ -3,14 +3,20 @@ independent reader feeding an external solver."""
 
 from __future__ import annotations
 
+import hashlib
+import io
+import re
+
 import numpy as np
 import pytest
 
 from _mpsread import read_mps, solve_mps_with_highs
+from gridplan import solver
 from gridplan.formulation import EQ, GE, LE, LPError
+from gridplan.runner import load_bundle
 from gridplan.solver import export_mps, import_solution, mps_name_map, solve
-from helpers import make_lp
-from test_solver import random_instance
+from helpers import make_lp, mps_lines_oracle
+from test_solver import FIXTURE_DIR, random_instance, tiled_lp
 
 
 def two_var_lp():
@@ -210,6 +216,64 @@ class TestPinnedBytes:
                      col_names=("build_capacity[a]", "x", "y", "z"),
                      offset=42.0)
         assert export_mps(lp) == PINNED_MPS
+
+
+def per_name_mps_name(name: str) -> str:
+    """The MPS name rule of ``solver._mps_names``, one name at a time."""
+    clean = re.sub(r"[^A-Za-z0-9]", "_", name)
+    if len(clean) <= 8:
+        return clean
+    value = int.from_bytes(
+        hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
+    digits = ""
+    for _ in range(6):
+        value, digit = divmod(value, 36)
+        digits += "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"[digit]
+    return clean[:2] + digits
+
+
+class TestMpsNames:
+    def test_matches_per_name_rule(self):
+        names = ["", "abcdefgh", "abcdefghi", "a[b]", "x[1,2]", "a>b",
+                 "flow[a>b,17]", "ab,cd,ef,gh", "\u00e9\u00e9_long_name",
+                 "long_name_\u00e9", "\u00e9", "ab_shared_tail_1",
+                 "ab_shared_tail_2"]
+        assert solver._mps_names(names) == [per_name_mps_name(name)
+                                            for name in names]
+
+    def test_no_names(self):
+        assert solver._mps_names([]) == []
+
+
+class TestLineWriter:
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_matches_per_line_rendering(self, chunk, monkeypatch):
+        # Both zeros, a tiny and a huge value, and values that repeat.
+        rng = np.random.default_rng(3)
+        values = rng.choice([0.0, -0.0, 1e-16, 2.5, -1.0 / 3.0, 1e300],
+                            size=50)
+        values[:2] = (0.0, -0.0)
+        left, right = rng.integers(0, 3, 50), rng.integers(0, 4, 50)
+        left_text = [f"    c{i:<7}  " for i in range(3)]
+        right_text = [f"r\u00e9{j:<6}  " for j in range(4)]
+        monkeypatch.setattr(solver, "_LINES_CHUNK", chunk)
+        buf = io.StringIO()
+        solver._write_lines(buf, (left_text, left), (right_text, right),
+                            solver._float_text(values, "\n"))
+        assert buf.getvalue() == mps_lines_oracle(left_text, left,
+                                                  right_text, right, values)
+
+    def test_no_lines(self):
+        buf = io.StringIO()
+        solver._write_lines(buf, (["x"], np.zeros(0, dtype=np.int64)),
+                            solver._float_text(np.zeros(0), "\n"))
+        assert buf.getvalue() == ""
+
+    def test_chunk_ends_mid_section_write_the_same_bytes(self, monkeypatch):
+        lp = tiled_lp(load_bundle(FIXTURE_DIR), 7)
+        whole = export_mps(lp)
+        monkeypatch.setattr(solver, "_LINES_CHUNK", 7)
+        assert export_mps(lp) == whole
 
 
 class TestImportSolution:

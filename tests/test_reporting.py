@@ -12,10 +12,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridplan
+from gridplan import reporting, solver
 from gridplan.demand import synthesize_demand
 from gridplan.emissions import EmissionsCalibration, ghg_reduction
 from gridplan.formulation import BuildInputs, assemble
@@ -45,7 +48,12 @@ from gridplan.reporting import (
     write_operations_csv,
     write_report_csv,
 )
+from gridplan.runner import load_bundle, load_config
 from gridplan.solver import solve
+
+from helpers import operations_csv_oracle
+
+FIXTURE = Path(gridplan.__file__).parent / "data" / "two_node_48h"
 
 # --------------------------------------------------------------------------
 # local fixtures
@@ -661,6 +669,51 @@ class TestTwoNodeScenario:
         write_operations_csv(p1, inp, lp, sol)
         write_operations_csv(p2, inp, lp, sol)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """The shipped fixture's own scenario, built and solved."""
+    bundle = load_bundle(FIXTURE)
+    config = load_config(FIXTURE / "scenario.json")
+    demand = synthesize_demand(bundle.network, bundle.series, config,
+                               bundle.params)
+    inp = BuildInputs(config, bundle.network, bundle.series, bundle.costs,
+                      bundle.params, demand, emissions=bundle.emissions)
+    lp = assemble(inp)[0]
+    return inp, lp, solve(lp)
+
+
+class TestOperationsWriter:
+    def test_matches_per_line_rendering(self, shipped, tmp_path,
+                                        monkeypatch):
+        # 0.0 and -0.0 are equal but print apart, so the writer's one
+        # text per value must be one text per bit pattern.
+        inp, lp, sol = shipped
+        hourly_series = reporting._hourly_series
+
+        def signed_zeros(inp, x):
+            table = hourly_series(inp, x)
+            load = table[inp.node_ids[0]]["load"].copy()
+            load[:2] = (0.0, -0.0)
+            table[inp.node_ids[0]]["load"] = load
+            return table
+
+        monkeypatch.setattr(reporting, "_hourly_series", signed_zeros)
+        path = tmp_path / "operations.csv"
+        write_operations_csv(path, inp, lp, sol)
+        text = path.read_bytes().decode("utf-8")
+        assert ",load,0.0\n" in text and ",load,-0.0\n" in text
+        assert text == operations_csv_oracle(inp, lp, sol)
+
+    def test_chunk_ends_mid_node_write_the_same_bytes(self, shipped,
+                                                      tmp_path, monkeypatch):
+        inp, lp, sol = shipped
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        write_operations_csv(whole, inp, lp, sol)
+        monkeypatch.setattr(solver, "_LINES_CHUNK", 7)
+        write_operations_csv(chunked, inp, lp, sol)
+        assert chunked.read_bytes() == whole.read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -1170,3 +1174,48 @@ class TestCli:
                      "--ghg", "0.99"])
         assert code == EXIT_INFEASIBLE
         assert "feasible" in capsys.readouterr().err.lower()
+
+    def test_files_read_and_written_as_utf8(self, tmp_path):
+        # -X warn_default_encoding with EncodingWarning as an error fails
+        # any open, read_text or write_text left to the locale's encoding.
+        config = str(FIXTURE / "scenario.json")
+        result = run_scenario(load_bundle(FIXTURE), load_config(config))
+        solution = tmp_path / "values.txt"
+        solution.write_text("".join(
+            f"{name} {value!r}\n"
+            for name, value in result.solution_values.items()),
+            encoding="utf-8")
+        out = str(tmp_path)
+        probe = textwrap.dedent("""\
+            import sys
+            from gridplan import runner
+            fixture, config, solution, out = sys.argv[1:]
+            for args in (["run", "--out", out + "/run"],
+                         ["run", "--solver", "export", "--out", out + "/mps"],
+                         ["run", "--solution", solution,
+                          "--out", out + "/ext"],
+                         ["sweep", "--lcp", "0:0.2:0.2", "--hve", "0",
+                          "--out", out + "/sweep"]):
+                code = runner.main([args[0], "--inputs", fixture,
+                                    "--config", config, *args[1:]])
+                if code != 0:
+                    sys.exit(f"{args}: exit {code}")
+            bundle = runner.load_bundle(fixture)
+            runner.save_bundle(out + "/bundle", bundle.network, bundle.series,
+                               bundle.costs, bundle.params, bundle.emissions)
+            runner.load_bundle(out + "/bundle")
+            """)
+        src = str(Path(gridplan.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-c", probe, str(FIXTURE),
+             config, str(solution), out],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr
+        for name in ("run/report.json", "run/operations.csv", "mps/model.mps",
+                     "ext/report.json", "sweep/report.csv",
+                     "bundle/bundle.json"):
+            assert (tmp_path / name).is_file(), name
