@@ -749,10 +749,11 @@ def write_operations_csv(path, inp: BuildInputs, lp: LPInstance,
         for n in inp.node_ids:
             series = {**hourly[n], "curtailment": np.maximum(slacks[n], 0.0)}
             names = sorted(series)
+            node = _csv_field(n)
             # one line per (hour, resource), hour-major
             _write_lines(
                 fh,
-                ([f"{_csv_field(n)},{t}," for t in hours.tolist()],
+                ([f"{node},{t}," for t in hours.tolist()],
                  np.repeat(hours, len(names))),
                 ([f"{_csv_field(r)}," for r in names],
                  np.tile(np.arange(len(names)), inp.n_hours)),
