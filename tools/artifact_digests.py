@@ -49,7 +49,7 @@ YEAR_TILES = 183  # 48 h x 183 = 8784 h, a leap year
 SWEEP_LCP = (0.0, 0.2, 0.4, 0.6, 0.8)
 SWEEP_HVE = (0.0, 0.2, 0.4)
 
-BASE = json.loads((FIXTURE / "scenario.json").read_text())
+BASE = json.loads((FIXTURE / "scenario.json").read_text(encoding="utf-8"))
 MODES = {
     "lcp+hve": BASE,
     "lcp+hve-rgt0.3": {**BASE, "rgt": 0.3},
@@ -137,7 +137,7 @@ def main() -> int:
         config = out / "scenario.json"
         for label, (args, names) in COMMANDS.items():
             payload = {**BASE, "lcp": 1.0} if args == ["run"] else BASE
-            config.write_text(json.dumps(payload))
+            config.write_text(json.dumps(payload), encoding="utf-8")
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli([args[0], "--inputs", str(FIXTURE),
                             "--config", str(config), *args[1:],

@@ -190,7 +190,8 @@ def write_bundle() -> Bundle:
     if BUNDLE_DIR.exists():
         shutil.rmtree(BUNDLE_DIR)
     save_bundle(BUNDLE_DIR, network, series, costs, params, emissions)
-    (BUNDLE_DIR / "scenario.json").write_text(SCENARIO_JSON)
+    (BUNDLE_DIR / "scenario.json").write_text(SCENARIO_JSON,
+                                              encoding="utf-8")
     n_files = sum(1 for _ in BUNDLE_DIR.rglob("*") if _.is_file())
     print(f"wrote {BUNDLE_DIR} ({n_files} files)")
     return load_bundle(BUNDLE_DIR)
