@@ -187,11 +187,6 @@ class DemandBundle:
     p_veh: Mapping[str, float] | None
     free_p: bool
 
-    @property
-    def feasible(self) -> bool:
-        return all(env is None or env.feasible
-                   for env in self.ev_envelopes.values())
-
 
 def _daily_totals(hourly: np.ndarray) -> np.ndarray:
     return hourly.reshape(-1, HOURS_PER_DAY).sum(axis=1)

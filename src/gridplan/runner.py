@@ -503,11 +503,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
         return fail("invalid", EXIT_INVALID, stage, str(exc))
 
     if solver == "export":
-        stage = "export"
-        try:
-            text = export_mps(lp)
-        except LPError as exc:
-            return fail("error", EXIT_ERROR, stage, str(exc))
+        text = export_mps(lp)
         if out is not None:
             (out / "model.mps").write_text(text, encoding="utf-8")
             artifacts.append("model.mps")

@@ -26,16 +26,16 @@ column singletons off in rounds and solves the dense kernel of k rows left
 over (Hellerman & Rarick 1971; Suhl & Suhl 1990), in about
 O(nnz(B) m + k^2 m + k^3). The dense inverse bounds the simplex to
 desk-scale problems (a few thousand rows), which is what the bundled
-fixtures produce; larger studies go through export_mps.
+fixtures produce; larger studies go through export_mps, whose MPS file
+names column j ``C<j>`` and row i ``R<i>``, and import_solution, which
+reads a point keyed by those names or by the LP's own.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import itertools
 import math
-import re
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -885,80 +885,7 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     return replace(sol, iterations=sol.iterations + spent)
 
 
-_BASE36 = np.frombuffer(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ",
-                        dtype=np.uint8)
-_RESERVED_MPS_NAMES = ("COST", "RHS", "BND")
-_UNSAFE = re.compile(r"[^A-Za-z0-9]")
 _LINES_CHUNK = 1 << 16
-
-
-def _mps_names(names) -> list[str]:
-    """The MPS name of each name, at most 8 characters.
-
-    Every character outside [A-Za-z0-9] becomes "_". A name that is then
-    longer than 8 characters keeps its first 2 and appends 6 base-36
-    digits of the blake2b hash of its UTF-8 bytes.
-    """
-    names = np.array(list(names), dtype=object)
-    # Cleaning maps each character to one character, so a name's length
-    # decides its form, and a long name needs only its head cleaned.
-    is_long = np.fromiter(map(len, names), dtype=np.int64,
-                          count=names.size) > 8
-    long_names = names[is_long].tolist()
-    digest = b"".join([hashlib.blake2b(name.encode(), digest_size=8).digest()
-                       for name in long_names])
-    value = np.frombuffer(digest, dtype=">u8").astype(np.uint64)
-    text = np.empty((len(long_names), 8), dtype=np.uint8)
-    text[:, :2] = np.frombuffer(
-        _UNSAFE.sub("_", "".join([name[:2] for name in long_names])).encode(),
-        dtype=np.uint8).reshape(-1, 2)
-    for i in range(2, 8):
-        text[:, i] = _BASE36[value % 36]
-        value //= 36
-    shorts = np.empty(names.size, dtype=object)
-    shorts[is_long] = text.view("S8").ravel().astype("U8")
-    shorts[~is_long] = [_UNSAFE.sub("_", name)
-                        for name in names[~is_long].tolist()]
-    return shorts.tolist()
-
-
-def _name_clash(names, shorts) -> str:
-    """The first reserved or shared MPS name, columns before rows."""
-    taken = {}
-    for name, short in zip(names, shorts):
-        if short in _RESERVED_MPS_NAMES:  # only a name equal to it
-            return (f"{name!r} is a reserved MPS name: COST, RHS and BND "
-                    f"name the objective row, the RHS set and the bound set")
-        other = taken.setdefault(short, name)
-        if other != name:
-            return (f"MPS name collision: {other!r} and {name!r} both "
-                    f"mangle to {short!r}")
-    raise AssertionError("no MPS name clash")
-
-
-def _lp_mps_names(lp: LPInstance) -> list[str]:
-    """The MPS names of the columns, then of the rows.
-
-    Raises LPError naming the first name whose MPS name is reserved or
-    is shared with another name.
-    """
-    names = lp.col_names + lp.row_names
-    shorts = _mps_names(names)
-    # A name has one MPS name, so the MPS names are as many as the
-    # distinct names exactly when no two names and no reserved name share.
-    reserved = set(_RESERVED_MPS_NAMES)
-    if len(reserved.union(shorts)) != len(set(names)) + len(reserved):
-        raise LPError(_name_clash(names, shorts))
-    return shorts
-
-
-def mps_name_map(lp: LPInstance) -> dict:
-    """Canonical original-name -> 8-char MPS name map (rows and columns).
-
-    Raises LPError naming the first name whose MPS name is reserved or
-    is shared with another name.
-    """
-    return dict(zip(lp.col_names + lp.row_names, _lp_mps_names(lp)))
 
 
 def _float_text(values, end: str) -> tuple[list[str], np.ndarray]:
@@ -997,29 +924,28 @@ def _write_lines(buf, *fields) -> None:
 def export_mps(lp: LPInstance) -> str:
     """Write the LP as fixed-format MPS text.
 
-    The constant objective offset has no MPS representation, so it is
-    recorded in a leading comment and re-added by import_solution.
-    Coefficient values are written at full precision even where that
-    overflows the historical 12-character value field; tokenizing
-    readers (including every modern solver) accept this.
+    Column j is named ``C<j>`` and row i ``R<i>``, so the names are unique
+    and fit the 8-character name fields whatever the LP calls its rows and
+    columns; ``COST`` is the objective row, ``RHS`` and ``BND`` the RHS and
+    bound sets. The constant objective offset has no MPS representation,
+    so it is recorded in a leading comment and re-added by
+    import_solution. Coefficient values are written at full precision even
+    where that overflows the historical 12-character value field;
+    tokenizing readers (including every modern solver) accept this.
     """
-    if len(set(lp.row_names)) != lp.n_rows:
-        raise LPError("row names must be unique for MPS export")
     n = lp.n_cols
-    shorts = _lp_mps_names(lp)
-    cols, rows = shorts[:n], shorts[n:]
     sense_code = {LE: "L", GE: "G", EQ: "E"}
     # Names padded once; entry 0 of row_text is the objective row.
-    col_text = [f"    {col:<8}  " for col in cols]
-    row_text = [f"{row:<8}  " for row in ["COST", *rows]]
+    col_text = [f"    C{j:<7}  " for j in range(n)]
+    row_text = [f"{'COST':<8}  ", *[f"R{i:<7}  " for i in range(lp.n_rows)]]
 
     buf = io.StringIO()
     buf.write(f"* OFFSET {lp.offset!r}\n")
     buf.write("NAME          GRIDPLAN\n")
     buf.write("ROWS\n")
     buf.write(" N  COST\n")
-    buf.write("".join([f" {sense_code[sense]}  {short:<8}\n"
-                       for sense, short in zip(lp.sense.tolist(), rows)]))
+    buf.write("".join([f" {sense_code[sense]}  R{i:<7}\n"
+                       for i, sense in enumerate(lp.sense.tolist())]))
     buf.write("COLUMNS\n")
     # Each column's objective line (declaring it even when the cost is 0),
     # then its entries with rows ascending: one stable sort by column of
@@ -1072,9 +998,10 @@ def import_solution(lp: LPInstance, source,
     """Adopt externally solved values for this LP.
 
     ``source`` may be a mapping, NAME VALUE text, or a readable stream.
-    Column names may be originals or their MPS-mangled forms; a column
-    given twice, by either name, raises LPError. The objective and
-    slacks are recomputed from the point itself; status
+    A name is a column's own name or else its MPS name ``C<j>`` (see
+    export_mps), so a column whose own name is ``C1`` is never read as
+    column 1; a column given twice, by either name, raises LPError. The
+    objective and slacks are recomputed from the point itself; status
     "optimal" here asserts feasibility within ``feasibility_tol``, while a
     point violating a row or a column bound beyond it comes back
     "infeasible", naming the rows and then the columns worst first, and so
@@ -1088,26 +1015,28 @@ def import_solution(lp: LPInstance, source,
         text = source.read() if hasattr(source, "read") else str(source)
         raw = _parse_solution_text(text)
 
-    known = set(lp.col_names)
-    unmangle = None  # mangling every name is costly, so only on demand
-    values = {}
+    n = lp.n_cols
+    position = dict(zip(lp.col_names, range(n)))
+    by_mps_name = None  # built only when a name is not a column's own
+    values = {}  # column position -> value
     for name, value in raw.items():
-        if name not in known:
-            if unmangle is None:
-                unmangle = dict(zip(_mps_names(lp.col_names), lp.col_names))
-            if name not in unmangle:
+        j = position.get(name)
+        if j is None:
+            if by_mps_name is None:
+                by_mps_name = {f"C{k}": k for k in range(n)}
+            j = by_mps_name.get(name)
+            if j is None:
                 raise LPError(f"solution names unknown column {name!r}")
-            name = unmangle[name]
-        if name in values:
-            short = next(mps for mps, col in unmangle.items() if col == name)
-            raise LPError(f"solution gives column {name!r} twice: by its "
-                          f"name and by its MPS name {short!r}")
-        values[name] = value
-    missing = [name for name in lp.col_names if name not in values]
-    if missing:
+        if j in values:
+            raise LPError(f"solution gives column {lp.col_names[j]!r} twice: "
+                          f"by its name and by its MPS name 'C{j}'")
+        values[j] = value
+    if len(values) < n:
+        missing = [name for j, name in enumerate(lp.col_names)
+                   if j not in values]
         raise LPError(f"solution is missing columns {missing[:5]}")
 
-    x = np.array([values[name] for name in lp.col_names], dtype=float)
+    x = np.array([values[j] for j in range(n)], dtype=float)
     violation = _max_violation(lp, x)
     nonfinite = np.flatnonzero(~np.isfinite(x))
     if violation <= opts.feasibility_tol:

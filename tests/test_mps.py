@@ -3,9 +3,7 @@ independent reader feeding an external solver."""
 
 from __future__ import annotations
 
-import hashlib
 import io
-import re
 
 import numpy as np
 import pytest
@@ -13,8 +11,8 @@ import pytest
 from _mpsread import read_mps, solve_mps_with_highs
 from gridplan import solver
 from gridplan.formulation import EQ, GE, LE, LPError
-from gridplan.runner import load_bundle
-from gridplan.solver import export_mps, import_solution, mps_name_map, solve
+from gridplan.runner import load_bundle, load_config, run_scenario
+from gridplan.solver import export_mps, import_solution, solve
 from helpers import make_lp, mps_lines_oracle
 from test_solver import FIXTURE_DIR, random_instance, tiled_lp
 
@@ -72,43 +70,33 @@ class TestExport:
                 except ValueError:
                     assert len(token) <= 8, token
 
-    def test_mangling_collision_reported(self):
-        lp = make_lp([1.0, 1.0],
-                     [([1.0, 1.0], GE, 2.0)],
-                     col_names=("x:1", "x_1"))
-        with pytest.raises(LPError) as err:
-            export_mps(lp)
-        assert str(err.value) == ("MPS name collision: 'x:1' and 'x_1' "
-                                  "both mangle to 'x_1'")
+    def test_names_whose_hashes_collided_export(self):
+        # An 8-character hash of the name gave both 'ba68VZZE'; names by
+        # position cannot collide.
+        lp = make_lp([1.0, 2.0],
+                     [([1.0, 1.0], GE, 3.0), ([1.0, 0.0], LE, 2.0)],
+                     col_names=("balance[east,8481]", "balance[west,5060]"))
+        status, _, values = solve_mps_with_highs(export_mps(lp))
+        assert status == "optimal"
+        imported = import_solution(lp, values)
+        assert imported.status == "optimal"
+        assert imported.objective == pytest.approx(4.0, abs=1e-9)
 
-    def test_first_collision_in_column_then_row_order(self):
-        lp = make_lp([1.0, 1.0],
-                     [([1.0, 1.0], GE, 2.0, "b-2"), ([1.0, 0.0], GE, 0.0,
-                                                      "a.1")],
-                     col_names=("a:1", "b:2"))
-        with pytest.raises(LPError) as err:
-            mps_name_map(lp)
-        assert str(err.value) == ("MPS name collision: 'b:2' and 'b-2' "
-                                  "both mangle to 'b_2'")
-
-    @pytest.mark.parametrize("cols, row, reserved", [
-        (("RHS", "x"), "COST", "RHS"),
-        (("x", "y"), "COST", "COST"),
-        (("x", "BND"), "r", "BND"),
-    ])
-    def test_reserved_name_rejected(self, cols, row, reserved):
-        # A row named COST would be a second objective row; a column
-        # named RHS or BND would read as the RHS or bound set.
-        lp = make_lp([1.0, 1.0], [([1.0, 1.0], GE, 2.0, row)],
-                     col_names=cols)
-        with pytest.raises(LPError, match=f"'{reserved}' is a reserved "
-                           "MPS name"):
-            export_mps(lp)
+    def test_mps_words_are_ordinary_names(self):
+        # COST, RHS and BND name the objective row and the RHS and bound
+        # sets in the file; the LP may use them for its own rows and
+        # columns, and rows may share a name.
+        lp = make_lp([1.0, 2.0], [([1.0, 1.0], GE, 3.0, "COST"),
+                                  ([1.0, 0.0], LE, 2.0, "COST")],
+                     col_names=("RHS", "BND"))
+        status, objective, values = solve_mps_with_highs(export_mps(lp))
+        assert status == "optimal"
+        assert objective == pytest.approx(4.0, abs=1e-9)
+        assert import_solution(lp, values).status == "optimal"
 
     def test_row_may_share_a_column_name(self):
         lp = make_lp([1.0, 1.0], [([1.0, 1.0], GE, 2.0, "x")],
                      col_names=("x", "y"))
-        assert mps_name_map(lp) == {"x": "x", "y": "y"}
         status, objective, _ = solve_mps_with_highs(export_mps(lp))
         assert status == "optimal"
         assert objective == pytest.approx(2.0)
@@ -150,60 +138,41 @@ class TestExport:
             assert rel <= 1e-6
 
 
-# MPS names and text as written before the name function was vectorized.
-PINNED_NAMES = {
-    "balance[a,18]": "baY17ECX",
-    "cap_us_solar[a]": "caGUT4J3",
-    "flow-out[a,b,17]": "flBQG75I",    # two long names sharing a head
-    "flow-out[a,b,18]": "flXJQV67",
-    "g\u00e9n\u00e9r\u00e9-\u00e0-Z\u00fcrich:1": "g_UP10W0",
-    "\u00e9t\u00e9": "_t_",
-    "x:1": "x_1",
-    "ab.c-d": "ab_c_d",
-    "y": "y",
-    "EXACTLY8": "EXACTLY8",
-    "NINECHARS": "NIZRMDEX",
-}
-
+# The MPS text of one small LP: names by position, both zeros, a tiny
+# coefficient, and each kind of bound line.
 PINNED_MPS = (
     "* OFFSET 42.0\n"
     "NAME          GRIDPLAN\n"
     "ROWS\n"
     " N  COST\n"
-    " G  fl5W27K4\n"
-    " L  cap     \n"
-    " E  eq      \n"
+    " G  R0      \n"
+    " L  R1      \n"
+    " E  R2      \n"
     "COLUMNS\n"
-    "    bu2BSERV  COST      2.0\n"
-    "    bu2BSERV  fl5W27K4  1.0\n"
-    "    bu2BSERV  cap       3.0\n"
-    "    x         COST      -0.0\n"
-    "    x         fl5W27K4  1e-16\n"
-    "    x         eq        -2.0\n"
-    "    y         COST      1e-16\n"
-    "    y         cap       1.0\n"
-    "    y         eq        0.1\n"
-    "    z         COST      0.0\n"
-    "    z         cap       2.5\n"
-    "    z         eq        1.0\n"
+    "    C0        COST      2.0\n"
+    "    C0        R0        1.0\n"
+    "    C0        R1        3.0\n"
+    "    C1        COST      -0.0\n"
+    "    C1        R0        1e-16\n"
+    "    C1        R2        -2.0\n"
+    "    C2        COST      1e-16\n"
+    "    C2        R1        1.0\n"
+    "    C2        R2        0.1\n"
+    "    C3        COST      0.0\n"
+    "    C3        R1        2.5\n"
+    "    C3        R2        1.0\n"
     "RHS\n"
-    "    RHS       fl5W27K4  4.0\n"
-    "    RHS       eq        -1.5\n"
+    "    RHS       R0        4.0\n"
+    "    RHS       R2        -1.5\n"
     "BOUNDS\n"
-    " FX BND       x         1.5\n"
-    " LO BND       y         -2.0\n"
-    " UP BND       y         7.0\n"
+    " FX BND       C1        1.5\n"
+    " LO BND       C2        -2.0\n"
+    " UP BND       C2        7.0\n"
     "ENDATA\n"
 )
 
 
 class TestPinnedBytes:
-    def test_name_map(self):
-        names = tuple(PINNED_NAMES)
-        lp = make_lp([0.0] * len(names),
-                     [([1.0] * len(names), GE, 1.0, "r")], col_names=names)
-        assert mps_name_map(lp) == {**PINNED_NAMES, "r": "r"}
-
     def test_export_text(self):
         # -0.0 and 0.0 costs print apart; 1e-16 keeps its exponent; a
         # fixed column, a nonzero lower bound and an infinite upper one.
@@ -216,33 +185,6 @@ class TestPinnedBytes:
                      col_names=("build_capacity[a]", "x", "y", "z"),
                      offset=42.0)
         assert export_mps(lp) == PINNED_MPS
-
-
-def per_name_mps_name(name: str) -> str:
-    """The MPS name rule of ``solver._mps_names``, one name at a time."""
-    clean = re.sub(r"[^A-Za-z0-9]", "_", name)
-    if len(clean) <= 8:
-        return clean
-    value = int.from_bytes(
-        hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
-    digits = ""
-    for _ in range(6):
-        value, digit = divmod(value, 36)
-        digits += "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"[digit]
-    return clean[:2] + digits
-
-
-class TestMpsNames:
-    def test_matches_per_name_rule(self):
-        names = ["", "abcdefgh", "abcdefghi", "a[b]", "x[1,2]", "a>b",
-                 "flow[a>b,17]", "ab,cd,ef,gh", "\u00e9\u00e9_long_name",
-                 "long_name_\u00e9", "\u00e9", "ab_shared_tail_1",
-                 "ab_shared_tail_2"]
-        assert solver._mps_names(names) == [per_name_mps_name(name)
-                                            for name in names]
-
-    def test_no_names(self):
-        assert solver._mps_names([]) == []
 
 
 class TestLineWriter:
@@ -299,6 +241,7 @@ class TestImportSolution:
         text = export_mps(lp)
         status, _, values = solve_mps_with_highs(text)
         assert status == "optimal"
+        assert list(values) == ["C0", "C1"]
         sol_text = "\n".join(f"{k} {float(v)!r}" for k, v in values.items())
         imported = import_solution(lp, sol_text)
         assert imported.status == "optimal"
@@ -312,12 +255,27 @@ class TestImportSolution:
                        "second_extremely_long_column_name"),
             upper=[3.0, np.inf],
         )
-        short = mps_name_map(lp)["second_extremely_long_column_name"]
-        assert short != "second_extremely_long_column_name"
         imported = import_solution(
-            lp, f"first_extremely_long_column_name 3.0\n{short} 1.0\n")
+            lp, "first_extremely_long_column_name 3.0\nC1 1.0\n")
         assert imported.status == "optimal"
         np.testing.assert_array_equal(imported.x, [3.0, 1.0])
+
+    def test_own_name_taken_before_mps_name(self):
+        # Column 0 is named C1, which is also column 1's MPS name: C1
+        # means column 0, so column 1 must be given by its own name.
+        lp = make_lp([1.0, 1.0], [([1.0, 1.0], GE, 2.0)],
+                     col_names=("C1", "y"))
+        imported = import_solution(lp, "C1 2.0\ny 3.0\n")
+        np.testing.assert_array_equal(imported.x, [2.0, 3.0])
+        with pytest.raises(LPError) as err:
+            import_solution(lp, "C0 2.0\nC1 3.0\n")
+        assert str(err.value) == ("solution gives column 'C1' twice: by its "
+                                  "name and by its MPS name 'C0'")
+
+    @pytest.mark.parametrize("name", ["C2", "C01", "C-1", "R0", "c0"])
+    def test_name_neither_own_nor_mps_rejected(self, name):
+        with pytest.raises(LPError, match=f"unknown column '{name}'"):
+            import_solution(two_var_lp(), {"x0": 4.0, "x1": 0.0, name: 1.0})
 
     def test_external_matches_builtin_on_random(self):
         lp = random_instance(12, 7, 10, allow_eq=False)
@@ -389,9 +347,8 @@ class TestImportSolution:
             col_names=("first_extremely_long_column_name",
                        "second_extremely_long_column_name"),
         )
-        short = mps_name_map(lp)["second_extremely_long_column_name"]
         lines = ["first_extremely_long_column_name 3.0",
-                 "second_extremely_long_column_name 1.0", f"{short} 5.0"]
+                 "second_extremely_long_column_name 1.0", "C1 5.0"]
         for order in (lines, lines[::-1]):
             with pytest.raises(LPError, match="second_extremely_long_column"
                                "_name' twice"):
@@ -405,3 +362,34 @@ class TestImportSolution:
         assert imported.status == "optimal"
         assert imported.objective == pytest.approx(15.0)
         assert imported.slacks[0] == pytest.approx(2.0)
+
+
+class TestHighsReader:
+    def test_fixture_round_trip_through_highs_mps_parser(self, tmp_path):
+        # model.mps read by HiGHS's own parser (not tests/_mpsread.py),
+        # solved, and its point read back by the NAME VALUE importer.
+        core = pytest.importorskip("scipy.optimize._highspy._core")
+        if not hasattr(core, "_Highs"):
+            pytest.skip("scipy's HiGHS bindings have no _Highs")
+        bundle = load_bundle(FIXTURE_DIR)
+        config = load_config(FIXTURE_DIR / "scenario.json")
+        exported = run_scenario(bundle, config, solver="export",
+                                out_dir=tmp_path / "mps")
+        assert exported.status == "exported"
+        highs = core._Highs()
+        highs.setOptionValue("output_flag", False)
+        # kWarning: HiGHS drops the fixture's two coefficients of ~1e-16.
+        assert highs.readModel(str(tmp_path / "mps" / "model.mps")) in (
+            core.HighsStatus.kOk, core.HighsStatus.kWarning)
+        assert highs.run() == core.HighsStatus.kOk
+        assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+        values = tmp_path / "values.txt"
+        values.write_text("".join(
+            f"{highs.getColName(j)[1]} {value!r}\n"
+            for j, value in enumerate(highs.getSolution().col_value)),
+            encoding="utf-8")
+        imported = run_scenario(bundle, config, solution_file=values)
+        assert imported.status == "optimal"
+        builtin = run_scenario(bundle, config)
+        assert imported.report.total_cost_usd == pytest.approx(
+            builtin.report.total_cost_usd, rel=1e-9)
