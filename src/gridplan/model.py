@@ -426,14 +426,21 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
     n_hours = series.modal_hours()
     for name in (*TimeSeriesSet._HOURLY_FIELDS, *TimeSeriesSet._DAILY_FIELDS):
         mapping = getattr(series, name)
-        expected = (n_hours if name in TimeSeriesSet._HOURLY_FIELDS
-                    else n_hours // HOURS_PER_DAY)
+        hourly = name in TimeSeriesSet._HOURLY_FIELDS
+        expected = n_hours if hourly else n_hours // HOURS_PER_DAY
         for n in ids if mapping is not None else ():
             if n not in mapping:
                 v.append(f"series {name} missing for node {n}")
-            elif len(mapping[n]) != expected:
+                continue
+            if len(mapping[n]) != expected:
                 v.append(f"series {name}[{n}] length {len(mapping[n])} "
                          f"!= expected {expected}")
+            finite = np.isfinite(mapping[n])
+            if not finite.all():
+                i = int(np.argmin(finite))
+                v.append(f"series {name}[{n}] is not finite at "
+                         f"{'hour' if hourly else 'day'} {i} "
+                         f"({mapping[n][i]})")
     if series.d_veh_full is None and series.e_veh_daily_full is None:
         v.append("no vehicle demand series supplied (hourly or daily)")
     elif series.d_veh_full is None and config is not None \

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -163,62 +165,62 @@ def save_bundle(path, network: NetworkSpec, series: TimeSeriesSet,
 
 
 def _read_series_csv(path: Path, name: str) -> dict[str, np.ndarray]:
-    per_node: dict[str, dict[int, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "node,t,value":
-            raise RunnerError(
-                f"series {name}: expected header 'node,t,value', "
-                f"got {header!r}")
-        line_no, blanks = 1, 0
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                blanks += 1
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise RunnerError(
-                    f"series {name} line {line_no}: expected 3 fields")
-            node, t_text, value = parts
-            try:
-                t = int(t_text)
-                per_node.setdefault(node, {})[t] = float(value)
-            except ValueError as exc:
-                raise RunnerError(
-                    f"series {name} line {line_no}: {exc}") from exc
-    # A repeated (node, t) row overwrote a value; counting after the loop
-    # keeps the per-line cost of the 8784 h load unchanged.
-    if sum(map(len, per_node.values())) != line_no - 1 - blanks:
-        _raise_repeat(path, name)
-    out = {}
-    for node, values in per_node.items():
-        n = len(values)
-        missing = sorted(set(range(n)) - set(values))
-        if missing:
-            raise RunnerError(
-                f"series {name}: node {node} is missing hour {missing[0]} "
-                f"(expected contiguous 0..{n - 1})")
-        out[node] = np.array([values[t] for t in range(n)])
-    return out
+    """Read a series CSV (syntax in the README) into ``{node: values}``,
+    nodes as first seen: one ``np.loadtxt`` pass, then one lexsort."""
+    head, _, body = path.read_text(encoding="utf-8").partition("\n")
+    if (header := head.strip()) != "node,t,value":
+        raise RunnerError(f"series {name}: expected header "
+                          f"'node,t,value', got {header!r}")
+    if not body.strip("\n"):
+        return {}
+    raw = np.frombuffer(f"\n{body},".encode(), np.uint8)  # widest node id
+    starts, commas = np.flatnonzero(raw == 10) + 1, np.flatnonzero(raw == 44)
+    width = max(np.max(commas[np.searchsorted(commas, starts)] - starts), 1)
+    try:
+        with warnings.catch_warnings():  # numpy < 2 reads hour 5.0 as 5
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                              ndmin=1, dtype=[("node", f"U{width}"),
+                                              ("t", np.int64), ("v", float)])
+    except (ValueError, DeprecationWarning) as exc:
+        _raise_fault(path, name)
+        raise RunnerError(f"series {name}: {exc}") from exc
+    ids, first, inverse = np.unique(rows["node"], return_index=True,
+                                    return_inverse=True)
+    by_node = np.lexsort((rows["t"], first[inverse]))
+    group = first[inverse][by_node]  # a row's node, as the node's first row
+    hour = np.arange(len(group)) - np.searchsorted(group, group)
+    if np.any(rows["t"][by_node] != hour):
+        _raise_fault(path, name)
+        j = np.argmax(rows["t"][by_node] != hour)
+        raise RunnerError(f"series {name}: node {rows['node'][group[j]]} is "
+                          f"missing hour {hour[j]} (expected contiguous "
+                          f"0..{np.sum(group == group[j]) - 1})")
+    return dict(zip(ids[np.argsort(first)].tolist(), np.split(
+        rows["v"][by_node], np.flatnonzero(np.diff(group)) + 1)))
 
 
-def _raise_repeat(path: Path, name: str) -> None:
-    """Raise RunnerError naming the first (node, t) row that a series CSV,
-    whose rows all parsed, gives twice, and both of its line numbers."""
-    first: dict[tuple[str, int], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
+def _raise_fault(path: Path, name: str) -> None:
+    """Raise RunnerError naming the first bad line of a series CSV, if any."""
+    seen: dict[tuple[str, int], int] = {}
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for line_no, parts in enumerate((ln.split(",") for ln in lines[1:]), 2):
+        if parts == [""]:
+            continue
+        try:
             if len(parts) != 3:
-                continue
-            key = (parts[0], int(parts[1]))
-            if key in first:
-                raise RunnerError(
-                    f"series {name}: node {key[0]} hour {key[1]} is given "
-                    f"on line {first[key]} and again on line {line_no}")
-            first[key] = line_no
+                raise ValueError("expected 3 fields")
+            t, _ = int(parts[1]), float(parts[2])
+            if not all(p.isascii() and "_" not in p for p in parts[1:]):
+                raise ValueError("numbers must be ASCII, without '_'")
+            if not 0 <= t < 2 ** 63:
+                raise ValueError(f"hour {t} is out of range")
+        except ValueError as exc:
+            raise RunnerError(f"series {name} line {line_no}: {exc}") from exc
+        if seen.setdefault((parts[0], t), line_no) != line_no:
+            raise RunnerError(
+                f"series {name}: node {parts[0]} hour {t} is given "
+                f"on line {seen[parts[0], t]} and again on line {line_no}")
 
 
 def _check_fields(cls, values: Mapping, where: str) -> None:

@@ -227,9 +227,99 @@ class TestBundleIO:
         lines = csv_path.read_text().splitlines()
         del lines[3]  # drop one (node, t) observation
         csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RunnerError, match="d_elec"):
+        with pytest.raises(RunnerError) as exc:
             load_bundle(path)
+        assert str(exc.value) == ("series d_elec: node n is missing hour 2 "
+                                  "(expected contiguous 0..22)")
 
+    def test_year_long_round_trip_is_bit_identical(self, tmp_path):
+        fixture = load_bundle(FIXTURE)
+        k = 183  # 48 h x 183 = 8784 h, a leap year
+        series = dataclasses.replace(fixture.series, **{
+            name: {node: np.tile(arr, k) * (1.0 + np.arange(len(arr) * k)
+                                            * 1e-7)
+                   for node, arr in mapping.items()}
+            for name, mapping in vars(fixture.series).items()
+            if mapping is not None})
+        save_bundle(tmp_path / "year", fixture.network, series,
+                    fixture.costs, fixture.params, fixture.emissions)
+        loaded = load_bundle(tmp_path / "year").series
+        for name, mapping in vars(series).items():
+            got = getattr(loaded, name)
+            if mapping is None:
+                assert got is None
+                continue
+            assert list(got) == sorted(mapping)
+            for node, arr in mapping.items():
+                np.testing.assert_array_equal(got[node].view(np.int64),
+                                              arr.view(np.int64))
+
+    def test_nodes_keep_file_order_and_hours_any_order(self, tmp_path):
+        # Node a is renamed so that ids of different lengths are read.
+        path = tmp_path / "b"
+        shutil.copytree(FIXTURE, path)
+        csv_path = path / "series" / "d_elec.csv"
+        header, *rows = csv_path.read_text().splitlines()
+        rows = [f"north east{row[1:]}" if row.startswith("a,") else row
+                for row in reversed(rows)]
+        csv_path.write_text("\n".join([header, *rows]) + "\n")
+        got = load_bundle(path).series.d_elec
+        want = load_bundle(FIXTURE).series.d_elec
+        assert list(got) == ["b", "north east"]
+        for node, old in (("b", "b"), ("north east", "a")):
+            np.testing.assert_array_equal(got[node].view(np.int64),
+                                          want[old].view(np.int64))
+
+    def test_blank_lines_and_crlf_load(self, tmp_path):
+        path = tmp_path / "b"
+        shutil.copytree(FIXTURE, path)
+        csv_path = path / "series" / "d_elec.csv"
+        lines = csv_path.read_text().splitlines()
+        lines[10:10] = ["", ""]
+        csv_path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+        got = load_bundle(path).series.d_elec
+        want = load_bundle(FIXTURE).series.d_elec
+        for node in want:
+            np.testing.assert_array_equal(got[node].view(np.int64),
+                                          want[node].view(np.int64))
+
+    LINE_FAULTS = [
+        ("a,5", "expected 3 fields"),
+        ("a,5,1.0,2.0", "expected 3 fields"),
+        ("a,5,abc", "could not convert string to float: 'abc'"),
+        ("a,5.0,1.0", "invalid literal for int() with base 10: '5.0'"),
+        ("a,-1,5.0", "hour -1 is out of range"),
+        # Python's int and float read these; the series reader does not.
+        ("   ", "expected 3 fields"),
+        ("a,5,1_000.5", "numbers must be ASCII, without '_'"),
+        ("a,٥,1.0", "numbers must be ASCII, without '_'"),
+        ("a,9223372036854775808,1.0",
+         "hour 9223372036854775808 is out of range"),
+    ]
+
+    @pytest.mark.parametrize("line, message", LINE_FAULTS,
+                             ids=[line for line, _ in LINE_FAULTS])
+    def test_bad_line_is_named(self, tmp_path, line, message):
+        path = tmp_path / "b"
+        shutil.copytree(FIXTURE, path)
+        csv_path = path / "series" / "d_elec.csv"
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[6] = line
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RunnerError) as exc:
+            load_bundle(path)
+        assert str(exc.value) == f"series d_elec line 7: {message}"
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "b"
+        shutil.copytree(FIXTURE, path)
+        csv_path = path / "series" / "w_on.csv"
+        csv_path.write_text(csv_path.read_text().replace(
+            "node,t,value", "node,hour,value", 1))
+        with pytest.raises(RunnerError) as exc:
+            load_bundle(path)
+        assert str(exc.value) == ("series w_on: expected header "
+                                  "'node,t,value', got 'node,hour,value'")
 
     def test_repeated_hour_rejected(self, tmp_path, capsys):
         path = tmp_path / "b"
@@ -584,8 +674,25 @@ def _drop(name, key):
         k: v for k, v in getattr(costs, name).items() if k != key}})
 
 
+def _spoil(name, value):
+    """Set hour (or day) 1 of node a's ``name`` series to ``value``; a
+    series the fixture lacks is first made from ``d_elec``."""
+    def mutate(series):
+        arr = np.array((getattr(series, name) or series.d_elec)["a"])
+        arr[1] = value
+        return dataclasses.replace(series, **{name: {
+            **(getattr(series, name) or series.d_elec), "a": arr}})
+    return mutate
+
+
 # (bundle part, its mutation, the one message validate and build both give)
 FIXTURE_MUTATIONS = [
+    ("series", _spoil("d_elec", np.nan),
+     "series d_elec[a] is not finite at hour 1 (nan)"),
+    ("series", _spoil("h_fix", np.inf),
+     "series h_fix[a] is not finite at hour 1 (inf)"),
+    ("series", _spoil("e_veh_daily_full", np.nan),
+     "series e_veh_daily_full[a] is not finite at day 1 (nan)"),
     ("costs", _drop("ex_cap", "a"),
      "missing cost ex_cap[a] for existing-capacity maintenance"),
     ("costs", _drop("ex_tx", "a"),
@@ -897,6 +1004,30 @@ def write_config(tmp_path, payload) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+NON_FINITE = [(name, value)
+              for name in (*TimeSeriesSet._HOURLY_FIELDS,
+                           *TimeSeriesSet._DAILY_FIELDS)
+              for value in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("name, value", NON_FINITE,
+                         ids=[f"{name}={value}" for name, value in NON_FINITE])
+def test_non_finite_series_value_stops_at_validate(tmp_path, capsys, name,
+                                                   value):
+    bundle = load_bundle(FIXTURE)
+    path = tmp_path / "b"
+    save_bundle(path, bundle.network, _spoil(name, value)(bundle.series),
+                bundle.costs, bundle.params, bundle.emissions)
+    unit = "hour" if name in TimeSeriesSet._HOURLY_FIELDS else "day"
+    message = f"series {name}[a] is not finite at {unit} 1 ({value})"
+    assert main(["validate", "--inputs", str(path)]) == EXIT_INVALID
+    assert f"invalid: {message}\n" in capsys.readouterr().err
+    result = run_scenario(load_bundle(path),
+                          load_config(FIXTURE / "scenario.json"))
+    assert (result.exit_code, result.stage) == (EXIT_INVALID, "validate")
+    assert message in result.message.split("; ")
 
 
 class TestCli:
