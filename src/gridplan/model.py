@@ -441,6 +441,13 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
                 v.append(f"series {name}[{n}] is not finite at "
                          f"{'hour' if hourly else 'day'} {i} "
                          f"({mapping[n][i]})")
+        unknown = [n for n in mapping or () if n not in ids]
+        if len(unknown) == 1:
+            v.append(f"series {name} gives node {unknown[0]}, which is not "
+                     "a network node")
+        elif unknown:
+            v.append(f"series {name} gives nodes {', '.join(unknown)}, which "
+                     "are not network nodes")
     if series.d_veh_full is None and series.e_veh_daily_full is None:
         v.append("no vehicle demand series supplied (hourly or daily)")
     elif series.d_veh_full is None and config is not None \

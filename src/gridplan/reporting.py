@@ -3,7 +3,8 @@
 Everything here is post-processing: cost attribution by resource, levelized
 cost of delivered electricity, curtailment split across the variable
 resources that could have produced it, realized policy metrics (low-carbon
-share, emissions), and flat CSV / nested JSON serialization.
+share, emissions), and serialization: ``report.json`` and ``report.csv``
+hold scalars and totals, and ``operations.csv`` every hourly series.
 
 Every hourly quantity comes from one table, built by ``_hourly_series``
 from the raw inputs and the solution vector: for each node, its hourly
@@ -332,41 +333,37 @@ def realized_emissions(inp: BuildInputs,
 
 @dataclass(frozen=True)
 class CurtailmentReport:
-    """Hourly curtailed energy by node, attributed across resources."""
+    """Curtailed MWh over the horizon, split hour by hour across resources;
+    ``operations.csv`` holds each node's hourly ``curtailment``."""
 
-    by_node: Mapping[str, np.ndarray]
-    attribution: Mapping[str, Mapping[str, np.ndarray]]
     total_mwh: float
     by_bucket_mwh: Mapping[str, float]
 
 
-def _curtailment(inp: BuildInputs, hourly, slacks) -> CurtailmentReport:
+def _curtailment(inp: BuildInputs, hourly, slacks):
     """Balance-row surplus per node-hour, split across the variable
-    resources by their potential that hour; the rest goes to "other"."""
+    resources by their potential that hour; the rest goes to "other".
+    Returns the report and each bucket's MWh per node."""
     zero = np.zeros(inp.n_hours)
-    attribution = {b: {} for b in (*_POTENTIALS, "other")}
+    by_node = {b: {} for b in (*_POTENTIALS, "other")}
     for n in inp.node_ids:
         # max(slack, 0.0) hour by hour, keeping its sign of zero
         surplus = np.where(0.0 > slacks[n], 0.0, slacks[n])
         shares = attribute_curtailment(
             surplus, {b: hourly[n].get(b, zero) for b in _POTENTIALS})
         for bucket, values in shares.items():
-            attribution[bucket][n] = values
-    totals = {b: float(sum(arr.sum() for arr in by_node.values()))
-              for b, by_node in attribution.items()}
-    return CurtailmentReport(
-        by_node=slacks,
-        attribution=attribution,
-        total_mwh=float(sum(totals.values())),
-        by_bucket_mwh=totals,
-    )
+            by_node[bucket][n] = float(values.sum())
+    totals = {b: sum(nodes.values()) for b, nodes in by_node.items()}
+    return CurtailmentReport(total_mwh=float(sum(totals.values())),
+                             by_bucket_mwh=totals), by_node
 
 
 @dataclass(frozen=True)
 class ExcessReport:
-    """System-wide low-carbon energy beyond concurrent demand."""
+    """System-wide low-carbon MWh beyond concurrent demand over the
+    horizon: each hour's ``operations.csv`` rows of the ``_LOW_CARBON``
+    resources minus ``load``, summed over nodes and clipped at 0."""
 
-    series_mwh: np.ndarray
     total_mwh: float
     potential_mwh: float
     percent: float
@@ -385,8 +382,7 @@ def _excess(inp: BuildInputs, hourly) -> ExcessReport:
             if name in hourly[n]:
                 potential += hourly[n][name]
         load += hourly[n]["load"]
-    series = excess_series(potential, load)
-    return ExcessReport(series_mwh=series, total_mwh=float(series.sum()),
+    return ExcessReport(total_mwh=float(excess_series(potential, load).sum()),
                         potential_mwh=float(potential.sum()),
                         percent=excess_percent(potential, load))
 
@@ -499,14 +495,14 @@ def _cost_buckets(inp: BuildInputs, lp: LPInstance,
 
 
 def _generation_mwh(inp: BuildInputs, x: np.ndarray, hourly,
-                    curtail: CurtailmentReport) -> dict[str, float]:
-    """Delivered energy per generation key over the horizon, in MWh."""
+                    curtailed) -> dict[str, float]:
+    """Delivered energy per generation key over the horizon, in MWh:
+    potentials net of ``curtailed`` (bucket -> node -> MWh)."""
     out = {key: 0.0 for key in GENERATION_KEYS}
     for n in inp.node_ids:
         for key, values in hourly[n].items():
             if key in _POTENTIALS:
-                out[key] += float(values.sum()) \
-                    - float(curtail.attribution[key][n].sum())
+                out[key] += float(values.sum()) - curtailed[key][n]
             elif key in ("hydro-fixed", "nuclear"):
                 out[key] += float(values.sum())
     for key, fam in _FAMILY_SERIES.items():
@@ -591,9 +587,10 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
     """Assemble the full report for a solved scenario."""
     x = _require_x(solution)
     hourly = _hourly_series(inp, x)
-    curtail = _curtailment(inp, hourly, _balance_slacks(inp, lp, solution))
+    curtail, curtailed = _curtailment(inp, hourly,
+                                      _balance_slacks(inp, lp, solution))
     buckets, nominal = _cost_buckets(inp, lp, x)
-    generation = _generation_mwh(inp, x, hourly, curtail)
+    generation = _generation_mwh(inp, x, hourly, curtailed)
     delivered = _delivered_mwh(generation)
     per_hour = 1.0 / (inp.n_hours * 1000.0)
     resource_lcoe = {key: unit_cost(buckets[key], delivered[key])
@@ -704,22 +701,16 @@ def write_report_csv(path, items) -> None:
 
 
 def _jsonify(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _jsonify(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
         return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
     return value
 
 
 def report_json_dict(report: ScenarioReport) -> dict:
-    """The full nested report as plain JSON-serializable types."""
+    """The report as nested dicts of scalars, holding no list."""
     return _jsonify(report)
 
 

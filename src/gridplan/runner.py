@@ -53,6 +53,8 @@ from .solver import (
     STATUS_UNBOUNDED,
     Basis,
     SolveOptions,
+    _float_text,
+    _write_lines,
     export_mps,
     import_solution,
     solve,
@@ -155,13 +157,14 @@ def save_bundle(path, network: NetworkSpec, series: TimeSeriesSet,
         mapping = getattr(series, name)
         if mapping is None:
             continue
-        lines = ["node,t,value"]
-        for node in sorted(mapping):
-            arr = np.asarray(mapping[node], dtype=float)
-            lines.extend(f"{node},{t},{float(arr[t])!r}"
-                         for t in range(len(arr)))
-        (root / "series" / f"{name}.csv").write_text("\n".join(lines) + "\n",
-                                                       encoding="utf-8")
+        with open(root / "series" / f"{name}.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            fh.write("node,t,value\n")
+            for node in sorted(mapping):
+                values = np.asarray(mapping[node], dtype=float)
+                hours = np.arange(values.size)
+                _write_lines(fh, ([f"{node},{t}," for t in hours.tolist()],
+                                  hours), _float_text(values, "\n"))
 
 
 def _read_series_csv(path: Path, name: str) -> dict[str, np.ndarray]:

@@ -1,8 +1,8 @@
 """Small shared model fixtures used across the unit-test modules, the
 scenario-LP build, a builder of small hand-written LPs, a dense view of an
 LP for the reference solvers in the solver tests, the benchmark's seeded
-demand factor, and per-line renderings of the MPS and operations text that
-the array writers are checked against.
+demand factor, and per-line renderings of the MPS, operations and series
+CSV text that the array writers are checked against.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
 values stay derivable by inspection or an independent one-liner.
@@ -207,6 +207,17 @@ def operations_csv_oracle(inp: BuildInputs, lp: LPInstance, solution) -> str:
                 reporting._csv_field(n), t, reporting._csv_field(r),
                 float(series[r][t])) for r in sorted(series))
     return "".join(lines)
+
+
+def series_csv_oracle(mapping) -> str:
+    """A series CSV as ``save_bundle`` writes it, rendered one line at a
+    time: nodes sorted, hours ascending, each line
+    ``"{node},{t},{value!r}"``."""
+    lines = ["node,t,value"]
+    for node in sorted(mapping):
+        arr = np.asarray(mapping[node], dtype=float)
+        lines.extend(f"{node},{t},{float(arr[t])!r}" for t in range(len(arr)))
+    return "\n".join(lines) + "\n"
 
 
 def make_lp(objective: Sequence[float],

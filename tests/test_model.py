@@ -155,8 +155,8 @@ def _replace(**changes):
 
 # (input changed, its mutation, the one message validate must report)
 VIOLATIONS = [
-    ("network", lambda net: NetworkSpec(
-        nodes=[net.nodes[0], dataclasses.replace(net.nodes[1], id="a")]),
+    ("network", lambda net: dataclasses.replace(
+        net, nodes=[*net.nodes, net.nodes[0]]),
      "duplicate node ids: ['a']"),
     ("network", _interface("a", "zz", 10.0),
      "interface a:zz references an unknown node"),
@@ -184,6 +184,13 @@ VIOLATIONS = [
     ("series", lambda series: dataclasses.replace(
         series, d_heat_full={"a": series.d_heat_full["a"]}),
      "series d_heat_full missing for node b"),
+    ("series", lambda series: dataclasses.replace(
+        series, w_on={**series.w_on, "c": series.w_on["a"]}),
+     "series w_on gives node c, which is not a network node"),
+    ("series", lambda series: dataclasses.replace(
+        series, nuclear={**series.nuclear, "d": series.nuclear["b"],
+                         "c": series.nuclear["a"]}),
+     "series nuclear gives nodes d, c, which are not network nodes"),
     ("series", _replace(d_veh_full=None),
      "no vehicle demand series supplied (hourly or daily)"),
     ("costs", _replace(c_ff={"a": -1.0, "b": 4.04}),

@@ -48,7 +48,7 @@ from gridplan.reporting import (
     write_operations_csv,
     write_report_csv,
 )
-from gridplan.runner import load_bundle, load_config
+from gridplan.runner import load_bundle, load_config, run_scenario
 from gridplan.solver import solve
 
 from helpers import operations_csv_oracle
@@ -248,6 +248,38 @@ def column_sum(lp, sol, fam, node, t_range) -> float:
     return sum(sol.x[lp.column_index(f"{fam}[{node},{t}]")] for t in t_range)
 
 
+def balance_slack(lp, sol, node) -> np.ndarray:
+    """The recorded slack of each ``balance[node,t]`` row of a 24 h LP."""
+    return np.array([sol.slacks[lp.row_names.index(f"balance[{node},{t}]")]
+                     for t in range(T24)])
+
+
+def read_operations(path) -> dict[str, dict[str, np.ndarray]]:
+    """``operations.csv`` as node -> resource -> hourly MWh."""
+    table: dict[str, dict[str, list]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            values = table.setdefault(row["node"], {}).setdefault(
+                row["resource"], [])
+            assert int(row["t"]) == len(values)
+            values.append(float(row["mwh"]))
+    return {node: {r: np.array(v) for r, v in series.items()}
+            for node, series in table.items()}
+
+
+def operations_of(tmp_path, inp, lp, sol) -> dict[str, dict[str, np.ndarray]]:
+    path = tmp_path / "operations.csv"
+    write_operations_csv(path, inp, lp, sol)
+    return read_operations(path)
+
+
+def any_list(value) -> bool:
+    """Whether a decoded JSON value holds a list anywhere."""
+    if isinstance(value, dict):
+        return any(any_list(v) for v in value.values())
+    return isinstance(value, list)
+
+
 # --------------------------------------------------------------------------
 # LCOE arithmetic
 
@@ -347,22 +379,26 @@ class TestSolarGasScenario:
         assert report.lcp_realized == pytest.approx(0.4, abs=1e-6)
         assert report.lcp_realized >= 0.4 - 1e-6
 
-    def test_curtailment_positive_and_attributed_to_solar(self, solar_gas):
+    def test_curtailment_positive_and_attributed_to_solar(self, solar_gas,
+                                                          tmp_path):
         inp, lp, sol, report = solar_gas
         curt = report.curtailment
         assert curt.total_mwh > 1.0
-        assert np.all(curt.by_node["n"] >= -1e-9)
+        slack = balance_slack(lp, sol, "n")
+        assert np.all(slack >= -1e-9)
+        hourly = operations_of(tmp_path, inp, lp, sol)["n"]["curtailment"]
+        np.testing.assert_array_equal(hourly, np.maximum(slack, 0.0))
+        assert curt.total_mwh == pytest.approx(hourly.sum(), rel=1e-12)
         for bucket in ("onshore", "offshore", "btm-solar", "other"):
-            assert np.allclose(curt.attribution[bucket]["n"], 0.0)
-        np.testing.assert_allclose(curt.attribution["us-solar"]["n"],
-                                   curt.by_node["n"], atol=1e-9)
+            assert curt.by_bucket_mwh[bucket] == pytest.approx(0.0, abs=1e-9)
+        assert curt.by_bucket_mwh["us-solar"] == pytest.approx(
+            hourly.sum(), rel=1e-12)
 
     def test_solar_delivery_is_the_non_gas_share(self, solar_gas):
         inp, lp, sol, report = solar_gas
         built = sol.x[lp.column_index("cap_us_solar[n]")]
         potential = built * inp.series.w_us_solar["n"]
-        curt = report.curtailment
-        delivered = float(potential.sum() - curt.by_node["n"].sum())
+        delivered = float(potential.sum()) - report.curtailment.total_mwh
         assert delivered == pytest.approx(2400.0 - 1440.0, rel=1e-6)
         avg = report.generation_avg_gwh_per_hour["us-solar"]
         assert avg == pytest.approx(delivered / T24 / 1000.0, rel=1e-9)
@@ -405,13 +441,20 @@ class TestSolarGasScenario:
         poked = dataclasses.replace(sol, x=x)
         assert energy_closure(inp, lp, poked) >= 0.5
 
-    def test_excess_series_matches_direct_arithmetic(self, solar_gas):
+    def test_excess_series_matches_direct_arithmetic(self, solar_gas,
+                                                     tmp_path):
         inp, lp, sol, report = solar_gas
         built = sol.x[lp.column_index("cap_us_solar[n]")]
         potential = built * inp.series.w_us_solar["n"]
         expected = np.maximum(potential - 100.0, 0.0)
+        ops = operations_of(tmp_path, inp, lp, sol)["n"]
+        np.testing.assert_allclose(
+            np.maximum(ops["us-solar"] - ops["load"], 0.0), expected,
+            atol=1e-7)
         excess = report.excess
-        np.testing.assert_allclose(excess.series_mwh, expected, atol=1e-7)
+        assert excess.total_mwh == pytest.approx(expected.sum(), rel=1e-9)
+        assert excess.potential_mwh == pytest.approx(potential.sum(),
+                                                     rel=1e-9)
         assert excess.percent == pytest.approx(
             100.0 * expected.sum() / potential.sum(), rel=1e-6)
         assert excess.percent > 0.0
@@ -726,6 +769,7 @@ class TestCurtailmentAttributionByHour:
         inp, lp, sol = surplus
         curtail = summarize(inp, lp, sol).curtailment
         series = inp.series
+        by_bucket = dict.fromkeys(curtail.by_bucket_mwh, 0.0)
         idle_surplus = shared_surplus = False
         for node in inp.network.nodes:
             n = node.id
@@ -735,33 +779,45 @@ class TestCurtailmentAttributionByHour:
                 "us-solar": node.us_solar_existing_mw * series.w_us_solar[n],
                 "btm-solar": inp.demand.x_btm_mw[n] * series.w_btm_solar[n],
             }
-            slack = curtail.by_node[n]
-            surplus = np.maximum(slack, 0.0)
-            shares = {b: curtail.attribution[b][n] for b in (*pots, "other")}
-            np.testing.assert_allclose(sum(shares.values()), surplus,
-                                       rtol=1e-12, atol=1e-9)
-            idle = sum(pots.values()) == 0.0
-            np.testing.assert_array_equal(shares["other"][idle],
-                                          surplus[idle])
+            slack = balance_slack(lp, sol, n)
+            shares = attribute_curtailment(np.maximum(slack, 0.0), pots)
             for t in range(T24):
                 hour = attribute_curtailment(
                     max(float(slack[t]), 0.0),
                     {b: float(p[t]) for b, p in pots.items()})
                 assert {b: float(v[t]) for b, v in shares.items()} == hour
-            idle_surplus |= bool(np.any(surplus[idle] > 1.0))
-            shared_surplus |= bool(np.any((shares["onshore"] > 1.0)
-                                          & (shares["us-solar"] > 1.0)))
+                for bucket, value in hour.items():
+                    by_bucket[bucket] += value
+                idle = sum(pots.values())[t] == 0.0
+                idle_surplus |= idle and hour["other"] > 1.0
+                shared_surplus |= hour["onshore"] > 1.0 \
+                    and hour["us-solar"] > 1.0
         assert idle_surplus and shared_surplus
+        assert set(by_bucket) == {*pots, "other"}
+        for bucket, value in by_bucket.items():
+            assert curtail.by_bucket_mwh[bucket] == pytest.approx(
+                value, rel=1e-12, abs=1e-9)
+        assert curtail.total_mwh == pytest.approx(sum(by_bucket.values()),
+                                                  rel=1e-12)
 
-    def test_negative_slack_curtails_nothing(self, surplus):
+    def test_negative_slack_curtails_nothing(self, surplus, tmp_path):
+        # Node a curtails at hour 0; a slack of -1 there must count as no
+        # curtailment at all, exactly as a slack of 0 does.
         inp, lp, sol = surplus
-        slacks = sol.slacks.copy()
-        slacks[lp.row_names.index("balance[a,0]")] = -1.0
-        curtail = summarize(inp, lp, dataclasses.replace(
-            sol, slacks=slacks)).curtailment
-        assert curtail.by_node["a"][0] == -1.0
-        assert all(by_node["a"][0] == 0.0
-                   for by_node in curtail.attribution.values())
+        row = lp.row_names.index("balance[a,0]")
+        assert sol.slacks[row] > 1.0
+        poked = {}
+        for value in (-1.0, 0.0):
+            slacks = sol.slacks.copy()
+            slacks[row] = value
+            poked[value] = dataclasses.replace(sol, slacks=slacks)
+        curtail = summarize(inp, lp, poked[-1.0]).curtailment
+        assert curtail == summarize(inp, lp, poked[0.0]).curtailment
+        assert curtail.total_mwh < summarize(inp, lp, sol).curtailment \
+            .total_mwh - 1.0
+        path = tmp_path / "operations.csv"
+        write_operations_csv(path, inp, lp, poked[-1.0])
+        assert "\na,0,curtailment,0.0\n" in path.read_text(encoding="utf-8")
 
 
 class TestSerialization:
@@ -805,7 +861,14 @@ class TestSerialization:
         assert back["label"] == "pair"
         assert back["lcoe_usd_per_mwh"] == pytest.approx(
             report.lcoe_usd_per_mwh)
-        assert len(back["curtailment"]["by_node"]["a"]) == T24
+        assert back == record
+        assert back["curtailment"]["total_mwh"] == \
+            report.curtailment.total_mwh
+        assert set(back["curtailment"]["by_bucket_mwh"]) == {
+            "onshore", "offshore", "us-solar", "btm-solar", "other"}
+        assert set(back["excess"]) == {"total_mwh", "potential_mwh",
+                                       "percent"}
+        assert not any_list(back)
         assert back["ghg_change_percent"] is None
         assert isinstance(back["cost_usd"]["fossil-existing"], float)
 
@@ -813,3 +876,86 @@ class TestSerialization:
         inp, lp, sol = idle_battery_scenario()
         record = report_json_dict(summarize(inp, lp, sol, label="idle"))
         assert record["resource_lcoe_usd_per_mwh"]["battery"] is None
+
+
+# --------------------------------------------------------------------------
+# one home per quantity: report.json holds totals, operations.csv the hours
+
+
+SCENARIO = json.loads((FIXTURE / "scenario.json").read_text(encoding="utf-8"))
+
+# the fixture runs of tools/artifact_digests.py
+FIXTURE_MODES = {
+    "lcp+hve": SCENARIO,
+    "lcp+hve-rgt0.3": {**SCENARIO, "rgt": 0.3},
+    "ghg+hve": {**{k: v for k, v in SCENARIO.items() if k != "lcp"},
+                "mode": "ghg+hve", "omega": 0.3},
+    "ghg+lcp": {**{k: v for k, v in SCENARIO.items()
+                   if k not in ("p_heat", "p_veh")},
+                "mode": "ghg+lcp", "omega": 0.3},
+}
+
+BUCKETS = ("onshore", "offshore", "us-solar", "btm-solar")
+LOW_CARBON = (*BUCKETS, "hydro-fixed", "hydro-flex", "nuclear")
+
+
+def totals_from_operations(ops) -> tuple[float, dict[str, float], float]:
+    """(curtailment total, its split by bucket, excess low-carbon total),
+    recomputed from the rows of ``operations.csv`` alone."""
+    zero = np.zeros(len(next(iter(ops.values()))["load"]))
+    total, split, net = 0.0, dict.fromkeys((*BUCKETS, "other"), 0.0), zero
+    for series in ops.values():
+        total += float(series["curtailment"].sum())
+        shares = attribute_curtailment(
+            series["curtailment"], {b: series.get(b, zero) for b in BUCKETS})
+        for bucket, values in shares.items():
+            split[bucket] += float(values.sum())
+        net = net + sum(series.get(r, zero) for r in LOW_CARBON) \
+            - series["load"]
+    return total, split, float(np.maximum(net, 0.0).sum())
+
+
+def tiled_fixture(k: int):
+    """The shipped bundle with every series tiled ``k`` times."""
+    bundle = load_bundle(FIXTURE)
+    series = bundle.series
+    return dataclasses.replace(
+        bundle,
+        series=dataclasses.replace(series, **{
+            name: {node: np.tile(arr, k) for node, arr in mapping.items()}
+            for name, mapping in vars(series).items() if mapping is not None}),
+        params=dataclasses.replace(bundle.params,
+                                   n_years=bundle.params.n_years * k))
+
+
+@pytest.mark.parametrize("case", [*FIXTURE_MODES, "fixture-96h", "solar_gas",
+                                  "surplus"])
+def test_operations_csv_recomputes_the_report_totals(case, request,
+                                                     tmp_path):
+    curtails = case in ("solar_gas", "surplus")
+    if curtails:
+        inp, lp, sol = request.getfixturevalue(case)[:3]
+        (tmp_path / "report.json").write_text(json.dumps(report_json_dict(
+            summarize(inp, lp, sol))), encoding="utf-8")
+        write_operations_csv(tmp_path / "operations.csv", inp, lp, sol)
+    else:
+        bundle = tiled_fixture(2 if case == "fixture-96h" else 1)
+        result = run_scenario(bundle, load_config(FIXTURE_MODES.get(
+            case, SCENARIO)), out_dir=tmp_path)
+        assert result.status == "optimal", result.message
+    report = json.loads((tmp_path / "report.json").read_text(
+        encoding="utf-8"))
+    total, split, excess = totals_from_operations(
+        read_operations(tmp_path / "operations.csv"))
+
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    curtailment = report["curtailment"]
+    assert close(total, curtailment["total_mwh"])
+    assert split.keys() == curtailment["by_bucket_mwh"].keys()
+    for bucket, value in split.items():
+        assert close(value, curtailment["by_bucket_mwh"][bucket]), bucket
+    assert close(excess, report["excess"]["total_mwh"])
+    assert not any_list(report)
+    assert total > 1.0 or not curtails

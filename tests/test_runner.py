@@ -61,7 +61,7 @@ from gridplan.runner import (
 from gridplan.solver import SolveOptions
 
 from _mpsread import solve_mps_with_highs
-from helpers import build_lp
+from helpers import build_lp, series_csv_oracle
 
 T = 24
 PARAMS = TechParams(n_years=T / 8760.0)
@@ -253,6 +253,30 @@ class TestBundleIO:
             for node, arr in mapping.items():
                 np.testing.assert_array_equal(got[node].view(np.int64),
                                               arr.view(np.int64))
+
+    def test_year_long_series_match_per_line_rendering(self, tmp_path):
+        # Tiled values repeat, perturbed ones do not; 0.0 and -0.0 are
+        # equal but print apart.
+        fixture = load_bundle(FIXTURE)
+        k = 183
+        tiled = {name: {node: np.tile(arr, k) * (
+                    1.0 + (node == "b") * np.arange(len(arr) * k) * 1e-7)
+                        for node, arr in mapping.items()}
+                 for name, mapping in vars(fixture.series).items()
+                 if mapping is not None}
+        tiled["d_elec"]["a"][:2] = (0.0, -0.0)
+        series = dataclasses.replace(fixture.series, **tiled)
+        save_bundle(tmp_path / "year", fixture.network, series,
+                    fixture.costs, fixture.params, fixture.emissions)
+        for name, mapping in vars(series).items():
+            path = tmp_path / "year" / "series" / f"{name}.csv"
+            if mapping is None:
+                assert not path.exists()
+                continue
+            assert path.read_bytes().decode("utf-8") == \
+                series_csv_oracle(mapping)
+        text = (tmp_path / "year" / "series" / "d_elec.csv").read_text()
+        assert "\na,0,0.0\na,1,-0.0\n" in text
 
     def test_nodes_keep_file_order_and_hours_any_order(self, tmp_path):
         # Node a is renamed so that ids of different lengths are read.
@@ -1028,6 +1052,20 @@ def test_non_finite_series_value_stops_at_validate(tmp_path, capsys, name,
                           load_config(FIXTURE / "scenario.json"))
     assert (result.exit_code, result.stage) == (EXIT_INVALID, "validate")
     assert message in result.message.split("; ")
+
+
+def test_series_node_outside_the_network_stops_at_validate(tmp_path, capsys):
+    path = tmp_path / "b"
+    shutil.copytree(FIXTURE, path)
+    with open(path / "series" / "w_on.csv", "a", encoding="utf-8") as fh:
+        fh.writelines(f"c,{t},0.5\n" for t in range(48))
+    message = "series w_on gives node c, which is not a network node"
+    assert main(["validate", "--inputs", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"invalid: {message}\n"
+    result = run_scenario(load_bundle(path),
+                          load_config(FIXTURE / "scenario.json"))
+    assert (result.exit_code, result.stage, result.message) == \
+        (EXIT_INVALID, "validate", message)
 
 
 class TestCli:
