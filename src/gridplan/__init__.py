@@ -50,6 +50,7 @@ from gridplan.solver import (
     export_mps,
     import_solution,
     solve,
+    write_mps,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +90,7 @@ __all__ = [
     "solve",
     "summarize",
     "validate",
+    "write_mps",
     "write_operations_csv",
     "write_report_csv",
     "__version__",

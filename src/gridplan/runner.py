@@ -58,6 +58,7 @@ from .solver import (
     export_mps,
     import_solution,
     solve,
+    write_mps,
 )
 
 __all__ = [
@@ -401,7 +402,9 @@ class RunResult:
     column name to its solved value so external tools (or tests) can
     replay the point. ``basis`` is the optimal basis of a built-in solve,
     which ``run_scenario(..., start=)`` can start a neighbouring scenario
-    from; None otherwise.
+    from; None otherwise. ``mps`` is the MPS text of an export run without
+    ``out_dir``; with one, ``model.mps`` is streamed to disk and ``mps`` is
+    None, so the text is never held whole.
     """
 
     status: str
@@ -445,7 +448,8 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
 
     Stages: validate, demand, resources, build, then either export (write
     the LP as MPS and stop) or solve, emissions, summarize. With ``out_dir``
-    the report CSV/JSON and the hourly operations dump are written there;
+    the report CSV/JSON and the hourly operations dump, or an export's
+    ``model.mps``, are written there;
     failed solves still write a status row so sweeps stay accountable.
     ``solution_file`` adopts an externally solved NAME VALUE point instead
     of calling the built-in solver; with ``solver="export"`` it is an
@@ -508,13 +512,14 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
         return fail("invalid", EXIT_INVALID, stage, str(exc))
 
     if solver == "export":
-        text = export_mps(lp)
-        if out is not None:
-            (out / "model.mps").write_text(text, encoding="utf-8")
-            artifacts.append("model.mps")
+        if out is None:
+            return RunResult(status="exported", exit_code=EXIT_OK,
+                             stage=None, message="", report=None,
+                             mps=export_mps(lp))
+        with open(out / "model.mps", "w", encoding="utf-8") as fh:
+            write_mps(lp, fh)
         return RunResult(status="exported", exit_code=EXIT_OK, stage=None,
-                         message="", report=None,
-                         artifacts=tuple(artifacts), mps=text)
+                         message="", report=None, artifacts=("model.mps",))
 
     stage = "solve"
     try:

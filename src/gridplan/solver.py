@@ -26,9 +26,11 @@ column singletons off in rounds and solves the dense kernel of k rows left
 over (Hellerman & Rarick 1971; Suhl & Suhl 1990), in about
 O(nnz(B) m + k^2 m + k^3). The dense inverse bounds the simplex to
 desk-scale problems (a few thousand rows), which is what the bundled
-fixtures produce; larger studies go through export_mps, whose MPS file
-names column j ``C<j>`` and row i ``R<i>``, and import_solution, which
-reads a point keyed by those names or by the LP's own.
+fixtures produce; larger studies go through write_mps (or export_mps,
+its text as one string), whose MPS file names column j ``C<j>`` and row i
+``R<i>``, and import_solution, which reads a point keyed by those names or
+by the LP's own. Both stream: the writer renders and writes a chunk of
+lines at a time, and the reader parses a block of lines at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -886,6 +889,10 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
 
 
 _LINES_CHUNK = 1 << 16
+# Lines that import_solution reads and parses at a time: about 110 KB of
+# a year-scale solution file.
+_SOLUTION_LINES = 1 << 12
+_MPS_COLUMN = re.compile("C(0|[1-9][0-9]*)")
 
 
 def _float_text(values, end: str) -> tuple[list[str], np.ndarray]:
@@ -901,8 +908,28 @@ def _float_text(values, end: str) -> tuple[list[str], np.ndarray]:
     return [repr(v) + end for v in bits.view(np.float64).tolist()], index
 
 
-def _write_lines(buf, *fields) -> None:
-    """Write line i as ``texts[index[i]]`` of each field in turn.
+def _numbered(head: str, numbers: np.ndarray, tail: str) -> list[str]:
+    """``[f"{head}{i:<7}{tail}" for i in numbers]``, built as one array of
+    characters, a place at a time, while every number fits its 7 places."""
+    if numbers.size and not 0 <= numbers.min() <= numbers.max() < 10 ** 7:
+        return [f"{head}{i:<7}{tail}" for i in numbers.tolist()]
+    width = len(head) + 7 + len(tail)
+    codes = np.empty((numbers.size, width), dtype=np.uint32)
+    codes[:] = np.frombuffer((head + " " * 7 + tail).encode("utf-32-le"),
+                             dtype=np.uint32)
+    tens = 10 ** np.arange(7)
+    length = np.maximum(np.searchsorted(tens, numbers, side="right"), 1)
+    for place in range(7):
+        power = length - 1 - place
+        shown = power >= 0
+        codes[shown, len(head) + place] = (
+            numbers[shown] // tens[power[shown]] % 10 + ord("0"))
+    return codes.view(f"U{width}").ravel().tolist()
+
+
+def _write_lines(buf, *fields) -> int:
+    """Write line i as ``texts[index[i]]`` of each field in turn, and
+    return the number of characters written.
 
     Each field is a ``(texts, index)`` pair; every index has one entry
     per line. A chunk of ``_LINES_CHUNK`` lines is gathered into one
@@ -912,17 +939,53 @@ def _write_lines(buf, *fields) -> None:
     fields = [(np.array(texts, dtype=object), np.asarray(index))
               for texts, index in fields]
     n_lines = fields[0][1].size
+    written = 0
     for start in range(0, n_lines, _LINES_CHUNK):
         chunk = slice(start, start + _LINES_CHUNK)
         parts = np.empty((min(_LINES_CHUNK, n_lines - start), len(fields)),
                          dtype=object)
         for k, (texts, index) in enumerate(fields):
             parts[:, k] = texts[index[chunk]]
-        buf.write("".join(parts.ravel().tolist()))
+        text = "".join(parts.ravel().tolist())
+        buf.write(text)
+        written += len(text)
+    return written
 
 
-def export_mps(lp: LPInstance) -> str:
-    """Write the LP as fixed-format MPS text.
+def _write_blocks(out, n_lines: int, fields) -> int:
+    """Write lines 0..n_lines-1 a chunk at a time, where
+    ``fields(start, stop)`` gives the ``_write_lines`` fields of lines
+    start..stop-1, and return the number of characters written."""
+    return sum(_write_lines(out, *fields(start,
+                                         min(start + _LINES_CHUNK, n_lines)))
+               for start in range(0, n_lines, _LINES_CHUNK))
+
+
+def _owners(ends: np.ndarray, sizes: np.ndarray, start: int, stop: int):
+    """``(owner, rank)`` of lines start..stop-1, where owner k holds the
+    ``sizes[k]`` lines before line ``ends[k]``."""
+    line = np.arange(start, stop)
+    owner = np.searchsorted(ends, line, side="right")
+    return owner, line - ends[owner] + sizes[owner]
+
+
+def _column_field(cols: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The column field ``C<j>`` of lines naming ``cols``, ascending."""
+    return (_numbered("    C", np.arange(cols[0], cols[-1] + 1), "  "),
+            cols - cols[0])
+
+
+def _row_field(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The row field of lines naming ``rows``: 0 is the objective row
+    ``COST`` and i + 1 is row i's ``R<i>``."""
+    numbers, index = np.unique(rows, return_inverse=True)
+    cost = [f"{'COST':<8}  "] if numbers.size and numbers[0] == 0 else []
+    return cost + _numbered("R", numbers[len(cost):] - 1, "  "), index
+
+
+def write_mps(lp: LPInstance, out) -> int:
+    """Write the LP as fixed-format MPS text to the text stream ``out``
+    and return the number of characters written.
 
     Column j is named ``C<j>`` and row i ``R<i>``, so the names are unique
     and fit the 8-character name fields whatever the LP calls its rows and
@@ -932,74 +995,161 @@ def export_mps(lp: LPInstance) -> str:
     import_solution. Coefficient values are written at full precision even
     where that overflows the historical 12-character value field;
     tokenizing readers (including every modern solver) accept this.
-    """
-    n = lp.n_cols
-    sense_code = {LE: "L", GE: "G", EQ: "E"}
-    # Names padded once; entry 0 of row_text is the objective row.
-    col_text = [f"    C{j:<7}  " for j in range(n)]
-    row_text = [f"{'COST':<8}  ", *[f"R{i:<7}  " for i in range(lp.n_rows)]]
 
-    buf = io.StringIO()
-    buf.write(f"* OFFSET {lp.offset!r}\n")
-    buf.write("NAME          GRIDPLAN\n")
-    buf.write("ROWS\n")
-    buf.write(" N  COST\n")
-    buf.write("".join([f" {sense_code[sense]}  R{i:<7}\n"
-                       for i, sense in enumerate(lp.sense.tolist())]))
-    buf.write("COLUMNS\n")
+    Each section is rendered ``_LINES_CHUNK`` lines at a time, names
+    included, and no write holds more lines than that, so what the writer
+    holds beyond the LP's own arrays is one chunk.
+    """
+    def put(text: str) -> int:
+        out.write(text)
+        return len(text)
+
+    written = sum(map(put, (f"* OFFSET {lp.offset!r}\n",
+                            "NAME          GRIDPLAN\n", "ROWS\n",
+                            " N  COST\n")))
+    sense = (lp.sense == GE) + 2 * (lp.sense == EQ)
+    written += _write_blocks(out, lp.n_rows, lambda start, stop: (
+        ([" L  ", " G  ", " E  "], sense[start:stop]),
+        (_numbered("R", np.arange(start, stop), "\n"),
+         np.arange(stop - start))))
+
+    written += put("COLUMNS\n")
     # Each column's objective line (declaring it even when the cost is 0),
-    # then its entries with rows ascending: one stable sort by column of
-    # the objective lines followed by the CSR entries.
-    line_col = np.concatenate((np.arange(n), lp.indices))
-    order = np.argsort(line_col, kind="stable")
-    line_row = np.concatenate((np.zeros(n, dtype=np.int64), lp.row_of + 1))
-    _write_lines(buf, (col_text, line_col[order]),
-                 (row_text, line_row[order]),
-                 _float_text(np.concatenate((lp.objective, lp.data))[order],
-                             "\n"))
-    buf.write("RHS\n")
+    # then its entries with rows ascending: the CSR entries in one stable
+    # sort by column, and each chunk of lines mapped to its columns.
+    order = np.argsort(lp.indices, kind="stable")
+    counts = np.bincount(lp.indices, minlength=lp.n_cols)
+    col_start = np.cumsum(counts) - counts  # a column's first entry in order
+    col_lines = counts + 1
+    col_ends = np.cumsum(col_lines)
+
+    def columns(start, stop):
+        col, rank = _owners(col_ends, col_lines, start, stop)
+        entries = rank > 0
+        entry = order[col_start[col[entries]] + rank[entries] - 1]
+        row = np.zeros(col.size, dtype=np.int64)  # 0: the objective row
+        row[entries] = np.searchsorted(lp.indptr, entry, side="right")
+        value = lp.objective[col]
+        value[entries] = lp.data[entry]
+        return _column_field(col), _row_field(row), _float_text(value, "\n")
+
+    written += _write_blocks(out, int(col_lines.sum()), columns)
+
+    written += put("RHS\n")
     nonzero = np.flatnonzero(lp.rhs != 0.0)
-    _write_lines(buf, ([f"    {'RHS':<8}  "], np.zeros_like(nonzero)),
-                 (row_text, nonzero + 1), _float_text(lp.rhs[nonzero], "\n"))
-    buf.write("BOUNDS\n")
+    written += _write_blocks(out, nonzero.size, lambda start, stop: (
+        ([f"    {'RHS':<8}  "], np.zeros(stop - start, dtype=np.int64)),
+        _row_field(nonzero[start:stop] + 1),
+        _float_text(lp.rhs[nonzero[start:stop]], "\n")))
+
+    written += put("BOUNDS\n")
     # A fixed column gets one FX line; any other its LO line (if the lower
     # bound is not 0) and then its UP line (if the upper is finite).
     lower, upper = lp.lower, lp.upper
     fixed = lower == upper
-    kinds = (fixed, ~fixed & (lower != 0.0), ~fixed & np.isfinite(upper))
-    line_col = np.concatenate([np.flatnonzero(mask) for mask in kinds])
-    order = np.argsort(line_col, kind="stable")
-    line_kind = np.repeat(np.arange(3), [np.count_nonzero(m) for m in kinds])
-    bound = np.concatenate([value[mask] for value, mask
-                            in zip((lower, lower, upper), kinds)])
-    _write_lines(buf, ([f" {kind} BND   " for kind in ("FX", "LO", "UP")],
-                       line_kind[order]),
-                 (col_text, line_col[order]), _float_text(bound[order], "\n"))
-    buf.write("ENDATA\n")
+    low = ~fixed & (lower != 0.0)
+    bound_lines = fixed.astype(np.int64) + low + (~fixed & np.isfinite(upper))
+    bound_ends = np.cumsum(bound_lines)
+
+    def bounds(start, stop):
+        col, rank = _owners(bound_ends, bound_lines, start, stop)
+        kind = np.where(fixed[col], 0, np.where(low[col] & (rank == 0), 1, 2))
+        value = np.where(kind == 2, upper[col], lower[col])
+        return (([" FX BND   ", " LO BND   ", " UP BND   "], kind),
+                _column_field(col), _float_text(value, "\n"))
+
+    written += _write_blocks(out, int(bound_lines.sum()), bounds)
+    return written + put("ENDATA\n")
+
+
+def export_mps(lp: LPInstance) -> str:
+    """The LP's MPS text as one string: write_mps into a StringIO."""
+    buf = io.StringIO()
+    write_mps(lp, buf)
     return buf.getvalue()
 
 
-def _parse_solution_text(text: str) -> dict:
-    values = {}
-    for line in text.splitlines():
-        if line.startswith("*") or not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise LPError(f"cannot parse solution line {line!r}")
-        if tokens[0] in values:
-            raise LPError(f"solution gives column {tokens[0]!r} twice")
-        values[tokens[0]] = float(tokens[1])
-    return values
+def _raise_number_fault(values: list[str], line_numbers) -> None:
+    """Raise LPError naming the line of the first of ``values`` that is
+    not a number: float()'s syntax, in ASCII and without ``_``."""
+    for value, line_no in zip(values, line_numbers):
+        try:
+            if not value.isascii() or "_" in value:
+                raise ValueError(
+                    f"numbers must be ASCII, without '_': {value!r}")
+            float(value)
+        except ValueError as exc:
+            raise LPError(f"solution line {line_no}: {exc}") from None
+
+
+def _parse_block(lines: list[str], first: int) -> tuple[list, np.ndarray]:
+    """``(names, values)`` of a block of NAME VALUE lines, the first of
+    which is line ``first`` of its source.
+
+    A line starting with ``*`` is a comment and a line of whitespace is
+    blank; every other line must hold exactly two tokens, a name and a
+    number. Tokens are counted per line, and the block's data lines are
+    then tokenized as a whole.
+    """
+    counts = np.array([len(line.split()) for line in lines])
+    data = (counts > 0) & ~np.array([line.startswith("*") for line in lines])
+    bad = np.flatnonzero(data & (counts != 2))
+    if bad.size:
+        line = lines[bad[0]].rstrip("\r\n")
+        raise LPError(f"cannot parse solution line {line!r}")
+    tokens = "".join(itertools.compress(lines, data)).split()
+    names, values = tokens[0::2], tokens[1::2]
+    joined = "".join(values)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return names, np.fromiter(map(float, values), np.float64,
+                                      len(values))
+        except ValueError:
+            pass
+    _raise_number_fault(values, first + np.flatnonzero(data))
+
+
+def _solution_blocks(source):
+    """``(names, values)`` of each block of a solution source: a mapping
+    is one block, and a stream (or text, read as one) gives one block per
+    ``_SOLUTION_LINES`` lines."""
+    if isinstance(source, Mapping):
+        yield list(source), np.array(list(source.values()), dtype=float)
+        return
+    if not hasattr(source, "read"):
+        source = io.StringIO(str(source), newline=None)
+    first = 1
+    while lines := list(itertools.islice(source, _SOLUTION_LINES)):
+        yield _parse_block(lines, first)
+        first += len(lines)
+
+
+def _mps_columns(names: list, n: int) -> np.ndarray:
+    """Positions of the columns that ``names`` give by their MPS names
+    ``C<j>``; LPError for the first that names no column."""
+    positions = np.empty(len(names), dtype=np.int64)
+    for k, name in enumerate(names):
+        match = isinstance(name, str) and _MPS_COLUMN.fullmatch(name)
+        if not match or int(match[1]) >= n:
+            raise LPError(f"solution names unknown column {name!r}")
+        positions[k] = int(match[1])
+    return positions
 
 
 def import_solution(lp: LPInstance, source,
                     options: SolveOptions | None = None) -> Solution:
     """Adopt externally solved values for this LP.
 
-    ``source`` may be a mapping, NAME VALUE text, or a readable stream.
+    ``source`` may be a mapping, NAME VALUE text, or a readable text
+    stream, which is read ``_SOLUTION_LINES`` lines at a time. In text, a
+    line starting with ``*`` is a comment and a blank line is skipped;
+    every other line holds exactly a name and a number, and a number is
+    what Python's float() reads, in ASCII and without ``_``. Any other
+    line raises LPError: one with more or fewer tokens is quoted, and a
+    bad number is named with its line number.
+
     A name is a column's own name or else its MPS name ``C<j>`` (see
-    export_mps), so a column whose own name is ``C1`` is never read as
+    write_mps), so a column whose own name is ``C1`` is never read as
     column 1; a column given twice, by either name, raises LPError. The
     objective and slacks are recomputed from the point itself; status
     "optimal" here asserts feasibility within ``feasibility_tol``, while a
@@ -1009,34 +1159,32 @@ def import_solution(lp: LPInstance, source,
     columns named.
     """
     opts = options or SolveOptions()
-    if isinstance(source, Mapping):
-        raw = dict(source)
-    else:
-        text = source.read() if hasattr(source, "read") else str(source)
-        raw = _parse_solution_text(text)
-
     n = lp.n_cols
     position = dict(zip(lp.col_names, range(n)))
-    by_mps_name = None  # built only when a name is not a column's own
-    values = {}  # column position -> value
-    for name, value in raw.items():
-        j = position.get(name)
-        if j is None:
-            if by_mps_name is None:
-                by_mps_name = {f"C{k}": k for k in range(n)}
-            j = by_mps_name.get(name)
-            if j is None:
-                raise LPError(f"solution names unknown column {name!r}")
-        if j in values:
-            raise LPError(f"solution gives column {lp.col_names[j]!r} twice: "
-                          f"by its name and by its MPS name 'C{j}'")
-        values[j] = value
-    if len(values) < n:
-        missing = [name for j, name in enumerate(lp.col_names)
-                   if j not in values]
-        raise LPError(f"solution is missing columns {missing[:5]}")
+    given = np.zeros((2, n), dtype=np.int64)  # by own name, by MPS name
+    x = np.zeros(n)
+    for names, values in _solution_blocks(source):
+        cols = np.fromiter(map(position.get, names, itertools.repeat(-1)),
+                           np.int64, len(names))
+        by_mps = cols < 0
+        if by_mps.any():
+            cols[by_mps] = _mps_columns(
+                [names[k] for k in np.flatnonzero(by_mps)], n)
+        np.add.at(given, (by_mps.astype(np.intp), cols), 1)
+        x[cols] = values
+    if np.any(given > 1):  # a name given twice
+        j = np.argmax((given > 1).any(axis=0))
+        name = lp.col_names[j] if given[0, j] > 1 else f"C{j}"
+        raise LPError(f"solution gives column {name!r} twice")
+    if np.any(given.all(axis=0)):
+        j = np.argmax(given.all(axis=0))
+        raise LPError(f"solution gives column {lp.col_names[j]!r} twice: "
+                      f"by its name and by its MPS name 'C{j}'")
+    missing = np.flatnonzero(given.sum(axis=0) == 0)
+    if missing.size:
+        raise LPError("solution is missing columns "
+                      f"{[lp.col_names[j] for j in missing[:5]]}")
 
-    x = np.array([values[j] for j in range(n)], dtype=float)
     violation = _max_violation(lp, x)
     nonfinite = np.flatnonzero(~np.isfinite(x))
     if violation <= opts.feasibility_tol:

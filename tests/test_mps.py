@@ -12,7 +12,7 @@ from _mpsread import read_mps, solve_mps_with_highs
 from gridplan import solver
 from gridplan.formulation import EQ, GE, LE, LPError
 from gridplan.runner import load_bundle, load_config, run_scenario
-from gridplan.solver import export_mps, import_solution, solve
+from gridplan.solver import export_mps, import_solution, solve, write_mps
 from helpers import make_lp, mps_lines_oracle
 from test_solver import FIXTURE_DIR, random_instance, tiled_lp
 
@@ -214,8 +214,57 @@ class TestLineWriter:
     def test_chunk_ends_mid_section_write_the_same_bytes(self, monkeypatch):
         lp = tiled_lp(load_bundle(FIXTURE_DIR), 7)
         whole = export_mps(lp)
-        monkeypatch.setattr(solver, "_LINES_CHUNK", 7)
-        assert export_mps(lp) == whole
+        for chunk in (1, 7, solver._LINES_CHUNK):
+            monkeypatch.setattr(solver, "_LINES_CHUNK", chunk)
+            buf = io.StringIO()
+            assert write_mps(lp, buf) == len(whole)
+            assert buf.getvalue() == whole
+
+    @pytest.mark.parametrize("numbers", [
+        [0, 1, 9, 10, 99, 100, 123456, 999999, 1000000, 9999999],
+        [10 ** 7 - 1, 10 ** 7, 123456789], [], [5, -1]])
+    def test_numbered_names_match_per_name_rendering(self, numbers):
+        numbers = np.array(numbers, dtype=np.int64)
+        for head, tail in (("    C", "  "), ("R", "\n")):
+            assert solver._numbered(head, numbers, tail) == [
+                f"{head}{i:<7}{tail}" for i in numbers.tolist()]
+
+
+class RecordingStream:
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class TestWriteMps:
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_no_write_holds_more_than_a_chunk(self, chunk, monkeypatch):
+        lp = tiled_lp(load_bundle(FIXTURE_DIR), 2)
+        whole = export_mps(lp)
+        monkeypatch.setattr(solver, "_LINES_CHUNK", chunk)
+        out = RecordingStream()
+        assert write_mps(lp, out) == len(whole)
+        assert "".join(out.writes) == whole
+        assert max(text.count("\n") for text in out.writes) <= chunk
+        assert all(text.endswith("\n") for text in out.writes)
+
+    def test_run_streams_model_mps_to_out_dir(self, tmp_path):
+        bundle = load_bundle(FIXTURE_DIR)
+        config = load_config(FIXTURE_DIR / "scenario.json")
+        want = export_mps(tiled_lp(bundle, 1))
+        streamed = run_scenario(bundle, config, solver="export",
+                                out_dir=tmp_path)
+        assert streamed.status == "exported"
+        assert streamed.mps is None
+        assert streamed.artifacts == ("model.mps",)
+        assert (tmp_path / "model.mps").read_bytes() == want.encode()
+        held = run_scenario(bundle, config, solver="export")
+        assert held.mps == want
+        assert held.artifacts == ()
 
 
 class TestImportSolution:
@@ -362,6 +411,120 @@ class TestImportSolution:
         assert imported.status == "optimal"
         assert imported.objective == pytest.approx(15.0)
         assert imported.slacks[0] == pytest.approx(2.0)
+
+
+def whole_text_point(lp, text):
+    """The point as the whole-text reader read it: split into lines, skip
+    comments and blank lines, and take float() of each line's value."""
+    values = {}
+    for line in text.splitlines():
+        if line.startswith("*") or not line.strip():
+            continue
+        name, value = line.split()
+        values[name] = float(value)
+    position = {name: j for j, name in enumerate(lp.col_names)}
+    x = np.empty(lp.n_cols)
+    for name, value in values.items():
+        x[position[name] if name in position else int(name[1:])] = value
+    return x
+
+
+def awkward_solution(lp, newline="\n"):
+    """NAME VALUE text for every column of ``lp``: own and MPS names in
+    turn, values of every magnitude and sign, both zeros, several
+    spellings of a number, and comments, blank lines and leading spaces
+    where blocks of 1 or 7 lines begin and end."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(lp.n_cols) * 10.0 ** rng.integers(
+        -300, 300, lp.n_cols)
+    values[:4] = (0.0, -0.0, 5e-324, 1e-16)
+    lines = []
+    for j, (name, value) in enumerate(zip(lp.col_names, values.tolist())):
+        if j % 3 == 1:
+            name = f"C{j}"
+        text = {0: repr(value), 1: f"{value:.17g}", 2: f"{value:.17E}",
+                3: f"+{value!r}" if value >= 0 else repr(value)}[j % 4]
+        lines.append(f"{' ' * (j % 7 == 6)}{name} {text}")
+        if j % 7 == 5:
+            lines += ["* a comment", "   "]
+        if j % 11 == 0:
+            lines.append("")
+    return newline.join(["* solved elsewhere", *lines]) + newline
+
+
+class TestSolutionReader:
+    @pytest.fixture(scope="class")
+    def lp96(self):
+        return tiled_lp(load_bundle(FIXTURE_DIR), 2)
+
+    @pytest.mark.parametrize("block", [1, 7, solver._SOLUTION_LINES])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_point_is_the_whole_text_readers_bit_for_bit(
+            self, lp96, block, newline, monkeypatch, tmp_path):
+        text = awkward_solution(lp96, newline)
+        want = whole_text_point(lp96, text).tobytes()
+        path = tmp_path / "values.txt"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
+        with open(path, encoding="utf-8") as fh:
+            from_file = import_solution(lp96, fh).x
+        assert from_file.tobytes() == want
+        assert import_solution(lp96, text).x.tobytes() == want
+        assert import_solution(lp96, io.StringIO(text)).x.tobytes() == want
+
+    def test_mapping_is_one_block(self, lp96, monkeypatch):
+        monkeypatch.setattr(solver, "_SOLUTION_LINES", 1)
+        values = np.random.default_rng(2).standard_normal(lp96.n_cols)
+        point = dict(zip(lp96.col_names, values.tolist()))
+        assert import_solution(lp96, point).x.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_repeats_across_blocks_keep_their_messages(self, block,
+                                                       monkeypatch):
+        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(), "x0 3.0\nx1 1.0\nx0 100.0\n")
+        assert str(err.value) == "solution gives column 'x0' twice"
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(), "C0 3.0\nx1 1.0\nC0 100.0\n")
+        assert str(err.value) == "solution gives column 'C0' twice"
+        lp = make_lp([2.0, 3.0], [([1.0, 1.0], GE, 4.0)],
+                     col_names=("first", "second"))
+        with pytest.raises(LPError) as err:
+            import_solution(lp, "first 3.0\nsecond 1.0\nC1 5.0\n")
+        assert str(err.value) == ("solution gives column 'second' twice: "
+                                  "by its name and by its MPS name 'C1'")
+
+    @pytest.mark.parametrize("block", [1, 7, solver._SOLUTION_LINES])
+    @pytest.mark.parametrize("text, line", [
+        ("x0 1.0 2.0\nx1 1.0\n", "x0 1.0 2.0"),
+        ("x0\nx1 1.0\n", "x0"),
+        # Four tokens on two lines: each line is checked, not the block.
+        ("x0 1 x1\n2\n", "x0 1 x1"),
+        ("x0 1\r\nx1 2 3\r\n", "x1 2 3"),
+        ("x\u00e9 1 x1\n2\n", "x\u00e9 1 x1"),
+    ])
+    def test_a_line_holds_exactly_a_name_and_a_value(self, block, text, line,
+                                                     monkeypatch):
+        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(), text)
+        assert str(err.value) == f"cannot parse solution line {line!r}"
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("value, reason", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("1_0", "numbers must be ASCII, without '_': '1_0'"),
+        ("\u0661", "numbers must be ASCII, without '_': '\u0661'"),
+        ("1.0.0", "could not convert string to float: '1.0.0'"),
+    ])
+    def test_a_bad_number_is_named_with_its_line(self, block, value, reason,
+                                                  monkeypatch):
+        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
+        text = f"* point\n\nx0 1.0\n  x1 {value}\n"
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(), text)
+        assert str(err.value) == f"solution line 4: {reason}"
 
 
 class TestHighsReader:

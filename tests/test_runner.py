@@ -1173,6 +1173,18 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert str(missing) in captured.err
 
+    def test_run_names_a_bad_number_with_its_line(self, tmp_path, capsys):
+        config = str(FIXTURE / "scenario.json")
+        sol_file = tmp_path / "values.txt"
+        sol_file.write_text("* from elsewhere\nC0 1_0\n", encoding="utf-8")
+        code = main(["run", "--inputs", str(FIXTURE), "--config", config,
+                     "--solution", str(sol_file)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert (captured.out, captured.err) == (
+            "", "solve: solution line 2: numbers must be ASCII, "
+                "without '_': '1_0'\n")
+
     def test_validate_passes_what_run_rejects(self, tmp_path, capsys):
         # validate and run read one list of requirements, so both reject
         # the bundle, and run before building anything.
