@@ -30,7 +30,7 @@ fixtures produce; larger studies go through write_mps (or export_mps,
 its text as one string), whose MPS file names column j ``C<j>`` and row i
 ``R<i>``, and import_solution, which reads a point keyed by those names or
 by the LP's own. Both stream: the writer renders and writes a chunk of
-lines at a time, and the reader parses a block of lines at a time.
+lines at a time, and the reader parses a block of text at a time.
 """
 
 from __future__ import annotations
@@ -889,10 +889,11 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
 
 
 _LINES_CHUNK = 1 << 16
-# Lines that import_solution reads and parses at a time: about 110 KB of
-# a year-scale solution file.
-_SOLUTION_LINES = 1 << 12
-_MPS_COLUMN = re.compile("C(0|[1-9][0-9]*)")
+# Characters that import_solution reads and parses at a time: about 4,700
+# lines of a year-scale solution file.
+_SOLUTION_CHARS = 1 << 17
+_MPS_NAME = "C(?:0|[1-9][0-9]*)"
+_MPS_NAMES = re.compile(f"{_MPS_NAME}(?:\n{_MPS_NAME})*")
 
 
 def _float_text(values, end: str) -> tuple[list[str], np.ndarray]:
@@ -927,38 +928,43 @@ def _numbered(head: str, numbers: np.ndarray, tail: str) -> list[str]:
     return codes.view(f"U{width}").ravel().tolist()
 
 
-def _write_lines(buf, *fields) -> int:
-    """Write line i as ``texts[index[i]]`` of each field in turn, and
-    return the number of characters written.
+def _write_chunk(buf, fields) -> int:
+    """Write line k as ``texts[index[k]]`` of each ``(texts, index)``
+    field in turn and return the number of characters written.
 
-    Each field is a ``(texts, index)`` pair; every index has one entry
-    per line. A chunk of ``_LINES_CHUNK`` lines is gathered into one
-    (lines, fields) array of texts and joined, so no string is built per
-    line and the text not yet written stays bounded.
+    The lines are gathered into one (lines, fields) array of texts and
+    joined, so no string is built per line.
     """
+    parts = np.empty((fields[0][1].size, len(fields)), dtype=object)
+    for k, (texts, index) in enumerate(fields):
+        parts[:, k] = np.asarray(texts, dtype=object)[index]
+    text = "".join(parts.ravel().tolist())
+    buf.write(text)
+    return len(text)
+
+
+def _write_chunks(buf, n_lines: int, fields) -> int:
+    """Write lines 0..n_lines-1 ``_LINES_CHUNK`` at a time, where
+    ``fields(start, stop)`` gives the _write_chunk fields of lines
+    start..stop-1, and return the number of characters written.
+
+    No write holds more than a chunk, and each chunk's texts live only
+    inside its _write_chunk call, so they are freed before the next
+    chunk is built.
+    """
+    return sum(_write_chunk(buf, fields(start,
+                                        min(start + _LINES_CHUNK, n_lines)))
+               for start in range(0, n_lines, _LINES_CHUNK))
+
+
+def _write_lines(buf, *fields) -> int:
+    """Write line i as ``texts[index[i]]`` of each ``(texts, index)``
+    field in turn, a chunk at a time, and return the number of characters
+    written."""
     fields = [(np.array(texts, dtype=object), np.asarray(index))
               for texts, index in fields]
-    n_lines = fields[0][1].size
-    written = 0
-    for start in range(0, n_lines, _LINES_CHUNK):
-        chunk = slice(start, start + _LINES_CHUNK)
-        parts = np.empty((min(_LINES_CHUNK, n_lines - start), len(fields)),
-                         dtype=object)
-        for k, (texts, index) in enumerate(fields):
-            parts[:, k] = texts[index[chunk]]
-        text = "".join(parts.ravel().tolist())
-        buf.write(text)
-        written += len(text)
-    return written
-
-
-def _write_blocks(out, n_lines: int, fields) -> int:
-    """Write lines 0..n_lines-1 a chunk at a time, where
-    ``fields(start, stop)`` gives the ``_write_lines`` fields of lines
-    start..stop-1, and return the number of characters written."""
-    return sum(_write_lines(out, *fields(start,
-                                         min(start + _LINES_CHUNK, n_lines)))
-               for start in range(0, n_lines, _LINES_CHUNK))
+    return _write_chunks(buf, fields[0][1].size, lambda start, stop: [
+        (texts, index[start:stop]) for texts, index in fields])
 
 
 def _owners(ends: np.ndarray, sizes: np.ndarray, start: int, stop: int):
@@ -1008,7 +1014,7 @@ def write_mps(lp: LPInstance, out) -> int:
                             "NAME          GRIDPLAN\n", "ROWS\n",
                             " N  COST\n")))
     sense = (lp.sense == GE) + 2 * (lp.sense == EQ)
-    written += _write_blocks(out, lp.n_rows, lambda start, stop: (
+    written += _write_chunks(out, lp.n_rows, lambda start, stop: (
         ([" L  ", " G  ", " E  "], sense[start:stop]),
         (_numbered("R", np.arange(start, stop), "\n"),
          np.arange(stop - start))))
@@ -1028,16 +1034,16 @@ def write_mps(lp: LPInstance, out) -> int:
         entries = rank > 0
         entry = order[col_start[col[entries]] + rank[entries] - 1]
         row = np.zeros(col.size, dtype=np.int64)  # 0: the objective row
-        row[entries] = np.searchsorted(lp.indptr, entry, side="right")
+        row[entries] = lp.row_of[entry] + 1
         value = lp.objective[col]
         value[entries] = lp.data[entry]
         return _column_field(col), _row_field(row), _float_text(value, "\n")
 
-    written += _write_blocks(out, int(col_lines.sum()), columns)
+    written += _write_chunks(out, int(col_lines.sum()), columns)
 
     written += put("RHS\n")
     nonzero = np.flatnonzero(lp.rhs != 0.0)
-    written += _write_blocks(out, nonzero.size, lambda start, stop: (
+    written += _write_chunks(out, nonzero.size, lambda start, stop: (
         ([f"    {'RHS':<8}  "], np.zeros(stop - start, dtype=np.int64)),
         _row_field(nonzero[start:stop] + 1),
         _float_text(lp.rhs[nonzero[start:stop]], "\n")))
@@ -1058,7 +1064,7 @@ def write_mps(lp: LPInstance, out) -> int:
         return (([" FX BND   ", " LO BND   ", " UP BND   "], kind),
                 _column_field(col), _float_text(value, "\n"))
 
-    written += _write_blocks(out, int(bound_lines.sum()), bounds)
+    written += _write_chunks(out, int(bound_lines.sum()), bounds)
     return written + put("ENDATA\n")
 
 
@@ -1083,8 +1089,8 @@ def _raise_number_fault(values: list[str], line_numbers) -> None:
 
 
 def _parse_block(lines: list[str], first: int) -> tuple[list, np.ndarray]:
-    """``(names, values)`` of a block of NAME VALUE lines, the first of
-    which is line ``first`` of its source.
+    """``(names, values)`` of a block of NAME VALUE lines, each with its
+    line end, the first of which is line ``first`` of its source.
 
     A line starting with ``*`` is a comment and a line of whitespace is
     blank; every other line must hold exactly two tokens, a name and a
@@ -1095,7 +1101,7 @@ def _parse_block(lines: list[str], first: int) -> tuple[list, np.ndarray]:
     data = (counts > 0) & ~np.array([line.startswith("*") for line in lines])
     bad = np.flatnonzero(data & (counts != 2))
     if bad.size:
-        line = lines[bad[0]].rstrip("\r\n")
+        line = lines[bad[0]].splitlines()[0]
         raise LPError(f"cannot parse solution line {line!r}")
     tokens = "".join(itertools.compress(lines, data)).split()
     names, values = tokens[0::2], tokens[1::2]
@@ -1110,30 +1116,50 @@ def _parse_block(lines: list[str], first: int) -> tuple[list, np.ndarray]:
 
 
 def _solution_blocks(source):
-    """``(names, values)`` of each block of a solution source: a mapping
-    is one block, and a stream (or text, read as one) gives one block per
-    ``_SOLUTION_LINES`` lines."""
+    """``(names, values)`` of each block of a solution source.
+
+    A mapping is one block. Text, or a stream, is taken
+    ``_SOLUTION_CHARS`` characters at a time and split into lines where
+    str.splitlines splits them, whatever line ends the stream translates;
+    a block is the whole lines of what has been taken.
+    """
     if isinstance(source, Mapping):
         yield list(source), np.array(list(source.values()), dtype=float)
         return
-    if not hasattr(source, "read"):
-        source = io.StringIO(str(source), newline=None)
-    first = 1
-    while lines := list(itertools.islice(source, _SOLUTION_LINES)):
-        yield _parse_block(lines, first)
-        first += len(lines)
+    if hasattr(source, "read"):
+        pieces = iter(lambda: source.read(_SOLUTION_CHARS), "")
+    else:
+        text = str(source)
+        pieces = (text[start:start + _SOLUTION_CHARS]
+                  for start in range(0, len(text), _SOLUTION_CHARS))
+    first, rest = 1, ""
+    for piece in pieces:
+        lines = (rest + piece).splitlines(keepends=True)
+        rest = lines.pop()  # it may go on in the next piece
+        if lines:
+            yield _parse_block(lines, first)
+            first += len(lines)
+    if rest:
+        yield _parse_block([rest], first)
 
 
 def _mps_columns(names: list, n: int) -> np.ndarray:
     """Positions of the columns that ``names`` give by their MPS names
-    ``C<j>``; LPError for the first that names no column."""
-    positions = np.empty(len(names), dtype=np.int64)
-    for k, name in enumerate(names):
-        match = isinstance(name, str) and _MPS_COLUMN.fullmatch(name)
-        if not match or int(match[1]) >= n:
+    ``C<j>``, read from the names joined in one pass; LPError for the
+    first that names no column."""
+    try:
+        text = "\n".join(names)
+    except TypeError:  # a mapping key that is not a string
+        text = ""
+    if text.count("\n") == len(names) - 1 and _MPS_NAMES.fullmatch(text):
+        positions = np.fromiter(map(int, text[1:].split("\nC")), np.int64,
+                                len(names))
+        if positions.max() < n:
+            return positions
+    for name in names:
+        if (not isinstance(name, str) or "\n" in name
+                or not _MPS_NAMES.fullmatch(name) or int(name[1:]) >= n):
             raise LPError(f"solution names unknown column {name!r}")
-        positions[k] = int(match[1])
-    return positions
 
 
 def import_solution(lp: LPInstance, source,
@@ -1141,12 +1167,14 @@ def import_solution(lp: LPInstance, source,
     """Adopt externally solved values for this LP.
 
     ``source`` may be a mapping, NAME VALUE text, or a readable text
-    stream, which is read ``_SOLUTION_LINES`` lines at a time. In text, a
-    line starting with ``*`` is a comment and a blank line is skipped;
-    every other line holds exactly a name and a number, and a number is
-    what Python's float() reads, in ASCII and without ``_``. Any other
-    line raises LPError: one with more or fewer tokens is quoted, and a
-    bad number is named with its line number.
+    stream, which is read ``_SOLUTION_CHARS`` characters at a time. Text
+    and streams alike are split into lines where str.splitlines splits
+    them, so a bare ``\\r`` ends a line even in a stream that does not
+    translate line ends. A line starting with ``*`` is a comment and a
+    blank line is skipped; every other line holds exactly a name and a
+    number, and a number is what Python's float() reads, in ASCII and
+    without ``_``. Any other line raises LPError: one with more or fewer
+    tokens is quoted, and a bad number is named with its line number.
 
     A name is a column's own name or else its MPS name ``C<j>`` (see
     write_mps), so a column whose own name is ``C1`` is never read as

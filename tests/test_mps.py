@@ -321,10 +321,16 @@ class TestImportSolution:
         assert str(err.value) == ("solution gives column 'C1' twice: by its "
                                   "name and by its MPS name 'C0'")
 
-    @pytest.mark.parametrize("name", ["C2", "C01", "C-1", "R0", "c0"])
+    @pytest.mark.parametrize("name", [
+        "C2", "C01", "C-1", "R0", "c0", "C+1", "C\u0661", "C", 0, None,
+        "C1\nC0", "C0\n"])
     def test_name_neither_own_nor_mps_rejected(self, name):
-        with pytest.raises(LPError, match=f"unknown column '{name}'"):
-            import_solution(two_var_lp(), {"x0": 4.0, "x1": 0.0, name: 1.0})
+        # MPS names are resolved together; the first that names no
+        # column is the one reported.
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(),
+                            {"x0": 4.0, "C1": 0.0, name: 1.0, "C9": 0.0})
+        assert str(err.value) == f"solution names unknown column {name!r}"
 
     def test_external_matches_builtin_on_random(self):
         lp = random_instance(12, 7, 10, allow_eq=False)
@@ -433,7 +439,7 @@ def awkward_solution(lp, newline="\n"):
     """NAME VALUE text for every column of ``lp``: own and MPS names in
     turn, values of every magnitude and sign, both zeros, several
     spellings of a number, and comments, blank lines and leading spaces
-    where blocks of 1 or 7 lines begin and end."""
+    where blocks of 1 or 7 characters begin and end."""
     rng = np.random.default_rng(11)
     values = rng.standard_normal(lp.n_cols) * 10.0 ** rng.integers(
         -300, 300, lp.n_cols)
@@ -457,23 +463,62 @@ class TestSolutionReader:
     def lp96(self):
         return tiled_lp(load_bundle(FIXTURE_DIR), 2)
 
-    @pytest.mark.parametrize("block", [1, 7, solver._SOLUTION_LINES])
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("block", [1, 7, 64, solver._SOLUTION_CHARS])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\u2028"])
     def test_point_is_the_whole_text_readers_bit_for_bit(
             self, lp96, block, newline, monkeypatch, tmp_path):
         text = awkward_solution(lp96, newline)
         want = whole_text_point(lp96, text).tobytes()
         path = tmp_path / "values.txt"
         path.write_bytes(text.encode())
-        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
-        with open(path, encoding="utf-8") as fh:
-            from_file = import_solution(lp96, fh).x
-        assert from_file.tobytes() == want
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", block)
+        # Universal newlines, no translation at all, and text: the lines
+        # are the same in each.
+        for newlines in (None, ""):
+            with open(path, encoding="utf-8", newline=newlines) as fh:
+                assert import_solution(lp96, fh).x.tobytes() == want
         assert import_solution(lp96, text).x.tobytes() == want
         assert import_solution(lp96, io.StringIO(text)).x.tobytes() == want
 
+    @pytest.mark.parametrize("block", [1, 7, solver._SOLUTION_CHARS])
+    def test_bare_cr_ends_a_line_of_an_untranslated_stream(self, block,
+                                                           monkeypatch):
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", block)
+        stream = io.StringIO("* point\rx0 4.0\rx1 0.5\r")
+        assert stream.readline() == "* point\rx0 4.0\rx1 0.5\r"
+        stream.seek(0)
+        np.testing.assert_array_equal(
+            import_solution(two_var_lp(), stream).x, [4.0, 0.5])
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(), io.StringIO("x0 4.0\rx1 x 1\r"))
+        assert str(err.value) == "cannot parse solution line 'x1 x 1'"
+
+    @pytest.mark.parametrize("block", [1, 7, solver._SOLUTION_CHARS])
+    def test_first_name_that_is_no_column_is_named(self, block, monkeypatch):
+        # The MPS names of a block are resolved together; the first that
+        # is not C<j> of a column is the one named.
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", block)
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(), "C1 4.0\nC01 1.0\nC9 0.0\n")
+        assert str(err.value) == "solution names unknown column 'C01'"
+        with pytest.raises(LPError) as err:
+            import_solution(two_var_lp(), "C1 4.0\nx0 1.0\nC2 0.0\n")
+        assert str(err.value) == "solution names unknown column 'C2'"
+
+    @pytest.mark.parametrize("block", [7, 64, solver._SOLUTION_CHARS])
+    def test_point_by_mps_names_is_the_point_by_own_names(self, lp96, block,
+                                                          monkeypatch):
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", block)
+        values = np.random.default_rng(5).standard_normal(lp96.n_cols)
+        own = "".join(f"{name} {value!r}\n" for name, value
+                      in zip(lp96.col_names, values.tolist()))
+        mps = "".join(f"C{j} {value!r}\n"
+                      for j, value in enumerate(values.tolist()))
+        assert import_solution(lp96, own).x.tobytes() == values.tobytes()
+        assert import_solution(lp96, mps).x.tobytes() == values.tobytes()
+
     def test_mapping_is_one_block(self, lp96, monkeypatch):
-        monkeypatch.setattr(solver, "_SOLUTION_LINES", 1)
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", 1)
         values = np.random.default_rng(2).standard_normal(lp96.n_cols)
         point = dict(zip(lp96.col_names, values.tolist()))
         assert import_solution(lp96, point).x.tobytes() == values.tobytes()
@@ -481,7 +526,7 @@ class TestSolutionReader:
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_repeats_across_blocks_keep_their_messages(self, block,
                                                        monkeypatch):
-        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", block)
         with pytest.raises(LPError) as err:
             import_solution(two_var_lp(), "x0 3.0\nx1 1.0\nx0 100.0\n")
         assert str(err.value) == "solution gives column 'x0' twice"
@@ -495,7 +540,7 @@ class TestSolutionReader:
         assert str(err.value) == ("solution gives column 'second' twice: "
                                   "by its name and by its MPS name 'C1'")
 
-    @pytest.mark.parametrize("block", [1, 7, solver._SOLUTION_LINES])
+    @pytest.mark.parametrize("block", [1, 7, solver._SOLUTION_CHARS])
     @pytest.mark.parametrize("text, line", [
         ("x0 1.0 2.0\nx1 1.0\n", "x0 1.0 2.0"),
         ("x0\nx1 1.0\n", "x0"),
@@ -506,7 +551,7 @@ class TestSolutionReader:
     ])
     def test_a_line_holds_exactly_a_name_and_a_value(self, block, text, line,
                                                      monkeypatch):
-        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", block)
         with pytest.raises(LPError) as err:
             import_solution(two_var_lp(), text)
         assert str(err.value) == f"cannot parse solution line {line!r}"
@@ -520,7 +565,7 @@ class TestSolutionReader:
     ])
     def test_a_bad_number_is_named_with_its_line(self, block, value, reason,
                                                   monkeypatch):
-        monkeypatch.setattr(solver, "_SOLUTION_LINES", block)
+        monkeypatch.setattr(solver, "_SOLUTION_CHARS", block)
         text = f"* point\n\nx0 1.0\n  x1 {value}\n"
         with pytest.raises(LPError) as err:
             import_solution(two_var_lp(), text)
