@@ -177,6 +177,8 @@ class DemandBundle:
     In free-electrification mode the heating and vehicle quantities are the
     full-electrification values (rate 1.0) and ``free_p`` is set; the
     formulation scales them by the rate decision variables instead.
+    ``net_mwh`` is their net demand, which levels every cost: grid load,
+    end uses and EV daily totals, less behind-the-meter solar output.
     """
 
     d_heat: Mapping[str, np.ndarray]
@@ -186,6 +188,7 @@ class DemandBundle:
     p_heat: Mapping[str, float] | None
     p_veh: Mapping[str, float] | None
     free_p: bool
+    net_mwh: float
 
 
 def _daily_totals(hourly: np.ndarray) -> np.ndarray:
@@ -270,4 +273,5 @@ def synthesize_demand(
         p_heat=None if free_p else p_heat_map,
         p_veh=None if free_p else p_veh_map,
         free_p=free_p,
+        net_mwh=load - btm,
     )

@@ -1048,3 +1048,51 @@ def assemble(inp: BuildInputs) -> tuple[LPInstance, VariableCatalog]:
     build_objective(builder, inp)
     return builder.instance(), inp.catalog
 
+
+def rate_axis_lp(at_lo: LPInstance, at_hi: LPInstance) -> LPInstance:
+    """The LP over the segment from ``at_lo`` to ``at_hi``, with one more
+    column ``t`` on [0, 1], the fraction of the way along.
+
+    A moving rhs b0 + t db becomes the entry -db of ``t`` in its row; a
+    moving finite upper bound u0 + t du of column j, a row ``x_j - du t <=
+    u0`` named ``axis_upper[<column>]`` and tagged ``axis-upper``, where
+    the column keeps the larger bound. Raises LPError unless the two LPs
+    agree exactly in all else: matrix, objective, lower bounds, offset,
+    senses and names.
+    """
+    parts = (("matrix", "indptr"), ("matrix", "indices"), ("matrix", "data"),
+             ("objective", "objective"), ("lower bounds", "lower"),
+             ("offset", "offset"), ("senses", "sense"),
+             ("names", "col_names"), ("names", "row_names"))
+    differ = [what for what, name in parts if not np.array_equal(
+        getattr(at_lo, name), getattr(at_hi, name))]
+    moving = at_lo.upper != at_hi.upper
+    if np.isinf(at_lo.upper[moving] + at_hi.upper[moving]).any():
+        differ.append("an infinite upper bound")
+    if differ:
+        raise LPError(f"the LPs at the two ends differ in "
+                      f"{', '.join(dict.fromkeys(differ))}; only right-hand "
+                      f"sides and finite upper bounds may move")
+    m, n = at_lo.n_rows, at_lo.n_cols
+    shifted = np.flatnonzero(at_lo.rhs != at_hi.rhs)
+    cols = np.flatnonzero(moving)
+    new_rows = m + np.arange(cols.size)
+    indptr, indices, data = _to_csr(
+        np.concatenate([at_lo.row_of, shifted, new_rows, new_rows]),
+        np.concatenate([at_lo.indices, np.full(shifted.size, n), cols,
+                        np.full(cols.size, n)]),
+        np.concatenate([at_lo.data, (at_lo.rhs - at_hi.rhs)[shifted],
+                        np.ones(cols.size),
+                        at_lo.upper[cols] - at_hi.upper[cols]]),
+        m + cols.size, n + 1)
+    return LPInstance(
+        n_cols=n + 1, objective=np.append(at_lo.objective, 0.0),
+        indptr=indptr, indices=indices, data=data,
+        sense=np.append(at_lo.sense, np.full(cols.size, LE)),
+        rhs=np.append(at_lo.rhs, at_lo.upper[cols]),
+        row_names=at_lo.row_names + tuple(
+            f"axis_upper[{at_lo.col_names[j]}]" for j in cols.tolist()),
+        row_tags=np.append(at_lo.row_tags, np.full(cols.size, "axis-upper")),
+        lower=np.append(at_lo.lower, 0.0),
+        upper=np.append(np.maximum(at_lo.upper, at_hi.upper), 1.0),
+        col_names=at_lo.col_names + ("t",), offset=at_lo.offset)

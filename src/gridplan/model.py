@@ -351,8 +351,8 @@ class ScenarioConfig:
         _check_fraction("p_heat", self.p_heat)
         _check_fraction("p_veh", self.p_veh)
         _check_fraction("rgt", self.rgt)
-        if self.omega is not None and self.omega > 1.0:
-            raise ValueError(f"omega cannot exceed 1, got {self.omega}")
+        if self.omega is not None and not -np.inf < self.omega <= 1.0:
+            raise ValueError(f"omega must be finite and <= 1, got {self.omega}")
 
     def p_heat_for(self, node_id: str) -> float:
         return _per_node_fraction(self.p_heat, node_id)

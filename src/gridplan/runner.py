@@ -19,13 +19,13 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .demand import synthesize_demand
 from .emissions import EmissionsCalibration
-from .formulation import BuildInputs, LPError, assemble
+from .formulation import BuildInputs, LPError, assemble, rate_axis_lp
 from .model import (
     CostTable,
     EVFlexConfig,
@@ -76,7 +76,6 @@ __all__ = [
     "SearchResult",
     "SweepResult",
     "SweepSpec",
-    "golden_section",
     "load_bundle",
     "load_config",
     "main",
@@ -111,9 +110,8 @@ class SearchError(RunnerError):
 
 
 class InvalidScenarioError(SearchError):
-    """A search probe stopped at stage ``validate``, which no other rate
-    passes either; the message is ``<stage>: <message>``, as ``run``
-    prints it."""
+    """A search stopped at stage ``validate``, which no rate passes; the
+    message is ``<stage>: <message>``, as ``run`` prints it."""
 
 
 # --------------------------------------------------------------------------
@@ -440,6 +438,33 @@ def _load_if_path(bundle) -> Bundle:
     return load_bundle(bundle)
 
 
+class _StageError(Exception):
+    """A stage before the solve stopped: ``args`` are (stage, message)."""
+
+
+def _stage(bundle: Bundle, config: ScenarioConfig):
+    """The validate, demand, resources and build stages of one scenario:
+    its resolved inputs and LP, or _StageError from the first that stops."""
+    stage = "validate"
+    try:
+        problems = validate(bundle.network, bundle.series, bundle.costs,
+                            bundle.params, config, emissions=bundle.emissions)
+        if problems:
+            raise _StageError(stage, "; ".join(problems))
+        stage = "demand"
+        demand = synthesize_demand(bundle.network, bundle.series, config,
+                                   bundle.params)
+        stage = "resources"
+        inp = BuildInputs(config, bundle.network, bundle.series,
+                          bundle.costs, bundle.params, demand,
+                          emissions=bundle.emissions)
+        stage = "build"
+        lp, _ = assemble(inp)
+    except (LPError, RunnerError, ValueError, KeyError) as exc:
+        raise _StageError(stage, str(exc)) from exc
+    return inp, lp
+
+
 def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
                  solver: str = "builtin", out_dir=None, solution_file=None,
                  solve_options: SolveOptions | None = None,
@@ -493,23 +518,10 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
                          message=message, report=None, failure=failure,
                          artifacts=tuple(artifacts))
 
-    stage = "validate"
     try:
-        problems = validate(bundle.network, bundle.series, bundle.costs,
-                            bundle.params, config, emissions=bundle.emissions)
-        if problems:
-            return fail("invalid", EXIT_INVALID, stage, "; ".join(problems))
-        stage = "demand"
-        demand = synthesize_demand(bundle.network, bundle.series, config,
-                                   bundle.params)
-        stage = "resources"
-        inp = BuildInputs(config, bundle.network, bundle.series,
-                          bundle.costs, bundle.params, demand,
-                          emissions=bundle.emissions)
-        stage = "build"
-        lp, _ = assemble(inp)
-    except (LPError, RunnerError, ValueError, KeyError) as exc:
-        return fail("invalid", EXIT_INVALID, stage, str(exc))
+        inp, lp = _stage(bundle, config)
+    except _StageError as exc:
+        return fail("invalid", EXIT_INVALID, *exc.args)
 
     if solver == "export":
         if out is None:
@@ -622,14 +634,10 @@ class SweepResult:
     reports: tuple
 
 
-_BASE_CONFIG_DROP = ("mode", "lcp", "p_heat", "p_veh", "omega")
-
-
 def _base_config_dict(base) -> dict:
-    out = dict(base or {})
-    for key in _BASE_CONFIG_DROP:
-        out.pop(key, None)
-    return out
+    """``base`` less the keys that each sweep cell or search rate sets."""
+    return {key: value for key, value in (base or {}).items()
+            if key not in ("mode", "lcp", "p_heat", "p_veh", "omega")}
 
 
 def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResult:
@@ -689,140 +697,84 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
 # minimum-LCOE search
 
 
-class _Probe:
-    """``f`` on [lo, hi], memoized: the one evaluator of both searches.
-
-    Construction checks the bounds (finite, ``lo <= hi``) and the
-    tolerance (positive) and raises RunnerError otherwise. A call rounds
-    its point to 12 places and evaluates ``f`` there once; ``f`` returns
-    None at an infeasible point, which the call reads as +inf.
-    """
-
-    def __init__(self, f: Callable[[float], float | None], lo: float,
-                 hi: float, tol: float):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise RunnerError(f"search bounds [{lo}, {hi}] must be finite "
-                              "with lo <= hi")
-        if not tol > 0.0:
-            raise RunnerError(f"tolerance must be positive, got {tol}")
-        self.f, self.lo, self.hi = f, lo, hi
-        self.values: dict[float, float | None] = {}  # in evaluation order
-
-    def __call__(self, v: float) -> float:
-        key = round(v, 12)
-        if key not in self.values:
-            self.values[key] = self.f(key)
-        value = self.values[key]
-        return math.inf if value is None else value
-
-    def best(self) -> tuple[float, float, tuple]:
-        """(point, value) least by (value, point), and the trace of every
-        evaluation in order; SearchError when none was feasible."""
-        feasible = [(value, v) for v, value in self.values.items()
-                    if value is not None]
-        if not feasible:
-            raise SearchError(
-                f"no feasible point found in [{self.lo}, {self.hi}] "
-                f"({len(self.values)} points tried)")
-        best_value, best_x = min(feasible)
-        return best_x, best_value, tuple(self.values.items())
-
-
-def golden_section(f: Callable[[float], float | None], lo: float, hi: float,
-                   tol: float) -> tuple[float, float, tuple]:
-    """Minimize a unimodal scalar function on [lo, hi] to within ``tol``.
-
-    ``f`` may return None for infeasible points (treated as +inf). Returns
-    (best_x, best_value, trace) where trace lists every evaluation in
-    order. Raises RunnerError before any evaluation when a bound is not
-    finite, ``lo > hi`` or ``tol`` is not positive, and SearchError when
-    no evaluated point is feasible.
-    """
-    g = _Probe(f, lo, hi, tol)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    g(lo)
-    g(hi)
-    a, b = lo, hi
-    if b - a > tol:
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        while b - a > tol:
-            if g(c) <= g(d):
-                b, d = d, c
-                c = b - invphi * (b - a)
-            else:
-                a, c = c, d
-                d = a + invphi * (b - a)
-    return g.best()
-
-
 @dataclass(frozen=True)
 class SearchResult:
-    """Incumbent of the minimum-LCOE search over the electrification rate."""
+    """Minimum-LCOE electrification rate, with a run of the scenario there."""
 
     hve: float
     lcoe: float
     lcp: float
     report: ScenarioReport
-    trace: tuple  # ((hve, lcoe-or-None), ...) in evaluation order
+    trace: tuple  # ((hve, lcoe), ...) of each Dinkelbach LP's point
 
 
 def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
-                    tol: float = 0.005, method: str = "golden",
                     base: Mapping | None = None) -> SearchResult:
-    """Find the uniform electrification rate minimizing LCOE at a fixed
-    emissions-reduction target.
+    """The uniform electrification rate in [lo, hi] of least LCOE at a
+    fixed emissions-reduction target, exactly.
 
-    ``method`` is ``"golden"`` (golden-section, assumes a unimodal LCOE
-    curve) or ``"grid:N"`` (N+1 uniform points, robust fallback). Inner
-    problems solve with the emissions target and both electrification
-    rates pinned; infeasible rates are skipped. Each probe starts from the
-    optimal basis of the last feasible one, so a probe's curtailment and
-    excess low-carbon energy may differ from a run of that rate alone. A malformed method, bound or tolerance raises
-    RunnerError before any solve, for either method. A probe that stops at
-    stage ``validate`` raises InvalidScenarioError (a SearchError) at
-    once, since the rate does not mend it; otherwise SearchError means no
-    evaluated rate was feasible.
+    Along the rate only right-hand sides, upper bounds and net demand D
+    move, all affinely, so LCOE is a linear-fractional program over
+    ``rate_axis_lp`` of the LPs at lo and hi (rate lo + t (hi - lo)).
+    Dinkelbach's method (1967) solves it: from lambda = 0, minimize cost -
+    lambda D(t) from the last LP's basis and set lambda to the LCOE there,
+    until that minimum is no longer below zero (to 1e-9 of the cost).
+    ``report`` is a run of the rate found. Malformed bounds raise
+    RunnerError before any stage runs; validate failing raises
+    InvalidScenarioError, and any other stage failing or an infeasible
+    joint LP SearchError.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise RunnerError(f"search bounds [{lo}, {hi}] must be finite "
+                          "with lo <= hi")
     bundle = _load_if_path(bundle)
     base_kw = _base_config_dict(base)
-    found: dict[float, ScenarioReport] = {}
-    start = None
-
-    def evaluate(hve: float) -> float | None:
-        nonlocal start
-        config = config_from_dict({**base_kw, "mode": "ghg+hve",
-                                   "omega": omega, "p_heat": hve,
-                                   "p_veh": hve})
-        result = run_scenario(bundle, config, start=start)
-        if result.stage == "validate":
-            raise InvalidScenarioError(f"{result.stage}: {result.message}")
-        if result.report is None:
-            return None
-        start = result.basis
-        found[hve] = result.report
-        return result.report.lcoe_usd_per_mwh
-
-    if method == "golden":
-        best_x, best_value, trace = golden_section(evaluate, lo, hi, tol)
-    elif method.startswith("grid:"):
+    config_at = lambda hve: config_from_dict(
+        {**base_kw, "mode": "ghg+hve", "omega": omega, "p_heat": hve,
+         "p_veh": hve})
+    ends = []
+    for hve, config in [(lo, config_at(lo)), (hi, config_at(hi))]:
         try:
-            n = int(method.split(":", 1)[1])
-        except ValueError as exc:
-            raise RunnerError(f"bad grid size in {method!r}") from exc
-        if n < 1:
-            raise RunnerError(f"grid size must be >= 1, got {n}")
-        probe = _Probe(evaluate, lo, hi, tol)
-        for k in range(n + 1):
-            probe(lo + (hi - lo) * k / n)
-        best_x, best_value, trace = probe.best()
-    else:
-        raise RunnerError(
-            f"unknown search method {method!r}; use 'golden' or 'grid:N'")
-    report = found[best_x]
-    return SearchResult(hve=best_x, lcoe=best_value,
-                        lcp=report.lcp_realized, report=report,
-                        trace=trace)
+            ends.append(_stage(bundle, config))
+        except _StageError as exc:
+            stage, message = exc.args
+            if stage == "validate":
+                raise InvalidScenarioError(f"{stage}: {message}") from None
+            raise SearchError(f"at hve {hve}, {stage}: {message}") from None
+    (inp_lo, lp_lo), (inp_hi, lp_hi) = ends
+    try:
+        axis = rate_axis_lp(lp_lo, lp_hi)
+    except LPError as exc:
+        raise SearchError(f"cannot search [{lo}, {hi}]: {exc}") from None
+    d_lo = inp_lo.demand.net_mwh
+    slope = inp_hi.demand.net_mwh - d_lo
+    objective = axis.objective.copy()
+    lam, basis, trace = 0.0, None, []
+    # From the second LP on, each that does not stop lowers lambda by over
+    # 1e-9 of the cost per MWh, and there are finitely many vertices.
+    while True:
+        objective[-1] = -lam * slope
+        solution = solve(dataclasses.replace(axis, objective=objective),
+                         start=basis)
+        if solution.status != STATUS_OPTIMAL:
+            what = ("no feasible rate" if solution.status == STATUS_INFEASIBLE
+                    else f"the LP ended {solution.status}")
+            raise SearchError(f"{what} in [{lo}, {hi}]: {solution.message}")
+        t = float(solution.x[-1])
+        cost = solution.objective + lam * slope * t
+        demand = d_lo + slope * t
+        trace.append((min(max(lo + t * (hi - lo), lo), hi), cost / demand))
+        gap = cost - lam * demand  # this LP's least value, F(lambda)
+        if len(trace) > 1 and gap >= -1e-9 * max(1.0, abs(cost)):
+            break
+        lam, basis = cost / demand, solution.basis
+    hve = trace[-1][0]
+    result = run_scenario(bundle, config_at(hve))
+    if result.report is None:
+        raise SearchError(f"at hve {hve}, {result.stage}: {result.message}")
+    return SearchResult(hve=hve, lcoe=result.report.lcoe_usd_per_mwh,
+                        lcp=result.report.lcp_realized, report=result.report,
+                        trace=tuple(trace))
 
 
 # --------------------------------------------------------------------------
@@ -863,9 +815,13 @@ def _cmd_sweep(args) -> int:
     if args.ghg is None and args.lcp is None:
         raise RunnerError("sweep needs --lcp or --ghg")
     omega = parse_range(args.ghg) if args.ghg is not None else None
-    spec = SweepSpec(lcp_values=parse_range(args.lcp) if omega is None else (),
-                     omega_values=omega, hve_values=parse_range(args.hve),
-                     out_dir=args.out)
+    try:
+        spec = SweepSpec(
+            lcp_values=parse_range(args.lcp) if omega is None else (),
+            omega_values=omega, hve_values=parse_range(args.hve),
+            out_dir=args.out)
+    except ValueError as exc:
+        raise RunnerError(str(exc)) from None
     base = _read_config_json(args.config) if args.config else None
     result = run_sweep(args.inputs, spec, base=base)
     if args.out is None:
@@ -880,16 +836,10 @@ def _cmd_search(args) -> int:
         raise RunnerError(f"--bounds takes lo,hi (two numbers), "
                           f"got {args.bounds!r}") from None
     base = _read_config_json(args.config) if args.config else None
-    result = min_lcoe_search(args.inputs, args.ghg, lo=lo, hi=hi,
-                             tol=args.tol, method=args.search, base=base)
-    payload = {
-        "hve": result.hve,
-        "lcoe": result.lcoe,
-        "lcp": result.lcp,
-        "ghg": args.ghg,
-        "trace": [list(entry) for entry in result.trace],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    result = min_lcoe_search(args.inputs, args.ghg, lo=lo, hi=hi, base=base)
+    text = json.dumps({"hve": result.hve, "lcoe": result.lcoe,
+                       "lcp": result.lcp, "ghg": args.ghg,
+                       "trace": result.trace}, indent=2, sort_keys=True)
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -939,9 +889,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="emissions-reduction target")
     search_p.add_argument("--bounds", default="0,1",
                           help="electrification-rate bounds lo,hi")
-    search_p.add_argument("--tol", type=float, default=0.005)
-    search_p.add_argument("--search", default="golden",
-                          help="'golden' or 'grid:N'")
     search_p.add_argument("--out", default=None)
     search_p.set_defaults(func=_cmd_search)
 

@@ -1,7 +1,7 @@
 """Small shared model fixtures used across the unit-test modules, the
 scenario-LP build, a builder of small hand-written LPs, a dense view of an
 LP for the reference solvers in the solver tests, the benchmark's seeded
-demand factor, and per-line renderings of the MPS, operations and series
+demand factor, the shipped fixture tiled in time, and per-line renderings of the MPS, operations and series
 CSV text that the array writers are checked against.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
@@ -10,10 +10,13 @@ values stay derivable by inspection or an independent one-liner.
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+import gridplan
 from gridplan import reporting
 from gridplan.formulation import GE, LE, BuildInputs, LPInstance, assemble
 from gridplan.model import (
@@ -24,8 +27,10 @@ from gridplan.model import (
     TechParams,
     TimeSeriesSet,
 )
+from gridplan.runner import load_bundle
 
 T = 48
+FIXTURE = Path(gridplan.__file__).parent / "data" / "two_node_48h"
 
 
 def tiny_network() -> NetworkSpec:
@@ -158,6 +163,19 @@ def tiny_params(t: int = T) -> TechParams:
 def build_lp(*args, **kw):
     """The scenario LP and its catalog: ``assemble(BuildInputs(...))``."""
     return assemble(BuildInputs(*args, **kw))
+
+
+def tiled_fixture(k: int):
+    """The shipped bundle with every series tiled ``k`` times."""
+    bundle = load_bundle(FIXTURE)
+    series = bundle.series
+    return dataclasses.replace(
+        bundle,
+        series=dataclasses.replace(series, **{
+            name: {node: np.tile(arr, k) for node, arr in mapping.items()}
+            for name, mapping in vars(series).items() if mapping is not None}),
+        params=dataclasses.replace(bundle.params,
+                                   n_years=bundle.params.n_years * k))
 
 
 def demand_factor(seed: int, node_index: int, n_hours: int) -> np.ndarray:

@@ -19,8 +19,9 @@ from gridplan.emissions import (
     sector_emissions,
 )
 from gridplan.demand import synthesize_demand
-from gridplan.formulation import (EQ, GE, LE, Block, LPBuilder, LPError,
-                                  LPInstance, VariableCatalog)
+from gridplan.formulation import (EQ, GE, LE, Block, BuildInputs, LPBuilder,
+                                  LPError, LPInstance, VariableCatalog,
+                                  assemble, rate_axis_lp)
 from gridplan.model import (
     CostTable,
     EVFlexConfig,
@@ -33,11 +34,11 @@ from gridplan.model import (
     annualization_rate,
 )
 from gridplan.resources import build_hydro_profile
-from gridplan.runner import load_bundle, save_bundle
+from gridplan.runner import load_bundle, load_config, save_bundle
 from gridplan.solver import SolveOptions, solve
 
-from helpers import (build_lp, tiny_costs, tiny_network, tiny_params,
-                     tiny_series)
+from helpers import (FIXTURE, build_lp, dense_matrix, make_lp, tiled_fixture,
+                     tiny_costs, tiny_network, tiny_params, tiny_series)
 
 # --------------------------------------------------------------------------
 # local fixtures
@@ -1185,3 +1186,107 @@ class TestWholeInstance:
         lp, cat = build_tiny(config, emissions=tiny_calibration())
         assert lp.upper[lp.column_index("rate_heat")] == 1.0
         assert lp.upper[lp.column_index("rate_veh")] == 1.0
+
+
+# --------------------------------------------------------------------------
+# the LP along the electrification rate
+
+
+def _fixture_lp(bundle, hve: float, omega: float = 0.3):
+    """The fixture's scenario in ghg+hve mode at rate ``hve``: its resolved
+    inputs and LP."""
+    config = dataclasses.replace(
+        load_config(FIXTURE / "scenario.json"), mode="ghg+hve", lcp=None,
+        omega=omega, p_heat=hve, p_veh=hve)
+    demand = synthesize_demand(bundle.network, bundle.series, config,
+                               bundle.params)
+    inp = BuildInputs(config, bundle.network, bundle.series, bundle.costs,
+                      bundle.params, demand, emissions=bundle.emissions)
+    return inp, assemble(inp)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["48h", "96h"])
+def test_rate_moves_only_rhs_upper_bounds_and_net_demand_affinely(k):
+    # The minimum-LCOE search solves one LP over the rate segment, exact
+    # only while the rate moves nothing but right-hand sides, finite upper
+    # bounds and net demand, each affinely.
+    bundle = tiled_fixture(k)
+    h = 0.37
+    (inp0, lp0), (inp1, lp1), (inp_h, lp_h) = (
+        _fixture_lp(bundle, hve) for hve in (0.0, 1.0, h))
+    for lp in (lp1, lp_h):
+        for name in ("indptr", "indices", "data", "objective", "lower"):
+            assert getattr(lp, name).tobytes() == getattr(lp0, name).tobytes()
+        assert lp.offset == lp0.offset
+        assert (lp.col_names, lp.row_names) == (lp0.col_names, lp0.row_names)
+        assert lp.senses() == lp0.senses()
+        assert np.array_equal(np.isinf(lp.upper), np.isinf(lp0.upper))
+    finite = np.isfinite(lp0.upper)
+    for a, b, mid in ((lp0.rhs, lp1.rhs, lp_h.rhs),
+                      (lp0.upper[finite], lp1.upper[finite],
+                       lp_h.upper[finite]),
+                      (inp0.demand.net_mwh, inp1.demand.net_mwh,
+                       inp_h.demand.net_mwh)):
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        assert np.all(np.abs(mid - (a + h * (b - a))) <= 1e-12 * scale)
+    # The rate does move the EV bounds and the rows it enters.
+    assert not np.array_equal(lp0.upper, lp1.upper)
+    assert not np.array_equal(lp0.rhs, lp1.rhs)
+
+
+class TestRateAxisLp:
+    LO = make_lp([1.0, 2.0], [([1.0, 1.0], GE, 2.0, "need"),
+                              ([1.0, -1.0], LE, 0.0, "tie")],
+                 upper=[3.0, np.inf])
+
+    def test_moving_rhs_and_upper_bound_become_t_terms(self):
+        hi = dataclasses.replace(self.LO, rhs=[5.0, 0.0],
+                                 upper=[4.5, np.inf])
+        axis = rate_axis_lp(self.LO, hi)
+        assert axis.col_names == ("x0", "x1", "t")
+        assert axis.row_names == ("need", "tie", "axis_upper[x0]")
+        assert axis.row_tags.tolist() == ["", "", "axis-upper"]
+        assert axis.senses() == (GE, LE, LE)
+        assert dense_matrix(axis).tolist() == [[1.0, 1.0, -3.0],
+                                               [1.0, -1.0, 0.0],
+                                               [1.0, 0.0, -1.5]]
+        assert axis.rhs.tolist() == [2.0, 0.0, 3.0]
+        assert axis.objective.tolist() == [1.0, 2.0, 0.0]
+        assert axis.lower.tolist() == [0.0, 0.0, 0.0]
+        assert axis.upper.tolist() == [4.5, np.inf, 1.0]
+
+    def test_equal_ends_add_an_idle_t(self):
+        axis = rate_axis_lp(self.LO, self.LO)
+        assert axis.row_names == self.LO.row_names
+        assert dense_matrix(axis)[:, -1].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("edit, part", [
+        ({"data": [1.0, 1.0, 1.0, -2.0]}, "matrix"),
+        ({"objective": [1.0, 2.5]}, "objective"),
+        ({"lower": [0.0, 0.5]}, "lower bounds"),
+        ({"offset": 1.0}, "offset"),
+        ({"sense": [GE, GE]}, "senses"),
+        ({"row_names": ("need", "tie2")}, "names"),
+        ({"col_names": ("x0", "y")}, "names"),
+        ({"upper": [np.inf, np.inf]}, "an infinite upper bound"),
+        ({"upper": [3.0, 7.0]}, "an infinite upper bound"),
+    ], ids=["matrix", "objective", "lower", "offset", "senses", "row-names",
+            "col-names", "upper-to-inf", "upper-from-inf"])
+    def test_ends_differing_elsewhere_are_refused(self, edit, part):
+        with pytest.raises(LPError) as info:
+            rate_axis_lp(self.LO, dataclasses.replace(self.LO, **edit))
+        assert str(info.value) == (
+            f"the LPs at the two ends differ in {part}; only right-hand "
+            f"sides and finite upper bounds may move")
+
+    def test_fixing_t_gives_the_lp_at_that_rate(self):
+        bundle = load_bundle(FIXTURE)
+        (_, lp0), (_, lp1), (_, lp_h) = (_fixture_lp(bundle, hve)
+                                         for hve in (0.0, 0.5, 0.2))
+        axis = rate_axis_lp(lp0, lp1)
+        upper = axis.upper.copy()
+        upper[-1] = 0.4
+        fixed = dataclasses.replace(axis, lower=np.append(lp0.lower, 0.4),
+                                    upper=upper)
+        assert solve(fixed).objective == pytest.approx(
+            solve(lp_h).objective, rel=1e-9)

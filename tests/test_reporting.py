@@ -51,7 +51,7 @@ from gridplan.reporting import (
 from gridplan.runner import load_bundle, load_config, run_scenario
 from gridplan.solver import solve
 
-from helpers import operations_csv_oracle
+from helpers import operations_csv_oracle, tiled_fixture
 
 FIXTURE = Path(gridplan.__file__).parent / "data" / "two_node_48h"
 
@@ -913,19 +913,6 @@ def totals_from_operations(ops) -> tuple[float, dict[str, float], float]:
         net = net + sum(series.get(r, zero) for r in LOW_CARBON) \
             - series["load"]
     return total, split, float(np.maximum(net, 0.0).sum())
-
-
-def tiled_fixture(k: int):
-    """The shipped bundle with every series tiled ``k`` times."""
-    bundle = load_bundle(FIXTURE)
-    series = bundle.series
-    return dataclasses.replace(
-        bundle,
-        series=dataclasses.replace(series, **{
-            name: {node: np.tile(arr, k) for node, arr in mapping.items()}
-            for name, mapping in vars(series).items() if mapping is not None}),
-        params=dataclasses.replace(bundle.params,
-                                   n_years=bundle.params.n_years * k))
 
 
 @pytest.mark.parametrize("case", [*FIXTURE_MODES, "fixture-96h", "solar_gas",

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 import gridplan
 from gridplan import runner
@@ -48,7 +50,6 @@ from gridplan.runner import (
     RunnerError,
     SearchError,
     SweepSpec,
-    golden_section,
     load_bundle,
     load_config,
     main,
@@ -61,7 +62,7 @@ from gridplan.runner import (
 from gridplan.solver import SolveOptions
 
 from _mpsread import solve_mps_with_highs
-from helpers import build_lp, series_csv_oracle
+from helpers import build_lp, series_csv_oracle, tiled_fixture
 
 T = 24
 PARAMS = TechParams(n_years=T / 8760.0)
@@ -463,6 +464,25 @@ class TestLoadConfig:
         # "false" is a truthy string: read as a flag it would turn
         # nuclear on in a file that says false.
         self.assert_rejected(tmp_path, capsys, edit, message)
+
+    @pytest.mark.parametrize("omega", [math.nan, -math.inf],
+                             ids=["nan", "-inf"])
+    def test_non_finite_omega_rejected(self, tmp_path, capsys, omega):
+        # JSON's NaN and -Infinity parse as floats, which no GHG row takes.
+        payload = {**{k: v for k, v in json.loads(
+            (FIXTURE / "scenario.json").read_text()).items() if k != "lcp"},
+            "mode": "ghg+hve", "omega": omega}
+        message = ("invalid scenario config: omega must be finite and <= 1, "
+                   f"got {omega}")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RunnerError) as exc:
+            load_config(path)
+        assert str(exc.value) == message
+        assert main(["run", "--inputs", str(FIXTURE), "--config",
+                     str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_bool_flags_accepted(self):
         payload = {**json.loads((FIXTURE / "scenario.json").read_text()),
@@ -943,81 +963,187 @@ class TestRunSweep:
 # minimum-LCOE search
 
 
-class TestGoldenSection:
-    def test_synthetic_convex_minimum(self):
-        f = lambda v: (v - 0.5) ** 2 + 2.0
-        best_x, best_val, trace = golden_section(f, 0.0, 1.0, tol=0.005)
-        assert best_x == pytest.approx(0.5, abs=0.005)
-        assert best_val == pytest.approx(2.0, abs=1e-4)
-        assert len(trace) >= 5
-        assert all(len(entry) == 2 for entry in trace)
+def spy_solves(monkeypatch) -> list:
+    """Record each solve the runner calls, as (LP, start)."""
+    calls = []
+    solve = runner.solve
+    monkeypatch.setattr(runner, "solve", lambda lp, *a, start=None: (
+        calls.append((lp, start)) or solve(lp, *a, start=start)))
+    return calls
 
-    def test_boundary_minimum(self):
-        best_x, best_val, _ = golden_section(lambda v: 3.0 - v, 0.0, 1.0,
-                                             tol=0.005)
-        assert best_x == pytest.approx(1.0, abs=0.005)
 
-    def test_infeasible_region_skipped(self):
-        f = lambda v: None if v > 0.7 else (v - 0.2) ** 2
-        best_x, best_val, _ = golden_section(f, 0.0, 1.0, tol=0.005)
-        assert best_x == pytest.approx(0.2, abs=0.01)
-
-    def test_everywhere_infeasible_raises(self):
-        with pytest.raises(SearchError, match="feasible"):
-            golden_section(lambda v: None, 0.0, 1.0, tol=0.005)
-
-    @pytest.mark.parametrize("lo, hi, tol", [
-        (1.0, 0.0, 0.005), (0.0, math.inf, 0.005), (math.nan, 1.0, 0.005),
-        (0.0, 1.0, 0.0), (0.0, 1.0, math.nan)])
-    def test_malformed_arguments_raise_before_evaluating(self, lo, hi, tol):
-        calls = []
-        with pytest.raises(RunnerError) as info:
-            golden_section(calls.append, lo, hi, tol)
-        assert not isinstance(info.value, SearchError)
-        assert calls == []
+def grid_best(bundle, omega, rates, base=None) -> float:
+    """The least LCOE of runs at the ascending ``rates``, chained as a
+    sweep's cells. The feasible rates are an interval, the projection of a
+    polyhedron, so the scan stops at an infeasible rate past a feasible
+    one."""
+    best, start = math.inf, None
+    base_kw = runner._base_config_dict(base)
+    for hve in np.unique(rates):
+        result = run_scenario(bundle, runner.config_from_dict(
+            {**base_kw, "mode": "ghg+hve", "omega": omega, "p_heat": hve,
+             "p_veh": hve}), start=start)
+        if result.report is not None:
+            best = min(best, result.report.lcoe_usd_per_mwh)
+            start = result.basis
+        elif start is not None:
+            break
+    return best
 
 
 class TestMinLcoeSearch:
-    def test_matches_grid_oracle_with_slack_target(self, micro_bundle):
-        result = min_lcoe_search(micro_bundle, omega=-1.0, tol=0.005)
-        grid = [min_lcoe_search(micro_bundle, omega=-1.0,
-                                method=f"grid:{1}", lo=v, hi=v).lcoe
-                for v in np.linspace(0.0, 1.0, 21)]
-        best_grid = min(grid)
-        slope = max(abs(b - a) for a, b in zip(grid, grid[1:])) / 0.05
-        assert result.lcoe <= best_grid + 0.005 * slope + 1e-9
-        assert result.report is not None
+    @pytest.mark.parametrize("omega", [-1.0, 0.3])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.2, 0.6), (0.4, 0.4)])
+    def test_no_rate_of_a_fine_grid_does_better(self, micro_bundle, omega,
+                                                 lo, hi):
+        result = min_lcoe_search(micro_bundle, omega, lo=lo, hi=hi)
+        assert lo <= result.hve <= hi
+        assert result.lcoe <= grid_best(
+            micro_bundle, omega, np.linspace(lo, hi, 11)) + 1e-9
         assert result.report.status == "optimal"
+        assert result.lcoe == result.report.lcoe_usd_per_mwh
+        assert result.lcp == result.report.lcp_realized
 
-    def test_binding_target_returns_feasible_incumbent(self, micro_bundle):
-        result = min_lcoe_search(micro_bundle, omega=0.3, tol=0.005)
-        assert 0.0 <= result.hve <= 1.0
+    def test_result_is_a_run_of_the_rate_found(self, micro_bundle):
+        result = min_lcoe_search(micro_bundle, omega=0.3)
         assert result.report.ghg_reduction >= 0.3 - 1e-6
-        assert result.lcoe == pytest.approx(
-            result.report.lcoe_usd_per_mwh, rel=1e-12)
-        assert len(result.trace) >= 5
+        alone = run_scenario(micro_bundle, ScenarioConfig(
+            mode="ghg+hve", omega=0.3, p_heat=result.hve,
+            p_veh=result.hve)).report
+        assert result.report == alone
 
-    def test_grid_fallback(self, micro_bundle):
-        result = min_lcoe_search(micro_bundle, omega=-1.0, method="grid:10")
-        assert len(result.trace) == 11
-        hves = [h for h, _ in result.trace]
-        assert hves == sorted(hves)
-
-    def test_chained_probes_match_runs_alone(self, micro_bundle):
-        # Each probe starts from the last feasible probe's basis.
-        result = min_lcoe_search(micro_bundle, omega=0.3, method="grid:4")
-        for hve, lcoe in result.trace:
-            alone = run_scenario(micro_bundle, ScenarioConfig(
-                mode="ghg+hve", omega=0.3, p_heat=hve, p_veh=hve)).report
-            if lcoe is None:
-                assert alone is None
-            else:
-                assert lcoe == pytest.approx(alone.lcoe_usd_per_mwh,
-                                             rel=1e-9)
+    def test_trace_is_one_warm_started_lp_per_step(self, micro_bundle,
+                                                   monkeypatch):
+        calls = spy_solves(monkeypatch)
+        result = min_lcoe_search(micro_bundle, omega=0.3)
+        # One LP per trace entry, then the run of the rate found.
+        assert len(calls) == len(result.trace) + 1 >= 3
+        steps, (run_lp, run_start) = calls[:-1], calls[-1]
+        assert steps[0][1] is None
+        assert all(start is not None for _, start in steps[1:])
+        assert all(lp.col_names[-1] == "t" for lp, _ in steps)
+        assert run_start is None and "t" not in run_lp.col_names
+        # Dinkelbach's LCOEs never rise, and the last is the run's.
+        lcoes = [lcoe for _, lcoe in result.trace]
+        assert lcoes == sorted(lcoes, reverse=True)
+        assert result.trace[-1][0] == result.hve
+        assert lcoes[-1] == pytest.approx(result.lcoe, rel=1e-9)
 
     def test_unreachable_target_raises(self, fossil_bundle):
-        with pytest.raises(SearchError, match="[Nn]o feasible"):
-            min_lcoe_search(fossil_bundle, omega=0.99, tol=0.005)
+        with pytest.raises(SearchError, match="^no feasible rate in "
+                                              r"\[0.0, 1.0\]: "):
+            min_lcoe_search(fossil_bundle, omega=0.99)
+
+    def test_a_bound_stopped_after_validate_exits_infeasible(
+            self, tmp_path, capsys, monkeypatch):
+        # BTM solar outruns the largest load: stage demand stops the rate
+        # lo, and the search names it without solving anything.
+        net, series, costs, params, cal = micro_system()
+        net = NetworkSpec(nodes=[dataclasses.replace(net.nodes[0],
+                                                     btm_fraction=1.0)])
+        series = dataclasses.replace(series, w_btm_solar=_flat(net, 0.2))
+        save_bundle(tmp_path / "btm", net, series, costs, params, cal)
+        calls = spy_solves(monkeypatch)
+        code = main(["search-lcoe", "--inputs", str(tmp_path / "btm"),
+                     "--config", write_config(tmp_path, {"btm_year": 2030}),
+                     "--ghg", "0.3", "--bounds", "0.2,0.6"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INFEASIBLE
+        assert captured.err.startswith(
+            "search: at hve 0.2, demand: behind-the-meter solar output of ")
+        assert calls == []
+
+    @pytest.mark.parametrize("lo, hi, cause", [
+        (1.0, 0.0, "search bounds [1.0, 0.0] must be finite with lo <= hi"),
+        (0.0, math.inf, "search bounds [0.0, inf]"),
+        (math.nan, 1.0, "search bounds [nan, 1.0]"),
+        (0.0, 1.5, "p_heat must be in [0, 1], got 1.5"),
+    ], ids=["reversed", "inf", "nan", "above-one"])
+    def test_malformed_bounds_raise_before_any_solve(
+            self, micro_bundle, monkeypatch, lo, hi, cause):
+        calls = spy_solves(monkeypatch)
+        with pytest.raises(RunnerError) as info:
+            min_lcoe_search(micro_bundle, 0.3, lo=lo, hi=hi)
+        assert not isinstance(info.value, SearchError)
+        assert cause in str(info.value)
+        assert calls == []
+
+
+SEARCH_BASE = json.loads((FIXTURE / "scenario.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def fixture_96h():
+    return tiled_fixture(2)
+
+
+def charnes_cooper_lcoe(bundle, omega) -> float:
+    """The least LCOE over rates in [0, 1], by HiGHS on the Charnes-Cooper
+    transform of the LPs at rates 0 and 1 over the net demand D: with
+    y = x s and tau = t s, s = 1 / D(t), the LP is min c y + offset s
+    subject to A y - b0 s - db tau (sense) 0, y_j <= u0_j s + du_j tau,
+    lower_j s <= y_j, tau <= s and D0 s + dD tau = 1."""
+    ends = []
+    for hve in (0.0, 1.0):
+        config = runner.config_from_dict({
+            **runner._base_config_dict(SEARCH_BASE), "mode": "ghg+hve",
+            "omega": omega, "p_heat": hve, "p_veh": hve})
+        dem = synthesize_demand(bundle.network, bundle.series, config,
+                                bundle.params)
+        lp, _ = build_lp(config, bundle.network, bundle.series, bundle.costs,
+                         bundle.params, dem, emissions=bundle.emissions)
+        # Grid load, end uses and EV charging, less behind-the-meter solar.
+        load = sum(np.sum(bundle.series.d_elec[n]) + np.sum(dem.d_heat[n])
+                   + np.sum(dem.d_veh_fix[n])
+                   + np.sum(dem.ev_envelopes[n].required_mwh)
+                   - dem.x_btm_mw[n] * np.sum(bundle.series.w_btm_solar[n])
+                   for n in bundle.network.node_ids)
+        ends.append((lp, load))
+    (lp0, d0), (lp1, d1) = ends
+    m, n = lp0.n_rows, lp0.n_cols
+    col = lambda v: sparse.csr_matrix(np.reshape(v, (-1, 1)))
+    a = sparse.hstack([sparse.csr_matrix(
+        (lp0.data, lp0.indices, lp0.indptr), shape=(m, n)),
+        col(lp0.rhs - lp1.rhs), col(-lp0.rhs)]).tocsr()
+    le, eq = lp0.sense == "<=", lp0.sense == "="
+    ge = lp0.sense == ">="
+    j = np.flatnonzero(np.isfinite(lp0.upper))
+    eye = sparse.identity(n, format="csr")
+    a_ub = sparse.vstack([
+        a[le], -a[ge],
+        sparse.hstack([eye[j], col(lp0.upper[j] - lp1.upper[j]),
+                       col(-lp0.upper[j])]),
+        sparse.hstack([-eye, col(np.zeros(n)), col(lp0.lower)]),
+        sparse.csr_matrix(np.r_[np.zeros(n), 1.0, -1.0])]).tocsr()
+    a_eq = sparse.vstack([a[eq], sparse.csr_matrix(
+        np.r_[np.zeros(n), d1 - d0, d0])]).tocsr()
+    res = linprog(np.r_[lp0.objective, 0.0, lp0.offset], A_ub=a_ub,
+                  b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
+                  b_eq=np.r_[np.zeros(a_eq.shape[0] - 1), 1.0],
+                  bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("omega", [0.1, 0.2, 0.3, 0.4, 0.45])
+@pytest.mark.parametrize("horizon", ["48h", "96h"])
+def test_search_is_the_exact_minimum(horizon, omega, request):
+    bundle = (load_bundle(FIXTURE) if horizon == "48h"
+              else request.getfixturevalue("fixture_96h"))
+    result = min_lcoe_search(bundle, omega, base=SEARCH_BASE)
+    assert result.lcoe == pytest.approx(charnes_cooper_lcoe(bundle, omega),
+                                        rel=1e-9)
+    assert result.lcoe == pytest.approx(result.report.lcoe_usd_per_mwh,
+                                        rel=1e-12)
+
+
+def test_search_beats_every_rate_of_a_fine_grid():
+    # At omega 0.45 the least LCOE is inside the interval, at hve 0.0006.
+    bundle = load_bundle(FIXTURE)
+    result = min_lcoe_search(bundle, 0.45, base=SEARCH_BASE)
+    assert 0.0 < result.hve < 0.005
+    assert result.lcoe <= grid_best(bundle, 0.45, np.linspace(0.0, 1.0, 201),
+                                    SEARCH_BASE) + 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -1263,38 +1389,47 @@ class TestCli:
             assert len(list(csv.DictReader(fh))) == 4
 
     def test_search_command(self, micro_bundle, tmp_path, capsys):
+        out = tmp_path / "search"
         code = main(["search-lcoe", "--inputs", str(micro_bundle),
-                     "--ghg", "-1.0", "--search", "grid:6"])
+                     "--ghg", "-1.0", "--out", str(out)])
         assert code == EXIT_OK
-        record = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        record = json.loads(printed)
+        assert (out / "search.json").read_text() == printed
+        assert sorted(record) == ["ghg", "hve", "lcoe", "lcp", "trace"]
         assert 0.0 <= record["hve"] <= 1.0
         assert record["lcoe"] > 0.0
-        assert len(record["trace"]) == 7
+        assert len(record["trace"]) >= 2
+        assert all(len(entry) == 2 for entry in record["trace"])
+        with open(out / "report.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["lcoe_usd_per_mwh"]) == record["lcoe"]
 
     def test_search_bounds_are_lo_hi(self, micro_bundle, capsys):
         code = main(["search-lcoe", "--inputs", str(micro_bundle),
-                     "--ghg", "-1.0", "--bounds", "0.2,0.6",
-                     "--search", "grid:4"])
+                     "--ghg", "-1.0", "--bounds", "0.2,0.6"])
         assert code == EXIT_OK
-        trace = json.loads(capsys.readouterr().out)["trace"]
-        assert [v for v, _ in trace] == pytest.approx([0.2, 0.3, 0.4, 0.5,
-                                                       0.6])
+        record = json.loads(capsys.readouterr().out)
+        assert all(0.2 <= v <= 0.6 for v, _ in record["trace"])
+        assert record["hve"] == record["trace"][-1][0]
 
     @pytest.mark.parametrize("args, cause", [
         (["--bounds", "abc"], "--bounds takes lo,hi (two numbers), got 'abc'"),
         (["--bounds", "0:1:0.3"], "--bounds takes lo,hi"),
         (["--bounds", "0,0.5,1"], "--bounds takes lo,hi"),
-        (["--tol", "0"], "tolerance must be positive"),
         (["--bounds", "1,0"], "search bounds [1.0, 0.0]"),
-        (["--bounds", "1,0", "--search", "grid:2"],
-         "search bounds [1.0, 0.0]"),
-    ], ids=["bounds-abc", "bounds-range", "bounds-three", "tol-0",
-            "bounds-reversed", "grid-bounds-reversed"])
+        (["--bounds", "nan,1"], "search bounds [nan, 1.0]"),
+        (["--bounds", "0,1.5"], "p_heat must be in [0, 1], got 1.5"),
+        (["--ghg", "nan"], "omega must be finite and <= 1, got nan"),
+    ], ids=["bounds-abc", "bounds-range", "bounds-three", "bounds-reversed",
+            "bounds-nan", "bounds-above-one", "ghg-nan"])
     def test_search_bad_arguments_exit_error(self, micro_bundle, capsys,
-                                             args, cause):
+                                             monkeypatch, args, cause):
+        calls = spy_solves(monkeypatch)
         code = main(["search-lcoe", "--inputs", str(micro_bundle),
                      "--ghg", "-1.0", *args])
         captured = capsys.readouterr()
+        assert calls == []
         assert code == EXIT_ERROR
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -1328,10 +1463,7 @@ class TestCli:
                                                      monkeypatch):
         # The fixture ships vehicle demand as daily totals, which needs an
         # ev_flex block from --config; no electrification rate mends that.
-        calls = []
-        run = runner.run_scenario
-        monkeypatch.setattr(runner, "run_scenario",
-                            lambda *a, **kw: calls.append(a) or run(*a, **kw))
+        calls = spy_solves(monkeypatch)
         code = main(["search-lcoe", "--inputs", str(FIXTURE),
                      "--ghg", "0.3"])
         captured = capsys.readouterr()
@@ -1339,9 +1471,23 @@ class TestCli:
         assert (captured.out, captured.err) == (
             "", "validate: fixed EV charging (no ev_flex) needs the hourly "
                 "vehicle series d_veh_full\n")
-        assert len(calls) == 1
+        assert calls == []
         with pytest.raises(InvalidScenarioError, match="^validate: "):
-            min_lcoe_search(FIXTURE, 0.3, method="grid:4")
+            min_lcoe_search(FIXTURE, 0.3)
+
+    @pytest.mark.parametrize("args, cause", [
+        (["--lcp", "1.5", "--hve", "0"], "lcp value 1.5 is not within [0, 1]"),
+        (["--lcp", "0.2", "--hve", "nan"],
+         "hve value nan is not within [0, 1]"),
+        (["--ghg", "0.3", "--hve", "-0.1"],
+         "hve value -0.1 is not within [0, 1]"),
+    ], ids=["lcp-1.5", "hve-nan", "hve-negative"])
+    def test_sweep_bad_grid_exits_error(self, micro_bundle, capsys, args,
+                                        cause):
+        code = main(["sweep", "--inputs", str(micro_bundle), *args])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert (captured.out, captured.err) == ("", f"error: {cause}\n")
 
     def test_sweep_of_invalid_cells_exits_invalid(self, capsys):
         code = main(["sweep", "--inputs", str(FIXTURE), "--lcp", "0.2",

@@ -12,10 +12,9 @@ Last come the runner commands, through the CLI with the fixture's own
 ``sweep --lcp 0:1:0.25 --hve 0:0.4:0.4`` (its lcp = 1 cells are infeasible)
 and ``sweep --ghg 0:0.9:0.45 --hve 0.3`` (``report.csv`` and ``report.json``
 of each), a ``run`` at lcp = 1, which fails (its ``report.csv`` and
-``report.json``), and ``search-lcoe --ghg 0.3 --search grid:4``
-(``search.json`` and ``report.csv``). Run the script on two checkouts and
-compare the output to show that a change keeps every artifact and every
-solve byte-identical:
+``report.json``), and ``search-lcoe --ghg 0.3`` (``search.json`` and
+``report.csv``). Run the script on two checkouts and compare the output to
+show that a change keeps every artifact and every solve byte-identical:
 
     python tools/artifact_digests.py > digests.txt
 
@@ -67,8 +66,7 @@ COMMANDS = {
     "sweep-ghg": (["sweep", "--ghg", "0:0.9:0.45", "--hve", "0.3"],
                   ("report.csv", "report.json")),
     "run-lcp1.0": (["run"], ("report.csv", "report.json")),
-    "search-grid4": (["search-lcoe", "--ghg", "0.3", "--search", "grid:4"],
-                     ("search.json", "report.csv")),
+    "search": (["search-lcoe", "--ghg", "0.3"], ("search.json", "report.csv")),
 }
 
 
