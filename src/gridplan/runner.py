@@ -649,7 +649,11 @@ def run_sweep(bundle, spec: SweepSpec, base: Mapping | None = None) -> SweepResu
     its rate has solved (the first target, or after failures), from that
     of the latest solved cell. One target step at a fixed rate is usually
     a few dual simplex pivots, where the cell before it in order can be a
-    whole row of rates away. Costs, capacities and
+    whole row of rates away. The basis carries its solve's factor
+    (``solver.solve``), so a cell whose LP differs from its start's only
+    in right-hand sides, bounds and the ``policy_lcp`` row's entries is
+    not factored again; the sweep holds one basis per rate, each with its
+    factor (about 0.1 MB at 48 h). Costs, capacities and
     emissions are as a run of the cell alone would give them; the hourly
     split of an optimum that is not unique, and so curtailment and excess
     low-carbon energy, may differ. Failed cells contribute a status row

@@ -21,16 +21,33 @@ and update the reduced costs from the pivot row, so a BTRAN runs only at a
 phase's start, after a refactorization and before optimality is declared.
 The basis inverse is the dense inverse from the last refactorization less
 one rank-1 term per pivot since, so memory is O(m^2 + nnz) and an iteration
-costs O(m^2) reads plus O(nnz). A refactorization peels the basis's row and
-column singletons off in rounds and solves the dense kernel of k rows left
-over (Hellerman & Rarick 1971; Suhl & Suhl 1990), in about
-O(nnz(B) m + k^2 m + k^3). The dense inverse bounds the simplex to
-desk-scale problems (a few thousand rows), which is what the bundled
-fixtures produce; larger studies go through write_mps (or export_mps,
-its text as one string), whose MPS file names column j ``C<j>`` and row i
-``R<i>``, and import_solution, which reads a point keyed by those names or
-by the LP's own. Both stream: the writer renders and writes a chunk of
-lines at a time, and the reader parses a block of text at a time.
+costs O(m^2) reads plus O(nnz). The factor is rebuilt only on need: after
+200 terms (at most m), or where the pivot element read from the column
+(FTRAN) and from the pivot row part by more than 1e-9 relative, the dual
+simplex's pivot stability test (Koberstein 2005). A solve that pivoted
+reads its point and duals off the updated factor, each with one step of
+iterative refinement, and refactors only if that point misses the rows.
+A refactorization peels the basis's row and column singletons off in
+rounds and solves the dense kernel of k rows left over (Hellerman &
+Rarick 1971; Suhl & Suhl 1990), in about O(nnz(B) m + k^2 m + k^3).
+
+An optimal ``Basis`` carries its solve's working problem and factor. A
+solve started from it, on an LP of the same shape, names and sparsity
+pattern, keeps the working scales and a copy of the factor, swaps in the
+new right-hand sides, bounds and costs, and folds a change in one row's
+entries into the factor as one Sherman-Morrison term (Sherman & Morrison
+1950). Along a sweep's chain the basis is thus factored again only where
+the LP gains a row or the factor needs it. A basis holds its dense factor
+packed as its nonzeros (10-20% of m^2 on the fixture, shared along a
+chain) and at most m/4 update terms, or, with more terms, no factor.
+
+The dense inverse bounds the simplex to desk-scale problems (a few
+thousand rows), which is what the bundled fixtures produce; larger studies
+go through write_mps (or export_mps, its text as one string), whose MPS
+file names column j ``C<j>`` and row i ``R<i>``, and import_solution,
+which reads a point keyed by those names or by the LP's own. Both stream:
+the writer renders and writes a chunk of lines at a time, and the reader
+parses a block of text at a time.
 """
 
 from __future__ import annotations
@@ -39,8 +56,8 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -86,11 +103,20 @@ class Basis:
     stored, and so a row the basis does not know, such as one the LP has
     gained, gets a basic slack. A column at an upper bound the LP does not
     give it is at its lower bound.
+
+    The basis of a built-in solve also carries that solve's working problem
+    and factor, which neither compare nor print: a solve started from it on
+    an LP of the same pattern skips set-up and factorization (see
+    ``solve``). It holds the factor's memory (``_Factor``, about 0.1 MB at
+    48 h) for as long as the basis is kept. A basis rebuilt from the three
+    name sets has none.
     """
 
     basic: frozenset[str]
     upper: frozenset[str]
     tight: frozenset[str]
+    _working: _Working | None = field(default=None, compare=False,
+                                      repr=False)
 
 
 @dataclass(frozen=True)
@@ -104,8 +130,8 @@ class Solution:
     adds each nonbasic column's reduced-cost term at its bound whatever its
     sign. It does not measure dual infeasibility: a basis that stops short
     of the optimum, with a column priced the wrong way at its bound, still
-    reads a gap near 0. ``basis`` is the optimal basis of a built-in solve;
-    an imported point or a failed solve has none.
+    reads a gap near 0. ``basis`` is the optimal basis of a built-in solve,
+    carrying its factor; an imported point or a failed solve has none.
     """
 
     status: str
@@ -158,6 +184,21 @@ def _max_violation(lp: LPInstance, x: np.ndarray) -> float:
                float(np.max(x - lp.upper, initial=0.0)))
 
 
+class _Factor(NamedTuple):
+    """A basis and its factor, as a finished ``_Simplex`` leaves them: the
+    basic columns in factor order, every column's status, ``binv0`` as its
+    nonzeros (flat positions, values) and the update terms; the last three
+    are None where the factor is not kept (``_Simplex.keep``). ``binv0`` is
+    packed because it is mostly zeros (80-90% on the fixture's bases), and
+    the packing is shared along a chain until a refactor."""
+
+    basis: np.ndarray
+    vstat: np.ndarray
+    packed: tuple | None
+    u: np.ndarray | None
+    v: np.ndarray | None
+
+
 class _Simplex:
     """Bounded-variable revised simplex over the working (scaled) problem.
 
@@ -175,7 +216,12 @@ class _Simplex:
     FTRAN and BTRAN each read ``binv0`` once plus the thin correction. A
     refactorization folds the terms back into a fresh ``binv0``, built by
     ``_invert`` from the basis's singleton rounds and its dense kernel of k
-    rows in about O(nnz(B) m + k^2 m + k^3).
+    rows in about O(nnz(B) m + k^2 m + k^3). It runs only on need: once
+    ``MAX_UPDATES`` terms are held, where a pivot's two readings part
+    (``_pivot``), and before ``dual`` declares infeasibility. ``keep``
+    gives the factor a simplex ends with, which another simplex over a
+    working matrix of the same shape can ``carry`` on from, and
+    ``patch_row`` adds the term of a changed row.
 
     The working matrix exists only as its nonzeros ``(cols, rows, vals)``,
     sorted by column; the pivot row, FTRAN and refactorization read them
@@ -202,8 +248,11 @@ class _Simplex:
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
     # The most basis updates kept between refactorizations. The row count
     # m caps it: m updates already cost as much to apply, and to store, as
-    # the dense factor they correct.
-    MAX_UPDATES = 100
+    # the dense factor they correct. With the pivot test in _pivot, this
+    # cadence sets every refactor of a cold 96 h solve of the fixture past
+    # its first: 4 at 200, 8 or 9 at 100 (demand seeds 0-3). The time that
+    # saves was within the noise of three runs of those solves.
+    MAX_UPDATES = 200
 
     def __init__(self, cols, rows, vals, b, ub, vstat, opts: SolveOptions):
         """Updates ``vstat`` in place; ``optimize`` or ``refactor`` factors
@@ -223,6 +272,8 @@ class _Simplex:
         self.u = np.empty((self.max_updates, self.m))
         self.v = np.empty((self.max_updates, self.m))
         self.k = 0
+        # binv0 and, once ``keep`` has packed it, its nonzeros.
+        self.binv0 = self.packed = None
 
     def _dense(self, cols: np.ndarray) -> np.ndarray:
         """Working columns ``cols`` as a dense m x len(cols) array, in
@@ -372,13 +423,93 @@ class _Simplex:
         except np.linalg.LinAlgError:
             self._repair_basis()
             self.binv0 = self._invert()
-        self.k = 0
+        self.k, self.packed = 0, None
         self._basic_values()
+
+    def keep(self) -> _Factor:
+        """The basis and factor this simplex ends with, for ``carry``.
+
+        A basis may be held long after its solve, by a caller that keeps
+        its solutions, so the factor is kept only while its update terms
+        number at most m/4, which take half the memory of the dense factor.
+        A simplex that carries a basis kept without its factor factors it
+        afresh.
+        """
+        if self.k > self.m // 4:
+            return _Factor(self.basis.copy(), self.vstat.copy(), None, None,
+                           None)
+        if self.packed is None:
+            flat = np.flatnonzero(self.binv0)
+            self.packed = (flat.astype(np.min_scalar_type(self.binv0.size)),
+                           self.binv0.ravel()[flat])
+        return _Factor(self.basis.copy(), self.vstat.copy(), self.packed,
+                       self.u[:self.k].copy(), self.v[:self.k].copy())
+
+    def carry(self, factor: _Factor):
+        """Start from ``factor``, kept from a simplex over a working matrix
+        of the same shape, whose statuses this one was given."""
+        self.basis = factor.basis.copy()
+        if factor.packed is None:
+            return
+        self.binv0 = np.zeros((self.m, self.m))
+        self.binv0.ravel()[factor.packed[0]] = factor.packed[1]
+        self.packed = factor.packed
+        self.k = k = len(factor.u)
+        self.u[:k] = factor.u
+        self.v[:k] = factor.v
+
+    def patch_row(self, p: int, delta: np.ndarray) -> bool:
+        """Fold a change ``delta`` (over all working columns) of row p's
+        entries into the factor, which must be that of the matrix before
+        the change; False, changing nothing, where it cannot.
+
+        With dB the change over the basic columns, the new basis is
+        B + e_p dB^T, whose inverse is B^-1 less one rank-1 term (Sherman &
+        Morrison 1950): u = B^-1 e_p and v = dB^T B^-1 / (1 + dB^T u). A
+        denominator below 1e-3 of 1 + |dB^T u| leaves the new basis near
+        singular and the term inexact, so it is refused, as is a term the
+        update arrays have no room for.
+        """
+        db = delta[self.basis]
+        if not db.any():
+            return True
+        y = self._btran(db)
+        den = 1.0 + y[p]
+        if (self.k + 1 >= self.max_updates
+                or abs(den) < 1e-3 * (1.0 + abs(y[p]))):
+            return False
+        k = self.k
+        self.u[k] = self._ftran_entries(np.array([p]), np.ones(1))
+        self.v[k] = y / den
+        self.k = k + 1
+        return True
+
+    def _apply(self, r: np.ndarray) -> np.ndarray:
+        """B^-1 r."""
+        k = self.k
+        return self.binv0 @ r - (self.v[:k] @ r) @ self.u[:k]
+
+    def _row_times(self, y: np.ndarray) -> np.ndarray:
+        """y A over the working matrix, logicals included."""
+        return np.bincount(self.cols, weights=y[self.rows] * self.vals,
+                           minlength=self.n_all)
 
     def _basic_values(self):
         """xb = B^-1 (b - the columns at their upper bounds, there)."""
         at_ub = np.flatnonzero(self.vstat == self.AT_UPPER)
-        self.xb = self.binv0 @ (self.b - self._dense(at_ub) @ self.ub[at_ub])
+        self.xb = self._apply(self.b - self._dense(at_ub) @ self.ub[at_ub])
+
+    def refine(self, c: np.ndarray) -> np.ndarray:
+        """Recompute the basic values from the factor as it stands, and
+        return the duals c_B B^-1; each takes one step of iterative
+        refinement, adding the solve of its own residual."""
+        self._basic_values()
+        x = self.point()
+        self.xb += self._apply(self.b - np.bincount(
+            self.rows, weights=self.vals * x[self.cols], minlength=self.m))
+        cb = c[self.basis]
+        y = self._btran(cb)
+        return y + self._btran(cb - self._row_times(y)[self.basis])
 
     def _ftran(self, q: int) -> np.ndarray:
         """B^-1 times working column q."""
@@ -394,9 +525,7 @@ class _Simplex:
     def _row(self, r: int):
         """rho, row r of B^-1, and the pivot row alpha = rho A."""
         rho = self.binv0[r] - self.u[:self.k, r] @ self.v[:self.k]
-        alpha = np.bincount(self.cols, weights=rho[self.rows] * self.vals,
-                            minlength=self.n_all)
-        return rho, alpha
+        return rho, self._row_times(rho)
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
         """cb times B^-1."""
@@ -409,8 +538,14 @@ class _Simplex:
         column out to its upper bound (``to_upper``) or its lower one, given
         w = B^-1 a_q, rho and alpha from before the pivot. Updates d, the
         statuses and the inverse; True if it then refactored, so that the
-        caller re-prices."""
+        caller re-prices.
+
+        w_r and alpha_q are one number read two ways, from the column and
+        from the row. Where they part by more than 1e-9 relative, roundoff
+        in the updated factor has grown, so it is rebuilt.
+        """
         d = self.d
+        drifted = abs(w[r] - alpha[q]) > 1e-9 * abs(w[r])
         leaving = int(self.basis[r])
         theta = d[q] / w[r]
         d -= theta * alpha
@@ -424,9 +559,7 @@ class _Simplex:
         self.vstat[q] = self.BASIC
         self.xb[r] = x_q
         self._pivot_update(r, w, rho)
-        # Small pivots are accepted but poison the rolling inverse, so
-        # refresh it immediately afterwards.
-        if self.k >= self.max_updates or abs(w[r]) < 1e-3:
+        if drifted or self.k >= self.max_updates:
             self.refactor()
             return True
         return False
@@ -498,8 +631,7 @@ class _Simplex:
     def _price(self, c: np.ndarray):
         """Reduced costs ``d = c - A^T y`` from a fresh BTRAN."""
         y = self._btran(c[self.basis])
-        self.d = c - np.bincount(self.cols, weights=y[self.rows] * self.vals,
-                                 minlength=self.n_all)
+        self.d = c - self._row_times(y)
         self.d[self.basis] = 0.0
 
     def run(self, c: np.ndarray, max_iterations: int) -> str:
@@ -608,10 +740,11 @@ class _Simplex:
         columns in ratio order, moving each to its other bound, while the
         leaving variable stays infeasible, and the column at the breakpoint
         where it would not enters. "infeasible" means that no move of the
-        nonbasic columns brings the leaving variable to its bound; ``ray``
-        is then row r of B^-1, signed so that ray b exceeds every value
-        ray A x takes within the bounds. The row weights update as the
-        column weights do in ``run``, with w in place of the pivot row.
+        nonbasic columns brings the leaving variable to its bound, read
+        off a fresh factor (one with update terms is rebuilt first);
+        ``ray`` is then row r of B^-1, signed so that ray b exceeds every
+        value ray A x takes within the bounds. The row weights update as
+        the column weights do in ``run``, with w in place of the pivot row.
         """
         ftol = self.opts.feasibility_tol
         movable = self.ub > 0.0  # fixed columns never enter
@@ -651,6 +784,12 @@ class _Simplex:
             left = violation[r] - np.cumsum(np.abs(alpha[cand])
                                             * self.ub[cand])
             if cand.size == 0 or left[-1] > ftol:
+                if self.k:
+                    # The violation may be the updated factor's roundoff:
+                    # infeasibility is declared from a fresh one only.
+                    self.refactor()
+                    c = self._make_dual_feasible(c)
+                    continue
                 self.ray = -rho if to_lower else rho
                 return STATUS_INFEASIBLE
             stop = int(np.argmax(left <= ftol))
@@ -677,10 +816,12 @@ class _Simplex:
 
     def optimize(self, c: np.ndarray, max_iterations: int) -> str:
         """Optimize with costs c from the statuses in ``vstat``: factor the
-        basis, run ``dual`` to primal feasibility, then primal phase 2
-        (``run``) on the true costs, which declares optimality only on
-        fresh reduced costs. Raises LinAlgError for a singular basis."""
-        self.binv0 = self._invert()
+        basis unless a factor was carried, run ``dual`` to primal
+        feasibility, then primal phase 2 (``run``) on the true costs, which
+        declares optimality only on fresh reduced costs. Raises LinAlgError
+        for a singular basis."""
+        if self.binv0 is None:
+            self.binv0 = self._invert()
         self._basic_values()
         status = self.dual(c, max_iterations)
         if status != STATUS_OPTIMAL:
@@ -745,40 +886,13 @@ def _farkas_bound(lp: LPInstance, y: np.ndarray) -> float:
     return gap / max(float(np.abs(y).sum()), np.finfo(float).tiny)
 
 
-def solve(lp: LPInstance, options: SolveOptions | None = None,
-          start: Basis | None = None) -> Solution:
-    """Minimize the LPInstance with the built-in simplex.
-
-    The working matrix is built from the LP's CSR arrays alone: lower
-    bounds shifted to zero, rows and columns equilibrated, and one logical
-    column per row appended (+1 on [0, inf) for <=, -1 on [0, inf) for >=,
-    +1 fixed at 0 for =). Every solve runs ``_Simplex.optimize`` from a
-    basis: the slack basis, the logicals', or ``start``, an optimal basis
-    of this LP or of one sharing names with it (say, a neighbouring sweep
-    cell). A start that names other than m basic columns and rows here, is
-    singular, or ends "numerical" is tried once more from the slack basis,
-    adding the iterations spent.
-
-    With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
-    original rows or bounds by more than 10 tol is never reported optimal
-    but "numerical", naming the violated rows worst first. "infeasible"
-    needs the dual's certificate to prove, by ``_farkas_bound``, a row
-    violation above tol at every point within the bounds; one that does
-    not is "numerical". Either message names up to 5 rows of the
-    certificate, largest multiplier first. An optimal solution carries its
-    ``basis``.
-    """
-    opts = options or SolveOptions()
-    m, n = lp.n_rows, lp.n_cols
-    lower = lp.lower
+def _equilibrate(lp: LPInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column scales by two passes of geometric-mean
+    equilibration: capital-cost and hourly-energy coefficients differ by
+    orders of magnitude otherwise."""
     row_of, col_of = lp.row_of, lp.indices
-    tol = opts.feasibility_tol * max(
-        1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
-
-    # Geometric-mean equilibration: capital-cost and hourly-energy
-    # coefficients differ by orders of magnitude otherwise.
-    row_scale = np.ones(m)
-    col_scale = np.ones(n)
+    row_scale = np.ones(lp.n_rows)
+    col_scale = np.ones(lp.n_cols)
     mag = np.abs(lp.data)
     for _ in range(2):
         for scale, index in ((row_scale, row_of), (col_scale, col_of)):
@@ -791,31 +905,129 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
                              1.0 / np.sqrt(hi * lo), 1.0)
             mag *= f[index]
             scale *= f
+    return row_scale, col_scale
 
-    # Working columns, sorted by column: structural (shifted to lower
-    # bound 0 and scaled), then the logical column of each row.
-    by_col = np.argsort(col_of, kind="stable")
-    n_all = n + m
-    cols = np.concatenate([col_of[by_col], n + np.arange(m)])
-    rows = np.concatenate([row_of[by_col], np.arange(m)])
-    vals = np.concatenate([
-        (lp.data * row_scale[row_of] * col_scale[col_of])[by_col],
-        np.where(lp.sense == GE, -1.0, 1.0)])
-    b_w = (lp.rhs - lp.activity(lower)) * row_scale
-    ub_w = np.concatenate([(lp.upper - lower) / col_scale,
-                           np.where(lp.sense == EQ, 0.0, np.inf)])
-    c_w = np.zeros(n_all)
-    c_w[:n] = lp.objective * col_scale
-    max_iterations = opts.max_iterations
-    if max_iterations is None:
-        max_iterations = 50 * (m + n_all) + 200
 
-    def conclude(sx, status):
+class _Working:
+    """The working problem of one LP and the map back to the LP's units
+    (``conclude``).
+
+    Lower bounds are shifted to zero, rows and columns equilibrated, and
+    one logical column per row appended (+1 on [0, inf) for <=, -1 on
+    [0, inf) for >=, +1 fixed at 0 for =). The working columns are sorted
+    by column: structural, then logical. An optimal solve's ``Basis``
+    carries the working problem, with ``factor`` the basis and factor
+    found, and ``follow`` reuses both for the next LP of a chain; it then
+    keeps only what ``follow`` reads, not the LP.
+    """
+
+    def __init__(self, lp: LPInstance, opts: SolveOptions,
+                 like: _Working | None = None):
+        """The working problem of ``lp``, equilibrated afresh or with the
+        scales (and so the pattern arrays) of ``like``, a working problem
+        of an LP with the same shape and sparsity pattern."""
+        self.lp, self.opts = lp, opts
+        m, n = lp.n_rows, lp.n_cols
+        # What follow compares a next LP with, shared along a chain.
+        self.pattern = like.pattern if like else (
+            lp.row_names, lp.col_names, lp.sense, lp.indptr, lp.indices)
+        self.n_all = n + m
+        self.tol = opts.feasibility_tol * max(
+            1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
+        if like is None:
+            self.row_scale, self.col_scale = _equilibrate(lp)
+            self.by_col = np.argsort(lp.indices, kind="stable")
+            self.cols = np.concatenate([lp.indices[self.by_col],
+                                        n + np.arange(m)])
+            self.rows = np.concatenate([lp.row_of[self.by_col],
+                                        np.arange(m)])
+        else:
+            self.row_scale, self.col_scale = like.row_scale, like.col_scale
+            self.by_col, self.cols = like.by_col, like.cols
+            self.rows = like.rows
+        row_scale, col_scale = self.row_scale, self.col_scale
+        self.vals = np.concatenate([
+            (lp.data * row_scale[lp.row_of]
+             * col_scale[lp.indices])[self.by_col],
+            np.where(lp.sense == GE, -1.0, 1.0)])
+        self.b = (lp.rhs - lp.activity(lp.lower)) * row_scale
+        self.ub = np.concatenate([(lp.upper - lp.lower) / col_scale,
+                                  np.where(lp.sense == EQ, 0.0, np.inf)])
+        self.c = np.zeros(self.n_all)
+        self.c[:n] = lp.objective * col_scale
+        self.max_iterations = opts.max_iterations
+        if self.max_iterations is None:
+            self.max_iterations = 50 * (m + self.n_all) + 200
+        self.factor = None
+
+    def simplex(self, vstat: np.ndarray) -> _Simplex:
+        return _Simplex(self.cols, self.rows, self.vals, self.b, self.ub,
+                        vstat, self.opts)
+
+    def slack_statuses(self) -> np.ndarray:
+        vstat = np.full(self.n_all, _Simplex.AT_LOWER, dtype=np.int8)
+        vstat[self.lp.n_cols:] = _Simplex.BASIC
+        return vstat
+
+    def statuses(self, start: Basis) -> np.ndarray:
+        """The statuses ``start`` names in this LP's working columns: a
+        row's logical is basic unless the start has the row tight."""
+        lp, n = self.lp, self.lp.n_cols
+        member = lambda names, chosen: np.array(
+            [name in chosen for name in names], dtype=bool)
+        vstat = self.slack_statuses()
+        at_upper = member(lp.col_names, start.upper) & np.isfinite(self.ub[:n])
+        vstat[:n][at_upper] = _Simplex.AT_UPPER
+        vstat[:n][member(lp.col_names, start.basic)] = _Simplex.BASIC
+        vstat[n:][member(lp.row_names, start.tight)] = _Simplex.AT_LOWER
+        return vstat
+
+    def follow(self, lp: LPInstance, opts: SolveOptions):
+        """The working problem of ``lp`` with these scales, and a simplex
+        on it from this problem's optimal basis and factor; None unless
+        ``lp`` has this LP's shape, names, senses and sparsity pattern and
+        differs in at most one row's entries, or where the change to that
+        row leaves the basis near singular (``_Simplex.patch_row``).
+        Right-hand sides, bounds and costs may all differ."""
+        row_names, col_names, sense, indptr, indices = self.pattern
+        if (lp.row_names != row_names or lp.col_names != col_names
+                or not np.array_equal(lp.sense, sense)
+                or not np.array_equal(lp.indptr, indptr)
+                or not np.array_equal(lp.indices, indices)):
+            return None
+        work = _Working(lp, opts, like=self)
+        change = np.flatnonzero(work.vals != self.vals)
+        moved = np.unique(work.rows[change])
+        if moved.size > 1:
+            return None
+        vstat = self.factor.vstat.copy()
+        vstat[(vstat == _Simplex.AT_UPPER)
+              & ~np.isfinite(work.ub)] = _Simplex.AT_LOWER
+        sx = work.simplex(vstat)
+        sx.carry(self.factor)
+        if moved.size and sx.binv0 is not None:
+            delta = np.zeros(work.n_all)
+            delta[work.cols[change]] = work.vals[change] - self.vals[change]
+            if not sx.patch_row(int(moved[0]), delta):
+                return None
+        return work, sx
+
+    def attempt(self, sx: _Simplex) -> Solution | None:
+        """The solution from ``sx``'s start, or None where that start is
+        singular, or the solve from it ends "numerical"."""
+        try:
+            sol = self.conclude(sx, sx.optimize(self.c, self.max_iterations))
+        except (ArithmeticError, np.linalg.LinAlgError):
+            return None  # a singular basis, at the start or beyond repair
+        return None if sol.status == STATUS_NUMERICAL else sol
+
+    def conclude(self, sx: _Simplex, status: str) -> Solution:
         """The solution of a finished run: an optimal basis's point,
         checked against the rows, or the certificate of a failure."""
+        lp, tol = self.lp, self.tol
         if status == STATUS_ITERATION_LIMIT:
             return _no_solution(status, sx.iterations,
-                                f"iteration limit {max_iterations} hit")
+                                f"iteration limit {self.max_iterations} hit")
         if status == STATUS_UNBOUNDED:
             return _no_solution(
                 status, sx.iterations,
@@ -826,7 +1038,7 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
             # y, so this only keeps noise rows out of the proof.
             ray = sx.ray
             y = np.where(np.abs(ray) > 1e-9 * np.abs(ray).max(), ray,
-                         0.0) * row_scale
+                         0.0) * self.row_scale
             bound = _farkas_bound(lp, y)
             rows_named = [lp.row_names[i] for i in np.argsort(
                 -np.abs(y), kind="stable")[:5] if y[i] != 0.0]
@@ -841,50 +1053,88 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
                 f"dual simplex claims no feasible point, but its "
                 f"certificate shows a row violation of only {bound:.3e}; "
                 f"rows led by {rows_named}")
-        # With no pivot since the last factorization its inverse is the one
-        # a refactor would build, so only the basic values are recomputed.
+        n = lp.n_cols
+
+        def point(duals):
+            x = lp.lower + sx.point()[:n] * self.col_scale
+            return _finish(lp, x, duals * self.row_scale,
+                           sx.vstat[:n].copy(), sx.iterations)
+
+        # A fresh factor is the one a refactor would build, so only the
+        # basic values are recomputed. An updated one gives a refined
+        # point, and is rebuilt only where that point misses the rows.
         if sx.k:
-            sx.refactor()
+            sol = point(sx.refine(self.c))
+            if sol.max_violation > 10.0 * tol:
+                sx.refactor()
+                sol = point(sx.duals(self.c))
         else:
             sx._basic_values()
-        x = lower + sx.point()[:n] * col_scale
-        duals = sx.duals(c_w) * row_scale
-        sol = _finish(lp, x, duals, sx.vstat[:n].copy(), sx.iterations)
+            sol = point(sx.duals(self.c))
         if sol.max_violation > 10.0 * tol:
             return _no_solution(
                 STATUS_NUMERICAL, sx.iterations, _violation_message(
                     lp, sol.x, 10.0 * tol, "built-in point"))
+        # The basis carries this problem on: its pattern, scales and
+        # factor, not the LP nor the arrays that only a solve reads.
+        self.factor = sx.keep()
+        self.lp = self.b = self.ub = self.c = None
         pick = lambda names, mask: frozenset(itertools.compress(
             names, mask.tolist()))
         return replace(sol, basis=Basis(
             basic=pick(lp.col_names, sx.vstat[:n] == _Simplex.BASIC),
             upper=pick(lp.col_names, sx.vstat[:n] == _Simplex.AT_UPPER),
-            tight=pick(lp.row_names, sx.vstat[n:] != _Simplex.BASIC)))
+            tight=pick(lp.row_names, sx.vstat[n:] != _Simplex.BASIC),
+            _working=self))
 
-    slack_basis = np.full(n_all, _Simplex.AT_LOWER, dtype=np.int8)
-    slack_basis[n:] = _Simplex.BASIC
+
+def solve(lp: LPInstance, options: SolveOptions | None = None,
+          start: Basis | None = None) -> Solution:
+    """Minimize the LPInstance with the built-in simplex, from the slack
+    basis or from ``start``, an optimal basis of this LP or of one sharing
+    names with it (say, a neighbouring sweep cell).
+
+    A start that carries the working problem of an LP with this one's
+    shape, names, senses and sparsity pattern, differing only in
+    right-hand sides, bounds, costs and at most one row's entries
+    (``_Working.follow``), goes on from a copy of its factor with its
+    scales: neither equilibration nor factorization runs. Any other start,
+    or one whose carried solve hits a singular basis or ends "numerical",
+    is mapped by name onto a fresh working problem (``_Working``); one that
+    names other than m basic columns and rows here, is singular, or ends
+    "numerical" gives way to the slack basis. The iterations of every try
+    are added.
+
+    With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
+    original rows or bounds by more than 10 tol is never reported optimal
+    but "numerical", naming the violated rows worst first. "infeasible"
+    needs the dual's certificate to prove, by ``_farkas_bound``, a row
+    violation above tol at every point within the bounds; one that does
+    not is "numerical". Either message names up to 5 rows of the
+    certificate, largest multiplier first. An optimal solution carries its
+    ``basis``, and with it the factor for the next solve of a chain.
+    """
+    opts = options or SolveOptions()
     spent = 0
-    if start is not None:
-        # The start's statuses in this LP's working columns: a row's
-        # logical is basic unless the start has the row tight.
-        member = lambda names, chosen: np.array(
-            [name in chosen for name in names], dtype=bool)
-        vstat = slack_basis.copy()
-        at_upper = member(lp.col_names, start.upper) & np.isfinite(ub_w[:n])
-        vstat[:n][at_upper] = _Simplex.AT_UPPER
-        vstat[:n][member(lp.col_names, start.basic)] = _Simplex.BASIC
-        vstat[n:][member(lp.row_names, start.tight)] = _Simplex.AT_LOWER
-        if np.count_nonzero(vstat == _Simplex.BASIC) == m:
-            sx = _Simplex(cols, rows, vals, b_w, ub_w, vstat, opts)
-            try:
-                sol = conclude(sx, sx.optimize(c_w, max_iterations))
-                if sol.status != STATUS_NUMERICAL:
-                    return sol
-            except (ArithmeticError, np.linalg.LinAlgError):
-                pass  # a singular basis, at the start or beyond repair
+    if start is not None and start._working is not None:
+        followed = start._working.follow(lp, opts)
+        if followed is not None:
+            work, sx = followed
+            sol = work.attempt(sx)
+            if sol is not None:
+                return sol
             spent = sx.iterations
-    sx = _Simplex(cols, rows, vals, b_w, ub_w, slack_basis, opts)
-    sol = conclude(sx, sx.optimize(c_w, max_iterations))
+    work = _Working(lp, opts)
+    if start is not None:
+        vstat = work.statuses(start)
+        if np.count_nonzero(vstat == _Simplex.BASIC) == lp.n_rows:
+            sx = work.simplex(vstat)
+            sol = work.attempt(sx)
+            if sol is not None:
+                return replace(sol, iterations=sol.iterations + spent)
+            spent += sx.iterations
+    sx = work.simplex(work.slack_statuses())
+    sol = work.conclude(sx, sx.optimize(work.c, work.max_iterations))
     return replace(sol, iterations=sol.iterations + spent)
 
 

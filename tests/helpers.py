@@ -28,6 +28,7 @@ from gridplan.model import (
     TimeSeriesSet,
 )
 from gridplan.runner import load_bundle
+from gridplan.solver import _Simplex
 
 T = 48
 FIXTURE = Path(gridplan.__file__).parent / "data" / "two_node_48h"
@@ -165,14 +166,30 @@ def build_lp(*args, **kw):
     return assemble(BuildInputs(*args, **kw))
 
 
-def tiled_fixture(k: int):
-    """The shipped bundle with every series tiled ``k`` times."""
-    bundle = load_bundle(FIXTURE)
+def tiled_fixture(k: int, seed: int = 0):
+    """The shipped bundle, tiled by ``tile_bundle``."""
+    return tile_bundle(load_bundle(FIXTURE), k, seed)
+
+
+def tile_bundle(bundle, k: int, seed: int = 0):
+    """``bundle`` with every series tiled ``k`` times, n_years scaled to
+    match and its hourly demand scaled by the benchmark's factor for
+    ``seed``."""
     series = bundle.series
+    nodes = sorted(series.d_elec)
+    n_hours = series.n_hours * k
+
+    def tile(name, node, arr):
+        arr = np.tile(arr, k)
+        if name in ("d_elec", "d_heat_full", "d_veh_full"):
+            arr = arr * demand_factor(seed, nodes.index(node), n_hours)
+        return arr
+
     return dataclasses.replace(
         bundle,
         series=dataclasses.replace(series, **{
-            name: {node: np.tile(arr, k) for node, arr in mapping.items()}
+            name: {node: tile(name, node, arr)
+                   for node, arr in mapping.items()}
             for name, mapping in vars(series).items() if mapping is not None}),
         params=dataclasses.replace(bundle.params,
                                    n_years=bundle.params.n_years * k))
@@ -273,6 +290,19 @@ def make_lp(objective: Sequence[float],
         row_tags=[""] * len(names), lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),
         col_names=tuple(col_names), offset=offset, audit=dict(audit or {}))
+
+
+def count_inverts(monkeypatch) -> list:
+    """Patch the simplex's ``_invert`` to record each call."""
+    inverts = []
+    invert = _Simplex._invert
+
+    def counted(self):
+        inverts.append(None)
+        return invert(self)
+
+    monkeypatch.setattr(_Simplex, "_invert", counted)
+    return inverts
 
 
 def worst_reduced_cost(lp: LPInstance, sol) -> float:

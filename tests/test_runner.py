@@ -62,7 +62,8 @@ from gridplan.runner import (
 from gridplan.solver import SolveOptions
 
 from _mpsread import solve_mps_with_highs
-from helpers import build_lp, series_csv_oracle, tiled_fixture
+from helpers import (build_lp, count_inverts, series_csv_oracle,
+                     tiled_fixture, worst_reduced_cost)
 
 T = 24
 PARAMS = TechParams(n_years=T / 8760.0)
@@ -970,6 +971,58 @@ def spy_solves(monkeypatch) -> list:
     monkeypatch.setattr(runner, "solve", lambda lp, *a, start=None: (
         calls.append((lp, start)) or solve(lp, *a, start=start)))
     return calls
+
+
+# The benchmark's sweep_48h grid, and a grid over the emissions target.
+CHAIN_GRIDS = {
+    "lcp-hve": dict(lcp_values=(0.0, 0.2, 0.4, 0.6, 0.8),
+                    hve_values=(0.0, 0.2, 0.4)),
+    "omega-hve": dict(omega_values=(0.0, 0.15, 0.3, 0.45),
+                      hve_values=(0.0, 0.2, 0.4)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("grid", CHAIN_GRIDS)
+def test_chain_matches_cold_runs(grid, seed, monkeypatch):
+    # Each cell of a sweep starts from a neighbour's basis, most with its
+    # factor carried (and a changed policy row folded in). Every cell's
+    # reported quantities are those of a cold run of the cell alone.
+    bundle = tiled_fixture(1, seed)
+    base = json.loads((FIXTURE / "scenario.json").read_text())
+    spec = SweepSpec(jobs=1, **CHAIN_GRIDS[grid])
+    solves = []
+    solve = runner.solve
+
+    def spy(lp, *args, **kw):
+        solves.append((lp, solve(lp, *args, **kw)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(runner, "solve", spy)
+    inverts = count_inverts(monkeypatch)
+    sweep = run_sweep(bundle, spec, base=base)
+    chained = len(inverts)
+    monkeypatch.undo()
+    assert len(sweep.reports) == len(sweep.records) == len(solves)
+    for lp, sol in solves:
+        assert worst_reduced_cost(lp, sol) <= 1e-9
+    close = lambda a, b: abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    base_kw = runner._base_config_dict(base)
+    for (mode, overrides), report in zip(spec.cells(), sweep.reports):
+        cold = run_scenario(bundle, runner.config_from_dict(
+            {**base_kw, "mode": mode, **overrides})).report
+        assert close(report.total_cost_usd, cold.total_cost_usd)
+        assert close(report.lcoe_usd_per_mwh, cold.lcoe_usd_per_mwh)
+        assert report.capacity.keys() == cold.capacity.keys()
+        assert all(close(report.capacity[k], cold.capacity[k])
+                   for k in cold.capacity)
+        warm_eps = dataclasses.asdict(report.emissions)
+        cold_eps = dataclasses.asdict(cold.emissions)
+        assert all(close(warm_eps[k], cold_eps[k]) for k in cold_eps)
+    if grid == "lcp-hve" and seed == 5:
+        # 34 at the parent, which refactored at every start, after every
+        # pivot below 1e-3 and at the end of each solve that pivoted.
+        assert chained <= 10
 
 
 def grid_best(bundle, omega, rates, base=None) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
 from gridplan.runner import load_bundle, load_config
 from gridplan.solver import (SolveOptions, _Simplex, import_solution,
                              solve)
-from helpers import demand_factor, dense_matrix, make_lp, worst_reduced_cost
+from helpers import (count_inverts, dense_matrix, make_lp, tile_bundle,
+                     worst_reduced_cost)
 from test_acceptance import demo_config
 
 FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
@@ -100,6 +102,24 @@ def count_optimizations(monkeypatch):
 
     monkeypatch.setattr(_Simplex, "optimize", spy)
     return statuses
+
+
+def record_refactors(monkeypatch):
+    """Patch _Simplex._pivot to record the cause of each refactor it
+    makes: "cadence" where the update arrays are full, else "drift" (the
+    pivot's two readings parted)."""
+    causes = []
+    pivot = _Simplex._pivot
+
+    def spy(self, *args):
+        full = self.k + 1 >= self.max_updates
+        refactored = pivot(self, *args)
+        if refactored:
+            causes.append("cadence" if full else "drift")
+        return refactored
+
+    monkeypatch.setattr(_Simplex, "_pivot", spy)
+    return causes
 
 
 def rhs_tolerance(lp):
@@ -750,43 +770,32 @@ def test_updated_reduced_costs_match_fresh_at_end_of_phase_2(
 
 
 def tiled_lp(bundle, k, seed=0, config=None):
-    """The fixture LP with every series tiled k times and n_years scaled
-    to match, its hourly demand scaled by the benchmark's factor for
-    ``seed``, under ``config`` (default: the fixture's scenario)."""
-    series = bundle.series
-    nodes = sorted(series.d_elec)
-    n_hours = series.n_hours * k
-    tiled = {}
-    for f in dataclasses.fields(series):
-        mapping = getattr(series, f.name)
-        if mapping is None:
-            continue
-        tiled[f.name] = {node: np.tile(arr, k) for node, arr in mapping.items()}
-        if f.name in ("d_elec", "d_heat_full", "d_veh_full"):
-            for node in mapping:
-                tiled[f.name][node] *= demand_factor(seed, nodes.index(node),
-                                                     n_hours)
-    series = dataclasses.replace(series, **tiled)
-    params = dataclasses.replace(bundle.params,
-                                 n_years=bundle.params.n_years * k)
+    """The LP of ``tile_bundle(bundle, k, seed)`` under ``config``
+    (default: the fixture's scenario)."""
+    bundle = tile_bundle(bundle, k, seed)
     config = config or load_config(FIXTURE_DIR / "scenario.json")
-    demand = synthesize_demand(bundle.network, series, config, params)
-    inp = BuildInputs(config, bundle.network, series, bundle.costs, params,
-                      demand, emissions=bundle.emissions)
+    demand = synthesize_demand(bundle.network, bundle.series, config,
+                               bundle.params)
+    inp = BuildInputs(config, bundle.network, bundle.series, bundle.costs,
+                      bundle.params, demand, emissions=bundle.emissions)
     return assemble(inp)[0]
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_fixture_tiled_to_96h_matches_highs(bundle, seed):
+def test_fixture_tiled_to_96h_matches_highs(bundle, seed, monkeypatch):
     lp = tiled_lp(bundle, 2, seed)
     assert lp.n_rows == 497
     ref = scipy_solve(lp)
     assert ref.status == 0
+    causes = record_refactors(monkeypatch)
     sol = solve(lp)
     assert sol.status == "optimal", sol.message
     assert sol.objective == pytest.approx(ref.fun + lp.offset, rel=1e-9)
     assert worst_reduced_cost(lp, sol) <= 1e-9
     assert sol.duality_gap <= 1e-9
+    # The pivot's two readings agree here (to 5e-13 relative at worst), so
+    # only the cadence refactors.
+    assert causes and set(causes) == {"cadence"}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -943,17 +952,20 @@ def test_infeasible_lp_from_a_start_is_certified_without_a_cold_solve(
 
 def test_start_at_the_optimum_inverts_the_basis_once(fixture_lp,
                                                      monkeypatch):
-    # No pivot follows optimize's factorization, so the end of the solve
-    # reads the basic values off that factor instead of building it again.
-    start = solve(fixture_lp).basis
-    inverts = []
-    invert = _Simplex._invert
-
-    def counted(self):
-        inverts.append(None)
-        return invert(self)
-
-    monkeypatch.setattr(_Simplex, "_invert", counted)
+    # The basis solve returns carries its factor, so a restart from it
+    # inverts nothing.
+    cold = solve(fixture_lp)
+    start = cold.basis
+    inverts = count_inverts(monkeypatch)
+    carried = solve(fixture_lp, start=start)
+    assert carried.status == "optimal"
+    assert (carried.iterations, len(inverts)) == (0, 0)
+    assert carried.objective == pytest.approx(cold.objective, rel=1e-12)
+    # Rebuilt from its three name sets, it has no factor. No pivot follows
+    # optimize's factorization, so the end of the solve reads the basic
+    # values off that factor instead of building it again.
+    start = gridplan.Basis(basic=start.basic, upper=start.upper,
+                           tight=start.tight)
     warm = solve(fixture_lp, start=start)
     assert warm.status == "optimal"
     assert (warm.iterations, len(inverts)) == (0, 1)
@@ -972,6 +984,100 @@ def test_start_at_the_optimum_inverts_the_basis_once(fixture_lp,
     np.testing.assert_array_equal(warm.x, again.x)
     np.testing.assert_array_equal(warm.duals, again.duals)
     assert (warm.basis, warm.iterations) == (again.basis, again.iterations)
+
+
+def test_changed_row_is_folded_into_the_factor(bundle, fixture_lp):
+    # lcp 0.4 -> 0.6 changes the entries of the policy_lcp row alone. The
+    # factor carried from the lcp 0.4 optimum, with one Sherman-Morrison
+    # term, inverts the lcp 0.6 LP's basis, in the old factor's order.
+    # The residual is measured against max |B^-1| max |B|: this basis has
+    # condition number 5.6e8, and a fresh inverse of it reads 3e-9.
+    config = load_config(FIXTURE_DIR / "scenario.json")
+    lp = tiled_lp(bundle, 1, 0, dataclasses.replace(config, lcp=0.6))
+    moved = np.unique(lp.row_of[lp.data != fixture_lp.data])
+    assert [lp.row_names[i] for i in moved] == ["policy_lcp"]
+    start = solve(fixture_lp).basis
+    old = start._working.factor
+    _, sx = start._working.follow(lp, SolveOptions())
+    np.testing.assert_array_equal(sx.basis, old.basis)
+    assert sx.k == len(old.u) + 1
+    basis = sx._dense(sx.basis)
+
+    def residual(binv0, u, v):
+        binv = binv0 - u.T @ v
+        return np.abs(binv @ basis - np.eye(sx.m)).max() / (
+            np.abs(binv).max() * np.abs(basis).max())
+
+    assert residual(sx.binv0, sx.u[:sx.k], sx.v[:sx.k]) <= 1e-12
+    # The factor before the patch does not.
+    assert residual(sx.binv0, old.u, old.v) > 1e-9
+    sol = solve(lp, start=start)
+    assert sol.objective == pytest.approx(solve(lp).objective, rel=1e-9)
+
+
+def test_near_singular_patch_takes_a_fresh_factor(monkeypatch):
+    # "gap" x - y <= 1 becomes x + y <= 1: with x and y basic, the new
+    # basis repeats the row "cap", and 1 + dB^T B^-1 e_p is 0.
+    cap = ([1.0, 1.0], LE, 4.0, "cap")
+    lp0 = make_lp([-1.0, -1.0], [cap, ([1.0, -1.0], LE, 1.0, "gap")],
+                  col_names=("x", "y"))
+    lp = make_lp([-1.0, -1.0], [cap, ([1.0, 1.0], LE, 1.0, "gap")],
+                 col_names=("x", "y"))
+    start = solve(lp0).basis
+    assert start.basic == {"x", "y"}
+    patches = []
+    patch_row = _Simplex.patch_row
+
+    def spy(self, p, delta):
+        patches.append(patch_row(self, p, delta))
+        return patches[-1]
+
+    monkeypatch.setattr(_Simplex, "patch_row", spy)
+    assert start._working.follow(lp, SolveOptions()) is None
+    inverts = count_inverts(monkeypatch)
+    sol = solve(lp, start=start)
+    assert patches == [False, False]
+    assert inverts
+    cold = solve(lp)
+    assert sol.status == cold.status == "optimal"
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+def test_drifted_factor_is_rebuilt_at_the_next_pivot(fixture_lp, monkeypatch):
+    # One stored update term is perturbed once, in the dual simplex,
+    # between the pivot row (read from the clean factor) and the FTRAN of
+    # the entering column (from the perturbed one). The pivot's two
+    # readings then part, and that pivot refactors.
+    ref = scipy_solve(fixture_lp)
+    causes = record_refactors(monkeypatch)
+    pivots = []
+    pivot = _Simplex._pivot
+
+    def counted(self, *args):
+        pivots.append(len(causes))
+        return pivot(self, *args)
+
+    monkeypatch.setattr(_Simplex, "_pivot", counted)
+    row = _Simplex._row
+    perturbed = []
+
+    def perturb(self, r):
+        out = row(self, r)
+        if not perturbed and len(pivots) >= 50 and self.k:
+            assert sys._getframe(1).f_code.co_name == "dual"
+            self.u[self.k - 1] += 1e-3
+            self.v[self.k - 1] += 1e-3
+            perturbed.append((len(pivots), len(causes)))
+        return out
+
+    monkeypatch.setattr(_Simplex, "_row", perturb)
+    sol = solve(fixture_lp)
+    (at, refactors), = perturbed
+    assert causes[refactors:refactors + 1] == ["drift"]
+    assert pivots[at] == refactors  # the next pivot is the one
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun + fixture_lp.offset,
+                                          rel=1e-9)
 
 
 def test_cold_solve_reaches_the_optimum_of_a_scaled_column(bundle):
