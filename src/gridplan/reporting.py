@@ -430,6 +430,12 @@ LCOE_KEYS = (
     "hydrogen",
 )
 
+# A resource whose delivered energy is at most this share of the scenario's
+# net demand delivers nothing and has no LCOE: such an amount is a basic
+# value at roundoff level (biofuel at 8e-27 GWh/h in a chained sweep's
+# lcp 1 cell), and its unit cost would be a cost over no energy.
+_IDLE_SHARE = 1e-9
+
 CAPACITY_KEYS = (
     "onshore", "offshore", "us-solar", "btm-solar", "fossil-existing",
     "fossil-new", "hydro", "nuclear", "battery-power", "battery-energy",
@@ -552,8 +558,8 @@ class ScenarioReport:
     """Everything reported for one solved scenario.
 
     ``None`` means "not defined here" (no emissions calibration, resource
-    that delivered nothing) and serializes as an empty CSV field or JSON
-    null, never as zero.
+    that delivered nothing, or at most 1e-9 of the net demand) and
+    serializes as an empty CSV field or JSON null, never as zero.
     """
 
     label: str
@@ -593,9 +599,11 @@ def summarize(inp: BuildInputs, lp: LPInstance, solution: Solution,
     generation = _generation_mwh(inp, x, hourly, curtailed)
     delivered = _delivered_mwh(generation)
     per_hour = 1.0 / (inp.n_hours * 1000.0)
-    resource_lcoe = {key: unit_cost(buckets[key], delivered[key])
-                     for key in LCOE_KEYS}
     net_demand = _net_demand(inp, hourly)
+    resource_lcoe = {
+        key: (unit_cost(buckets[key], delivered[key])
+              if delivered[key] > _IDLE_SHARE * net_demand else None)
+        for key in LCOE_KEYS}
     ledger = realized_emissions(inp, solution)
     reduction = ghg_reduction(ledger) if ledger is not None else None
     r_heat, r_veh = _electrified_rates(inp, x)

@@ -52,7 +52,6 @@ from .solver import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     Basis,
-    SolveOptions,
     _float_text,
     _write_lines,
     export_mps,
@@ -467,7 +466,6 @@ def _stage(bundle: Bundle, config: ScenarioConfig):
 
 def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
                  solver: str = "builtin", out_dir=None, solution_file=None,
-                 solve_options: SolveOptions | None = None,
                  start: Basis | None = None) -> RunResult:
     """Run the staged pipeline for one scenario.
 
@@ -537,9 +535,9 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     try:
         if solution_file is not None:
             with open(solution_file, encoding="utf-8") as fh:
-                solution = import_solution(lp, fh, solve_options)
+                solution = import_solution(lp, fh)
         else:
-            solution = solve(lp, solve_options, start=start)
+            solution = solve(lp, start=start)
     except (LPError, OSError, ValueError) as exc:
         return fail("error", EXIT_ERROR, stage, str(exc))
     if solution.status != STATUS_OPTIMAL:

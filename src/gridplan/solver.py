@@ -5,14 +5,13 @@ Every solve takes one route from a basis: the dual simplex, with dual devex
 row pricing and a bound-flipping ratio test (Koberstein 2005; Bixby 2002),
 to a primal feasible basis, then primal phase 2 to optimality. A cold solve
 starts from the slack basis; a solve given the ``Basis`` of a neighbouring
-LP (keyed by names, so it maps across LPs whose rows differ) starts from
-it. A step of electrification rate or emissions target moves only
-right-hand sides and bounds, so that basis stays dual feasible and a few
-dual pivots restore primal feasibility. Where a basis is not dual
-feasible, boxed columns move to their other bound and the others have
-their cost shifted for the dual alone (Koberstein 2005, ch. 4). An LP is
-reported infeasible only with a Farkas certificate that checks out against
-its own arrays.
+LP starts from it (see below). A step of electrification rate or emissions
+target moves only right-hand sides and bounds, so that basis stays dual
+feasible and a few dual pivots restore primal feasibility. Where a basis
+is not dual feasible, boxed columns move to their other bound and the
+others have their cost shifted for the dual alone (Koberstein 2005, ch.
+4). An LP is reported infeasible only with a Farkas certificate that
+checks out against its own arrays.
 
 The working matrix is column-compressed, built straight from the LP's CSR
 arrays (shifted and equilibrated there) with one logical column per row.
@@ -31,15 +30,18 @@ A refactorization peels the basis's row and column singletons off in
 rounds and solves the dense kernel of k rows left over (Hellerman &
 Rarick 1971; Suhl & Suhl 1990), in about O(nnz(B) m + k^2 m + k^3).
 
-An optimal ``Basis`` carries its solve's working problem and factor. A
-solve started from it, on an LP of the same shape, names and sparsity
-pattern, keeps the working scales and a copy of the factor, swaps in the
-new right-hand sides, bounds and costs, and folds a change in one row's
-entries into the factor as one Sherman-Morrison term (Sherman & Morrison
-1950). Along a sweep's chain the basis is thus factored again only where
-the LP gains a row or the factor needs it. A basis holds its dense factor
-packed as its nonzeros (10-20% of m^2 on the fixture, shared along a
-chain) and at most m/4 update terms, or, with more terms, no factor.
+An optimal solve's ``Basis`` is its working problem: the pattern, the
+scales, and the final statuses and factor. A solve started from it, on an
+LP of the same shape, names and sparsity pattern, keeps the working scales
+and a copy of the factor, swaps in the new right-hand sides, bounds and
+costs, and folds a change in one row's entries into the factor as one
+Sherman-Morrison term (Sherman & Morrison 1950). On any other LP the
+statuses are mapped by row and column name onto a fresh working problem,
+which is factored afresh. Along a sweep's chain the basis is thus
+factored again only where the LP gains a row or the factor needs it. A
+basis holds its dense factor packed as its nonzeros (10-20% of m^2 on the
+fixture, shared along a chain) and at most m/4 update terms, or, with
+more terms, no factor.
 
 The dense inverse bounds the simplex to desk-scale problems (a few
 thousand rows), which is what the bundled fixtures produce; larger studies
@@ -56,7 +58,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -93,33 +95,6 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
-class Basis:
-    """A simplex basis by name, which ``solve`` can start another LP from.
-
-    ``basic`` names the basic columns and ``upper`` the nonbasic columns at
-    their upper bound; every other column is at its lower bound. ``tight``
-    names the rows whose slack is nonbasic, at 0, so that they hold with
-    equality; every other row's slack is basic. Only these exceptions are
-    stored, and so a row the basis does not know, such as one the LP has
-    gained, gets a basic slack. A column at an upper bound the LP does not
-    give it is at its lower bound.
-
-    The basis of a built-in solve also carries that solve's working problem
-    and factor, which neither compare nor print: a solve started from it on
-    an LP of the same pattern skips set-up and factorization (see
-    ``solve``). It holds the factor's memory (``_Factor``, about 0.1 MB at
-    48 h) for as long as the basis is kept. A basis rebuilt from the three
-    name sets has none.
-    """
-
-    basic: frozenset[str]
-    upper: frozenset[str]
-    tight: frozenset[str]
-    _working: _Working | None = field(default=None, compare=False,
-                                      repr=False)
-
-
-@dataclass(frozen=True)
 class Solution:
     """Outcome of a solve or an imported external solution.
 
@@ -131,7 +106,8 @@ class Solution:
     sign. It does not measure dual infeasibility: a basis that stops short
     of the optimum, with a column priced the wrong way at its bound, still
     reads a gap near 0. ``basis`` is the optimal basis of a built-in solve,
-    carrying its factor; an imported point or a failed solve has none.
+    opaque, which ``solve`` can start another LP from; an imported point or
+    a failed solve has none.
     """
 
     status: str
@@ -915,10 +891,11 @@ class _Working:
     Lower bounds are shifted to zero, rows and columns equilibrated, and
     one logical column per row appended (+1 on [0, inf) for <=, -1 on
     [0, inf) for >=, +1 fixed at 0 for =). The working columns are sorted
-    by column: structural, then logical. An optimal solve's ``Basis``
-    carries the working problem, with ``factor`` the basis and factor
-    found, and ``follow`` reuses both for the next LP of a chain; it then
-    keeps only what ``follow`` reads, not the LP.
+    by column: structural, then logical. An optimal solve returns its
+    working problem as its ``Basis``, with ``factor`` the statuses and
+    factor found, from which ``follow`` starts the next LP of a chain; it
+    then keeps only what ``follow`` reads, not the LP. It holds the
+    factor's memory (about 0.1 MB at 48 h) for as long as it is kept.
     """
 
     def __init__(self, lp: LPInstance, opts: SolveOptions,
@@ -960,66 +937,64 @@ class _Working:
             self.max_iterations = 50 * (m + self.n_all) + 200
         self.factor = None
 
-    def simplex(self, vstat: np.ndarray) -> _Simplex:
+    def simplex(self, vstat: np.ndarray | None = None) -> _Simplex:
+        """A simplex on this problem from ``vstat``, or the slack basis."""
+        if vstat is None:
+            vstat = np.full(self.n_all, _Simplex.AT_LOWER, dtype=np.int8)
+            vstat[self.lp.n_cols:] = _Simplex.BASIC
         return _Simplex(self.cols, self.rows, self.vals, self.b, self.ub,
                         vstat, self.opts)
 
-    def slack_statuses(self) -> np.ndarray:
-        vstat = np.full(self.n_all, _Simplex.AT_LOWER, dtype=np.int8)
-        vstat[self.lp.n_cols:] = _Simplex.BASIC
-        return vstat
-
-    def statuses(self, start: Basis) -> np.ndarray:
-        """The statuses ``start`` names in this LP's working columns: a
-        row's logical is basic unless the start has the row tight."""
-        lp, n = self.lp, self.lp.n_cols
-        member = lambda names, chosen: np.array(
-            [name in chosen for name in names], dtype=bool)
-        vstat = self.slack_statuses()
-        at_upper = member(lp.col_names, start.upper) & np.isfinite(self.ub[:n])
-        vstat[:n][at_upper] = _Simplex.AT_UPPER
-        vstat[:n][member(lp.col_names, start.basic)] = _Simplex.BASIC
-        vstat[n:][member(lp.row_names, start.tight)] = _Simplex.AT_LOWER
-        return vstat
-
     def follow(self, lp: LPInstance, opts: SolveOptions):
-        """The working problem of ``lp`` with these scales, and a simplex
-        on it from this problem's optimal basis and factor; None unless
-        ``lp`` has this LP's shape, names, senses and sparsity pattern and
-        differs in at most one row's entries, or where the change to that
-        row leaves the basis near singular (``_Simplex.patch_row``).
-        Right-hand sides, bounds and costs may all differ."""
-        row_names, col_names, sense, indptr, indices = self.pattern
-        if (lp.row_names != row_names or lp.col_names != col_names
-                or not np.array_equal(lp.sense, sense)
-                or not np.array_equal(lp.indptr, indptr)
-                or not np.array_equal(lp.indices, indices)):
-            return None
-        work = _Working(lp, opts, like=self)
-        change = np.flatnonzero(work.vals != self.vals)
-        moved = np.unique(work.rows[change])
-        if moved.size > 1:
-            return None
-        vstat = self.factor.vstat.copy()
-        vstat[(vstat == _Simplex.AT_UPPER)
-              & ~np.isfinite(work.ub)] = _Simplex.AT_LOWER
-        sx = work.simplex(vstat)
-        sx.carry(self.factor)
-        if moved.size and sx.binv0 is not None:
-            delta = np.zeros(work.n_all)
-            delta[work.cols[change]] = work.vals[change] - self.vals[change]
-            if not sx.patch_row(int(moved[0]), delta):
-                return None
-        return work, sx
+        """The working problem of ``lp`` and a simplex on it from this
+        problem's optimal basis, or None where that basis names other than
+        m basic columns and logicals there.
 
-    def attempt(self, sx: _Simplex) -> Solution | None:
-        """The solution from ``sx``'s start, or None where that start is
-        singular, or the solve from it ends "numerical"."""
-        try:
-            sol = self.conclude(sx, sx.optimize(self.c, self.max_iterations))
-        except (ArithmeticError, np.linalg.LinAlgError):
-            return None  # a singular basis, at the start or beyond repair
-        return None if sol.status == STATUS_NUMERICAL else sol
+        Where ``lp`` has this LP's shape, names, senses and sparsity pattern
+        and differs in at most one row's entries, the simplex keeps these
+        scales and goes on from a copy of the factor, with the change to
+        that row folded in (``_Simplex.patch_row``). Right-hand sides,
+        bounds and costs may all differ. On any other LP, or where the
+        patch is refused, the statuses are mapped by row and column name
+        onto a fresh working problem, whose basis is factored afresh: a
+        row this problem lacks gets a basic logical, a column at an upper
+        bound ``lp`` does not give it goes to its lower bound, and a
+        logical that is not basic is at its lower bound.
+        """
+        row_names, col_names, sense, indptr, indices = self.pattern
+        if (lp.row_names == row_names and lp.col_names == col_names
+                and np.array_equal(lp.sense, sense)
+                and np.array_equal(lp.indptr, indptr)
+                and np.array_equal(lp.indices, indices)):
+            work = _Working(lp, opts, like=self)
+            change = np.flatnonzero(work.vals != self.vals)
+            moved = np.unique(work.rows[change])
+            if moved.size <= 1:
+                vstat = self.factor.vstat.copy()
+                vstat[(vstat == _Simplex.AT_UPPER)
+                      & ~np.isfinite(work.ub)] = _Simplex.AT_LOWER
+                sx = work.simplex(vstat)
+                sx.carry(self.factor)
+                delta = np.zeros(work.n_all)
+                delta[work.cols[change]] = (work.vals[change]
+                                            - self.vals[change])
+                if (not moved.size or sx.binv0 is None
+                        or sx.patch_row(int(moved[0]), delta)):
+                    return work, sx
+        work = _Working(lp, opts)
+        status = self.factor.vstat.tolist()
+        cols = dict(zip(col_names, status))
+        rows = dict(zip(row_names, status[len(col_names):]))
+        n, vstat = lp.n_cols, np.empty(work.n_all, dtype=np.int8)
+        vstat[:n] = [cols.get(name, _Simplex.AT_LOWER)
+                     for name in lp.col_names]
+        vstat[n:] = [rows.get(name, _Simplex.BASIC) for name in lp.row_names]
+        upper = vstat == _Simplex.AT_UPPER
+        upper[:n] &= ~np.isfinite(work.ub[:n])
+        vstat[upper] = _Simplex.AT_LOWER
+        if np.count_nonzero(vstat == _Simplex.BASIC) != lp.n_rows:
+            return None
+        return work, work.simplex(vstat)
 
     def conclude(self, sx: _Simplex, status: str) -> Solution:
         """The solution of a finished run: an optimal basis's point,
@@ -1079,13 +1054,12 @@ class _Working:
         # factor, not the LP nor the arrays that only a solve reads.
         self.factor = sx.keep()
         self.lp = self.b = self.ub = self.c = None
-        pick = lambda names, mask: frozenset(itertools.compress(
-            names, mask.tolist()))
-        return replace(sol, basis=Basis(
-            basic=pick(lp.col_names, sx.vstat[:n] == _Simplex.BASIC),
-            upper=pick(lp.col_names, sx.vstat[:n] == _Simplex.AT_UPPER),
-            tight=pick(lp.row_names, sx.vstat[n:] != _Simplex.BASIC),
-            _working=self))
+        return replace(sol, basis=self)
+
+
+# The type of ``Solution.basis``: an optimal solve's working problem, opaque
+# outside this module, which ``solve`` starts another LP from.
+Basis = _Working
 
 
 def solve(lp: LPInstance, options: SolveOptions | None = None,
@@ -1094,16 +1068,15 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     basis or from ``start``, an optimal basis of this LP or of one sharing
     names with it (say, a neighbouring sweep cell).
 
-    A start that carries the working problem of an LP with this one's
+    A start is tried once (``_Working.follow``). On an LP with the start's
     shape, names, senses and sparsity pattern, differing only in
-    right-hand sides, bounds, costs and at most one row's entries
-    (``_Working.follow``), goes on from a copy of its factor with its
-    scales: neither equilibration nor factorization runs. Any other start,
-    or one whose carried solve hits a singular basis or ends "numerical",
-    is mapped by name onto a fresh working problem (``_Working``); one that
-    names other than m basic columns and rows here, is singular, or ends
-    "numerical" gives way to the slack basis. The iterations of every try
-    are added.
+    right-hand sides, bounds, costs and at most one row's entries, it goes
+    on from a copy of the start's factor with its scales: neither
+    equilibration nor factorization runs. On any other LP its statuses are
+    mapped by name onto a fresh working problem. A start that names other
+    than m basic columns and logicals here, is singular, or whose solve
+    ends "numerical" gives way to the slack basis, and the iterations of
+    both tries are added.
 
     With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
     original rows or bounds by more than 10 tol is never reported optimal
@@ -1115,25 +1088,19 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     ``basis``, and with it the factor for the next solve of a chain.
     """
     opts = options or SolveOptions()
+    followed = start.follow(lp, opts) if start is not None else None
     spent = 0
-    if start is not None and start._working is not None:
-        followed = start._working.follow(lp, opts)
-        if followed is not None:
-            work, sx = followed
-            sol = work.attempt(sx)
-            if sol is not None:
+    if followed is not None:
+        work, sx = followed
+        try:
+            sol = work.conclude(sx, sx.optimize(work.c, work.max_iterations))
+            if sol.status != STATUS_NUMERICAL:
                 return sol
-            spent = sx.iterations
+        except (ArithmeticError, np.linalg.LinAlgError):
+            pass  # a singular basis, at the start or beyond repair
+        spent = sx.iterations
     work = _Working(lp, opts)
-    if start is not None:
-        vstat = work.statuses(start)
-        if np.count_nonzero(vstat == _Simplex.BASIC) == lp.n_rows:
-            sx = work.simplex(vstat)
-            sol = work.attempt(sx)
-            if sol is not None:
-                return replace(sol, iterations=sol.iterations + spent)
-            spent += sx.iterations
-    sx = work.simplex(work.slack_statuses())
+    sx = work.simplex()
     sol = work.conclude(sx, sx.optimize(work.c, work.max_iterations))
     return replace(sol, iterations=sol.iterations + spent)
 

@@ -727,6 +727,40 @@ def shipped():
     return inp, lp, solve(lp)
 
 
+class TestIdleResourceLcoe:
+    def test_real_delivery_gives_its_lcoe(self, shipped):
+        inp, lp, sol = shipped
+        report = summarize(inp, lp, sol)
+        delivered = report.generation_avg_gwh_per_hour["biofuel"] * (
+            inp.n_hours * 1000.0)
+        assert delivered == pytest.approx(1200.0, rel=1e-9)
+        assert report.resource_lcoe_usd_per_mwh["biofuel"] == pytest.approx(
+            report.cost_usd["biofuel"] / delivered, rel=1e-12)
+
+    def test_roundoff_delivery_gives_none(self):
+        # Biofuel dearer than existing gas delivers nothing. A point with
+        # 1e-20 MWh/h put back on its columns still meets every row, and
+        # its delivery, 2.4e-19 MWh against 2,400 MWh of net demand, is
+        # none, although it costs.
+        net = one_node(gas_existing_mw=400.0, biofuel_mw=50.0,
+                       biofuel_daily_mwh=1200.0)
+        series = series_for(net, T24, d_elec=100.0)
+        config = ScenarioConfig(mode="lcp+hve", lcp=0.0, p_heat=0.0,
+                                p_veh=0.0)
+        inp, lp, sol = scenario(config, net, series,
+                                costs_for(c_bio={"n": 1000.0}), PARAMS_24)
+        assert summarize(inp, lp, sol).resource_lcoe_usd_per_mwh[
+            "biofuel"] is None
+        x = sol.x.copy()
+        x[[j for j, name in enumerate(lp.col_names)
+           if name.startswith("biofuel[")]] = 1e-20
+        assert solver._max_violation(lp, x) <= sol.max_violation
+        report = summarize(inp, lp, dataclasses.replace(sol, x=x))
+        assert report.generation_avg_gwh_per_hour["biofuel"] > 0.0
+        assert report.cost_usd["biofuel"] > 0.0
+        assert report.resource_lcoe_usd_per_mwh["biofuel"] is None
+
+
 class TestOperationsWriter:
     def test_matches_per_line_rendering(self, shipped, tmp_path,
                                         monkeypatch):

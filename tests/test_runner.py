@@ -587,9 +587,11 @@ class TestRunScenario:
         assert result.stage == "validate"
         assert "d_elec" in result.message
 
-    def test_iteration_limit_exit_code(self, micro_bundle):
-        result = run_scenario(micro_bundle, lcp_config(0.4, 0.0),
-                              solve_options=SolveOptions(max_iterations=1))
+    def test_iteration_limit_exit_code(self, micro_bundle, monkeypatch):
+        solve = runner.solve
+        monkeypatch.setattr(runner, "solve", lambda lp, start=None: solve(
+            lp, SolveOptions(max_iterations=1), start=start))
+        result = run_scenario(micro_bundle, lcp_config(0.4, 0.0))
         assert result.exit_code == EXIT_ITERATION_LIMIT
         assert result.report is None
 

@@ -821,17 +821,19 @@ def sweep_cell(bundle, seed, lcp, hve):
 
 def test_cold_basis_names_m_basic_columns_and_slacks(fixture_lp):
     sol = solve(fixture_lp)
-    basis = sol.basis
-    assert basis.basic | basis.upper <= set(fixture_lp.col_names)
-    assert not basis.basic & basis.upper
-    assert basis.tight <= set(fixture_lp.row_names)
-    # m basic: the basic columns, and the slacks of the m - len(tight)
-    # rows that are not tight.
-    assert len(basis.basic) == len(basis.tight)
-    at_upper = [j for j, name in enumerate(fixture_lp.col_names)
-                if name in basis.upper]
+    n, m = fixture_lp.n_cols, fixture_lp.n_rows
+    vstat, basic = sol.basis.factor.vstat, sol.basis.factor.basis
+    assert vstat.size == n + m
+    # m basic: the basic columns, and the logicals of the rows that are
+    # not tight, each once in the factor's order.
+    np.testing.assert_array_equal(np.sort(basic),
+                                  np.flatnonzero(vstat == _Simplex.BASIC))
+    assert basic.size == m
+    at_upper = np.flatnonzero(vstat[:n] == _Simplex.AT_UPPER)
     np.testing.assert_allclose(sol.x[at_upper], fixture_lp.upper[at_upper],
                                rtol=1e-12)
+    at_lower = np.flatnonzero(vstat[:n] == _Simplex.AT_LOWER)
+    np.testing.assert_array_equal(sol.x[at_lower], fixture_lp.lower[at_lower])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -865,70 +867,125 @@ def test_warm_sweep_matches_cold(bundle, seed, monkeypatch):
     assert all(bound > tol for _, bound in proofs)
 
 
+def logical_basic(sol, lp, row):
+    """Whether the logical of ``row`` is basic in ``sol``'s basis."""
+    vstat = sol.basis.factor.vstat
+    return vstat[lp.n_cols + lp.row_names.index(row)] == _Simplex.BASIC
+
+
 def test_start_without_a_row_gives_it_a_basic_slack(bundle, monkeypatch):
-    # lcp 0 -> 0.2 adds the policy_lcp row, which the start does not name.
+    # lcp 0 -> 0.2 adds the policy_lcp row, which the start does not have:
+    # its statuses are mapped by name onto a fresh working problem, with a
+    # basic logical for the new row, and factored afresh.
     lp0, lp = sweep_cell(bundle, 0, 0.0, 0.0), sweep_cell(bundle, 0, 0.2, 0.0)
     assert "policy_lcp" not in lp0.row_names
     assert "policy_lcp" in lp.row_names
     before = solve(lp0)
+    _, sx = before.basis.follow(lp, SolveOptions())
+    assert sx.binv0 is None
+    assert sx.vstat[lp.n_cols + lp.row_names.index("policy_lcp")] == (
+        _Simplex.BASIC)
     statuses = count_optimizations(monkeypatch)
     warm = solve(lp, start=before.basis)
     assert statuses == ["optimal"]
     cold = solve(lp)
     assert warm.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
-    assert ("policy_lcp" in warm.basis.tight) == (
-        "policy_lcp" in cold.basis.tight)
+    assert (logical_basic(warm, lp, "policy_lcp")
+            == logical_basic(cold, lp, "policy_lcp"))
     assert warm.iterations < cold.iterations
 
 
-# Starts that give the cold solve: the empty start, which is the slack
-# basis (where y has reduced cost -1 and no upper bound, so the dual runs
-# on a shifted cost); three basic names for two rows; two basic columns
-# that are parallel.
-PRICED_WRONG_WAY = (
-    make_lp([-1.0, -1.0], [([1.0, 1.0], LE, 4.0, "cap")],
-            upper=[3.0, np.inf], col_names=("x", "y")),
-    set(), set())
+# Starts, each the optimal basis of a solved neighbour, that give the cold
+# solve: the slack basis, carried from a neighbour with positive costs,
+# where y has reduced cost -1 and no upper bound, so the dual runs on a
+# shifted cost; the basis of a neighbour with both columns basic and a
+# tight row "other" that the LP lacks, which maps to three basic columns
+# and logicals for two rows; and the basis of a neighbour whose entries
+# differ in both rows, which maps to two parallel basic columns.
+PRICED_WRONG_WAY = make_lp([-1.0, -1.0], [([1.0, 1.0], LE, 4.0, "cap")],
+                           upper=[3.0, np.inf], col_names=("x", "y"))
 PARALLEL_ROWS = make_lp([1.0, 2.0], [([1.0, 1.0], GE, 2.0, "need"),
                                      ([2.0, 2.0], LE, 10.0, "cap")],
                         col_names=("x", "y"))
+# x = y = 1 is the optimum, with both rows tight.
+CROSSING_ROWS = make_lp([1.0, 5.0], [([1.0, 2.0], GE, 3.0, "need"),
+                                     ([2.0, 1.0], LE, 3.0, "cap")],
+                        col_names=("x", "y"))
 UNUSABLE_STARTS = {
-    "unbounded-column-priced-wrong-way": PRICED_WRONG_WAY,
-    "too-many-basic": (PARALLEL_ROWS, {"x", "y"}, {"need"}),
-    "singular": (PARALLEL_ROWS, {"x", "y"}, {"need", "cap"}),
+    "unbounded-column-priced-wrong-way": (
+        dataclasses.replace(PRICED_WRONG_WAY, objective=np.ones(2)),
+        PRICED_WRONG_WAY),
+    "too-many-basic": (
+        make_lp([1.0, 2.0], [([1.0, 1.0], GE, 2.0, "need"),
+                             ([1.0, -1.0], EQ, 0.0, "other")],
+                col_names=("x", "y")),
+        PARALLEL_ROWS),
+    "singular": (CROSSING_ROWS, PARALLEL_ROWS),
 }
 
 
-@pytest.mark.parametrize("lp, basic, tight", UNUSABLE_STARTS.values(),
+@pytest.mark.parametrize("neighbour, lp", UNUSABLE_STARTS.values(),
                          ids=UNUSABLE_STARTS.keys())
-def test_unusable_start_gives_the_cold_solution(lp, basic, tight):
+def test_unusable_start_gives_the_cold_solution(neighbour, lp, monkeypatch):
+    start = solve(neighbour).basis
     cold = solve(lp)
-    warm = solve(lp, start=gridplan.Basis(basic=frozenset(basic),
-                                          upper=frozenset(),
-                                          tight=frozenset(tight)))
+    statuses = count_optimizations(monkeypatch)
+    warm = solve(lp, start=start)
+    # One optimization ran to its end: a singular start raises before any
+    # pivot, and a start with too many basics is never tried.
+    assert statuses == ["optimal"]
     assert warm.status == cold.status == "optimal"
     np.testing.assert_array_equal(warm.x, cold.x)
     assert (warm.objective, warm.iterations) == (cold.objective,
                                                  cold.iterations)
-    assert warm.basis == cold.basis
+    np.testing.assert_array_equal(warm.basis.factor.vstat,
+                                  cold.basis.factor.vstat)
+
+
+def test_start_with_a_tight_row_the_lp_lacks_is_not_tried():
+    neighbour, lp = UNUSABLE_STARTS["too-many-basic"]
+    start = solve(neighbour).basis
+    n = neighbour.n_cols
+    assert (start.factor.vstat[:n] == _Simplex.BASIC).all()
+    assert start.follow(lp, SolveOptions()) is None
+
+
+def test_neighbour_differing_in_two_rows_starts_by_name(monkeypatch):
+    # Both rows' entries move, so the factor is not carried: the statuses
+    # go by name onto a fresh working problem, whose basis is factored
+    # once and is optimal as it stands.
+    start = solve(CROSSING_ROWS).basis
+    lp = make_lp([1.0, 5.0], [([1.0, 2.5], GE, 3.0, "need"),
+                              ([2.5, 1.0], LE, 3.5, "cap")],
+                 col_names=("x", "y"))
+    work, sx = start.follow(lp, SolveOptions())
+    assert sx.binv0 is None
+    assert work.row_scale is not start.row_scale
+    np.testing.assert_array_equal(sx.vstat, start.factor.vstat)
+    inverts = count_inverts(monkeypatch)
+    warm = solve(lp, start=start)
+    assert (warm.status, warm.iterations, len(inverts)) == ("optimal", 0, 1)
+    assert warm.objective == pytest.approx(solve(lp).objective, rel=1e-12)
 
 
 def test_boxed_column_priced_wrong_way_starts_at_its_upper_bound(
         monkeypatch):
-    # Both columns are boxed, so the all-slack start becomes dual
-    # feasible by moving them to their upper bounds; the dual simplex
-    # then restores the violated row.
+    # Both columns are boxed, so the slack basis, carried from a neighbour
+    # with positive costs, becomes dual feasible by moving them to their
+    # upper bounds; the dual simplex then restores the violated row.
     lp = make_lp([-1.0, -2.0], [([1.0, 1.0], LE, 4.0, "cap")],
                  upper=[3.0, 3.0], col_names=("x", "y"))
-    start = gridplan.Basis(basic=frozenset(), upper=frozenset(),
-                           tight=frozenset())
+    start = solve(dataclasses.replace(lp, objective=np.ones(2))).basis
+    assert (start.factor.vstat == [_Simplex.AT_LOWER, _Simplex.AT_LOWER,
+                                   _Simplex.BASIC]).all()
     statuses = count_optimizations(monkeypatch)
     sol = solve(lp, start=start)
     assert statuses == ["optimal"]
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [1.0, 3.0])
-    assert (sol.basis.basic, sol.basis.upper) == ({"x"}, {"y"})
+    assert list(sol.basis.factor.vstat[:2]) == [_Simplex.BASIC,
+                                                _Simplex.AT_UPPER]
 
 
 def test_infeasible_lp_from_a_start_is_certified_without_a_cold_solve(
@@ -950,22 +1007,33 @@ def test_infeasible_lp_from_a_start_is_certified_without_a_cold_solve(
     assert solve(lp).status == "infeasible"
 
 
+def with_rows_doubled(lp, rows):
+    """``lp`` with the entries and right-hand sides of ``rows`` doubled:
+    the same feasible set from other entries."""
+    data, rhs = lp.data.copy(), lp.rhs.copy()
+    for i in rows:
+        data[lp.indptr[i]:lp.indptr[i + 1]] *= 2.0
+        rhs[i] *= 2.0
+    return dataclasses.replace(lp, data=data, rhs=rhs)
+
+
 def test_start_at_the_optimum_inverts_the_basis_once(fixture_lp,
                                                      monkeypatch):
     # The basis solve returns carries its factor, so a restart from it
     # inverts nothing.
     cold = solve(fixture_lp)
-    start = cold.basis
+    doubled = solve(with_rows_doubled(fixture_lp, (0, 1)))
     inverts = count_inverts(monkeypatch)
-    carried = solve(fixture_lp, start=start)
+    carried = solve(fixture_lp, start=cold.basis)
     assert carried.status == "optimal"
     assert (carried.iterations, len(inverts)) == (0, 0)
     assert carried.objective == pytest.approx(cold.objective, rel=1e-12)
-    # Rebuilt from its three name sets, it has no factor. No pivot follows
-    # optimize's factorization, so the end of the solve reads the basic
-    # values off that factor instead of building it again.
-    start = gridplan.Basis(basic=start.basic, upper=start.upper,
-                           tight=start.tight)
+    # The optimum of the LP with two rows doubled has the same basis, but
+    # not the entries the factor was carried with: it is mapped by name and
+    # factored afresh. No pivot follows optimize's factorization, so the end
+    # of the solve reads the basic values off that factor instead of
+    # building it again.
+    start = doubled.basis
     warm = solve(fixture_lp, start=start)
     assert warm.status == "optimal"
     assert (warm.iterations, len(inverts)) == (0, 1)
@@ -983,7 +1051,16 @@ def test_start_at_the_optimum_inverts_the_basis_once(fixture_lp,
     assert len(inverts) == 3
     np.testing.assert_array_equal(warm.x, again.x)
     np.testing.assert_array_equal(warm.duals, again.duals)
-    assert (warm.basis, warm.iterations) == (again.basis, again.iterations)
+    np.testing.assert_array_equal(warm.basis.factor.vstat,
+                                  again.basis.factor.vstat)
+    assert warm.iterations == again.iterations
+
+
+def lcp_06_lp(bundle):
+    """The fixture's LP at lcp 0.6, whose entries differ from the fixture's
+    own (lcp 0.4) in the policy_lcp row alone."""
+    config = load_config(FIXTURE_DIR / "scenario.json")
+    return tiled_lp(bundle, 1, 0, dataclasses.replace(config, lcp=0.6))
 
 
 def test_changed_row_is_folded_into_the_factor(bundle, fixture_lp):
@@ -992,13 +1069,12 @@ def test_changed_row_is_folded_into_the_factor(bundle, fixture_lp):
     # term, inverts the lcp 0.6 LP's basis, in the old factor's order.
     # The residual is measured against max |B^-1| max |B|: this basis has
     # condition number 5.6e8, and a fresh inverse of it reads 3e-9.
-    config = load_config(FIXTURE_DIR / "scenario.json")
-    lp = tiled_lp(bundle, 1, 0, dataclasses.replace(config, lcp=0.6))
+    lp = lcp_06_lp(bundle)
     moved = np.unique(lp.row_of[lp.data != fixture_lp.data])
     assert [lp.row_names[i] for i in moved] == ["policy_lcp"]
     start = solve(fixture_lp).basis
-    old = start._working.factor
-    _, sx = start._working.follow(lp, SolveOptions())
+    old = start.factor
+    _, sx = start.follow(lp, SolveOptions())
     np.testing.assert_array_equal(sx.basis, old.basis)
     assert sx.k == len(old.u) + 1
     basis = sx._dense(sx.basis)
@@ -1015,16 +1091,82 @@ def test_changed_row_is_folded_into_the_factor(bundle, fixture_lp):
     assert sol.objective == pytest.approx(solve(lp).objective, rel=1e-9)
 
 
+@pytest.mark.parametrize("failure", ["singular", "numerical"])
+def test_failed_carried_solve_falls_to_the_slack_basis(bundle, fixture_lp,
+                                                       failure, monkeypatch):
+    # The carried solve from the lcp 0.4 optimum to lcp 0.6 is made to end
+    # in a basis beyond repair, or in a point that misses the rows. The
+    # solve then runs from the slack basis, and reports that solve's point
+    # with the iterations of both.
+    lp = lcp_06_lp(bundle)
+    start = solve(fixture_lp).basis
+    carried, cold = solve(lp, start=start), solve(lp)
+    assert carried.iterations > 0
+    tries = []
+    optimize = _Simplex.optimize
+
+    def fail_first(self, c, max_iterations):
+        status = optimize(self, c, max_iterations)
+        tries.append(self.iterations)
+        if len(tries) == 1 and failure == "singular":
+            raise ArithmeticError("cannot repair a singular basis")
+        return status
+
+    conclude = solver._Working.conclude
+
+    def numerical_first(self, sx, status):
+        if len(tries) == 1 and failure == "numerical":
+            tries.append(None)
+            return solver._no_solution("numerical", sx.iterations, "forced")
+        return conclude(self, sx, status)
+
+    monkeypatch.setattr(_Simplex, "optimize", fail_first)
+    monkeypatch.setattr(solver._Working, "conclude", numerical_first)
+    sol = solve(lp, start=start)
+    assert tries[0] == carried.iterations
+    assert sol.status == "optimal"
+    assert sol.iterations == carried.iterations + cold.iterations
+    np.testing.assert_array_equal(sol.x, cold.x)
+    np.testing.assert_array_equal(sol.duals, cold.duals)
+
+
+def test_refined_point_that_misses_the_rows_is_refactored(fixture_lp,
+                                                          monkeypatch):
+    # A solve that pivoted reads its point off the updated factor. Spoiled
+    # after the refinement, that point misses the rows, so the factor is
+    # rebuilt and the point read again from it.
+    cold = solve(fixture_lp)
+    inverts = count_inverts(monkeypatch)
+    refine = _Simplex.refine
+    spoiled = []
+
+    def spoil(self, c):
+        y = refine(self, c)
+        assert self.k
+        self.xb += 1.0
+        spoiled.append(len(inverts))
+        return y
+
+    monkeypatch.setattr(_Simplex, "refine", spoil)
+    sol = solve(fixture_lp)
+    assert spoiled and len(inverts) == spoiled[0] + 1
+    assert sol.status == "optimal"
+    assert sol.max_violation <= 10.0 * rhs_tolerance(fixture_lp)
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
 def test_near_singular_patch_takes_a_fresh_factor(monkeypatch):
     # "gap" x - y <= 1 becomes x + y <= 1: with x and y basic, the new
-    # basis repeats the row "cap", and 1 + dB^T B^-1 e_p is 0.
+    # basis repeats the row "cap", and 1 + dB^T B^-1 e_p is 0. The patch is
+    # refused, and the statuses, mapped by name onto a fresh working
+    # problem, name that singular basis, so the slack basis solves.
     cap = ([1.0, 1.0], LE, 4.0, "cap")
     lp0 = make_lp([-1.0, -1.0], [cap, ([1.0, -1.0], LE, 1.0, "gap")],
                   col_names=("x", "y"))
     lp = make_lp([-1.0, -1.0], [cap, ([1.0, 1.0], LE, 1.0, "gap")],
                  col_names=("x", "y"))
     start = solve(lp0).basis
-    assert start.basic == {"x", "y"}
+    assert (start.factor.vstat[:2] == _Simplex.BASIC).all()
     patches = []
     patch_row = _Simplex.patch_row
 
@@ -1033,14 +1175,19 @@ def test_near_singular_patch_takes_a_fresh_factor(monkeypatch):
         return patches[-1]
 
     monkeypatch.setattr(_Simplex, "patch_row", spy)
-    assert start._working.follow(lp, SolveOptions()) is None
+    _, sx = start.follow(lp, SolveOptions())
+    assert patches == [False]
+    assert sx.binv0 is None
+    np.testing.assert_array_equal(sx.vstat, start.factor.vstat)
     inverts = count_inverts(monkeypatch)
+    statuses = count_optimizations(monkeypatch)
     sol = solve(lp, start=start)
     assert patches == [False, False]
-    assert inverts
+    assert inverts and statuses == ["optimal"]
     cold = solve(lp)
     assert sol.status == cold.status == "optimal"
     assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert sol.iterations == cold.iterations
 
 
 def test_drifted_factor_is_rebuilt_at_the_next_pivot(fixture_lp, monkeypatch):
