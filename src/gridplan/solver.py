@@ -10,8 +10,11 @@ target moves only right-hand sides and bounds, so that basis stays dual
 feasible and a few dual pivots restore primal feasibility. Where a basis
 is not dual feasible, boxed columns move to their other bound and the
 others have their cost shifted for the dual alone (Koberstein 2005, ch.
-4). An LP is reported infeasible only with a Farkas certificate that
-checks out against its own arrays.
+4). Before any pivot, a row-activity check (Brearley, Mitra & Williams
+1975) ends the solve where one row alone cannot hold at any point within
+the column bounds, with that row's unit multiplier as the certificate.
+An LP is reported infeasible only with a Farkas certificate that checks
+out against its own arrays.
 
 The working matrix is column-compressed, built straight from the LP's CSR
 arrays (shifted and equilibrated there) with one logical column per row.
@@ -19,16 +22,19 @@ Both phases price by devex weights (Harris 1973; Forrest & Goldfarb 1992)
 and update the reduced costs from the pivot row, so a BTRAN runs only at a
 phase's start, after a refactorization and before optimality is declared.
 The basis inverse is the dense inverse from the last refactorization less
-one rank-1 term per pivot since, so memory is O(m^2 + nnz) and an iteration
-costs O(m^2) reads plus O(nnz). The factor is rebuilt only on need: after
-200 terms (at most m), or where the pivot element read from the column
-(FTRAN) and from the pivot row part by more than 1e-9 relative, the dual
-simplex's pivot stability test (Koberstein 2005). A solve that pivoted
-reads its point and duals off the updated factor, each with one step of
-iterative refinement, and refactors only if that point misses the rows.
-A refactorization peels the basis's row and column singletons off in
-rounds and solves the dense kernel of k rows left over (Hellerman &
-Rarick 1971; Suhl & Suhl 1990), in about O(nnz(B) m + k^2 m + k^3).
+one rank-1 term per pivot since, so memory is O(m^2 + nnz). An iteration
+reads O(k m + nnz), with k <= 200 the terms held, and makes a fixed count
+of numpy calls, which take most of its time below about 1,000 rows. The
+factor is rebuilt only on need: after 200 terms (at most m), or where the
+pivot element read from the column (FTRAN) and from the pivot row part by
+more than 1e-9 relative, the dual simplex's pivot stability test
+(Koberstein 2005). A solve that pivoted reads its point and duals off
+the updated factor, each with one step of iterative refinement, and
+refactors only if that point misses the rows. A refactorization peels
+the basis's row and column singletons off in rounds and solves the dense
+kernel of k' rows left over (Hellerman & Rarick 1971; Suhl & Suhl 1990),
+in about O(nnz(B) m + k'^2 m + k'^3); the slack basis of a cold start is
+a diagonal, inverted as one.
 
 An optimal solve's ``Basis`` is its working problem: the pattern, the
 scales, and the final statuses and factor. A solve started from it, on an
@@ -189,10 +195,14 @@ class _Simplex:
         B^-1 = binv0 - u[:k].T @ v[:k].
 
     A pivot appends one row to ``u`` and ``v`` and writes O(m) numbers;
-    FTRAN and BTRAN each read ``binv0`` once plus the thin correction. A
+    FTRAN and BTRAN each read ``binv0`` once plus the thin correction. An
+    iteration reads O(k m + nnz) numbers, k the terms held: ``binv0`` only
+    in the leaving row and in the columns where the entering column has
+    nonzeros, and the terms in full. Up to about 1,000 rows, its fixed
+    count of numpy calls takes more of its time than those reads. A
     refactorization folds the terms back into a fresh ``binv0``, built by
-    ``_invert`` from the basis's singleton rounds and its dense kernel of k
-    rows in about O(nnz(B) m + k^2 m + k^3). It runs only on need: once
+    ``_invert`` from the basis's singleton rounds and its dense kernel of
+    k' rows in about O(nnz(B) m + k'^2 m + k'^3). It runs only on need: once
     ``MAX_UPDATES`` terms are held, where a pivot's two readings part
     (``_pivot``), and before ``dual`` declares infeasibility. ``keep``
     gives the factor a simplex ends with, which another simplex over a
@@ -218,7 +228,10 @@ class _Simplex:
     ``dual`` chooses the leaving row r first, by dual devex row weights.
     ``d`` is recomputed from a BTRAN as each of them starts, after each
     refactorization, and before optimality is declared. The ratio test
-    skips entries of magnitude at most 1e-7 x min(1, max |w|).
+    skips entries of magnitude at most 1e-7 x min(1, max |w|). Each
+    iteration of either looks every column's direction up from its status
+    once (``DUAL_DIRECTION``, ``PRIMAL_DIRECTION``), and the candidates,
+    the pivot tolerance, the ratios and the bound flips all read it.
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -229,6 +242,14 @@ class _Simplex:
     # its first: 4 at 200, 8 or 9 at 100 (demand seeds 0-3). The time that
     # saves was within the noise of three runs of those solves.
     MAX_UPDATES = 200
+    # The direction in which a column moves off its bound, indexed by its
+    # status plus 3 where it is fixed (``_fixed_codes``): +1 up from its
+    # lower bound, -1 down from its upper one, 0 for a basic column. A
+    # fixed column never enters the dual; ``run`` prices one at its upper
+    # bound as it would a boxed one, and swings it to its lower bound at
+    # no step.
+    DUAL_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    PRIMAL_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0, -1.0, 0.0])
 
     def __init__(self, cols, rows, vals, b, ub, vstat, opts: SolveOptions):
         """Updates ``vstat`` in place; ``optimize`` or ``refactor`` factors
@@ -323,10 +344,19 @@ class _Simplex:
         of the inverse that its basis rows touch, divided by its pivots;
         the kernel is one ``np.linalg.solve``. The row-singleton and kernel
         rows of the inverse are nonzero only in their own basis rows, so
-        they are built in a compact array first. Raises LinAlgError for a
-        singular basis, structural or numerical.
+        they are built in a compact array first. A basis of one nonzero
+        per column and per row (the slack basis of every cold start) is
+        that permuted diagonal alone, and is inverted as one. Raises
+        LinAlgError for a singular basis, structural or numerical.
         """
         m = self.m
+        starts = self.indptr[self.basis]
+        if (self.indptr[self.basis + 1] - starts == 1).all():
+            rows, vals = self.rows[starts], self.vals[starts]
+            if vals.all() and np.unique(rows).size == m:
+                binv = np.zeros((m, m))
+                binv[np.arange(m), rows] = 1.0 / vals
+                return binv
         pos, rows, vals = self._gather(self.basis)
         front, kernel, back = self._peel(pos, rows)
         blocks = front + [kernel] + back
@@ -471,9 +501,12 @@ class _Simplex:
                            minlength=self.n_all)
 
     def _basic_values(self):
-        """xb = B^-1 (b - the columns at their upper bounds, there)."""
+        """xb = B^-1 (b - the columns at their upper bounds, there), and
+        the basic columns' upper bounds ``ub_basic``, which ``_pivot``
+        keeps from then on."""
         at_ub = np.flatnonzero(self.vstat == self.AT_UPPER)
         self.xb = self._apply(self.b - self._dense(at_ub) @ self.ub[at_ub])
+        self.ub_basic = self.ub[self.basis]
 
     def refine(self, c: np.ndarray) -> np.ndarray:
         """Recompute the basic values from the factor as it stands, and
@@ -524,16 +557,17 @@ class _Simplex:
         drifted = abs(w[r] - alpha[q]) > 1e-9 * abs(w[r])
         leaving = int(self.basis[r])
         theta = d[q] / w[r]
-        d -= theta * alpha
         # Basic reduced costs are zero by definition; what the update
-        # leaves there is roundoff, which nothing reads.
-        d[self.basis] = 0.0
+        # leaves at the other basic columns is roundoff, which nothing
+        # reads (their direction is 0).
+        d -= theta * alpha
         d[q] = 0.0
         d[leaving] = -theta
         self.vstat[leaving] = self.AT_UPPER if to_upper else self.AT_LOWER
         self.basis[r] = q
         self.vstat[q] = self.BASIC
         self.xb[r] = x_q
+        self.ub_basic[r] = self.ub[q]
         self._pivot_update(r, w, rho)
         if drifted or self.k >= self.max_updates:
             self.refactor()
@@ -610,11 +644,16 @@ class _Simplex:
         self.d = c - self._row_times(y)
         self.d[self.basis] = 0.0
 
+    def _fixed_codes(self) -> np.ndarray:
+        """3 where a column is fixed, else 0: added to the statuses, the
+        key of each column's entry in a direction table."""
+        return np.where(self.ub > 0.0, 0, 3).astype(np.int8)
+
     def run(self, c: np.ndarray, max_iterations: int) -> str:
         """Primal phase 2 from the current basis, which must be primal
         feasible: "optimal", "unbounded" or "iteration-limit"."""
         tol = self.opts.optimality_tol
-        fixed = self.ub <= 0.0
+        fixed = self._fixed_codes()
         # Devex reference weights, reset at the start of each run.
         self.wt = wt = np.ones(self.n_all)
         self._price(c)
@@ -622,10 +661,12 @@ class _Simplex:
 
         while True:
             d = self.d
-            candidates = np.flatnonzero(
-                ((self.vstat == self.AT_LOWER) & ~fixed & (d < -tol))
-                | ((self.vstat == self.AT_UPPER) & (d > tol)))
-            if candidates.size == 0:
+            dirs = self.PRIMAL_DIRECTION.take(self.vstat + fixed)
+            # A column prices in where its move off its bound lowers the
+            # objective: d_j dirs_j < 0.
+            score = np.where(d * dirs < -tol, d ** 2 / wt, -1.0)
+            q = int(score.argmax()) if score.size else -1
+            if q < 0 or score[q] < 0.0:
                 if fresh:
                     return STATUS_OPTIMAL
                 # Declare optimality only on reduced costs from a BTRAN.
@@ -635,8 +676,7 @@ class _Simplex:
             if self.iterations >= max_iterations:
                 return STATUS_ITERATION_LIMIT
             self.iterations += 1
-            q = int(candidates[np.argmax(d[candidates] ** 2 / wt[candidates])])
-            sigma = 1.0 if self.vstat[q] == self.AT_LOWER else -1.0
+            sigma = dirs[q]
 
             w = self._ftran(q)
             denom = sigma * w
@@ -652,7 +692,7 @@ class _Simplex:
             pos = denom > piv_tol
             ratios[pos] = np.maximum(self.xb[pos], 0.0) / denom[pos]
             neg = denom < -piv_tol
-            ratios[neg] = np.maximum(self.ub[self.basis[neg]] - self.xb[neg],
+            ratios[neg] = np.maximum(self.ub_basic[neg] - self.xb[neg],
                                      0.0) / -denom[neg]
             hits_upper[neg] = True
 
@@ -703,6 +743,72 @@ class _Simplex:
             self._basic_values()
         return c
 
+    def _ratio_test(self, alpha: np.ndarray, dirs: np.ndarray, d: np.ndarray,
+                    ub: np.ndarray, miss: float):
+        """The bound-flipping dual ratio test (Koberstein 2005, ch. 3) on
+        the pivot row ``alpha`` of a basic variable that misses its bound
+        by ``miss`` (< 0 below its lower bound, > 0 above its upper one):
+        the entering column and the columns that flip to their other bound
+        first, in ratio order, or None where no move of the nonbasic
+        columns closes the miss.
+
+        A candidate is a column whose move off its bound, in its direction
+        ``dirs``, moves the basic variable toward its bound by more than
+        1e-7 x min(1, max |alpha_j|) per unit, the maximum taken over the
+        columns that can move. Its ratio |d_j| / |alpha_j| is how far the
+        dual step goes before its reduced cost changes sign (a hair on the
+        wrong side counts as 0). Passing a breakpoint flips its column,
+        which closes |alpha_j| ub_j of the miss; the column at the first
+        breakpoint where what is left is within the feasibility tolerance
+        enters, or of those tied with it to 1e-12, the one of largest
+        |alpha_j|, the earliest by ratio, then by index. Where the first
+        breakpoint alone closes the miss, the ties are found without
+        sorting.
+        """
+        # The hot loop calls array methods, not their np.* wrappers, which
+        # cost a Python-level call each.
+        ftol = self.opts.feasibility_tol
+        ad = alpha * dirs
+        reach = np.abs(ad)
+        piv_tol = 1e-7 * min(1.0, float(reach.max(initial=0.0)))
+        cand = (ad < -piv_tol if miss < 0.0 else ad > piv_tol).nonzero()[0]
+        if not cand.size:
+            return None
+        size = reach[cand]
+        ratio = np.maximum(d[cand] * dirs[cand], 0.0) / size
+        violation = abs(miss)
+        first = ratio.argmin()
+        if violation - size[first] * ub[cand[first]] <= ftol:
+            tied = (ratio <= ratio[first] + 1e-12).nonzero()[0]
+            if tied.size > 1:
+                top = tied[size[tied] == size[tied].max()]
+                first = top[ratio[top].argmin()]
+            return int(cand[first]), cand[:0]
+        order = ratio.argsort(kind="stable")
+        cand, ratio, size = cand[order], ratio[order], size[order]
+        # What is left of the violation after passing each breakpoint;
+        # within the tolerance is none, as flips that exactly close it can
+        # leave roundoff.
+        left = violation - (size * ub[cand]).cumsum()
+        if left[-1] > ftol:
+            return None
+        stop = int((left <= ftol).argmax())
+        tied = stop + (ratio[stop:] <= ratio[stop] + 1e-12).nonzero()[0]
+        return int(cand[tied[size[tied].argmax()]]), cand[:stop]
+
+    def _flip(self, flips: np.ndarray, steps: np.ndarray):
+        """Move nonbasic columns ``flips`` to their other bound, each by its
+        ``steps`` entry (its upper bound, signed), and the basic values
+        with them by one FTRAN of the sum of their columns."""
+        spans = zip(self.indptr[flips].tolist(),
+                    self.indptr[flips + 1].tolist(), steps.tolist())
+        rows, vals = zip(*((self.rows[lo:hi], self.vals[lo:hi] * step)
+                           for lo, hi, step in spans))
+        self.xb -= self._ftran_entries(np.concatenate(rows),
+                                       np.concatenate(vals))
+        self.vstat[flips] = np.where(steps > 0.0, self.AT_UPPER,
+                                     self.AT_LOWER)
+
     def dual(self, c: np.ndarray, max_iterations: int) -> str:
         """Bounded dual simplex from the current basis, to a primal
         feasible one; "optimal" then means only that.
@@ -712,10 +818,10 @@ class _Simplex:
         restores primal feasibility; ``run`` then optimizes the true costs.
         The leaving row is the basic variable of largest squared bound
         violation over its dual devex weight. The ratio test flips bounds
-        (Koberstein 2005, ch. 3): it passes the breakpoints of boxed
-        columns in ratio order, moving each to its other bound, while the
-        leaving variable stays infeasible, and the column at the breakpoint
-        where it would not enters. "infeasible" means that no move of the
+        (``_ratio_test``): it passes the breakpoints of boxed columns in
+        ratio order, moving each to its other bound, while the leaving
+        variable stays infeasible, and the column at the breakpoint where
+        it would not enters. "infeasible" means that no move of the
         nonbasic columns brings the leaving variable to its bound, read
         off a fresh factor (one with update terms is rebuilt first);
         ``ray`` is then row r of B^-1, signed so that ray b exceeds every
@@ -723,79 +829,80 @@ class _Simplex:
         the column weights do in ``run``, with w in place of the pivot row.
         """
         ftol = self.opts.feasibility_tol
-        movable = self.ub > 0.0  # fixed columns never enter
-        wr = np.ones(self.m)  # dual devex reference weights of the rows
+        fixed = self._fixed_codes()
+        # Dual devex reference weights of the rows, reset at each start.
+        self.wr = wr = np.ones(self.m)
         c = self._make_dual_feasible(c)
         while True:
-            ub_basic = self.ub[self.basis]
-            violation = np.maximum(-self.xb, self.xb - ub_basic)
-            rows = np.flatnonzero(violation > ftol)
-            if rows.size == 0:
+            xb, ub_basic = self.xb, self.ub_basic
+            violation = np.maximum(-xb, xb - ub_basic)
+            score = np.where(violation > ftol, violation ** 2 / wr, -1.0)
+            r = int(score.argmax()) if self.m else -1
+            if r < 0 or score[r] < 0.0:
                 return STATUS_OPTIMAL
             if self.iterations >= max_iterations:
                 return STATUS_ITERATION_LIMIT
             self.iterations += 1
-            r = int(rows[np.argmax(violation[rows] ** 2 / wr[rows])])
-            to_lower = self.xb[r] < 0.0
+            # The bound x_Br leaves at, and its signed miss of it.
+            bound = 0.0 if xb[r] < 0.0 else ub_basic[r]
+            miss = xb[r] - bound
             rho, alpha = self._row(r)
-            d = self.d
-            # Moving a candidate off its bound moves x_Br toward the bound
-            # it violates.
-            toward = -alpha if to_lower else alpha
-            at_lower = self.vstat == self.AT_LOWER
-            at_upper = self.vstat == self.AT_UPPER
-            piv_tol = 1e-7 * min(1.0, float(np.abs(
-                alpha[movable & (at_lower | at_upper)]).max(initial=0.0)))
-            cand = np.flatnonzero(movable & (
-                (at_lower & (toward > piv_tol))
-                | (at_upper & (toward < -piv_tol))))
-            # Reduced costs a hair on the wrong side count as 0.
-            ratio = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]),
-                               0.0) / np.abs(toward[cand])
-            order = np.argsort(ratio, kind="stable")
-            cand, ratio = cand[order], ratio[order]
-            # What is left of the violation after passing each breakpoint;
-            # within the tolerance is none, as flips that exactly close it
-            # can leave roundoff.
-            left = violation[r] - np.cumsum(np.abs(alpha[cand])
-                                            * self.ub[cand])
-            if cand.size == 0 or left[-1] > ftol:
+            dirs = self.DUAL_DIRECTION.take(self.vstat + fixed)
+            move = self._ratio_test(alpha, dirs, self.d, self.ub, miss)
+            if move is None:
                 if self.k:
                     # The violation may be the updated factor's roundoff:
                     # infeasibility is declared from a fresh one only.
                     self.refactor()
                     c = self._make_dual_feasible(c)
                     continue
-                self.ray = -rho if to_lower else rho
+                self.ray = rho if miss > 0.0 else -rho
                 return STATUS_INFEASIBLE
-            stop = int(np.argmax(left <= ftol))
-            # Of the breakpoints tied with the stop, the largest pivot.
-            tied = stop + np.flatnonzero(ratio[stop:] <= ratio[stop] + 1e-12)
-            q = int(cand[tied[np.argmax(np.abs(alpha[cand[tied]]))]])
-
-            flips = cand[:stop]
+            q, flips = move
             if flips.size:
-                step = np.where(at_lower[flips], self.ub[flips],
-                                -self.ub[flips])
-                pos, frows, fvals = self._gather(flips)
-                self.xb -= self._ftran_entries(frows, fvals * step[pos])
-                self.vstat[flips] = np.where(at_lower[flips], self.AT_UPPER,
-                                             self.AT_LOWER)
+                self._flip(flips, self.ub[flips] * dirs[flips])
             w = self._ftran(q)
-            theta_p = (self.xb[r] - (0.0 if to_lower else ub_basic[r])) / w[r]
-            x_q = 0.0 if at_lower[q] else self.ub[q]
+            theta_p = (self.xb[r] - bound) / w[r]
+            x_q = 0.0 if dirs[q] > 0.0 else self.ub[q]
             self.xb -= theta_p * w
             np.maximum(wr, (w / w[r]) ** 2 * wr[r], out=wr)
             wr[r] = max(wr[r] / w[r] ** 2, 1.0)
-            if self._pivot(r, q, w, rho, alpha, not to_lower, x_q + theta_p):
+            if self._pivot(r, q, w, rho, alpha, miss > 0.0, x_q + theta_p):
                 c = self._make_dual_feasible(c)
 
+    def _infeasible_row(self) -> bool:
+        """The row-activity check (Brearley, Mitra & Williams 1975): True,
+        with ``ray`` that row's unit vector signed as ``dual`` signs its
+        ray, where some working row misses its right-hand side by more
+        than the feasibility tolerance at every point within the bounds,
+        the row missed the most where several are; O(nnz)."""
+        if not self.m:
+            return False
+        with np.errstate(invalid="ignore"):
+            # Each entry's reach over its column's range; 0 x inf is nan.
+            reach = self.vals * self.ub[self.cols]
+        low = np.bincount(self.rows, weights=np.fmin(reach, 0.0),
+                          minlength=self.m)
+        high = np.bincount(self.rows, weights=np.fmax(reach, 0.0),
+                           minlength=self.m)
+        short, over = self.b - high, low - self.b
+        miss = np.maximum(short, over)
+        i = int(miss.argmax())
+        if not miss[i] > self.opts.feasibility_tol:
+            return False
+        self.ray = np.zeros(self.m)
+        self.ray[i] = 1.0 if short[i] >= over[i] else -1.0
+        return True
+
     def optimize(self, c: np.ndarray, max_iterations: int) -> str:
-        """Optimize with costs c from the statuses in ``vstat``: factor the
-        basis unless a factor was carried, run ``dual`` to primal
-        feasibility, then primal phase 2 (``run``) on the true costs, which
-        declares optimality only on fresh reduced costs. Raises LinAlgError
-        for a singular basis."""
+        """Optimize with costs c from the statuses in ``vstat``: end
+        "infeasible" at once where one row cannot hold alone
+        (``_infeasible_row``), else factor the basis unless a factor was
+        carried, run ``dual`` to primal feasibility, then primal phase 2
+        (``run``) on the true costs, which declares optimality only on
+        fresh reduced costs. Raises LinAlgError for a singular basis."""
+        if self._infeasible_row():
+            return STATUS_INFEASIBLE
         if self.binv0 is None:
             self.binv0 = self._invert()
         self._basic_values()
@@ -1081,7 +1188,8 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
     original rows or bounds by more than 10 tol is never reported optimal
     but "numerical", naming the violated rows worst first. "infeasible"
-    needs the dual's certificate to prove, by ``_farkas_bound``, a row
+    needs a certificate, one row's unit multiplier from the row-activity
+    check or the dual's ray, to prove, by ``_farkas_bound``, a row
     violation above tol at every point within the bounds; one that does
     not is "numerical". Either message names up to 5 rows of the
     certificate, largest multiplier first. An optimal solution carries its

@@ -1,8 +1,9 @@
 """Small shared model fixtures used across the unit-test modules, the
 scenario-LP build, a builder of small hand-written LPs, a dense view of an
 LP for the reference solvers in the solver tests, the benchmark's seeded
-demand factor, the shipped fixture tiled in time, and per-line renderings of the MPS, operations and series
-CSV text that the array writers are checked against.
+demand factor, the shipped fixture tiled in time, per-line renderings of
+the MPS, operations and series CSV text that the array writers are checked
+against, and the dual simplex's ratio test in its mask-based form.
 
 These are deliberately tiny (2 nodes, 48 hours) and hand-sized so expected
 values stay derivable by inspection or an independent one-liner.
@@ -330,3 +331,43 @@ def worst_reduced_cost(lp: LPInstance, sol) -> float:
     d_row = np.where(lp.sense == LE, -y, np.where(lp.sense == GE, y, 0.0))
     wrong_row = np.where(d_row < 0.0, 1.0, loose) * np.abs(d_row)
     return float(max(wrong.max(initial=0.0), wrong_row.max(initial=0.0)))
+
+
+def mask_ratio_test(alpha, vstat, ub, d, violation, to_lower, ftol):
+    """The bound-flipping ratio test as ``_Simplex.dual`` ran it inline
+    before ``_Simplex._ratio_test`` took it over, with its masks and sign
+    choices, kept as that method's oracle: the entering column and the
+    columns flipped, or None.
+
+    The leaving variable's pivot row is ``alpha``; it misses its lower
+    bound (``to_lower``) or its upper one by ``violation``; ``vstat``,
+    ``ub`` and ``d`` are every column's status, upper bound and reduced
+    cost.
+    """
+    movable = ub > 0.0  # fixed columns never enter
+    # Moving a candidate off its bound moves x_Br toward the bound
+    # it violates.
+    toward = -alpha if to_lower else alpha
+    at_lower = vstat == _Simplex.AT_LOWER
+    at_upper = vstat == _Simplex.AT_UPPER
+    piv_tol = 1e-7 * min(1.0, float(np.abs(
+        alpha[movable & (at_lower | at_upper)]).max(initial=0.0)))
+    cand = np.flatnonzero(movable & (
+        (at_lower & (toward > piv_tol))
+        | (at_upper & (toward < -piv_tol))))
+    # Reduced costs a hair on the wrong side count as 0.
+    ratio = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]),
+                       0.0) / np.abs(toward[cand])
+    order = np.argsort(ratio, kind="stable")
+    cand, ratio = cand[order], ratio[order]
+    # What is left of the violation after passing each breakpoint;
+    # within the tolerance is none, as flips that exactly close it
+    # can leave roundoff.
+    left = violation - np.cumsum(np.abs(alpha[cand]) * ub[cand])
+    if cand.size == 0 or left[-1] > ftol:
+        return None
+    stop = int(np.argmax(left <= ftol))
+    # Of the breakpoints tied with the stop, the largest pivot.
+    tied = stop + np.flatnonzero(ratio[stop:] <= ratio[stop] + 1e-12)
+    q = int(cand[tied[np.argmax(np.abs(alpha[cand[tied]]))]])
+    return q, cand[:stop]

@@ -26,8 +26,8 @@ from gridplan.formulation import (EQ, GE, LE, BuildInputs, LPError,
 from gridplan.runner import load_bundle, load_config
 from gridplan.solver import (SolveOptions, _Simplex, import_solution,
                              solve)
-from helpers import (count_inverts, dense_matrix, make_lp, tile_bundle,
-                     worst_reduced_cost)
+from helpers import (count_inverts, dense_matrix, make_lp, mask_ratio_test,
+                     tile_bundle, worst_reduced_cost)
 from test_acceptance import demo_config
 
 FIXTURE_DIR = Path(gridplan.__file__).parent / "data" / "two_node_48h"
@@ -612,14 +612,45 @@ def test_structurally_singular_basis_repaired(entries, repaired):
     np.testing.assert_allclose(sx.binv0 @ basis, np.eye(3), atol=1e-15)
 
 
-def test_refactor_of_unit_basis_is_exact():
-    # A permuted unit basis peels completely: no kernel, no roundoff.
+def test_refactor_of_unit_basis_is_exact(fixture_lp, monkeypatch):
+    # A permuted unit basis is a permuted diagonal: no kernel, no roundoff.
     sx = _Simplex(np.arange(3), np.array([2, 0, 1]), np.ones(3), np.ones(3),
                   np.full(3, np.inf), statuses(3, [0, 1, 2]), SolveOptions())
     sx.refactor()
     basis = np.zeros((3, 3))
     basis[[2, 0, 1], [0, 1, 2]] = 1.0
     np.testing.assert_array_equal(sx.binv0 @ basis, np.eye(3))
+    # Each refactor records whether it peeled.
+    peels, peeled = [], []
+    peel, invert = _Simplex._peel, _Simplex._invert
+
+    def spy_peel(self, *args):
+        peels.append(None)
+        return peel(self, *args)
+
+    def spy_invert(self):
+        before = len(peels)
+        binv = invert(self)
+        peeled.append(len(peels) > before)
+        return binv
+
+    monkeypatch.setattr(_Simplex, "_peel", spy_peel)
+    monkeypatch.setattr(_Simplex, "_invert", spy_invert)
+    # The slack basis of <=, >= and = rows, whose logicals are +1, -1 and
+    # +1 (scaled rows keep them so), inverts to exactly diag(1 / vals).
+    lp = make_lp([1.0, 1.0], [([1.0, 2.0], LE, 4.0), ([3.0, 1.0], GE, 1.0),
+                              ([1.0, -1.0], EQ, 0.5)])
+    work = solver._Working(lp, SolveOptions())
+    sx = work.simplex()
+    sx.refactor()
+    vals = work.vals[-3:]
+    np.testing.assert_array_equal(vals, [1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(sx.binv0, np.diag(1.0 / vals))
+    assert peeled == [False]
+    # A cold solve's first factor takes that path; later ones peel.
+    peeled.clear()
+    assert solve(fixture_lp).status == "optimal"
+    assert len(peeled) > 1 and peeled[0] is False and all(peeled[1:])
 
 
 def test_refactor_as_accurate_as_dense_solve(fixture_lp, monkeypatch):
@@ -699,6 +730,103 @@ def test_devex_pivot_by_hand():
     # max(1, (alpha_j / alpha_q)^2); the leaving column gets
     # max(1 / alpha_q^2, 1) = 4.
     np.testing.assert_allclose(sx.wt, [1.0, 16.0, 1.0, 4.0, 1.0])
+
+
+def test_dual_bound_flip_pivot_by_hand():
+    # Rows -x0 - 0.5 x1 + s0 = -3 and x0 + 2 x1 + s1 = 10 from the slack
+    # basis (s0, s1 >= 0 are columns 2 and 3), with x0 in [0, 1], x1 >= 0
+    # and c = (1, 1, 0, 0). s0 = -3 leaves toward 0, so rho = e_0 and the
+    # pivot row is alpha = (-1, -0.5, 1, 0): x0 breaks at ratio 1 / 1 and
+    # x1 at 1 / 0.5. Passing x0 closes only 1 of the 3, so x0 flips to its
+    # upper bound and x1 enters.
+    sx = _Simplex(np.array([0, 0, 1, 1, 2, 3]), np.array([0, 1, 0, 1, 0, 1]),
+                  np.array([-1.0, 1.0, -0.5, 2.0, 1.0, 1.0]),
+                  np.array([-3.0, 10.0]),
+                  np.array([1.0, np.inf, np.inf, np.inf]), statuses(4, [2, 3]),
+                  SolveOptions())
+    sx.refactor()
+    c = np.array([1.0, 1.0, 0.0, 0.0])
+    assert sx.dual(c, max_iterations=1) == "optimal"
+    assert sx.iterations == 1
+    np.testing.assert_array_equal(sx.basis, [1, 3])
+    np.testing.assert_array_equal(
+        sx.vstat, [_Simplex.AT_UPPER, _Simplex.BASIC, _Simplex.AT_LOWER,
+                   _Simplex.BASIC])
+    # The flip leaves s0 = -2 and s1 = 9; x1 = -2 / -0.5 = 4 closes s0 and
+    # leaves s1 = 9 - 2 x 4.
+    np.testing.assert_array_equal(sx.xb, [4.0, 1.0])
+    # theta = d_1 / alpha_1 = -2, so d + 2 alpha, and d_s0 = 2.
+    np.testing.assert_array_equal(sx.d, [-1.0, 0.0, 2.0, 0.0])
+    # max(1, (w_i / w_r)^2) with w = B^-1 a_1 = (-0.5, 2); the leaving row
+    # gets max(1 / w_r^2, 1) = 4.
+    np.testing.assert_array_equal(sx.wr, [4.0, 16.0])
+
+
+def ratio_test_state(rng):
+    """A random dual ratio-test state that stresses the tie-breaks: pivot
+    entries, bounds and ratios drawn from a few exact values, so ratios tie
+    exactly or within 1e-12 and equal |alpha| recur at different ratios;
+    basic, fixed, boxed and unbounded columns, reduced costs a hair on
+    the wrong side, and a violation that the first breakpoint closes,
+    that only flips close, or that no move closes."""
+    n = int(rng.integers(1, 16))
+    vstat = rng.choice([_Simplex.AT_LOWER, _Simplex.AT_UPPER, _Simplex.BASIC],
+                       size=n, p=[0.5, 0.3, 0.2]).astype(np.int8)
+    ub = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, np.inf], size=n)
+    vstat[(vstat == _Simplex.AT_UPPER) & np.isinf(ub)] = _Simplex.AT_LOWER
+    alpha = rng.choice([-2.0, -1.0, -0.5, -1e-9, 0.0, 0.5, 1.0, 2.0, 4.0],
+                       size=n)
+    ratio = rng.choice([0.0, 1.0, 1.0 + 5e-13, 2.0, 3.0], size=n)
+    d = np.where(vstat == _Simplex.AT_UPPER, -1.0, 1.0) * ratio * np.abs(
+        alpha)
+    d[rng.random(n) < 0.1] = rng.choice([1e-14, -1e-14, 0.3])
+    d[vstat == _Simplex.BASIC] = 0.0
+    violation = float(rng.choice([1e-6, 0.5, 1.0, 2.0, 3.5, 7.0, 1e9]))
+    return alpha, vstat, ub, d, violation, bool(rng.random() < 0.5)
+
+
+def test_ratio_test_matches_the_mask_form():
+    # _Simplex._ratio_test, on the direction array, against the masks and
+    # sign choices it replaced: the same entering column and the same flips
+    # in the same order on every state, exact ties included.
+    opts = SolveOptions()
+    rng = np.random.default_rng(29)
+    seen = dict.fromkeys(["no candidate", "none closes", "flips",
+                          "first closes", "exact tie",
+                          "equal |alpha| at another ratio"], 0)
+    for _ in range(4000):
+        alpha, vstat, ub, d, violation, to_lower = ratio_test_state(rng)
+        n = alpha.size
+        sx = _Simplex(np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n),
+                      np.ones(1), ub, vstat.copy(), opts)
+        dirs = sx.DUAL_DIRECTION.take(vstat + sx._fixed_codes())
+        got = sx._ratio_test(alpha, dirs, d, ub,
+                             -violation if to_lower else violation)
+        want = mask_ratio_test(alpha, vstat, ub, d, violation, to_lower,
+                               opts.feasibility_tol)
+        assert (got is None) == (want is None)
+        # The candidates and their ratios, to classify the state.
+        toward = dirs * (-alpha if to_lower else alpha)
+        cand = toward > 1e-7 * min(1.0, np.abs(alpha * dirs).max())
+        if not cand.any():
+            seen["no candidate"] += 1
+            continue
+        if want is None:
+            seen["none closes"] += 1
+            continue
+        q, flips = got
+        assert (q, flips.tolist()) == (want[0], want[1].tolist())
+        if flips.size:
+            seen["flips"] += 1
+            continue
+        seen["first closes"] += 1
+        ratio = np.full(n, np.inf)
+        ratio[cand] = np.maximum(d * dirs, 0.0)[cand] / toward[cand]
+        tied = ratio <= ratio.min() + 1e-12
+        seen["exact tie"] += int((ratio == ratio[q]).sum() > 1)
+        seen["equal |alpha| at another ratio"] += int((
+            tied & (ratio != ratio[q]) & (toward == toward[q])).any())
+    assert min(seen.values()) >= 50, seen
 
 
 @pytest.fixture(scope="module")
@@ -865,6 +993,54 @@ def test_warm_sweep_matches_cold(bundle, seed, monkeypatch):
     assert statuses == ["optimal"] * 14 + ["infeasible"] * 2
     assert len(proofs) == 2
     assert all(bound > tol for _, bound in proofs)
+
+
+def one_row_status(lp, row):
+    """HiGHS's status for the LP of ``lp``'s row ``row`` alone over its
+    column bounds (0 feasible, 2 infeasible)."""
+    i = lp.row_names.index(row)
+    a = dense_matrix(lp)[i:i + 1]
+    b = lp.rhs[i:i + 1]
+    sense = lp.sense[i]
+    bounds = [(lo, None if np.isinf(up) else up)
+              for lo, up in zip(lp.lower, lp.upper)]
+    return linprog(np.zeros(lp.n_cols), bounds=bounds, method="highs",
+                   **({"A_eq": a, "b_eq": b} if sense == EQ else
+                      {"A_ub": a if sense == LE else -a,
+                       "b_ub": b if sense == LE else -b})).status
+
+
+def test_row_check_ends_lps_with_a_row_that_cannot_hold(bundle, monkeypatch):
+    # On the cells of sweep --lcp 0:1:0.1 --hve 0:1:0.2, those at hve 0.6
+    # or more each hold a balance row of node b that no point within the
+    # column bounds meets: the row check ends them before any pivot, with
+    # that row's unit multiplier, and HiGHS finds the row infeasible on its
+    # own. It passes every other cell to the simplex: the 32 that HiGHS
+    # finds feasible, and (lcp 1.0, hve 0.4), which needs the policy row
+    # together with balance rows to be infeasible.
+    proofs = record_certificates(monkeypatch)
+    fired, passed = [], []
+    for lcp in np.round(np.arange(0.0, 1.01, 0.1), 10):
+        for hve in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+            lp = sweep_cell(bundle, 0, lcp, hve)
+            if not solver._Working(lp, SolveOptions()).simplex(
+                    )._infeasible_row():
+                passed.append(((lcp, hve), scipy_solve(lp).status))
+                continue
+            sol = solve(lp)
+            assert (sol.status, sol.iterations) == ("infeasible", 0)
+            (y, bound), = proofs
+            proofs.clear()
+            assert np.count_nonzero(y) == 1 and bound > rhs_tolerance(lp)
+            row = lp.row_names[int(np.flatnonzero(y)[0])]
+            assert row.startswith("balance[b,")
+            assert sol.message.endswith(f"led by {[row]}")
+            assert one_row_status(lp, row) == 2
+            fired.append((lcp, hve))
+    assert len(fired) == 33
+    assert all(hve >= 0.6 for _, hve in fired)
+    assert [cell for cell, status in passed if status != 0] == [(1.0, 0.4)]
+    assert len(passed) == 33
 
 
 def logical_basic(sol, lp, row):
