@@ -11,8 +11,10 @@ feasible and a few dual pivots restore primal feasibility. Where a basis
 is not dual feasible, boxed columns move to their other bound and the
 others have their cost shifted for the dual alone (Koberstein 2005, ch.
 4). Before any pivot, a row-activity check (Brearley, Mitra & Williams
-1975) ends the solve where one row alone cannot hold at any point within
-the column bounds, with that row's unit multiplier as the certificate.
+1975) ends the solve where one row alone misses its right-hand side by
+more than ``solve``'s tolerance, in the LP's own units, at every point
+within the column bounds, with that row's unit multiplier as the
+certificate.
 An LP is reported infeasible only with a Farkas certificate that checks
 out against its own arrays.
 
@@ -34,7 +36,7 @@ refactors only if that point misses the rows. A refactorization peels
 the basis's row and column singletons off in rounds and solves the dense
 kernel of k' rows left over (Hellerman & Rarick 1971; Suhl & Suhl 1990),
 in about O(nnz(B) m + k'^2 m + k'^3); the slack basis of a cold start is
-a diagonal, inverted as one.
+one round of column singletons, inverted as its pivots' reciprocals.
 
 An optimal solve's ``Basis`` is its working problem: the pattern, the
 scales, and the final statuses and factor. A solve started from it, on an
@@ -251,13 +253,17 @@ class _Simplex:
     DUAL_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
     PRIMAL_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0, -1.0, 0.0])
 
-    def __init__(self, cols, rows, vals, b, ub, vstat, opts: SolveOptions):
+    def __init__(self, cols, rows, vals, b, ub, vstat, opts: SolveOptions,
+                 row_tol=None):
         """Updates ``vstat`` in place; ``optimize`` or ``refactor`` factors
-        before any other use."""
+        before any other use. ``row_tol``, per row or for all, is the miss
+        above which the row check (``_infeasible_row``) proves a row
+        infeasible: by default ``feasibility_tol``."""
         self.cols, self.rows, self.vals = cols, rows, vals
         self.b = b.copy()
         self.ub = ub.copy()
         self.opts = opts
+        self.row_tol = opts.feasibility_tol if row_tol is None else row_tol
         self.m, self.n_all = b.size, ub.size
         self.iterations = 0
         self.vstat = vstat
@@ -344,19 +350,12 @@ class _Simplex:
         of the inverse that its basis rows touch, divided by its pivots;
         the kernel is one ``np.linalg.solve``. The row-singleton and kernel
         rows of the inverse are nonzero only in their own basis rows, so
-        they are built in a compact array first. A basis of one nonzero
-        per column and per row (the slack basis of every cold start) is
-        that permuted diagonal alone, and is inverted as one. Raises
-        LinAlgError for a singular basis, structural or numerical.
+        they are built in a compact array first. A round that touches no
+        earlier row is its pivots' reciprocals alone: the slack basis of
+        every cold start is one such round. Raises LinAlgError for a
+        singular basis, structural or numerical.
         """
         m = self.m
-        starts = self.indptr[self.basis]
-        if (self.indptr[self.basis + 1] - starts == 1).all():
-            rows, vals = self.rows[starts], self.vals[starts]
-            if vals.all() and np.unique(rows).size == m:
-                binv = np.zeros((m, m))
-                binv[np.arange(m), rows] = 1.0 / vals
-                return binv
         pos, rows, vals = self._gather(self.basis)
         front, kernel, back = self._peel(pos, rows)
         blocks = front + [kernel] + back
@@ -419,7 +418,8 @@ class _Simplex:
         for i, (r, p) in enumerate(back, start=len(lead)):
             e, slot, s, deps = split(i)
             piv = pivots(e, slot)
-            binv[p] = -(s @ binv[deps]) / piv[:, None]
+            if deps.size:
+                binv[p] = -(s @ binv[deps]) / piv[:, None]
             binv[p, r] = 1.0 / piv
         return binv
 
@@ -874,8 +874,9 @@ class _Simplex:
         """The row-activity check (Brearley, Mitra & Williams 1975): True,
         with ``ray`` that row's unit vector signed as ``dual`` signs its
         ray, where some working row misses its right-hand side by more
-        than the feasibility tolerance at every point within the bounds,
-        the row missed the most where several are; O(nnz)."""
+        than its ``row_tol`` at every point within the bounds, the row
+        missed the most against its ``row_tol`` where several are;
+        O(nnz)."""
         if not self.m:
             return False
         with np.errstate(invalid="ignore"):
@@ -886,9 +887,9 @@ class _Simplex:
         high = np.bincount(self.rows, weights=np.fmax(reach, 0.0),
                            minlength=self.m)
         short, over = self.b - high, low - self.b
-        miss = np.maximum(short, over)
+        miss = np.maximum(short, over) / self.row_tol
         i = int(miss.argmax())
-        if not miss[i] > self.opts.feasibility_tol:
+        if not miss[i] > 1.0:
             return False
         self.ray = np.zeros(self.m)
         self.ray[i] = 1.0 if short[i] >= over[i] else -1.0
@@ -1049,8 +1050,11 @@ class _Working:
         if vstat is None:
             vstat = np.full(self.n_all, _Simplex.AT_LOWER, dtype=np.int8)
             vstat[self.lp.n_cols:] = _Simplex.BASIC
+        # A working row is its LP row times row_scale, so a row that misses
+        # by more than tol x row_scale here misses by more than tol there,
+        # the bound ``conclude`` asks of the row check's certificate.
         return _Simplex(self.cols, self.rows, self.vals, self.b, self.ub,
-                        vstat, self.opts)
+                        vstat, self.opts, self.tol * self.row_scale)
 
     def follow(self, lp: LPInstance, opts: SolveOptions):
         """The working problem of ``lp`` and a simplex on it from this

@@ -620,22 +620,6 @@ def test_refactor_of_unit_basis_is_exact(fixture_lp, monkeypatch):
     basis = np.zeros((3, 3))
     basis[[2, 0, 1], [0, 1, 2]] = 1.0
     np.testing.assert_array_equal(sx.binv0 @ basis, np.eye(3))
-    # Each refactor records whether it peeled.
-    peels, peeled = [], []
-    peel, invert = _Simplex._peel, _Simplex._invert
-
-    def spy_peel(self, *args):
-        peels.append(None)
-        return peel(self, *args)
-
-    def spy_invert(self):
-        before = len(peels)
-        binv = invert(self)
-        peeled.append(len(peels) > before)
-        return binv
-
-    monkeypatch.setattr(_Simplex, "_peel", spy_peel)
-    monkeypatch.setattr(_Simplex, "_invert", spy_invert)
     # The slack basis of <=, >= and = rows, whose logicals are +1, -1 and
     # +1 (scaled rows keep them so), inverts to exactly diag(1 / vals).
     lp = make_lp([1.0, 1.0], [([1.0, 2.0], LE, 4.0), ([3.0, 1.0], GE, 1.0),
@@ -646,11 +630,20 @@ def test_refactor_of_unit_basis_is_exact(fixture_lp, monkeypatch):
     vals = work.vals[-3:]
     np.testing.assert_array_equal(vals, [1.0, -1.0, 1.0])
     np.testing.assert_array_equal(sx.binv0, np.diag(1.0 / vals))
-    assert peeled == [False]
-    # A cold solve's first factor takes that path; later ones peel.
-    peeled.clear()
+    # So is a cold solve's first factor, the slack basis of the fixture.
+    factors = []
+    invert = _Simplex._invert
+
+    def spy(self):
+        factors.append((self.basis.copy(), invert(self)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(_Simplex, "_invert", spy)
     assert solve(fixture_lp).status == "optimal"
-    assert len(peeled) > 1 and peeled[0] is False and all(peeled[1:])
+    (basis, binv), m = factors[0], fixture_lp.n_rows
+    np.testing.assert_array_equal(basis, fixture_lp.n_cols + np.arange(m))
+    logicals = np.where(fixture_lp.sense == GE, -1.0, 1.0)
+    np.testing.assert_array_equal(binv, np.diag(1.0 / logicals))
 
 
 def test_refactor_as_accurate_as_dense_solve(fixture_lp, monkeypatch):
@@ -1041,6 +1034,30 @@ def test_row_check_ends_lps_with_a_row_that_cannot_hold(bundle, monkeypatch):
     assert all(hve >= 0.6 for _, hve in fired)
     assert [cell for cell, status in passed if status != 0] == [(1.0, 0.4)]
     assert len(passed) == 33
+
+
+def test_row_check_proves_misses_in_the_lps_units(monkeypatch):
+    # r0 = 1e-6 x0 >= 1e-6 + 5e-8 over x0 <= 1 misses by 5e-8, under
+    # tol = 1e-7, but equilibration scales r0 by 1e6, so its working miss
+    # is 5e-2. r1 = x1 >= 1 + 1e-6 misses by 1e-6, over tol, in both units.
+    # The check weighs each row's miss in the LP's units: it ends the LP
+    # with r1's certificate, which conclude accepts, and leaves r0 alone
+    # to the dual.
+    proofs = record_certificates(monkeypatch)
+    band = ([1e-6, 0.0], GE, 1e-6 + 5e-8)
+    lp = make_lp([1.0, 1.0], [band, ([0.0, 1.0], GE, 1.0 + 1e-6)],
+                 upper=[1.0, 1.0])
+    work = solver._Working(lp, SolveOptions())
+    assert work.row_scale[0] == pytest.approx(1e6)
+    sol = solve(lp)
+    assert (sol.status, sol.iterations) == ("infeasible", 0)
+    assert sol.message.endswith("led by ['r1']")
+    (_, bound), = proofs
+    assert bound == pytest.approx(1e-6, rel=1e-9)
+    # With r1 met, no row misses by more than tol: the dual runs.
+    lp = make_lp([1.0, 1.0], [band, ([0.0, 1.0], GE, 0.5)], upper=[1.0, 1.0])
+    assert not solver._Working(lp, SolveOptions()).simplex()._infeasible_row()
+    assert solve(lp).iterations > 0
 
 
 def logical_basic(sol, lp, row):
