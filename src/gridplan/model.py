@@ -415,6 +415,11 @@ def requirements(network: NetworkSpec, series: TimeSeriesSet,
         if len(set(keys)) != len(keys):
             v.append(f"duplicate {what}: "
                      f"{sorted({k for k in keys if keys.count(k) > 1})}")
+    # The series CSVs and operations.csv write node ids as bare fields.
+    for n in ids:
+        if any(ch in n for ch in ',"\r\n'):
+            v.append(f"node id {n!r} holds a comma, a double quote or a line "
+                     "break, which a bare CSV field cannot hold")
     for iface in network.interfaces:
         if iface.node_a not in ids or iface.node_b not in ids:
             v.append(f"interface {iface.key} references an unknown node")

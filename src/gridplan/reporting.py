@@ -36,7 +36,7 @@ import numpy as np
 
 from .emissions import EmissionsLedger, electricity_emissions, ghg_reduction
 from .formulation import VRE, BuildInputs, LPInstance
-from .solver import Solution, _float_text, _write_lines
+from .solver import Solution, float_text, write_lines
 
 __all__ = [
     "CSV_COLUMNS",
@@ -722,13 +722,6 @@ def report_json_dict(report: ScenarioReport) -> dict:
     return _jsonify(report)
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as the csv module writes it as one field of a row."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow([text])
-    return buffer.getvalue()
-
-
 def write_operations_csv(path, inp: BuildInputs, lp: LPInstance,
                          solution: Solution) -> None:
     """Dump hourly operation as (node, t, resource, mwh) rows.
@@ -748,13 +741,12 @@ def write_operations_csv(path, inp: BuildInputs, lp: LPInstance,
         for n in inp.node_ids:
             series = {**hourly[n], "curtailment": np.maximum(slacks[n], 0.0)}
             names = sorted(series)
-            node = _csv_field(n)
             # one line per (hour, resource), hour-major
-            _write_lines(
+            write_lines(
                 fh,
-                ([f"{node},{t}," for t in hours.tolist()],
+                ([f"{n},{t}," for t in hours.tolist()],
                  np.repeat(hours, len(names))),
-                ([f"{_csv_field(r)}," for r in names],
+                ([f"{r}," for r in names],
                  np.tile(np.arange(len(names)), inp.n_hours)),
-                _float_text(np.column_stack([series[r] for r in names]),
-                            "\n"))
+                float_text(np.column_stack([series[r] for r in names]),
+                           "\n"))

@@ -52,11 +52,11 @@ from .solver import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     Basis,
-    _float_text,
-    _write_lines,
     export_mps,
+    float_text,
     import_solution,
     solve,
+    write_lines,
     write_mps,
 )
 
@@ -161,8 +161,8 @@ def save_bundle(path, network: NetworkSpec, series: TimeSeriesSet,
             for node in sorted(mapping):
                 values = np.asarray(mapping[node], dtype=float)
                 hours = np.arange(values.size)
-                _write_lines(fh, ([f"{node},{t}," for t in hours.tolist()],
-                                  hours), _float_text(values, "\n"))
+                write_lines(fh, ([f"{node},{t}," for t in hours.tolist()],
+                                 hours), float_text(values, "\n"))
 
 
 def _read_series_csv(path: Path, name: str) -> dict[str, np.ndarray]:

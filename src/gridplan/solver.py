@@ -10,13 +10,13 @@ target moves only right-hand sides and bounds, so that basis stays dual
 feasible and a few dual pivots restore primal feasibility. Where a basis
 is not dual feasible, boxed columns move to their other bound and the
 others have their cost shifted for the dual alone (Koberstein 2005, ch.
-4). Before any pivot, a row-activity check (Brearley, Mitra & Williams
-1975) ends the solve where one row alone misses its right-hand side by
-more than ``solve``'s tolerance, in the LP's own units, at every point
-within the column bounds, with that row's unit multiplier as the
-certificate.
-An LP is reported infeasible only with a Farkas certificate that checks
-out against its own arrays.
+4). One routine, ``_dual_bound``, reads every verdict off the LP's own
+arrays, in its units: the lower bound any row multipliers give on the
+optimum (Neumaier & Shcherbina 2004). With the costs and a solve's duals
+it certifies the gap; with none it is the Farkas check that "infeasible"
+needs, and its per-row form, the row-activity check (Brearley, Mitra &
+Williams 1975), runs once per solve before any start is tried. One helper
+judges every reported point, built-in or imported.
 
 The working matrix is column-compressed, built straight from the LP's CSR
 arrays (shifted and equilibrated there) with one logical column per row.
@@ -109,13 +109,13 @@ class Solution:
     ``slacks`` holds the signed row residual oriented so feasible
     inequality rows have slack >= 0 (headroom for <=, surplus for >=).
     ``duals`` are shadow prices: d(objective)/d(rhs). ``duality_gap`` is
-    |primal - dual objective| / max(1, |primal|), where the dual objective
-    adds each nonbasic column's reduced-cost term at its bound whatever its
-    sign. It does not measure dual infeasibility: a basis that stops short
-    of the optimum, with a column priced the wrong way at its bound, still
-    reads a gap near 0. ``basis`` is the optimal basis of a built-in solve,
-    opaque, which ``solve`` can start another LP from; an imported point or
-    a failed solve has none.
+    (c x - L(duals)) / max(1, |c x|), with L the lower bound on the optimum
+    that the duals give whatever their quality (``_dual_bound``), so the
+    point's cost is at most that far above the optimum: a certificate. It
+    may read below 0 at roundoff level; a point without duals has none.
+    ``basis`` is the optimal basis of a built-in solve, opaque, which
+    ``solve`` can start another LP from; an imported point or a failed
+    solve has none.
     """
 
     status: str
@@ -130,17 +130,15 @@ class Solution:
     basis: Basis | None = None
 
 
-def _signed_slacks(lp: LPInstance, x: np.ndarray) -> np.ndarray:
-    act = lp.activity(x)
-    return np.where(lp.sense == LE, lp.rhs - act, act - lp.rhs)
-
-
-def _row_violations(lp: LPInstance, x: np.ndarray) -> np.ndarray:
-    """How far each row misses its sense at x (<= 0 where satisfied)."""
-    act = lp.activity(x)
-    return np.where(lp.sense == LE, act - lp.rhs,
-                    np.where(lp.sense == GE, lp.rhs - act,
-                             np.abs(act - lp.rhs)))
+def _row_violations(lp: LPInstance, low: np.ndarray,
+                    high: np.ndarray) -> np.ndarray:
+    """How far each row misses its sense at every activity within [low,
+    high] (<= 0 where one of them satisfies it): at a point, low = high
+    is its activity; for the row check, the span the column bounds
+    allow."""
+    return np.where(lp.sense == LE, low - lp.rhs,
+                    np.where(lp.sense == GE, lp.rhs - high,
+                             np.maximum(low - lp.rhs, lp.rhs - high)))
 
 
 def _violation_message(lp: LPInstance, x: np.ndarray, limit: float,
@@ -148,7 +146,9 @@ def _violation_message(lp: LPInstance, x: np.ndarray, limit: float,
     """The rows, then the column bounds, that x misses by more than
     ``limit``: how many, the worst miss, and up to 5 named worst first."""
     parts = []
-    for what, names, miss in (("rows", lp.row_names, _row_violations(lp, x)),
+    act = lp.activity(x)
+    for what, names, miss in (("rows", lp.row_names,
+                               _row_violations(lp, act, act)),
                               ("column bounds", lp.col_names,
                                np.maximum(lp.lower - x, x - lp.upper))):
         bad = np.flatnonzero(miss > limit)
@@ -157,15 +157,6 @@ def _violation_message(lp: LPInstance, x: np.ndarray, limit: float,
             parts.append(f"{bad.size} {what} beyond tolerance (worst "
                          f"{miss[bad[0]]:.3e}): {[names[i] for i in bad[:5]]}")
     return f"{subject} violates {' and '.join(parts)}"
-
-
-def _max_violation(lp: LPInstance, x: np.ndarray) -> float:
-    """Worst row or bound violation at x; infinite if x is not finite."""
-    if not np.isfinite(x).all():
-        return math.inf
-    return max(float(np.max(_row_violations(lp, x), initial=0.0)),
-               float(np.max(lp.lower - x, initial=0.0)),
-               float(np.max(x - lp.upper, initial=0.0)))
 
 
 class _Factor(NamedTuple):
@@ -232,8 +223,8 @@ class _Simplex:
     refactorization, and before optimality is declared. The ratio test
     skips entries of magnitude at most 1e-7 x min(1, max |w|). Each
     iteration of either looks every column's direction up from its status
-    once (``DUAL_DIRECTION``, ``PRIMAL_DIRECTION``), and the candidates,
-    the pivot tolerance, the ratios and the bound flips all read it.
+    once (``DIRECTION``), and the candidates, the pivot tolerance, the
+    ratios and the bound flips all read it.
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -246,24 +237,17 @@ class _Simplex:
     MAX_UPDATES = 200
     # The direction in which a column moves off its bound, indexed by its
     # status plus 3 where it is fixed (``_fixed_codes``): +1 up from its
-    # lower bound, -1 down from its upper one, 0 for a basic column. A
-    # fixed column never enters the dual; ``run`` prices one at its upper
-    # bound as it would a boxed one, and swings it to its lower bound at
-    # no step.
-    DUAL_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-    PRIMAL_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0, -1.0, 0.0])
+    # lower bound, -1 down from its upper one, 0 for a basic column and
+    # for a fixed one, which has nowhere to move.
+    DIRECTION = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
 
-    def __init__(self, cols, rows, vals, b, ub, vstat, opts: SolveOptions,
-                 row_tol=None):
+    def __init__(self, cols, rows, vals, b, ub, vstat, opts: SolveOptions):
         """Updates ``vstat`` in place; ``optimize`` or ``refactor`` factors
-        before any other use. ``row_tol``, per row or for all, is the miss
-        above which the row check (``_infeasible_row``) proves a row
-        infeasible: by default ``feasibility_tol``."""
+        before any other use."""
         self.cols, self.rows, self.vals = cols, rows, vals
         self.b = b.copy()
         self.ub = ub.copy()
         self.opts = opts
-        self.row_tol = opts.feasibility_tol if row_tol is None else row_tol
         self.m, self.n_all = b.size, ub.size
         self.iterations = 0
         self.vstat = vstat
@@ -661,7 +645,7 @@ class _Simplex:
 
         while True:
             d = self.d
-            dirs = self.PRIMAL_DIRECTION.take(self.vstat + fixed)
+            dirs = self.DIRECTION.take(self.vstat + fixed)
             # A column prices in where its move off its bound lowers the
             # objective: d_j dirs_j < 0.
             score = np.where(d * dirs < -tol, d ** 2 / wt, -1.0)
@@ -847,7 +831,7 @@ class _Simplex:
             bound = 0.0 if xb[r] < 0.0 else ub_basic[r]
             miss = xb[r] - bound
             rho, alpha = self._row(r)
-            dirs = self.DUAL_DIRECTION.take(self.vstat + fixed)
+            dirs = self.DIRECTION.take(self.vstat + fixed)
             move = self._ratio_test(alpha, dirs, self.d, self.ub, miss)
             if move is None:
                 if self.k:
@@ -870,40 +854,12 @@ class _Simplex:
             if self._pivot(r, q, w, rho, alpha, miss > 0.0, x_q + theta_p):
                 c = self._make_dual_feasible(c)
 
-    def _infeasible_row(self) -> bool:
-        """The row-activity check (Brearley, Mitra & Williams 1975): True,
-        with ``ray`` that row's unit vector signed as ``dual`` signs its
-        ray, where some working row misses its right-hand side by more
-        than its ``row_tol`` at every point within the bounds, the row
-        missed the most against its ``row_tol`` where several are;
-        O(nnz)."""
-        if not self.m:
-            return False
-        with np.errstate(invalid="ignore"):
-            # Each entry's reach over its column's range; 0 x inf is nan.
-            reach = self.vals * self.ub[self.cols]
-        low = np.bincount(self.rows, weights=np.fmin(reach, 0.0),
-                          minlength=self.m)
-        high = np.bincount(self.rows, weights=np.fmax(reach, 0.0),
-                           minlength=self.m)
-        short, over = self.b - high, low - self.b
-        miss = np.maximum(short, over) / self.row_tol
-        i = int(miss.argmax())
-        if not miss[i] > 1.0:
-            return False
-        self.ray = np.zeros(self.m)
-        self.ray[i] = 1.0 if short[i] >= over[i] else -1.0
-        return True
-
     def optimize(self, c: np.ndarray, max_iterations: int) -> str:
-        """Optimize with costs c from the statuses in ``vstat``: end
-        "infeasible" at once where one row cannot hold alone
-        (``_infeasible_row``), else factor the basis unless a factor was
-        carried, run ``dual`` to primal feasibility, then primal phase 2
-        (``run``) on the true costs, which declares optimality only on
-        fresh reduced costs. Raises LinAlgError for a singular basis."""
-        if self._infeasible_row():
-            return STATUS_INFEASIBLE
+        """Optimize with costs c from the statuses in ``vstat``: factor the
+        basis unless a factor was carried, run ``dual`` to primal
+        feasibility, then primal phase 2 (``run``) on the true costs, which
+        declares optimality only on fresh reduced costs. Raises
+        LinAlgError for a singular basis."""
         if self.binv0 is None:
             self.binv0 = self._invert()
         self._basic_values()
@@ -919,55 +875,116 @@ def _no_solution(status: str, iterations: int, message: str) -> Solution:
                     duality_gap=None, message=message)
 
 
-def _finish(lp: LPInstance, x: np.ndarray, duals: np.ndarray,
-            vstat: np.ndarray, iterations: int) -> Solution:
-    x = np.clip(x, lp.lower, lp.upper)
-    primal = float(lp.objective @ x)
-    # Dual objective: rhs terms plus reduced-cost terms for every
-    # nonbasic variable resting at a finite bound.
-    reduced = lp.objective - np.bincount(
-        lp.indices, weights=lp.data * duals[lp.row_of], minlength=lp.n_cols)
-    dual_obj = float(duals @ lp.rhs)
-    at_lower = vstat == _Simplex.AT_LOWER
-    dual_obj += float(reduced[at_lower] @ lp.lower[at_lower])
-    at_upper = (vstat == _Simplex.AT_UPPER) & np.isfinite(lp.upper)
-    dual_obj += float(reduced[at_upper] @ lp.upper[at_upper])
-    gap = abs(primal - dual_obj) / max(1.0, abs(primal))
-    return Solution(
-        status=STATUS_OPTIMAL,
-        x=x,
-        objective=primal + lp.offset,
-        slacks=_signed_slacks(lp, x),
-        duals=duals,
-        iterations=iterations,
-        max_violation=_max_violation(lp, x),
-        duality_gap=gap,
-    )
+def _tolerance(lp: LPInstance, opts: SolveOptions) -> float:
+    """The row miss a solve forgives: feasibility_tol x max(1, max |rhs|)."""
+    return opts.feasibility_tol * max(
+        1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
 
 
-def _farkas_bound(lp: LPInstance, y: np.ndarray) -> float:
-    """The row violation that the row multipliers ``y`` prove every point
-    within the column bounds to reach, read from the LP's arrays alone; at
-    most 0 when they prove nothing.
+def _signed(lp: LPInstance, y: np.ndarray) -> np.ndarray:
+    """Row multipliers y with each entry of the wrong sign for its row set
+    to 0, which leaves y_i >= 0 on >= rows and y_i <= 0 on <= rows."""
+    return np.where(lp.sense == LE, np.minimum(y, 0.0),
+                    np.where(lp.sense == GE, np.maximum(y, 0.0), y))
 
-    Entries of y of the wrong sign for their row count as 0, which leaves
-    y_i >= 0 on >= rows and y_i <= 0 on <= rows. Then at a point whose
-    largest row violation is v, sum_i y_i (a_i x - b_i) >= -|y|_1 v, while
-    the column bounds hold that sum to at most max (y A) x - y b = -gap.
-    So v >= gap / |y|_1: where that is positive, y is a Farkas certificate
-    that the LP has no feasible point. A column whose (y A)_j is roundoff,
-    at most 1e-9 of sum_i |y_i a_ij|, counts as 0: the proof is then one
-    for the LP with that column's entries moved by 1e-9 relative at most.
+
+def _dual_bound(lp: LPInstance, y: np.ndarray, c=0.0) -> float:
+    """L(y) = y b + sum_j min over [l_j, u_j] of (c - y A)_j x_j, from the
+    LP's arrays alone: a lower bound on c x over the feasible points, for
+    any row multipliers y (Neumaier & Shcherbina, "Safe bounds in linear
+    and mixed-integer linear programming", Math. Prog. 99, 2004).
+
+    y is taken ``_signed``, so y (A x - b) >= 0 at a feasible x, and
+    c x >= y b + (c - y A) x >= L(y), which is -inf where a reduced cost
+    points at an infinite bound. A (c - y A)_j of at most 1e-9 of |c_j| +
+    sum_i |y_i a_ij| is roundoff and counts as 0: the bound is then one
+    for the LP with that column moved by 1e-9 relative at most.
+
+    With c = 0 it is the Farkas check: at a point whose largest row
+    violation is v, sum_i y_i (a_i x - b_i) >= -|y|_1 v, and the column
+    bounds hold that sum to at most -L(y). So v >= L(y) / |y|_1: where
+    that is positive, y proves that the LP has no feasible point.
     """
-    y = np.where(lp.sense == LE, np.minimum(y, 0.0),
-                 np.where(lp.sense == GE, np.maximum(y, 0.0), y))
+    y = _signed(lp, y)
     terms = lp.data * y[lp.row_of]
-    g = np.bincount(lp.indices, weights=terms, minlength=lp.n_cols)
-    size = np.bincount(lp.indices, weights=np.abs(terms), minlength=lp.n_cols)
-    moves = np.abs(g) > 1e-9 * size
-    top = np.where(g > 0.0, lp.upper, lp.lower)[moves]
-    gap = float(y @ lp.rhs) - float(g[moves] @ top)
-    return gap / max(float(np.abs(y).sum()), np.finfo(float).tiny)
+    d = c - np.bincount(lp.indices, weights=terms, minlength=lp.n_cols)
+    size = np.abs(c) + np.bincount(lp.indices, weights=np.abs(terms),
+                                   minlength=lp.n_cols)
+    moves = np.abs(d) > 1e-9 * size
+    low = np.where(d > 0.0, lp.lower, lp.upper)[moves]
+    return float(y @ lp.rhs) + float(d[moves] @ low)
+
+
+def _row_check(lp: LPInstance, tol: float) -> np.ndarray | None:
+    """The row-activity check (Brearley, Mitra & Williams 1975), the
+    per-row form of the Farkas check: the unit multiplier, signed as a
+    certificate, of the row that misses its right-hand side by the most
+    at every point within the column bounds, where that is more than tol;
+    else None. O(nnz), on the LP's own arrays."""
+    with np.errstate(invalid="ignore"):
+        # Each entry at its column's two bounds; an entry of 0 at an
+        # infinite bound is nan, which fmin and fmax pass over.
+        at_lower = lp.data * lp.lower[lp.indices]
+        at_upper = lp.data * lp.upper[lp.indices]
+    low = np.bincount(lp.row_of, weights=np.fmin(at_lower, at_upper),
+                      minlength=lp.n_rows)
+    high = np.bincount(lp.row_of, weights=np.fmax(at_lower, at_upper),
+                       minlength=lp.n_rows)
+    miss = _row_violations(lp, low, high)
+    if not (miss > tol).any():
+        return None
+    i = int(miss.argmax())
+    y = np.zeros(lp.n_rows)
+    y[i] = 1.0 if lp.rhs[i] - high[i] >= low[i] - lp.rhs[i] else -1.0
+    return y
+
+
+def _infeasible(lp: LPInstance, y: np.ndarray, tol: float,
+                iterations: int) -> Solution:
+    """"infeasible" where the row multipliers y prove, by ``_dual_bound``
+    with no costs, that every point within the column bounds violates a
+    row by more than tol; else "numerical". Either message names up to 5
+    rows of y, largest multiplier first."""
+    rows_named = [lp.row_names[i] for i in np.argsort(
+        -np.abs(y), kind="stable")[:5] if y[i] != 0.0]
+    y = _signed(lp, y)
+    bound = _dual_bound(lp, y) / max(float(np.abs(y).sum()),
+                                     np.finfo(float).tiny)
+    if bound > tol:
+        return _no_solution(
+            STATUS_INFEASIBLE, iterations,
+            f"no feasible point: every point within the column bounds "
+            f"violates a row by {bound:.3e} or more, by a combination of "
+            f"rows led by {rows_named}")
+    return _no_solution(
+        STATUS_NUMERICAL, iterations,
+        f"dual simplex claims no feasible point, but its certificate shows "
+        f"a row violation of only {bound:.3e}; rows led by {rows_named}")
+
+
+def _judge(lp: LPInstance, x: np.ndarray, duals: np.ndarray | None = None,
+           iterations: int = 0) -> Solution:
+    """The solution at point x, "optimal" until its caller judges its
+    ``max_violation``: the objective, and from one row activity the
+    slacks and the worst violation of a row or a column bound (infinite
+    where x is not finite), and, given duals, the gap they certify."""
+    act = lp.activity(x)
+    with np.errstate(invalid="ignore"):  # 0 * inf at a non-finite point
+        primal = float(lp.objective @ x)
+    violation, gap = math.inf, None
+    if np.isfinite(x).all():
+        violation = max(
+            float(np.max(_row_violations(lp, act, act), initial=0.0)),
+            float(np.max(lp.lower - x, initial=0.0)),
+            float(np.max(x - lp.upper, initial=0.0)))
+    if duals is not None:
+        gap = (primal - _dual_bound(lp, duals, lp.objective)) / max(
+            1.0, abs(primal))
+    return Solution(
+        status=STATUS_OPTIMAL, x=x, objective=primal + lp.offset,
+        slacks=np.where(lp.sense == LE, lp.rhs - act, act - lp.rhs),
+        duals=duals, iterations=iterations, max_violation=violation,
+        duality_gap=gap)
 
 
 def _equilibrate(lp: LPInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -1017,8 +1034,7 @@ class _Working:
         self.pattern = like.pattern if like else (
             lp.row_names, lp.col_names, lp.sense, lp.indptr, lp.indices)
         self.n_all = n + m
-        self.tol = opts.feasibility_tol * max(
-            1.0, float(np.max(np.abs(lp.rhs), initial=0.0)))
+        self.tol = _tolerance(lp, opts)
         if like is None:
             self.row_scale, self.col_scale = _equilibrate(lp)
             self.by_col = np.argsort(lp.indices, kind="stable")
@@ -1050,11 +1066,8 @@ class _Working:
         if vstat is None:
             vstat = np.full(self.n_all, _Simplex.AT_LOWER, dtype=np.int8)
             vstat[self.lp.n_cols:] = _Simplex.BASIC
-        # A working row is its LP row times row_scale, so a row that misses
-        # by more than tol x row_scale here misses by more than tol there,
-        # the bound ``conclude`` asks of the row check's certificate.
         return _Simplex(self.cols, self.rows, self.vals, self.b, self.ub,
-                        vstat, self.opts, self.tol * self.row_scale)
+                        vstat, self.opts)
 
     def follow(self, lp: LPInstance, opts: SolveOptions):
         """The working problem of ``lp`` and a simplex on it from this
@@ -1125,26 +1138,13 @@ class _Working:
             ray = sx.ray
             y = np.where(np.abs(ray) > 1e-9 * np.abs(ray).max(), ray,
                          0.0) * self.row_scale
-            bound = _farkas_bound(lp, y)
-            rows_named = [lp.row_names[i] for i in np.argsort(
-                -np.abs(y), kind="stable")[:5] if y[i] != 0.0]
-            if bound > tol:
-                return _no_solution(
-                    status, sx.iterations,
-                    f"no feasible point: every point within the column "
-                    f"bounds violates a row by {bound:.3e} or more, by a "
-                    f"combination of rows led by {rows_named}")
-            return _no_solution(
-                STATUS_NUMERICAL, sx.iterations,
-                f"dual simplex claims no feasible point, but its "
-                f"certificate shows a row violation of only {bound:.3e}; "
-                f"rows led by {rows_named}")
+            return _infeasible(lp, y, tol, sx.iterations)
         n = lp.n_cols
 
         def point(duals):
             x = lp.lower + sx.point()[:n] * self.col_scale
-            return _finish(lp, x, duals * self.row_scale,
-                           sx.vstat[:n].copy(), sx.iterations)
+            return _judge(lp, np.clip(x, lp.lower, lp.upper),
+                          duals * self.row_scale, sx.iterations)
 
         # A fresh factor is the one a refactor would build, so only the
         # basic values are recomputed. An updated one gives a refined
@@ -1191,15 +1191,22 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
 
     With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
     original rows or bounds by more than 10 tol is never reported optimal
-    but "numerical", naming the violated rows worst first. "infeasible"
-    needs a certificate, one row's unit multiplier from the row-activity
-    check or the dual's ray, to prove, by ``_farkas_bound``, a row
-    violation above tol at every point within the bounds; one that does
-    not is "numerical". Either message names up to 5 rows of the
-    certificate, largest multiplier first. An optimal solution carries its
-    ``basis``, and with it the factor for the next solve of a chain.
+    but "numerical", naming the violated rows worst first. Before any start
+    is tried, the row-activity check (``_row_check``) ends a solve
+    "infeasible" at 0 iterations where one row alone misses by more than
+    tol at every point within the column bounds. "infeasible" needs a
+    certificate, that row's unit multiplier or the dual's ray, to prove, by
+    ``_dual_bound``, a row violation above tol at every point within the
+    bounds; one that does not is "numerical". Either message names up to 5
+    rows of the certificate, largest multiplier first. An optimal solution
+    carries its certified ``duality_gap`` and its ``basis``, and with it
+    the factor for the next solve of a chain.
     """
     opts = options or SolveOptions()
+    tol = _tolerance(lp, opts)
+    y = _row_check(lp, tol)
+    if y is not None:
+        return _infeasible(lp, y, tol, 0)
     followed = start.follow(lp, opts) if start is not None else None
     spent = 0
     if followed is not None:
@@ -1225,7 +1232,7 @@ _MPS_NAME = "C(?:0|[1-9][0-9]*)"
 _MPS_NAMES = re.compile(f"{_MPS_NAME}(?:\n{_MPS_NAME})*")
 
 
-def _float_text(values, end: str) -> tuple[list[str], np.ndarray]:
+def float_text(values, end: str) -> tuple[list[str], np.ndarray]:
     """``(texts, index)`` with ``texts[index[i]] == repr(values[i]) + end``
     for each entry of ``values``, flattened.
 
@@ -1286,7 +1293,7 @@ def _write_chunks(buf, n_lines: int, fields) -> int:
                for start in range(0, n_lines, _LINES_CHUNK))
 
 
-def _write_lines(buf, *fields) -> int:
+def write_lines(buf, *fields) -> int:
     """Write line i as ``texts[index[i]]`` of each ``(texts, index)``
     field in turn, a chunk at a time, and return the number of characters
     written."""
@@ -1366,7 +1373,7 @@ def write_mps(lp: LPInstance, out) -> int:
         row[entries] = lp.row_of[entry] + 1
         value = lp.objective[col]
         value[entries] = lp.data[entry]
-        return _column_field(col), _row_field(row), _float_text(value, "\n")
+        return _column_field(col), _row_field(row), float_text(value, "\n")
 
     written += _write_chunks(out, int(col_lines.sum()), columns)
 
@@ -1375,7 +1382,7 @@ def write_mps(lp: LPInstance, out) -> int:
     written += _write_chunks(out, nonzero.size, lambda start, stop: (
         ([f"    {'RHS':<8}  "], np.zeros(stop - start, dtype=np.int64)),
         _row_field(nonzero[start:stop] + 1),
-        _float_text(lp.rhs[nonzero[start:stop]], "\n")))
+        float_text(lp.rhs[nonzero[start:stop]], "\n")))
 
     written += put("BOUNDS\n")
     # A fixed column gets one FX line; any other its LO line (if the lower
@@ -1391,7 +1398,7 @@ def write_mps(lp: LPInstance, out) -> int:
         kind = np.where(fixed[col], 0, np.where(low[col] & (rank == 0), 1, 2))
         value = np.where(kind == 2, upper[col], lower[col])
         return (([" FX BND   ", " LO BND   ", " UP BND   "], kind),
-                _column_field(col), _float_text(value, "\n"))
+                _column_field(col), float_text(value, "\n"))
 
     written += _write_chunks(out, int(bound_lines.sum()), bounds)
     return written + put("ENDATA\n")
@@ -1542,28 +1549,14 @@ def import_solution(lp: LPInstance, source,
         raise LPError("solution is missing columns "
                       f"{[lp.col_names[j] for j in missing[:5]]}")
 
-    violation = _max_violation(lp, x)
+    sol = _judge(lp, x)
+    if sol.max_violation <= opts.feasibility_tol:
+        return sol
     nonfinite = np.flatnonzero(~np.isfinite(x))
-    if violation <= opts.feasibility_tol:
-        status, message = STATUS_OPTIMAL, ""
-    elif nonfinite.size:
-        status = STATUS_INFEASIBLE
+    if nonfinite.size:
         message = (f"imported point has {nonfinite.size} non-finite values: "
                    f"{[lp.col_names[j] for j in nonfinite[:5]]}")
     else:
-        status = STATUS_INFEASIBLE
         message = _violation_message(lp, x, opts.feasibility_tol,
                                      "imported point")
-    with np.errstate(invalid="ignore"):  # 0 * inf at a non-finite point
-        objective = lp.objective_value(x)
-    return Solution(
-        status=status,
-        x=x,
-        objective=objective,
-        slacks=_signed_slacks(lp, x),
-        duals=None,
-        iterations=0,
-        max_violation=violation,
-        duality_gap=None,
-        message=message,
-    )
+    return replace(sol, status=STATUS_INFEASIBLE, message=message)

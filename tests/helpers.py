@@ -239,9 +239,8 @@ def operations_csv_oracle(inp: BuildInputs, lp: LPInstance, solution) -> str:
     for n in inp.node_ids:
         series = {**hourly[n], "curtailment": np.maximum(slacks[n], 0.0)}
         for t in range(inp.n_hours):
-            lines.extend("{},{},{},{!r}\n".format(
-                reporting._csv_field(n), t, reporting._csv_field(r),
-                float(series[r][t])) for r in sorted(series))
+            lines.extend(f"{n},{t},{r},{float(series[r][t])!r}\n"
+                         for r in sorted(series))
     return "".join(lines)
 
 

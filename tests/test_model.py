@@ -225,6 +225,41 @@ def test_every_violation_is_reported_alone(part, mutate, message):
     assert validate(**inputs) == [message]
 
 
+def _renamed(part, old: str, new: str):
+    """``part`` (network, series or costs) with node ``old`` named ``new``
+    in every node list, interface and mapping key."""
+    def key(k):
+        return ":".join(new if p == old else p for p in k.split(":"))
+
+    changes = {}
+    for field in dataclasses.fields(part):
+        value = getattr(part, field.name)
+        if isinstance(value, dict):
+            changes[field.name] = {key(k): v for k, v in value.items()}
+        elif field.name == "nodes":
+            changes["nodes"] = [dataclasses.replace(n, id=key(n.id))
+                                for n in value]
+        elif field.name == "interfaces":
+            changes["interfaces"] = [dataclasses.replace(
+                i, node_a=key(i.node_a), node_b=key(i.node_b)) for i in value]
+    return dataclasses.replace(part, **changes)
+
+
+@pytest.mark.parametrize("bad", ["b,1", 'b"1', "b\r1", "b\n1"])
+def test_node_id_that_a_csv_field_cannot_hold_is_refused(bad):
+    # The series CSVs and operations.csv write node ids as bare fields, so
+    # an id holding a comma, a double quote or a line break is the one
+    # violation of inputs that are otherwise whole.
+    net = tiny_network()
+    inputs = {"network": net, "series": tiny_series(net),
+              "costs": tiny_costs(net), "params": tiny_params()}
+    for part in ("network", "series", "costs"):
+        inputs[part] = _renamed(inputs[part], "b", bad)
+    assert validate(**inputs) == [
+        f"node id {bad!r} holds a comma, a double quote or a line break, "
+        "which a bare CSV field cannot hold"]
+
+
 class TestScenarioConfig:
     def test_two_of_three_accepted(self):
         ScenarioConfig(mode="lcp+hve", lcp=0.4, p_heat=0.0, p_veh=0.0)

@@ -200,15 +200,15 @@ class TestLineWriter:
         right_text = [f"r\u00e9{j:<6}  " for j in range(4)]
         monkeypatch.setattr(solver, "_LINES_CHUNK", chunk)
         buf = io.StringIO()
-        solver._write_lines(buf, (left_text, left), (right_text, right),
-                            solver._float_text(values, "\n"))
+        solver.write_lines(buf, (left_text, left), (right_text, right),
+                           solver.float_text(values, "\n"))
         assert buf.getvalue() == mps_lines_oracle(left_text, left,
                                                   right_text, right, values)
 
     def test_no_lines(self):
         buf = io.StringIO()
-        solver._write_lines(buf, (["x"], np.zeros(0, dtype=np.int64)),
-                            solver._float_text(np.zeros(0), "\n"))
+        solver.write_lines(buf, (["x"], np.zeros(0, dtype=np.int64)),
+                           solver.float_text(np.zeros(0), "\n"))
         assert buf.getvalue() == ""
 
     def test_chunk_ends_mid_section_write_the_same_bytes(self, monkeypatch):

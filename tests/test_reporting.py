@@ -754,7 +754,7 @@ class TestIdleResourceLcoe:
         x = sol.x.copy()
         x[[j for j, name in enumerate(lp.col_names)
            if name.startswith("biofuel[")]] = 1e-20
-        assert solver._max_violation(lp, x) <= sol.max_violation
+        assert solver._judge(lp, x).max_violation <= sol.max_violation
         report = summarize(inp, lp, dataclasses.replace(sol, x=x))
         assert report.generation_avg_gwh_per_hour["biofuel"] > 0.0
         assert report.cost_usd["biofuel"] > 0.0

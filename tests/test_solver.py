@@ -79,15 +79,18 @@ def least_violation(lp):
 
 
 def record_certificates(monkeypatch):
-    """Patch the solver's certificate check to record each (y, bound)."""
+    """Patch the solver's dual bound to record each Farkas check, a call
+    without costs, as (y, the row violation it proves: L(y) / |y|_1)."""
     proofs = []
-    check = solver._farkas_bound
+    bound = solver._dual_bound
 
-    def spy(lp, y):
-        proofs.append((y.copy(), check(lp, y)))
-        return proofs[-1][1]
+    def spy(lp, y, c=0.0):
+        value = bound(lp, y, c)
+        if np.ndim(c) == 0:
+            proofs.append((y.copy(), value / np.abs(y).sum()))
+        return value
 
-    monkeypatch.setattr(solver, "_farkas_bound", spy)
+    monkeypatch.setattr(solver, "_dual_bound", spy)
     return proofs
 
 
@@ -213,16 +216,25 @@ class TestElementary:
 
     def test_infeasibility_names_rows_holding_the_residual(self,
                                                             monkeypatch):
-        # The dual leaves on r6 first, whose violation (5) is the largest,
-        # and finds no column to enter: its certificate is r6 alone, which
-        # x6 <= 1 misses by 4 at every point. One optimization, no second.
+        # r6 alone cannot hold: x6 <= 1 misses it by 4 at every point. The
+        # row check finds it before any optimization, and r6's unit
+        # multiplier is the certificate. The dual alone on the same LP
+        # leaves on r6 first, whose violation (5) is the largest, and finds
+        # no column to enter: its ray is r6 alone too, in one optimization.
         statuses = count_optimizations(monkeypatch)
         proofs = record_certificates(monkeypatch)
-        sol = solve(chain_lp())
-        assert sol.status == "infeasible"
+        lp = chain_lp()
+        sol = solve(lp)
+        assert (sol.status, sol.iterations, statuses) == ("infeasible", 0, [])
+        work = solver._Working(lp, SolveOptions())
+        sx = work.simplex()
+        dual = work.conclude(sx, sx.optimize(work.c, work.max_iterations))
         assert statuses == ["infeasible"]
-        (y, bound), = proofs
-        assert bound == pytest.approx(4.0, rel=1e-12)
+        assert dual.message == sol.message
+        for y, bound in proofs:
+            assert np.flatnonzero(y).tolist() == [lp.row_names.index("r6")]
+            assert bound == pytest.approx(4.0, rel=1e-12)
+        assert len(proofs) == 2
         assert "violates a row by 4.000e+00 or more" in sol.message
         assert sol.message.endswith("rows led by ['r6']")
 
@@ -792,7 +804,7 @@ def test_ratio_test_matches_the_mask_form():
         n = alpha.size
         sx = _Simplex(np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n),
                       np.ones(1), ub, vstat.copy(), opts)
-        dirs = sx.DUAL_DIRECTION.take(vstat + sx._fixed_codes())
+        dirs = sx.DIRECTION.take(vstat + sx._fixed_codes())
         got = sx._ratio_test(alpha, dirs, d, ub,
                              -violation if to_lower else violation)
         want = mask_ratio_test(alpha, vstat, ub, d, violation, to_lower,
@@ -928,6 +940,43 @@ def test_random_40x60_matches_highs(seed):
                            3: "unbounded"}[ref.status]
     if ref.status == 0:
         assert mine.objective == pytest.approx(ref.fun, rel=1e-9)
+        # The duals' bound is below HiGHS's optimum, and that is below the
+        # point's cost: the gap is a certificate.
+        slack = 1e-9 * max(1.0, abs(ref.fun))
+        assert solver._dual_bound(lp, mine.duals, lp.objective) <= (
+            ref.fun + slack)
+        assert ref.fun <= lp.objective @ mine.x + slack
+
+
+def test_dual_bound_drops_multipliers_of_the_wrong_sign():
+    # min x over [0, 5] with x >= 1 and x <= 10 has optimum 1. The
+    # multiplier 0.5 on the <= row has the wrong sign: taken as it is, it
+    # would claim 1 + 10 (0.5) - 5 (0.5) = 3.5. Set to 0, the bound is 1.
+    lp = make_lp([1.0], [([1.0], GE, 1.0), ([1.0], LE, 10.0)], upper=[5.0])
+    assert solver._dual_bound(lp, np.array([1.0, 0.5]), lp.objective) == 1.0
+    assert solver._dual_bound(lp, np.array([1.0, -0.5]), lp.objective) < 1.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_perturbed_duals_still_bound_the_optimum(seed):
+    # Any row multipliers, sign-clipped by the bound itself, give a lower
+    # bound on the optimum. Every column is boxed here, so each bound is
+    # finite.
+    lp = random_instance(seed, 40, 60)
+    lp = dataclasses.replace(lp, upper=np.minimum(lp.upper, 50.0))
+    ref = scipy_solve(lp)
+    assert ref.status == 0
+    duals = solve(lp).duals
+    slack = 1e-9 * max(1.0, abs(ref.fun))
+    tight = solver._dual_bound(lp, duals, lp.objective)
+    assert tight == pytest.approx(ref.fun, rel=1e-9)
+    rng = np.random.default_rng(seed)
+    for spread in (1e-6, 1e-3, 1.0):
+        for _ in range(10):
+            y = duals + spread * rng.normal(size=duals.size) * (
+                1.0 + np.abs(duals))
+            bound = solver._dual_bound(lp, y, lp.objective)
+            assert np.isfinite(bound) and bound <= ref.fun + slack
 
 
 # --------------------------------------------------------------------------
@@ -1016,8 +1065,7 @@ def test_row_check_ends_lps_with_a_row_that_cannot_hold(bundle, monkeypatch):
     for lcp in np.round(np.arange(0.0, 1.01, 0.1), 10):
         for hve in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             lp = sweep_cell(bundle, 0, lcp, hve)
-            if not solver._Working(lp, SolveOptions()).simplex(
-                    )._infeasible_row():
+            if solver._row_check(lp, rhs_tolerance(lp)) is None:
                 passed.append(((lcp, hve), scipy_solve(lp).status))
                 continue
             sol = solve(lp)
@@ -1038,11 +1086,11 @@ def test_row_check_ends_lps_with_a_row_that_cannot_hold(bundle, monkeypatch):
 
 def test_row_check_proves_misses_in_the_lps_units(monkeypatch):
     # r0 = 1e-6 x0 >= 1e-6 + 5e-8 over x0 <= 1 misses by 5e-8, under
-    # tol = 1e-7, but equilibration scales r0 by 1e6, so its working miss
-    # is 5e-2. r1 = x1 >= 1 + 1e-6 misses by 1e-6, over tol, in both units.
-    # The check weighs each row's miss in the LP's units: it ends the LP
-    # with r1's certificate, which conclude accepts, and leaves r0 alone
-    # to the dual.
+    # tol = 1e-7, though equilibration scales r0 by 1e6, which would make
+    # its working miss 5e-2. r1 = x1 >= 1 + 1e-6 misses by 1e-6, over tol,
+    # in both units. The check weighs each row's miss on the LP's arrays:
+    # it ends the LP with r1's certificate, which the Farkas check
+    # accepts, and leaves r0 alone to the dual.
     proofs = record_certificates(monkeypatch)
     band = ([1e-6, 0.0], GE, 1e-6 + 5e-8)
     lp = make_lp([1.0, 1.0], [band, ([0.0, 1.0], GE, 1.0 + 1e-6)],
@@ -1056,7 +1104,7 @@ def test_row_check_proves_misses_in_the_lps_units(monkeypatch):
     assert bound == pytest.approx(1e-6, rel=1e-9)
     # With r1 met, no row misses by more than tol: the dual runs.
     lp = make_lp([1.0, 1.0], [band, ([0.0, 1.0], GE, 0.5)], upper=[1.0, 1.0])
-    assert not solver._Working(lp, SolveOptions()).simplex()._infeasible_row()
+    assert solver._row_check(lp, rhs_tolerance(lp)) is None
     assert solve(lp).iterations > 0
 
 
