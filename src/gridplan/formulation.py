@@ -67,9 +67,14 @@ class LPInstance:
     selecting a sense or a family is one comparison. ``lower``/``upper``
     are per-column bounds (upper may be +inf); ``offset`` is a constant
     added to the objective value; ``audit`` counts rows (and bound-encoded
-    constraints) per constraint-family tag for coverage checks. Every
-    array is read-only, and construction runs ``_validate``, so an
-    instance that exists is consistent.
+    constraints) per constraint-family tag for coverage checks.
+    ``row_hour`` and ``col_hour`` (int32) give the hour of each row and
+    column: its hour for an hourly one, its day's first hour for a daily
+    one, and -1 for one that spans the horizon (``cap_*``, ``policy_*``),
+    which is also the default. They come from the integers the names are
+    built from, and are derived, so ``serialize`` leaves them out;
+    ``period_map`` reads them. Every array is read-only, and construction
+    runs ``_validate``, so an instance that exists is consistent.
     """
 
     n_cols: int
@@ -86,13 +91,20 @@ class LPInstance:
     col_names: tuple
     offset: float = 0.0
     audit: Mapping[str, int] = field(default_factory=dict)
+    row_hour: np.ndarray | None = None
+    col_hour: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, size in (("row_hour", len(self.rhs)),
+                           ("col_hour", self.n_cols)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.full(size, -1))
         for name, dtype in (("objective", np.float64), ("indptr", np.int64),
                             ("indices", np.int64), ("data", np.float64),
                             ("sense", str), ("rhs", np.float64),
                             ("row_tags", str), ("lower", np.float64),
-                            ("upper", np.float64)):
+                            ("upper", np.float64), ("row_hour", np.int32),
+                            ("col_hour", np.int32)):
             arr = np.array(getattr(self, name), dtype=dtype, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -116,8 +128,10 @@ class LPInstance:
         for name, arr, k in (("objective", self.objective, n),
                              ("lower", self.lower, n),
                              ("upper", self.upper, n),
+                             ("col_hour", self.col_hour, n),
                              ("sense", self.sense, m),
-                             ("row_tags", self.row_tags, m)):
+                             ("row_tags", self.row_tags, m),
+                             ("row_hour", self.row_hour, m)):
             if arr.shape != (k,):
                 raise LPError(f"{name} has shape {arr.shape}, expected ({k},)")
         if len(self.col_names) != n or len(self.row_names) != m:
@@ -260,16 +274,28 @@ class VariableCatalog:
     the forward direction first. Fixing the order here keeps solver
     vectors, exported files, and reports mutually comparable. Constraint
     families and reports address columns by (family, key) through
-    ``cols``/``col``/``family``; ``names`` become the LP's column names.
+    ``cols``/``col``/``family``; ``names`` and ``hours`` become the LP's
+    column names and hours.
     """
 
     blocks: Mapping[str, Block]
     names: tuple[str, ...] = field(init=False)
+    hours: np.ndarray = field(init=False)
 
     def __post_init__(self):
         names = [name for fam, block in self.blocks.items()
                  for name in block.names(fam)]
         object.__setattr__(self, "names", tuple(names))
+        # Each column's hour, from the integers its name holds (-1 for a
+        # family without hours); families share their hours tuples, so
+        # each distinct one is made an array once.
+        arrays = {}
+        for block in self.blocks.values():
+            if id(block.hours) not in arrays:
+                arrays[id(block.hours)] = np.array(block.hours or (-1,))
+        object.__setattr__(self, "hours", np.concatenate(
+            [np.tile(arrays[id(block.hours)], len(block.keys))
+             for block in self.blocks.values()] or [np.zeros(0, np.int64)]))
 
     @property
     def n_cols(self) -> int:
@@ -521,24 +547,26 @@ class LPBuilder:
         self.upper = np.full(n, np.inf)
         self.offset = 0.0
         self.row_names: list[str] = []
-        self._rows: list[tuple] = []    # (sense, rhs, tag) per add_rows
+        self._rows: list[tuple] = []    # (sense, rhs, tag, hour) per add_rows
         self._terms: list[tuple] = []   # (rows, cols, vals) per add_terms
         self.audit: dict[str, int] = {}
 
     def tally(self, tag: str, count: int = 1) -> None:
         self.audit[tag] = self.audit.get(tag, 0) + count
 
-    def add_rows(self, names: Sequence[str], sense, rhs, tag) -> np.ndarray:
+    def add_rows(self, names: Sequence[str], sense, rhs, tag,
+                 hours=-1) -> np.ndarray:
         """Append one row per name and return their row indices.
 
-        ``sense``, ``rhs`` and ``tag`` each give one value per row or one
-        value for all of them.
+        ``sense``, ``rhs``, ``tag`` and ``hours`` (``LPInstance.row_hour``)
+        each give one value per row or one value for all of them.
         """
         start, k = len(self.row_names), len(names)
         self.row_names.extend(names)
-        sense, rhs, tag = (np.broadcast_to(np.asarray(value), (k,))
-                           for value in (sense, np.asarray(rhs, float), tag))
-        self._rows.append((sense, rhs, tag))
+        sense, rhs, tag, hours = (
+            np.broadcast_to(np.asarray(value), (k,))
+            for value in (sense, np.asarray(rhs, float), tag, hours))
+        self._rows.append((sense, rhs, tag, hours))
         for t, count in zip(*np.unique(tag, return_counts=True)):
             self.tally(str(t), int(count))
         return np.arange(start, start + k)
@@ -559,10 +587,10 @@ class LPBuilder:
 
     def instance(self) -> LPInstance:
         n = self.catalog.n_cols
-        rows, cols, vals, sense, rhs, tags = (
+        rows, cols, vals, sense, rhs, tags, hours = (
             np.concatenate([part[k] for part in parts] or [np.zeros(0, dtype)])
             for parts, dtypes in ((self._terms, (np.int64, np.int64, float)),
-                                  (self._rows, (str, float, str)))
+                                  (self._rows, (str, float, str, np.int64)))
             for k, dtype in enumerate(dtypes))
         indptr, indices, data = _to_csr(rows, cols, vals,
                                         len(self.row_names), n)
@@ -573,11 +601,23 @@ class LPBuilder:
             indices=indices, data=data, sense=sense, rhs=rhs,
             row_names=self.row_names, row_tags=tags, lower=self.lower,
             upper=self.upper, col_names=self.catalog.names,
-            offset=self.offset, audit=audit)
+            offset=self.offset, audit=audit, row_hour=hours,
+            col_hour=self.catalog.hours)
 
 
-def _hourly_names(family: str, key, n_hours: int) -> list[str]:
-    return [f"{family}[{key},{t}]" for t in range(n_hours)]
+def _hourly_names(family: str, key, n_hours: int):
+    """The names ``family[key,t]`` of hours t = 0..n_hours-1, and those
+    hours."""
+    hours = np.arange(n_hours)
+    return [f"{family}[{key},{t}]" for t in hours.tolist()], hours
+
+
+def _daily_names(family: str, key, n_days: int):
+    """The names ``family[key,d]`` of days d = 0..n_days-1, and each
+    day's first hour."""
+    days = np.arange(n_days)
+    return ([f"{family}[{key},{d}]" for d in days.tolist()],
+            days * HOURS_PER_DAY)
 
 
 # wind and utility solar: name -> (capacity family, NodeSpec field of the
@@ -627,8 +667,8 @@ def add_energy_balance(builder: LPBuilder, inp: BuildInputs) -> None:
             rhs = rhs - series.nuclear[n]
         if not inp.free_p:
             rhs = rhs + dem.d_heat[n] + dem.d_veh_fix[n]
-        rows = builder.add_rows(_hourly_names("balance", n, T), GE, rhs,
-                                "balance")
+        names, hours = _hourly_names("balance", n, T)
+        rows = builder.add_rows(names, GE, rhs, "balance", hours)
         for fam, sign in _BALANCE_SIGNS:
             cols = cat.cols(fam, n)
             if cols is not None:
@@ -668,8 +708,8 @@ def add_fossil_constraints(builder: LPBuilder, inp: BuildInputs) -> None:
                               node.gas_existing_mw / (1.0 + sigma),
                               "reserve-existing")
         if n in inp.build_keys["cap_fossil"]:
-            rows = builder.add_rows(_hourly_names("reserve_new", n, T), LE,
-                                    0.0, "reserve-new")
+            names, hours = _hourly_names("reserve_new", n, T)
+            rows = builder.add_rows(names, LE, 0.0, "reserve-new", hours)
             builder.add_terms(rows, cat.cols("fossil_new", n), 1.0 + sigma)
             builder.add_terms(rows, cat.col("cap_fossil", n), -1.0)
         for fam, suffix, tag in (("fossil_ex", "ex", "ramp-existing"),
@@ -679,7 +719,9 @@ def add_fossil_constraints(builder: LPBuilder, inp: BuildInputs) -> None:
                 continue
             names = [f"ramp_{way}_{suffix}[{n},{t}]"
                      for t in range(T) for way in ("up", "dn")]
-            up, dn = builder.add_rows(names, LE, 0.0, tag).reshape(T, 2).T
+            up, dn = builder.add_rows(names, LE, 0.0, tag,
+                                      np.repeat(np.arange(T), 2)
+                                      ).reshape(T, 2).T
             # up: gen[t] - gen[t-1] <= ramp[t]; dn: the reverse.
             for rows, rise, fall in ((up, gen, gen[prev]),
                                      (dn, gen[prev], gen)):
@@ -750,8 +792,8 @@ def add_transmission(builder: LPBuilder, inp: BuildInputs) -> None:
             if cap is None:
                 builder.set_upper(flow, limit, "tx-limit")
             else:
-                rows = builder.add_rows(_hourly_names("tx_limit", direction, T),
-                                        LE, limit, "tx-limit")
+                names, hours = _hourly_names("tx_limit", direction, T)
+                rows = builder.add_rows(names, LE, limit, "tx-limit", hours)
                 builder.add_terms(rows, flow, 1.0)
                 builder.add_terms(rows, cap, -1.0)
 
@@ -790,8 +832,8 @@ def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
         soc = cat.cols(f"{prefix}_soc", n)
         charge = cat.cols(f"{prefix}_charge", n)
         discharge = cat.cols(f"{prefix}_discharge", n)
-        rows = builder.add_rows(_hourly_names(f"{prefix}_state", n, T), EQ,
-                                0.0, f"{tag}-soc")
+        names, hours = _hourly_names(f"{prefix}_state", n, T)
+        rows = builder.add_rows(names, EQ, 0.0, f"{tag}-soc", hours)
         builder.add_terms(rows, discharge, 1.0 / eta)
         builder.add_terms(rows, charge, -eta)
         builder.add_terms(rows, soc, 1.0)
@@ -799,14 +841,15 @@ def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
         if n in build_set:
             cap_e = cat.col(cap_e_fam, n)
             cap_p = cat.col(cap_p_fam, n)
-            rows = builder.add_rows(
-                _hourly_names(f"{prefix}_energy_cap", n, T), LE, e_ex,
-                f"{tag}-energy-cap")
+            names, hours = _hourly_names(f"{prefix}_energy_cap", n, T)
+            rows = builder.add_rows(names, LE, e_ex, f"{tag}-energy-cap",
+                                    hours)
             builder.add_terms(rows, soc, 1.0)
             builder.add_terms(rows, cap_e, -1.0)
             names = [f"{prefix}_{leg}_cap[{n},{t}]"
                      for t in range(T) for leg in ("charge", "discharge")]
-            rows = builder.add_rows(names, LE, p_ex, f"{tag}-power-cap")
+            rows = builder.add_rows(names, LE, p_ex, f"{tag}-power-cap",
+                                    np.repeat(np.arange(T), 2))
             builder.add_terms(rows, np.column_stack([charge, discharge]).ravel(),
                               1.0)
             builder.add_terms(rows, cap_p, -1.0)
@@ -829,18 +872,18 @@ def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
     n_days = inp.n_hours // HOURS_PER_DAY
     for n in inp.hydro_nodes:
         hydro = cat.cols("hydro_flex", n)
-        rows = builder.add_rows(
-            [f"hydro_daily[{n},{d}]" for d in range(n_days)], EQ,
-            inp.series.h_flex_daily[n], "hydro-daily")
+        names, hours = _daily_names("hydro_daily", n, n_days)
+        rows = builder.add_rows(names, EQ, inp.series.h_flex_daily[n],
+                                "hydro-daily", hours)
         builder.add_terms(rows[:, None], hydro.reshape(n_days, -1), 1.0)
         builder.set_upper(hydro, inp.network.node(n).hydro_flex_hourly_max_mwh,
                           "hydro-hourly")
     for n in inp.bio_nodes:
         node = inp.network.node(n)
         bio = cat.cols("biofuel", n)
-        rows = builder.add_rows(
-            [f"biofuel_daily[{n},{d}]" for d in range(n_days)], LE,
-            node.biofuel_daily_mwh, "biofuel-daily")
+        names, hours = _daily_names("biofuel_daily", n, n_days)
+        rows = builder.add_rows(names, LE, node.biofuel_daily_mwh,
+                                "biofuel-daily", hours)
         builder.add_terms(rows[:, None], bio.reshape(n_days, -1), 1.0)
         builder.set_upper(bio, node.biofuel_mw, "biofuel-hourly")
     for n in inp.import_nodes:
@@ -864,15 +907,16 @@ def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
             rows = builder.add_rows(
                 names, ([EQ] + [LE] * width) * n_days, 0.0,
                 (["ev-daily"] + ["ev-rate"] * width) * n_days,
+                np.column_stack([np.arange(n_days) * HOURS_PER_DAY,
+                                 hours]).ravel(),
             ).reshape(n_days, 1 + width)
             builder.add_terms(rows[:, :1], ev, 1.0)
             builder.add_terms(rows[:, 0], rate_veh, -required)
             builder.add_terms(rows[:, 1:], ev, 1.0)
             builder.add_terms(rows[:, 1:], rate_veh, -hourly_cap[:, None])
         else:
-            rows = builder.add_rows(
-                [f"ev_daily[{n},{d}]" for d in range(n_days)], EQ, required,
-                "ev-daily")
+            names, days = _daily_names("ev_daily", n, n_days)
+            rows = builder.add_rows(names, EQ, required, "ev-daily", days)
             builder.add_terms(rows[:, None], ev, 1.0)
             builder.set_upper(ev, hourly_cap[:, None], "ev-rate")
 
@@ -1095,4 +1139,61 @@ def rate_axis_lp(at_lo: LPInstance, at_hi: LPInstance) -> LPInstance:
         row_tags=np.append(at_lo.row_tags, np.full(cols.size, "axis-upper")),
         lower=np.append(at_lo.lower, 0.0),
         upper=np.append(np.maximum(at_lo.upper, at_hi.upper), 1.0),
-        col_names=at_lo.col_names + ("t",), offset=at_lo.offset)
+        col_names=at_lo.col_names + ("t",), offset=at_lo.offset,
+        row_hour=np.append(at_lo.row_hour, at_lo.col_hour[cols]),
+        col_hour=np.append(at_lo.col_hour, -1))
+
+
+def _rank_in_group(group: np.ndarray) -> np.ndarray:
+    """Each entry's count of earlier entries with the same ``group``."""
+    order = np.argsort(group, kind="stable")
+    ordered = group[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    rank = np.empty(group.size, dtype=np.int64)
+    rank[order] = np.arange(group.size) - np.repeat(
+        starts, np.diff(np.r_[starts, group.size]))
+    return rank
+
+
+def period_map(lp: LPInstance, period: LPInstance):
+    """``(row_map, col_map)``: the row and column of ``period`` that each
+    row and column of ``lp`` folds onto, where ``period`` is the LP of
+    lp's first P hours, P one past its last hour; None where ``lp`` does
+    not fold onto it.
+
+    Hour t maps to t mod P, so day d of a daily row maps to day d mod
+    P/24 (P a whole number of days), and a row or column that spans the
+    horizon (hour -1) maps to its own. Rows are matched by tag, and within
+    a tag and an hour in the order they come, columns within an hour in
+    the order they come: from the hour arrays and tags, parsing no names.
+    Each row and column of ``lp`` must find its match, and each of
+    ``period`` must be matched.
+    """
+    p = 1 + max(int(period.row_hour.max(initial=-1)),
+                int(period.col_hour.max(initial=-1)))
+    if p <= 0:
+        return None
+    _, tag = np.unique(np.concatenate([lp.row_tags, period.row_tags]),
+                       return_inverse=True)
+    span = 1 + max(p, int(lp.row_hour.max(initial=-1)),
+                   int(lp.col_hour.max(initial=-1)))
+    maps = []
+    for (hour, kind), (own_hour, own_kind) in (
+            ((lp.row_hour, tag[:lp.n_rows]),
+             (period.row_hour, tag[lp.n_rows:])),
+            ((lp.col_hour, 0), (period.col_hour, 0))):
+        hour, own_hour = hour.astype(np.int64), own_hour.astype(np.int64)
+        # Group by kind and hour; rank within the group; fold the hour.
+        rank = _rank_in_group(kind * span + hour + 1)
+        own_rank = _rank_in_group(own_kind * span + own_hour + 1)
+        width = 1 + max(int(rank.max(initial=0)), int(own_rank.max(initial=0)))
+        folded = np.where(hour >= 0, hour % p, -1)
+        key = (kind * span + folded + 1) * width + rank
+        own_key = (own_kind * span + own_hour + 1) * width + own_rank
+        order = np.argsort(own_key, kind="stable")
+        at = np.minimum(np.searchsorted(own_key[order], key), order.size - 1)
+        if (not order.size or not np.array_equal(own_key[order[at]], key)
+                or np.unique(at).size != order.size):
+            return None
+        maps.append(order[at])
+    return tuple(maps)

@@ -16,7 +16,7 @@ inputs and converted to per-MW / per-MWh once, at formulation time.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -258,6 +258,15 @@ class TimeSeriesSet:
     @property
     def n_hours(self) -> int:
         return len(next(iter(self.d_elec.values())))
+
+    def head(self, n_hours: int) -> "TimeSeriesSet":
+        """The series of the first ``n_hours``, a whole number of days:
+        each hourly array cut to them, each daily one to their days."""
+        days = n_hours // HOURS_PER_DAY
+        return replace(self, **{
+            name: {node: arr[:days if name in self._DAILY_FIELDS
+                             else n_hours] for node, arr in mapping.items()}
+            for name, mapping in vars(self).items() if mapping is not None})
 
     def modal_hours(self) -> int:
         """Most common hourly-series length; robust to one bad series."""

@@ -27,6 +27,7 @@ from .demand import synthesize_demand
 from .emissions import EmissionsCalibration
 from .formulation import BuildInputs, LPError, assemble, rate_axis_lp
 from .model import (
+    HOURS_PER_DAY,
     CostTable,
     EVFlexConfig,
     InterfaceSpec,
@@ -464,6 +465,30 @@ def _stage(bundle: Bundle, config: ScenarioConfig):
     return inp, lp
 
 
+# The shortest horizon whose cold built-in run starts from its first half.
+PERIOD_START_HOURS = 96
+
+
+def _period_lp(bundle: Bundle, config: ScenarioConfig):
+    """The LP of the first half of the bundle's horizon T, with n_years
+    halved, where T is at least PERIOD_START_HOURS and T/2 a whole number
+    of days; else, or where a stage of it stops, None. Its warnings repeat
+    those of the whole horizon's LP, so they are dropped."""
+    hours = bundle.series.n_hours
+    if hours < PERIOD_START_HOURS or hours % (2 * HOURS_PER_DAY):
+        return None
+    half = dataclasses.replace(
+        bundle, series=bundle.series.head(hours // 2),
+        params=dataclasses.replace(bundle.params,
+                                   n_years=bundle.params.n_years / 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return _stage(half, config)[1]
+        except _StageError:
+            return None
+
+
 def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
                  solver: str = "builtin", out_dir=None, solution_file=None,
                  start: Basis | None = None) -> RunResult:
@@ -477,7 +502,11 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     ``solution_file`` adopts an externally solved NAME VALUE point instead
     of calling the built-in solver; with ``solver="export"`` it is an
     error. ``start``, the ``basis`` of an earlier run, is where the built-in
-    solve starts from (see ``gridplan.solver.solve``).
+    solve starts from (see ``gridplan.solver.solve``). Without it, a run of
+    PERIOD_START_HOURS or more whose half is a whole number of days starts
+    from the LP of its first half (``_period_lp``): the one ``solve`` call
+    solves that cold, then the whole from its optimal basis, and counts
+    both in its iterations.
     """
     if solver not in ("builtin", "export"):
         raise RunnerError(f"unknown solver {solver!r}; use builtin or export")
@@ -537,7 +566,8 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
             with open(solution_file, encoding="utf-8") as fh:
                 solution = import_solution(lp, fh)
         else:
-            solution = solve(lp, start=start)
+            solution = solve(lp, start=start if start is not None
+                             else _period_lp(bundle, config))
     except (LPError, OSError, ValueError) as exc:
         return fail("error", EXIT_ERROR, stage, str(exc))
     if solution.status != STATUS_OPTIMAL:

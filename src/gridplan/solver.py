@@ -71,7 +71,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from gridplan.formulation import EQ, GE, LE, LPError, LPInstance
+from gridplan.formulation import (EQ, GE, LE, LPError, LPInstance,
+                                  period_map)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -86,9 +87,16 @@ class SolveOptions:
     ``optimality_tol`` and ``max_iterations`` (None: 50 (2m + n) + 200).
 
     ``optimality_tol`` bounds the reduced costs of the equilibrated
-    problem, which a column's scale multiplies in the LP's own units: at
-    1e-7 a 48 h scenario stopped 3.9e-8 relative above its optimum, with a
-    column priced -0.009 USD per unit, so it is 1e-9.
+    problem; in the LP's own units a column's reduced cost may reach tol
+    over its scale. On the shipped fixture the scales run from 9e-6 (the
+    hourly flows) to 9e4 (the capacities), so 1e-9 admits about 1e-4 USD
+    per MWh of flow where 1e-7 admitted 0.01, the size of the one early
+    stop seen (a column priced -0.009 left out, 3.9e-8 above the optimum,
+    on a 48 h cell that every tolerance from 1e-9 to 1e-2 now solves
+    exactly). No cell of the fixture's lcp and ghg grids at demand seeds
+    0-7 stops above its optimum at 1e-7, so the default is a margin, not
+    a case; each optimal solution's certified ``duality_gap`` bounds any
+    stop short of the optimum.
     """
 
     feasibility_tol: float = 1e-7
@@ -321,6 +329,65 @@ class _Simplex:
                 live &= row_left[rows] & col_left[pos]
         kernel = (np.flatnonzero(row_left), np.flatnonzero(col_left))
         return rounds[False], kernel, rounds[True][::-1]
+
+    def top_up(self, weight: np.ndarray):
+        """Make basic the logicals of the rows that the basic columns, fewer
+        than m, leave uncovered: rows such that the basis they complete is
+        nonsingular, of least total ``weight`` (one entry per row).
+
+        As in ``_peel``, column singletons pivot in rounds until none is
+        left, then row singletons, each round taking one pivot per row and
+        per column; a row left empty is uncovered. Of the kernel K left
+        over, r rows by c columns, any r - c rows may stay uncovered whose
+        rows of N, an orthonormal basis of K's left null space, are
+        independent: the other rows of K are then nonsingular. They are
+        chosen greedily, least weight first among the rows whose part of N
+        outside the rows already chosen is at least 0.1 of the largest.
+        One QR factorization of K finds N, in about the work of one
+        refactorization. Raises LinAlgError where the columns are
+        dependent.
+        """
+        m, nb = self.m, self.basis.size
+        pos, rows, vals = self._gather(self.basis)
+        live = np.ones(pos.size, dtype=bool)
+        row_done = np.zeros(m, dtype=bool)
+        col_done = np.zeros(nb, dtype=bool)
+        for by_col in (True, False):
+            key, other = (pos, rows) if by_col else (rows, pos)
+            while True:
+                count = np.bincount(key[live], minlength=nb if by_col else m)
+                if by_col and (~col_done & (count == 0)).any():
+                    raise np.linalg.LinAlgError("dependent basic columns")
+                single = np.flatnonzero(live & (count == 1)[key])
+                single = single[np.unique(other[single], return_index=True)[1]]
+                if not single.size:
+                    break
+                row_done[rows[single]] = True
+                col_done[pos[single]] = True
+                live &= ~row_done[rows] & ~col_done[pos]
+        kernel_rows = np.unique(rows[live])
+        kernel_cols = np.flatnonzero(~col_done)
+        r, c = kernel_rows.size, kernel_cols.size
+        if c > r:
+            raise np.linalg.LinAlgError("dependent basic columns")
+        kern = np.zeros((r, c))
+        kern[np.searchsorted(kernel_rows, rows[live]),
+             np.searchsorted(kernel_cols, pos[live])] = vals[live]
+        q, tri = np.linalg.qr(kern, mode="complete")
+        diag = np.abs(np.diag(tri))
+        if (diag <= 1e-9 * diag.max(initial=1.0)).any():
+            raise np.linalg.LinAlgError("dependent basic columns")
+        row_done[kernel_rows] = True
+        left, w = q[:, c:], weight[kernel_rows]
+        for _ in range(r - c):
+            size = np.sqrt(np.einsum("ij,ij->i", left, left))
+            ok = np.flatnonzero(size >= 0.1 * size.max())
+            i = int(ok[w[ok].argmin()])
+            row_done[kernel_rows[i]] = False
+            v = left[i] / size[i]
+            left = left - np.outer(left @ v, v)
+        self.vstat[self.n_all - m + np.flatnonzero(~row_done)] = self.BASIC
+        self.basis = np.flatnonzero(self.vstat == self.BASIC)
 
     def _invert(self) -> np.ndarray:
         """B^-1 by peeling singletons off the basis and solving the dense
@@ -1009,6 +1076,12 @@ def _equilibrate(lp: LPInstance) -> tuple[np.ndarray, np.ndarray]:
     return row_scale, col_scale
 
 
+def _positions(names: tuple, of: tuple) -> np.ndarray:
+    """The position in ``names`` of each name of ``of``, -1 where absent."""
+    where = {name: i for i, name in enumerate(names)}
+    return np.array([where.get(name, -1) for name in of], dtype=np.int64)
+
+
 class _Working:
     """The working problem of one LP and the map back to the LP's units
     (``conclude``).
@@ -1018,8 +1091,9 @@ class _Working:
     [0, inf) for >=, +1 fixed at 0 for =). The working columns are sorted
     by column: structural, then logical. An optimal solve returns its
     working problem as its ``Basis``, with ``factor`` the statuses and
-    factor found, from which ``follow`` starts the next LP of a chain; it
-    then keeps only what ``follow`` reads, not the LP. It holds the
+    factor found and ``duals`` the solution's, from which ``follow`` starts
+    the next LP of a chain; it then keeps only what ``follow`` reads, not
+    the LP. It holds the
     factor's memory (about 0.1 MB at 48 h) for as long as it is kept.
     """
 
@@ -1069,9 +1143,9 @@ class _Working:
         return _Simplex(self.cols, self.rows, self.vals, self.b, self.ub,
                         vstat, self.opts)
 
-    def follow(self, lp: LPInstance, opts: SolveOptions):
+    def follow(self, lp: LPInstance, opts: SolveOptions, fold=None):
         """The working problem of ``lp`` and a simplex on it from this
-        problem's optimal basis, or None where that basis names other than
+        problem's optimal basis, or None where that basis names more than
         m basic columns and logicals there.
 
         Where ``lp`` has this LP's shape, names, senses and sparsity pattern
@@ -1079,11 +1153,15 @@ class _Working:
         scales and goes on from a copy of the factor, with the change to
         that row folded in (``_Simplex.patch_row``). Right-hand sides,
         bounds and costs may all differ. On any other LP, or where the
-        patch is refused, the statuses are mapped by row and column name
-        onto a fresh working problem, whose basis is factored afresh: a
-        row this problem lacks gets a basic logical, a column at an upper
-        bound ``lp`` does not give it goes to its lower bound, and a
-        logical that is not basic is at its lower bound.
+        patch is refused, the statuses are mapped onto a fresh working
+        problem, whose basis is factored afresh: through ``fold``, the
+        ``period_map`` of ``lp`` onto this LP, or else by row and column
+        name, where a row this problem lacks gets a basic logical and a
+        column it lacks goes to its lower bound. A column at an upper bound
+        ``lp`` does not give it goes to its lower bound, and a logical that
+        is not basic is at its lower bound. Where fewer than m are then
+        basic, the logicals of the rows they leave uncovered are made basic
+        (``_Simplex.top_up``, which raises LinAlgError for dependent ones).
         """
         row_names, col_names, sense, indptr, indices = self.pattern
         if (lp.row_names == row_names and lp.col_names == col_names
@@ -1106,19 +1184,27 @@ class _Working:
                         or sx.patch_row(int(moved[0]), delta)):
                     return work, sx
         work = _Working(lp, opts)
-        status = self.factor.vstat.tolist()
-        cols = dict(zip(col_names, status))
-        rows = dict(zip(row_names, status[len(col_names):]))
-        n, vstat = lp.n_cols, np.empty(work.n_all, dtype=np.int8)
-        vstat[:n] = [cols.get(name, _Simplex.AT_LOWER)
-                     for name in lp.col_names]
-        vstat[n:] = [rows.get(name, _Simplex.BASIC) for name in lp.row_names]
+        if fold is None:
+            fold = (_positions(row_names, lp.row_names),
+                    _positions(col_names, lp.col_names))
+        row_map, col_map = fold
+        status = self.factor.vstat
+        n = lp.n_cols
+        vstat = np.empty(work.n_all, dtype=np.int8)
+        vstat[:n] = np.where(col_map >= 0, status[col_map], _Simplex.AT_LOWER)
+        vstat[n:] = np.where(row_map >= 0, status[len(col_names) + row_map],
+                             _Simplex.BASIC)
         upper = vstat == _Simplex.AT_UPPER
         upper[:n] &= ~np.isfinite(work.ub[:n])
         vstat[upper] = _Simplex.AT_LOWER
-        if np.count_nonzero(vstat == _Simplex.BASIC) != lp.n_rows:
+        basic = np.count_nonzero(vstat == _Simplex.BASIC)
+        if basic > lp.n_rows:
             return None
-        return work, work.simplex(vstat)
+        sx = work.simplex(vstat)
+        if basic < lp.n_rows:
+            sx.top_up(np.abs(np.where(row_map >= 0, self.duals[row_map], 0.0))
+                      / work.row_scale)
+        return work, sx
 
     def conclude(self, sx: _Simplex, status: str) -> Solution:
         """The solution of a finished run: an optimal basis's point,
@@ -1163,7 +1249,7 @@ class _Working:
                     lp, sol.x, 10.0 * tol, "built-in point"))
         # The basis carries this problem on: its pattern, scales and
         # factor, not the LP nor the arrays that only a solve reads.
-        self.factor = sx.keep()
+        self.factor, self.duals = sx.keep(), sol.duals
         self.lp = self.b = self.ub = self.c = None
         return replace(sol, basis=self)
 
@@ -1174,20 +1260,26 @@ Basis = _Working
 
 
 def solve(lp: LPInstance, options: SolveOptions | None = None,
-          start: Basis | None = None) -> Solution:
+          start: Basis | LPInstance | None = None) -> Solution:
     """Minimize the LPInstance with the built-in simplex, from the slack
-    basis or from ``start``, an optimal basis of this LP or of one sharing
-    names with it (say, a neighbouring sweep cell).
+    basis or from ``start``: an optimal basis of this LP or of one sharing
+    names with it (say, a neighbouring sweep cell), or a period LP, the LP
+    of this one's first hours (``formulation.period_map``).
 
     A start is tried once (``_Working.follow``). On an LP with the start's
     shape, names, senses and sparsity pattern, differing only in
     right-hand sides, bounds, costs and at most one row's entries, it goes
     on from a copy of the start's factor with its scales: neither
     equilibration nor factorization runs. On any other LP its statuses are
-    mapped by name onto a fresh working problem. A start that names other
-    than m basic columns and logicals here, is singular, or whose solve
-    ends "numerical" gives way to the slack basis, and the iterations of
-    both tries are added.
+    mapped by name onto a fresh working problem. A period LP is solved
+    first, cold, and its optimal statuses folded onto this LP by its hours;
+    the rows the folded basis leaves uncovered, since a column such as a
+    capacity appears once here and not once per period, get basic
+    logicals. A start that names more than m basic columns and logicals
+    here, is singular, or whose solve ends "numerical", and a period that
+    does not solve to optimality or does not fold, gives way to the slack
+    basis. The iterations reported are those of every try: a period's,
+    the start's and the slack basis's.
 
     With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
     original rows or bounds by more than 10 tol is never reported optimal
@@ -1207,17 +1299,27 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     y = _row_check(lp, tol)
     if y is not None:
         return _infeasible(lp, y, tol, 0)
-    followed = start.follow(lp, opts) if start is not None else None
-    spent = 0
-    if followed is not None:
-        work, sx = followed
+    spent, fold = 0, None
+    if isinstance(start, LPInstance):
+        fold = period_map(lp, start)
+        if fold is None:
+            start = None
+        else:
+            period = solve(start, opts)
+            spent, start = period.iterations, period.basis
+    if start is not None:
+        sx = None
         try:
-            sol = work.conclude(sx, sx.optimize(work.c, work.max_iterations))
-            if sol.status != STATUS_NUMERICAL:
-                return sol
+            followed = start.follow(lp, opts, fold)
+            if followed is not None:
+                work, sx = followed
+                sol = work.conclude(sx, sx.optimize(work.c,
+                                                    work.max_iterations))
+                if sol.status != STATUS_NUMERICAL:
+                    return replace(sol, iterations=sol.iterations + spent)
         except (ArithmeticError, np.linalg.LinAlgError):
             pass  # a singular basis, at the start or beyond repair
-        spent = sx.iterations
+        spent += sx.iterations if sx is not None else 0
     work = _Working(lp, opts)
     sx = work.simplex()
     sol = work.conclude(sx, sx.optimize(work.c, work.max_iterations))

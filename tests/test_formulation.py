@@ -9,6 +9,8 @@ module so the policy row and the reporting ledger can never drift apart.
 from __future__ import annotations
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from gridplan.emissions import (
 from gridplan.demand import synthesize_demand
 from gridplan.formulation import (EQ, GE, LE, Block, BuildInputs, LPBuilder,
                                   LPError, LPInstance, VariableCatalog,
-                                  assemble, rate_axis_lp)
+                                  assemble, period_map, rate_axis_lp)
 from gridplan.model import (
+    HOURS_PER_DAY,
     CostTable,
     EVFlexConfig,
     InterfaceSpec,
@@ -34,7 +37,8 @@ from gridplan.model import (
     annualization_rate,
 )
 from gridplan.resources import build_hydro_profile
-from gridplan.runner import load_bundle, load_config, save_bundle
+from gridplan.runner import (config_from_dict, load_bundle, load_config,
+                             save_bundle)
 from gridplan.solver import SolveOptions, solve
 
 from helpers import (FIXTURE, build_lp, dense_matrix, make_lp, tiled_fixture,
@@ -1290,3 +1294,111 @@ class TestRateAxisLp:
                                     upper=upper)
         assert solve(fixed).objective == pytest.approx(
             solve(lp_h).objective, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the hour of each row and column
+
+
+
+def fixture_mode_lp(k: int, mode: str):
+    """The LP of the fixture tiled ``k`` times in one of four modes: its
+    own scenario, with a renewable target, in ghg+hve and in ghg+lcp (whose
+    electrification rates are free, so its EV rows come in rate rows)."""
+    base = json.loads((FIXTURE / "scenario.json").read_text())
+    drop, overrides = {"own": ((), {}), "rgt": ((), {"rgt": 0.3}),
+                       "ghg+hve": (("lcp",), {"mode": "ghg+hve",
+                                              "omega": 0.3}),
+                       "ghg+lcp": (("p_heat", "p_veh"), {"mode": "ghg+lcp",
+                                                         "omega": 0.3})}[mode]
+    bundle = tiled_fixture(k)
+    config = config_from_dict({**{key: value for key, value in base.items()
+                                  if key not in drop}, **overrides})
+    demand = synthesize_demand(bundle.network, bundle.series, config,
+                               bundle.params)
+    return build_lp(config, bundle.network, bundle.series, bundle.costs,
+                    bundle.params, demand, emissions=bundle.emissions)[0]
+
+
+FIXTURE_MODES = ("own", "rgt", "ghg+hve", "ghg+lcp")
+# family[key,i]: i is an hour, or a day for the daily families.
+INDEXED_NAME = re.compile(r"(\w+)\[(.*),(\d+)\]")
+DAILY_ROWS = ("hydro_daily", "biofuel_daily", "ev_daily")
+
+
+def hour_in_name(name: str) -> int:
+    """The hour a row or column name holds: -1 where it holds none."""
+    match = INDEXED_NAME.fullmatch(name)
+    if match is None:
+        return -1
+    family, _, index = match.groups()
+    return int(index) * (HOURS_PER_DAY if family in DAILY_ROWS else 1)
+
+
+def folded_name(name: str, hours: int) -> str:
+    """``name`` with its hour (or day) taken modulo a period of ``hours``."""
+    match = INDEXED_NAME.fullmatch(name)
+    if match is None:
+        return name
+    family, key, index = match.groups()
+    period = hours // HOURS_PER_DAY if family in DAILY_ROWS else hours
+    return f"{family}[{key},{int(index) % period}]"
+
+
+@pytest.mark.parametrize("mode", FIXTURE_MODES)
+@pytest.mark.parametrize("k", [1, 2], ids=["48h", "96h"])
+def test_each_row_and_column_knows_the_hour_in_its_name(k, mode):
+    lp = fixture_mode_lp(k, mode)
+    assert lp.row_hour.dtype == lp.col_hour.dtype == np.int32
+    assert lp.row_hour.tolist() == [hour_in_name(n) for n in lp.row_names]
+    assert lp.col_hour.tolist() == [hour_in_name(n) for n in lp.col_names]
+    assert {-1, 0, 48 * k - 1} <= set(lp.row_hour.tolist())
+    if mode == "ghg+lcp":
+        assert any(n.startswith("ev_rate[") for n in lp.row_names)
+
+
+@pytest.mark.parametrize("mode", FIXTURE_MODES)
+def test_96h_lp_folds_onto_the_48h_lp(mode):
+    lp48, lp96 = fixture_mode_lp(1, mode), fixture_mode_lp(2, mode)
+    row_map, col_map = period_map(lp96, lp48)
+    assert [lp48.row_names[i] for i in row_map] == [
+        folded_name(n, 48) for n in lp96.row_names]
+    assert [lp48.col_names[j] for j in col_map] == [
+        folded_name(n, 48) for n in lp96.col_names]
+    # One to one per 48 h copy: each hourly or daily row and column of the
+    # period has two images, and each horizon-wide one is its own.
+    for hours, where in ((lp48.row_hour, row_map), (lp48.col_hour, col_map)):
+        np.testing.assert_array_equal(
+            np.bincount(where, minlength=hours.size),
+            np.where(hours >= 0, 2, 1))
+    wide = np.flatnonzero(lp96.row_hour < 0)
+    assert [lp48.row_names[i] for i in row_map[wide]] == [
+        lp96.row_names[i] for i in wide]
+    # Onto itself, the map is the identity; the period does not fold onto
+    # a longer LP, nor onto one whose rows differ.
+    identity = period_map(lp48, lp48)
+    for where, size in zip(identity, (lp48.n_rows, lp48.n_cols)):
+        np.testing.assert_array_equal(where, np.arange(size))
+    assert period_map(lp48, lp96) is None
+    assert period_map(lp96, fixture_mode_lp(
+        1, "rgt" if mode != "rgt" else "own")) is None
+
+
+def test_hours_stay_out_of_the_lp_bytes():
+    lp = fixture_mode_lp(1, "own")
+    bare = dataclasses.replace(lp, row_hour=None, col_hour=None)
+    assert (bare.row_hour == -1).all() and (bare.col_hour == -1).all()
+    assert bare.serialize() == lp.serialize()
+    with pytest.raises(LPError, match="row_hour has shape"):
+        dataclasses.replace(lp, row_hour=lp.row_hour[1:])
+
+
+def test_rate_axis_rows_hold_their_columns_hours():
+    lp = fixture_mode_lp(1, "ghg+hve")
+    hi = dataclasses.replace(lp, upper=np.where(np.isfinite(lp.upper),
+                                                lp.upper + 1.0, np.inf))
+    axis = rate_axis_lp(lp, hi)
+    moved = np.flatnonzero(np.isfinite(lp.upper))
+    np.testing.assert_array_equal(axis.row_hour[lp.n_rows:],
+                                  lp.col_hour[moved])
+    assert axis.col_hour.tolist() == lp.col_hour.tolist() + [-1]

@@ -1601,3 +1601,69 @@ class TestCli:
                      "ext/report.json", "sweep/report.csv",
                      "bundle/bundle.json"):
             assert (tmp_path / name).is_file(), name
+
+
+# --------------------------------------------------------------------------
+# a cold run of 96 h or more starts from its first half
+
+
+def record_solves(monkeypatch) -> list:
+    """Patch runner.solve to record each call's LP, start and Solution."""
+    calls = []
+    solve = runner.solve
+
+    def spy(lp, *args, start=None, **kw):
+        calls.append((lp, start, solve(lp, *args, start=start, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(runner, "solve", spy)
+    return calls
+
+
+def test_cold_96h_run_starts_from_its_first_half(monkeypatch):
+    config = load_config(FIXTURE / "scenario.json")
+    calls = record_solves(monkeypatch)
+    concluded = []
+    conclude = gridplan.solver._Working.conclude
+
+    def spy(self, sx, status):
+        concluded.append(conclude(self, sx, status))
+        return concluded[-1]
+
+    monkeypatch.setattr(gridplan.solver._Working, "conclude", spy)
+    result = run_scenario(tiled_fixture(2), config)
+    assert result.status == "optimal"
+    (lp, start, sol), = calls
+    # The start is the LP of the first 48 h: at seed 0, the fixture's own.
+    assert lp.n_rows == 497
+    assert start.serialize() == runner._stage(load_bundle(FIXTURE),
+                                              config)[1].serialize()
+    # One solve: the period cold, then the whole from its folded basis.
+    period, whole = concluded
+    assert period.iterations == gridplan.solve(start).iterations
+    assert sol.iterations == period.iterations + whole.iterations
+    assert result.basis is sol.basis
+
+
+def test_other_runs_stay_on_their_start(monkeypatch):
+    # A 72 h run is too short, a 120 h one's half is no whole number of
+    # days, and a chained run keeps its start.
+    config = load_config(FIXTURE / "scenario.json")
+
+    def cut(bundle, hours):
+        return dataclasses.replace(
+            bundle, series=bundle.series.head(hours),
+            params=dataclasses.replace(bundle.params, n_years=(
+                bundle.params.n_years * hours / bundle.series.n_hours)))
+
+    b72, b120 = cut(tiled_fixture(2), 72), cut(tiled_fixture(3), 120)
+    assert runner._period_lp(b72, config) is None
+    assert runner._period_lp(b120, config) is None
+    calls = record_solves(monkeypatch)
+    assert run_scenario(b72, config).status == "optimal"
+    b96 = tiled_fixture(2)
+    first = run_scenario(b96, config)
+    chained = run_scenario(b96, config, start=first.basis)
+    assert chained.status == "optimal"
+    assert [start for _, start, _ in calls[::2]] == [None, first.basis]
+    assert calls[2][2].iterations < calls[1][2].iterations
