@@ -36,7 +36,10 @@ refactors only if that point misses the rows. A refactorization peels
 the basis's row and column singletons off in rounds and solves the dense
 kernel of k' rows left over (Hellerman & Rarick 1971; Suhl & Suhl 1990),
 in about O(nnz(B) m + k'^2 m + k'^3); the slack basis of a cold start is
-one round of column singletons, inverted as its pivots' reciprocals.
+one round of column singletons, inverted as its pivots' reciprocals. By
+the same peel, ``_Simplex.complete`` makes any basic columns, short, too
+full or singular, m independent ones (Koberstein 2005): a start's as it is
+mapped, and a basis's whose factorization fails, before it is factored.
 
 An optimal solve's ``Basis`` is its working problem: the pattern, the
 scales, and the final statuses and factor. A solve started from it, on an
@@ -212,7 +215,8 @@ class _Simplex:
 
     The working matrix exists only as its nonzeros ``(cols, rows, vals)``,
     sorted by column; the pivot row, FTRAN and refactorization read them
-    directly, and basis repair expands just the basis columns.
+    directly, and refactorization and ``complete`` expand only the
+    basis's kernel to a dense array.
     Memory is O(m^2 + nnz).
 
     ``run`` and ``dual`` keep the reduced costs ``d`` and pivot by ``_pivot``:
@@ -283,111 +287,107 @@ class _Simplex:
 
     def _gather(self, cols: np.ndarray):
         """The nonzeros of working columns ``cols`` as (position in
-        ``cols``, row, value), gathered from their column slices."""
+        ``cols``, row, value), gathered from their column slices. Zeros an
+        LP stores are left out: a peel must not take one for a pivot."""
         starts = self.indptr[cols]
         lens = self.indptr[cols + 1] - starts
         ends = np.cumsum(lens)
         take = np.arange(ends[-1] if cols.size else 0) + np.repeat(
             starts - ends + lens, lens)
-        return (np.repeat(np.arange(cols.size), lens), self.rows[take],
-                self.vals[take])
+        nz = self.vals[take] != 0.0
+        return (np.repeat(np.arange(cols.size), lens)[nz], self.rows[take[nz]],
+                self.vals[take[nz]])
 
-    def _peel(self, pos, rows):
-        """Singleton rounds of the basis whose nonzeros are (pos, rows).
+    def _peel(self, pos, rows, n_pos):
+        """Singleton rounds of the n_pos columns with nonzeros (pos, rows).
 
         Returns the row-singleton rounds in peel order, the kernel, and the
         column-singleton rounds in reverse peel order, each as (rows,
         positions), pivots paired. Column singletons are peeled until none
         is left, then row singletons; neither peel makes singletons of the
-        other kind. A round takes every singleton at once: no two of its
-        pivots share a row or a column.
+        other kind. A round takes every singleton at once, but of those
+        that share a row (or a column) only the first, so no two of its
+        pivots share a row or a column. The rows and columns that no pivot
+        takes, emptied ones among them, are the kernel: for m columns it is
+        square, and singular where any of its rows or columns is empty.
         """
-        m = self.m
         live = np.ones(pos.size, dtype=bool)
-        row_left = np.ones(m, dtype=bool)
-        col_left = np.ones(m, dtype=bool)
+        row_left = np.ones(self.m, dtype=bool)
+        col_left = np.ones(n_pos, dtype=bool)
         rounds = {True: [], False: []}
         for by_col in (True, False):
             key, other = (pos, rows) if by_col else (rows, pos)
-            left = col_left if by_col else row_left
             while True:
-                count = np.bincount(key[live], minlength=m)
-                if (left & (count == 0)).any():
-                    raise np.linalg.LinAlgError("structurally singular basis")
-                single = live & (count == 1)[key]
-                if not single.any():
+                count = np.bincount(key[live],
+                                    minlength=n_pos if by_col else self.m)
+                single = np.flatnonzero(live & (count == 1)[key])
+                if not single.size:
                     break
-                mine, theirs = key[single], other[single]
-                if np.unique(theirs).size < theirs.size:
-                    raise np.linalg.LinAlgError(
-                        "two singletons share a pivot")
-                piv_rows, piv_cols = ((theirs, mine) if by_col
-                                      else (mine, theirs))
-                rounds[by_col].append((piv_rows, piv_cols))
-                row_left[piv_rows] = False
-                col_left[piv_cols] = False
+                single = single[np.sort(np.unique(other[single],
+                                                  return_index=True)[1])]
+                rounds[by_col].append((rows[single], pos[single]))
+                row_left[rows[single]] = False
+                col_left[pos[single]] = False
                 live &= row_left[rows] & col_left[pos]
         kernel = (np.flatnonzero(row_left), np.flatnonzero(col_left))
         return rounds[False], kernel, rounds[True][::-1]
 
-    def top_up(self, weight: np.ndarray):
-        """Make basic the logicals of the rows that the basic columns, fewer
-        than m, leave uncovered: rows such that the basis they complete is
-        nonsingular, of least total ``weight`` (one entry per row).
+    def complete(self, weight: np.ndarray):
+        """Make the basic columns, which may be too few, too many or
+        dependent, a basis of m independent ones (Suhl & Suhl 1990;
+        Koberstein 2005): send the columns that add no rank to their lower
+        bound, and make basic the logicals of the rows left uncovered,
+        chosen so that the basis is nonsingular and of least total
+        ``weight`` (one entry per row). A nonsingular basis of m columns is
+        left as it is, and a singular one keeps its order, logicals in the
+        demoted columns' places (the dual's row weights go by position);
+        any other ends sorted.
 
-        As in ``_peel``, column singletons pivot in rounds until none is
-        left, then row singletons, each round taking one pivot per row and
-        per column; a row left empty is uncovered. Of the kernel K left
-        over, r rows by c columns, any r - c rows may stay uncovered whose
-        rows of N, an orthonormal basis of K's left null space, are
-        independent: the other rows of K are then nonsingular. They are
-        chosen greedily, least weight first among the rows whose part of N
-        outside the rows already chosen is at least 0.1 of the largest.
-        One QR factorization of K finds N, in about the work of one
-        refactorization. Raises LinAlgError where the columns are
-        dependent.
+        The pivots that ``_peel`` takes are independent, and a kernel row
+        that no kernel column touches is uncovered. Of the kernel K left,
+        r rows by c columns, a column adds no rank where its diagonal in a
+        QR factorization of K is at most 1e-9 of the largest (and of 1),
+        and none past the r-th does. Of K's rows, any r - c' may stay
+        uncovered, c' the columns kept, whose rows of N, an orthonormal
+        basis of the kept columns' left null space, are independent: the
+        other rows are then nonsingular. They are chosen greedily, least
+        weight first among the rows whose part of N outside the rows
+        already chosen is at least 0.1 of the largest. One QR factorization
+        of K finds N, in about the work of one refactorization; a second
+        runs where columns are dropped.
         """
         m, nb = self.m, self.basis.size
         pos, rows, vals = self._gather(self.basis)
-        live = np.ones(pos.size, dtype=bool)
-        row_done = np.zeros(m, dtype=bool)
-        col_done = np.zeros(nb, dtype=bool)
-        for by_col in (True, False):
-            key, other = (pos, rows) if by_col else (rows, pos)
-            while True:
-                count = np.bincount(key[live], minlength=nb if by_col else m)
-                if by_col and (~col_done & (count == 0)).any():
-                    raise np.linalg.LinAlgError("dependent basic columns")
-                single = np.flatnonzero(live & (count == 1)[key])
-                single = single[np.unique(other[single], return_index=True)[1]]
-                if not single.size:
-                    break
-                row_done[rows[single]] = True
-                col_done[pos[single]] = True
-                live &= ~row_done[rows] & ~col_done[pos]
+        _, (kernel_rows, kernel_cols), _ = self._peel(pos, rows, nb)
+        uncovered = np.isin(np.arange(m), kernel_rows)
+        live = uncovered[rows] & np.isin(pos, kernel_cols)
         kernel_rows = np.unique(rows[live])
-        kernel_cols = np.flatnonzero(~col_done)
-        r, c = kernel_rows.size, kernel_cols.size
-        if c > r:
-            raise np.linalg.LinAlgError("dependent basic columns")
-        kern = np.zeros((r, c))
+        uncovered[kernel_rows] = False
+        kern = np.zeros((kernel_rows.size, kernel_cols.size))
         kern[np.searchsorted(kernel_rows, rows[live]),
              np.searchsorted(kernel_cols, pos[live])] = vals[live]
         q, tri = np.linalg.qr(kern, mode="complete")
         diag = np.abs(np.diag(tri))
-        if (diag <= 1e-9 * diag.max(initial=1.0)).any():
-            raise np.linalg.LinAlgError("dependent basic columns")
-        row_done[kernel_rows] = True
-        left, w = q[:, c:], weight[kernel_rows]
-        for _ in range(r - c):
+        kept = np.zeros(kernel_cols.size, dtype=bool)
+        kept[:diag.size] = diag > 1e-9 * diag.max(initial=1.0)
+        if not kept.all():
+            self.vstat[self.basis[kernel_cols[~kept]]] = self.AT_LOWER
+            q = np.linalg.qr(kern[:, kept], mode="complete")[0]
+        left, w = q[:, np.count_nonzero(kept):], weight[kernel_rows]
+        for _ in range(left.shape[1]):
             size = np.sqrt(np.einsum("ij,ij->i", left, left))
             ok = np.flatnonzero(size >= 0.1 * size.max())
             i = int(ok[w[ok].argmin()])
-            row_done[kernel_rows[i]] = False
+            uncovered[kernel_rows[i]] = True
             v = left[i] / size[i]
             left = left - np.outer(left @ v, v)
-        self.vstat[self.n_all - m + np.flatnonzero(~row_done)] = self.BASIC
-        self.basis = np.flatnonzero(self.vstat == self.BASIC)
+        self.vstat[self.n_all - m + np.flatnonzero(uncovered)] = self.BASIC
+        basic = np.flatnonzero(self.vstat == self.BASIC)
+        if nb == m:
+            out = self.vstat[self.basis] != self.BASIC
+            self.basis[out] = np.setdiff1d(basic, self.basis)
+        else:
+            self.basis = basic
 
     def _invert(self) -> np.ndarray:
         """B^-1 by peeling singletons off the basis and solving the dense
@@ -404,11 +404,12 @@ class _Simplex:
         they are built in a compact array first. A round that touches no
         earlier row is its pivots' reciprocals alone: the slack basis of
         every cold start is one such round. Raises LinAlgError for a
-        singular basis, structural or numerical.
+        singular basis, from a zero pivot or from the kernel's solve; an
+        empty row or column of the kernel is one.
         """
         m = self.m
         pos, rows, vals = self._gather(self.basis)
-        front, kernel, back = self._peel(pos, rows)
+        front, kernel, back = self._peel(pos, rows, m)
         blocks = front + [kernel] + back
         # Each row's block and slot in it, each position's block and slot,
         # and the entries grouped by the block of their row.
@@ -475,10 +476,12 @@ class _Simplex:
         return binv
 
     def refactor(self):
+        """Factor the basis afresh, completed first (``complete``) where it
+        is singular, and recompute the basic values."""
         try:
             self.binv0 = self._invert()
         except np.linalg.LinAlgError:
-            self._repair_basis()
+            self.complete(np.zeros(self.m))
             self.binv0 = self._invert()
         self.k, self.packed = 0, None
         self._basic_values()
@@ -633,53 +636,6 @@ class _Simplex:
         self.u[k] = w
         self.u[k, r] -= 1.0
         self.k = k + 1
-
-    def _unit_columns(self) -> dict:
-        """Row index -> a working column that is a multiple of that row's
-        unit vector (its logical, or a structural singleton), preferring
-        the earliest."""
-        out: dict[int, list[int]] = {}
-        singles = np.flatnonzero(np.diff(self.indptr) == 1)
-        for j, i in zip(singles.tolist(), self.rows[self.indptr[singles]]):
-            out.setdefault(int(i), []).append(j)
-        return out
-
-    def _repair_basis(self):
-        """Swap numerically dependent basis columns for row unit columns.
-
-        Reachable only when roundoff lets a dependent column into the
-        basis; the follow-up refactor recomputes consistent basic values.
-        """
-        lu = self._dense(self.basis)
-        used = np.zeros(self.m, dtype=bool)
-        dependent = []
-        for k in range(self.m):
-            col = np.where(used, 0.0, lu[:, k])
-            r = int(np.argmax(np.abs(col)))
-            if abs(col[r]) < 1e-9:
-                dependent.append(k)
-                continue
-            used[r] = True
-            row = lu[r, :].copy()
-            row[k] = 0.0
-            touched = np.flatnonzero(row)
-            if touched.size:
-                lu[:, touched] -= np.outer(lu[:, k] / lu[r, k], row[touched])
-        in_basis = set(self.basis.tolist())
-        units = self._unit_columns()
-        for k, i in zip(dependent, np.flatnonzero(~used).tolist()):
-            j = next((j for j in units.get(int(i), ()) if j not in in_basis),
-                     None)
-            if j is None:
-                raise ArithmeticError(
-                    f"cannot repair a singular basis: no spare unit column "
-                    f"for row {i}")
-            old = int(self.basis[k])
-            in_basis.discard(old)
-            in_basis.add(j)
-            self.vstat[old] = self.AT_LOWER
-            self.basis[k] = j
-            self.vstat[j] = self.BASIC
 
     def point(self) -> np.ndarray:
         x = np.where(self.vstat == self.AT_UPPER, self.ub, 0.0)
@@ -925,11 +881,12 @@ class _Simplex:
         """Optimize with costs c from the statuses in ``vstat``: factor the
         basis unless a factor was carried, run ``dual`` to primal
         feasibility, then primal phase 2 (``run``) on the true costs, which
-        declares optimality only on fresh reduced costs. Raises
-        LinAlgError for a singular basis."""
+        declares optimality only on fresh reduced costs. A singular basis
+        is completed as ``refactor`` does."""
         if self.binv0 is None:
-            self.binv0 = self._invert()
-        self._basic_values()
+            self.refactor()
+        else:
+            self._basic_values()
         status = self.dual(c, max_iterations)
         if status != STATUS_OPTIMAL:
             return status
@@ -1145,8 +1102,7 @@ class _Working:
 
     def follow(self, lp: LPInstance, opts: SolveOptions, fold=None):
         """The working problem of ``lp`` and a simplex on it from this
-        problem's optimal basis, or None where that basis names more than
-        m basic columns and logicals there.
+        problem's optimal basis.
 
         Where ``lp`` has this LP's shape, names, senses and sparsity pattern
         and differs in at most one row's entries, the simplex keeps these
@@ -1159,9 +1115,10 @@ class _Working:
         name, where a row this problem lacks gets a basic logical and a
         column it lacks goes to its lower bound. A column at an upper bound
         ``lp`` does not give it goes to its lower bound, and a logical that
-        is not basic is at its lower bound. Where fewer than m are then
-        basic, the logicals of the rows they leave uncovered are made basic
-        (``_Simplex.top_up``, which raises LinAlgError for dependent ones).
+        is not basic is at its lower bound. Where other than m are then
+        basic, ``_Simplex.complete`` makes them m independent columns,
+        weighing each row by this solve's dual there; a basis of m that is
+        singular is completed where its factorization fails.
         """
         row_names, col_names, sense, indptr, indices = self.pattern
         if (lp.row_names == row_names and lp.col_names == col_names
@@ -1197,13 +1154,10 @@ class _Working:
         upper = vstat == _Simplex.AT_UPPER
         upper[:n] &= ~np.isfinite(work.ub[:n])
         vstat[upper] = _Simplex.AT_LOWER
-        basic = np.count_nonzero(vstat == _Simplex.BASIC)
-        if basic > lp.n_rows:
-            return None
         sx = work.simplex(vstat)
-        if basic < lp.n_rows:
-            sx.top_up(np.abs(np.where(row_map >= 0, self.duals[row_map], 0.0))
-                      / work.row_scale)
+        if sx.basis.size != lp.n_rows:
+            sx.complete(np.abs(np.where(row_map >= 0, self.duals[row_map],
+                                        0.0)) / work.row_scale)
         return work, sx
 
     def conclude(self, sx: _Simplex, status: str) -> Solution:
@@ -1218,11 +1172,13 @@ class _Working:
                 status, sx.iterations,
                 "objective improves without bound over the feasible set")
         if status == STATUS_INFEASIBLE:
-            # Entries of the ray at roundoff level, against its largest in
-            # the equilibrated rows, are dropped: the check holds for any
-            # y, so this only keeps noise rows out of the proof.
+            # Ray entries at roundoff level against its largest, in the
+            # equilibrated rows, are dropped: near 1e-14 they can price a
+            # column with no upper bound (a ramp excursion) to a bound of
+            # -inf. Entries of 1e-12 to 1e-9 can be real: a cut at 1e-9
+            # failed three proofs of the fixture at 96 h with little wind.
             ray = sx.ray
-            y = np.where(np.abs(ray) > 1e-9 * np.abs(ray).max(), ray,
+            y = np.where(np.abs(ray) > 1e-12 * np.abs(ray).max(), ray,
                          0.0) * self.row_scale
             return _infeasible(lp, y, tol, sx.iterations)
         n = lp.n_cols
@@ -1275,11 +1231,12 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
     first, cold, and its optimal statuses folded onto this LP by its hours;
     the rows the folded basis leaves uncovered, since a column such as a
     capacity appears once here and not once per period, get basic
-    logicals. A start that names more than m basic columns and logicals
-    here, is singular, or whose solve ends "numerical", and a period that
-    does not solve to optimality or does not fold, gives way to the slack
-    basis. The iterations reported are those of every try: a period's,
-    the start's and the slack basis's.
+    logicals. Whatever a start maps to, short, too full or singular, is
+    made a basis of m independent columns (``_Simplex.complete``) and
+    solved from. Only a start whose solve ends "numerical", and a period
+    that does not solve to optimality or does not fold, gives way to the
+    slack basis. The iterations reported are those of every try: a
+    period's, the start's and the slack basis's.
 
     With tol = feasibility_tol x max(1, max |rhs|), a point that misses the
     original rows or bounds by more than 10 tol is never reported optimal
@@ -1308,18 +1265,11 @@ def solve(lp: LPInstance, options: SolveOptions | None = None,
             period = solve(start, opts)
             spent, start = period.iterations, period.basis
     if start is not None:
-        sx = None
-        try:
-            followed = start.follow(lp, opts, fold)
-            if followed is not None:
-                work, sx = followed
-                sol = work.conclude(sx, sx.optimize(work.c,
-                                                    work.max_iterations))
-                if sol.status != STATUS_NUMERICAL:
-                    return replace(sol, iterations=sol.iterations + spent)
-        except (ArithmeticError, np.linalg.LinAlgError):
-            pass  # a singular basis, at the start or beyond repair
-        spent += sx.iterations if sx is not None else 0
+        work, sx = start.follow(lp, opts, fold)
+        sol = work.conclude(sx, sx.optimize(work.c, work.max_iterations))
+        if sol.status != STATUS_NUMERICAL:
+            return replace(sol, iterations=sol.iterations + spent)
+        spent += sx.iterations
     work = _Working(lp, opts)
     sx = work.simplex()
     sol = work.conclude(sx, sx.optimize(work.c, work.max_iterations))

@@ -107,6 +107,21 @@ def count_optimizations(monkeypatch):
     return statuses
 
 
+def record_completions(monkeypatch):
+    """Patch _Simplex.complete to record, per call, the number of basic
+    columns it was given and the rank of the basis it left."""
+    calls = []
+    complete = _Simplex.complete
+
+    def spy(self, weight):
+        given = self.basis.size
+        complete(self, weight)
+        calls.append((given, np.linalg.matrix_rank(self._dense(self.basis))))
+
+    monkeypatch.setattr(_Simplex, "complete", spy)
+    return calls
+
+
 def record_refactors(monkeypatch):
     """Patch _Simplex._pivot to record the cause of each refactor it
     makes: "cadence" where the update arrays are full, else "drift" (the
@@ -558,20 +573,34 @@ def statuses(n_all, basis):
     return vstat
 
 
+def changed_statuses(before, sx):
+    """The columns a completion sent from the basis to their lower bound,
+    and the columns it made basic."""
+    demoted = np.flatnonzero((before == _Simplex.BASIC)
+                             & (sx.vstat == _Simplex.AT_LOWER))
+    added = np.flatnonzero((before != _Simplex.BASIC)
+                           & (sx.vstat == _Simplex.BASIC))
+    assert np.count_nonzero(sx.vstat != before) == demoted.size + added.size
+    return demoted.tolist(), added.tolist()
+
+
 def test_singular_basis_repaired_with_unit_column():
     # Working columns: 0 and 1 are both (1, 2, 0), 2 is (0, 0, 3), and
     # 3-5 are unit columns of rows 0-2 (the second a surplus).
+    before = statuses(6, [0, 1, 2])
     sx = _Simplex(np.array([0, 0, 1, 1, 2, 3, 4, 5]),
                   np.array([0, 1, 0, 1, 2, 0, 1, 2]),
                   np.array([1.0, 2.0, 1.0, 2.0, 3.0, 1.0, -1.0, 1.0]),
-                  np.ones(3), np.full(6, np.inf), statuses(6, [0, 1, 2]),
+                  np.ones(3), np.full(6, np.inf), before.copy(),
                   SolveOptions())
     sx.refactor()
-    # Column 1 depends on column 0; row 0 is the one it left uncovered.
-    np.testing.assert_array_equal(sx.basis, [0, 3, 2])
-    assert sx.vstat[1] == _Simplex.AT_LOWER
-    assert sx.vstat[3] == _Simplex.BASIC
-    basis = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    # Column 1 depends on column 0 and leaves the basis; a logical of a
+    # row the two share takes its place, in its position.
+    demoted, added = changed_statuses(before, sx)
+    assert demoted == [1]
+    assert len(added) == 1 and added[0] in (3, 4)
+    np.testing.assert_array_equal(sx.basis, [0, added[0], 2])
+    basis = sx._dense(sx.basis)
     np.testing.assert_allclose(sx.binv0 @ basis, np.eye(3), atol=1e-15)
 
 
@@ -605,23 +634,94 @@ def test_refactor_peels_singletons_around_a_dense_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("entries, repaired", [
-    # Columns 0 and 1 are both singletons of row 0.
-    (([0, 1, 2], [0, 0, 2], [1.0, 2.0, 3.0]), [0, 4, 2]),
-    # No basis column touches row 1.
-    (([0, 1, 1, 2], [0, 0, 2, 2], [1.0, 1.0, 1.0, 2.0]), [0, 1, 4]),
+    # Columns 0 and 1 are both singletons of row 0: the second leaves.
+    (([0, 1, 2], [0, 0, 2], [1.0, 2.0, 3.0]), ([1], [4])),
+    # No basis column touches row 1: once columns 0 and 2 pivot on rows 0
+    # and 2, column 1 has nothing left and leaves.
+    (([0, 1, 1, 2], [0, 0, 2, 2], [1.0, 1.0, 1.0, 2.0]), ([1], [4])),
+    # Column 1 stores a zero in row 1, so only its stored zero touches that
+    # row: it pivots there as a column singleton, the factor fails, and the
+    # completion sees column 1 as a second singleton of row 0.
+    (([0, 1, 1, 2], [0, 0, 1, 2], [1.0, 2.0, 0.0, 3.0]), ([1], [4])),
 ])
 def test_structurally_singular_basis_repaired(entries, repaired):
     # Basis columns 0-2 leave row 1 uncovered; 3-5 are the unit columns of
     # rows 0-2, and the repair swaps in row 1's.
     cols, rows, vals = (np.array(a) for a in entries)
+    before = statuses(6, [0, 1, 2])
     sx = _Simplex(np.concatenate([cols, [3, 4, 5]]),
                   np.concatenate([rows, [0, 1, 2]]),
                   np.concatenate([vals, np.ones(3)]), np.ones(3),
-                  np.full(6, np.inf), statuses(6, [0, 1, 2]), SolveOptions())
+                  np.full(6, np.inf), before.copy(), SolveOptions())
     sx.refactor()
-    np.testing.assert_array_equal(sx.basis, repaired)
+    assert changed_statuses(before, sx) == tuple(repaired)
     basis = sx._dense(sx.basis)
     np.testing.assert_allclose(sx.binv0 @ basis, np.eye(3), atol=1e-15)
+
+
+def random_basis(seed, case, m=8, n=14):
+    """A ``_Simplex`` over a random sparse m x n matrix, with a logical
+    of +1 or -1 per row after it, and the statuses it is given: a basis of
+    ``case`` ("short", "too-full", "shared-row", "empty-row", "dependent"
+    or "nonsingular")."""
+    rng = np.random.default_rng([seed, len(case)])
+    a = rng.uniform(0.5, 2.0, (m, n)) * (rng.random((m, n)) < 0.35)
+    a *= rng.choice([-1.0, 1.0], (m, n))
+    logicals = rng.choice([-1.0, 1.0], m)
+    basis = rng.permutation(n)[:m]
+    if case == "short":
+        basis = basis[:m - rng.integers(1, m)]
+    elif case == "too-full":
+        basis = np.concatenate([basis, np.setdiff1d(
+            np.arange(n), basis)[:rng.integers(1, n - m + 1)]])
+    elif case == "shared-row":
+        # Two basis columns are singletons of one row.
+        i = rng.integers(m)
+        a[:, basis[:2]] = 0.0
+        a[i, basis[:2]] = [1.5, -0.7]
+    elif case == "empty-row":
+        a[rng.integers(m), basis] = 0.0
+    elif case == "dependent":
+        # A basis column is a combination of two others, all dense.
+        a[:, basis[:2]] = rng.uniform(0.5, 2.0, (m, 2))
+        a[:, basis[2]] = a[:, basis[0]] - 0.5 * a[:, basis[1]]
+    elif case == "nonsingular":
+        a[:, basis] += 4.0 * np.eye(m)
+    full = np.hstack([a, np.diag(logicals)])
+    cols, rows = np.nonzero(full.T)
+    vals = full[rows, cols]
+    return _Simplex(cols, rows, vals, np.ones(m), np.full(n + m, np.inf),
+                    statuses(n + m, basis), SolveOptions()), n
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("case", ["short", "too-full", "shared-row",
+                                  "empty-row", "dependent", "nonsingular"])
+def test_completed_basis_is_m_independent_columns(case, seed):
+    sx, n = random_basis(seed, case)
+    before, given = sx.vstat.copy(), sx.basis.copy()
+    sx.complete(np.random.default_rng(seed).random(sx.m))
+    demoted, added = changed_statuses(before, sx)
+    if given.size == sx.m:
+        # A square basis keeps its order, logicals in the demoted places.
+        stay = ~np.isin(given, demoted)
+        np.testing.assert_array_equal(sx.basis[stay], given[stay])
+        np.testing.assert_array_equal(np.sort(sx.basis[~stay]), added)
+    else:
+        np.testing.assert_array_equal(
+            sx.basis, np.flatnonzero(sx.vstat == _Simplex.BASIC))
+    assert sx.basis.size == sx.m
+    assert np.linalg.matrix_rank(sx._dense(sx.basis)) == sx.m
+    # Only given basic columns leave, and only logicals come in.
+    assert set(demoted) <= set(given.tolist())
+    assert all(j >= n for j in added)
+    if case == "nonsingular":
+        assert (demoted, added) == ([], [])
+        np.testing.assert_array_equal(sx.basis, given)
+    elif case != "short":
+        assert demoted
+    np.testing.assert_allclose(sx._invert() @ sx._dense(sx.basis),
+                               np.eye(sx.m), atol=1e-9)
 
 
 def test_refactor_of_unit_basis_is_exact(fixture_lp, monkeypatch):
@@ -712,6 +812,40 @@ def test_certificate_holds_on_the_lp_arrays_alone(case, bundle, monkeypatch):
     bound = (y @ lp.rhs - g[moves] @ top[moves]) / np.abs(y).sum()
     assert bound > rhs_tolerance(lp)
     assert bound <= least_violation(lp) * (1.0 + 1e-9)
+
+
+def low_sun_and_wind(bundle, factor):
+    """The fixture tiled to 96 h, with its first 48 h of onshore, offshore
+    and utility-solar availability scaled by ``factor``."""
+    tiled = tile_bundle(bundle, 2)
+    series = tiled.series
+
+    def cut(mapping):
+        return {node: np.concatenate([arr[:48] * factor, arr[48:]])
+                for node, arr in mapping.items()}
+
+    return dataclasses.replace(tiled, series=dataclasses.replace(
+        series, w_on=cut(series.w_on), w_off=cut(series.w_off),
+        w_us_solar=cut(series.w_us_solar)))
+
+
+@pytest.mark.parametrize("factor, lcp", [(0.1, 0.8), (0.1, 0.9),
+                                         (0.2, 0.95)])
+def test_small_ray_entries_keep_the_proof(bundle, factor, lcp, monkeypatch):
+    # With its first two days' wind and sun cut, the 96 h run cannot meet
+    # these low-carbon targets. The dual's ray proves it only with three
+    # multipliers of 1e-12 to 1e-9 of its largest: without them the bound
+    # reads -7.4, -8.3 and -6.8, and the run would end "numerical", exit 1.
+    low = low_sun_and_wind(bundle, factor)
+    config = dataclasses.replace(load_config(FIXTURE_DIR / "scenario.json"),
+                                 lcp=lcp)
+    proofs = record_certificates(monkeypatch)
+    result = runner.run_scenario(low, config)
+    assert (result.status, result.exit_code) == ("infeasible", 2)
+    assert result.message.startswith("no feasible point")
+    lp = runner._stage(low, config)[1]
+    bound = proofs[-1][1]
+    assert rhs_tolerance(lp) < bound <= least_violation(lp) * (1.0 + 1e-9)
 
 
 def test_devex_pivot_by_hand():
@@ -1158,13 +1292,16 @@ def test_start_without_a_row_gives_it_a_basic_slack(bundle, monkeypatch):
     assert warm.iterations < cold.iterations
 
 
-# Starts, each the optimal basis of a solved neighbour, that give the cold
-# solve: the slack basis, carried from a neighbour with positive costs,
-# where y has reduced cost -1 and no upper bound, so the dual runs on a
-# shifted cost; the basis of a neighbour with both columns basic and a
-# tight row "other" that the LP lacks, which maps to three basic columns
-# and logicals for two rows; and the basis of a neighbour whose entries
-# differ in both rows, which maps to two parallel basic columns.
+# Starts, each the optimal basis of a solved neighbour, that are not a dual
+# feasible basis of two independent columns here, with the number of basic
+# columns and logicals that ``complete`` is given, if it runs: the slack
+# basis, carried from a neighbour with positive costs, where y has reduced
+# cost -1 and no upper bound, so the dual runs on a shifted cost; the basis
+# of a neighbour with both columns basic and a tight row "other" that the
+# LP lacks, which maps to three basic columns and logicals for two rows and
+# is completed as it is mapped; and the basis of a neighbour whose entries
+# differ in both rows, which maps to two parallel basic columns and is
+# completed where its factorization fails.
 PRICED_WRONG_WAY = make_lp([-1.0, -1.0], [([1.0, 1.0], LE, 4.0, "cap")],
                            upper=[3.0, np.inf], col_names=("x", "y"))
 PARALLEL_ROWS = make_lp([1.0, 2.0], [([1.0, 1.0], GE, 2.0, "need"),
@@ -1174,43 +1311,61 @@ PARALLEL_ROWS = make_lp([1.0, 2.0], [([1.0, 1.0], GE, 2.0, "need"),
 CROSSING_ROWS = make_lp([1.0, 5.0], [([1.0, 2.0], GE, 3.0, "need"),
                                      ([2.0, 1.0], LE, 3.0, "cap")],
                         col_names=("x", "y"))
-UNUSABLE_STARTS = {
+ODD_STARTS = {
     "unbounded-column-priced-wrong-way": (
         dataclasses.replace(PRICED_WRONG_WAY, objective=np.ones(2)),
-        PRICED_WRONG_WAY),
+        PRICED_WRONG_WAY, None),
     "too-many-basic": (
         make_lp([1.0, 2.0], [([1.0, 1.0], GE, 2.0, "need"),
                              ([1.0, -1.0], EQ, 0.0, "other")],
                 col_names=("x", "y")),
-        PARALLEL_ROWS),
-    "singular": (CROSSING_ROWS, PARALLEL_ROWS),
+        PARALLEL_ROWS, 3),
+    "singular": (CROSSING_ROWS, PARALLEL_ROWS, 2),
 }
 
 
-@pytest.mark.parametrize("neighbour, lp", UNUSABLE_STARTS.values(),
-                         ids=UNUSABLE_STARTS.keys())
-def test_unusable_start_gives_the_cold_solution(neighbour, lp, monkeypatch):
+@pytest.mark.parametrize("neighbour, lp, given", ODD_STARTS.values(),
+                         ids=ODD_STARTS.keys())
+def test_unusable_start_gives_the_cold_solution(neighbour, lp, given,
+                                                monkeypatch):
     start = solve(neighbour).basis
     cold = solve(lp)
     statuses = count_optimizations(monkeypatch)
+    completions = record_completions(monkeypatch)
     warm = solve(lp, start=start)
-    # One optimization ran to its end: a singular start raises before any
-    # pivot, and a start with too many basics is never tried.
+    # The start is solved from, made a basis of two independent columns
+    # first where it is not: one optimization runs to the cold solution,
+    # in no more pivots.
     assert statuses == ["optimal"]
+    assert completions == ([] if given is None else [(given, 2)])
     assert warm.status == cold.status == "optimal"
     np.testing.assert_array_equal(warm.x, cold.x)
-    assert (warm.objective, warm.iterations) == (cold.objective,
-                                                 cold.iterations)
-    np.testing.assert_array_equal(warm.basis.factor.vstat,
-                                  cold.basis.factor.vstat)
+    assert warm.objective == cold.objective
+    if given is None:
+        # Nothing to complete: the carried factor pivots as the cold
+        # solve does.
+        assert warm.iterations == cold.iterations
+        np.testing.assert_array_equal(warm.basis.factor.vstat,
+                                      cold.basis.factor.vstat)
+    else:
+        assert warm.iterations <= cold.iterations
 
 
-def test_start_with_a_tight_row_the_lp_lacks_is_not_tried():
-    neighbour, lp = UNUSABLE_STARTS["too-many-basic"]
+def test_start_with_a_tight_row_the_lp_lacks_is_completed():
+    neighbour, lp, _ = ODD_STARTS["too-many-basic"]
     start = solve(neighbour).basis
     n = neighbour.n_cols
     assert (start.factor.vstat[:n] == _Simplex.BASIC).all()
-    assert start.follow(lp, SolveOptions()) is None
+    # x, y and the logical of "cap", which the neighbour lacks, map to
+    # basic. Once that logical pivots on "cap", x and y are singletons of
+    # "need": the first stays, and y goes to its lower bound.
+    _, sx = start.follow(lp, SolveOptions())
+    np.testing.assert_array_equal(sx.basis,
+                                  [0, n + lp.row_names.index("cap")])
+    assert sx.vstat[1] == _Simplex.AT_LOWER
+    sol = solve(lp, start=start)
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    assert sol.objective == solve(lp).objective
 
 
 def test_neighbour_differing_in_two_rows_starts_by_name(monkeypatch):
@@ -1353,13 +1508,12 @@ def test_changed_row_is_folded_into_the_factor(bundle, fixture_lp):
     assert sol.objective == pytest.approx(solve(lp).objective, rel=1e-9)
 
 
-@pytest.mark.parametrize("failure", ["singular", "numerical"])
+@pytest.mark.parametrize("failure", ["numerical"])
 def test_failed_carried_solve_falls_to_the_slack_basis(bundle, fixture_lp,
                                                        failure, monkeypatch):
     # The carried solve from the lcp 0.4 optimum to lcp 0.6 is made to end
-    # in a basis beyond repair, or in a point that misses the rows. The
-    # solve then runs from the slack basis, and reports that solve's point
-    # with the iterations of both.
+    # in a point that misses the rows. The solve then runs from the slack
+    # basis, and reports that solve's point with the iterations of both.
     lp = lcp_06_lp(bundle)
     start = solve(fixture_lp).basis
     carried, cold = solve(lp, start=start), solve(lp)
@@ -1367,22 +1521,20 @@ def test_failed_carried_solve_falls_to_the_slack_basis(bundle, fixture_lp,
     tries = []
     optimize = _Simplex.optimize
 
-    def fail_first(self, c, max_iterations):
+    def count_first(self, c, max_iterations):
         status = optimize(self, c, max_iterations)
         tries.append(self.iterations)
-        if len(tries) == 1 and failure == "singular":
-            raise ArithmeticError("cannot repair a singular basis")
         return status
 
     conclude = solver._Working.conclude
 
     def numerical_first(self, sx, status):
-        if len(tries) == 1 and failure == "numerical":
+        if len(tries) == 1:
             tries.append(None)
-            return solver._no_solution("numerical", sx.iterations, "forced")
+            return solver._no_solution(failure, sx.iterations, "forced")
         return conclude(self, sx, status)
 
-    monkeypatch.setattr(_Simplex, "optimize", fail_first)
+    monkeypatch.setattr(_Simplex, "optimize", count_first)
     monkeypatch.setattr(solver._Working, "conclude", numerical_first)
     sol = solve(lp, start=start)
     assert tries[0] == carried.iterations
@@ -1421,7 +1573,8 @@ def test_near_singular_patch_takes_a_fresh_factor(monkeypatch):
     # "gap" x - y <= 1 becomes x + y <= 1: with x and y basic, the new
     # basis repeats the row "cap", and 1 + dB^T B^-1 e_p is 0. The patch is
     # refused, and the statuses, mapped by name onto a fresh working
-    # problem, name that singular basis, so the slack basis solves.
+    # problem, name that singular basis. Its factorization fails, so it is
+    # completed, with y replaced by a logical, and solved from.
     cap = ([1.0, 1.0], LE, 4.0, "cap")
     lp0 = make_lp([-1.0, -1.0], [cap, ([1.0, -1.0], LE, 1.0, "gap")],
                   col_names=("x", "y"))
@@ -1443,13 +1596,16 @@ def test_near_singular_patch_takes_a_fresh_factor(monkeypatch):
     np.testing.assert_array_equal(sx.vstat, start.factor.vstat)
     inverts = count_inverts(monkeypatch)
     statuses = count_optimizations(monkeypatch)
+    completions = record_completions(monkeypatch)
     sol = solve(lp, start=start)
     assert patches == [False, False]
     assert inverts and statuses == ["optimal"]
+    assert completions == [(2, 2)]
+    assert sol.basis.factor.vstat[1] == _Simplex.AT_LOWER
     cold = solve(lp)
     assert sol.status == cold.status == "optimal"
     assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
-    assert sol.iterations == cold.iterations
+    assert sol.iterations <= cold.iterations
 
 
 def test_drifted_factor_is_rebuilt_at_the_next_pivot(fixture_lp, monkeypatch):
@@ -1528,21 +1684,21 @@ def test_192h_period_start_reaches_the_cold_optimum(bundle, seed):
 def test_folded_basis_is_topped_up_with_the_logicals_it_lacks(bundle,
                                                                monkeypatch):
     # The capacity columns appear once in the 96 h LP, not once per 48 h,
-    # so the folded statuses name one basic too few; one logical tops
-    # them up to a nonsingular basis, of least dual among the choices.
+    # so the folded statuses name one basic too few; one logical completes
+    # them to a nonsingular basis, of least dual among the choices.
     lp, period = period_pair(bundle, 2)
     start = solve(period)
     fold = period_map(lp, period)
     added = []
-    top_up = _Simplex.top_up
+    complete = _Simplex.complete
 
     def spy(self, weight):
         before = self.vstat.copy()
-        top_up(self, weight)
+        complete(self, weight)
         added.extend(np.flatnonzero(self.vstat != before))
         assert np.linalg.matrix_rank(self._dense(self.basis)) == self.m
 
-    monkeypatch.setattr(_Simplex, "top_up", spy)
+    monkeypatch.setattr(_Simplex, "complete", spy)
     work, sx = start.basis.follow(lp, SolveOptions(), fold)
     assert sx.basis.size == lp.n_rows
     (logical,) = added
@@ -1563,32 +1719,37 @@ def test_infeasible_period_gives_the_cold_solution(bundle):
     np.testing.assert_array_equal(sol.x, cold.x)
 
 
-def test_singular_folded_start_gives_the_cold_solution(bundle, monkeypatch):
-    # The top-up is made to pick the logical of balance[a,0], with which
-    # the folded basis is singular: the start fails before any pivot, and
-    # the solve runs from the slack basis after the period's pivots.
+def test_singular_folded_start_is_repaired(bundle, monkeypatch):
+    # The completion of the folded basis is made to pick the logical of
+    # balance[a,0], with which that basis is singular. Its factorization
+    # fails before any pivot, the refactor completes it again, and the
+    # solve goes on from it to the cold optimum, with no slack basis.
     lp, period = period_pair(bundle, 2)
     first, cold = solve(period), solve(lp)
-    top_up = _Simplex.top_up
-    ranks = []
+    complete = _Simplex.complete
 
     def wrong_row(self, weight):
         before = self.vstat.copy()
-        top_up(self, weight)
-        self.vstat[self.vstat != before] = before[self.vstat != before]
-        self.vstat[lp.n_cols + lp.row_names.index("balance[a,0]")] = (
-            _Simplex.BASIC)
-        self.basis = np.flatnonzero(self.vstat == _Simplex.BASIC)
-        ranks.append(np.linalg.matrix_rank(self._dense(self.basis)))
+        complete(self, weight)
+        changed = self.vstat != before
+        if not completions:
+            self.vstat[changed] = before[changed]
+            self.vstat[lp.n_cols + lp.row_names.index("balance[a,0]")] = (
+                _Simplex.BASIC)
+            self.basis = np.flatnonzero(self.vstat == _Simplex.BASIC)
 
-    monkeypatch.setattr(_Simplex, "top_up", wrong_row)
+    monkeypatch.setattr(_Simplex, "complete", wrong_row)
+    completions = record_completions(monkeypatch)
     statuses = count_optimizations(monkeypatch)
     sol = solve(lp, start=period)
-    assert ranks == [lp.n_rows - 1]
-    assert statuses == ["optimal", "optimal"]  # the period, the slack basis
+    m = lp.n_rows
+    assert completions == [(m - 1, m - 1), (m, m)]
+    assert statuses == ["optimal", "optimal"]  # the period, the start
     assert sol.status == "optimal"
-    assert sol.iterations == first.iterations + cold.iterations
-    np.testing.assert_array_equal(sol.x, cold.x)
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert sol.duality_gap <= 1e-9
+    assert first.iterations < sol.iterations < first.iterations + (
+        cold.iterations)
 
 
 def test_start_that_does_not_fold_is_not_solved(bundle, monkeypatch):
