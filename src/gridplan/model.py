@@ -59,7 +59,6 @@ class NodeSpec:
     hydro_flex_mw: float = 0.0
     hydro_flex_hourly_max_mwh: float = 0.0
     nuclear_mw: float = 0.0
-    nuclear_gen_mwh_per_h: float = 0.0
     biofuel_mw: float = 0.0
     biofuel_daily_mwh: float = 0.0
     battery_energy_existing_mwh: float = 0.0

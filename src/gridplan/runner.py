@@ -465,22 +465,19 @@ def _stage(bundle: Bundle, config: ScenarioConfig):
     return inp, lp
 
 
-# The shortest horizon whose cold built-in run starts from its first half.
-PERIOD_START_HOURS = 96
-
-
 def _period_lp(bundle: Bundle, config: ScenarioConfig):
-    """The LP of the first half of the bundle's horizon T, with n_years
-    halved, where T is at least PERIOD_START_HOURS and T/2 a whole number
-    of days; else, or where a stage of it stops, None. Its warnings repeat
-    those of the whole horizon's LP, so they are dropped."""
+    """The LP of the first P = 24 * floor(T/48) hours of the bundle's
+    horizon T (its half, rounded down to whole days), with n_years scaled
+    by P/T; None where P is 0 (T below 48 h) or a stage of it stops. Its
+    warnings repeat those of the whole horizon's LP, so they are dropped."""
     hours = bundle.series.n_hours
-    if hours < PERIOD_START_HOURS or hours % (2 * HOURS_PER_DAY):
+    period = hours // (2 * HOURS_PER_DAY) * HOURS_PER_DAY
+    if not period:
         return None
     half = dataclasses.replace(
-        bundle, series=bundle.series.head(hours // 2),
-        params=dataclasses.replace(bundle.params,
-                                   n_years=bundle.params.n_years / 2))
+        bundle, series=bundle.series.head(period),
+        params=dataclasses.replace(
+            bundle.params, n_years=bundle.params.n_years * (period / hours)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -503,10 +500,9 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
     of calling the built-in solver; with ``solver="export"`` it is an
     error. ``start``, the ``basis`` of an earlier run, is where the built-in
     solve starts from (see ``gridplan.solver.solve``). Without it, a run of
-    PERIOD_START_HOURS or more whose half is a whole number of days starts
-    from the LP of its first half (``_period_lp``): the one ``solve`` call
-    solves that cold, then the whole from its optimal basis, and counts
-    both in its iterations.
+    48 h or more starts from the LP of its first half in whole days
+    (``_period_lp``): the one ``solve`` call solves that cold, then the
+    whole from its optimal basis, and counts both in its iterations.
     """
     if solver not in ("builtin", "export"):
         raise RunnerError(f"unknown solver {solver!r}; use builtin or export")
@@ -626,6 +622,9 @@ class SweepSpec:
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1, got {self.jobs}: cells solve "
                              f"in sequence, each from an earlier one")
+        if self.lcp_values and self.omega_values is not None:
+            raise ValueError("a sweep takes lcp targets (--lcp) or omega "
+                             "targets (--ghg), not both")
         if not self.cells():
             raise ValueError("sweep grid must not be empty")
         named = [("lcp", self.lcp_values), ("hve", self.hve_values),
@@ -846,12 +845,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.ghg is None and args.lcp is None:
         raise RunnerError("sweep needs --lcp or --ghg")
-    omega = parse_range(args.ghg) if args.ghg is not None else None
     try:
         spec = SweepSpec(
-            lcp_values=parse_range(args.lcp) if omega is None else (),
-            omega_values=omega, hve_values=parse_range(args.hve),
-            out_dir=args.out)
+            lcp_values=parse_range(args.lcp) if args.lcp is not None else (),
+            omega_values=parse_range(args.ghg) if args.ghg is not None
+            else None, hve_values=parse_range(args.hve), out_dir=args.out)
     except ValueError as exc:
         raise RunnerError(str(exc)) from None
     base = _read_config_json(args.config) if args.config else None

@@ -59,7 +59,6 @@ def tiny_network() -> NetworkSpec:
         btm_solar_existing_mw=80.0,
         gas_existing_mw=2000.0,
         nuclear_mw=600.0,
-        nuclear_gen_mwh_per_h=550.0,
         biofuel_mw=30.0,
         biofuel_daily_mwh=450.0,
         battery_energy_existing_mwh=10.0,

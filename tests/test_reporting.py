@@ -229,8 +229,7 @@ def surplus_scenario():
     variable potential behind it; node b curtails wind and solar together.
     Nothing is buildable, so each potential is existing capacity times its
     capacity factor."""
-    node_a = NodeSpec(id="a", nuclear_mw=300.0, nuclear_gen_mwh_per_h=300.0,
-                      us_solar_existing_mw=200.0)
+    node_a = NodeSpec(id="a", nuclear_mw=300.0, us_solar_existing_mw=200.0)
     node_b = NodeSpec(id="b", onshore_existing_mw=300.0,
                       us_solar_existing_mw=100.0, gas_existing_mw=200.0)
     iface = InterfaceSpec(node_a="a", node_b="b", distance_mi=100.0,
@@ -554,8 +553,7 @@ def test_excluded_nuclear_leaves_the_fixed_charges():
     charge and its energy is not charged: the objective offset and the
     reported cost buckets both match the charge computed by hand."""
     net = one_node(gas_existing_mw=300.0, hydro_fixed_mw=40.0,
-                   nuclear_mw=200.0, nuclear_gen_mwh_per_h=150.0,
-                   existing_tx_flow_mwh=1000.0)
+                   nuclear_mw=200.0, existing_tx_flow_mwh=1000.0)
     series = series_for(net, T24, d_elec=100.0, h_fix=30.0, nuclear=150.0)
     costs = costs_for(ex_cap={"n": 27.64}, ex_tx={"n": 1.5})
     config = ScenarioConfig(mode="lcp+hve", lcp=0.0, p_heat=0.0, p_veh=0.0,

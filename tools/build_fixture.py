@@ -101,7 +101,6 @@ def build_network() -> NetworkSpec:
         us_solar_existing_mw=30.0,
         btm_solar_existing_mw=90.0,
         nuclear_mw=24.0,
-        nuclear_gen_mwh_per_h=22.0,
         biofuel_mw=40.0,
         biofuel_daily_mwh=600.0,
         battery_energy_existing_mwh=480.0,
