@@ -83,8 +83,9 @@ def scale_vehicles(p_veh: float, full):
     return p * np.asarray(full, dtype=float)
 
 
-def split_ev_daily(e_daily: float, y_flex: float) -> tuple[float, float]:
-    """Split a daily EV energy requirement into (flexible, fixed) parts.
+def split_ev_daily(e_daily, y_flex: float) -> tuple:
+    """Split daily EV energy requirements (one day's, or an array of them)
+    into (flexible, fixed) parts.
 
     The flexible part is computed first and the fixed part is the exact
     remainder, so the two always sum bit-exactly to the input.
@@ -107,9 +108,8 @@ def fixed_ev_profile(
     daily = np.asarray(e_fix_daily, dtype=float)
     width = h_end - h_start + 1
     out = np.zeros(len(daily) * HOURS_PER_DAY)
-    for day, energy in enumerate(daily):
-        base = day * HOURS_PER_DAY
-        out[base + h_start : base + h_end + 1] = energy / (eta_veh * width)
+    out.reshape(-1, HOURS_PER_DAY)[:, h_start : h_end + 1] = (
+        daily / (eta_veh * width))[:, None]
     return out
 
 
@@ -241,11 +241,8 @@ def synthesize_demand(
             daily_full = np.asarray(series.e_veh_daily_full[node.id], float)
         else:
             daily_full = _daily_totals(np.asarray(series.d_veh_full[node.id]))
-        daily = scale_vehicles(p_v, daily_full)
-        flex_daily = np.empty_like(daily)
-        fix_daily = np.empty_like(daily)
-        for d, total in enumerate(daily):
-            flex_daily[d], fix_daily[d] = split_ev_daily(total, ev.y_flex)
+        flex_daily, fix_daily = split_ev_daily(
+            scale_vehicles(p_v, daily_full), ev.y_flex)
         d_veh_fix[node.id] = fixed_ev_profile(
             fix_daily, params.eta_veh, (ev.h_start, ev.h_end)
         )

@@ -65,9 +65,9 @@ class LPInstance:
     ascending) and reads ``row @ x  sense[i]  rhs[i]``. ``sense`` and
     ``row_tags`` (the constraint family of each row) are string arrays, so
     selecting a sense or a family is one comparison. ``lower``/``upper``
-    are per-column bounds (upper may be +inf); ``offset`` is a constant
-    added to the objective value; ``audit`` counts rows (and bound-encoded
-    constraints) per constraint-family tag for coverage checks.
+    are per-column bounds (upper may be +inf), so a family that is
+    stored as bounds shows as the finite ``upper`` of its columns;
+    ``offset`` is a constant added to the objective value.
     ``row_hour`` and ``col_hour`` (int32) give the hour of each row and
     column: its hour for an hourly one, its day's first hour for a daily
     one, and -1 for one that spans the horizon (``cap_*``, ``policy_*``),
@@ -90,7 +90,6 @@ class LPInstance:
     upper: np.ndarray
     col_names: tuple
     offset: float = 0.0
-    audit: Mapping[str, int] = field(default_factory=dict)
     row_hour: np.ndarray | None = None
     col_hour: np.ndarray | None = None
 
@@ -227,8 +226,6 @@ class LPInstance:
                 self.sense.tolist(), self.rhs.tolist()):
             head = f"{name}|{tag}|{sense}|{rhs!r}".encode()
             parts.append(head + b"#" + idx[a:b] + b"#" + val[a:b])
-        for tag in sorted(self.audit):
-            parts.append(f"audit:{tag}={self.audit[tag]}".encode())
         return b"\n".join(parts)
 
 
@@ -532,11 +529,12 @@ def _to_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 
 
 class LPBuilder:
-    """Mutable accumulator for rows, bounds, objective, and the audit.
+    """Mutable accumulator for rows, bounds and objective.
 
     Constraint families append rows in blocks (``add_rows``) and then their
-    coefficients as broadcast index arrays (``add_terms``); ``instance``
-    turns the collected entries into the CSR matrix.
+    coefficients as broadcast index arrays (``add_terms``), or bound their
+    columns by writing ``upper`` directly; ``instance`` turns the collected
+    entries into the CSR matrix.
     """
 
     def __init__(self, catalog: VariableCatalog):
@@ -549,10 +547,6 @@ class LPBuilder:
         self.row_names: list[str] = []
         self._rows: list[tuple] = []    # (sense, rhs, tag, hour) per add_rows
         self._terms: list[tuple] = []   # (rows, cols, vals) per add_terms
-        self.audit: dict[str, int] = {}
-
-    def tally(self, tag: str, count: int = 1) -> None:
-        self.audit[tag] = self.audit.get(tag, 0) + count
 
     def add_rows(self, names: Sequence[str], sense, rhs, tag,
                  hours=-1) -> np.ndarray:
@@ -567,8 +561,6 @@ class LPBuilder:
             np.broadcast_to(np.asarray(value), (k,))
             for value in (sense, np.asarray(rhs, float), tag, hours))
         self._rows.append((sense, rhs, tag, hours))
-        for t, count in zip(*np.unique(tag, return_counts=True)):
-            self.tally(str(t), int(count))
         return np.arange(start, start + k)
 
     def add_terms(self, rows, cols, vals) -> None:
@@ -579,12 +571,6 @@ class LPBuilder:
             np.ravel(a) for a in np.broadcast_arrays(
                 rows, cols, np.asarray(vals, dtype=float))))
 
-    def set_upper(self, cols, bound, tag: str) -> None:
-        """Bound columns ``cols`` above by ``bound`` (broadcast to them)."""
-        cols = np.asarray(cols)
-        self.upper[cols] = bound
-        self.tally(tag, cols.size)
-
     def instance(self) -> LPInstance:
         n = self.catalog.n_cols
         rows, cols, vals, sense, rhs, tags, hours = (
@@ -594,14 +580,12 @@ class LPBuilder:
             for k, dtype in enumerate(dtypes))
         indptr, indices, data = _to_csr(rows, cols, vals,
                                         len(self.row_names), n)
-        audit = dict(sorted(self.audit.items()))
-        audit["nonneg"] = n
         return LPInstance(
             n_cols=n, objective=self.objective, indptr=indptr,
             indices=indices, data=data, sense=sense, rhs=rhs,
             row_names=self.row_names, row_tags=tags, lower=self.lower,
             upper=self.upper, col_names=self.catalog.names,
-            offset=self.offset, audit=audit, row_hour=hours,
+            offset=self.offset, row_hour=hours,
             col_hour=self.catalog.hours)
 
 
@@ -704,9 +688,8 @@ def add_fossil_constraints(builder: LPBuilder, inp: BuildInputs) -> None:
     for n in inp.node_ids:
         node = inp.network.node(n)
         if n in inp.fossil_ex_nodes:
-            builder.set_upper(cat.cols("fossil_ex", n),
-                              node.gas_existing_mw / (1.0 + sigma),
-                              "reserve-existing")
+            builder.upper[cat.cols("fossil_ex", n)] = (
+                node.gas_existing_mw / (1.0 + sigma))
         if n in inp.build_keys["cap_fossil"]:
             names, hours = _hourly_names("reserve_new", n, T)
             rows = builder.add_rows(names, LE, 0.0, "reserve-new", hours)
@@ -754,12 +737,12 @@ def add_resource_caps(builder: LPBuilder, inp: BuildInputs) -> None:
         node = inp.network.node(n)
         ub = _headroom(node.onshore_max_mw, node.onshore_existing_mw,
                        "onshore wind", n)
-        builder.set_upper(cat.col("cap_onshore", n), ub, "resource-onshore")
+        builder.upper[cat.col("cap_onshore", n)] = ub
     for n in inp.build_keys["cap_us_solar"]:
         node = inp.network.node(n)
         ub = _headroom(node.us_solar_max_mw, node.us_solar_existing_mw,
                        "utility solar", n)
-        builder.set_upper(cat.col("cap_us_solar", n), ub, "resource-us-solar")
+        builder.upper[cat.col("cap_us_solar", n)] = ub
     if inp.build_keys["cap_offshore"]:
         existing = sum(inp.network.node(n).offshore_existing_mw
                        for n in inp.node_ids)
@@ -790,7 +773,7 @@ def add_transmission(builder: LPBuilder, inp: BuildInputs) -> None:
                                  (rev, iface.existing_rev_mw)):
             flow = cat.cols("flow", direction)
             if cap is None:
-                builder.set_upper(flow, limit, "tx-limit")
+                builder.upper[flow] = limit
             else:
                 names, hours = _hourly_names("tx_limit", direction, T)
                 rows = builder.add_rows(names, LE, limit, "tx-limit", hours)
@@ -861,9 +844,9 @@ def add_storage(builder: LPBuilder, inp: BuildInputs, kind: str) -> None:
                                            "battery-sizing")
                     builder.add_terms(row, [cap_p, cap_e], [1.0, -phi])
         else:
-            builder.set_upper(soc, e_ex, f"{tag}-energy-cap")
-            builder.set_upper(charge, p_ex, f"{tag}-power-cap")
-            builder.set_upper(discharge, p_ex, f"{tag}-power-cap")
+            builder.upper[soc] = e_ex
+            builder.upper[charge] = p_ex
+            builder.upper[discharge] = p_ex
 
 
 def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
@@ -876,8 +859,7 @@ def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
         rows = builder.add_rows(names, EQ, inp.series.h_flex_daily[n],
                                 "hydro-daily", hours)
         builder.add_terms(rows[:, None], hydro.reshape(n_days, -1), 1.0)
-        builder.set_upper(hydro, inp.network.node(n).hydro_flex_hourly_max_mwh,
-                          "hydro-hourly")
+        builder.upper[hydro] = inp.network.node(n).hydro_flex_hourly_max_mwh
     for n in inp.bio_nodes:
         node = inp.network.node(n)
         bio = cat.cols("biofuel", n)
@@ -885,11 +867,10 @@ def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
         rows = builder.add_rows(names, LE, node.biofuel_daily_mwh,
                                 "biofuel-daily", hours)
         builder.add_terms(rows[:, None], bio.reshape(n_days, -1), 1.0)
-        builder.set_upper(bio, node.biofuel_mw, "biofuel-hourly")
+        builder.upper[bio] = node.biofuel_mw
     for n in inp.import_nodes:
-        builder.set_upper(cat.cols("imports", n),
-                          inp.network.node(n).import_limit_mwh,
-                          "import-limit")
+        builder.upper[cat.cols("imports", n)] = (
+            inp.network.node(n).import_limit_mwh)
     rate_veh = cat.col("rate_veh")
     for n in inp.ev_nodes:
         env = inp.demand.ev_envelopes[n]
@@ -918,7 +899,7 @@ def add_dispatchables(builder: LPBuilder, inp: BuildInputs) -> None:
             names, days = _daily_names("ev_daily", n, n_days)
             rows = builder.add_rows(names, EQ, required, "ev-daily", days)
             builder.add_terms(rows[:, None], ev, 1.0)
-            builder.set_upper(ev, hourly_cap[:, None], "ev-rate")
+            builder.upper[ev] = hourly_cap[:, None]
 
 
 def _supply_share_row(builder: LPBuilder, inp: BuildInputs, frac: float, *,

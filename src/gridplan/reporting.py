@@ -167,11 +167,9 @@ def _electrified_rates(inp: BuildInputs, x: np.ndarray) -> tuple[float, float]:
         if series.d_heat_full is not None else {}
     if series.d_veh_full is not None:
         veh_w = {n: float(np.sum(series.d_veh_full[n])) for n in inp.node_ids}
-    elif series.e_veh_daily_full is not None:
+    else:
         veh_w = {n: float(np.sum(series.e_veh_daily_full[n]))
                  for n in inp.node_ids}
-    else:
-        veh_w = {}
     return (_weighted_rate(inp.config.p_heat, heat_w),
             _weighted_rate(inp.config.p_veh, veh_w))
 

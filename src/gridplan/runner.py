@@ -750,7 +750,9 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
     Dinkelbach's method (1967) solves it: from lambda = 0, minimize cost -
     lambda D(t) from the last LP's basis and set lambda to the LCOE there,
     until that minimum is no longer below zero (to 1e-9 of the cost).
-    ``report`` is a run of the rate found. Malformed bounds raise
+    ``report`` is the run of the rate found, started from the last LP's
+    basis (``run_scenario(..., start=)``), so no first half is solved for
+    it. Malformed bounds raise
     RunnerError before any stage runs; validate failing raises
     InvalidScenarioError, and any other stage failing or an infeasible
     joint LP SearchError.
@@ -800,7 +802,7 @@ def min_lcoe_search(bundle, omega: float, *, lo: float = 0.0, hi: float = 1.0,
             break
         lam, basis = cost / demand, solution.basis
     hve = trace[-1][0]
-    result = run_scenario(bundle, config_at(hve))
+    result = run_scenario(bundle, config_at(hve), start=solution.basis)
     if result.report is None:
         raise SearchError(f"at hve {hve}, {result.stage}: {result.message}")
     return SearchResult(hve=hve, lcoe=result.report.lcoe_usd_per_mwh,

@@ -1506,7 +1506,7 @@ def _parse_block(lines: list[str], first: int) -> tuple[list, np.ndarray]:
 def _solution_blocks(source):
     """``(names, values)`` of each block of a solution source.
 
-    A mapping is one block. Text, or a stream, is taken
+    A mapping is one block. A stream, or text read as one, is taken
     ``_SOLUTION_CHARS`` characters at a time and split into lines where
     str.splitlines splits them, whatever line ends the stream translates;
     a block is the whole lines of what has been taken.
@@ -1514,12 +1514,9 @@ def _solution_blocks(source):
     if isinstance(source, Mapping):
         yield list(source), np.array(list(source.values()), dtype=float)
         return
-    if hasattr(source, "read"):
-        pieces = iter(lambda: source.read(_SOLUTION_CHARS), "")
-    else:
-        text = str(source)
-        pieces = (text[start:start + _SOLUTION_CHARS]
-                  for start in range(0, len(text), _SOLUTION_CHARS))
+    if not hasattr(source, "read"):
+        source = io.StringIO(str(source))
+    pieces = iter(lambda: source.read(_SOLUTION_CHARS), "")
     first, rest = 1, ""
     for piece in pieces:
         lines = (rest + piece).splitlines(keepends=True)

@@ -260,8 +260,7 @@ def make_lp(objective: Sequence[float],
             upper=None,
             lower=None,
             col_names=None,
-            offset: float = 0.0,
-            audit=None) -> LPInstance:
+            offset: float = 0.0) -> LPInstance:
     """Construct an LPInstance from dense per-row coefficient lists.
 
     Each row is (coefficients, sense, rhs) or (coefficients, sense,
@@ -288,7 +287,7 @@ def make_lp(objective: Sequence[float],
         sense=senses, rhs=[float(r) for r in rhs], row_names=names,
         row_tags=[""] * len(names), lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),
-        col_names=tuple(col_names), offset=offset, audit=dict(audit or {}))
+        col_names=tuple(col_names), offset=offset)
 
 
 def count_inverts(monkeypatch) -> list:

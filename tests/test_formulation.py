@@ -138,6 +138,11 @@ def named_coeffs(lp, row) -> dict[str, float]:
     return {lp.col_names[i]: v for i, v in zip(row.idx, row.val)}
 
 
+def bounded(lp, cat, fam: str) -> int:
+    """Columns of the family ``fam`` with a finite upper bound."""
+    return int(np.isfinite(lp.upper[cat.family(fam)]).sum())
+
+
 def solve_ok(lp, **opt_kw):
     sol = solve(lp, SolveOptions(**opt_kw) if opt_kw else None)
     assert sol.status == "optimal", sol.message
@@ -462,8 +467,8 @@ class TestTransmission:
         assert "cap_tx[a:b]" not in cat.names
         assert lp.upper[lp.column_index("flow[a>b,0]")] == pytest.approx(800.0)
         assert lp.upper[lp.column_index("flow[b>a,0]")] == pytest.approx(400.0)
-        assert not [r for r in lp.rows if r.tag == "tx-limit"]
-        assert lp.audit["tx-limit"] == 4  # 2 directions x 2 hours, as bounds
+        assert "tx-limit" not in lp.row_tags
+        assert bounded(lp, cat, "flow") == 4  # 2 directions x 2 hours
 
     def test_rows_when_buildable(self):
         (lp, cat), _ = two_node_tx(fwd=1613.0, rev=220.0)
@@ -581,8 +586,11 @@ class TestStorage:
         (lp, cat), _ = storage_shift_fixture()
         assert lp.upper[lp.column_index("batt_soc[n,0]")] == pytest.approx(20.0)
         assert lp.upper[lp.column_index("batt_charge[n,1]")] == pytest.approx(10.0)
-        assert lp.audit["battery-energy-cap"] == 2
-        assert lp.audit["battery-power-cap"] == 4
+        assert bounded(lp, cat, "batt_soc") == 2
+        assert (bounded(lp, cat, "batt_charge")
+                + bounded(lp, cat, "batt_discharge")) == 4
+        assert not np.isin(lp.row_tags, ["battery-energy-cap",
+                                         "battery-power-cap"]).any()
 
     def test_wrap_conservation_at_optimum(self):
         (lp, cat), params = storage_shift_fixture(eta=0.946, kappa=0.001,
@@ -622,7 +630,7 @@ class TestDispatchables:
     def test_hydro_hourly_cap_is_bound(self):
         lp, cat = build_tiny()
         assert lp.upper[lp.column_index("hydro_flex[a,11]")] == pytest.approx(150.0)
-        assert lp.audit["hydro-hourly"] == 48
+        assert bounded(lp, cat, "hydro_flex") == 48
 
     def test_unreachable_hydro_daily_warns(self):
         net = mini_network(gas_existing_mw=50.0, hydro_flex_mw=10.0,
@@ -658,7 +666,7 @@ class TestDispatchables:
         assert "imports[a,0]" in cat.names
         assert "imports[b,0]" not in cat.names
         assert lp.upper[lp.column_index("imports[a,7]")] == pytest.approx(300.0)
-        assert lp.audit["import-limit"] == 48
+        assert bounded(lp, cat, "imports") == 48
 
     def test_hours_not_multiple_of_24_with_daily_structures(self):
         net = mini_network(gas_existing_mw=50.0, hydro_flex_mw=10.0,
@@ -774,11 +782,11 @@ class TestEVFlex:
 class TestPolicy:
     def test_lcp_zero_or_none_omitted(self):
         lp, _ = build_tiny(fixed_config(lcp=0.0, p_heat=0.3, p_veh=0.2))
-        assert "policy-lcp" not in lp.audit
+        assert "policy-lcp" not in lp.row_tags
         lp_ghg, _ = build_tiny(
             ScenarioConfig(mode="ghg+hve", omega=0.2, p_heat=0.3, p_veh=0.2),
             emissions=tiny_calibration())
-        assert "policy-lcp" not in lp_ghg.audit
+        assert "policy-lcp" not in lp_ghg.row_tags
 
     def test_lcp_row_coefficients_and_rhs(self):
         net = tiny_network()
@@ -1153,16 +1161,13 @@ class TestWholeInstance:
         assert var2 == pytest.approx(alpha * var1, rel=1e-6)
         assert lp2.offset == pytest.approx(alpha * lp1.offset, rel=1e-12)
 
-    def test_audit_counts_tiny(self):
-        lp, _ = build_tiny()
-        expected = {
+    def test_family_counts_tiny(self):
+        lp, cat = build_tiny()
+        rows = {
             "balance": 96,
-            "reserve-existing": 96,
             "reserve-new": 96,
             "ramp-existing": 192,
             "ramp-new": 192,
-            "resource-onshore": 2,
-            "resource-us-solar": 2,
             "resource-offshore": 1,
             "tx-limit": 96,
             "battery-soc": 96,
@@ -1170,20 +1175,23 @@ class TestWholeInstance:
             "battery-power-cap": 192,
             "battery-sizing": 4,
             "hydro-daily": 2,
-            "hydro-hourly": 48,
             "biofuel-daily": 4,
-            "biofuel-hourly": 96,
-            "import-limit": 48,
             "policy-lcp": 1,
-            "nonneg": 972,
         }
-        assert dict(lp.audit) == expected
-        row_tags = ("balance", "reserve-new", "ramp-existing", "ramp-new",
-                    "resource-offshore", "tx-limit", "battery-soc",
-                    "battery-energy-cap", "battery-power-cap",
-                    "battery-sizing", "hydro-daily", "biofuel-daily",
-                    "policy-lcp")
-        assert len(lp.rows) == sum(expected[t] for t in row_tags)
+        tags, counts = np.unique(lp.row_tags, return_counts=True)
+        assert dict(zip(tags.tolist(), counts.tolist())) == rows
+        # the families stored as column bounds, by their columns' family
+        bounds = {
+            "fossil_ex": 96,     # reserve-existing
+            "cap_onshore": 2,    # resource-onshore
+            "cap_us_solar": 2,   # resource-us-solar
+            "hydro_flex": 48,    # hydro-hourly
+            "biofuel": 96,       # biofuel-hourly
+            "imports": 48,       # import-limit
+        }
+        assert {fam: bounded(lp, cat, fam) for fam in bounds} == bounds
+        assert np.isfinite(lp.upper).sum() == sum(bounds.values())
+        assert lp.n_cols == 972 and not lp.lower.any()
 
     def test_rate_columns_bounded_by_one(self):
         config = ScenarioConfig(mode="ghg+lcp", omega=0.2, lcp=0.3)

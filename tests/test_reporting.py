@@ -628,6 +628,26 @@ class TestFreeRatesScenario:
         assert energy_closure(inp, lp, sol) <= 1e-7
 
 
+def test_per_node_rates_report_their_energy_weighted_means():
+    # A per-node rate reports the mean of its nodes' rates weighted by
+    # each node's full demand: heating hourly, vehicles by day, where the
+    # fixture's node a has none.
+    bundle = load_bundle(FIXTURE)
+    config = dataclasses.replace(load_config(FIXTURE / "scenario.json"),
+                                 p_heat={"a": 0.1, "b": 0.3},
+                                 p_veh={"a": 0.1, "b": 0.3})
+    result = run_scenario(bundle, config)
+    assert result.status == "optimal"
+    heat = {n: float(np.sum(bundle.series.d_heat_full[n])) for n in "ab"}
+    assert result.report.heat_electrified == pytest.approx(
+        (0.1 * heat["a"] + 0.3 * heat["b"]) / (heat["a"] + heat["b"]),
+        rel=1e-12)
+    assert result.report.heat_electrified == pytest.approx(0.2219742489,
+                                                           abs=1e-10)
+    assert float(np.sum(bundle.series.e_veh_daily_full["a"])) == 0.0
+    assert result.report.vehicle_electrified == 0.3
+
+
 # --------------------------------------------------------------------------
 # flows, operations dump, and CSV/JSON serialization
 

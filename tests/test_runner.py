@@ -1092,24 +1092,33 @@ class TestMinLcoeSearch:
         assert result.lcp == result.report.lcp_realized
 
     def test_result_is_a_run_of_the_rate_found(self, micro_bundle):
+        # The report comes from the chain's last solve, and plans what a
+        # cold run of the rate found plans.
         result = min_lcoe_search(micro_bundle, omega=0.3)
         assert result.report.ghg_reduction >= 0.3 - 1e-6
         alone = run_scenario(micro_bundle, ScenarioConfig(
             mode="ghg+hve", omega=0.3, p_heat=result.hve,
             p_veh=result.hve)).report
-        assert result.report == alone
+        assert result.report.heat_electrified == alone.heat_electrified
+        assert_same_plan(result.report, alone)
 
     def test_trace_is_one_warm_started_lp_per_step(self, micro_bundle,
                                                    monkeypatch):
         calls = spy_solves(monkeypatch)
+        solutions = []
+        spy = runner.solve
+        monkeypatch.setattr(runner, "solve", lambda *a, **kw: (
+            solutions.append(spy(*a, **kw)) or solutions[-1]))
         result = min_lcoe_search(micro_bundle, omega=0.3)
-        # One LP per trace entry, then the run of the rate found.
+        # One LP per trace entry, then the run of the rate found, each
+        # from the basis of the one before.
         assert len(calls) == len(result.trace) + 1 >= 3
         steps, (run_lp, run_start) = calls[:-1], calls[-1]
         assert steps[0][1] is None
-        assert all(start is not None for _, start in steps[1:])
+        assert all(start is sol.basis
+                   for (_, start), sol in zip(calls[1:], solutions))
         assert all(lp.col_names[-1] == "t" for lp, _ in steps)
-        assert run_start is None and "t" not in run_lp.col_names
+        assert run_start is not None and "t" not in run_lp.col_names
         # Dinkelbach's LCOEs never rise, and the last is the run's.
         lcoes = [lcoe for _, lcoe in result.trace]
         assert lcoes == sorted(lcoes, reverse=True)
