@@ -149,8 +149,6 @@ def _solved_rates(inp: BuildInputs, x: np.ndarray) -> tuple[float, float]:
 
 def _weighted_rate(value, weights: Mapping[str, float]) -> float:
     """Energy-weighted mean of a per-node fraction (scalar passes through)."""
-    if value is None:
-        return 0.0
     if not isinstance(value, Mapping):
         return float(value)
     total = float(sum(weights.get(n, 0.0) for n in value))

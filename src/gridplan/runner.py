@@ -227,32 +227,41 @@ def _raise_fault(path: Path, name: str) -> None:
 
 def _check_fields(cls, values: Mapping, where: str) -> None:
     """Raise RunnerError unless each numeric field of the dataclass ``cls``
-    given in ``values`` holds a number, or, where the field takes a
-    ``Mapping``, a JSON object of numbers, and each ``bool`` field holds
-    true or false. A bool, string or null is not a number, and a string or
-    number is not a bool."""
+    given in ``values`` holds a finite number, whole where the field is an
+    ``int``, or, where the field takes a ``Mapping``, a JSON object of
+    such numbers, and each ``bool`` field holds true or false. A bool,
+    string or null is not a number, JSON's NaN and Infinity are not
+    finite, 18.0 is not an int, and a string or number is not a bool."""
     for f in dataclasses.fields(cls):
-        kinds = f.type.split(" | ")
-        scalar = "float" in kinds or "int" in kinds
-        mapping = any(kind.startswith("Mapping") for kind in kinds)
         if f.name not in values:
             continue
+        kinds = f.type.split(" | ")
         value = values[f.name]
         if kinds == ["bool"] and not isinstance(value, bool):
             raise RunnerError(f"{where}{f.name} must be true or false, "
                               f"got {value!r}")
-        if not (scalar or mapping):
-            continue
+        scalar = [kind for kind in kinds if kind in ("float", "int")]
+        mapping = [kind.removeprefix("Mapping[str, ").removesuffix("]")
+                   for kind in kinds if kind.startswith("Mapping")]
         if mapping and isinstance(value, Mapping):
+            kind = mapping[0]
             items = [(f"{f.name}[{k}]", v) for k, v in value.items()]
         elif scalar:
-            items = [(f.name, value)]
-        else:
+            kind, items = scalar[0], [(f.name, value)]
+        elif mapping:
             raise RunnerError(f"{where}{f.name} must be an object of "
                               f"numbers, got {value!r}")
+        else:
+            continue
         for label, v in items:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise RunnerError(f"{where}{label} must be a number, "
+                                  f"got {v!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise RunnerError(f"{where}{label} must be finite, "
+                                  f"got {v!r}")
+            if kind == "int" and not isinstance(v, int):
+                raise RunnerError(f"{where}{label} must be a whole number, "
                                   f"got {v!r}")
 
 
@@ -268,6 +277,7 @@ def load_bundle(path) -> Bundle:
         raise RunnerError(f"bundle.json is not valid JSON: {exc}") from exc
     try:
         net = payload["network"]
+        _check_fields(NetworkSpec, net, "bundle.json: network: ")
         network = NetworkSpec(
             nodes=[NodeSpec(**n) for n in net["nodes"]],
             interfaces=[InterfaceSpec(**i) for i in net.get("interfaces", [])],
@@ -443,8 +453,8 @@ class _StageError(Exception):
 
 
 def _stage(bundle: Bundle, config: ScenarioConfig):
-    """The validate, demand, resources and build stages of one scenario:
-    its resolved inputs and LP, or _StageError from the first that stops."""
+    """The validate, demand and build stages of one scenario: its resolved
+    inputs and LP, or _StageError from the first that stops."""
     stage = "validate"
     try:
         problems = validate(bundle.network, bundle.series, bundle.costs,
@@ -454,11 +464,10 @@ def _stage(bundle: Bundle, config: ScenarioConfig):
         stage = "demand"
         demand = synthesize_demand(bundle.network, bundle.series, config,
                                    bundle.params)
-        stage = "resources"
+        stage = "build"
         inp = BuildInputs(config, bundle.network, bundle.series,
                           bundle.costs, bundle.params, demand,
                           emissions=bundle.emissions)
-        stage = "build"
         lp, _ = assemble(inp)
     except (LPError, RunnerError, ValueError, KeyError) as exc:
         raise _StageError(stage, str(exc)) from exc
@@ -491,7 +500,7 @@ def run_scenario(bundle, config: ScenarioConfig, *, label: str | None = None,
                  start: Basis | None = None) -> RunResult:
     """Run the staged pipeline for one scenario.
 
-    Stages: validate, demand, resources, build, then either export (write
+    Stages: validate, demand, build, then either export (write
     the LP as MPS and stop) or solve, emissions, summarize. With ``out_dir``
     the report CSV/JSON and the hourly operations dump, or an export's
     ``model.mps``, are written there;

@@ -154,20 +154,28 @@ def _row_violations(lp: LPInstance, low: np.ndarray,
 
 def _violation_message(lp: LPInstance, x: np.ndarray, limit: float,
                        subject: str) -> str:
-    """The rows, then the column bounds, that x misses by more than
-    ``limit``: how many, the worst miss, and up to 5 named worst first."""
+    """The columns where x is NaN or infinite, then the rows and the
+    column bounds that x misses by more than ``limit``: how many, the
+    worst miss, and up to 5 named worst first."""
+    nonfinite = np.flatnonzero(~np.isfinite(x))
+    found = [f"has {nonfinite.size} non-finite values: "
+             f"{[lp.col_names[j] for j in nonfinite[:5]]}"] \
+        if nonfinite.size else []
     parts = []
-    act = lp.activity(x)
-    for what, names, miss in (("rows", lp.row_names,
-                               _row_violations(lp, act, act)),
-                              ("column bounds", lp.col_names,
-                               np.maximum(lp.lower - x, x - lp.upper))):
+    with np.errstate(invalid="ignore"):  # inf - inf at a non-finite point
+        act = lp.activity(x)
+        misses = (("rows", lp.row_names, _row_violations(lp, act, act)),
+                  ("column bounds", lp.col_names,
+                   np.maximum(lp.lower - x, x - lp.upper)))
+    for what, names, miss in misses:
         bad = np.flatnonzero(miss > limit)
         bad = bad[np.argsort(-miss[bad], kind="stable")]
         if bad.size:
             parts.append(f"{bad.size} {what} beyond tolerance (worst "
                          f"{miss[bad[0]]:.3e}): {[names[i] for i in bad[:5]]}")
-    return f"{subject} violates {' and '.join(parts)}"
+    if parts:
+        found.append(f"violates {' and '.join(parts)}")
+    return f"{subject} {' and '.join(found)}"
 
 
 class _Factor(NamedTuple):
@@ -1547,8 +1555,7 @@ def _mps_columns(names: list, n: int) -> np.ndarray:
             raise LPError(f"solution names unknown column {name!r}")
 
 
-def import_solution(lp: LPInstance, source,
-                    options: SolveOptions | None = None) -> Solution:
+def import_solution(lp: LPInstance, source) -> Solution:
     """Adopt externally solved values for this LP.
 
     ``source`` may be a mapping, NAME VALUE text, or a readable text
@@ -1565,13 +1572,13 @@ def import_solution(lp: LPInstance, source,
     write_mps), so a column whose own name is ``C1`` is never read as
     column 1; a column given twice, by either name, raises LPError. The
     objective and slacks are recomputed from the point itself; status
-    "optimal" here asserts feasibility within ``feasibility_tol``, while a
-    point violating a row or a column bound beyond it comes back
-    "infeasible", naming the rows and then the columns worst first, and so
-    does a point holding a NaN or infinite value, with up to 5 such
-    columns named.
+    "optimal" here asserts feasibility within ``SolveOptions()``'s
+    ``feasibility_tol``, while a point holding a NaN or infinite value, or
+    violating a row or a column bound beyond it, comes back "infeasible",
+    naming the non-finite columns, then the rows, then the columns worst
+    first.
     """
-    opts = options or SolveOptions()
+    tol = SolveOptions().feasibility_tol
     n = lp.n_cols
     position = dict(zip(lp.col_names, range(n)))
     given = np.zeros((2, n), dtype=np.int64)  # by own name, by MPS name
@@ -1599,13 +1606,7 @@ def import_solution(lp: LPInstance, source,
                       f"{[lp.col_names[j] for j in missing[:5]]}")
 
     sol = _judge(lp, x)
-    if sol.max_violation <= opts.feasibility_tol:
+    if sol.max_violation <= tol:
         return sol
-    nonfinite = np.flatnonzero(~np.isfinite(x))
-    if nonfinite.size:
-        message = (f"imported point has {nonfinite.size} non-finite values: "
-                   f"{[lp.col_names[j] for j in nonfinite[:5]]}")
-    else:
-        message = _violation_message(lp, x, opts.feasibility_tol,
-                                     "imported point")
-    return replace(sol, status=STATUS_INFEASIBLE, message=message)
+    return replace(sol, status=STATUS_INFEASIBLE, message=_violation_message(
+        lp, x, tol, "imported point"))

@@ -23,15 +23,10 @@ import gridplan
 from gridplan.demand import btm_statewide_mw, synthesize_demand
 from gridplan.emissions import EmissionsLedger, co2e_factor, ghg_reduction
 from gridplan.formulation import BuildInputs, assemble
-from gridplan.model import (
-    EVFlexConfig,
-    HOURS_PER_DAY,
-    ScenarioConfig,
-    annualization_rate,
-)
+from gridplan.model import HOURS_PER_DAY, ScenarioConfig, annualization_rate
 from gridplan.reporting import energy_closure, summarize
 from gridplan.resources import MONTH_DAYS, build_hydro_profile
-from gridplan.runner import load_bundle, load_config, run_scenario
+from gridplan.runner import load_bundle, load_config, run_scenario, save_bundle
 from gridplan.solver import export_mps, import_solution, solve
 
 from _mpsread import solve_mps_with_highs
@@ -43,16 +38,9 @@ REDUCTION_TARGETS = (0.0, 0.2, 0.4, 0.6)
 
 
 def demo_config(**overrides) -> ScenarioConfig:
-    """The bundled system's reference scenario, with optional overrides."""
-    kw = dict(
-        mode="lcp+hve",
-        lcp=0.4,
-        p_heat=0.3,
-        p_veh=0.2,
-        ev_flex=EVFlexConfig(y_flex=0.5, h_start=18, h_end=22, h_min=3),
-    )
-    kw.update(overrides)
-    return ScenarioConfig(**kw)
+    """The bundled system's reference scenario, read from its own
+    ``scenario.json``, with optional overrides."""
+    return replace(load_config(BUNDLE_DIR / "scenario.json"), **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +141,7 @@ def test_cost_is_monotone_in_both_policy_targets(sweep_runs):
     assert len(costs) >= len(SHARE_TARGETS) - 1
     for earlier, later in zip(costs, costs[1:]):
         assert later >= earlier * (1.0 - 1e-6)
+    assert costs[-1] > costs[0] * (1.0 + 1e-6)  # the share target binds
 
     cuts = [(v, r) for kind, v, _, r in sweep_runs if kind == "reduction"]
     costs = []
@@ -162,6 +151,12 @@ def test_cost_is_monotone_in_both_policy_targets(sweep_runs):
         costs.append(result.report.total_cost_usd)
     for earlier, later in zip(costs, costs[1:]):
         assert later >= earlier * (1.0 - 1e-6)
+    assert costs[-1] > costs[0] * (1.0 + 1e-6)  # the emissions target binds
+
+
+def test_free_electrification_point_is_optimal(sweep_runs):
+    (result,) = [r for kind, _, _, r in sweep_runs if kind == "free-rates"]
+    assert result.status == "optimal", result.message
 
 
 def test_conservation_of_water_storage_and_hourly_energy(main_run, bundle):
@@ -190,6 +185,7 @@ def test_conservation_of_water_storage_and_hourly_energy(main_run, bundle):
     charged = sum(x[lp.column_index(f"batt_charge[b,{t}]")] for t in range(T))
     stored = sum(x[lp.column_index(f"batt_soc[b,{t}]")] for t in range(T))
     assert discharged > 0.0  # the wrap identity must not hold vacuously
+    assert main_run.report.battery_throughput_gwh > 0.01
     assert abs(discharged / eta - eta * charged + kappa * stored) <= 1e-7
 
     # Hourly closure: supply - curtailment - net storage = demand.
@@ -210,6 +206,20 @@ def test_ramp_charges_are_tight_at_the_optimum(main_run, bundle):
         largest_move = max(largest_move, abs(gen_now - gen_prev))
     assert largest_move > 1.0  # a flat profile would make the check vacuous
     assert worst_gap <= 1e-6
+
+
+def test_bundle_writer_reproduces_the_fixture(bundle, tmp_path):
+    # Writing the loaded fixture back gives its own bytes, so the shipped
+    # files are exactly what save_bundle writes.
+    save_bundle(tmp_path, bundle.network, bundle.series, bundle.costs,
+                bundle.params, bundle.emissions)
+    shipped = sorted(p.relative_to(BUNDLE_DIR)
+                     for p in (BUNDLE_DIR / "series").glob("*.csv"))
+    assert shipped == sorted(p.relative_to(tmp_path)
+                             for p in (tmp_path / "series").glob("*.csv"))
+    for name in (Path("bundle.json"), *shipped):
+        assert (tmp_path / name).read_bytes() \
+            == (BUNDLE_DIR / name).read_bytes(), name
 
 
 def _recomputed_net_demand(bundle, config, values) -> float:

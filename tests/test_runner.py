@@ -387,6 +387,24 @@ class TestBundleIO:
         (lambda p: p["emissions"].update(f_veh_tot_mj=3.3e9),
          "emissions: f_veh_tot_mj must be an object of numbers, got "
          "3300000000.0"),
+        # JSON's NaN and Infinity parse as floats, and 10.0 as a float:
+        # each would pass validate and stop a later stage naming nothing.
+        (lambda p: p["costs"]["c_imp"].update(a=math.nan),
+         "costs: c_imp[a] must be finite, got nan"),
+        (lambda p: p["params"].update(reserve_margin=math.nan),
+         "params: reserve_margin must be finite, got nan"),
+        (lambda p: p["network"]["nodes"][0].update(gas_existing_mw=-math.inf),
+         "node a: gas_existing_mw must be finite, got -inf"),
+        (lambda p: p["emissions"].update(reference_mmt=math.inf),
+         "emissions: reference_mmt must be finite, got inf"),
+        (lambda p: p["params"]["p_years"].update(storage=10.0),
+         "params: p_years[storage] must be a whole number, got 10.0"),
+        (lambda p: p["network"].update(offshore_cap_total_mw="5"),
+         "network: offshore_cap_total_mw must be a number, got '5'"),
+        (lambda p: p["network"].update(offshore_cap_total_mw=True),
+         "network: offshore_cap_total_mw must be a number, got True"),
+        (lambda p: p["network"].update(offshore_cap_total_mw=math.nan),
+         "network: offshore_cap_total_mw must be finite, got nan"),
     ]
 
     @pytest.mark.parametrize("edit, message", NOT_NUMBERS,
@@ -456,6 +474,23 @@ class TestLoadConfig:
         ({"btm_year": "2030"}, "btm_year must be a number, got '2030'"),
         ({"ev_flex": {"y_flex": "0.5", "h_start": 18, "h_end": 22}},
          "ev_flex: y_flex must be a number, got '0.5'"),
+        # JSON's NaN and Infinity parse as floats, and 18.0 as a float: an
+        # hour of 18.0 would end the run in a TypeError traceback.
+        ({"lcp": math.nan}, "lcp must be finite, got nan"),
+        ({"p_heat": {"a": 0.3, "b": math.inf}},
+         "p_heat[b] must be finite, got inf"),
+        ({"btm_year": 2030.0}, "btm_year must be a whole number, got 2030.0"),
+        ({"ev_flex": {"y_flex": 0.5, "h_start": 18.0, "h_end": 22}},
+         "ev_flex: h_start must be a whole number, got 18.0"),
+        ({"ev_flex": {"y_flex": 0.5, "h_start": 18.5, "h_end": 22}},
+         "ev_flex: h_start must be a whole number, got 18.5"),
+        ({"ev_flex": {"y_flex": 0.5, "h_start": 18, "h_end": 22.0}},
+         "ev_flex: h_end must be a whole number, got 22.0"),
+        ({"ev_flex": {"y_flex": 0.5, "h_start": 18, "h_end": 22,
+                      "h_min": 3.0}},
+         "ev_flex: h_min must be a whole number, got 3.0"),
+        ({"ev_flex": {"y_flex": math.nan, "h_start": 18, "h_end": 22}},
+         "ev_flex: y_flex must be finite, got nan"),
     ]
 
     @pytest.mark.parametrize("edit, message", NOT_NUMBERS,
@@ -486,8 +521,7 @@ class TestLoadConfig:
         payload = {**{k: v for k, v in json.loads(
             (FIXTURE / "scenario.json").read_text()).items() if k != "lcp"},
             "mode": "ghg+hve", "omega": omega}
-        message = ("invalid scenario config: omega must be finite and <= 1, "
-                   f"got {omega}")
+        message = f"scenario config: omega must be finite, got {omega}"
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(RunnerError) as exc:
@@ -1516,7 +1550,7 @@ class TestCli:
         (["--bounds", "1,0"], "search bounds [1.0, 0.0]"),
         (["--bounds", "nan,1"], "search bounds [nan, 1.0]"),
         (["--bounds", "0,1.5"], "p_heat must be in [0, 1], got 1.5"),
-        (["--ghg", "nan"], "omega must be finite and <= 1, got nan"),
+        (["--ghg", "nan"], "scenario config: omega must be finite, got nan"),
     ], ids=["bounds-abc", "bounds-range", "bounds-three", "bounds-reversed",
             "bounds-nan", "bounds-above-one", "ghg-nan"])
     def test_search_bad_arguments_exit_error(self, micro_bundle, capsys,

@@ -261,6 +261,22 @@ class TestElementary:
         assert sol.x is None
         assert sol.message.endswith("['r0']")
 
+    def test_non_finite_built_in_point_names_its_columns(self, monkeypatch):
+        # A NaN misses no row by any number, so only its column names it.
+        point = _Simplex.point
+
+        def spoil(self):
+            x = point(self).copy()
+            x[1] = np.nan
+            return x
+
+        monkeypatch.setattr(_Simplex, "point", spoil)
+        lp = make_lp([1.0, 1.0], [([1.0, 1.0], GE, 2.0)],
+                     col_names=("x", "y"))
+        sol = solve(lp)
+        assert (sol.status, sol.x) == ("numerical", None)
+        assert sol.message == "built-in point has 1 non-finite values: ['y']"
+
     def test_contradictory_bounds_infeasible(self):
         lp = make_lp([1.0], [([1.0], GE, 2.0)], upper=[1.0])
         sol = solve(lp)
